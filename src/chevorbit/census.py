@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chevalley import StructureConstantTable
-from .gfield import PrimeField, _norm_cosets
+from .gfield import PrimeField
 from .orbitlab import (
     Luminosity,
     OrbitDescriptor,
@@ -149,12 +149,12 @@ class OrbitCensus:
 
 
 def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV)
+        budget = int(env) if env else DEFAULT_BUDGET
+    if budget <= 0:
+        raise ValueError(f"the state budget must be positive, got {budget}")
+    return budget
 
 
 def _generator_moves(table: StructureConstantTable):
@@ -264,23 +264,6 @@ def _legendre_row(p: int) -> np.ndarray:
     return row
 
 
-def _inv_row(p: int) -> np.ndarray:
-    row = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        row[a] = pow(a, p - 2, p)
-    return row
-
-
-def _norm_token_table(p: int) -> np.ndarray:
-    """tok[k, a] = canonical coset representative of the unit a for form k."""
-    tok = np.zeros((p, p), dtype=np.int64)
-    for k in range(1, p):
-        _, rep_of = _norm_cosets(p, k)
-        for a in range(1, p):
-            tok[k, a] = rep_of[a]
-    return tok
-
-
 _LUM_CODE = {
     Luminosity.ZERO_VEC: 0,
     Luminosity.SINGULAR: 1,
@@ -290,12 +273,13 @@ _LUM_CODE = {
 }
 
 
-def _pack_block_scalar(p: int, inv) -> int:
+def _pack_block_scalar(inv) -> int:
     if inv.kind == "zero":
         return 0
     if inv.kind == "nilpotent":
         return 1 + (1 if inv.square.rep == 1 else 0)
-    return 3 + (inv.k - 1) * p + inv.norm.rep
+    # a regular block's norm class is always 1, so k alone names it
+    return 2 + inv.k
 
 
 def pack_profile(p: int, profile) -> int:
@@ -303,7 +287,7 @@ def pack_profile(p: int, profile) -> int:
     lum, invs = profile
     code = _LUM_CODE[lum]
     for inv in invs:
-        code = code * (3 + p * p) + _pack_block_scalar(p, inv)
+        code = code * (p + 2) + _pack_block_scalar(inv)
     return code
 
 
@@ -339,8 +323,6 @@ def _bulk_profiles_d(table: StructureConstantTable, p: int) -> np.ndarray:
     lum = np.select([nd != 0, lvm1, lv0, lv1], [4, 3, 2, 1], default=0)
 
     leg = _legendre_row(p)
-    invr = _inv_row(p)
-    tok = _norm_token_table(p)
     from .orbitlab import block_gammas
     from .rootsys import simple_index
 
@@ -353,11 +335,8 @@ def _bulk_profiles_d(table: StructureConstantTable, p: int) -> np.ndarray:
         is_zero = (c == 0) & (u == 0) & (w == 0)
         top = np.where(u != 0, u, (-w) % p)
         nilp_code = 1 + leg[top]
-        d0 = np.where(w != 0, w, np.where(u != 0, (-u) % p, (-2 * c) % p))
-        upper = (k * invr[d0]) % p
-        reg_code = 3 + (k - 1) * p + tok[k, upper]
-        bc = np.where(is_zero, 0, np.where(k == 0, nilp_code, reg_code))
-        code = code * (3 + p * p) + bc
+        bc = np.where(is_zero, 0, np.where(k == 0, nilp_code, 2 + k))
+        code = code * (p + 2) + bc
     return code
 
 

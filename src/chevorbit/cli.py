@@ -378,6 +378,9 @@ def main(argv=None) -> int:
     except (InconsistentTable, UnderdeterminedTable, JacobiViolation,
             MismatchReport, CheckFailed) as e:
         print(f"verification failed: {e}", file=sys.stderr)
+        if isinstance(e, MismatchReport):
+            print(json.dumps(e.details, sort_keys=True, default=str),
+                  file=sys.stderr)
         return 1
     except (UnsupportedSystem, NotPrime, ValueError) as e:
         print(f"invalid input: {e}", file=sys.stderr)

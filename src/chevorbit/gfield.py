@@ -7,14 +7,19 @@ object carries the arithmetic.  The same operation protocol (``of``, ``add``,
 domain; the census module adds a vectorized implementation.
 
 Square classes of units are represented by a canonical representative:
-1 for squares and the least quadratic nonresidue otherwise.  Norm classes —
-cosets of the value group of the form x**2 - k*y**2 inside the unit group —
-are likewise represented by the smallest unit in the coset, so equality of
-the frozen dataclasses is plain value comparison.  Over a prime field the
-norm form of a quadratic extension is surjective onto the units, so for
-nonsquare k there is a single norm class; the general machinery is kept so
-the invariants are stated (and serialized) in a form that does not depend
-on that collapse.
+1 for squares and the least quadratic nonresidue otherwise.  Norm classes are
+the cosets of the value group of the form x**2 - k*y**2 inside the unit
+group, named by their least member.  They have a closed form over F_p:
+
+* for k != 0 the form takes every unit value (for square k it factors, and
+  for nonsquare k it is the norm of F_{p^2}/F_p, which is onto), so there is
+  the single class 1 and every unit is represented;
+* for k = 0 the values are the unit squares, so the classes are the square
+  classes (1, nu) and a unit is represented exactly when it is a square.
+
+The regular sl2 invariant of the orbit module still carries and serializes
+its norm class, always "1" there since k != 0, so its JSON states the
+invariant in its general form (k, norm class).
 """
 
 from __future__ import annotations
@@ -189,32 +194,6 @@ def square_class(field: PrimeField, a: int) -> SquareClass:
     return SquareClass(field.p, rep)
 
 
-@lru_cache(maxsize=None)
-def _norm_cosets(p: int, k: int) -> tuple[tuple[int, ...], dict]:
-    """Cosets of the value group of x**2 - k*y**2 in F_p^*.
-
-    Returns (sorted tuple of canonical reps, map unit -> canonical rep).
-    """
-    values = set()
-    for x in range(p):
-        x2 = x * x % p
-        for y in range(p):
-            v = (x2 - k * y * y) % p
-            if v:
-                values.add(v)
-    rep_of: dict[int, int] = {}
-    reps = []
-    for u in range(1, p):
-        if u in rep_of:
-            continue
-        coset = sorted((u * v) % p for v in values)
-        r = coset[0]
-        reps.append(r)
-        for c in coset:
-            rep_of[c] = r
-    return tuple(sorted(reps)), rep_of
-
-
 @dataclass(frozen=True, order=True)
 class NormClass:
     """A coset of the norm-value group of x**2 - k*y**2, by least representative."""
@@ -233,15 +212,17 @@ def norm_class_of(field: PrimeField, k: int, a: int) -> NormClass:
     a %= field.p
     if a == 0:
         raise ZeroDivisionError("0 has no norm class")
-    _, rep_of = _norm_cosets(field.p, k % field.p)
-    return NormClass(field.p, k % field.p, rep_of[a])
+    k %= field.p
+    rep = square_class(field, a).rep if k == 0 else 1
+    return NormClass(field.p, k, rep)
 
 
 def norm_class_reps(field: PrimeField, k: int) -> tuple[int, ...]:
     """Canonical representatives of the norm classes for x**2 - k*y**2."""
     field.require_odd()
-    reps, _ = _norm_cosets(field.p, k % field.p)
-    return reps
+    if k % field.p == 0:
+        return (1, field.least_nonresidue())
+    return (1,)
 
 
 def norm_form_solvable(field: PrimeField, k: int, a: int) -> bool:
@@ -252,9 +233,7 @@ def norm_form_solvable(field: PrimeField, k: int, a: int) -> bool:
     if a == 0:
         # nontrivial zero exists exactly when k is a unit square
         return k != 0 and field.is_square(k)
-    _, rep_of = _norm_cosets(field.p, k)
-    # the nonzero values form a subgroup containing 1
-    return rep_of[a] == rep_of[1]
+    return k != 0 or field.is_square(a)
 
 
 def k_class_equal(field: PrimeField, k1: int, k2: int) -> bool:

@@ -29,13 +29,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .chevalley import StructureConstantTable
-from .gfield import (
-    NormClass,
-    SquareClass,
-    norm_class_of,
-    norm_class_reps,
-    square_class,
-)
+from .gfield import NormClass, SquareClass, norm_class_of, square_class
 from .liemod import LieVector, apply_root_element, apply_word
 from .rootsys import Root, RootSystem, simple_index, standard_quadruple
 
@@ -93,8 +87,10 @@ class Sl2Invariant:
     kind "regular": nonzero determinant; `k` is minus the determinant and
         `norm` is the class of the upper-right entry of an antidiagonal
         conjugate [[0, *], [*, 0]] in the unit group modulo the values of
-        x**2 - k*y**2.  Any two antidiagonal conjugates have upper-right
-        entries in the same class, so this is well defined.
+        x**2 - k*y**2.  For k != 0 that form takes every unit value over
+        F_p, so the class is always "1" and k alone separates the classes.
+        The class is still carried and serialized ("norm_class": "1") so
+        the JSON states the invariant in its general form (k, norm class).
     """
 
     kind: str
@@ -231,9 +227,12 @@ def associated_root_element(table: StructureConstantTable, K, x,
     v = apply_root_element(table, rs.neg(d), c, v)
 
     if K.scalar:
-        assert v.e_coeff(d) == K.one, "top coefficient moved"
-        assert K.is_zero(v.h_coeff(rs.rank - 1)), "torus correction failed"
-        assert list(v.v1_part()) == xs, "level-1 coefficients moved"
+        if v.e_coeff(d) != K.one:
+            raise ClassificationError("lift: top coefficient moved")
+        if not K.is_zero(v.h_coeff(rs.rank - 1)):
+            raise ClassificationError("lift: torus correction failed")
+        if list(v.v1_part()) != xs:
+            raise ClassificationError("lift: level-1 coefficients moved")
     return v
 
 
@@ -297,14 +296,7 @@ def sl2_invariant(K, z: ZBlock) -> Sl2Invariant:
     if K.is_zero(k):
         top = u if not K.is_zero(u) else K.neg(w)
         return Sl2Invariant(kind="nilpotent", square=square_class(K, top))
-    if not K.is_zero(w):
-        d0 = w
-    elif not K.is_zero(u):
-        d0 = K.neg(u)
-    else:
-        d0 = K.neg(K.add(c, c))
-    upper = K.mul(k, K.inv(d0))
-    return Sl2Invariant(kind="regular", k=k, norm=norm_class_of(K, k, upper))
+    return Sl2Invariant(kind="regular", k=k, norm=norm_class_of(K, k, K.one))
 
 
 def sl2_invariant_matrix(K, mat) -> Sl2Invariant:
@@ -513,27 +505,12 @@ def _classify_d(table: StructureConstantTable, K, x) -> OrbitDescriptor:
         raise ClassificationError(
             f"dark vector with non-regular first block {invs[0]}"
         )
+    # k != 0 has the single norm class 1, so rho = sigma = 1 and tau = k
     k = invs[0].k
-    reps = norm_class_reps(K, k)
+    params = {"k": k, "rho_class": "1"}
     if rs.rank == 4:
-        cands = [
-            (
-                _v1_vector(rs, {lam: 1, rho: r, sig: s,
-                                tau: K.mul(k, K.inv(K.mul(r, s)))}),
-                {"k": k, "rho_class": str(r), "sigma_class": str(s)},
-            )
-            for r in reps
-            for s in reps
-        ]
-    else:
-        cands = [
-            (
-                _v1_vector(rs, {lam: 1, rho: r, sig: 1,
-                                tau: K.mul(k, K.inv(r))}),
-                {"k": k, "rho_class": str(r)},
-            )
-            for r in reps
-        ]
+        params["sigma_class"] = "1"
+    cands = [(_v1_vector(rs, {lam: 1, rho: 1, sig: 1, tau: k}), params)]
     return _mkdesc(rs, p, "V", **_match_params(table, K, profile, cands))
 
 
@@ -728,16 +705,11 @@ def all_descriptors(table: StructureConstantTable, K) -> list[OrbitDescriptor]:
             _mkdesc(rs, p, "IV", rho_class=str(r), sigma_class=str(s))
             for r in (1, nu) for s in (1, nu)
         ]
-        for k in K.units():
-            for r in norm_class_reps(K, k):
-                for s in norm_class_reps(K, k):
-                    out.append(_mkdesc(rs, p, "V", k=k,
-                                       rho_class=str(r), sigma_class=str(s)))
+        out += [_mkdesc(rs, p, "V", k=k, rho_class="1", sigma_class="1")
+                for k in K.units()]
         return out
     out += [_mkdesc(rs, p, "IIIa", rho_class=str(r)) for r in (1, nu)]
     out.append(_mkdesc(rs, p, "IIIb"))
     out += [_mkdesc(rs, p, "IV", rho_class=str(r)) for r in (1, nu)]
-    for k in K.units():
-        for r in norm_class_reps(K, k):
-            out.append(_mkdesc(rs, p, "V", k=k, rho_class=str(r)))
+    out += [_mkdesc(rs, p, "V", k=k, rho_class="1") for k in K.units()]
     return out

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from chevorbit import InconsistentTable
+from chevorbit import InconsistentTable, MismatchReport
 from chevorbit import cli as cli_mod
 from chevorbit.cli import main
 
@@ -103,6 +103,18 @@ def test_constants_failure_exits_one(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "constants", "A2")
     assert code == 1
     assert "corruption" in err or "Inconsistent" in err
+
+
+def test_mismatch_details_reach_stderr(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise MismatchReport("synthetic", {"state": [1, 2]})
+
+    monkeypatch.setattr(cli_mod, "crosscheck", broken)
+    code, out, err = run_cli(capsys, "orbits", "A3", "-p", "3", "--compare")
+    assert code == 1
+    assert out == ""
+    assert "synthetic" in err
+    assert "state" in err
 
 
 # -- classify ---------------------------------------------------------------------
@@ -212,6 +224,24 @@ def test_orbits_budget_exhaustion_exits_four(capsys):
         capsys, "orbits", "D4", "-p", "5", "--brute-force", "--budget", "100"
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_orbits_nonpositive_budget_exits_two(capsys, budget):
+    code, out, err = run_cli(
+        capsys, "orbits", "D4", "-p", "3", "--brute-force", "--budget", budget
+    )
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
+def test_orbits_zero_budget_from_environment_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("CHEVORBIT_BUDGET", "0")
+    code, out, err = run_cli(capsys, "orbits", "D4", "-p", "3", "--brute-force")
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
 
 
 def test_orbits_char_two_unsupported(capsys):

@@ -96,7 +96,7 @@ def test_square_class_of_zero_rejected():
         square_class(PrimeField(5), 0)
 
 
-@pytest.mark.parametrize("p", (3, 5, 7, 11))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
 def test_norm_form_solvable_matches_brute_force(p):
     K = PrimeField(p)
     for k in K.elements():
@@ -105,7 +105,7 @@ def test_norm_form_solvable_matches_brute_force(p):
             assert norm_form_solvable(K, k, a) == (a in reachable), (p, k, a)
 
 
-@pytest.mark.parametrize("p", (3, 5, 7, 11))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
 def test_norm_cosets_collapse_for_nonzero_k(p):
     # x^2 - k y^2 represents every unit when k != 0 (factoring for square k,
     # full norm image of the quadratic extension for nonsquare k), so the

@@ -4,11 +4,16 @@ descriptors, canonical forms, and validation errors."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 
 import pytest
 
+import chevorbit
 from chevorbit import (
     CharTwo,
     InvalidDescriptor,
@@ -32,7 +37,15 @@ from chevorbit import (
     z_blocks,
     ZBlock,
 )
-from helpers import CENSUS_CASES, EXPECTED_ORBITS, get_field, get_system, get_table
+from helpers import (
+    CENSUS_CASES,
+    EXPECTED_ORBITS,
+    get_field,
+    get_system,
+    get_table,
+    random_level0_word,
+    random_v1,
+)
 
 
 def quad_vector(rs, coeffs):
@@ -63,6 +76,34 @@ def test_lift_order_must_be_a_permutation():
     x = (1, 0, 2, 0, 1, 0, 0, 2)
     with pytest.raises(ValueError):
         associated_root_element(t, K, x, order=[0, 0, 1, 2, 3, 4, 5, 6])
+
+
+def test_lift_postconditions_survive_optimized_mode():
+    # python -O strips assert statements; the lift's checks must still fire
+    script = textwrap.dedent("""
+        import chevorbit.orbitlab as ol
+        from chevorbit import (
+            ClassificationError, PrimeField, build_root_system,
+            build_table_oracle,
+        )
+        ol.apply_root_element = lambda table, g, t, v: v
+        table = build_table_oracle(build_root_system("D", 4))
+        try:
+            ol.associated_root_element(table, PrimeField(5), (1,) * 8)
+        except ClassificationError:
+            print("raised")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chevorbit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_lift_level_support_is_bounded():
@@ -335,6 +376,53 @@ def test_canonical_form_round_trips_every_descriptor():
             x = canonical_form(t, K, d)
             assert len(x) == len(t.rs.phi1)
             assert classify(t, K, x) == d, (name, p, d)
+
+
+# -- large primes, where brute force cannot reach ----------------------------------
+
+# D4: I, II, IIIa/b/c x 2 square classes, IV x 4, one V per unit k.
+# D5: I, II, IIIa x 2, IIIb, IV x 2, one V per unit k.
+DESCRIPTOR_COUNT = {"D4": lambda p: p + 11, "D5": lambda p: p + 6}
+LARGE_PRIME_CASES = [
+    (name, p) for name in ("D4", "D5") for p in (1009, 4099, 9973)
+]
+
+
+# the pinned D cases tie the formula to the brute-force counts
+@pytest.mark.parametrize(
+    "name,p",
+    [k for k in EXPECTED_ORBITS if k[0] in DESCRIPTOR_COUNT] + LARGE_PRIME_CASES,
+)
+def test_descriptor_count_formula(name, p):
+    descs = all_descriptors(get_table(name), get_field(p))
+    assert len(descs) == DESCRIPTOR_COUNT[name](p)
+    if (name, p) in EXPECTED_ORBITS:
+        assert len(descs) == EXPECTED_ORBITS[(name, p)]
+    assert len(set(descs)) == len(descs)
+
+
+@pytest.mark.parametrize("name,p", LARGE_PRIME_CASES)
+def test_canonical_form_round_trips_at_large_primes(name, p):
+    t = get_table(name)
+    K = get_field(p)
+    descs = all_descriptors(t, K)
+    dark = [d for d in descs if d.label == "V"]
+    rng = random.Random(p)
+    sample = [d for d in descs if d.label != "V"] + rng.sample(dark, 50)
+    for d in sample:
+        assert classify(t, K, canonical_form(t, K, d)) == d, (name, p, d)
+
+
+@pytest.mark.parametrize("name,p", LARGE_PRIME_CASES)
+def test_classify_is_action_invariant_at_large_primes(name, p):
+    t = get_table(name)
+    K = get_field(p)
+    rng = random.Random(7919 + p)
+    for _ in range(100):
+        x = random_v1(rng, t.rs, p)
+        word = random_level0_word(rng, t.rs, p)
+        gx = act_on_v1(t, K, word, x)
+        assert classify(t, K, gx) == classify(t, K, x), (name, p, x, word)
 
 
 def test_descriptor_json_round_trip():
