@@ -2,16 +2,20 @@
 
 States are level-1 coefficient vectors encoded as base-p integers with the
 first phi1 coordinate most significant, so numeric order is lexicographic
-order and the first state reached in each orbit (seeds are scanned in
-ascending order) is the lexicographically least element of the orbit.  The
-generators are the root elements x_gamma(t) for level-0 gamma and t in
-F_p^*; their action on V1 shifts coefficients along disjoint source/target
-pairs, which keeps the vectorized transition kernel simple.
+order.  The acting group is generated by x_{+-alpha}(1) for the simple
+level-0 roots alpha: over F_p, x_gamma(t) = x_gamma(1)^t, and the Weyl group
+of the level-0 roots conjugates each of them onto a simple one (Steinberg,
+Lectures on Chevalley Groups, 1967).  Each generator shifts coefficients
+along disjoint source/target pairs and permutes the states; the orbits are
+the connected components of those permutations, each labelled by its least
+(lexicographically first) state.
 
 The crosscheck compares the invariant-based classifier against the ground
 truth partition:
 
-* the invariant profile is constant on every BFS orbit (checked for every
+* each census representative is the least state of its orbit, and each
+  orbit has the listed size,
+* the invariant profile is constant on every orbit (checked for every
   single state, vectorized for family D, directly for family A),
 * orbit representatives get pairwise distinct descriptors,
 * canonical forms land back in the orbit they were computed from,
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,6 +136,9 @@ class OrbitCensus:
     p: int
     total_states: int
     orbits: tuple[OrbitEntry, ...]
+    # state -> orbit index; neither serialized nor compared
+    orbit_id: np.ndarray | None = field(default=None, compare=False,
+                                        repr=False)
 
     @property
     def orbit_count(self) -> int:
@@ -158,10 +165,13 @@ def _resolve_budget(budget: int | None) -> int:
 
 
 def _generator_moves(table: StructureConstantTable):
-    """Per level-0 root: (sources, targets, signs) index arrays on phi1."""
+    """Per x_{+-alpha}(1), alpha a simple level-0 root: (sources, targets,
+    signs) index arrays on phi1."""
     rs = table.rs
+    simple0 = [a for a in map(rs.simple, range(1, rs.rank + 1))
+               if rs.level(a) == 0]
     out = []
-    for g in rs.phi0:
+    for g in simple0 + [rs.neg(a) for a in simple0]:
         src, dst, sgn = [], [], []
         for alpha in rs.phi1:
             if rs.pair(alpha, g) == -1:
@@ -194,9 +204,79 @@ def vector_of_state(rs: RootSystem, p: int, s: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def _index_dtype(total: int):
+    return np.int32 if total < 2**31 else np.int64
+
+
+def _orbit_partition(moves, p: int, m: int):
+    """Orbit index of every state, and the orbits' least states and sizes.
+
+    The orbits are the connected components of the graph joining each state
+    to its image under each move.  Each round hooks the larger label across
+    every edge onto the smaller (Shiloach & Vishkin, 1982), then pointer
+    jumps until every label is a root; once no edge joins two labels, each
+    label is the least state of its component.  Orbits are indexed by
+    ascending least state.
+    """
+    total = p ** m
+    dtype = _index_dtype(total)
+    pw = [p ** (m - 1 - i) for i in range(m)]
+    states = np.arange(total, dtype=dtype)
+    digit = np.arange(p, dtype=dtype)
+
+    def along(i):
+        return digit.reshape([p if j == i else 1 for j in range(m)])
+
+    # viewed as a (p,) * m grid of states, a move adds sgn * x_src to x_dst
+    # for each of its pairs, and no target is also a source: each pair adds
+    # a p x p table of state shifts, broadcast over the other digits
+    images = []
+    for src, dst, sgn in moves:
+        img = states.copy()
+        grid = img.reshape((p,) * m)
+        for s, d, g in zip(src.tolist(), dst.tolist(), sgn.tolist()):
+            grid += ((along(d) + g * along(s)) % p - along(d)) * pw[d]
+        images.append(img)
+
+    label = states
+    while True:
+        root = label.copy()
+        for img in images:
+            a, b = root, root[img]
+            cut = a != b
+            if cut.any():
+                a, b = a[cut], b[cut]
+                np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        if np.array_equal(label, root):
+            break
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+    is_least = label == np.arange(total, dtype=dtype)
+    orbit_id = (np.cumsum(is_least, dtype=dtype) - 1)[label]
+    return orbit_id, np.flatnonzero(is_least), np.bincount(orbit_id)
+
+
+# _orbit_partition holds one array per move plus at most this many more
+# (8.5 measured), each of p**m index-sized entries
+_PARTITION_ARRAYS = 9
+
+
 def enumerate_orbits(table: StructureConstantTable, p: int,
                      budget: int | None = None) -> OrbitCensus:
-    """Partition V1(F_p) into orbits of the level-0 subgroup by BFS."""
+    """Partition V1(F_p) into orbits of the level-0 subgroup.
+
+    Over F_p, x_gamma(t) = x_gamma(1)^t, and the x_{+-alpha}(1) for simple
+    level-0 alpha generate the level-0 subgroup, since its Weyl group
+    conjugates every level-0 root onto a simple one (Steinberg, Lectures on
+    Chevalley Groups, 1967).  The orbits are therefore the connected
+    components of those 2 r0 permutations of the states, each labelled by
+    its least state.  The census lists them in ascending order of that
+    state and carries the state -> orbit index array as orbit_id.
+    """
     rs = table.rs
     K = PrimeField(p)
     m = len(rs.phi1)
@@ -208,45 +288,30 @@ def enumerate_orbits(table: StructureConstantTable, p: int,
             f"the budget of {limit}; raise it explicitly or via "
             f"{BUDGET_ENV} if that is intended"
         )
-    if m == 0:
-        entry = OrbitEntry((), 1, classify(table, K, ()))
-        return OrbitCensus(rs.family, rs.rank, p, 1, (entry,))
-
+    if total >= 2**62:
+        raise BudgetExceeded(
+            f"{rs.name} over F_{p} has {total} level-1 vectors, too many to "
+            f"index with 64-bit integers"
+        )
     moves = _generator_moves(table)
-    pw = _powers(p, m)
-    orbit_id = np.full(total, -1, dtype=np.int32)
-    orbits: list[OrbitEntry] = []
-    ptr = 0
-    while True:
-        while ptr < total and orbit_id[ptr] >= 0:
-            ptr += 1
-        if ptr >= total:
-            break
-        oid = len(orbits)
-        seed = ptr
-        orbit_id[seed] = oid
-        size = 1
-        frontier = np.array([seed], dtype=np.int64)
-        while frontier.size:
-            digits = (frontier[:, None] // pw) % p
-            layer = []
-            for src, dst, sgn in moves:
-                for t in range(1, p):
-                    new = digits.copy()
-                    new[:, dst] = (digits[:, dst]
-                                   + (sgn * t) * digits[:, src]) % p
-                    enc = (new * pw).sum(axis=1)
-                    enc = enc[orbit_id[enc] < 0]
-                    if enc.size:
-                        enc = np.unique(enc)
-                        orbit_id[enc] = oid
-                        size += enc.size
-                        layer.append(enc)
-            frontier = (np.concatenate(layer) if layer
-                        else np.empty(0, dtype=np.int64))
-        rep = vector_of_state(rs, p, seed)
-        orbits.append(OrbitEntry(rep, int(size), classify(table, K, rep)))
-    return OrbitCensus(rs.family, rs.rank, p, total, tuple(orbits))
+    peak = ((len(moves) + _PARTITION_ARRAYS) * total
+            * np.dtype(_index_dtype(total)).itemsize)
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # platform without sysconf
+        memory = None
+    if memory is not None and peak > memory:
+        raise BudgetExceeded(
+            f"enumerating {rs.name} over F_{p} needs about {peak} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
+
+    orbit_id, least, sizes = _orbit_partition(moves, p, m)
+    orbits = []
+    for s, size in zip(least.tolist(), sizes.tolist()):
+        rep = vector_of_state(rs, p, s)
+        orbits.append(OrbitEntry(rep, size, classify(table, K, rep)))
+    return OrbitCensus(rs.family, rs.rank, p, total, tuple(orbits), orbit_id)
 
 
 def predicted_census(table: StructureConstantTable, p: int) -> list[OrbitDescriptor]:
@@ -352,16 +417,10 @@ def crosscheck(table: StructureConstantTable, p: int,
     K = PrimeField(p)
     if census is None:
         census = enumerate_orbits(table, p, budget=budget)
-    m = len(rs.phi1)
     total = census.total_states
     checks: dict[str, str] = {}
 
-    # rebuild the state -> orbit map from the census representatives; this
-    # also re-validates that the orbits are disjoint and cover the space
-    if m == 0:
-        orbit_id = np.zeros(1, dtype=np.int32)
-    else:
-        orbit_id = _orbit_id_array(table, p, census)
+    orbit_id = _orbit_id_array(table, p, census)
 
     # (a) the invariant profile is constant state-by-state on every orbit
     if rs.family == "D":
@@ -487,38 +546,34 @@ def crosscheck(table: StructureConstantTable, p: int,
 
 def _orbit_id_array(table: StructureConstantTable, p: int,
                     census: OrbitCensus) -> np.ndarray:
-    """Recompute the state -> orbit index array matching the census order."""
+    """The state -> orbit index array of the census, checked against its
+    entries: representative i is the least state of orbit i, and orbit i
+    has the listed size.  A census without the array gets it recomputed."""
     rs = table.rs
-    m = len(rs.phi1)
-    total = p ** m
-    moves = _generator_moves(table)
-    pw = _powers(p, m)
-    orbit_id = np.full(total, -1, dtype=np.int32)
-    for oid, o in enumerate(census.orbits):
-        seed = state_of_vector(rs, p, o.representative)
-        if orbit_id[seed] >= 0:
-            raise MismatchReport(
-                "census representative already covered by an earlier orbit",
-                {"representative": o.representative},
-            )
-        orbit_id[seed] = oid
-        frontier = np.array([seed], dtype=np.int64)
-        while frontier.size:
-            digits = (frontier[:, None] // pw) % p
-            layer = []
-            for src, dst, sgn in moves:
-                for t in range(1, p):
-                    new = digits.copy()
-                    new[:, dst] = (digits[:, dst]
-                                   + (sgn * t) * digits[:, src]) % p
-                    enc = (new * pw).sum(axis=1)
-                    enc = enc[orbit_id[enc] < 0]
-                    if enc.size:
-                        enc = np.unique(enc)
-                        orbit_id[enc] = oid
-                        layer.append(enc)
-            frontier = (np.concatenate(layer) if layer
-                        else np.empty(0, dtype=np.int64))
-    if int((orbit_id < 0).sum()):
-        raise MismatchReport("census orbits do not cover the state space", {})
+    orbit_id = census.orbit_id
+    if orbit_id is None:
+        orbit_id = _orbit_partition(_generator_moves(table), p,
+                                    len(rs.phi1))[0]
+    k = census.orbit_count
+    reps = np.array(
+        [state_of_vector(rs, p, o.representative) for o in census.orbits],
+        dtype=np.int64,
+    )
+    # ids are numbered by least state, so orbit i first appears where the
+    # running maximum of the ids reaches i
+    least = np.searchsorted(np.maximum.accumulate(orbit_id), np.arange(k))
+    bad = (orbit_id[reps] != np.arange(k)) | (least != reps)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise MismatchReport(
+            "census representative is not the least state of its orbit",
+            {"orbit": i, "representative": census.orbits[i].representative},
+        )
+    sizes = np.bincount(orbit_id, minlength=k)
+    want = [o.size for o in census.orbits]
+    if sizes.tolist() != want:
+        raise MismatchReport(
+            "census orbit sizes differ from the enumeration",
+            {"enumerated": sizes.tolist(), "census": want},
+        )
     return orbit_id

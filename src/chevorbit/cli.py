@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 failed verification/crosscheck, 2 malformed input,
 3 unsupported request (family E classification, characteristic 2),
-4 enumeration budget exceeded.  Output goes to stdout, or to --out FILE;
-identical invocations produce byte-identical output.
+4 enumeration budget exceeded or out of memory.  Output goes to stdout, or
+to --out FILE; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -349,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("system")
     p_orb.add_argument("-p", type=int, required=True, help="odd prime modulus")
     p_orb.add_argument("--brute-force", action="store_true",
-                       help="enumerate orbits by BFS instead of predicting")
+                       help="enumerate orbits over all of V1(F_p) instead of "
+                       "predicting")
     p_orb.add_argument("--compare", action="store_true",
                        help="enumerate and cross-check the classifier")
     p_orb.add_argument("--budget", type=int, default=None,
@@ -372,7 +373,7 @@ def main(argv=None) -> int:
     except (UnsupportedFamily, CharTwo, UnsupportedField) as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return 3
-    except BudgetExceeded as e:
+    except (BudgetExceeded, MemoryError) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 4
     except (InconsistentTable, UnderdeterminedTable, JacobiViolation,

@@ -3,6 +3,7 @@ oracle, determinism, budget handling, and the crosscheck failure path."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -19,7 +20,13 @@ from chevorbit import (
 )
 from chevorbit import census as census_mod
 from chevorbit.census import ArrayField, state_of_vector, vector_of_state
-from helpers import EXPECTED_ORBITS, get_census, get_field, get_table
+from helpers import (
+    CENSUS_CASES,
+    EXPECTED_ORBITS,
+    get_census,
+    get_field,
+    get_table,
+)
 
 
 def mini_bfs_orbits(table, p):
@@ -47,7 +54,9 @@ def mini_bfs_orbits(table, p):
     return orbits
 
 
-@pytest.mark.parametrize("name,p", [("A2", 3), ("A3", 3), ("D4", 3)])
+@pytest.mark.parametrize(
+    "name,p", [("A2", 3), ("A3", 3), ("A3", 5), ("A4", 3), ("D4", 3)]
+)
 def test_enumeration_matches_independent_bfs(name, p):
     table = get_table(name)
     reference = mini_bfs_orbits(table, p)
@@ -57,6 +66,49 @@ def test_enumeration_matches_independent_bfs(name, p):
     assert {e.representative for e in census.orbits} == set(ref_by_rep)
     for e in census.orbits:
         assert e.size == len(ref_by_rep[e.representative])
+
+
+@pytest.mark.parametrize("name,p", CENSUS_CASES)
+def test_orbit_id_is_closed_under_every_level0_root_element(name, p):
+    """The census walks only x_{+-alpha}(1) for simple level-0 alpha, so its
+    components lie inside the orbits of the whole level-0 group.  Closure
+    under every x_gamma(t), gamma in phi0 and t in F_p^*, makes each
+    component a union of such orbits, so the two partitions are equal."""
+    table = get_table(name)
+    rs = table.rs
+    K = get_field(p)
+    orbit_id = get_census(name, p).orbit_id
+    m = len(rs.phi1)
+    pw = [p ** (m - 1 - i) for i in range(m)]
+    states = np.arange(p**m, dtype=np.int64)
+    digits = [states // q % p for q in pw]
+    unit = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    for g in rs.phi0:
+        for t in range(1, p):
+            # x_gamma(t) is linear on V1; row i is the image of unit vector i,
+            # and only the digits whose column differs from the identity move
+            rows = np.array([act_on_v1(table, K, [(g, t)], e) for e in unit])
+            image = states.copy()
+            for j in np.flatnonzero((rows != np.eye(m)).any(axis=0)):
+                new = sum(int(c) * digits[i]
+                          for i, c in enumerate(rows[:, j]) if c) % p
+                image += (new - digits[j]) * pw[j]
+            assert np.array_equal(orbit_id[image], orbit_id), (g, t)
+
+
+# Brute force against the predicted census beyond the pinned cases; kept out
+# of CENSUS_CASES, which the acceptance criteria crosscheck in full.
+@pytest.mark.parametrize(
+    "name,p,count", [("A5", 5, 8), ("A6", 3, 6), ("D4", 7, 18)]
+)
+def test_enumeration_matches_predicted_census_beyond_pinned_cases(
+        name, p, count):
+    table = get_table(name)
+    census = enumerate_orbits(table, p)
+    assert census.orbit_count == count
+    assert ({e.descriptor for e in census.orbits}
+            == set(predicted_census(table, p)))
+    assert sum(e.size for e in census.orbits) == p ** len(table.rs.phi1)
 
 
 def test_census_metadata_and_sizes():
@@ -148,6 +200,52 @@ def test_crosscheck_detects_a_broken_classifier(monkeypatch):
     with pytest.raises(MismatchReport) as exc_info:
         crosscheck(table, 3)
     assert exc_info.value.details
+
+
+def test_orbit_id_is_not_serialized_or_compared():
+    census = get_census("A3", 3)
+    assert "orbit_id" not in census.to_json()
+    bare = dataclasses.replace(census, orbit_id=None)
+    assert bare == census and hash(bare) == hash(census)
+
+
+@pytest.mark.parametrize("keep_orbit_id", [True, False])
+def test_crosscheck_rejects_tampered_sizes(keep_orbit_id):
+    census = get_census("A3", 5)
+    orbits = list(census.orbits)
+    orbits[1] = dataclasses.replace(orbits[1], size=orbits[1].size + 1)
+    tampered = dataclasses.replace(
+        census, orbits=tuple(orbits),
+        orbit_id=census.orbit_id if keep_orbit_id else None,
+    )
+    with pytest.raises(MismatchReport, match="sizes"):
+        crosscheck(get_table("A3"), 5, census=tampered)
+
+
+@pytest.mark.parametrize("keep_orbit_id", [True, False])
+def test_crosscheck_rejects_a_representative_that_is_not_least(
+        keep_orbit_id):
+    table = get_table("D4")
+    census = get_census("D4", 3)
+    i = next(i for i, o in enumerate(census.orbits) if o.size > 1)
+    other = int(np.flatnonzero(census.orbit_id == i)[-1])
+    orbits = list(census.orbits)
+    orbits[i] = dataclasses.replace(
+        orbits[i], representative=vector_of_state(table.rs, 3, other)
+    )
+    tampered = dataclasses.replace(
+        census, orbits=tuple(orbits),
+        orbit_id=census.orbit_id if keep_orbit_id else None,
+    )
+    with pytest.raises(MismatchReport, match="least state"):
+        crosscheck(table, 3, census=tampered)
+
+
+@pytest.mark.parametrize("name,p", [("A3", 5), ("D4", 3)])
+def test_crosscheck_recomputes_a_missing_orbit_id(name, p):
+    census = dataclasses.replace(get_census(name, p), orbit_id=None)
+    report = crosscheck(get_table(name), p, census=census)
+    assert all(v == "ok" for v in report["checks"].values())
 
 
 def test_orbit_entry_json_schema():

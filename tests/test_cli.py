@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from chevorbit import InconsistentTable, MismatchReport
+from chevorbit import census as census_mod
 from chevorbit import cli as cli_mod
 from chevorbit.cli import main
 
@@ -224,6 +225,36 @@ def test_orbits_budget_exhaustion_exits_four(capsys):
         capsys, "orbits", "D4", "-p", "5", "--brute-force", "--budget", "100"
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("system,budget,reason", [
+    ("D4", "100000000000000000000", "physical memory"),  # 101**8 states
+    ("D6", str(10**40), "64-bit"),                       # 101**16 states
+])
+def test_orbits_unallocatable_census_exits_four(capsys, monkeypatch, system,
+                                                budget, reason):
+    def never(*args):
+        raise AssertionError("the orbit kernel must not run")
+
+    monkeypatch.setattr(census_mod, "_orbit_partition", never)
+    code, out, err = run_cli(
+        capsys, "orbits", system, "-p", "101", "--brute-force",
+        "--budget", budget,
+    )
+    assert code == 4
+    assert out == ""
+    assert "budget exceeded" in err and reason in err
+
+
+def test_orbits_memory_error_exits_four(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(cli_mod, "enumerate_orbits", exhausted)
+    code, out, err = run_cli(capsys, "orbits", "A3", "-p", "3",
+                             "--brute-force")
+    assert code == 4
+    assert out == ""
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
