@@ -15,8 +15,11 @@ truth partition:
 
 * each census representative is the least state of its orbit, and each
   orbit has the listed size,
-* the invariant profile is constant on every orbit (checked for every
-  single state, vectorized for family D, directly for family A),
+* the classifier's input is constant on every orbit, checked for every
+  single state: for family D the invariant code, computed by classify's own
+  kernel (orbitlab._invariant_code) on batch lifts of fixed-size chunks of
+  states, and equal to the scalar code at every representative; for
+  family A the descriptor from classify,
 * orbit representatives get pairwise distinct descriptors,
 * canonical forms land back in the orbit they were computed from,
 * same_orbit agrees with the partition on all representative pairs and a
@@ -35,9 +38,10 @@ import numpy as np
 from .chevalley import StructureConstantTable
 from .gfield import PrimeField
 from .orbitlab import (
-    Luminosity,
     OrbitDescriptor,
-    _profile_cached,
+    _code_of,
+    _invariant_code,
+    _pow_mod,
     all_descriptors,
     associated_root_element,
     canonical_form,
@@ -99,17 +103,7 @@ class ArrayField:
         return (-a) % self.p
 
     def inv(self, a):
-        if isinstance(a, (int, np.integer)):
-            return pow(int(a), self.p - 2, self.p)
-        r = np.ones_like(a)
-        b = a % self.p
-        e = self.p - 2
-        while e:
-            if e & 1:
-                r = (r * b) % self.p
-            b = (b * b) % self.p
-            e >>= 1
-        return r
+        return _pow_mod(a, self.p - 2, self.p)
 
     def is_zero(self, a) -> bool:
         return False
@@ -319,89 +313,30 @@ def predicted_census(table: StructureConstantTable, p: int) -> list[OrbitDescrip
     return all_descriptors(table, PrimeField(p))
 
 
-# -- vectorized invariant profiles (family D) -----------------------------------
+# -- invariant codes of all states (family D) -----------------------------------
 
-
-def _legendre_row(p: int) -> np.ndarray:
-    row = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        row[a] = 1 if pow(a, (p - 1) // 2, p) == 1 else 0
-    return row
-
-
-_LUM_CODE = {
-    Luminosity.ZERO_VEC: 0,
-    Luminosity.SINGULAR: 1,
-    Luminosity.BRILLIANT: 2,
-    Luminosity.SHINING: 3,
-    Luminosity.DARK: 4,
-}
-
-
-def _pack_block_scalar(inv) -> int:
-    if inv.kind == "zero":
-        return 0
-    if inv.kind == "nilpotent":
-        return 1 + (1 if inv.square.rep == 1 else 0)
-    # a regular block's norm class is always 1, so k alone names it
-    return 2 + inv.k
-
-
-def pack_profile(p: int, profile) -> int:
-    """Single-integer encoding of (luminosity, block invariants)."""
-    lum, invs = profile
-    code = _LUM_CODE[lum]
-    for inv in invs:
-        code = code * (p + 2) + _pack_block_scalar(inv)
-    return code
+# states per batch lift; bounds the crosscheck's memory, which would otherwise
+# hold every coefficient of the lift for every state at once
+_CHUNK = 1 << 14
 
 
 def _bulk_profiles_d(table: StructureConstantTable, p: int) -> np.ndarray:
-    """pack_profile of every state of V1(F_p), vectorized, family D."""
-    rs = table.rs
-    m = len(rs.phi1)
+    """_invariant_code of every state of V1(F_p), family D, from batch lifts.
+
+    The lanes are int32: a census has p**|phi1| < 2**62 states with
+    |phi1| >= 8, so p < 216, and both p**2 and the codes, below
+    5 * (p + 2)**3, fit.
+    """
+    m = len(table.rs.phi1)
     total = p ** m
     pw = _powers(p, m)
-    states = np.arange(total, dtype=np.int64)
-    xs = [((states // pw[i]) % p).astype(np.int16) for i in range(m)]
-
     AF = ArrayField(p)
-    y = associated_root_element(table, AF, xs)
-
-    def arr(c):
-        return np.broadcast_to(np.asarray(c, dtype=np.int64), (total,))
-
-    nd = arr(y.e_coeff(rs.neg(rs.delta)))
-    lvm1 = np.zeros(total, dtype=bool)
-    lv0 = np.zeros(total, dtype=bool)
-    lv1 = np.zeros(total, dtype=bool)
-    for i, r in enumerate(rs.roots):
-        lv = rs.level(r)
-        if lv == -1:
-            lvm1 |= arr(y.coeffs[i]) != 0
-        elif lv == 0:
-            lv0 |= arr(y.coeffs[i]) != 0
-        elif lv == 1:
-            lv1 |= arr(y.coeffs[i]) != 0
-    for c in y.h_part():
-        lv0 |= arr(c) != 0
-    lum = np.select([nd != 0, lvm1, lv0, lv1], [4, 3, 2, 1], default=0)
-
-    leg = _legendre_row(p)
-    from .orbitlab import block_gammas
-    from .rootsys import simple_index
-
-    code = lum.astype(np.int64)
-    for g in block_gammas(rs):
-        c = arr(y.h_coeff(simple_index(g)))
-        u = arr(y.e_coeff(g))
-        w = arr(y.e_coeff(rs.neg(g)))
-        k = (c * c + u * w) % p
-        is_zero = (c == 0) & (u == 0) & (w == 0)
-        top = np.where(u != 0, u, (-w) % p)
-        nilp_code = 1 + leg[top]
-        bc = np.where(is_zero, 0, np.where(k == 0, nilp_code, 2 + k))
-        code = code * (p + 2) + bc
+    code = np.empty(total, dtype=np.int64)
+    for lo in range(0, total, _CHUNK):
+        states = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        xs = [((states // w) % p).astype(np.int32) for w in pw]
+        y = associated_root_element(table, AF, xs)
+        code[lo:lo + len(states)] = _invariant_code(table, p, y)
     return code
 
 
@@ -422,7 +357,7 @@ def crosscheck(table: StructureConstantTable, p: int,
 
     orbit_id = _orbit_id_array(table, p, census)
 
-    # (a) the invariant profile is constant state-by-state on every orbit
+    # (a) the classifier's invariants are constant state-by-state on every orbit
     if rs.family == "D":
         fp = _bulk_profiles_d(table, p)
         rep_states = np.array(
@@ -441,14 +376,11 @@ def crosscheck(table: StructureConstantTable, p: int,
                     ].representative,
                 },
             )
-        # tie the vectorized packing to the scalar one at every representative
+        # the batch lift against the scalar one, at every representative
         for o, st in zip(census.orbits, rep_states):
-            sc = pack_profile(
-                p, _profile_cached(table, K, tuple(o.representative))
-            )
-            if sc != int(fp[st]):
+            if _code_of(table, K, o.representative) != fp[st]:
                 raise MismatchReport(
-                    "scalar and vectorized invariant profiles disagree",
+                    "scalar and batch invariant codes disagree",
                     {"representative": o.representative},
                 )
     else:

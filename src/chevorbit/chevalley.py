@@ -28,6 +28,7 @@ exhaustive re-check of every instance guards against scatter conflicts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -183,6 +184,8 @@ class StructureConstantTable:
         self._neg = neg_id
         self._instances = instances  # (4, I) flat pair indices, raw
         self.stats = stats
+        # derived per-table data (see table_cached); freed with the table
+        self.memo: dict = {}
         self._n = len(rs.roots)
         # plain-list mirrors: scalar indexing of ndarrays is slow in the
         # per-triple bracket loops
@@ -254,6 +257,23 @@ class StructureConstantTable:
             r = self.rs.roots[i]
             return tuple((n + t, c) for t, c in enumerate(r) if c)
         return ()
+
+
+def table_cached(fn):
+    """Memoize fn(table, *args) in table.memo, so an entry lives exactly as
+    long as its table; a module-level cache keyed on tables would keep every
+    table alive."""
+
+    @functools.wraps(fn)
+    def cached(table, *args):
+        key = (fn, *args)
+        try:
+            return table.memo[key]
+        except KeyError:
+            value = table.memo[key] = fn(table, *args)
+            return value
+
+    return cached
 
 
 def build_table_oracle(rs: RootSystem) -> StructureConstantTable:

@@ -1,9 +1,10 @@
 """Command-line surface: roots | constants | classify | orbits.
 
-Exit codes: 0 success, 1 failed verification/crosscheck, 2 malformed input,
-3 unsupported request (family E classification, characteristic 2),
-4 enumeration budget exceeded or out of memory.  Output goes to stdout, or
-to --out FILE; identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 failed verification, crosscheck or classification
+(an internal inconsistency), 2 malformed input, 3 unsupported request
+(family E classification, characteristic 2), 4 enumeration budget
+exceeded or out of memory.  Output goes to stdout, or to --out FILE;
+identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .chevalley import (
 from .gfield import NotPrime, PrimeField, UnsupportedField
 from .orbitlab import (
     CharTwo,
+    ClassificationError,
     UnsupportedFamily,
     canonical_form,
     classify,
@@ -377,7 +379,7 @@ def main(argv=None) -> int:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 4
     except (InconsistentTable, UnderdeterminedTable, JacobiViolation,
-            MismatchReport, CheckFailed) as e:
+            MismatchReport, CheckFailed, ClassificationError) as e:
         print(f"verification failed: {e}", file=sys.stderr)
         if isinstance(e, MismatchReport):
             print(json.dumps(e.details, sort_keys=True, default=str),

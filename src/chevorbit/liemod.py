@@ -21,9 +21,7 @@ Group words are lists of (root, scalar) factors and act right-to-left.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .chevalley import StructureConstantTable
+from .chevalley import StructureConstantTable, table_cached
 from .rootsys import NotARoot, Root
 
 
@@ -158,7 +156,7 @@ class LieVector:
 # -- root-element action ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@table_cached
 def _action_plan(table: StructureConstantTable, gamma: Root):
     """Per-(table, gamma) index plan for the x_gamma(a) action."""
     rs = table.rs
@@ -245,7 +243,7 @@ def w_word(domain, gamma, a) -> GroupWord:
     ]
 
 
-@lru_cache(maxsize=None)
+@table_cached
 def _scale_plan(table: StructureConstantTable, gamma: Root):
     """Root ids grouped by <beta, gamma>, for the diagonal torus action."""
     rs = table.rs

@@ -16,9 +16,10 @@ E is out of scope here.
 
 Orbits are named by OrbitDescriptor values: a label from
 {I, IIa, IIb, II, IIIa, IIIb, IIIc, III, IV, V, VI} plus canonical
-parameters.  Parameters are canonicalized by matching the computed
-invariants against those of an explicit list of canonical representatives,
-so descriptor equality is exactly orbit equality and never depends on
+parameters.  For family D, one kernel packs the invariants of y into an
+integer code, and classification is a lookup of that code in a map built,
+per table and prime, from the codes of the canonical representatives.  So
+descriptor equality is exactly orbit equality and never depends on
 basis-level sign conventions.
 """
 
@@ -26,9 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
-from .chevalley import StructureConstantTable
+from .chevalley import StructureConstantTable, table_cached
 from .gfield import NormClass, SquareClass, norm_class_of, square_class
 from .liemod import LieVector, apply_root_element, apply_word
 from .rootsys import Root, RootSystem, simple_index, standard_quadruple
@@ -307,6 +307,79 @@ def sl2_invariant_matrix(K, mat) -> Sl2Invariant:
     return sl2_invariant(K, ZBlock(c=K.of(a), u=K.of(b), w=K.of(c)))
 
 
+# -- the invariant kernel ----------------------------------------------------------
+
+_DARK = 4  # the luminosity digit of a dark code
+
+
+def _select(cond, a, b):
+    """a where cond holds, else b; cond is a bool or a bool array."""
+    return b + cond * (a - b)
+
+
+def _pow_mod(a, e: int, p: int):
+    """a**e mod p by square-and-multiply, for ints and integer arrays."""
+    a = a % p
+    r = 1
+    while e:
+        if e & 1:
+            r = r * a % p
+        a = a * a % p
+        e >>= 1
+    return r
+
+
+@table_cached
+def _kernel_plan(table: StructureConstantTable):
+    """Basis keys read by the kernel: e_{-delta}; the keys of levels -1,
+    0 (with the Cartan part) and 1; and (c, u, w) for each block."""
+    rs = table.rs
+    levels = {-1: [], 0: list(range(table.n_roots, table.n_basis)), 1: []}
+    for i, r in enumerate(rs.roots):
+        if rs.level(r) in levels:
+            levels[rs.level(r)].append(i)
+    blocks = tuple(
+        (table.h_key(simple_index(g)), table.e_key(g), table.e_key(rs.neg(g)))
+        for g in block_gammas(rs)
+    )
+    bottom = table.e_key(rs.neg(rs.delta))
+    return bottom, levels[-1], levels[0], levels[1], blocks
+
+
+def _invariant_code(table: StructureConstantTable, p: int, y: LieVector):
+    """The luminosity of the lift y and the invariants of its blocks, packed.
+
+    In radix p + 2 the leading digit is the luminosity (0 ZeroVec,
+    1 Singular, 2 Brilliant, 3 Shining, 4 Dark), followed by one digit per
+    block of z_blocks: 0 for the zero block, 1 or 2 for a nilpotent block
+    whose sl2_invariant square class is a nonsquare or a square, and 2 + k
+    for a regular block (its norm class is always 1).  The code uses only
+    arithmetic and comparisons, so y may be a scalar lift or a batch lift
+    whose coefficients are arrays, and the result is an int or an array.
+    """
+    bottom, lev_m1, lev0, lev1, blocks = _kernel_plan(table)
+    co = y.coeffs
+
+    def populated(keys):
+        out = False
+        for i in keys:
+            out = out | (co[i] != 0)
+        return out
+
+    lum = _select(populated(lev0), 2, populated(lev1))
+    lum = _select(populated(lev_m1), 3, lum)
+    code = _select(co[bottom] != 0, _DARK, lum)
+    for ck, uk, wk in blocks:
+        c, u, w = co[ck], co[uk], co[wk]
+        k = (c * c + u * w) % p
+        top = _select(u != 0, u, (p - w) % p)
+        # Euler's criterion: top is a unit square iff top**((p-1)/2) == 1
+        square = _pow_mod(top, (p - 1) // 2, p) == 1
+        digit = _select(k == 0, 1 + square, 2 + k)
+        code = code * (p + 2) + digit * ((c != 0) | (u != 0) | (w != 0))
+    return code
+
+
 # -- family A: covector/vector pair ---------------------------------------------
 
 
@@ -356,25 +429,6 @@ def _a_prefix(rs: RootSystem, j: int) -> Root:
 
 def _a_suffix(rs: RootSystem, j: int) -> Root:
     return tuple(1 if i >= j - 1 else 0 for i in range(rs.rank))
-
-
-@lru_cache(maxsize=None)
-def _profile_cached(table: StructureConstantTable, K, x: tuple):
-    y = associated_root_element(table, K, x)
-    lum = luminosity(table.rs, y)
-    invs = tuple(sl2_invariant(K, z) for z in z_blocks(table, K, y))
-    return lum, invs
-
-
-def _match_params(table, K, profile, candidates):
-    """Pick the canonical representative with the same invariant profile."""
-    for cand, params in candidates:
-        if _profile_cached(table, K, cand) == profile:
-            return params
-    raise ClassificationError(
-        f"invariants {profile} match no canonical representative "
-        f"of {table.rs.name} over F_{_field_p(K)}"
-    )
 
 
 # -- classification ----------------------------------------------------------------
@@ -438,80 +492,57 @@ def _classify_a(rs: RootSystem, K, x) -> OrbitDescriptor:
     return _mkdesc(rs, p, "III", c=c)
 
 
+def _code_of(table: StructureConstantTable, K, x) -> int:
+    y = associated_root_element(table, K, x)
+    return _invariant_code(table, _field_p(K), y)
+
+
+@table_cached
+def _fixed_codes(table: StructureConstantTable, K) -> dict:
+    """Code -> descriptor for every canonical representative except V(k)."""
+    codes: dict = {}
+    for d in _fixed_descriptors_d(table.rs, K):
+        names = {n for n, _ in d.params}
+        code = _code_of(table, K, _canonical_entries(table.rs, K, d, names))
+        if code in codes:
+            raise ClassificationError(
+                f"{codes[code]} and {d} share the invariant code {code}"
+            )
+        codes[code] = d
+    return codes
+
+
+@table_cached
+def _dark_codes(table: StructureConstantTable, K) -> dict:
+    """Code -> V(k) descriptor, filled as dark codes are confirmed."""
+    return {}
+
+
 def _classify_d(table: StructureConstantTable, K, x) -> OrbitDescriptor:
     rs = table.rs
     p = _require_odd(K)
-    xs = tuple(K.of(c) for c in x)
-    lum, invs = _profile_cached(table, K, xs)
-    profile = (lum, invs)
-    lam, rho, sig, tau = standard_quadruple(rs)
-    nu = K.least_nonresidue()
-
-    if lum is Luminosity.ZERO_VEC:
-        return _mkdesc(rs, p, "I")
-    if lum is Luminosity.SINGULAR:
-        return _mkdesc(rs, p, "II")
-
-    if lum is Luminosity.BRILLIANT:
-        if rs.rank == 4:
-            nz = [i for i, z in enumerate(invs) if z.kind != "zero"]
-            if len(nz) != 1:
-                raise ClassificationError(
-                    f"brilliant vector with block pattern {invs}"
-                )
-            i = nz[0]
-            label = ("IIIa", "IIIb", "IIIc")[i]
-            pname = ("rho_class", "sigma_class", "tau_class")[i]
-            partner = (rho, sig, tau)[i]
-            cands = [
-                (_v1_vector(rs, {lam: 1, partner: r}), {pname: str(r)})
-                for r in (1, nu)
-            ]
-            return _mkdesc(rs, p, label,
-                           **_match_params(table, K, profile, cands))
-        if invs[0].kind != "zero":
-            cands = [
-                (_v1_vector(rs, {lam: 1, rho: r}), {"rho_class": str(r)})
-                for r in (1, nu)
-            ]
-            return _mkdesc(rs, p, "IIIa",
-                           **_match_params(table, K, profile, cands))
-        cands = [(_v1_vector(rs, {lam: 1, sig: 1}), {})]
-        return _mkdesc(rs, p, "IIIb",
-                       **_match_params(table, K, profile, cands))
-
-    if lum is Luminosity.SHINING:
-        if rs.rank == 4:
-            cands = [
-                (
-                    _v1_vector(rs, {lam: 1, rho: r, sig: s}),
-                    {"rho_class": str(r), "sigma_class": str(s)},
-                )
-                for r in (1, nu)
-                for s in (1, nu)
-            ]
-        else:
-            cands = [
-                (
-                    _v1_vector(rs, {lam: 1, rho: r, sig: 1}),
-                    {"rho_class": str(r)},
-                )
-                for r in (1, nu)
-            ]
-        return _mkdesc(rs, p, "IV", **_match_params(table, K, profile, cands))
-
-    # dark: all blocks are regular with the same -det value k
-    if invs[0].kind != "regular":
+    code = _code_of(table, K, x)
+    radix = p + 2
+    if code // radix ** len(_kernel_plan(table)[-1]) != _DARK:
+        codes = _fixed_codes(table, K)
+    else:
+        # the blocks of a dark vector are regular and share k, and V(k)
+        # names its orbit if its canonical vector has the same code
+        codes = _dark_codes(table, K)
+        k = code % radix - 2
+        if code not in codes and k > 0:
+            d = _dark_descriptor(rs, p, k)
+            vec = _canonical_entries(rs, K, d, set())
+            if (vec == tuple(K.of(c) for c in x)
+                    or _code_of(table, K, vec) == code):
+                codes[code] = d
+    try:
+        return codes[code]
+    except KeyError:
         raise ClassificationError(
-            f"dark vector with non-regular first block {invs[0]}"
-        )
-    # k != 0 has the single norm class 1, so rho = sigma = 1 and tau = k
-    k = invs[0].k
-    params = {"k": k, "rho_class": "1"}
-    if rs.rank == 4:
-        params["sigma_class"] = "1"
-    cands = [(_v1_vector(rs, {lam: 1, rho: 1, sig: 1, tau: k}), params)]
-    return _mkdesc(rs, p, "V", **_match_params(table, K, profile, cands))
+            f"invariant code {code} matches no canonical representative "
+            f"of {rs.name} over F_{p}"
+        ) from None
 
 
 def same_orbit(table: StructureConstantTable, K, x1, x2) -> bool:
@@ -695,6 +726,14 @@ def all_descriptors(table: StructureConstantTable, K) -> list[OrbitDescriptor]:
             f"orbit classification covers families A and D, not {rs.name}"
         )
     _require_odd(K)
+    return _fixed_descriptors_d(rs, K) + [
+        _dark_descriptor(rs, p, k) for k in K.units()
+    ]
+
+
+def _fixed_descriptors_d(rs: RootSystem, K) -> list[OrbitDescriptor]:
+    """The family-D descriptors other than V(k), in all_descriptors order."""
+    p = _field_p(K)
     nu = K.least_nonresidue()
     out = [_mkdesc(rs, p, "I"), _mkdesc(rs, p, "II")]
     if rs.rank == 4:
@@ -705,11 +744,15 @@ def all_descriptors(table: StructureConstantTable, K) -> list[OrbitDescriptor]:
             _mkdesc(rs, p, "IV", rho_class=str(r), sigma_class=str(s))
             for r in (1, nu) for s in (1, nu)
         ]
-        out += [_mkdesc(rs, p, "V", k=k, rho_class="1", sigma_class="1")
-                for k in K.units()]
         return out
     out += [_mkdesc(rs, p, "IIIa", rho_class=str(r)) for r in (1, nu)]
     out.append(_mkdesc(rs, p, "IIIb"))
     out += [_mkdesc(rs, p, "IV", rho_class=str(r)) for r in (1, nu)]
-    out += [_mkdesc(rs, p, "V", k=k, rho_class="1") for k in K.units()]
     return out
+
+
+def _dark_descriptor(rs: RootSystem, p: int, k: int) -> OrbitDescriptor:
+    # k != 0 has the single norm class 1, so rho = sigma = 1 and tau = k
+    if rs.rank == 4:
+        return _mkdesc(rs, p, "V", k=k, rho_class="1", sigma_class="1")
+    return _mkdesc(rs, p, "V", k=k, rho_class="1")

@@ -9,6 +9,7 @@ else.
 from __future__ import annotations
 
 from chevorbit import (
+    Luminosity,
     OrbitCensus,
     PrimeField,
     RootSystem,
@@ -107,3 +108,32 @@ def random_level0_word(rng, rs: RootSystem, p: int, max_len: int = 4) -> list:
         return []
     length = rng.randrange(1, max_len + 1)
     return [(rng.choice(lvl0), rng.randrange(1, p)) for _ in range(length)]
+
+
+# Luminosity digit of the packed invariant code, coarsest first.
+LUMINOSITY_DIGIT: dict[Luminosity, int] = {
+    Luminosity.ZERO_VEC: 0,
+    Luminosity.SINGULAR: 1,
+    Luminosity.BRILLIANT: 2,
+    Luminosity.SHINING: 3,
+    Luminosity.DARK: 4,
+}
+
+
+def pack_profile(p: int, lum: Luminosity, invs) -> int:
+    """Reference packing of a luminosity and Sl2Invariants into one integer.
+
+    Radix p + 2, luminosity digit first, then one digit per block: 0 zero,
+    1 nilpotent with nonsquare class, 2 nilpotent with square class, 2 + k
+    regular (whose norm class is always 1, so k alone names it).
+    """
+    code = LUMINOSITY_DIGIT[lum]
+    for inv in invs:
+        if inv.kind == "zero":
+            digit = 0
+        elif inv.kind == "nilpotent":
+            digit = 2 if inv.square.rep == 1 else 1
+        else:
+            digit = 2 + inv.k
+        code = code * (p + 2) + digit
+    return code

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,21 @@ def test_crosscheck_recomputes_a_missing_orbit_id(name, p):
     census = dataclasses.replace(get_census(name, p), orbit_id=None)
     report = crosscheck(get_table(name), p, census=census)
     assert all(v == "ok" for v in report["checks"].values())
+
+
+def test_crosscheck_code_pass_memory_is_bounded():
+    table = get_table("D4")
+    total = 5 ** 8  # 390,625 states
+    tracemalloc.start()
+    try:
+        codes = census_mod._bulk_profiles_d(table, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes.shape == (total,)
+    # the codes take 8 bytes per state; lifting every state at once held
+    # about 200 (an int64 and an int16 lane per lift coefficient)
+    assert peak < 40 * total
 
 
 def test_orbit_entry_json_schema():

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from chevorbit import InconsistentTable, MismatchReport
+from chevorbit import ClassificationError, InconsistentTable, MismatchReport
 from chevorbit import census as census_mod
 from chevorbit import cli as cli_mod
 from chevorbit.cli import main
@@ -116,6 +116,18 @@ def test_mismatch_details_reach_stderr(capsys, monkeypatch):
     assert out == ""
     assert "synthetic" in err
     assert "state" in err
+
+
+def test_classification_error_exits_one(capsys, monkeypatch):
+    def inconsistent(*args):
+        raise ClassificationError("invariant code 7 matches nothing")
+
+    monkeypatch.setattr(cli_mod, "classify", inconsistent)
+    code, out, err = run_cli(capsys, "classify", "D4", "-p", "3",
+                             "--vector", "1,0,0,0,0,0,0,0")
+    assert code == 1
+    assert out == ""
+    assert "verification failed: invariant code 7" in err
 
 
 # -- classify ---------------------------------------------------------------------

@@ -3,20 +3,27 @@ descriptors, canonical forms, and validation errors."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import chevorbit
 from chevorbit import (
+    ArrayField,
     CharTwo,
+    ClassificationError,
     InvalidDescriptor,
+    LieVector,
     Luminosity,
     NotTraceZero,
     OrbitDescriptor,
@@ -25,8 +32,10 @@ from chevorbit import (
     act_on_v1,
     al_pair,
     all_descriptors,
+    apply_root_element,
     associated_root_element,
     block_gammas,
+    build_table_oracle,
     canonical_form,
     classify,
     luminosity,
@@ -34,15 +43,19 @@ from chevorbit import (
     sl2_invariant,
     sl2_invariant_matrix,
     standard_quadruple,
+    w_apply_fast,
     z_blocks,
     ZBlock,
 )
+from chevorbit import orbitlab
+from chevorbit.orbitlab import _invariant_code
 from helpers import (
     CENSUS_CASES,
     EXPECTED_ORBITS,
     get_field,
     get_system,
     get_table,
+    pack_profile,
     random_level0_word,
     random_v1,
 )
@@ -254,6 +267,99 @@ def test_sl2_invariant_is_conjugation_invariant_over_f5():
             ((n10 * d - n11 * cc) % p, (-n10 * b + n11 * a) % p),
         )
         assert sl2_invariant_matrix(K, conj) == base
+
+
+# -- the invariant kernel ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name,p",
+    [("D4", 3), ("D4", 5), ("D5", 3), ("D6", 3), ("D4", 1009), ("D5", 1009)],
+)
+def test_invariant_code_matches_reference_invariants(name, p):
+    t = get_table(name)
+    K = get_field(p)
+    rs = t.rs
+    if (name, p) == ("D4", 3):
+        vectors = list(itertools.product(range(p), repeat=len(rs.phi1)))
+    else:
+        rng = random.Random(31 * p + rs.rank)
+        # half uniform (mostly dark) and half sparse, so that every
+        # luminosity and both nilpotent square classes occur at large p too
+        vectors = [random_v1(rng, rs, p) for _ in range(1000)]
+        vectors += [
+            tuple(c if rng.random() < 0.3 else 0 for c in random_v1(rng, rs, p))
+            for _ in range(1000)
+        ]
+    want, scalar = [], []
+    for x in vectors:
+        y = associated_root_element(t, K, x)
+        invs = tuple(sl2_invariant(K, z) for z in z_blocks(t, K, y))
+        want.append(pack_profile(p, luminosity(rs, y), invs))
+        scalar.append(_invariant_code(t, p, y))
+    assert scalar == want
+    columns = list(np.array(vectors, dtype=np.int64).T)
+    y = associated_root_element(t, ArrayField(p), columns)
+    batch = np.broadcast_to(_invariant_code(t, p, y), (len(vectors),))
+    assert batch.tolist() == want
+    radix = (p + 2) ** len(block_gammas(rs))
+    assert {c // radix for c in want} == {0, 1, 2, 3, 4}
+
+
+def test_classify_holds_no_memory_per_vector():
+    t = get_table("D4")
+    K = get_field(5)
+    rng = random.Random(3000)
+    vectors = list(dict.fromkeys(random_v1(rng, t.rs, 5) for _ in range(3100)))
+    vectors = vectors[:3000]
+    assert len(vectors) == 3000
+    for d in all_descriptors(t, K):  # fill the per-table code maps first
+        classify(t, K, canonical_form(t, K, d))
+    held = {}
+    tracemalloc.start()
+    try:
+        for i, x in enumerate(vectors, 1):
+            classify(t, K, x)
+            if i in (1000, 3000):
+                gc.collect()  # also empties the interpreter's free lists
+                held[i] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held[3000] < 16 * 1024
+    assert held[3000] - held[1000] < 4 * 1024
+
+
+def test_tables_are_freed_after_use():
+    rs = get_system("D4")
+    table = build_table_oracle(rs)
+    K = get_field(5)
+    x = quad_vector(rs, (1, 2, 0, 0))
+    v = LieVector.from_v1(table, K, x)
+    apply_root_element(table, rs.phi0[0], 2, v)
+    w_apply_fast(table, rs.phi0[0], 2, v)
+    assert classify(table, K, x).label == "IIIa"
+    assert classify(table, K, quad_vector(rs, (1, 1, 1, 1))).label == "V"
+    ref = weakref.ref(table)
+    del table, v
+    gc.collect()
+    assert ref() is None
+
+
+def test_classify_raises_when_no_canonical_code_matches(monkeypatch):
+    rs = get_system("D4")
+    t = build_table_oracle(rs)  # private code maps, free to tamper with
+    K = get_field(3)
+    x = quad_vector(rs, (1, 1, 0, 0))
+    d = classify(t, K, x)
+    codes = orbitlab._fixed_codes(t, K)
+    del codes[next(c for c, e in codes.items() if e == d)]
+    with pytest.raises(ClassificationError, match="matches no canonical"):
+        classify(t, K, x)
+    # V(k) is accepted only when its canonical vector has the same code
+    monkeypatch.setattr(orbitlab, "_canonical_entries",
+                        lambda rs, K, d, names: quad_vector(rs, (1, 1, 1, 2)))
+    with pytest.raises(ClassificationError, match="matches no canonical"):
+        classify(t, K, quad_vector(rs, (1, 1, 1, 1)))
 
 
 # -- classification ---------------------------------------------------------------
