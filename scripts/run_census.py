@@ -46,7 +46,7 @@ class CensusConfig:
         ap.add_argument("--system", help="run one system instead of the sweep")
         ap.add_argument("-p", type=int, help="odd prime modulus (with --system)")
         ap.add_argument("--budget", type=int, default=None,
-                        help="state-expansion budget (default 10^7)")
+                        help="enumeration budget in states (default 10^7)")
         ap.add_argument("--pairs", type=int, default=10_000,
                         help="sampled pairs for the same-orbit crosscheck")
         ap.add_argument("--seed", type=int, default=0)
@@ -72,13 +72,13 @@ def run_case(cfg: CensusConfig, name: str, p: int) -> dict:
     table = build_table_oracle(build_root_system(family, rank))
     t0 = time.perf_counter()
     census = enumerate_orbits(table, p, budget=cfg.budget)
-    bfs_time = time.perf_counter() - t0
+    enumerate_time = time.perf_counter() - t0
     row = {
         "system": name,
         "p": p,
         "states": census.total_states,
         "orbits": census.orbit_count,
-        "bfs_seconds": round(bfs_time, 2),
+        "enumerate_seconds": round(enumerate_time, 2),
     }
     if not cfg.skip_crosscheck:
         t0 = time.perf_counter()
@@ -100,7 +100,7 @@ def run_case(cfg: CensusConfig, name: str, p: int) -> dict:
 
 def main(argv=None) -> int:
     cfg = CensusConfig.from_args(argv)
-    header = f"{'system':<8}{'p':>3}{'states':>9}{'orbits':>8}{'bfs[s]':>8}  check"
+    header = f"{'system':<8}{'p':>3}{'states':>9}{'orbits':>8}{'enum[s]':>9}  check"
     print(header)
     print("-" * len(header))
     ok = True
@@ -110,7 +110,7 @@ def main(argv=None) -> int:
         ok &= check in ("ok", "-")
         print(
             f"{row['system']:<8}{row['p']:>3}{row['states']:>9}"
-            f"{row['orbits']:>8}{row['bfs_seconds']:>8.2f}  {check}"
+            f"{row['orbits']:>8}{row['enumerate_seconds']:>9.2f}  {check}"
         )
     return 0 if ok else 1
 

@@ -8,7 +8,6 @@ classifier.
 """
 
 from .census import (
-    ArrayField,
     BudgetExceeded,
     MismatchReport,
     OrbitCensus,
@@ -31,6 +30,7 @@ from .chevalley import (
 )
 from .gfield import (
     INTEGERS,
+    ArrayField,
     ExactIntegers,
     NormClass,
     NotPrime,

@@ -15,11 +15,10 @@ truth partition:
 
 * each census representative is the least state of its orbit, and each
   orbit has the listed size,
-* the classifier's input is constant on every orbit, checked for every
-  single state: for family D the invariant code, computed by classify's own
-  kernel (orbitlab._invariant_code) on batch lifts of fixed-size chunks of
-  states, and equal to the scalar code at every representative; for
-  family A the descriptor from classify,
+* the classifier's invariant code is constant on every orbit, checked for
+  every single state by classify's own code (orbitlab._code_of) on batches
+  of fixed-size chunks of states, and equal to the code of the scalar path
+  at every representative,
 * orbit representatives get pairwise distinct descriptors,
 * canonical forms land back in the orbit they were computed from,
 * same_orbit agrees with the partition on all representative pairs and a
@@ -36,14 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chevalley import StructureConstantTable
-from .gfield import PrimeField
+from .gfield import ArrayField, PrimeField
 from .orbitlab import (
     OrbitDescriptor,
     _code_of,
-    _invariant_code,
-    _pow_mod,
     all_descriptors,
-    associated_root_element,
     canonical_form,
     classify,
     same_orbit,
@@ -64,49 +60,6 @@ class MismatchReport(AssertionError):
     def __init__(self, message: str, details: dict | None = None):
         super().__init__(message)
         self.details = details or {}
-
-
-class ArrayField:
-    """Vectorized F_p arithmetic on numpy arrays (and plain ints).
-
-    Implements the coefficient-domain protocol of the gfield module with
-    scalar = False: is_zero always answers False, so domain-generic code
-    takes no data-dependent shortcuts and every lane of a batch is computed.
-    """
-
-    scalar = False
-
-    def __init__(self, p: int):
-        self.p = p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def of(self, a):
-        return a % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        return _pow_mod(a, self.p - 2, self.p)
-
-    def is_zero(self, a) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -313,30 +266,30 @@ def predicted_census(table: StructureConstantTable, p: int) -> list[OrbitDescrip
     return all_descriptors(table, PrimeField(p))
 
 
-# -- invariant codes of all states (family D) -----------------------------------
+# -- invariant codes of all states -------------------------------------------------
 
-# states per batch lift; bounds the crosscheck's memory, which would otherwise
-# hold every coefficient of the lift for every state at once
+# states per batch; bounds the crosscheck's memory, which would otherwise hold
+# every coefficient of a batch lift for every state at once
 _CHUNK = 1 << 14
 
 
-def _bulk_profiles_d(table: StructureConstantTable, p: int) -> np.ndarray:
-    """_invariant_code of every state of V1(F_p), family D, from batch lifts.
+def _state_codes(table: StructureConstantTable, p: int) -> np.ndarray:
+    """orbitlab._code_of of every state of V1(F_p), computed in batches.
 
-    The lanes are int32: a census has p**|phi1| < 2**62 states with
-    |phi1| >= 8, so p < 216, and both p**2 and the codes, below
-    5 * (p + 2)**3, fit.
+    Every intermediate value of the code, and the code itself, is below
+    5 * (p + 2)**3, so the lanes are int32 when that fits; a family-D census
+    (|phi1| >= 8 and p**|phi1| < 2**62) always has p < 216.
     """
     m = len(table.rs.phi1)
     total = p ** m
     pw = _powers(p, m)
+    lane = np.int32 if 5 * (p + 2) ** 3 < 2**31 else np.int64
     AF = ArrayField(p)
     code = np.empty(total, dtype=np.int64)
     for lo in range(0, total, _CHUNK):
         states = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        xs = [((states // w) % p).astype(np.int32) for w in pw]
-        y = associated_root_element(table, AF, xs)
-        code[lo:lo + len(states)] = _invariant_code(table, p, y)
+        xs = [((states // w) % p).astype(lane) for w in pw]
+        code[lo:lo + len(states)] = _code_of(table, AF, xs)
     return code
 
 
@@ -357,50 +310,31 @@ def crosscheck(table: StructureConstantTable, p: int,
 
     orbit_id = _orbit_id_array(table, p, census)
 
-    # (a) the classifier's invariants are constant state-by-state on every orbit
-    if rs.family == "D":
-        fp = _bulk_profiles_d(table, p)
-        rep_states = np.array(
-            [state_of_vector(rs, p, o.representative) for o in census.orbits],
-            dtype=np.int64,
+    # (a) the classifier's code is constant state-by-state on every orbit,
+    # and the batch code agrees with the scalar one at every representative
+    codes = _state_codes(table, p)
+    rep_states = np.array(
+        [state_of_vector(rs, p, o.representative) for o in census.orbits],
+        dtype=np.int64,
+    )
+    want = codes[rep_states][orbit_id]
+    if not np.array_equal(codes, want):
+        bad = int(np.nonzero(codes != want)[0][0])
+        raise MismatchReport(
+            "invariant code varies inside a brute-force orbit",
+            {
+                "state": vector_of_state(rs, p, bad),
+                "orbit_representative": census.orbits[
+                    int(orbit_id[bad])
+                ].representative,
+            },
         )
-        want = fp[rep_states][orbit_id]
-        if not np.array_equal(fp, want):
-            bad = int(np.nonzero(fp != want)[0][0])
+    for o, st in zip(census.orbits, rep_states):
+        if _code_of(table, K, o.representative) != codes[st]:
             raise MismatchReport(
-                "invariant profile varies inside a brute-force orbit",
-                {
-                    "state": vector_of_state(rs, p, bad),
-                    "orbit_representative": census.orbits[
-                        int(orbit_id[bad])
-                    ].representative,
-                },
+                "scalar and batch invariant codes disagree",
+                {"representative": o.representative},
             )
-        # the batch lift against the scalar one, at every representative
-        for o, st in zip(census.orbits, rep_states):
-            if _code_of(table, K, o.representative) != fp[st]:
-                raise MismatchReport(
-                    "scalar and batch invariant codes disagree",
-                    {"representative": o.representative},
-                )
-    else:
-        desc_of = {
-            state_of_vector(rs, p, o.representative): o.descriptor
-            for o in census.orbits
-        }
-        for s in range(total):
-            d = classify(table, K, vector_of_state(rs, p, s))
-            want_d = desc_of[
-                state_of_vector(
-                    rs, p, census.orbits[int(orbit_id[s])].representative
-                )
-            ]
-            if d != want_d:
-                raise MismatchReport(
-                    "descriptor varies inside a brute-force orbit",
-                    {"state": vector_of_state(rs, p, s),
-                     "got": d.to_json(), "want": want_d.to_json()},
-                )
     checks["profile_constant_on_orbits"] = "ok"
 
     # (b) pairwise distinct descriptors across orbits

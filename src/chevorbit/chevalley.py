@@ -143,30 +143,16 @@ def _fast(rs: RootSystem, a: Root, b: Root, memo: dict) -> int:
 # -- propagation oracle ----------------------------------------------------
 
 
-def _encode_keys(rs: RootSystem) -> tuple[np.ndarray, int]:
-    """Injective affine integer encoding of coefficient vectors.
-
-    Coefficients lie in [-8, 7], so base-16 digits of (c + 8) give a key with
-    key(a + b) = key(a) + key(b) - OFFSET.
-    """
-    rank = rs.rank
-    offset = sum(8 * 16**i for i in range(rank))
-    keys = np.array(
-        [sum((c + 8) * 16**i for i, c in enumerate(r)) for r in rs.roots],
-        dtype=np.int64,
-    )
-    return keys, offset
-
-
 def _sum_table(rs: RootSystem) -> np.ndarray:
-    """sum_id[i, j] = root id of roots[i] + roots[j], or -1 if not a root."""
-    keys, offset = _encode_keys(rs)
-    order = np.argsort(keys)
-    skeys = keys[order]
-    sk = keys[:, None] + keys[None, :] - offset
-    pos = np.clip(np.searchsorted(skeys, sk), 0, len(keys) - 1)
-    found = skeys[pos] == sk
-    return np.where(found, order[pos], -1).astype(np.int64)
+    """sum_id[i, j] = root id of roots[i] + roots[j], or -1 if not a root.
+
+    For roots of equal length, a + b is a root exactly when <a, b> == -1.
+    """
+    r = np.array(rs.roots, dtype=np.int64)
+    i, j = np.nonzero(r @ np.array(rs.cartan) @ r.T == -1)
+    sum_id = np.full((len(r), len(r)), -1, dtype=np.int64)
+    sum_id[i, j] = [rs.root_id(s) for s in map(tuple, (r[i] + r[j]).tolist())]
+    return sum_id
 
 
 class StructureConstantTable:

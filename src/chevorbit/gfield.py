@@ -4,7 +4,8 @@ Field elements are plain Python ints in ``range(p)``; the :class:`PrimeField`
 object carries the arithmetic.  The same operation protocol (``of``, ``add``,
 ``sub``, ``mul``, ``neg``, ``inv``, ``is_zero``, ``scalar``) is implemented by
 :class:`ExactIntegers`, so code written against the protocol runs over either
-domain; the census module adds a vectorized implementation.
+domain, and by :class:`ArrayField`, which computes F_p on whole numpy arrays
+of elements at once.
 
 Square classes of units are represented by a canonical representative:
 1 for squares and the least quadratic nonresidue otherwise.  Norm classes are
@@ -159,6 +160,61 @@ class ExactIntegers:
 
 
 INTEGERS = ExactIntegers()
+
+
+def _pow_mod(a, e: int, p: int):
+    """a**e mod p by square-and-multiply, for ints and integer arrays."""
+    a = a % p
+    r = 1
+    while e:
+        if e & 1:
+            r = r * a % p
+        a = a * a % p
+        e >>= 1
+    return r
+
+
+class ArrayField:
+    """Vectorized F_p arithmetic on numpy arrays (and plain ints).
+
+    Implements the coefficient-domain protocol with scalar = False: is_zero
+    always answers False, so domain-generic code takes no data-dependent
+    shortcuts and every lane of a batch is computed.
+    """
+
+    scalar = False
+
+    def __init__(self, p: int):
+        self.p = p
+
+    @property
+    def zero(self):
+        return 0
+
+    @property
+    def one(self):
+        return 1
+
+    def of(self, a):
+        return a % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def inv(self, a):
+        return _pow_mod(a, self.p - 2, self.p)
+
+    def is_zero(self, a) -> bool:
+        return False
 
 
 @lru_cache(maxsize=None)

@@ -10,17 +10,19 @@ For family D (odd characteristic) the classification goes through an
 associated root element y built from x: invariants of y — the coefficient
 at e_{-delta}, which levels are populated (the "luminosity" scale), and the
 conjugacy invariants of small trace-zero 2x2 blocks cut out of the level-0
-part — pin down the orbit.  For family A the orbit data is an explicit
-covector/vector pair read off the prefix/suffix root coefficients.  Family
-E is out of scope here.
+part — pin down the orbit.  For family A the invariants are read off the
+covector/vector pair (u, v) of prefix/suffix root coefficients: which of u
+and v vanish, and their contraction.  Family E is out of scope here.
 
 Orbits are named by OrbitDescriptor values: a label from
 {I, IIa, IIb, II, IIIa, IIIb, IIIc, III, IV, V, VI} plus canonical
-parameters.  For family D, one kernel packs the invariants of y into an
-integer code, and classification is a lookup of that code in a map built,
-per table and prime, from the codes of the canonical representatives.  So
-descriptor equality is exactly orbit equality and never depends on
-basis-level sign conventions.
+parameters.  For either family the invariants are packed into one integer
+code by arithmetic and comparisons only, so the same code runs on a single
+vector and on a batch of vectors held as coefficient arrays.  A family-A
+code decodes directly into its descriptor; a family-D code is looked up in a
+map built, per table and prime, from the codes of the canonical
+representatives.  So descriptor equality is exactly orbit equality and never
+depends on basis-level sign conventions.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .chevalley import StructureConstantTable, table_cached
-from .gfield import NormClass, SquareClass, norm_class_of, square_class
+from .gfield import (
+    NormClass,
+    SquareClass,
+    _pow_mod,
+    norm_class_of,
+    square_class,
+)
 from .liemod import LieVector, apply_root_element, apply_word
 from .rootsys import Root, RootSystem, simple_index, standard_quadruple
 
@@ -317,18 +325,6 @@ def _select(cond, a, b):
     return b + cond * (a - b)
 
 
-def _pow_mod(a, e: int, p: int):
-    """a**e mod p by square-and-multiply, for ints and integer arrays."""
-    a = a % p
-    r = 1
-    while e:
-        if e & 1:
-            r = r * a % p
-        a = a * a % p
-        e >>= 1
-    return r
-
-
 @table_cached
 def _kernel_plan(table: StructureConstantTable):
     """Basis keys read by the kernel: e_{-delta}; the keys of levels -1,
@@ -406,11 +402,45 @@ def al_pair(rs: RootSystem, x) -> tuple[tuple, tuple]:
     u = []
     v = []
     for j in range(1, l):
-        prefix = tuple(1 if i < j else 0 for i in range(l))
-        suffix = tuple(1 if i >= j else 0 for i in range(l))
-        u.append(x[rs.phi1_index(prefix)])
-        v.append(x[rs.phi1_index(suffix)])
+        u.append(x[rs.phi1_index((1,) * j + (0,) * (l - j))])
+        v.append(x[rs.phi1_index((0,) * j + (1,) * (l - j))])
     return tuple(u), tuple(v)
+
+
+_A_LABELS = ("I", "IIa", "IIb", "III", "VI")  # indexed by the label digit
+
+
+def _a_code(rs: RootSystem, p: int, x):
+    """The family-A invariants of x, packed as (label * p + a) * p + b.
+
+    The label indexes _A_LABELS.  With (u, v) = al_pair(rs, x) and the
+    contraction s = sum(u_j * v_j), it is I when u and v vanish, IIa when
+    only v does, IIb when only u does, and otherwise VI when s != 0 and III
+    when s == 0.  For A2, whose orbits are single points, (a, b) = (u_1, v_1).
+    Otherwise b = 0 and a is s (zero except for VI), or, for III of A3, the
+    contraction c of v with the completion of u to a unimodular basis:
+    (0, 1/u_1) when u_1 != 0, else (-1/u_2, 0).  The code uses only
+    arithmetic and comparisons, so the entries of x (in range(p)) may be
+    ints or integer arrays, and the result is an int or an array.
+    """
+    u, v = al_pair(rs, x)
+    u_set = v_set = False
+    s = 0
+    for uj, vj in zip(u, v):
+        u_set = u_set | (uj != 0)
+        v_set = v_set | (vj != 0)
+        s = (s + uj * vj) % p
+    # s != 0 only when u and v are both set, so the label is 0..4
+    label = u_set + 2 * v_set + (s != 0)
+    if rs.rank == 2:
+        return (label * p + u[0]) * p + v[0]
+    a = s
+    if rs.rank == 3:
+        (u1, u2), (v1, v2) = u, v
+        c = _select(u1 != 0, _pow_mod(u1, p - 2, p) * v2,
+                    -_pow_mod(u2, p - 2, p) * v1) % p
+        a = _select(label == 3, c, s)
+    return (label * p + a) * p
 
 
 # -- canonical representatives ---------------------------------------------------
@@ -438,7 +468,7 @@ def classify(table: StructureConstantTable, K, x) -> OrbitDescriptor:
     """Orbit descriptor of a level-1 coefficient vector (phi1 order)."""
     rs = table.rs
     if rs.family == "A":
-        return _classify_a(rs, K, x)
+        return _classify_a(table, K, x)
     if rs.family == "D":
         return _classify_d(table, K, x)
     raise UnsupportedFamily(
@@ -446,55 +476,29 @@ def classify(table: StructureConstantTable, K, x) -> OrbitDescriptor:
     )
 
 
-def _classify_a(rs: RootSystem, K, x) -> OrbitDescriptor:
+def _classify_a(table: StructureConstantTable, K, x) -> OrbitDescriptor:
+    rs = table.rs
     p = _field_p(K)
-    xs = [K.of(c) for c in x]
-    if len(xs) != len(rs.phi1):
-        raise ValueError(
-            f"level-1 vector for {rs.name} needs {len(rs.phi1)} "
-            f"coefficients, got {len(xs)}"
-        )
-    l = rs.rank
-    if l == 1:
-        return _mkdesc(rs, p, "I")
-    u, v = al_pair(rs, xs)
-    uz = all(K.is_zero(c) for c in u)
-    vz = all(K.is_zero(c) for c in v)
-    if l == 2:
-        # no level-0 roots: every vector is its own orbit, named by raw data
-        if uz and vz:
-            return _mkdesc(rs, p, "I")
-        if vz:
-            return _mkdesc(rs, p, "IIa", rho=u[0])
-        if uz:
-            return _mkdesc(rs, p, "IIb", delta_minus_rho=v[0])
-        return _mkdesc(rs, p, "VI", rho=u[0], delta_minus_rho=v[0])
-    if uz and vz:
-        return _mkdesc(rs, p, "I")
-    if vz:
-        return _mkdesc(rs, p, "IIa")
-    if uz:
-        return _mkdesc(rs, p, "IIb")
-    s = K.zero
-    for a, b in zip(u, v):
-        s = K.add(s, K.mul(a, b))
-    if not K.is_zero(s):
-        return _mkdesc(rs, p, "VI", c=s)
-    if l > 3:
-        return _mkdesc(rs, p, "III")
-    # l == 3: complete u to a unimodular basis and contract the complement
-    u1, u2 = u
-    if not K.is_zero(u1):
-        w = (K.zero, K.inv(u1))
+    code = _code_of(table, K, x)
+    label = _A_LABELS[code // (p * p)]
+    a, b = code // p % p, code % p
+    if rs.rank == 2:
+        params = {"IIa": {"rho": a}, "IIb": {"delta_minus_rho": b},
+                  "VI": {"rho": a, "delta_minus_rho": b}}.get(label, {})
+    elif label == "VI" or (label == "III" and rs.rank == 3):
+        params = {"c": a}
     else:
-        w = (K.neg(K.inv(u2)), K.zero)
-    c = K.add(K.mul(w[0], v[0]), K.mul(w[1], v[1]))
-    return _mkdesc(rs, p, "III", c=c)
+        params = {}
+    return _mkdesc(rs, p, label, **params)
 
 
-def _code_of(table: StructureConstantTable, K, x) -> int:
-    y = associated_root_element(table, K, x)
-    return _invariant_code(table, _field_p(K), y)
+def _code_of(table: StructureConstantTable, K, x):
+    """The invariant code of x: one level-1 vector over a PrimeField, or a
+    batch of them, one coefficient array per phi1 root, over an ArrayField."""
+    p = _field_p(K)
+    if table.rs.family == "A":
+        return _a_code(table.rs, p, [K.of(c) for c in x])
+    return _invariant_code(table, p, associated_root_element(table, K, x))
 
 
 @table_cached

@@ -22,8 +22,6 @@ external data format for level-one vectors.
 
 from __future__ import annotations
 
-from enum import IntEnum
-
 Root = tuple[int, ...]
 
 
@@ -37,21 +35,6 @@ class NotARoot(ValueError):
 
 class NotAPositiveRoot(ValueError):
     """The operation requires a positive root."""
-
-
-class PhiClass(IntEnum):
-    """Position of a root beta relative to a fixed root alpha.
-
-    The class of beta is its pairing <beta, alpha>: 2 means beta == alpha,
-    1 an angle of pi/3, 0 orthogonality, -1 an angle of 2*pi/3 and -2 means
-    beta == -alpha.  For fixed alpha the five classes partition the system.
-    """
-
-    TWO = 2
-    ONE = 1
-    ZERO = 0
-    MINUS_ONE = -1
-    MINUS_TWO = -2
 
 
 def dynkin_edges(family: str, rank: int) -> list[tuple[int, int]]:
@@ -232,26 +215,6 @@ def _check_root(rs: RootSystem, v) -> Root:
     if not rs.is_root(v):
         raise NotARoot(f"{v} is not a root of {rs.name}")
     return v
-
-
-def pairing(rs: RootSystem, alpha, beta) -> int:
-    """<alpha, beta> for two roots (symmetric, in {-2,...,2})."""
-    alpha = _check_root(rs, alpha)
-    beta = _check_root(rs, beta)
-    return rs.pair(alpha, beta)
-
-
-def phi_class(rs: RootSystem, alpha, beta) -> PhiClass:
-    """The class of beta relative to alpha, i.e. PhiClass(<beta, alpha>)."""
-    return PhiClass(pairing(rs, beta, alpha))
-
-
-def phi0(rs: RootSystem) -> tuple[Root, ...]:
-    return rs.phi0
-
-
-def phi1(rs: RootSystem) -> tuple[Root, ...]:
-    return rs.phi1
 
 
 def reflect(rs: RootSystem, alpha, beta) -> Root:

@@ -11,10 +11,12 @@ from __future__ import annotations
 from chevorbit import (
     Luminosity,
     OrbitCensus,
+    OrbitDescriptor,
     PrimeField,
     RootSystem,
     StructureConstantTable,
     build_root_system,
+    al_pair,
     build_table_oracle,
     enumerate_orbits,
     parse_system_name,
@@ -137,3 +139,52 @@ def pack_profile(p: int, lum: Luminosity, invs) -> int:
             digit = 2 + inv.k
         code = code * (p + 2) + digit
     return code
+
+
+def classify_a_reference(rs: RootSystem, K: PrimeField, x) -> OrbitDescriptor:
+    """Reference family-A classifier, read branch by branch off al_pair.
+
+    I when u and v vanish, IIa when only v does, IIb when only u does; then
+    VI(c = u.v) when the contraction is nonzero, and III otherwise, whose A3
+    parameter contracts v with the completion of u to a unimodular basis.
+    On A2 every vector is its own orbit, named by its raw coordinates.
+    """
+    p = K.p
+
+    def desc(label, **params):
+        return OrbitDescriptor(rs.family, rs.rank, p, label,
+                               tuple(sorted(params.items())))
+
+    xs = [K.of(c) for c in x]
+    if rs.rank == 1:
+        return desc("I")
+    u, v = al_pair(rs, xs)
+    uz = all(K.is_zero(c) for c in u)
+    vz = all(K.is_zero(c) for c in v)
+    if rs.rank == 2:
+        if uz and vz:
+            return desc("I")
+        if vz:
+            return desc("IIa", rho=u[0])
+        if uz:
+            return desc("IIb", delta_minus_rho=v[0])
+        return desc("VI", rho=u[0], delta_minus_rho=v[0])
+    if uz and vz:
+        return desc("I")
+    if vz:
+        return desc("IIa")
+    if uz:
+        return desc("IIb")
+    s = K.zero
+    for a, b in zip(u, v):
+        s = K.add(s, K.mul(a, b))
+    if not K.is_zero(s):
+        return desc("VI", c=s)
+    if rs.rank > 3:
+        return desc("III")
+    u1, u2 = u
+    if not K.is_zero(u1):
+        w = (K.zero, K.inv(u1))
+    else:
+        w = (K.neg(K.inv(u2)), K.zero)
+    return desc("III", c=K.add(K.mul(w[0], v[0]), K.mul(w[1], v[1])))

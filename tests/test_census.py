@@ -254,7 +254,7 @@ def test_crosscheck_code_pass_memory_is_bounded():
     total = 5 ** 8  # 390,625 states
     tracemalloc.start()
     try:
-        codes = census_mod._bulk_profiles_d(table, 5)
+        codes = census_mod._state_codes(table, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

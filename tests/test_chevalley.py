@@ -18,6 +18,7 @@ from chevorbit import (
     structure_constant_fast,
     verify_table,
 )
+from chevorbit.chevalley import _sum_table
 from helpers import ALL_SYSTEMS, get_system, get_table
 
 
@@ -175,3 +176,15 @@ def test_bracket_keys_h_action_is_the_pairing():
                 assert items == ()
             else:
                 assert items == ((t.e_key(b), expected),)
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS + ("A16", "D16"))
+def test_sum_table_matches_brute_force(name):
+    rs = get_system(name)
+    want = np.full((len(rs.roots), len(rs.roots)), -1, dtype=np.int64)
+    for i, a in enumerate(rs.roots):
+        for j, b in enumerate(rs.roots):
+            s = rs.add(a, b)
+            if rs.is_root(s):
+                want[i, j] = rs.root_id(s)
+    assert np.array_equal(_sum_table(rs), want)

@@ -3,14 +3,19 @@ formats, determinism, and file output."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+import chevorbit
 from chevorbit import ClassificationError, InconsistentTable, MismatchReport
 from chevorbit import census as census_mod
 from chevorbit import cli as cli_mod
@@ -94,6 +99,13 @@ def test_constants_csv_is_the_table(capsys):
     assert set(rows[0]) == {"alpha", "beta", "value"}
     assert len(rows) == 12  # defined pairs of A2
     assert {r["value"] for r in rows} <= {"-1", "1"}
+
+
+@pytest.mark.parametrize("system", ["A16", "D16"])
+def test_constants_at_rank_sixteen(capsys, system):
+    code, out, _ = run_cli(capsys, "constants", system, "--check", "n1")
+    assert code == 0
+    assert json.loads(out)["checks"]["n1"]["status"] == "pass"
 
 
 def test_constants_failure_exits_one(capsys, monkeypatch):
@@ -321,10 +333,65 @@ def test_out_flag_writes_the_same_content(capsys, tmp_path):
 
 
 def test_module_entry_point_runs():
+    # run from the directory holding the package, so that an uninstalled
+    # checkout finds it too
     proc = subprocess.run(
         [sys.executable, "-m", "chevorbit", "roots", "A2", "--format", "json"],
         capture_output=True,
         text=True,
+        cwd=Path(chevorbit.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rank"] == 2
+
+
+# -- fuzzing ----------------------------------------------------------------------
+
+# fixed-width encodings fail first at the largest rank, so it gets extra weight
+_SYSTEMS = st.one_of(
+    st.sampled_from(["", "X3", "A0", "D3", "E9", "a3"]),
+    st.builds("{}{}".format, st.sampled_from("ADE"),
+              st.integers(1, 16) | st.just(16)),
+)
+_PRIMES = st.sampled_from([-3, 0, 1, 2, 3, 4, 5, 9, 1009])
+_VECTORS = st.one_of(
+    st.lists(st.integers(-2, 1010), max_size=30).map(
+        lambda xs: ",".join(map(str, xs))),
+    st.text(max_size=30),
+).filter(lambda t: not t.startswith("@"))
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(["roots", "constants", "classify", "orbits"]))
+    system = draw(_SYSTEMS)
+    if cmd == "roots":
+        fmt = draw(st.sampled_from(["text", "json", "csv"]))
+        return ["roots", system, "--format", fmt]
+    if cmd == "constants":
+        check = draw(st.sampled_from(cli_mod.CHECK_NAMES + ("all",)))
+        return ["constants", system, "--check", check]
+    p = str(draw(_PRIMES))
+    if cmd == "classify":
+        return ["classify", system, "-p", p, f"--vector={draw(_VECTORS)}"]
+    argv = ["orbits", system, "-p", p,
+            "--format", draw(st.sampled_from(["json", "csv"]))]
+    mode = draw(st.sampled_from([None, "--brute-force", "--compare"]))
+    if mode is not None:
+        # at most 1,000 states are ever enumerated
+        argv += [mode, "--budget", str(draw(st.sampled_from([-5, 0, 1, 1000])))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
+    # the predicted census of A2 lists p**2 orbits: a million lines at
+    # p = 1009, correct but too slow for a fuzz example
+    assume(argv[:2] != ["orbits", "A2"] or "1009" not in argv
+           or "--budget" in argv)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), argv

@@ -52,6 +52,7 @@ from chevorbit.orbitlab import _invariant_code
 from helpers import (
     CENSUS_CASES,
     EXPECTED_ORBITS,
+    classify_a_reference,
     get_field,
     get_system,
     get_table,
@@ -304,6 +305,41 @@ def test_invariant_code_matches_reference_invariants(name, p):
     assert batch.tolist() == want
     radix = (p + 2) ** len(block_gammas(rs))
     assert {c // radix for c in want} == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize(
+    "name,p",
+    [("A2", 3), ("A3", 3), ("A3", 5), ("A4", 3),
+     ("A2", 1009), ("A3", 1009), ("A4", 1009), ("A5", 1009)],
+)
+def test_classify_a_matches_reference(name, p):
+    t = get_table(name)
+    K = get_field(p)
+    rs = t.rs
+    if p < 1009:
+        vectors = list(itertools.product(range(p), repeat=len(rs.phi1)))
+    else:
+        rng = random.Random(17 * p + rs.rank)
+        # half uniform (mostly VI) and half sparse, so that every label
+        # occurs, and on A3 label III with both u_1 = 0 and u_1 != 0
+        vectors = [random_v1(rng, rs, p) for _ in range(1000)]
+        vectors += [
+            tuple(c if rng.random() < 0.3 else 0 for c in random_v1(rng, rs, p))
+            for _ in range(1000)
+        ]
+    want = [classify_a_reference(rs, K, x) for x in vectors]
+    assert [classify(t, K, x) for x in vectors] == want
+    scalar = [orbitlab._code_of(t, K, x) for x in vectors]
+    columns = list(np.array(vectors, dtype=np.int64).T)
+    batch = np.broadcast_to(orbitlab._code_of(t, ArrayField(p), columns),
+                            (len(vectors),))
+    assert batch.tolist() == scalar
+    labels = {d.label for d in want}
+    assert labels == {"I", "IIa", "IIb", "VI"} | ({"III"} if rs.rank > 2 else set())
+    if rs.rank == 3:
+        u1_zero = {al_pair(rs, x)[0][0] == 0
+                   for x, d in zip(vectors, want) if d.label == "III"}
+        assert u1_zero == {True, False}
 
 
 def test_classify_holds_no_memory_per_vector():
