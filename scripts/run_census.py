@@ -100,7 +100,8 @@ def run_case(cfg: CensusConfig, name: str, p: int) -> dict:
 
 def main(argv=None) -> int:
     cfg = CensusConfig.from_args(argv)
-    header = f"{'system':<8}{'p':>3}{'states':>9}{'orbits':>8}{'enum[s]':>9}  check"
+    header = (f"{'system':<8}{'p':>3}{'states':>9}{'orbits':>8}{'enum[s]':>9}"
+              f"{'check[s]':>10}  check")
     print(header)
     print("-" * len(header))
     ok = True
@@ -108,9 +109,12 @@ def main(argv=None) -> int:
         row = run_case(cfg, name, p)
         check = row.get("crosscheck", "-")
         ok &= check in ("ok", "-")
+        seconds = row.get("crosscheck_seconds")
+        check_s = "-" if seconds is None else f"{seconds:.2f}"
         print(
             f"{row['system']:<8}{row['p']:>3}{row['states']:>9}"
-            f"{row['orbits']:>8}{row['enumerate_seconds']:>9.2f}  {check}"
+            f"{row['orbits']:>8}{row['enumerate_seconds']:>9.2f}"
+            f"{check_s:>10}  {check}"
         )
     return 0 if ok else 1
 

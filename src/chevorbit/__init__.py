@@ -72,6 +72,7 @@ from .orbitlab import (
     block_gammas,
     canonical_form,
     classify,
+    classify_many,
     luminosity,
     same_orbit,
     sl2_invariant,
@@ -82,11 +83,13 @@ from .rootsys import (
     NotAPositiveRoot,
     NotARoot,
     RootSystem,
+    SystemTooLarge,
     UnsupportedSystem,
     build_root_system,
     min_subtractable_index,
     parse_system_name,
     reflect,
+    root_count,
     simple_index,
     standard_quadruple,
 )

@@ -21,8 +21,10 @@ truth partition:
   at every representative,
 * orbit representatives get pairwise distinct descriptors,
 * canonical forms land back in the orbit they were computed from,
-* same_orbit agrees with the partition on all representative pairs and a
-  random sample, and
+* same_orbit agrees with the partition on all representative pairs and on
+  a random sample of pairs: the sampled states go through the batch
+  classifier (orbitlab.classify_many), and the first 500 pairs also through
+  the scalar same_orbit, and
 * the predicted descriptor list matches the enumerated one as a set.
 """
 
@@ -35,19 +37,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chevalley import StructureConstantTable
-from .gfield import ArrayField, PrimeField
+from .gfield import ArrayField, PrimeField  # noqa: F401  (re-exported)
 from .orbitlab import (
     OrbitDescriptor,
+    _chunk_codes,
     _code_of,
     all_descriptors,
     canonical_form,
     classify,
+    classify_many,
     same_orbit,
 )
 from .rootsys import RootSystem
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV = "CHEVORBIT_BUDGET"
+# sampled crosscheck pairs that also go through the scalar same_orbit
+_SCALAR_PAIRS = 500
 
 
 class BudgetExceeded(RuntimeError):
@@ -268,28 +274,21 @@ def predicted_census(table: StructureConstantTable, p: int) -> list[OrbitDescrip
 
 # -- invariant codes of all states -------------------------------------------------
 
-# states per batch; bounds the crosscheck's memory, which would otherwise hold
-# every coefficient of a batch lift for every state at once
-_CHUNK = 1 << 14
-
 
 def _state_codes(table: StructureConstantTable, p: int) -> np.ndarray:
-    """orbitlab._code_of of every state of V1(F_p), computed in batches.
-
-    Every intermediate value of the code, and the code itself, is below
-    5 * (p + 2)**3, so the lanes are int32 when that fits; a family-D census
-    (|phi1| >= 8 and p**|phi1| < 2**62) always has p < 216.
-    """
+    """orbitlab._code_of of every state of V1(F_p), computed in chunks of
+    orbitlab._CHUNK states, which bounds the memory of the batch lift."""
     m = len(table.rs.phi1)
     total = p ** m
     pw = _powers(p, m)
-    lane = np.int32 if 5 * (p + 2) ** 3 < 2**31 else np.int64
-    AF = ArrayField(p)
+
+    def columns(lo, hi):
+        states = np.arange(lo, hi, dtype=np.int64)
+        return [(states // w) % p for w in pw]
+
     code = np.empty(total, dtype=np.int64)
-    for lo in range(0, total, _CHUNK):
-        states = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        xs = [((states // w) % p).astype(lane) for w in pw]
-        code[lo:lo + len(states)] = _code_of(table, AF, xs)
+    for lo, chunk in _chunk_codes(table, p, total, columns):
+        code[lo:lo + len(chunk)] = chunk
     return code
 
 
@@ -362,7 +361,9 @@ def crosscheck(table: StructureConstantTable, p: int,
             )
     checks["canonical_forms_in_orbit"] = "ok"
 
-    # (d) same_orbit against ground truth: all representative pairs + sample
+    # (d) same_orbit against ground truth: all representative pairs, and a
+    # sample of pairs, classified as one batch; same_orbit itself also runs
+    # on the first _SCALAR_PAIRS of the sample
     reps = [o.representative for o in census.orbits]
     for i in range(len(reps)):
         for j in range(i, len(reps)):
@@ -373,18 +374,32 @@ def crosscheck(table: StructureConstantTable, p: int,
                     {"x1": reps[i], "x2": reps[j], "got": got},
                 )
     rng = random.Random(seed)
-    for _ in range(pairs):
-        s1 = rng.randrange(total)
-        s2 = rng.randrange(total)
-        x1 = vector_of_state(rs, p, s1)
-        x2 = vector_of_state(rs, p, s2)
-        got = same_orbit(table, K, x1, x2)
-        want = orbit_id[s1] == orbit_id[s2]
-        if got != want:
-            raise MismatchReport(
-                "same_orbit disagrees with the enumeration",
-                {"x1": x1, "x2": x2, "got": got, "want": bool(want)},
-            )
+    sampled = np.fromiter((rng.randrange(total) for _ in range(2 * pairs)),
+                          dtype=np.int64, count=2 * pairs).reshape(pairs, 2)
+    want = orbit_id[sampled[:, 0]] == orbit_id[sampled[:, 1]]
+
+    def disagree(i, got):
+        s1, s2 = sampled[i].tolist()
+        return MismatchReport(
+            "same_orbit disagrees with the enumeration",
+            {"x1": vector_of_state(rs, p, s1),
+             "x2": vector_of_state(rs, p, s2),
+             "got": got, "want": bool(want[i])},
+        )
+
+    for i, (s1, s2) in enumerate(sampled[:_SCALAR_PAIRS].tolist()):
+        got = same_orbit(table, K, vector_of_state(rs, p, s1),
+                         vector_of_state(rs, p, s2))
+        if got != want[i]:
+            raise disagree(i, got)
+    digits = sampled.reshape(-1, 1) // _powers(p, len(rs.phi1)) % p
+    index: dict[OrbitDescriptor, int] = {}
+    ids = np.array([index.setdefault(d, len(index))
+                    for d in classify_many(table, K, digits)],
+                   dtype=np.int64).reshape(pairs, 2)
+    bad = np.flatnonzero((ids[:, 0] == ids[:, 1]) != want)
+    if bad.size:
+        raise disagree(int(bad[0]), not want[bad[0]])
     checks["same_orbit_sampled"] = "ok"
 
     # predicted orbit list == enumerated orbit list, as sets

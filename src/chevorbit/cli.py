@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 failed verification, crosscheck or classification
 (an internal inconsistency), 2 malformed input, 3 unsupported request
 (family E classification, characteristic 2), 4 enumeration budget
-exceeded or out of memory.  Output goes to stdout, or to --out FILE;
-identical invocations produce byte-identical output.
+exceeded, out of memory, or a system with more than rootsys.MAX_ROOTS
+(1000) roots, 130 interrupted (Ctrl-C).  Output goes to stdout, or to
+--out FILE; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -39,11 +40,14 @@ from .orbitlab import (
     UnsupportedFamily,
     canonical_form,
     classify,
+    classify_many,
 )
 from .rootsys import (
+    SystemTooLarge,
     UnsupportedSystem,
     build_root_system,
     parse_system_name,
+    root_count,
     standard_quadruple,
 )
 
@@ -203,6 +207,10 @@ def _parse_vector(text: str, p: int) -> list[int]:
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
+    return _parse_entries(text, p)
+
+
+def _parse_entries(text: str, p: int) -> list[int]:
     toks = [t for t in text.replace(",", " ").split() if t]
     out = []
     for t in toks:
@@ -218,20 +226,62 @@ def _parse_vector(text: str, p: int) -> list[int]:
     return out
 
 
+def _parse_batch(spec: str, p: int) -> list[tuple[int, list[int]]]:
+    """(line number, vector) for each nonempty line of the @FILE spec."""
+    if not spec.startswith("@"):
+        raise ValueError(f"--batch takes @FILE, not {spec!r}")
+    with open(spec[1:], "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    out = []
+    for n, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                out.append((n, _parse_entries(line, p)))
+            except ValueError as e:
+                raise ValueError(f"line {n}: {e}") from None
+    return out
+
+
 def cmd_classify(args) -> str:
     family, rank = parse_system_name(args.system)
+    n_roots = root_count(family, rank)
     K = PrimeField(args.p)
     if args.p == 2:
         raise CharTwo("classification over F_2 is unsupported")
-    x = _parse_vector(args.vector, args.p)
-    rs = build_root_system(family, rank)
-    table = build_table_oracle(rs)
-    d = classify(table, K, x)
-    rep = canonical_form(table, K, d)
-    return _dump({
-        "descriptor": d.to_json(),
-        "canonical_representative": list(rep),
-    })
+    if args.batch is None:
+        rows = [(None, _parse_vector(args.vector, args.p))]
+    else:
+        rows = _parse_batch(args.batch, args.p)
+    if family == "E":
+        raise UnsupportedFamily(
+            f"orbit classification covers families A and D, not {family}{rank}"
+        )
+    # every simply-laced system has |phi1| = 2 |Phi| / l - 4, so the length
+    # is checked before the table is built
+    m = 2 * n_roots // rank - 4
+    for n, x in rows:
+        if len(x) != m:
+            where = "" if n is None else f"line {n}: "
+            raise ValueError(
+                f"{where}level-1 vector for {family}{rank} needs {m} "
+                f"coefficients, got {len(x)}"
+            )
+    table = build_table_oracle(build_root_system(family, rank))
+
+    def entry(d):
+        return {"descriptor": d.to_json(),
+                "canonical_representative": list(canonical_form(table, K, d))}
+
+    if args.batch is None:
+        return _dump(entry(classify(table, K, rows[0][1])))
+    # one compact line per vector, built once per distinct descriptor
+    line_of: dict = {}
+    lines = []
+    for d in classify_many(table, K, [x for _, x in rows]):
+        if d not in line_of:
+            line_of[d] = json.dumps(entry(d), separators=(",", ":"))
+        lines.append(line_of[d])
+    return "\n".join(lines)
 
 
 # -- orbits --------------------------------------------------------------------
@@ -334,13 +384,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(func=cmd_constants)
 
     p_cls = sub.add_parser(
-        "classify", help="classify a level-1 vector over F_p"
+        "classify", help="classify level-1 vectors over F_p"
     )
     p_cls.add_argument("system")
     p_cls.add_argument("-p", type=int, required=True, help="odd prime modulus")
-    p_cls.add_argument(
-        "--vector", required=True,
+    given = p_cls.add_mutually_exclusive_group(required=True)
+    given.add_argument(
+        "--vector",
         help="comma-separated coefficients in phi1 order, or @FILE",
+    )
+    given.add_argument(
+        "--batch", metavar="@FILE",
+        help="one vector per nonempty line of FILE; writes one compact JSON "
+        "object per vector",
     )
     p_cls.add_argument("--out", default=None)
     p_cls.set_defaults(func=cmd_classify)
@@ -375,7 +431,7 @@ def main(argv=None) -> int:
     except (UnsupportedFamily, CharTwo, UnsupportedField) as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return 3
-    except (BudgetExceeded, MemoryError) as e:
+    except (BudgetExceeded, MemoryError, SystemTooLarge) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 4
     except (InconsistentTable, UnderdeterminedTable, JacobiViolation,
@@ -391,12 +447,17 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    # an empty batch writes nothing
+    text += "\n" if text else ""
     out = getattr(args, "out", None)
     if out:
         with io.open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
     return 0
 
 

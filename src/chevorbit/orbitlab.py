@@ -18,10 +18,11 @@ Orbits are named by OrbitDescriptor values: a label from
 {I, IIa, IIb, II, IIIa, IIIb, IIIc, III, IV, V, VI} plus canonical
 parameters.  For either family the invariants are packed into one integer
 code by arithmetic and comparisons only, so the same code runs on a single
-vector and on a batch of vectors held as coefficient arrays.  A family-A
-code decodes directly into its descriptor; a family-D code is looked up in a
-map built, per table and prime, from the codes of the canonical
-representatives.  So descriptor equality is exactly orbit equality and never
+vector (classify) and on a batch of vectors held as coefficient arrays
+(classify_many).  A family-A code decodes directly into its descriptor; a
+family-D code is looked up in a map built, per table and prime, from the
+codes of the canonical representatives.  Both entry points decode through
+the same step.  So descriptor equality is exactly orbit equality and never
 depends on basis-level sign conventions.
 """
 
@@ -30,8 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .chevalley import StructureConstantTable, table_cached
 from .gfield import (
+    ArrayField,
     NormClass,
     SquareClass,
     _pow_mod,
@@ -464,32 +468,22 @@ def _a_suffix(rs: RootSystem, j: int) -> Root:
 # -- classification ----------------------------------------------------------------
 
 
-def classify(table: StructureConstantTable, K, x) -> OrbitDescriptor:
-    """Orbit descriptor of a level-1 coefficient vector (phi1 order)."""
+def _check_domain(table: StructureConstantTable, K) -> int:
+    """p, once the system and the field suit the classification."""
     rs = table.rs
     if rs.family == "A":
-        return _classify_a(table, K, x)
+        return _field_p(K)
     if rs.family == "D":
-        return _classify_d(table, K, x)
+        return _require_odd(K)
     raise UnsupportedFamily(
         f"orbit classification covers families A and D, not {rs.name}"
     )
 
 
-def _classify_a(table: StructureConstantTable, K, x) -> OrbitDescriptor:
-    rs = table.rs
-    p = _field_p(K)
-    code = _code_of(table, K, x)
-    label = _A_LABELS[code // (p * p)]
-    a, b = code // p % p, code % p
-    if rs.rank == 2:
-        params = {"IIa": {"rho": a}, "IIb": {"delta_minus_rho": b},
-                  "VI": {"rho": a, "delta_minus_rho": b}}.get(label, {})
-    elif label == "VI" or (label == "III" and rs.rank == 3):
-        params = {"c": a}
-    else:
-        params = {}
-    return _mkdesc(rs, p, label, **params)
+def classify(table: StructureConstantTable, K, x) -> OrbitDescriptor:
+    """Orbit descriptor of a level-1 coefficient vector (phi1 order)."""
+    _check_domain(table, K)
+    return _descriptor_of(table, K, _code_of(table, K, x), x)
 
 
 def _code_of(table: StructureConstantTable, K, x):
@@ -522,10 +516,23 @@ def _dark_codes(table: StructureConstantTable, K) -> dict:
     return {}
 
 
-def _classify_d(table: StructureConstantTable, K, x) -> OrbitDescriptor:
+def _descriptor_of(table: StructureConstantTable, K, code: int,
+                   x=None) -> OrbitDescriptor:
+    """The descriptor an invariant code names; classify and classify_many
+    both decode here.  x, when given, is the vector the code came from."""
     rs = table.rs
-    p = _require_odd(K)
-    code = _code_of(table, K, x)
+    p = K.p
+    if rs.family == "A":
+        label = _A_LABELS[code // (p * p)]
+        a, b = code // p % p, code % p
+        if rs.rank == 2:
+            params = {"IIa": {"rho": a}, "IIb": {"delta_minus_rho": b},
+                      "VI": {"rho": a, "delta_minus_rho": b}}.get(label, {})
+        elif label == "VI" or (label == "III" and rs.rank == 3):
+            params = {"c": a}
+        else:
+            params = {}
+        return _mkdesc(rs, p, label, **params)
     radix = p + 2
     if code // radix ** len(_kernel_plan(table)[-1]) != _DARK:
         codes = _fixed_codes(table, K)
@@ -537,7 +544,7 @@ def _classify_d(table: StructureConstantTable, K, x) -> OrbitDescriptor:
         if code not in codes and k > 0:
             d = _dark_descriptor(rs, p, k)
             vec = _canonical_entries(rs, K, d, set())
-            if (vec == tuple(K.of(c) for c in x)
+            if ((x is not None and vec == tuple(K.of(c) for c in x))
                     or _code_of(table, K, vec) == code):
                 codes[code] = d
     try:
@@ -547,6 +554,96 @@ def _classify_d(table: StructureConstantTable, K, x) -> OrbitDescriptor:
             f"invariant code {code} matches no canonical representative "
             f"of {rs.name} over F_{p}"
         ) from None
+
+
+# -- batches -----------------------------------------------------------------------
+
+# vectors per batch; bounds the memory of a batch lift, which holds a lane
+# array for every coefficient of the lifted vector
+_CHUNK = 1 << 14
+
+
+def _lane(p: int):
+    """The dtype of batch code lanes over F_p.
+
+    Every intermediate value of a code, and the code itself, is below
+    5 * (p + 2)**3, so the lanes are int32 while that fits, then int64, then
+    Python ints (dtype object): no lane ever wraps.  A family-D census
+    (|phi1| >= 8 and p**|phi1| < 2**62) always has p < 216, so int32.
+    """
+    bound = 5 * (p + 2) ** 3
+    if bound < 2**31:
+        return np.int32
+    return np.int64 if bound < 2**63 else object
+
+
+def _chunk_codes(table: StructureConstantTable, p: int, n: int, columns):
+    """Yield (lo, codes) for the chunks of _CHUNK out of n vectors.
+
+    columns(lo, hi) gives vectors lo..hi-1 as one integer array per phi1
+    coordinate, entries in range(p); codes holds their _code_of values.
+    """
+    lane = _lane(p)
+    AF = ArrayField(p)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        xs = [c.astype(lane) for c in columns(lo, hi)]
+        yield lo, np.broadcast_to(_code_of(table, AF, xs), (hi - lo,))
+
+
+def _batch_rows(rs: RootSystem, p: int, X) -> np.ndarray:
+    """X as an (n, |phi1|) integer array; ValueError for anything else."""
+    m = len(rs.phi1)
+    try:
+        rows = np.asarray(X)
+        if rows.size == 0:  # no vectors, or vectors without entries (A1)
+            rows = rows.astype(np.int64).reshape(len(rows), m)
+    except ValueError:  # rows of different lengths
+        rows = None
+    if rows is None or rows.ndim != 2 or rows.shape[1] != m:
+        raise ValueError(
+            f"level-1 vectors for {rs.name} need {m} coefficients each"
+        )
+    if rows.dtype.kind not in "iu":
+        raise ValueError(
+            f"level-1 vector entries over F_{p} must be integers in range({p})"
+        )
+    return rows
+
+
+def classify_many(table: StructureConstantTable, K,
+                  X) -> list[OrbitDescriptor]:
+    """Orbit descriptors of a batch of level-1 vectors, in input order.
+
+    X is a sequence of vectors in phi1 order, or an (n, |phi1|) integer
+    array.  The result equals [classify(table, K, x) for x in X]: the codes
+    come from the same kernel, run on lane arrays of _CHUNK vectors at a
+    time, and each distinct code is decoded once.  The batch holds its
+    entries in lanes sized for range(p), so an entry outside range(p) raises
+    ValueError (classify reduces it mod p), as does a row of the wrong length.
+    """
+    p = _check_domain(table, K)
+    rows = _batch_rows(table.rs, p, X)
+
+    def columns(lo, hi):
+        chunk = rows[lo:hi]
+        bad = (chunk < 0) | (chunk >= p)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(
+                f"vector {lo + i}: entry {chunk[i, j]} is out of range for "
+                f"F_{p} (need 0..{p - 1})"
+            )
+        return chunk.T
+
+    out: list = [None] * len(rows)
+    seen: dict = {}
+    for lo, codes in _chunk_codes(table, p, len(rows), columns):
+        keys = codes.tolist()
+        for c in set(keys).difference(seen):
+            seen[c] = _descriptor_of(table, K, c)
+        out[lo:lo + len(keys)] = map(seen.__getitem__, keys)
+    return out
 
 
 def same_orbit(table: StructureConstantTable, K, x1, x2) -> bool:

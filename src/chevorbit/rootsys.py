@@ -29,12 +29,45 @@ class UnsupportedSystem(ValueError):
     """Requested (family, rank) is not A_l (l>=1), D_l (l>=4) or E_6/7/8."""
 
 
+class SystemTooLarge(UnsupportedSystem):
+    """The system has more than MAX_ROOTS roots."""
+
+
 class NotARoot(ValueError):
     """A vector that is not a root of this system was passed."""
 
 
 class NotAPositiveRoot(ValueError):
     """The operation requires a positive root."""
+
+
+# The closure of a root system, and every table built on it, grows with the
+# root count, which is known in advance; larger systems are refused before
+# any work.  1000 admits A_l up to l = 31, D_l up to l = 22 and all of E.
+MAX_ROOTS = 1000
+
+
+def root_count(family: str, rank: int) -> int:
+    """|Phi| of A_l (l(l + 1)), D_l (2l(l - 1)) or E_6/7/8, not built.
+
+    Raises UnsupportedSystem for any other (family, rank), and SystemTooLarge
+    past MAX_ROOTS.
+    """
+    if family == "A" and rank >= 1:
+        n = rank * (rank + 1)
+    elif family == "D" and rank >= 4:
+        n = 2 * rank * (rank - 1)
+    elif family == "E" and rank in (6, 7, 8):
+        n = (72, 126, 240)[rank - 6]
+    else:
+        raise UnsupportedSystem(
+            f"no supported simply-laced system {family}{rank}"
+        )
+    if n > MAX_ROOTS:
+        raise SystemTooLarge(
+            f"{family}{rank} has {n} roots, more than the limit of {MAX_ROOTS}"
+        )
+    return n
 
 
 def dynkin_edges(family: str, rank: int) -> list[tuple[int, int]]:
@@ -82,6 +115,7 @@ class RootSystem:
     """
 
     def __init__(self, family: str, rank: int):
+        root_count(family, rank)
         self.family = family
         self.rank = rank
         self.cartan = cartan_matrix(family, rank)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -201,6 +202,62 @@ def test_crosscheck_detects_a_broken_classifier(monkeypatch):
     with pytest.raises(MismatchReport) as exc_info:
         crosscheck(table, 3)
     assert exc_info.value.details
+
+
+def test_crosscheck_batch_pairs_catch_one_wrong_descriptor(monkeypatch):
+    # the pairs are drawn as before: state 2i and 2i + 1 of the batch are
+    # s1 and s2 of pair i, in random.Random(seed) order
+    table = get_table("D4")
+    census = get_census("D4", 3)
+    real = census_mod.classify_many
+    pair = 700  # past the scalar prefix, so only the batch can see it
+    batches = []
+
+    def one_wrong(t, K, X):
+        out = real(t, K, X)
+        batches.append(np.array(X))
+        a, b = 2 * pair, 2 * pair + 1
+        if out[a] == out[b]:
+            out[a] = next(d for d in out if d != out[b])
+        else:
+            out[a] = out[b]
+        return out
+
+    monkeypatch.setattr(census_mod, "classify_many", one_wrong)
+    with pytest.raises(MismatchReport,
+                       match="same_orbit disagrees with the enumeration") as e:
+        crosscheck(table, 3, census=census, seed=5)
+    assert set(e.value.details) == {"x1", "x2", "got", "want"}
+    rng = random.Random(5)
+    drawn = [vector_of_state(table.rs, 3, rng.randrange(3**8))
+             for _ in range(20_000)]
+    (sampled,) = batches
+    assert sampled.tolist() == [list(x) for x in drawn]
+    assert (e.value.details["x1"], e.value.details["x2"]) == (
+        drawn[2 * pair], drawn[2 * pair + 1])
+
+
+@pytest.mark.parametrize("pairs,sampled", [(10_000, 500), (40, 40)])
+def test_crosscheck_runs_scalar_same_orbit_on_a_sample_prefix(
+        monkeypatch, pairs, sampled):
+    table = get_table("D4")
+    census = get_census("D4", 3)
+    calls = []
+    real = census_mod.same_orbit
+
+    def counted(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(census_mod, "same_orbit", counted)
+    report = crosscheck(table, 3, census=census, pairs=pairs)
+    assert report["pairs_sampled"] == pairs
+    k = census.orbit_count
+    assert len(calls) == k * (k + 1) // 2 + sampled
+    rng = random.Random(0)
+    first = (vector_of_state(table.rs, 3, rng.randrange(3**8)),
+             vector_of_state(table.rs, 3, rng.randrange(3**8)))
+    assert calls[k * (k + 1) // 2] == first
 
 
 def test_orbit_id_is_not_serialized_or_compared():

@@ -7,8 +7,10 @@ import contextlib
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -205,6 +207,88 @@ def test_classify_non_prime_modulus(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("system", ["A1", "A4", "A8", "D4", "D6", "D8"])
+def test_classify_accepts_the_level_one_length(capsys, system):
+    rs = chevorbit.build_root_system(system[0], int(system[1:]))
+    vec = ",".join(["1"] * len(rs.phi1))
+    code, _, _ = run_cli(capsys, "classify", system, "-p", "3", "--vector", vec)
+    assert code == 0
+
+
+def test_classify_checks_length_before_building_the_table(capsys, monkeypatch,
+                                                          tmp_path):
+    def never(rs):
+        raise AssertionError("the table must not be built")
+
+    monkeypatch.setattr(cli_mod, "build_table_oracle", never)
+    code, out, err = run_cli(capsys, "classify", "D16", "-p", "1009",
+                             "--vector", "1")
+    assert code == 2 and out == ""
+    assert "needs 56 coefficients, got 1" in err
+    f = tmp_path / "batch.txt"
+    f.write_text("1,2,3,4\n0,0,0,0\n\n1,2,3\n")
+    code, out, err = run_cli(capsys, "classify", "A3", "-p", "5",
+                             "--batch", f"@{f}")
+    assert code == 2 and out == ""
+    assert "line 4" in err and "needs 4 coefficients, got 3" in err
+    # the family is still checked first: E stays unsupported, whatever
+    # the length
+    code, _, _ = run_cli(capsys, "classify", "E6", "-p", "3", "--vector", "1")
+    assert code == 3
+
+
+@pytest.mark.parametrize("system,p", [("D4", 5), ("A3", 5), ("D5", 1009)])
+def test_classify_batch_lines_match_single_vector_output(capsys, tmp_path,
+                                                         system, p):
+    rs = chevorbit.build_root_system(system[0], int(system[1:]))
+    rng = random.Random(p)
+    vectors = [[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in rs.phi1]
+               for _ in range(40)]
+    f = tmp_path / "batch.txt"
+    f.write_text("\n".join(",".join(map(str, x)) for x in vectors[:20])
+                 + "\n\n  \n"
+                 + "\n".join(" ".join(map(str, x)) for x in vectors[20:]))
+    code, out, _ = run_cli(capsys, "classify", system, "-p", str(p),
+                           "--batch", f"@{f}")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == len(vectors)
+    for x, line in zip(vectors, lines):
+        code, single, _ = run_cli(capsys, "classify", system, "-p", str(p),
+                                  "--vector", ",".join(map(str, x)))
+        assert code == 0
+        assert json.loads(line) == json.loads(single)
+        assert line == json.dumps(json.loads(single), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("content,fragment", [
+    ("0,1,2,0\n\n0,1,x,0\n", "line 3: vector entry 'x'"),
+    ("0,1,2,0\n0,1,5,0\n", "line 2: vector entry 5 is out of range"),
+    ("@vec.txt\n", "line 1: vector entry '@vec.txt'"),
+])
+def test_classify_batch_malformed_line_exits_two(capsys, tmp_path, content,
+                                                 fragment):
+    f = tmp_path / "batch.txt"
+    f.write_text(content)
+    code, out, err = run_cli(capsys, "classify", "A3", "-p", "5",
+                             "--batch", f"@{f}")
+    assert code == 2 and out == ""
+    assert fragment in err
+
+
+def test_classify_batch_usage(capsys, tmp_path):
+    f = tmp_path / "batch.txt"
+    f.write_text("0,1,2,0\n")
+    # the file must be named as @FILE
+    code, _, _ = run_cli(capsys, "classify", "A3", "-p", "5", "--batch", str(f))
+    assert code == 2
+    assert run_cli(capsys, "classify", "A3", "-p", "5", "--batch", f"@{f}",
+                   "--vector", "0,1,2,0")[0] == 2
+    f.write_text("\n\n")
+    assert run_cli(capsys, "classify", "A3", "-p", "5",
+                   "--batch", f"@{f}") == (0, "", "")
+
+
 # -- orbits -----------------------------------------------------------------------
 
 
@@ -313,6 +397,30 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("roots", "A100000"),
+    ("constants", "D1000000"),
+    ("orbits", "A32", "-p", "3"),
+    ("classify", "D23", "-p", "3", "--vector", "1"),
+])
+def test_oversized_systems_exit_four_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 4 and out == ""
+    assert "more than the limit of 1000" in err
+
+
+def test_keyboard_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_mod, "cmd_roots", interrupted)
+    code, out, err = run_cli(capsys, "roots", "A2")
+    assert code == 130 and out == ""
+    assert err == "interrupted\n"
+
+
 def test_output_is_byte_deterministic(capsys):
     args = ("orbits", "D4", "-p", "3", "--brute-force")
     code1, out1, _ = run_cli(capsys, *args)
@@ -347,11 +455,12 @@ def test_module_entry_point_runs():
 
 # -- fuzzing ----------------------------------------------------------------------
 
-# fixed-width encodings fail first at the largest rank, so it gets extra weight
+# fixed-width encodings fail first at the largest rank, so rank 16 gets
+# extra weight; ranks past the root-count limit must be refused at once
 _SYSTEMS = st.one_of(
     st.sampled_from(["", "X3", "A0", "D3", "E9", "a3"]),
     st.builds("{}{}".format, st.sampled_from("ADE"),
-              st.integers(1, 16) | st.just(16)),
+              st.integers(1, 16) | st.just(16) | st.integers(17, 10**6)),
 )
 _PRIMES = st.sampled_from([-3, 0, 1, 2, 3, 4, 5, 9, 1009])
 _VECTORS = st.one_of(
@@ -395,3 +504,5 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3, 4), argv
+    if argv[1][:1] in "AD" and argv[1][1:].isdigit() and int(argv[1][1:]) > 31:
+        assert code == 4, argv

@@ -38,6 +38,7 @@ from chevorbit import (
     build_table_oracle,
     canonical_form,
     classify,
+    classify_many,
     luminosity,
     same_orbit,
     sl2_invariant,
@@ -396,6 +397,105 @@ def test_classify_raises_when_no_canonical_code_matches(monkeypatch):
                         lambda rs, K, d, names: quad_vector(rs, (1, 1, 1, 2)))
     with pytest.raises(ClassificationError, match="matches no canonical"):
         classify(t, K, quad_vector(rs, (1, 1, 1, 1)))
+
+
+# -- the batch classifier ---------------------------------------------------------
+
+
+def half_sparse(rng, rs, p, n):
+    """n seeded vectors: half uniform, half with about 70% zero entries."""
+    out = [random_v1(rng, rs, p) for _ in range(n // 2)]
+    for _ in range(n - n // 2):
+        x = random_v1(rng, rs, p)
+        out.append(tuple(c if rng.random() < 0.3 else 0 for c in x))
+    return out
+
+
+@pytest.mark.parametrize("name,p", [("A2", 3), ("A3", 5), ("D4", 3)])
+def test_classify_many_matches_classify_on_every_state(name, p):
+    t = get_table(name)
+    K = get_field(p)
+    vectors = list(itertools.product(range(p), repeat=len(t.rs.phi1)))
+    assert classify_many(t, K, vectors) == [classify(t, K, x) for x in vectors]
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "A3", "A5"])
+def test_classify_many_matches_classify_at_p_1009(name):
+    t = get_table(name)
+    K = get_field(1009)
+    vectors = half_sparse(random.Random(1009 + len(name) * t.rs.rank),
+                          t.rs, 1009, 2000)
+    want = [classify(t, K, x) for x in vectors]
+    assert classify_many(t, K, vectors) == want
+    assert classify_many(t, K, np.array(vectors, dtype=np.int32)) == want
+    assert len({d.label for d in want}) >= 4
+
+
+@pytest.mark.parametrize("name", ["D4", "A3"])
+def test_classify_many_uses_object_lanes_past_int64(name):
+    p = 1_300_021  # 5 (p + 2)**3 > 2**63: int64 lanes could wrap
+    assert 5 * (p + 2) ** 3 > 2**63 and orbitlab._lane(p) is object
+    t = get_table(name)
+    K = get_field(p)
+    vectors = half_sparse(random.Random(p), t.rs, p, 200)
+    assert classify_many(t, K, vectors) == [classify(t, K, x) for x in vectors]
+
+
+def test_classify_many_crosses_chunk_boundaries():
+    t = get_table("D4")
+    K = get_field(3)
+    states = list(itertools.product(range(3), repeat=8))
+    by_state = dict(zip(states, classify_many(t, K, states)))
+    rng = random.Random(14)
+    n = orbitlab._CHUNK + 1
+    rows = np.array([rng.choice(states) for _ in range(n)], dtype=np.int64)
+    got = classify_many(t, K, rows)
+    assert got == [by_state[tuple(r)] for r in rows.tolist()]
+    assert classify_many(t, K, []) == []
+    assert classify_many(t, K, np.empty((0, 8), dtype=np.int64)) == []
+
+
+def test_classify_many_validates_like_classify():
+    t = get_table("D4")
+    K = get_field(5)
+    good = [(0,) * 8, (1,) * 8]
+    for bad in ([(0,) * 8, (0,) * 7], [(0,) * 9], np.zeros((3, 7), int),
+                np.zeros(8, int)):
+        with pytest.raises(ValueError, match="8 coefficients"):
+            classify_many(t, K, bad)
+    with pytest.raises(ValueError, match="integers"):
+        classify_many(t, K, np.full((2, 8), 0.5))
+    for entry in (-1, 5, 2**70):
+        with pytest.raises(ValueError, match="range"):
+            classify_many(t, K, good + [(1,) * 7 + (entry,)])
+    # every chunk is checked, not only the first
+    rows = np.zeros((orbitlab._CHUNK + 3, 8), dtype=np.int64)
+    rows[-1, 2] = 5
+    with pytest.raises(ValueError, match=f"vector {orbitlab._CHUNK + 2}"):
+        classify_many(t, K, rows)
+    with pytest.raises(CharTwo):
+        classify_many(t, PrimeField(2), good)
+    with pytest.raises(UnsupportedFamily):
+        classify_many(get_table("E6"), K, [(0,) * 20])
+
+
+def test_classify_many_memory_does_not_grow_with_the_batch():
+    t = get_table("D5")
+    K = get_field(3)
+    rng = np.random.default_rng(5)
+    classify_many(t, K, rng.integers(0, 3, (100, 12)))  # fill the code maps
+    extra = {}
+    for n in (2**15, 2**17):
+        rows = rng.integers(0, 3, (n, 12), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            got = classify_many(t, K, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == n
+        extra[n] = peak - 8 * n  # the returned list holds 8 B per entry
+    assert extra[2**17] <= extra[2**15] + 16 * 1024
 
 
 # -- classification ---------------------------------------------------------------

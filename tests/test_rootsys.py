@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 
 from chevorbit import (
     NotARoot,
+    SystemTooLarge,
     UnsupportedSystem,
     build_root_system,
     min_subtractable_index,
     parse_system_name,
     reflect,
+    root_count,
     simple_index,
     standard_quadruple,
 )
+from chevorbit import rootsys
 from chevorbit.rootsys import cartan_matrix, dynkin_edges, height
 from helpers import ALL_SYSTEMS, ROOT_COUNTS, get_system
 
@@ -28,6 +31,29 @@ def test_root_counts_match_classification(name):
     assert len(rs.roots) == ROOT_COUNTS[name]
     assert rs.n_positive == ROOT_COUNTS[name] // 2
     assert len(rs.positive_roots) == rs.n_positive
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_root_count_needs_no_closure(name):
+    assert root_count(*parse_system_name(name)) == ROOT_COUNTS[name]
+
+
+def test_root_count_limit(monkeypatch):
+    # every rank the suite builds is admitted; the next A and D ranks are not
+    assert root_count("A", 31) == 992 and root_count("D", 22) == 924
+    for family, rank in (("A", 32), ("D", 23), ("A", 10**6)):
+        with pytest.raises(SystemTooLarge, match="more than the limit"):
+            root_count(family, rank)
+    for family, rank in (("A", 0), ("D", 3), ("E", 9), ("B", 2)):
+        with pytest.raises(UnsupportedSystem):
+            root_count(family, rank)
+
+    def never(*args):
+        raise AssertionError("no Cartan matrix for an oversized system")
+
+    monkeypatch.setattr(rootsys, "cartan_matrix", never)
+    with pytest.raises(SystemTooLarge):
+        build_root_system("A", 100_000)
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
