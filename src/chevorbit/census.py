@@ -19,12 +19,13 @@ truth partition:
   every single state by classify's own code (orbitlab._code_of) on batches
   of fixed-size chunks of states, and equal to the code of the scalar path
   at every representative,
-* orbit representatives get pairwise distinct descriptors,
+* each census descriptor is the one the classifier decodes from its
+  representative's code, and the descriptors are pairwise distinct, so
+  every pair of representatives is classified apart,
 * canonical forms land back in the orbit they were computed from,
-* same_orbit agrees with the partition on all representative pairs and on
-  a random sample of pairs: the sampled states go through the batch
-  classifier (orbitlab.classify_many), and the first 500 pairs also through
-  the scalar same_orbit, and
+* same_orbit agrees with the partition on a random sample of pairs: the
+  sampled states go through the batch classifier (orbitlab.classify_many),
+  and the first 500 pairs also through the scalar same_orbit, and
 * the predicted descriptor list matches the enumerated one as a set.
 """
 
@@ -42,6 +43,7 @@ from .orbitlab import (
     OrbitDescriptor,
     _chunk_codes,
     _code_of,
+    _descriptor_of,
     all_descriptors,
     canonical_form,
     classify,
@@ -307,15 +309,15 @@ def crosscheck(table: StructureConstantTable, p: int,
     total = census.total_states
     checks: dict[str, str] = {}
 
-    orbit_id = _orbit_id_array(table, p, census)
-
-    # (a) the classifier's code is constant state-by-state on every orbit,
-    # and the batch code agrees with the scalar one at every representative
-    codes = _state_codes(table, p)
     rep_states = np.array(
         [state_of_vector(rs, p, o.representative) for o in census.orbits],
         dtype=np.int64,
     )
+    orbit_id = _orbit_id_array(table, p, census, rep_states)
+
+    # (a) the classifier's code is constant state-by-state on every orbit,
+    # and the batch code agrees with the scalar one at every representative
+    codes = _state_codes(table, p)
     want = codes[rep_states][orbit_id]
     if not np.array_equal(codes, want):
         bad = int(np.nonzero(codes != want)[0][0])
@@ -336,9 +338,17 @@ def crosscheck(table: StructureConstantTable, p: int,
             )
     checks["profile_constant_on_orbits"] = "ok"
 
-    # (b) pairwise distinct descriptors across orbits
+    # (b) each census descriptor is its representative's decoded code, and
+    # the descriptors are pairwise distinct across orbits
     seen: dict[OrbitDescriptor, tuple] = {}
-    for o in census.orbits:
+    for o, code in zip(census.orbits, codes[rep_states].tolist()):
+        got = _descriptor_of(table, K, code)
+        if got != o.descriptor:
+            raise MismatchReport(
+                "census descriptor differs from its representative's class",
+                {"representative": o.representative,
+                 "census": o.descriptor.to_json(), "classified": got.to_json()},
+            )
         if o.descriptor in seen:
             raise MismatchReport(
                 "two distinct orbits share a descriptor",
@@ -361,18 +371,9 @@ def crosscheck(table: StructureConstantTable, p: int,
             )
     checks["canonical_forms_in_orbit"] = "ok"
 
-    # (d) same_orbit against ground truth: all representative pairs, and a
-    # sample of pairs, classified as one batch; same_orbit itself also runs
-    # on the first _SCALAR_PAIRS of the sample
-    reps = [o.representative for o in census.orbits]
-    for i in range(len(reps)):
-        for j in range(i, len(reps)):
-            got = same_orbit(table, K, reps[i], reps[j])
-            if got != (i == j):
-                raise MismatchReport(
-                    "same_orbit wrong on representatives",
-                    {"x1": reps[i], "x2": reps[j], "got": got},
-                )
+    # (d) same_orbit against ground truth on a sample of pairs, classified
+    # as one batch; same_orbit itself also runs on the first _SCALAR_PAIRS
+    # (every pair of representatives is already covered by (b))
     rng = random.Random(seed)
     sampled = np.fromiter((rng.randrange(total) for _ in range(2 * pairs)),
                           dtype=np.int64, count=2 * pairs).reshape(pairs, 2)
@@ -426,20 +427,16 @@ def crosscheck(table: StructureConstantTable, p: int,
 
 
 def _orbit_id_array(table: StructureConstantTable, p: int,
-                    census: OrbitCensus) -> np.ndarray:
+                    census: OrbitCensus, reps: np.ndarray) -> np.ndarray:
     """The state -> orbit index array of the census, checked against its
-    entries: representative i is the least state of orbit i, and orbit i
-    has the listed size.  A census without the array gets it recomputed."""
-    rs = table.rs
+    entries, whose representatives have the states reps: representative i
+    is the least state of orbit i, and orbit i has the listed size.  A
+    census without the array gets it recomputed."""
     orbit_id = census.orbit_id
     if orbit_id is None:
         orbit_id = _orbit_partition(_generator_moves(table), p,
-                                    len(rs.phi1))[0]
+                                    len(table.rs.phi1))[0]
     k = census.orbit_count
-    reps = np.array(
-        [state_of_vector(rs, p, o.representative) for o in census.orbits],
-        dtype=np.int64,
-    )
     # ids are numbered by least state, so orbit i first appears where the
     # running maximum of the ids reaches i
     least = np.searchsorted(np.maximum.accumulate(orbit_id), np.arange(k))

@@ -20,8 +20,10 @@ constants are units):
                         that g - alpha_j is a root
 
 The propagation works on the quotient of defined pairs by the group generated
-by the first two identity families (orbits have at most 12 pairs); the
-associativity instances then become product-of-four relations on canonical
+by the first two identity families.  Every orbit has exactly 12 pairs, in
+closed form: with c = -a - b, the ordered pairs of distinct elements of
+{a, b, c} and of {-a, -b, -c} (see build_table_oracle).  The associativity
+instances then become product-of-four relations on canonical
 representatives, solved to a fixpoint with vectorized rounds.  A final
 exhaustive re-check of every instance guards against scatter conflicts.
 """
@@ -178,10 +180,8 @@ class StructureConstantTable:
         self._nt_list = nt.tolist()
         self._sum_list = sum_id.tolist()
         self._neg_list = neg_id.tolist()
-        self._sp = [
-            [rs.pair(rs.simple(t), r) for r in rs.roots]
-            for t in range(1, rs.rank + 1)
-        ]
+        # _sp[t - 1][j] = <alpha_t, roots[j]>
+        self._sp = (np.array(rs.roots) @ np.array(rs.cartan)).T.tolist()
 
     # -- sizes and keys ----------------------------------------------------
 
@@ -263,73 +263,48 @@ def table_cached(fn):
 
 
 def build_table_oracle(rs: RootSystem) -> StructureConstantTable:
-    """Solve for all constants from the normalization seeds by propagation."""
+    """Solve for all constants from the normalization seeds by propagation.
+
+    The pair orbits are in closed form.  For a defined pair (a, b) put
+    c = -a - b.  The antisymmetry and rotation identities are the action of
+    the order-12 group that permutes a, b, c and negates all three, so the
+    orbit of (a, b) is the 12 pairs
+
+        +1:  (a,b) (b,c) (c,a) (-b,-a) (-a,-c) (-c,-b)
+        -1:  (b,a) (c,b) (a,c) (-a,-b) (-b,-c) (-c,-a)
+
+    each with value sign * N(a, b).  The six roots +-a, +-b, +-c are
+    pairwise distinct: a != b because 2a is not a root, a != -b because
+    a + b != 0, a = -c or b = -c would make b or a zero, and a = c or b = c
+    would make b = -2a or a = -2b a root.  So the group acts freely, every
+    orbit has exactly 12 pairs, and no pair is reached with two signs.  The
+    canonical pair of an orbit is the one with the least flat index.
+    """
     n = len(rs.roots)
     sum_id = _sum_table(rs)
-    idx = {r: i for i, r in enumerate(rs.roots)}
-    neg_id = np.array([idx[rs.neg(r)] for r in rs.roots], dtype=np.int64)
-
-    sum_list = sum_id.tolist()
-    neg_list = neg_id.tolist()
+    neg_id = np.array([rs.root_id(rs.neg(r)) for r in rs.roots],
+                      dtype=np.int64)
 
     # quotient of defined pairs by the antisymmetry + rotation group;
     # stored sign means value(pair) == sign * value(canonical pair)
+    defined = sum_id >= 0
+    a, b = np.nonzero(defined)
+    ab = sum_id[a, b]
+    c = neg_id[ab]
+    x = np.stack([a, b, c, neg_id[b], neg_id[a], neg_id[c]])
+    y = np.stack([b, c, a, neg_id[a], neg_id[c], neg_id[b]])
+    images = np.concatenate([x * n + y, y * n + x])  # (12, P), signs + then -
+    first = images.argmin(axis=0)
+    pflat = images[0]
     canon_flat = np.full(n * n, -1, dtype=np.int64)
+    canon_flat[pflat] = images[first, np.arange(pflat.size)]
     rel_sign = np.zeros(n * n, dtype=np.int8)
-    pair_list = np.argwhere(sum_id >= 0).tolist()
-    seen: set[tuple[int, int]] = set()
-    n_orbits = 0
-    for a0, b0 in pair_list:
-        if (a0, b0) in seen:
-            continue
-        n_orbits += 1
-        orbit = {(a0, b0): 1}
-        stack = [(a0, b0)]
-        while stack:
-            x, y = stack.pop()
-            sgn = orbit[(x, y)]
-            z = sum_list[x][y]
-            for nx, ny, ns in (
-                (y, neg_list[z], sgn),
-                (neg_list[y], neg_list[x], sgn),
-                (y, x, -sgn),
-            ):
-                prev = orbit.get((nx, ny))
-                if prev is None:
-                    orbit[(nx, ny)] = ns
-                    stack.append((nx, ny))
-                elif prev != ns:
-                    raise InconsistentTable(
-                        f"pair orbit of {(a0, b0)} forces a constant to vanish"
-                    )
-        cpair = min(orbit)
-        csign = orbit[cpair]
-        cflat = cpair[0] * n + cpair[1]
-        for (x, y), sgn in orbit.items():
-            f = x * n + y
-            canon_flat[f] = cflat
-            rel_sign[f] = sgn * csign
-            seen.add((x, y))
+    rel_sign[pflat] = np.where(first < 6, 1, -1)
 
     # associativity instances (a, b, c): a+b, b+c, a+b+c all roots
-    defined = sum_id >= 0
-    cols: list[list[np.ndarray]] = [[], [], [], []]
-    for a in range(n):
-        bs = np.nonzero(defined[a])[0]
-        for b in bs.tolist():
-            sab = sum_list[a][b]
-            cs = np.nonzero(defined[b] & defined[sab])[0]
-            if cs.size == 0:
-                continue
-            bc = sum_id[b, cs]
-            cols[0].append(b * n + cs)
-            cols[1].append(a * n + bc)
-            cols[2].append(sab * n + cs)
-            cols[3].append(np.full(cs.size, a * n + b, dtype=np.int64))
-    if cols[0]:
-        flat = np.stack([np.concatenate(c) for c in cols])  # (4, I)
-    else:
-        flat = np.zeros((4, 0), dtype=np.int64)
+    i, cs = np.nonzero(defined[b] & defined[ab])
+    flat = np.stack([b[i] * n + cs, a[i] * n + sum_id[b[i], cs],
+                     ab[i] * n + cs, pflat[i]])  # (4, I)
     unknowns = canon_flat[flat]
     rel_prod = rel_sign[flat].astype(np.int16).prod(axis=0).astype(np.int8)
 
@@ -342,7 +317,7 @@ def build_table_oracle(rs: RootSystem) -> StructureConstantTable:
         rest = rs.sub(g, rs.simple(j))
         if rest == zero:
             continue
-        f = idx[rs.simple(j)] * n + idx[rest]
+        f = rs.root_id(rs.simple(j)) * n + rs.root_id(rest)
         val[canon_flat[f]] = rel_sign[f]
         n_seeds += 1
 
@@ -363,30 +338,26 @@ def build_table_oracle(rs: RootSystem) -> StructureConstantTable:
         val[tgt] = prod
 
     # resolve all pairs and check completeness
-    pflat = np.array([x * n + y for x, y in pair_list], dtype=np.int64)
-    if pflat.size:
-        resolved = rel_sign[pflat] * val[canon_flat[pflat]]
-        if np.any(resolved == 0):
-            raise UnderdeterminedTable(
-                f"{int(np.sum(resolved == 0))} constants left unknown in {rs.name}"
-            )
+    resolved = rel_sign[pflat] * val[canon_flat[pflat]]
+    if np.any(resolved == 0):
+        raise UnderdeterminedTable(
+            f"{int(np.sum(resolved == 0))} constants left unknown in {rs.name}"
+        )
     nt_flat = np.zeros(n * n, dtype=np.int8)
-    if pflat.size:
-        nt_flat[pflat] = resolved
+    nt_flat[pflat] = resolved
     nt = nt_flat.reshape(n, n)
 
     # exhaustive instance re-check guards against scatter conflicts
-    if flat.shape[1]:
-        w = nt_flat[flat].astype(np.int16)
-        if not np.all(w[0] * w[1] == w[2] * w[3]):
-            raise InconsistentTable(
-                f"associativity violated after propagation in {rs.name}"
-            )
+    w = nt_flat[flat].astype(np.int16)
+    if not np.all(w[0] * w[1] == w[2] * w[3]):
+        raise InconsistentTable(
+            f"associativity violated after propagation in {rs.name}"
+        )
 
     stats = {
         "roots": n,
-        "defined_pairs": len(pair_list),
-        "pair_orbits": n_orbits,
+        "defined_pairs": int(pflat.size),
+        "pair_orbits": int(np.count_nonzero(first == 0)),  # canonical pairs
         "instances": int(flat.shape[1]),
         "seeds": n_seeds,
         "rounds": rounds,

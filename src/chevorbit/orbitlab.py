@@ -606,7 +606,7 @@ def _batch_rows(rs: RootSystem, p: int, X) -> np.ndarray:
         )
     if rows.dtype.kind not in "iu":
         raise ValueError(
-            f"level-1 vector entries over F_{p} must be integers in range({p})"
+            f"level-1 vector entries over F_{p} must be 64-bit integers"
         )
     return rows
 
@@ -618,23 +618,16 @@ def classify_many(table: StructureConstantTable, K,
     X is a sequence of vectors in phi1 order, or an (n, |phi1|) integer
     array.  The result equals [classify(table, K, x) for x in X]: the codes
     come from the same kernel, run on lane arrays of _CHUNK vectors at a
-    time, and each distinct code is decoded once.  The batch holds its
-    entries in lanes sized for range(p), so an entry outside range(p) raises
-    ValueError (classify reduces it mod p), as does a row of the wrong length.
+    time, and each distinct code is decoded once.  Entries are reduced mod p,
+    as classify reduces them, before they enter lanes sized for range(p).  A
+    row of the wrong length, or entries that are not integers of at most
+    64 bits, raise ValueError.
     """
     p = _check_domain(table, K)
     rows = _batch_rows(table.rs, p, X)
 
     def columns(lo, hi):
-        chunk = rows[lo:hi]
-        bad = (chunk < 0) | (chunk >= p)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ValueError(
-                f"vector {lo + i}: entry {chunk[i, j]} is out of range for "
-                f"F_{p} (need 0..{p - 1})"
-            )
-        return chunk.T
+        return (rows[lo:hi] % p).T
 
     out: list = [None] * len(rows)
     seen: dict = {}

@@ -144,6 +144,38 @@ def test_oracle_stats_shape():
     assert t.stats["roots"] == 20
 
 
+# roots, defined_pairs, pair_orbits, instances, seeds, rounds
+ORACLE_STATS = {
+    "A1": (2, 0, 0, 0, 0, 0),
+    "A2": (6, 12, 1, 0, 1, 0),
+    "A3": (12, 48, 4, 48, 3, 1),
+    "A4": (20, 120, 10, 240, 6, 2),
+    "A5": (30, 240, 20, 720, 10, 2),
+    "A6": (42, 420, 35, 1680, 15, 3),
+    "A7": (56, 672, 56, 3360, 21, 3),
+    "A8": (72, 1008, 84, 6048, 28, 3),
+    "D4": (24, 192, 16, 576, 8, 2),
+    "D5": (40, 480, 40, 2400, 15, 3),
+    "D6": (60, 960, 80, 6720, 24, 3),
+    "D7": (84, 1680, 140, 15120, 35, 4),
+    "D8": (112, 2688, 224, 29568, 48, 4),
+    "E6": (72, 1440, 120, 12960, 30, 4),
+    "E7": (126, 4032, 336, 60480, 56, 5),
+    "E8": (240, 13440, 1120, 362880, 112, 5),
+    "A16": (272, 8160, 680, 114240, 120, 4),
+    "D16": (480, 26880, 2240, 725760, 224, 5),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_STATS)
+def test_oracle_stats_are_pinned(name):
+    stats = get_table(name).stats
+    keys = ("roots", "defined_pairs", "pair_orbits", "instances", "seeds",
+            "rounds")
+    assert tuple(stats[k] for k in keys) == ORACLE_STATS[name]
+    assert stats["pair_orbits"] * 12 == stats["defined_pairs"]
+
+
 def test_table_key_layout():
     t = get_table("A2")
     rs = t.rs

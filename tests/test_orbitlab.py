@@ -463,16 +463,17 @@ def test_classify_many_validates_like_classify():
                 np.zeros(8, int)):
         with pytest.raises(ValueError, match="8 coefficients"):
             classify_many(t, K, bad)
-    with pytest.raises(ValueError, match="integers"):
-        classify_many(t, K, np.full((2, 8), 0.5))
-    for entry in (-1, 5, 2**70):
-        with pytest.raises(ValueError, match="range"):
-            classify_many(t, K, good + [(1,) * 7 + (entry,)])
-    # every chunk is checked, not only the first
+    for bad in (np.full((2, 8), 0.5), good + [(1,) * 7 + (2**70,)]):
+        with pytest.raises(ValueError, match="integers"):
+            classify_many(t, K, bad)
+    # entries are reduced mod p, as classify reduces them
+    for entry in (-1, 5, 7):
+        x = (1,) * 7 + (entry,)
+        assert classify_many(t, K, good + [x])[-1] == classify(t, K, x)
+    # in every chunk, not only the first
     rows = np.zeros((orbitlab._CHUNK + 3, 8), dtype=np.int64)
-    rows[-1, 2] = 5
-    with pytest.raises(ValueError, match=f"vector {orbitlab._CHUNK + 2}"):
-        classify_many(t, K, rows)
+    rows[-1] = (1,) * 7 + (-1,)
+    assert classify_many(t, K, rows)[-1] == classify(t, K, (1,) * 7 + (4,))
     with pytest.raises(CharTwo):
         classify_many(t, PrimeField(2), good)
     with pytest.raises(UnsupportedFamily):
