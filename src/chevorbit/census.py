@@ -119,6 +119,28 @@ def _resolve_budget(budget: int | None) -> int:
     return budget
 
 
+def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
+    """The number p**|phi1| of states of V1(F_p), once it is within the
+    state budget (budget, else CHEVORBIT_BUDGET, else DEFAULT_BUDGET) and
+    below 2**62; BudgetExceeded otherwise, ValueError for a nonpositive
+    budget.  Needs only the root system, so a census can be refused before
+    its table is built."""
+    total = p ** len(rs.phi1)
+    limit = _resolve_budget(budget)
+    if total > limit:
+        raise BudgetExceeded(
+            f"{rs.name} over F_{p} has {total} level-1 vectors, more than "
+            f"the budget of {limit}; raise it explicitly or via "
+            f"{BUDGET_ENV} if that is intended"
+        )
+    if total >= 2**62:
+        raise BudgetExceeded(
+            f"{rs.name} over F_{p} has {total} level-1 vectors, too many to "
+            f"index with 64-bit integers"
+        )
+    return total
+
+
 def _generator_moves(table: StructureConstantTable):
     """Per x_{+-alpha}(1), alpha a simple level-0 root: (sources, targets,
     signs) index arrays on phi1."""
@@ -235,19 +257,7 @@ def enumerate_orbits(table: StructureConstantTable, p: int,
     rs = table.rs
     K = PrimeField(p)
     m = len(rs.phi1)
-    total = p ** m
-    limit = _resolve_budget(budget)
-    if total > limit:
-        raise BudgetExceeded(
-            f"{rs.name} over F_{p} has {total} level-1 vectors, more than "
-            f"the budget of {limit}; raise it explicitly or via "
-            f"{BUDGET_ENV} if that is intended"
-        )
-    if total >= 2**62:
-        raise BudgetExceeded(
-            f"{rs.name} over F_{p} has {total} level-1 vectors, too many to "
-            f"index with 64-bit integers"
-        )
+    total = check_budget(rs, p, budget)
     moves = _generator_moves(table)
     peak = ((len(moves) + _PARTITION_ARRAYS) * total
             * np.dtype(_index_dtype(total)).itemsize)

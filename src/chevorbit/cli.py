@@ -18,6 +18,7 @@ import sys
 from .census import (
     BudgetExceeded,
     MismatchReport,
+    check_budget,
     crosscheck,
     enumerate_orbits,
     predicted_census,
@@ -301,6 +302,8 @@ def cmd_orbits(args) -> str:
     rs = build_root_system(family, rank)
     K = PrimeField(args.p)
     K.require_odd()
+    if args.compare or args.brute_force:
+        check_budget(rs, args.p, args.budget)
     table = build_table_oracle(rs)
 
     if args.compare:

@@ -1,11 +1,12 @@
 """Small prime fields, square classes, and quadratic-extension norm classes.
 
 Field elements are plain Python ints in ``range(p)``; the :class:`PrimeField`
-object carries the arithmetic.  The same operation protocol (``of``, ``add``,
-``sub``, ``mul``, ``neg``, ``inv``, ``is_zero``, ``scalar``) is implemented by
-:class:`ExactIntegers`, so code written against the protocol runs over either
-domain, and by :class:`ArrayField`, which computes F_p on whole numpy arrays
-of elements at once.
+object carries the arithmetic.  Coefficient domains share one protocol:
+``zero``, ``one``, ``of``, ``add``, ``sub``, ``mul``, ``neg``, ``inv`` and
+``is_zero``.  :class:`ExactIntegers` implements it over the integers, and
+:class:`ArrayField` over F_p on numpy arrays, one lane per element, where
+``is_zero`` is true exactly when every lane is zero: code that skips a term
+on ``is_zero`` stays exact for the whole batch.
 
 Square classes of units are represented by a canonical representative:
 1 for squares and the least quadratic nonresidue otherwise.  Norm classes are
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 class NotPrime(ValueError):
@@ -55,21 +58,19 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """Arithmetic of F_p with elements as ints in range(p)."""
 
-    scalar = True
-
     def __init__(self, p: int):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p
 
     def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
+        return f"{type(self).__name__}({self.p})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
+        return type(other) is type(self) and other.p == self.p
 
     def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
+        return hash((type(self).__name__, self.p))
 
     @property
     def zero(self) -> int:
@@ -128,7 +129,6 @@ class PrimeField:
 class ExactIntegers:
     """The ring of integers under the same operation protocol."""
 
-    scalar = True
     zero = 0
     one = 1
 
@@ -174,47 +174,20 @@ def _pow_mod(a, e: int, p: int):
     return r
 
 
-class ArrayField:
-    """Vectorized F_p arithmetic on numpy arrays (and plain ints).
+class ArrayField(PrimeField):
+    """F_p arithmetic on numpy arrays of elements (and plain ints), lane-wise.
 
-    Implements the coefficient-domain protocol with scalar = False: is_zero
-    always answers False, so domain-generic code takes no data-dependent
-    shortcuts and every lane of a batch is computed.
+    Compares unequal to PrimeField(p), so per-field caches keep the two
+    apart.  Only inversion and the zero test differ from PrimeField: inv
+    runs Fermat's power on every lane, and is_zero is true exactly when
+    every lane is 0.
     """
-
-    scalar = False
-
-    def __init__(self, p: int):
-        self.p = p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def of(self, a):
-        return a % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         return _pow_mod(a, self.p - 2, self.p)
 
     def is_zero(self, a) -> bool:
-        return False
+        return not np.any(a)
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,10 @@
 Vectors live in the Chevalley basis {e_beta : beta a root} + {h_1..h_l},
 indexed by the basis keys of a StructureConstantTable.  Coefficients come
 from a pluggable coefficient domain (a prime field, exact integers, or a
-vectorized array domain); every arithmetic step goes through the domain so
-the same code serves both single vectors and bulk batches.
+vectorized array domain); every arithmetic step and every zero test goes
+through the domain, so the same code serves both single vectors and bulk
+batches.  A term is skipped when the domain calls its coefficient zero; for
+a batch that means zero in every lane, so the skip is exact there too.
 
 The action of the root element x_gamma(a) on a basis vector:
 
@@ -20,6 +22,8 @@ Group words are lists of (root, scalar) factors and act right-to-left.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .chevalley import StructureConstantTable, table_cached
 from .rootsys import NotARoot, Root
@@ -90,7 +94,7 @@ class LieVector:
         return tuple(self.coeffs[rs.root_id(r)] for r in rs.phi1)
 
     def nonzero_items(self):
-        """(key, coeff) pairs with nonzero coefficient (scalar domains)."""
+        """(key, coeff) pairs whose coefficient the domain calls nonzero."""
         dom = self.domain
         return [
             (k, c) for k, c in enumerate(self.coeffs) if not dom.is_zero(c)
@@ -138,12 +142,15 @@ class LieVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieVector):
             return NotImplemented
-        if not (self.domain.scalar and other.domain.scalar):
-            return NotImplemented
-        return (
-            self.table.rs.name == other.table.rs.name
-            and self.coeffs == other.coeffs
-        )
+        if self.table.rs.name != other.table.rs.name:
+            return False
+        try:
+            return self.coeffs == other.coeffs
+        except ValueError:
+            # lane arrays have no single truth value: compare lane by lane,
+            # an int coefficient standing for that value in every lane
+            return all(np.all(a == b)
+                       for a, b in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
         return hash((self.table.rs.name, tuple(self.coeffs)))
@@ -180,21 +187,20 @@ def apply_root_element(table: StructureConstantTable, gamma, a,
     gid, mid, moves, h_coords, h_feed = _action_plan(table, gamma)
     dom = v.domain
     a = dom.of(a)
-    if dom.scalar and dom.is_zero(a):
+    if dom.is_zero(a):
         return v.copy()
     old = v.coeffs
     new = list(old)
-    scalar = dom.scalar
 
     for src, dst, sg in moves:
         c = old[src]
-        if scalar and dom.is_zero(c):
+        if dom.is_zero(c):
             continue
         t = dom.mul(a, c)
         new[dst] = dom.add(new[dst], t if sg > 0 else dom.neg(t))
 
     c = old[mid]
-    if not (scalar and dom.is_zero(c)):
+    if not dom.is_zero(c):
         ac = dom.mul(a, c)
         for hk, ct in h_coords:
             new[hk] = dom.add(new[hk], dom.mul(dom.of(ct), ac))
@@ -203,10 +209,10 @@ def apply_root_element(table: StructureConstantTable, gamma, a,
     acc = dom.zero
     for hk, w in h_feed:
         ch = old[hk]
-        if scalar and dom.is_zero(ch):
+        if dom.is_zero(ch):
             continue
         acc = dom.add(acc, dom.mul(dom.of(w), ch))
-    if not (scalar and dom.is_zero(acc)):
+    if not dom.is_zero(acc):
         new[gid] = dom.sub(new[gid], dom.mul(a, acc))
 
     return LieVector(table, dom, new)
@@ -230,7 +236,7 @@ def w_word(domain, gamma, a) -> GroupWord:
     part.  Requires invertible a.
     """
     a = domain.of(a)
-    if domain.scalar and domain.is_zero(a):
+    if domain.is_zero(a):
         raise ZeroScalar("w_gamma(a) requires a nonzero scalar")
     gamma = tuple(gamma)
     ngam = tuple(-c for c in gamma)
@@ -263,7 +269,7 @@ def w_apply_fast(table: StructureConstantTable, gamma, a,
         raise NotARoot(f"{gamma} is not a root of {table.rs.name}")
     dom = v.domain
     a = dom.of(a)
-    if dom.scalar and dom.is_zero(a):
+    if dom.is_zero(a):
         raise ZeroScalar("w_gamma(a) requires a nonzero scalar")
     ia = dom.inv(a)
     factor = {
@@ -301,12 +307,11 @@ def bracket(table: StructureConstantTable, u: LieVector,
     dom = u.domain
     out = LieVector.zero(table, dom)
     co = out.coeffs
-    scalar = dom.scalar
     for i, ci in enumerate(u.coeffs):
-        if scalar and dom.is_zero(ci):
+        if dom.is_zero(ci):
             continue
         for j, cj in enumerate(v.coeffs):
-            if scalar and dom.is_zero(cj):
+            if dom.is_zero(cj):
                 continue
             cij = dom.mul(ci, cj)
             for k, w in table.bracket_keys(i, j):

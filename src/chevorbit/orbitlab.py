@@ -238,41 +238,25 @@ def associated_root_element(table: StructureConstantTable, K, x,
     c = K.mul(mcoef, K.inv(K.of(2)))
     v = apply_root_element(table, rs.neg(d), c, v)
 
-    if K.scalar:
-        if v.e_coeff(d) != K.one:
-            raise ClassificationError("lift: top coefficient moved")
-        if not K.is_zero(v.h_coeff(rs.rank - 1)):
-            raise ClassificationError("lift: torus correction failed")
-        if list(v.v1_part()) != xs:
-            raise ClassificationError("lift: level-1 coefficients moved")
+    if not K.is_zero(K.sub(v.e_coeff(d), K.one)):
+        raise ClassificationError("lift: top coefficient moved")
+    if not K.is_zero(v.h_coeff(rs.rank - 1)):
+        raise ClassificationError("lift: torus correction failed")
+    if not all(K.is_zero(K.sub(a, b)) for a, b in zip(v.v1_part(), xs)):
+        raise ClassificationError("lift: level-1 coefficients moved")
     return v
 
 
 def luminosity(rs: RootSystem, y: LieVector) -> Luminosity:
-    """First populated level of y, scanning levels -2, -1, 0, 1."""
-    dom = y.domain
-    if not dom.is_zero(y.e_coeff(rs.neg(rs.delta))):
-        return Luminosity.DARK
-    lev1 = []
-    lev0 = []
-    levm1 = []
-    for i, r in enumerate(rs.roots):
-        lv = rs.level(r)
-        if lv == 1:
-            lev1.append(i)
-        elif lv == 0:
-            lev0.append(i)
-        elif lv == -1:
-            levm1.append(i)
-    co = y.coeffs
-    if any(not dom.is_zero(co[i]) for i in levm1):
-        return Luminosity.SHINING
-    if any(not dom.is_zero(co[i]) for i in lev0) or any(
-        not dom.is_zero(c) for c in y.h_part()
-    ):
-        return Luminosity.BRILLIANT
-    if any(not dom.is_zero(co[i]) for i in lev1):
-        return Luminosity.SINGULAR
+    """First populated level of y, scanning levels -2, -1, 0, 1.
+
+    Level -2 is e_{-delta} alone; the Cartan part counts as level 0.
+    """
+    support = y.level_support()
+    for level, lum in ((-2, Luminosity.DARK), (-1, Luminosity.SHINING),
+                       (0, Luminosity.BRILLIANT), (1, Luminosity.SINGULAR)):
+        if level in support:
+            return lum
     return Luminosity.ZERO_VEC
 
 

@@ -351,7 +351,6 @@ def test_array_field_matches_scalar_field():
     killer = ArrayField(p)
     a = np.arange(1, 30, dtype=np.int64) % p
     b = (np.arange(1, 30, dtype=np.int64) * 3) % p
-    assert killer.scalar is False
     assert np.array_equal(killer.add(a, b), (a + b) % p)
     assert np.array_equal(killer.mul(a, b), (a * b) % p)
     assert np.array_equal(killer.neg(a), (-a) % p)
@@ -360,3 +359,12 @@ def test_array_field_matches_scalar_field():
     assert np.array_equal((units * inv) % p, np.ones_like(units))
     for u in range(1, p):
         assert killer.inv(u) == K.inv(u)
+    # is_zero answers for the whole batch: true only when every lane is 0
+    assert killer.is_zero(0)
+    assert not killer.is_zero(3)
+    for dtype in (np.int32, np.int64, object):
+        lanes = np.zeros(5, dtype=dtype)
+        assert killer.is_zero(lanes)
+        lanes[3] = 1
+        assert not killer.is_zero(lanes)
+    assert killer != K and K != killer

@@ -335,6 +335,25 @@ def test_orbits_budget_exhaustion_exits_four(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv,want", [
+    (("D22", "-p", "3", "--brute-force"), 4),
+    (("A31", "-p", "1009", "--compare"), 4),
+    (("D6", "-p", "101", "--brute-force", "--budget", str(10**40)), 4),
+    (("D4", "-p", "3", "--brute-force", "--budget", "0"), 2),
+])
+def test_orbits_budget_is_checked_before_building_the_table(capsys,
+                                                            monkeypatch,
+                                                            argv, want):
+    def never(rs):
+        raise AssertionError("the table must not be built")
+
+    monkeypatch.setattr(cli_mod, "build_table_oracle", never)
+    code, out, err = run_cli(capsys, "orbits", *argv)
+    assert code == want
+    assert out == ""
+    assert "budget" in err
+
+
 @pytest.mark.parametrize("system,budget,reason", [
     ("D4", "100000000000000000000", "physical memory"),  # 101**8 states
     ("D6", str(10**40), "64-bit"),                       # 101**16 states

@@ -98,15 +98,19 @@ def test_lift_postconditions_survive_optimized_mode():
     script = textwrap.dedent("""
         import chevorbit.orbitlab as ol
         from chevorbit import (
-            ClassificationError, PrimeField, build_root_system,
+            ArrayField, ClassificationError, PrimeField, build_root_system,
             build_table_oracle,
         )
+        import numpy as np
         ol.apply_root_element = lambda table, g, t, v: v
         table = build_table_oracle(build_root_system("D", 4))
-        try:
-            ol.associated_root_element(table, PrimeField(5), (1,) * 8)
-        except ClassificationError:
-            print("raised")
+        # a single vector, then a batch of five in lanes
+        for K, x in ((PrimeField(5), (1,) * 8),
+                     (ArrayField(5), [np.arange(5)] * 8)):
+            try:
+                ol.associated_root_element(table, K, x)
+            except ClassificationError:
+                print("raised")
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(chevorbit.__file__)))
     env = dict(os.environ)
@@ -118,7 +122,7 @@ def test_lift_postconditions_survive_optimized_mode():
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised"
+    assert proc.stdout.split() == ["raised", "raised"]
 
 
 def test_lift_level_support_is_bounded():
@@ -130,6 +134,30 @@ def test_lift_level_support_is_bounded():
         y = associated_root_element(t, K, x)
         assert y.level_support() <= {-2, -1, 0, 1, 2}
         assert y.e_coeff(t.rs.delta) == 1
+
+
+@pytest.mark.parametrize("name,p", [("D4", 5), ("D5", 3), ("D4", 1009)])
+def test_batch_lift_equals_stacked_scalar_lifts(name, p):
+    t = get_table(name)
+    K = get_field(p)
+    n, m = 200, len(t.rs.phi1)
+    rng = np.random.default_rng(7 * p + m)
+    # column 0 is zero in every lane, so the batch lift skips its terms;
+    # column 1 is one nonzero constant; the others are sparse and random
+    X = rng.integers(0, p, size=(n, m)) * (rng.random((n, m)) < 0.3)
+    X[:, 0] = 0
+    X[:, 1] = p - 1
+    lanes = [c.astype(orbitlab._lane(p)) for c in X.T]
+    y = associated_root_element(t, ArrayField(p), lanes)
+    want = np.array([associated_root_element(t, K, x).coeffs
+                     for x in X.tolist()])
+    got = np.stack([np.broadcast_to(c, (n,)) for c in y.coeffs], axis=1)
+    assert np.array_equal(got, want)
+    # LieVector equality compares batch vectors lane by lane
+    assert y == associated_root_element(t, ArrayField(p), lanes)
+    lanes[2] = lanes[2].copy()
+    lanes[2][-1] = (lanes[2][-1] + 1) % p
+    assert y != associated_root_element(t, ArrayField(p), lanes)
 
 
 # -- luminosity -------------------------------------------------------------------
