@@ -45,11 +45,19 @@ def invocations(batch: str) -> list[list[str]]:
                 case + ["--brute-force", "--format", "csv"]]
     out += [["orbits", "D4", "-p", "101"], ["orbits", "D4", "-p", "1009"],
             ["orbits", "A3", "-p", "101"]]
+    # predicted censuses that reach every orbit type of both families
+    out += [["orbits", "A1", "-p", "3"], ["orbits", "A2", "-p", "7"],
+            ["orbits", "A2", "-p", "7", "--format", "csv"],
+            ["orbits", "A4", "-p", "5"], ["orbits", "A5", "-p", "31"],
+            ["orbits", "D5", "-p", "31"],
+            ["orbits", "D6", "-p", "7", "--format", "csv"],
+            ["orbits", "D8", "-p", "3"]]
     out += [["classify", "D4", "-p", "1009", "--vector", "1,2,3,4,5,6,7,8"],
             ["classify", "A3", "-p", "5", "--vector", "1,2,3,4"],
             ["classify", "D5", "-p", "3", "--batch", batch]]
     out += [["orbits", "D22", "-p", "3", "--brute-force"],
-            ["orbits", "D4", "-p", "3", "--brute-force", "--budget", "0"]]
+            ["orbits", "D4", "-p", "3", "--brute-force", "--budget", "0"],
+            ["orbits", "D4", "-p", "3", "--budget", "0"]]
     return out
 
 

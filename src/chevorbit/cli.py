@@ -18,6 +18,7 @@ import sys
 from .census import (
     BudgetExceeded,
     MismatchReport,
+    _resolve_budget,
     check_budget,
     crosscheck,
     enumerate_orbits,
@@ -304,6 +305,10 @@ def cmd_orbits(args) -> str:
     K.require_odd()
     if args.compare or args.brute_force:
         check_budget(rs, args.p, args.budget)
+    elif args.budget is not None:
+        # a predicted census applies no budget, but a nonpositive one is
+        # bad input in every mode
+        _resolve_budget(args.budget)
     table = build_table_oracle(rs)
 
     if args.compare:

@@ -16,18 +16,26 @@ and v vanish, and their contraction.  Family E is out of scope here.
 
 Orbits are named by OrbitDescriptor values: a label from
 {I, IIa, IIb, II, IIIa, IIIb, IIIc, III, IV, V, VI} plus canonical
-parameters.  For either family the invariants are packed into one integer
-code by arithmetic and comparisons only, so the same code runs on a single
-vector (classify) and on a batch of vectors held as coefficient arrays
-(classify_many).  A family-A code decodes directly into its descriptor; a
-family-D code is looked up in a map built, per table and prime, from the
-codes of the canonical representatives.  Both entry points decode through
-the same step.  So descriptor equality is exactly orbit equality and never
-depends on basis-level sign conventions.
+parameters.  The orbit types of each family and rank are written once, in
+the catalogue _orbit_types: per label, its parameters with their ranges and
+its canonical vector with entries that are constants or parameters.
+all_descriptors lists the catalogue's descriptors, canonical_form fills in
+its canonical vectors, and the decode below reads it too.
+
+For either family the invariants are packed into one integer code by
+arithmetic and comparisons only, so the same code runs on a single vector
+(classify) and on a batch of vectors held as coefficient arrays
+(classify_many).  A family-A code decodes directly into its descriptor, the
+parameter names coming from the catalogue; a family-D code is looked up in
+a map built, per table and prime, from the codes of the catalogue's
+canonical vectors.  Both entry points decode through the same step.  So
+descriptor equality is exactly orbit equality and never depends on
+basis-level sign conventions.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -156,10 +164,11 @@ class OrbitDescriptor:
         )
 
 
-def _mkdesc(rs: RootSystem, p: int, label: str, **params) -> OrbitDescriptor:
+def _mkdesc(rs: RootSystem, p: int, label: str, params=()) -> OrbitDescriptor:
+    """The descriptor with these (name, value) parameter pairs."""
     return OrbitDescriptor(
         family=rs.family, rank=rs.rank, p=p, label=label,
-        params=tuple(sorted(params.items())),
+        params=tuple(sorted(params)),
     )
 
 
@@ -231,6 +240,8 @@ def associated_root_element(table: StructureConstantTable, K, x,
     d = rs.delta
     v = LieVector.basis(table, K, table.e_key(d))
     for i in idxs:
+        if K.is_zero(xs[i]):  # x_g(0) is the identity
+            continue
         g = rs.sub(rs.phi1[i], d)
         nc = table.structure_constant(g, d)
         v = apply_root_element(table, g, K.mul(K.of(nc), xs[i]), v)
@@ -404,7 +415,10 @@ def _a_code(rs: RootSystem, p: int, x):
     The label indexes _A_LABELS.  With (u, v) = al_pair(rs, x) and the
     contraction s = sum(u_j * v_j), it is I when u and v vanish, IIa when
     only v does, IIb when only u does, and otherwise VI when s != 0 and III
-    when s == 0.  For A2, whose orbits are single points, (a, b) = (u_1, v_1).
+    when s == 0.  (a, b) are the values of the label's parameters in
+    _orbit_types order, zero where it has fewer.  For A2, whose orbits are
+    single points, they are (u_1, v_1) for VI, u_1 for IIa and v_1 for IIb:
+    a = u_1 if u_1 != 0 else v_1, and b = v_1 if u_1 != 0 else 0.
     Otherwise b = 0 and a is s (zero except for VI), or, for III of A3, the
     contraction c of v with the completion of u to a unimodular basis:
     (0, 1/u_1) when u_1 != 0, else (-1/u_2, 0).  The code uses only
@@ -421,7 +435,8 @@ def _a_code(rs: RootSystem, p: int, x):
     # s != 0 only when u and v are both set, so the label is 0..4
     label = u_set + 2 * v_set + (s != 0)
     if rs.rank == 2:
-        return (label * p + u[0]) * p + v[0]
+        (u1,), (v1,) = u, v
+        return (label * p + _select(u1 != 0, u1, v1)) * p + (u1 != 0) * v1
     a = s
     if rs.rank == 3:
         (u1, u2), (v1, v2) = u, v
@@ -431,22 +446,89 @@ def _a_code(rs: RootSystem, p: int, x):
     return (label * p + a) * p
 
 
-# -- canonical representatives ---------------------------------------------------
+# -- the orbit catalogue ----------------------------------------------------------
 
 
-def _v1_vector(rs: RootSystem, entries: dict[Root, int]) -> tuple[int, ...]:
+@table_cached
+def _orbit_types(table: StructureConstantTable, K) -> dict:
+    """Every orbit type of V1 for this system over K, in all_descriptors
+    order: label -> (params, entries).
+
+    params lists (name, values) per parameter, the first varying slowest;
+    entries lists (root, value) per nonzero coefficient of the canonical
+    vector, the value an int or the name of an int parameter.  Needs
+    _check_domain to have passed.
+    """
+    rs = table.rs
+    units = K.units()
+    if rs.family == "A":
+        if rs.rank == 1:
+            return {"I": ((), ())}
+        rho, sig = rs.simple(1), rs.simple(rs.rank)
+        dmr = rs.sub(rs.delta, rho)
+        if rs.rank == 2:
+            a, b = ("rho", units), ("delta_minus_rho", units)
+            return {
+                "I": ((), ()),
+                "IIa": ((a,), ((rho, "rho"),)),
+                "IIb": ((b,), ((dmr, "delta_minus_rho"),)),
+                "VI": ((a, b), ((rho, "rho"), (dmr, "delta_minus_rho"))),
+            }
+        c = ("c", units)
+        three = rs.rank == 3  # III of A3 splits by c, from A4 on it is one
+        return {
+            "I": ((), ()),
+            "IIa": ((), ((rho, 1),)),
+            "IIb": ((), ((sig, 1),)),
+            "III": ((c,) * three, ((rho, 1), (sig, "c" if three else 1))),
+            "VI": ((c,), ((rho, 1), (dmr, "c"))),
+        }
+    lam, rho, sig, tau = standard_quadruple(rs)
+    classes = ("1", str(K.least_nonresidue()))
+    # D4 has three blocks, so sigma carries a class and IIIc exists; from
+    # D5 on sigma's coefficient is 1.  k != 0 has the single norm class 1,
+    # so V(k) has rho = sigma = 1 and tau = k.
+    d4 = rs.rank == 4
+    s_par = (("sigma_class", classes),) * d4
+    s = "sigma_class" if d4 else 1
+    types = {
+        "I": ((), ()),
+        "II": ((), ((lam, 1),)),
+        "IIIa": ((("rho_class", classes),), ((lam, 1), (rho, "rho_class"))),
+        "IIIb": (s_par, ((lam, 1), (sig, s))),
+        "IIIc": ((("tau_class", classes),), ((lam, 1), (tau, "tau_class"))),
+        "IV": ((("rho_class", classes),) + s_par,
+               ((lam, 1), (rho, "rho_class"), (sig, s))),
+        "V": ((("k", units), ("rho_class", ("1",)))
+              + (("sigma_class", ("1",)),) * d4,
+              ((lam, 1), (rho, 1), (sig, 1), (tau, "k"))),
+    }
+    if not d4:
+        del types["IIIc"]
+    return types
+
+
+def _descriptors_of_type(rs: RootSystem, p: int, label: str, params):
+    """The descriptors of one orbit type, in all_descriptors order."""
+    names = [n for n, _ in params]
+    for values in itertools.product(*(r for _, r in params)):
+        yield _mkdesc(rs, p, label, zip(names, values))
+
+
+def _canonical_vector(table: StructureConstantTable, K,
+                      d: OrbitDescriptor) -> tuple[int, ...]:
+    """The entries of d's orbit type filled with d's parameters (phi1 order);
+    whether the vector classifies back to d is canonical_form's check."""
+    rs = table.rs
+    try:
+        _, entries = _orbit_types(table, K)[d.label]
+    except (KeyError, TypeError):
+        raise InvalidDescriptor(f"no label {d.label} for {rs.name}") from None
     out = [0] * len(rs.phi1)
-    for root, c in entries.items():
-        out[rs.phi1_index(root)] = c
+    for root, v in entries:
+        out[rs.phi1_index(root)] = (v if isinstance(v, int)
+                                    else _int_param(d, v))
     return tuple(out)
-
-
-def _a_prefix(rs: RootSystem, j: int) -> Root:
-    return tuple(1 if i < j else 0 for i in range(rs.rank))
-
-
-def _a_suffix(rs: RootSystem, j: int) -> Root:
-    return tuple(1 if i >= j - 1 else 0 for i in range(rs.rank))
 
 
 # -- classification ----------------------------------------------------------------
@@ -480,24 +562,21 @@ def _code_of(table: StructureConstantTable, K, x):
 
 
 @table_cached
-def _fixed_codes(table: StructureConstantTable, K) -> dict:
-    """Code -> descriptor for every canonical representative except V(k)."""
+def _canonical_codes(table: StructureConstantTable, K) -> dict:
+    """Code -> descriptor for every family-D canonical representative
+    except V(k); _descriptor_of adds V(k) as its dark codes are confirmed."""
     codes: dict = {}
-    for d in _fixed_descriptors_d(table.rs, K):
-        names = {n for n, _ in d.params}
-        code = _code_of(table, K, _canonical_entries(table.rs, K, d, names))
-        if code in codes:
-            raise ClassificationError(
-                f"{codes[code]} and {d} share the invariant code {code}"
-            )
-        codes[code] = d
+    for label, (params, _) in _orbit_types(table, K).items():
+        if label == "V":
+            continue
+        for d in _descriptors_of_type(table.rs, K.p, label, params):
+            code = _code_of(table, K, _canonical_vector(table, K, d))
+            if code in codes:
+                raise ClassificationError(
+                    f"{codes[code]} and {d} share the invariant code {code}"
+                )
+            codes[code] = d
     return codes
-
-
-@table_cached
-def _dark_codes(table: StructureConstantTable, K) -> dict:
-    """Code -> V(k) descriptor, filled as dark codes are confirmed."""
-    return {}
 
 
 def _descriptor_of(table: StructureConstantTable, K, code: int,
@@ -508,29 +587,24 @@ def _descriptor_of(table: StructureConstantTable, K, code: int,
     p = K.p
     if rs.family == "A":
         label = _A_LABELS[code // (p * p)]
-        a, b = code // p % p, code % p
-        if rs.rank == 2:
-            params = {"IIa": {"rho": a}, "IIb": {"delta_minus_rho": b},
-                      "VI": {"rho": a, "delta_minus_rho": b}}.get(label, {})
-        elif label == "VI" or (label == "III" and rs.rank == 3):
-            params = {"c": a}
-        else:
-            params = {}
-        return _mkdesc(rs, p, label, **params)
+        params, _ = _orbit_types(table, K)[label]
+        return _mkdesc(rs, p, label,
+                       zip((n for n, _ in params), (code // p % p, code % p)))
     radix = p + 2
-    if code // radix ** len(_kernel_plan(table)[-1]) != _DARK:
-        codes = _fixed_codes(table, K)
-    else:
+    codes = _canonical_codes(table, K)
+    k = code % radix - 2
+    if (code not in codes and k > 0
+            and code // radix ** len(_kernel_plan(table)[-1]) == _DARK):
         # the blocks of a dark vector are regular and share k, and V(k)
-        # names its orbit if its canonical vector has the same code
-        codes = _dark_codes(table, K)
-        k = code % radix - 2
-        if code not in codes and k > 0:
-            d = _dark_descriptor(rs, p, k)
-            vec = _canonical_entries(rs, K, d, set())
-            if ((x is not None and vec == tuple(K.of(c) for c in x))
-                    or _code_of(table, K, vec) == code):
-                codes[code] = d
+        # names its orbit if its canonical vector has the same code (V's
+        # parameters after k take one value each)
+        params, _ = _orbit_types(table, K)["V"]
+        d = _mkdesc(rs, p, "V",
+                    [("k", k)] + [(n, v) for n, (v,) in params[1:]])
+        vec = _canonical_vector(table, K, d)
+        if ((x is not None and vec == tuple(K.of(c) for c in x))
+                or _code_of(table, K, vec) == code):
+            codes[code] = d
     try:
         return codes[code]
     except KeyError:
@@ -657,7 +731,7 @@ def _int_param(d: OrbitDescriptor, name: str) -> int:
         raise InvalidDescriptor(
             f"label {d.label} of {d.family}{d.rank} needs parameter {name!r}"
         ) from None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidDescriptor(
             f"parameter {name!r} of {d} is not an integer"
         ) from None
@@ -667,14 +741,13 @@ def canonical_form(table: StructureConstantTable, K,
                    d: OrbitDescriptor) -> tuple[int, ...]:
     """The canonical level-1 vector named by the descriptor (phi1 order)."""
     rs = table.rs
-    p = _field_p(K)
+    p = _check_domain(table, K)
     if (d.family, d.rank) != (rs.family, rs.rank) or d.p != p:
         raise InvalidDescriptor(
             f"descriptor {d.family}{d.rank}/F_{d.p} does not match "
             f"{rs.name}/F_{p}"
         )
-    names = {n for n, _ in d.params}
-    vec = _canonical_entries(rs, K, d, names)
+    vec = _canonical_vector(table, K, d)
     got = classify(table, K, vec)
     if got != d:
         raise InvalidDescriptor(
@@ -685,152 +758,13 @@ def canonical_form(table: StructureConstantTable, K,
     return vec
 
 
-def _canonical_entries(rs: RootSystem, K, d: OrbitDescriptor,
-                       names: set) -> tuple[int, ...]:
-    l = rs.rank
-    label = d.label
-    if rs.family == "A":
-        rho = _a_prefix(rs, 1)
-        sigt = _a_suffix(rs, l)  # the simple root alpha_l
-        dmr = tuple(c1 - c2 for c1, c2 in zip(rs.delta, rho))
-        if label == "I":
-            return _v1_vector(rs, {})
-        if l == 1:
-            raise InvalidDescriptor(f"A1 has only the zero orbit, not {label}")
-        if l == 2:
-            if label == "IIa":
-                return _v1_vector(rs, {rho: _int_param(d, "rho")})
-            if label == "IIb":
-                return _v1_vector(rs, {dmr: _int_param(d, "delta_minus_rho")})
-            if label == "VI":
-                return _v1_vector(rs, {
-                    rho: _int_param(d, "rho"),
-                    dmr: _int_param(d, "delta_minus_rho"),
-                })
-            raise InvalidDescriptor(f"no label {label} for {rs.name}")
-        if label == "IIa":
-            return _v1_vector(rs, {rho: 1})
-        if label == "IIb":
-            return _v1_vector(rs, {sigt: 1})
-        if label == "VI":
-            return _v1_vector(rs, {rho: 1, dmr: _int_param(d, "c")})
-        if label == "III":
-            if l == 3:
-                return _v1_vector(rs, {rho: 1, sigt: _int_param(d, "c")})
-            if names:
-                raise InvalidDescriptor(
-                    f"label III of {rs.name} takes no parameters"
-                )
-            return _v1_vector(rs, {rho: 1, sigt: 1})
-        raise InvalidDescriptor(f"no label {label} for {rs.name}")
-
-    if rs.family != "D":
-        raise UnsupportedFamily(
-            f"orbit classification covers families A and D, not {rs.name}"
-        )
-    _require_odd(K)
-    lam, rho, sig, tau = standard_quadruple(rs)
-    if label == "I":
-        return _v1_vector(rs, {})
-    if label == "II":
-        return _v1_vector(rs, {lam: 1})
-    if label == "IIIa":
-        return _v1_vector(rs, {lam: 1, rho: _int_param(d, "rho_class")})
-    if label == "IIIb":
-        if rs.rank == 4:
-            return _v1_vector(rs, {lam: 1, sig: _int_param(d, "sigma_class")})
-        if names:
-            raise InvalidDescriptor(
-                f"label IIIb of {rs.name} takes no parameters"
-            )
-        return _v1_vector(rs, {lam: 1, sig: 1})
-    if label == "IIIc" and rs.rank == 4:
-        return _v1_vector(rs, {lam: 1, tau: _int_param(d, "tau_class")})
-    if label == "IV":
-        r = _int_param(d, "rho_class")
-        if rs.rank == 4:
-            return _v1_vector(rs, {lam: 1, rho: r,
-                                   sig: _int_param(d, "sigma_class")})
-        return _v1_vector(rs, {lam: 1, rho: r, sig: 1})
-    if label == "V":
-        k = K.of(_int_param(d, "k"))
-        if K.is_zero(k):
-            raise InvalidDescriptor("label V needs a nonzero parameter k")
-        r = K.of(_int_param(d, "rho_class"))
-        if K.is_zero(r):
-            raise InvalidDescriptor("rho_class must be a unit")
-        if rs.rank == 4:
-            s = K.of(_int_param(d, "sigma_class"))
-            if K.is_zero(s):
-                raise InvalidDescriptor("sigma_class must be a unit")
-            t = K.mul(k, K.inv(K.mul(r, s)))
-            return _v1_vector(rs, {lam: 1, rho: r, sig: s, tau: t})
-        t = K.mul(k, K.inv(r))
-        return _v1_vector(rs, {lam: 1, rho: r, sig: 1, tau: t})
-    raise InvalidDescriptor(f"no label {label} for {rs.name}")
-
-
 # -- the full predicted orbit list ------------------------------------------------
 
 
 def all_descriptors(table: StructureConstantTable, K) -> list[OrbitDescriptor]:
     """Every orbit descriptor of V1 for this system over K, fixed order."""
-    rs = table.rs
-    p = _field_p(K)
-    if rs.family == "A":
-        l = rs.rank
-        out = [_mkdesc(rs, p, "I")]
-        if l == 1:
-            return out
-        if l == 2:
-            out += [_mkdesc(rs, p, "IIa", rho=a) for a in K.units()]
-            out += [_mkdesc(rs, p, "IIb", delta_minus_rho=b)
-                    for b in K.units()]
-            out += [
-                _mkdesc(rs, p, "VI", rho=a, delta_minus_rho=b)
-                for a in K.units() for b in K.units()
-            ]
-            return out
-        out.append(_mkdesc(rs, p, "IIa"))
-        out.append(_mkdesc(rs, p, "IIb"))
-        if l == 3:
-            out += [_mkdesc(rs, p, "III", c=c) for c in K.units()]
-        else:
-            out.append(_mkdesc(rs, p, "III"))
-        out += [_mkdesc(rs, p, "VI", c=c) for c in K.units()]
-        return out
-    if rs.family != "D":
-        raise UnsupportedFamily(
-            f"orbit classification covers families A and D, not {rs.name}"
-        )
-    _require_odd(K)
-    return _fixed_descriptors_d(rs, K) + [
-        _dark_descriptor(rs, p, k) for k in K.units()
+    p = _check_domain(table, K)
+    return [
+        d for label, (params, _) in _orbit_types(table, K).items()
+        for d in _descriptors_of_type(table.rs, p, label, params)
     ]
-
-
-def _fixed_descriptors_d(rs: RootSystem, K) -> list[OrbitDescriptor]:
-    """The family-D descriptors other than V(k), in all_descriptors order."""
-    p = _field_p(K)
-    nu = K.least_nonresidue()
-    out = [_mkdesc(rs, p, "I"), _mkdesc(rs, p, "II")]
-    if rs.rank == 4:
-        out += [_mkdesc(rs, p, "IIIa", rho_class=str(r)) for r in (1, nu)]
-        out += [_mkdesc(rs, p, "IIIb", sigma_class=str(r)) for r in (1, nu)]
-        out += [_mkdesc(rs, p, "IIIc", tau_class=str(r)) for r in (1, nu)]
-        out += [
-            _mkdesc(rs, p, "IV", rho_class=str(r), sigma_class=str(s))
-            for r in (1, nu) for s in (1, nu)
-        ]
-        return out
-    out += [_mkdesc(rs, p, "IIIa", rho_class=str(r)) for r in (1, nu)]
-    out.append(_mkdesc(rs, p, "IIIb"))
-    out += [_mkdesc(rs, p, "IV", rho_class=str(r)) for r in (1, nu)]
-    return out
-
-
-def _dark_descriptor(rs: RootSystem, p: int, k: int) -> OrbitDescriptor:
-    # k != 0 has the single norm class 1, so rho = sigma = 1 and tau = k
-    if rs.rank == 4:
-        return _mkdesc(rs, p, "V", k=k, rho_class="1", sigma_class="1")
-    return _mkdesc(rs, p, "V", k=k, rho_class="1")

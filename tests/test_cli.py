@@ -340,6 +340,8 @@ def test_orbits_budget_exhaustion_exits_four(capsys):
     (("A31", "-p", "1009", "--compare"), 4),
     (("D6", "-p", "101", "--brute-force", "--budget", str(10**40)), 4),
     (("D4", "-p", "3", "--brute-force", "--budget", "0"), 2),
+    (("D4", "-p", "3", "--budget", "0"), 2),
+    (("D4", "-p", "3", "--budget", "-5"), 2),
 ])
 def test_orbits_budget_is_checked_before_building_the_table(capsys,
                                                             monkeypatch,
@@ -392,6 +394,13 @@ def test_orbits_nonpositive_budget_exits_two(capsys, budget):
     assert code == 2
     assert out == ""
     assert "budget" in err
+
+
+def test_predicted_orbits_apply_no_state_budget(capsys):
+    # 5**8 states, far above a budget of 1, but nothing is enumerated
+    code, out, _ = run_cli(capsys, "orbits", "D4", "-p", "5", "--budget", "1")
+    assert code == 0
+    assert out == run_cli(capsys, "orbits", "D4", "-p", "5")[1]
 
 
 def test_orbits_zero_budget_from_environment_exits_two(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -16,6 +17,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import chevorbit
 from chevorbit import (
@@ -416,13 +419,13 @@ def test_classify_raises_when_no_canonical_code_matches(monkeypatch):
     K = get_field(3)
     x = quad_vector(rs, (1, 1, 0, 0))
     d = classify(t, K, x)
-    codes = orbitlab._fixed_codes(t, K)
+    codes = orbitlab._canonical_codes(t, K)
     del codes[next(c for c, e in codes.items() if e == d)]
     with pytest.raises(ClassificationError, match="matches no canonical"):
         classify(t, K, x)
     # V(k) is accepted only when its canonical vector has the same code
-    monkeypatch.setattr(orbitlab, "_canonical_entries",
-                        lambda rs, K, d, names: quad_vector(rs, (1, 1, 1, 2)))
+    monkeypatch.setattr(orbitlab, "_canonical_vector",
+                        lambda t, K, d: quad_vector(t.rs, (1, 1, 1, 2)))
     with pytest.raises(ClassificationError, match="matches no canonical"):
         classify(t, K, quad_vector(rs, (1, 1, 1, 1)))
 
@@ -638,6 +641,43 @@ def test_descriptor_list_is_deterministic():
     assert all_descriptors(t, K) == all_descriptors(t, K)
 
 
+# every orbit type of both families, each parameter over F_3 (nu = 2)
+_CLS = ("1", "2")
+PREDICTED_ORDER = {
+    "A1": [("I", ())],
+    "A2": [("I", ())]
+    + [("IIa", (("rho", a),)) for a in (1, 2)]
+    + [("IIb", (("delta_minus_rho", b),)) for b in (1, 2)]
+    + [("VI", (("delta_minus_rho", b), ("rho", a)))
+       for a in (1, 2) for b in (1, 2)],
+    "A3": [("I", ()), ("IIa", ()), ("IIb", ())]
+    + [("III", (("c", c),)) for c in (1, 2)]
+    + [("VI", (("c", c),)) for c in (1, 2)],
+    "A4": [("I", ()), ("IIa", ()), ("IIb", ()), ("III", ())]
+    + [("VI", (("c", c),)) for c in (1, 2)],
+    "D4": [("I", ()), ("II", ())]
+    + [("IIIa", (("rho_class", r),)) for r in _CLS]
+    + [("IIIb", (("sigma_class", r),)) for r in _CLS]
+    + [("IIIc", (("tau_class", r),)) for r in _CLS]
+    + [("IV", (("rho_class", r), ("sigma_class", s)))
+       for r in _CLS for s in _CLS]
+    + [("V", (("k", k), ("rho_class", "1"), ("sigma_class", "1")))
+       for k in (1, 2)],
+    "D5": [("I", ()), ("II", ())]
+    + [("IIIa", (("rho_class", r),)) for r in _CLS]
+    + [("IIIb", ())]
+    + [("IV", (("rho_class", r),)) for r in _CLS]
+    + [("V", (("k", k), ("rho_class", "1"))) for k in (1, 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICTED_ORDER))
+def test_predicted_orbit_order_is_pinned(name):
+    descs = all_descriptors(get_table(name), get_field(3))
+    assert [(d.label, d.params) for d in descs] == PREDICTED_ORDER[name]
+    assert {(d.family + str(d.rank), d.p) for d in descs} == {(name, 3)}
+
+
 def test_canonical_form_round_trips_every_descriptor():
     cases = list(CENSUS_CASES) + [("D4", 7), ("D5", 5), ("A2", 5), ("A4", 5)]
     for name, p in cases:
@@ -714,6 +754,60 @@ def test_canonical_form_validates_descriptor_context():
     bogus = OrbitDescriptor(family="D", rank=4, p=3, label="XX", params=())
     with pytest.raises(InvalidDescriptor):
         canonical_form(t, K3, bogus)
+    infinite = OrbitDescriptor.from_json(json.loads(
+        '{"family": "D", "rank": 4, "p": 3, "label": "V", "params": '
+        '{"k": Infinity, "rho_class": "1", "sigma_class": "1"}}'
+    ))
+    with pytest.raises(InvalidDescriptor, match="not an integer"):
+        canonical_form(t, K3, infinite)
+
+
+_LABELS = ("I", "II", "IIa", "IIb", "III", "IIIa", "IIIb", "IIIc", "IV",
+           "V", "VI", "XX")
+_PARAM_NAMES = ("rho", "delta_minus_rho", "c", "rho_class", "sigma_class",
+                "tau_class", "k", "extra")
+_BAD_VALUES = (0, -1, -1008, 3, 5, 1009, 10**400, -10**400, "1", "2", "x",
+               "", None, float("inf"), float("-inf"), float("nan"))
+
+
+@st.composite
+def _descriptor_edits(draw):
+    """(system, p, descriptor): a classified random vector's descriptor,
+    then maybe a new label, a dropped, added or changed parameter."""
+    name = draw(st.sampled_from(["A1", "A2", "A3", "A4", "D4", "D5"]))
+    p = draw(st.sampled_from([3, 5, 1009]))
+    t = get_table(name)
+    x = draw(st.lists(st.integers(0, p - 1), min_size=len(t.rs.phi1),
+                      max_size=len(t.rs.phi1)))
+    d = classify(t, get_field(p), x).to_json()
+    params = d["params"]
+    if draw(st.integers(0, 3)) == 0:
+        d["label"] = draw(st.sampled_from(_LABELS))
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["drop", "set", "set own"]))
+        if edit == "drop" and params:
+            del params[draw(st.sampled_from(sorted(params)))]
+        else:
+            own = edit == "set own" and params
+            key = draw(st.sampled_from(sorted(params) if own
+                                       else _PARAM_NAMES))
+            params[key] = draw(st.sampled_from(_BAD_VALUES)
+                               | st.integers(1, p - 1))
+    # through JSON, as the CLI reads descriptors: inf becomes Infinity
+    return name, p, OrbitDescriptor.from_json(json.loads(json.dumps(d)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_descriptor_edits())
+def test_canonical_form_names_its_orbit_or_raises_invalid_descriptor(case):
+    name, p, d = case
+    t, K = get_table(name), get_field(p)
+    try:
+        x = canonical_form(t, K, d)
+    except InvalidDescriptor:
+        return
+    assert classify(t, K, x) == d
 
 
 def test_classify_rejects_bad_inputs():
