@@ -4,7 +4,8 @@
 Prints one line per system: size statistics from the constraint-propagation
 build, the re-verification result, the Jacobi check, and agreement between
 the closed-form sign computation and the table on every defined pair.  The
-build[s] column is the time of build_table_oracle alone, t[s] the total.
+build[s] column is the time of build_table_oracle alone, jacobi[s] that of
+jacobi_check, t[s] the total.
 
     python3 scripts/constants_report.py
     python3 scripts/constants_report.py --systems D4 D5 --samples 50000
@@ -46,6 +47,8 @@ class ReportConfig:
                         help="sampled Jacobi triples for the large systems")
         ap.add_argument("--seed", type=int, default=1729)
         args = ap.parse_args(argv)
+        if args.samples < 0:
+            ap.error("--samples must be >= 0")
         return cls(systems=tuple(args.systems), samples=args.samples, seed=args.seed)
 
 
@@ -57,7 +60,9 @@ def run_system(cfg: ReportConfig, name: str) -> dict:
     table = build_table_oracle(rs)
     build = time.perf_counter() - t1
     stats = verify_table(table)
+    t2 = time.perf_counter()
     jac = jacobi_check(table, samples=cfg.samples, seed=cfg.seed)
+    jacobi = time.perf_counter() - t2
     memo: dict = {}
     agree = all(
         structure_constant_fast(rs, rs.roots[i], rs.roots[j], memo)
@@ -73,6 +78,7 @@ def run_system(cfg: ReportConfig, name: str) -> dict:
         "jacobi": f"{jac['mode']}:{jac['triples']}",
         "closed_form": "agree" if agree else "MISMATCH",
         "build_seconds": build,
+        "jacobi_seconds": jacobi,
         "seconds": round(time.perf_counter() - t0, 2),
     }
 
@@ -81,7 +87,8 @@ def main(argv=None) -> int:
     cfg = ReportConfig.from_args(argv)
     header = (
         f"{'system':<8}{'roots':>6}{'pairs':>8}{'seeds':>7}{'orbits':>8}"
-        f"{'jacobi':>18}{'closed-form':>13}{'build[s]':>10}{'t[s]':>7}"
+        f"{'jacobi':>18}{'closed-form':>13}{'build[s]':>10}{'jacobi[s]':>11}"
+        f"{'t[s]':>7}"
     )
     print(header)
     print("-" * len(header))
@@ -93,6 +100,7 @@ def main(argv=None) -> int:
             f"{row['system']:<8}{row['roots']:>6}{row['pairs']:>8}"
             f"{row['seeds']:>7}{row['orbits']:>8}{row['jacobi']:>18}"
             f"{row['closed_form']:>13}{row['build_seconds']:>10.3f}"
+            f"{row['jacobi_seconds']:>11.3f}"
             f"{row['seconds']:>7.2f}"
         )
     return 0 if ok else 1

@@ -26,12 +26,19 @@ closed form: with c = -a - b, the ordered pairs of distinct elements of
 instances then become product-of-four relations on canonical
 representatives, solved to a fixpoint with vectorized rounds.  A final
 exhaustive re-check of every instance guards against scatter conflicts.
+
+jacobi_check evaluates basis triples with array gathers: every bracket of
+two basis elements is tabulated once per check, so each double bracket
+[a, [b, c]] is two gathers, in batches of at most 2**14 triples.  It checks
+every x < y < z when the basis has at most 80 elements (A1-A8, D4-D6, E6)
+and 10**5 triples of distinct keys drawn from random.Random(seed) otherwise;
+the tests run it exhaustively on all 16 systems.  _jacobi_defect is the
+scalar reference the tests compare it against.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 
 import numpy as np
@@ -176,7 +183,7 @@ class StructureConstantTable:
         self.memo: dict = {}
         self._n = len(rs.roots)
         # plain-list mirrors: scalar indexing of ndarrays is slow in the
-        # per-triple bracket loops
+        # per-key loops of bracket_keys and liemod
         self._nt_list = nt.tolist()
         self._sum_list = sum_id.tolist()
         self._neg_list = neg_id.tolist()
@@ -426,7 +433,10 @@ def verify_table(table: StructureConstantTable) -> dict:
 
 
 def _jacobi_defect(table: StructureConstantTable, x: int, y: int, z: int) -> dict:
-    """Coefficients of [x,[y,z]] + [y,[z,x]] + [z,[x,y]] over the basis."""
+    """Coefficients of [x,[y,z]] + [y,[z,x]] + [z,[x,y]] over the basis.
+
+    The scalar reference for the vectorized check below; jacobi_check uses
+    it only to describe a failing triple."""
     acc: dict[int, int] = {}
     bk = table.bracket_keys
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
@@ -436,28 +446,126 @@ def _jacobi_defect(table: StructureConstantTable, x: int, y: int, z: int) -> dic
     return {k: v for k, v in acc.items() if v}
 
 
+_JACOBI_CHUNK = 1 << 14  # triples per gather batch: bounds the check's memory
+
+
+def _bracket_arrays(table: StructureConstantTable) -> tuple:
+    """The bracket as gather tables over slots, for _jacobi_fails.
+
+    Every bracket of two basis elements, and of a basis element with such a
+    bracket, is one multiple of a slot: e_r (slot r), the coroot
+    h_r = sum_t r_t h_t of a root r (slot n + r), or zero (slot 2n).
+    Returns (out, coef, inner, inner_c, hroot, n):
+    [basis_a, slot s] = coef[a, s] * slot out[a, s];
+    [basis_b, basis_c] = inner_c[b, c] * slot inner[b, c];
+    hroot[s] is the root of an h slot and 0 for the others.
+    """
+    rs = table.rs
+    n, rank = table.n_roots, rs.rank
+    zero = 2 * n
+    roots = np.array(rs.roots, dtype=np.int64)
+    pairing = roots @ np.array(rs.cartan, dtype=np.int64) @ roots.T
+    ids = np.arange(n)
+    simple = np.array([rs.root_id(rs.simple(t)) for t in range(1, rank + 1)])
+    out = np.full((n + rank, zero + 1), zero, dtype=np.intp)
+    coef = np.zeros((n + rank, zero + 1), dtype=np.int64)
+    a, b = np.nonzero(table._sum >= 0)
+    out[a, b] = table._sum[a, b]  # [e_a, e_b] = N(a, b) e_{a+b}
+    coef[a, b] = table._nt[a, b]
+    out[ids, table._neg] = n + ids  # [e_a, e_-a] = h_a
+    coef[ids, table._neg] = 1
+    out[:n, n:zero] = ids[:, None]  # [e_a, h_r] = -<a, r> e_a
+    coef[:n, n:zero] = -pairing
+    out[n:, :n] = ids  # [h_t, e_b] = <alpha_t, b> e_b; [h, h] = 0
+    coef[n:, :n] = pairing[simple]
+    slot = np.concatenate([ids, n + simple])  # h_t is the coroot of alpha_t
+    hroot = np.zeros((zero + 1, rank), dtype=np.int64)
+    hroot[n:zero] = roots
+    return out, coef, out[:, slot], coef[:, slot], hroot, n
+
+
+def _jacobi_fails(brackets: tuple, x: np.ndarray, y: np.ndarray,
+                  z: np.ndarray) -> np.ndarray:
+    """Per triple of basis keys, whether [x,[y,z]] + [y,[z,x]] + [z,[x,y]]
+    is nonzero: each double bracket is one multiple of a slot, the e-slots
+    must cancel slot by slot and the h-slots must sum to the zero coroot."""
+    out, coef, inner, inner_c, hroot, n = brackets
+    terms = []
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        s = inner[b, c]
+        terms.append((out[a, s], inner_c[b, c] * coef[a, s]))
+    (s0, c0), (s1, c1), (s2, c2) = terms
+    e0, e1, e2 = (np.where(s < n, c, 0) for s, c in terms)
+    eq01, eq02, eq12 = s0 == s1, s0 == s2, s1 == s2
+    bad = ((e0 + eq01 * e1 + eq02 * e2 != 0)
+           | (e1 + eq01 * e0 + eq12 * e2 != 0)
+           | (e2 + eq02 * e0 + eq12 * e1 != 0))
+    # only the few triples with a nonzero h-term need the coroot sum
+    rows = np.flatnonzero((c0 != e0) | (c1 != e1) | (c2 != e2))
+    h = sum(hroot[s[rows]] * c[rows, None] for s, c in terms)
+    bad[rows] |= h.any(axis=1)
+    return bad
+
+
+def _all_triples(m: int):
+    """Chunks of x < y < z in lexicographic order, one x at a time."""
+    ys, zs = np.triu_indices(m, 1)  # y < z, ordered by y then z
+    for x in range(m - 2):
+        first = int(np.searchsorted(ys, x + 1))
+        for lo in range(first, ys.size, _JACOBI_CHUNK):
+            y, z = ys[lo:lo + _JACOBI_CHUNK], zs[lo:lo + _JACOBI_CHUNK]
+            yield np.full(y.size, x), y, z
+
+
+def _sampled_triples(m: int, samples: int, seed: int):
+    """Chunks of `samples` triples of distinct keys drawn from
+    random.Random(seed): three 64-bit words per triple, reduced mod m,
+    m - 1 and m - 2 and shifted past the keys already used."""
+    rng = random.Random(seed)
+    for lo in range(0, samples, _JACOBI_CHUNK):
+        size = min(_JACOBI_CHUNK, samples - lo)
+        w = np.frombuffer(rng.randbytes(24 * size), dtype="<u8").reshape(size, 3)
+        x = (w[:, 0] % m).astype(np.intp)
+        y = (w[:, 1] % (m - 1)).astype(np.intp)
+        z = (w[:, 2] % (m - 2)).astype(np.intp)
+        y += y >= x
+        z += z >= np.minimum(x, y)
+        z += z >= np.maximum(x, y)
+        yield x, y, z
+
+
 def jacobi_check(table: StructureConstantTable, exhaustive_limit: int = 80,
                  samples: int = 100_000, seed: int = 1729) -> dict:
     """Check the Jacobi identity over basis triples.
 
     The bracket is antisymmetric by construction once the table passes
-    verify_table, so distinct unordered triples suffice; small systems are
-    checked exhaustively and large ones on seeded random triples.
+    verify_table, so triples of distinct keys suffice.  With at most
+    exhaustive_limit basis elements every x < y < z is checked; otherwise
+    `samples` triples of distinct keys drawn from random.Random(seed).
+    Triples are evaluated as array gathers on the bracket tables of
+    _bracket_arrays, at most 2**14 at a time, so memory does not grow with
+    `samples`.  Raises JacobiViolation on the first failing triple in draw
+    order, ValueError when samples is negative.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     m = table.n_basis
     if m <= exhaustive_limit:
-        triples = itertools.combinations(range(m), 3)
+        chunks = _all_triples(m)
         mode = "exhaustive"
         count = m * (m - 1) * (m - 2) // 6
     else:
-        rng = random.Random(seed)
-        triples = (tuple(rng.sample(range(m), 3)) for _ in range(samples))
+        chunks = _sampled_triples(m, samples, seed)
         mode = "sampled"
         count = samples
-    for x, y, z in triples:
-        defect = _jacobi_defect(table, x, y, z)
-        if defect:
+    brackets = _bracket_arrays(table)
+    for x, y, z in chunks:
+        bad = np.flatnonzero(_jacobi_fails(brackets, x, y, z))
+        if bad.size:
+            i = bad[0]
+            triple = (int(x[i]), int(y[i]), int(z[i]))
             raise JacobiViolation(
-                f"{table.rs.name}: Jacobi fails on basis triple {(x, y, z)}: {defect}"
+                f"{table.rs.name}: Jacobi fails on basis triple {triple}: "
+                f"{_jacobi_defect(table, *triple)}"
             )
     return {"mode": mode, "triples": count}

@@ -3,11 +3,16 @@ computation, and corruption detection."""
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 
 from chevorbit import (
     InconsistentTable,
+    JacobiViolation,
+    StructureConstantTable,
     UndefinedPair,
     build_root_system,
     build_table_oracle,
@@ -18,7 +23,14 @@ from chevorbit import (
     structure_constant_fast,
     verify_table,
 )
-from chevorbit.chevalley import _sum_table
+from chevorbit.chevalley import (
+    _all_triples,
+    _bracket_arrays,
+    _jacobi_defect,
+    _jacobi_fails,
+    _sampled_triples,
+    _sum_table,
+)
 from helpers import ALL_SYSTEMS, get_system, get_table
 
 
@@ -135,6 +147,99 @@ def test_jacobi_sampled_large_system():
     report = jacobi_check(get_table("E7"), samples=2000, seed=5)
     assert report["mode"] == "sampled"
     assert report["triples"] == 2000
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_jacobi_exhaustive_on_every_system(name):
+    t = get_table(name)
+    m = t.n_basis
+    report = jacobi_check(t, exhaustive_limit=m)
+    assert report == {"mode": "exhaustive", "triples": m * (m - 1) * (m - 2) // 6}
+
+
+def test_jacobi_rejects_negative_samples():
+    with pytest.raises(ValueError):
+        jacobi_check(get_table("E7"), samples=-5)
+    assert jacobi_check(get_table("E7"), samples=0) == {"mode": "sampled",
+                                                        "triples": 0}
+
+
+def _negated_pair(name: str) -> tuple[StructureConstantTable, int, int]:
+    """A copy of name's table with a seeded pair N[i, j], N[j, i] negated:
+    antisymmetric still, but no longer a Lie bracket."""
+    t = get_table(name)
+    pairs = t.defined_pairs()
+    i, j = map(int, pairs[random.Random(name).randrange(len(pairs))])
+    nt = t._nt.copy()
+    nt[i, j] = -nt[i, j]
+    nt[j, i] = -nt[j, i]
+    return (StructureConstantTable(t.rs, nt, t._sum, t._neg, t._instances,
+                                   t.stats), i, j)
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS[1:])
+def test_jacobi_catches_a_negated_antisymmetric_pair(name):
+    t, _, _ = _negated_pair(name)
+    with pytest.raises(JacobiViolation):
+        jacobi_check(t, exhaustive_limit=t.n_basis)
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS[1:])
+def test_jacobi_verdict_matches_scalar_defect(name):
+    # Half the keys come from around the negated pair, so the corrupted
+    # table fails on many probes: e-terms, coroot sums and Cartan keys.
+    bad, i, j = _negated_pair(name)
+    n, m = bad.n_roots, bad.n_basis
+    s = int(bad._sum[i, j])
+    near = [i, j, s, *(int(bad._neg[k]) for k in (i, j, s)), *range(n, m)]
+    rng = random.Random(7)
+    triples = [tuple(rng.choice(near) if rng.random() < 0.5 else rng.randrange(m)
+                     for _ in range(3)) for _ in range(1500)]
+    x, y, z = (np.array(k) for k in zip(*triples))
+    for t in (get_table(name), bad):
+        want = [bool(_jacobi_defect(t, *k)) for k in triples]
+        assert _jacobi_fails(_bracket_arrays(t), x, y, z).tolist() == want
+    assert any(want)
+
+
+def _first_failure(t, triples) -> str:
+    for k in triples:
+        defect = _jacobi_defect(t, *k)
+        if defect:
+            return f"{t.rs.name}: Jacobi fails on basis triple {k}: {defect}"
+    raise AssertionError("no failing triple")
+
+
+def test_jacobi_violation_names_the_first_failing_triple():
+    t, _, _ = _negated_pair("D4")
+    want = _first_failure(t, itertools.combinations(range(t.n_basis), 3))
+    with pytest.raises(JacobiViolation) as exc:
+        jacobi_check(t)
+    assert str(exc.value) == want
+
+    t, _, _ = _negated_pair("A4")
+    drawn = (tuple(map(int, k)) for chunk in _sampled_triples(t.n_basis, 5000, 11)
+             for k in zip(*chunk))
+    want = _first_failure(t, drawn)
+    with pytest.raises(JacobiViolation) as exc:
+        jacobi_check(t, exhaustive_limit=0, samples=5000, seed=11)
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize("m", [3, 4, 7])
+def test_sampled_triples_cover_every_ordered_triple_of_distinct_keys(m):
+    chunks = list(_sampled_triples(m, 3 * 2**14 + 5, seed=3))
+    assert [x.size for x, _, _ in chunks] == [2**14] * 3 + [5]
+    drawn = set(zip(*(np.concatenate(k).tolist() for k in zip(*chunks))))
+    assert drawn == set(itertools.permutations(range(m), 3))
+
+
+def test_exhaustive_triples_are_the_combinations_in_order():
+    for m in (3, 8, 30):
+        got = [k for chunk in _all_triples(m) for k in zip(*(c.tolist() for c in chunk))]
+        assert got == list(itertools.combinations(range(m), 3))
+    sizes = [x.size for x, _, _ in _all_triples(248)]
+    assert max(sizes) == 2**14 and sum(sizes) == 248 * 247 * 246 // 6
 
 
 def test_oracle_stats_shape():

@@ -110,6 +110,35 @@ def test_constants_at_rank_sixteen(capsys, system):
     assert json.loads(out)["checks"]["n1"]["status"] == "pass"
 
 
+E8_JACOBI_REPORT = """{
+  "system": "E8",
+  "stats": {
+    "roots": 240,
+    "defined_pairs": 13440,
+    "pair_orbits": 1120,
+    "instances": 362880,
+    "seeds": 112,
+    "rounds": 5
+  },
+  "checks": {
+    "jacobi": {
+      "status": "pass",
+      "mode": "sampled",
+      "triples": 100000
+    }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("seed", [-5, 10**30])
+def test_constants_jacobi_accepts_any_integer_seed(capsys, seed):
+    code, out, _ = run_cli(capsys, "constants", "E8", "--check", "jacobi",
+                           "--seed", str(seed))
+    assert code == 0
+    assert out == E8_JACOBI_REPORT
+
+
 def test_constants_failure_exits_one(capsys, monkeypatch):
     def broken(table):
         raise InconsistentTable("synthetic corruption")

@@ -641,6 +641,27 @@ def test_descriptor_list_is_deterministic():
     assert all_descriptors(t, K) == all_descriptors(t, K)
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_all_descriptors_restores_the_collector_state(monkeypatch, enabled):
+    t, K = get_table("A3"), get_field(5)
+
+    def broken(*args):
+        raise RuntimeError("synthetic")
+        yield
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(all_descriptors(t, K)) == EXPECTED_ORBITS["A3", 5]
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(orbitlab, "_descriptors_of_type", broken)
+        with pytest.raises(RuntimeError, match="synthetic"):
+            all_descriptors(t, K)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 # every orbit type of both families, each parameter over F_3 (nu = 2)
 _CLS = ("1", "2")
 PREDICTED_ORDER = {
