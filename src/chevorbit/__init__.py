@@ -30,7 +30,6 @@ from .chevalley import (
 )
 from .gfield import (
     INTEGERS,
-    ArrayField,
     ExactIntegers,
     NormClass,
     NotPrime,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chevalley import StructureConstantTable
-from .gfield import ArrayField, PrimeField  # noqa: F401  (re-exported)
+from .gfield import PrimeField
 from .orbitlab import (
     OrbitDescriptor,
     _chunk_codes,
@@ -289,7 +289,7 @@ def predicted_census(table: StructureConstantTable, p: int) -> list[OrbitDescrip
 
 def _state_codes(table: StructureConstantTable, p: int) -> np.ndarray:
     """orbitlab._code_of of every state of V1(F_p), computed in chunks of
-    orbitlab._CHUNK states, which bounds the memory of the batch lift."""
+    orbitlab._CHUNK states, which bounds the memory of the batch code pass."""
     m = len(table.rs.phi1)
     total = p ** m
     pw = _powers(p, m)

@@ -3,10 +3,7 @@
 Field elements are plain Python ints in ``range(p)``; the :class:`PrimeField`
 object carries the arithmetic.  Coefficient domains share one protocol:
 ``zero``, ``one``, ``of``, ``add``, ``sub``, ``mul``, ``neg``, ``inv`` and
-``is_zero``.  :class:`ExactIntegers` implements it over the integers, and
-:class:`ArrayField` over F_p on numpy arrays, one lane per element, where
-``is_zero`` is true exactly when every lane is zero: code that skips a term
-on ``is_zero`` stays exact for the whole batch.
+``is_zero``.  :class:`ExactIntegers` implements it over the integers.
 
 Square classes of units are represented by a canonical representative:
 1 for squares and the least quadratic nonresidue otherwise.  Norm classes are
@@ -28,8 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 
 class NotPrime(ValueError):
@@ -172,22 +167,6 @@ def _pow_mod(a, e: int, p: int):
         a = a * a % p
         e >>= 1
     return r
-
-
-class ArrayField(PrimeField):
-    """F_p arithmetic on numpy arrays of elements (and plain ints), lane-wise.
-
-    Compares unequal to PrimeField(p), so per-field caches keep the two
-    apart.  Only inversion and the zero test differ from PrimeField: inv
-    runs Fermat's power on every lane, and is_zero is true exactly when
-    every lane is 0.
-    """
-
-    def inv(self, a):
-        return _pow_mod(a, self.p - 2, self.p)
-
-    def is_zero(self, a) -> bool:
-        return not np.any(a)
 
 
 @lru_cache(maxsize=None)

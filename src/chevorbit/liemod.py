@@ -2,11 +2,13 @@
 
 Vectors live in the Chevalley basis {e_beta : beta a root} + {h_1..h_l},
 indexed by the basis keys of a StructureConstantTable.  Coefficients come
-from a pluggable coefficient domain (a prime field, exact integers, or a
-vectorized array domain); every arithmetic step and every zero test goes
-through the domain, so the same code serves both single vectors and bulk
-batches.  A term is skipped when the domain calls its coefficient zero; for
-a batch that means zero in every lane, so the skip is exact there too.
+from a pluggable coefficient domain (a prime field, exact integers, or
+polynomials, over which orbitlab compiles the lift); every arithmetic step
+and every zero test goes through the domain, so the same code serves any
+domain with that protocol, including one whose coefficients are arrays of
+lanes.  A term is skipped when the domain calls its coefficient zero, so
+is_zero must be exact: for polynomials the zero polynomial, for lanes zero
+in every lane.
 
 The action of the root element x_gamma(a) on a basis vector:
 

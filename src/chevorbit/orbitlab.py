@@ -10,9 +10,16 @@ For family D (odd characteristic) the classification goes through an
 associated root element y built from x: invariants of y — the coefficient
 at e_{-delta}, which levels are populated (the "luminosity" scale), and the
 conjugacy invariants of small trace-zero 2x2 blocks cut out of the level-0
-part — pin down the orbit.  For family A the invariants are read off the
-covector/vector pair (u, v) of prefix/suffix root coefficients: which of u
-and v vanish, and their contraction.  Family E is out of scope here.
+part — pin down the orbit.  associated_root_element builds y step by step,
+applying m + 1 root elements to e_delta; it is the reference.  y is a
+polynomial map of x of degree at most 4, so classification runs a compiled
+form of it instead (_lift_kernel): the step-by-step lift is run once per
+table over polynomials, its postconditions checked as identities, and the
+coordinates the invariants read become one generated function that serves
+every p, on single vectors and on batches.  For family A the invariants are
+read off the covector/vector pair (u, v) of prefix/suffix root
+coefficients: which of u and v vanish, and their contraction.  Family E is
+out of scope here.
 
 Orbits are named by OrbitDescriptor values: a label from
 {I, IIa, IIb, II, IIIa, IIIb, IIIc, III, IV, V, VI} plus canonical
@@ -37,15 +44,19 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
 from .chevalley import StructureConstantTable, table_cached
 from .gfield import (
-    ArrayField,
     NormClass,
+    PrimeField,
     SquareClass,
     _pow_mod,
     norm_class_of,
@@ -342,19 +353,162 @@ def _kernel_plan(table: StructureConstantTable):
     return bottom, levels[-1], levels[0], levels[1], blocks
 
 
-def _invariant_code(table: StructureConstantTable, p: int, y: LieVector):
-    """The luminosity of the lift y and the invariants of its blocks, packed.
+class _Polynomials:
+    """Polynomials over Q in the level-1 coordinates x_0, x_1, ..., under the
+    coefficient-domain protocol of liemod, so the lift can run on them.
 
-    In radix p + 2 the leading digit is the luminosity (0 ZeroVec,
-    1 Singular, 2 Brilliant, 3 Shining, 4 Dark), followed by one digit per
-    block of z_blocks: 0 for the zero block, 1 or 2 for a nilpotent block
-    whose sl2_invariant square class is a nonsquare or a square, and 2 + k
-    for a regular block (its norm class is always 1).  The code uses only
-    arithmetic and comparisons, so y may be a scalar lift or a batch lift
-    whose coefficients are arrays, and the result is an int or an array.
+    A polynomial is a dict {monomial: nonzero coefficient}, a monomial being
+    the sorted tuple of its variables' indices; the zero polynomial is {},
+    so is_zero is exact.  Operations never mutate their arguments.
+    """
+
+    zero: dict = {}
+    one = {(): 1}
+
+    def of(self, c):
+        return c if isinstance(c, dict) else ({(): c} if c else {})
+
+    def add(self, a, b):
+        out = dict(a)
+        for mono, c in b.items():
+            c += out.get(mono, 0)
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]
+        return out
+
+    def neg(self, a):
+        return {mono: -c for mono, c in a.items()}
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        out: dict = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                mono = tuple(sorted(ma + mb))
+                out[mono] = out.get(mono, 0) + ca * cb
+        return {mono: c for mono, c in out.items() if c}
+
+    def inv(self, a):
+        if set(a) != {()}:
+            raise ZeroDivisionError(f"{a} is not a nonzero constant")
+        return {(): Fraction(1, a[()])}
+
+    def is_zero(self, a) -> bool:
+        return not a
+
+
+@dataclass(frozen=True)
+class _LiftKernel:
+    """The lift restricted to the keys _invariant_code reads, compiled.
+
+    lift(p, *x) maps a level-1 vector x, entries in range(p) as ints or as
+    integer lane arrays, to {basis key: coordinate of the lift mod p}.
+    weights holds, per compiled coordinate, {degree: sum of the absolute
+    integer coefficients of its terms of that degree}.
+    """
+
+    lift: Callable[..., dict]
+    weights: tuple
+
+    def bound(self, p: int) -> int:
+        """An upper bound on |every intermediate value| of lift over F_p."""
+        return max([p * p] + [sum(w * (p - 1) ** d for d, w in ws.items())
+                              for ws in self.weights])
+
+
+@table_cached
+def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
+    """associated_root_element as one generated polynomial function.
+
+    The lift is a fixed polynomial map of x, of degree at most 4, whose
+    coefficients have denominators dividing 4 (they come from the halving in
+    the torus correction).  It is computed once per table by running the
+    unchanged associated_root_element over _Polynomials; the lift's three
+    postconditions are then polynomial identities, checked by that run, so
+    a failure raises ClassificationError here.  The coordinates
+    _invariant_code reads are kept: e_{-delta}, levels -1 and 0 with the
+    Cartan part (level 1 is x itself).  Each is written as d * y_k, an
+    integer polynomial with d the least common denominator of y_k's
+    coefficients, summed without reduction and then multiplied by d**-1
+    mod p: the function serves every odd p, and its only literals are the
+    integers of the table.  Monomial prefixes shared across coordinates are
+    computed once.  A Python function, rather than a loop over terms, keeps
+    the scalar evaluation fast; on lane arrays every operation is a
+    vectorized one.
+    """
+    rs = table.rs
+    m = len(rs.phi1)
+    y = associated_root_element(table, _Polynomials(),
+                                [{(i,): 1} for i in range(m)]).coeffs
+    bottom, lev_m1, lev0, _, _ = _kernel_plan(table)
+    prefixes: dict = {}
+    lines = []
+
+    def prefix(mono):
+        if len(mono) == 1:
+            return f"x{mono[0]}"
+        if mono not in prefixes:
+            prefixes[mono] = f"t{len(prefixes)}"
+            lines.append(f"    {prefixes[mono]} = "
+                         f"{prefix(mono[:-1])} * x{mono[-1]}")
+        return prefixes[mono]
+
+    entries, weights, inverses = [], [], set()
+    for key in [bottom, *lev_m1, *lev0]:
+        poly = y[key]
+        d = math.lcm(*(c.denominator for c in poly.values()))
+        groups: dict = {}
+        ws: dict = {}
+        for mono, c in sorted(poly.items()):
+            c = int(c * d)
+            last = f"x{mono[-1]}"
+            groups.setdefault(c, []).append(
+                last if len(mono) == 1 else f"{prefix(mono[:-1])} * {last}")
+            ws[len(mono)] = ws.get(len(mono), 0) + abs(c)
+        expr = ""
+        for c, terms in sorted(groups.items(), key=lambda g: -g[0]):
+            s = " + ".join(terms)
+            if abs(c) != 1:
+                s = f"{abs(c)} * ({s})"
+            elif c < 0:
+                s = f"({s})"
+            expr += (" - " if c < 0 else " + ") + s
+        expr = f"({expr.lstrip(' +')}) % p" if poly else "0"
+        if d != 1:
+            inverses.add(d)
+            expr += f" * q{d} % p"
+        entries.append(f"{key}: {expr}")
+        weights.append(ws)
+    entries += [f"{table.e_key(r)}: x{i}" for i, r in enumerate(rs.phi1)]
+    source = "\n".join(
+        [f"def lift(p, {', '.join(f'x{i}' for i in range(m))}):"]
+        + [f"    q{d} = pow({d}, -1, p)" for d in sorted(inverses)]
+        + lines
+        + ["    return {", *(f"        {e}," for e in entries), "    }"]
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<lift of {rs.name}>", "exec"), namespace)
+    return _LiftKernel(namespace["lift"], tuple(weights))
+
+
+def _invariant_code(table: StructureConstantTable, p: int, co):
+    """The luminosity of a lift and the invariants of its blocks, packed.
+
+    co maps the basis keys of _kernel_plan to the lift's coefficients: the
+    coeffs of the LieVector of associated_root_element, or what the
+    compiled _lift_kernel returns.  In radix p + 2 the leading digit is the
+    luminosity (0 ZeroVec, 1 Singular, 2 Brilliant, 3 Shining, 4 Dark),
+    followed by one digit per block of z_blocks: 0 for the zero block, 1 or
+    2 for a nilpotent block whose sl2_invariant square class is a nonsquare
+    or a square, and 2 + k for a regular block (its norm class is always
+    1).  The code uses only arithmetic and comparisons, so the coefficients
+    may be ints or lane arrays, and the result is an int or an array.
     """
     bottom, lev_m1, lev0, lev1, blocks = _kernel_plan(table)
-    co = y.coeffs
 
     def populated(keys):
         out = False
@@ -548,24 +702,34 @@ def _check_domain(table: StructureConstantTable, K) -> int:
 
 
 def classify(table: StructureConstantTable, K, x) -> OrbitDescriptor:
-    """Orbit descriptor of a level-1 coefficient vector (phi1 order)."""
-    _check_domain(table, K)
+    """Orbit descriptor of a level-1 coefficient vector (phi1 order) of
+    integers; TypeError for entries that are not integers."""
+    p = _check_domain(table, K)
+    # Python ints: the compiled lift sums its terms before reducing them
+    x = [operator.index(c) % p for c in x]
     return _descriptor_of(table, K, _code_of(table, K, x), x)
 
 
 def _code_of(table: StructureConstantTable, K, x):
-    """The invariant code of x: one level-1 vector over a PrimeField, or a
-    batch of them, one coefficient array per phi1 root, over an ArrayField."""
+    """The invariant code of x over the prime field K: one level-1 vector of
+    ints, or a batch of them, one integer lane array per phi1 root; the
+    entries are in range(p)."""
+    rs = table.rs
     p = _field_p(K)
-    if table.rs.family == "A":
-        return _a_code(table.rs, p, [K.of(c) for c in x])
-    return _invariant_code(table, p, associated_root_element(table, K, x))
+    if rs.family == "A":
+        return _a_code(rs, p, x)
+    if len(x) != len(rs.phi1):
+        raise ValueError(
+            f"level-1 vector for {rs.name} needs {len(rs.phi1)} "
+            f"coefficients, got {len(x)}"
+        )
+    return _invariant_code(table, p, _lift_kernel(table).lift(p, *x))
 
 
 @table_cached
 def _canonical_codes(table: StructureConstantTable, K) -> dict:
     """Code -> descriptor for every family-D canonical representative
-    except V(k); _descriptor_of adds V(k) as its dark codes are confirmed."""
+    except V(k)."""
     codes: dict = {}
     for label, (params, _) in _orbit_types(table, K).items():
         if label == "V":
@@ -580,6 +744,13 @@ def _canonical_codes(table: StructureConstantTable, K) -> dict:
     return codes
 
 
+@table_cached
+def _dark_codes(table: StructureConstantTable, K) -> dict:
+    """Code -> V(k), filled by _descriptor_of as dark codes are confirmed;
+    only V is dark, so a dark decode never needs _canonical_codes."""
+    return {}
+
+
 def _descriptor_of(table: StructureConstantTable, K, code: int,
                    x=None) -> OrbitDescriptor:
     """The descriptor an invariant code names; classify and classify_many
@@ -592,20 +763,22 @@ def _descriptor_of(table: StructureConstantTable, K, code: int,
         return _mkdesc(rs, p, label,
                        zip((n for n, _ in params), (code // p % p, code % p)))
     radix = p + 2
-    codes = _canonical_codes(table, K)
     k = code % radix - 2
-    if (code not in codes and k > 0
-            and code // radix ** len(_kernel_plan(table)[-1]) == _DARK):
-        # the blocks of a dark vector are regular and share k, and V(k)
-        # names its orbit if its canonical vector has the same code (V's
-        # parameters after k take one value each)
-        params, _ = _orbit_types(table, K)["V"]
-        d = _mkdesc(rs, p, "V",
-                    [("k", k)] + [(n, v) for n, (v,) in params[1:]])
-        vec = _canonical_vector(table, K, d)
-        if ((x is not None and vec == tuple(K.of(c) for c in x))
-                or _code_of(table, K, vec) == code):
-            codes[code] = d
+    if code // radix ** len(_kernel_plan(table)[-1]) != _DARK:
+        codes = _canonical_codes(table, K)
+    else:
+        codes = _dark_codes(table, K)
+        if code not in codes and k > 0:
+            # the blocks of a dark vector are regular and share k, and V(k)
+            # names its orbit if its canonical vector has the same code
+            # (V's parameters after k take one value each)
+            params, _ = _orbit_types(table, K)["V"]
+            d = _mkdesc(rs, p, "V",
+                        [("k", k)] + [(n, v) for n, (v,) in params[1:]])
+            vec = _canonical_vector(table, K, d)
+            if ((x is not None and vec == tuple(K.of(c) for c in x))
+                    or _code_of(table, K, vec) == code):
+                codes[code] = d
     try:
         return codes[code]
     except KeyError:
@@ -617,20 +790,23 @@ def _descriptor_of(table: StructureConstantTable, K, code: int,
 
 # -- batches -----------------------------------------------------------------------
 
-# vectors per batch; bounds the memory of a batch lift, which holds a lane
-# array for every coefficient of the lifted vector
+# vectors per batch; bounds the memory of a batch code pass, which holds a
+# lane array for every prefix and coordinate of the compiled lift
 _CHUNK = 1 << 14
 
 
-def _lane(p: int):
+def _lane(table: StructureConstantTable, p: int):
     """The dtype of batch code lanes over F_p.
 
     Every intermediate value of a code, and the code itself, is below
-    5 * (p + 2)**3, so the lanes are int32 while that fits, then int64, then
-    Python ints (dtype object): no lane ever wraps.  A family-D census
-    (|phi1| >= 8 and p**|phi1| < 2**62) always has p < 216, so int32.
+    5 * (p + 2)**3 and, for family D, below the compiled lift's own bound
+    (about sum |c| * (p - 1)**4 over its quartic coordinate).  The lanes are
+    int32 while that fits, then int64, then Python ints (dtype object): no
+    lane ever wraps.
     """
     bound = 5 * (p + 2) ** 3
+    if table.rs.family == "D":
+        bound = max(bound, _lift_kernel(table).bound(p))
     if bound < 2**31:
         return np.int32
     return np.int64 if bound < 2**63 else object
@@ -642,12 +818,12 @@ def _chunk_codes(table: StructureConstantTable, p: int, n: int, columns):
     columns(lo, hi) gives vectors lo..hi-1 as one integer array per phi1
     coordinate, entries in range(p); codes holds their _code_of values.
     """
-    lane = _lane(p)
-    AF = ArrayField(p)
+    lane = _lane(table, p)
+    K = PrimeField(p)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         xs = [c.astype(lane) for c in columns(lo, hi)]
-        yield lo, np.broadcast_to(_code_of(table, AF, xs), (hi - lo,))
+        yield lo, np.broadcast_to(_code_of(table, K, xs), (hi - lo,))
 
 
 def _batch_rows(rs: RootSystem, p: int, X) -> np.ndarray:

@@ -1,12 +1,15 @@
-"""Shared cached builders for the test suite.
+"""Shared cached builders and references for the test suite.
 
 Root systems and structure-constant tables are immutable once built, so the
 whole suite shares one instance per system.  The memos are plain dicts so a
 test that has just built (and timed) a fresh object can seed them for everyone
-else.
+else.  ArrayField runs the library's coefficient-domain code on batches of
+lanes, for reference computations.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from chevorbit import (
     Luminosity,
@@ -21,6 +24,7 @@ from chevorbit import (
     enumerate_orbits,
     parse_system_name,
 )
+from chevorbit.gfield import _pow_mod
 
 ALL_SYSTEMS: tuple[str, ...] = (
     "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
@@ -51,6 +55,25 @@ ROOT_COUNTS: dict[str, int] = {
     **{f"D{l}": 2 * l * (l - 1) for l in range(4, 9)},
     "E6": 72, "E7": 126, "E8": 240,
 }
+
+
+class ArrayField(PrimeField):
+    """F_p arithmetic on numpy arrays of elements (and plain ints), lane-wise.
+
+    The batch coefficient domain of the reference lift: LieVector and the
+    root-element actions run on it unchanged, one lane per vector.  Compares
+    unequal to PrimeField(p), so per-field caches keep the two apart.  Only
+    inversion and the zero test differ from PrimeField: inv runs Fermat's
+    power on every lane, and is_zero is true exactly when every lane is 0,
+    so code that skips a term on is_zero stays exact for the whole batch.
+    """
+
+    def inv(self, a):
+        return _pow_mod(a, self.p - 2, self.p)
+
+    def is_zero(self, a) -> bool:
+        return not np.any(a)
+
 
 _systems: dict[str, RootSystem] = {}
 _tables: dict[str, StructureConstantTable] = {}

@@ -21,8 +21,9 @@ from chevorbit import (
     predicted_census,
 )
 from chevorbit import census as census_mod
-from chevorbit.census import ArrayField, state_of_vector, vector_of_state
+from chevorbit.census import state_of_vector, vector_of_state
 from helpers import (
+    ArrayField,
     CENSUS_CASES,
     EXPECTED_ORBITS,
     get_census,

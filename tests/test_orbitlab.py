@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 import chevorbit
 from chevorbit import (
-    ArrayField,
     CharTwo,
     ClassificationError,
     InvalidDescriptor,
@@ -42,6 +41,7 @@ from chevorbit import (
     canonical_form,
     classify,
     classify_many,
+    is_prime,
     luminosity,
     same_orbit,
     sl2_invariant,
@@ -54,6 +54,7 @@ from chevorbit import (
 from chevorbit import orbitlab
 from chevorbit.orbitlab import _invariant_code
 from helpers import (
+    ArrayField,
     CENSUS_CASES,
     EXPECTED_ORBITS,
     classify_a_reference,
@@ -97,13 +98,15 @@ def test_lift_order_must_be_a_permutation():
 
 
 def test_lift_postconditions_survive_optimized_mode():
-    # python -O strips assert statements; the lift's checks must still fire
+    # python -O strips assert statements; the lift's checks must still fire,
+    # in the reference lift and when classify compiles the lift of a table
     script = textwrap.dedent("""
         import chevorbit.orbitlab as ol
         from chevorbit import (
-            ArrayField, ClassificationError, PrimeField, build_root_system,
+            ClassificationError, PrimeField, build_root_system,
             build_table_oracle,
         )
+        from helpers import ArrayField
         import numpy as np
         ol.apply_root_element = lambda table, g, t, v: v
         table = build_table_oracle(build_root_system("D", 4))
@@ -114,18 +117,24 @@ def test_lift_postconditions_survive_optimized_mode():
                 ol.associated_root_element(table, K, x)
             except ClassificationError:
                 print("raised")
+        try:
+            ol.classify(build_table_oracle(build_root_system("D", 4)),
+                        PrimeField(5), (0,) * 8)
+        except ClassificationError:
+            print("raised")
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(chevorbit.__file__)))
+    tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (src, env.get("PYTHONPATH")))
+        filter(None, (src, tests, env.get("PYTHONPATH")))
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised", "raised"]
+    assert proc.stdout.split() == ["raised", "raised", "raised"]
 
 
 def test_lift_level_support_is_bounded():
@@ -150,7 +159,7 @@ def test_batch_lift_equals_stacked_scalar_lifts(name, p):
     X = rng.integers(0, p, size=(n, m)) * (rng.random((n, m)) < 0.3)
     X[:, 0] = 0
     X[:, 1] = p - 1
-    lanes = [c.astype(orbitlab._lane(p)) for c in X.T]
+    lanes = [c.astype(orbitlab._lane(t, p)) for c in X.T]
     y = associated_root_element(t, ArrayField(p), lanes)
     want = np.array([associated_root_element(t, K, x).coeffs
                      for x in X.tolist()])
@@ -161,6 +170,25 @@ def test_batch_lift_equals_stacked_scalar_lifts(name, p):
     lanes[2] = lanes[2].copy()
     lanes[2][-1] = (lanes[2][-1] + 1) % p
     assert y != associated_root_element(t, ArrayField(p), lanes)
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
+def test_compiled_lift_equals_reference_lift(name):
+    t = get_table(name)
+    kernel = orbitlab._lift_kernel(t)
+    for p in (3, 5, 7, 1009, 65521, 1_300_021):
+        K = get_field(p)
+        rng = random.Random(p * 13 + t.rs.rank)
+        vectors = half_sparse(rng, t.rs, p, 40) + [(p - 1,) * len(t.rs.phi1)]
+        want = [associated_root_element(t, K, x).coeffs for x in vectors]
+        for x, y in zip(vectors, want):
+            co = kernel.lift(p, *x)
+            assert {k: y[k] for k in co} == co, (p, x)
+        lanes = np.array(vectors, dtype=orbitlab._lane(t, p)).T
+        co = kernel.lift(p, *lanes)
+        for k, got in co.items():
+            assert np.broadcast_to(got, (len(vectors),)).tolist() == [
+                y[k] for y in want], (p, k)
 
 
 # -- luminosity -------------------------------------------------------------------
@@ -329,11 +357,11 @@ def test_invariant_code_matches_reference_invariants(name, p):
         y = associated_root_element(t, K, x)
         invs = tuple(sl2_invariant(K, z) for z in z_blocks(t, K, y))
         want.append(pack_profile(p, luminosity(rs, y), invs))
-        scalar.append(_invariant_code(t, p, y))
+        scalar.append(_invariant_code(t, p, y.coeffs))
     assert scalar == want
     columns = list(np.array(vectors, dtype=np.int64).T)
     y = associated_root_element(t, ArrayField(p), columns)
-    batch = np.broadcast_to(_invariant_code(t, p, y), (len(vectors),))
+    batch = np.broadcast_to(_invariant_code(t, p, y.coeffs), (len(vectors),))
     assert batch.tolist() == want
     radix = (p + 2) ** len(block_gammas(rs))
     assert {c // radix for c in want} == {0, 1, 2, 3, 4}
@@ -465,11 +493,66 @@ def test_classify_many_matches_classify_at_p_1009(name):
 @pytest.mark.parametrize("name", ["D4", "A3"])
 def test_classify_many_uses_object_lanes_past_int64(name):
     p = 1_300_021  # 5 (p + 2)**3 > 2**63: int64 lanes could wrap
-    assert 5 * (p + 2) ** 3 > 2**63 and orbitlab._lane(p) is object
     t = get_table(name)
+    assert 5 * (p + 2) ** 3 > 2**63 and orbitlab._lane(t, p) is object
     K = get_field(p)
     vectors = half_sparse(random.Random(p), t.rs, p, 200)
-    assert classify_many(t, K, vectors) == [classify(t, K, x) for x in vectors]
+    want = [classify(t, K, x) for x in vectors]
+    assert classify_many(t, K, vectors) == want
+    # rows of an int64 array hold numpy integers, which classify turns into
+    # Python ints before the unreduced sums of the compiled lift
+    rows = np.array(vectors, dtype=np.int64)
+    assert [classify(t, K, x) for x in rows[:50]] == want[:50]
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "D8"])
+def test_classify_many_matches_classify_across_lane_thresholds(name):
+    t = get_table(name)
+    m = len(t.rs.phi1)
+    lanes = [np.int32, np.int64, object]
+
+    def width(p):
+        return lanes.index(orbitlab._lane(t, p))
+
+    for w in (1, 2):
+        lo, hi = 3, 2**21  # width(lo) < w <= width(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if width(mid) >= w else (mid, hi)
+        below = next(q for q in range(hi - 1, 2, -1) if is_prime(q))
+        above = next(q for q in itertools.count(hi) if is_prime(q))
+        assert (width(below), width(above)) == (w - 1, w)
+        for p in (below, above):
+            K = get_field(p)
+            rng = random.Random(p)
+            # entries near p - 1 drive the unreduced sums towards the bound;
+            # a wrapped lane shows when a coordinate that is 0 mod p reads
+            # nonzero, so one vector of each label is moved by random words
+            sparse = half_sparse(rng, t.rs, p, 60)
+            by_label = {classify(t, K, x).label: x for x in sparse}
+            vectors = sparse + [
+                tuple(p - 1 - rng.randrange(3) for _ in range(m))
+                for _ in range(20)
+            ] + [(p - 1,) * m] + [
+                act_on_v1(t, K, random_level0_word(rng, t.rs, p, 8), x)
+                for x in by_label.values() for _ in range(4)
+            ]
+            assert classify_many(t, K, vectors) == [
+                classify(t, K, x) for x in vectors], (p, lanes[width(p)])
+
+
+def test_dark_decode_leaves_the_non_v_code_map_unbuilt():
+    rs = get_system("D4")
+    K = get_field(1009)
+    dark = quad_vector(rs, (1, 1, 1, 3))
+    non_v = (orbitlab._canonical_codes.__wrapped__, K)
+    for run in (lambda t, x: classify(t, K, x),
+                lambda t, x: classify_many(t, K, [x])[0]):
+        t = build_table_oracle(rs)  # fresh code maps
+        assert run(t, dark).label == "V"
+        assert non_v not in t.memo
+        assert run(t, quad_vector(rs, (1, 1, 0, 0))).label == "IIIa"
+        assert non_v in t.memo
 
 
 def test_classify_many_crosses_chunk_boundaries():
@@ -507,6 +590,8 @@ def test_classify_many_validates_like_classify():
     assert classify_many(t, K, rows)[-1] == classify(t, K, (1,) * 7 + (4,))
     with pytest.raises(CharTwo):
         classify_many(t, PrimeField(2), good)
+    with pytest.raises(TypeError):
+        classify(t, K, (0.5,) * 8)
     with pytest.raises(UnsupportedFamily):
         classify_many(get_table("E6"), K, [(0,) * 20])
 
