@@ -6,7 +6,8 @@ order.  The acting group is generated by x_{+-alpha}(1) for the simple
 level-0 roots alpha: over F_p, x_gamma(t) = x_gamma(1)^t, and the Weyl group
 of the level-0 roots conjugates each of them onto a simple one (Steinberg,
 Lectures on Chevalley Groups, 1967).  Each generator shifts coefficients
-along disjoint source/target pairs and permutes the states; the orbits are
+along the disjoint source/target pairs of liemod's plan (_v1_moves) and
+permutes the states; the orbits are
 the connected components of those permutations, each labelled by its least
 (lexicographically first) state.
 
@@ -39,6 +40,7 @@ import numpy as np
 
 from .chevalley import StructureConstantTable
 from .gfield import PrimeField
+from .liemod import _v1_moves
 from .orbitlab import (
     OrbitDescriptor,
     _chunk_codes,
@@ -142,22 +144,13 @@ def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
 
 
 def _generator_moves(table: StructureConstantTable):
-    """Per x_{+-alpha}(1), alpha a simple level-0 root: (sources, targets,
-    signs) index arrays on phi1."""
+    """The non-empty liemod._v1_moves plans of x_{+-alpha}(1), alpha a
+    simple level-0 root: (source, target, sign) triples on phi1."""
     rs = table.rs
     simple0 = [a for a in map(rs.simple, range(1, rs.rank + 1))
                if rs.level(a) == 0]
-    out = []
-    for g in simple0 + [rs.neg(a) for a in simple0]:
-        src, dst, sgn = [], [], []
-        for alpha in rs.phi1:
-            if rs.pair(alpha, g) == -1:
-                src.append(rs.phi1_index(alpha))
-                dst.append(rs.phi1_index(rs.add(alpha, g)))
-                sgn.append(table.nv(rs.root_id(g), rs.root_id(alpha)))
-        if src:
-            out.append((np.array(src), np.array(dst), np.array(sgn)))
-    return out
+    return [moves for g in simple0 + [rs.neg(a) for a in simple0]
+            if (moves := _v1_moves(table, g))]
 
 
 def _powers(p: int, m: int) -> np.ndarray:
@@ -208,10 +201,10 @@ def _orbit_partition(moves, p: int, m: int):
     # for each of its pairs, and no target is also a source: each pair adds
     # a p x p table of state shifts, broadcast over the other digits
     images = []
-    for src, dst, sgn in moves:
+    for move in moves:
         img = states.copy()
         grid = img.reshape((p,) * m)
-        for s, d, g in zip(src.tolist(), dst.tolist(), sgn.tolist()):
+        for s, d, g in move:
             grid += ((along(d) + g * along(s)) % p - along(d)) * pw[d]
         images.append(img)
 

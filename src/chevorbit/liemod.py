@@ -21,6 +21,8 @@ The action of the root element x_gamma(a) on a basis vector:
 
 with h_gamma = sum_t gamma_t h_t (all roots here have the same length).
 Group words are lists of (root, scalar) factors and act right-to-left.
+_action_plan holds these moves per gamma; _v1_moves keeps those from level
+1, re-indexed to phi1: for level-0 gamma they are the whole action on V1.
 """
 
 from __future__ import annotations
@@ -64,14 +66,8 @@ class LieVector:
     def from_v1(cls, table: StructureConstantTable, domain, x) -> "LieVector":
         """Embed a coefficient tuple over the level-1 roots (phi1 order)."""
         rs = table.rs
-        x = list(x)
-        if len(x) != len(rs.phi1):
-            raise ValueError(
-                f"level-1 vector for {rs.name} needs {len(rs.phi1)} "
-                f"coefficients, got {len(x)}"
-            )
         v = cls.zero(table, domain)
-        for root, c in zip(rs.phi1, x):
+        for root, c in zip(rs.phi1, rs.check_v1(x)):
             v.coeffs[rs.root_id(root)] = domain.of(c)
         return v
 
@@ -180,6 +176,16 @@ def _action_plan(table: StructureConstantTable, gamma: Root):
     h_coords = tuple((n + t, c) for t, c in enumerate(gamma) if c)
     h_feed = tuple((n + t, w) for t, w in enumerate(rs.cdot(gamma)) if w)
     return gid, mid, moves, h_coords, h_feed
+
+
+@table_cached
+def _v1_moves(table: StructureConstantTable, gamma: Root):
+    """The moves of _action_plan whose source has level 1, as (src, dst,
+    sgn) phi1 indices: for a level-0 gamma, its whole action on V1."""
+    at = {table.e_key(r): i for i, r in enumerate(table.rs.phi1)}
+    return tuple((at[src], at[dst], sgn)
+                 for src, dst, sgn in _action_plan(table, gamma)[2]
+                 if src in at)
 
 
 def apply_root_element(table: StructureConstantTable, gamma, a,

@@ -62,7 +62,7 @@ from .gfield import (
     norm_class_of,
     square_class,
 )
-from .liemod import LieVector, apply_root_element, apply_word
+from .liemod import LieVector, _v1_moves, apply_root_element
 from .rootsys import Root, RootSystem, simple_index, standard_quadruple
 
 
@@ -239,12 +239,7 @@ def associated_root_element(table: StructureConstantTable, K, x,
     if p == 2:
         raise CharTwo("the construction divides by 2")
     m = len(rs.phi1)
-    xs = [K.of(c) for c in x]
-    if len(xs) != m:
-        raise ValueError(
-            f"level-1 vector for {rs.name} needs {m} coefficients, "
-            f"got {len(xs)}"
-        )
+    xs = [K.of(c) for c in rs.check_v1(x)]
     idxs = range(m) if order is None else list(order)
     if order is not None and sorted(idxs) != list(range(m)):
         raise ValueError("order must be a permutation of the phi1 indices")
@@ -547,18 +542,11 @@ def al_pair(rs: RootSystem, x) -> tuple[tuple, tuple]:
             f"the covector/vector pair is defined for family A, not {rs.name}"
         )
     l = rs.rank
-    x = list(x)
-    if len(x) != len(rs.phi1):
-        raise ValueError(
-            f"level-1 vector for {rs.name} needs {len(rs.phi1)} "
-            f"coefficients, got {len(x)}"
-        )
-    u = []
-    v = []
-    for j in range(1, l):
-        u.append(x[rs.phi1_index((1,) * j + (0,) * (l - j))])
-        v.append(x[rs.phi1_index((0,) * j + (1,) * (l - j))])
-    return tuple(u), tuple(v)
+    x = rs.check_v1(x)
+    at = rs.phi1_index
+    u = tuple(x[at((1,) * j + (0,) * (l - j))] for j in range(1, l))
+    v = tuple(x[at((0,) * j + (1,) * (l - j))] for j in range(1, l))
+    return u, v
 
 
 _A_LABELS = ("I", "IIa", "IIb", "III", "VI")  # indexed by the label digit
@@ -718,12 +706,8 @@ def _code_of(table: StructureConstantTable, K, x):
     p = _field_p(K)
     if rs.family == "A":
         return _a_code(rs, p, x)
-    if len(x) != len(rs.phi1):
-        raise ValueError(
-            f"level-1 vector for {rs.name} needs {len(rs.phi1)} "
-            f"coefficients, got {len(x)}"
-        )
-    return _invariant_code(table, p, _lift_kernel(table).lift(p, *x))
+    return _invariant_code(table, p,
+                           _lift_kernel(table).lift(p, *rs.check_v1(x)))
 
 
 @table_cached
@@ -882,20 +866,25 @@ def same_orbit(table: StructureConstantTable, K, x1, x2) -> bool:
 def act_on_v1(table: StructureConstantTable, K, word, x) -> tuple:
     """Apply a word of level-0 root elements to a level-1 coefficient vector.
 
-    Level-0 elements preserve the level grading, so the result is again a
-    level-1 vector, returned in phi1 order.  Factors of other levels are
-    rejected: they would move the vector out of V1.
+    On V1, x_gamma(t) is x -> x + t sum N(gamma, beta) x_beta e_{beta+gamma}
+    over the beta in phi1 with <beta, gamma> = -1 (no t^2, no Cartan term),
+    so each factor, rightmost first, is one gather-add along
+    liemod._v1_moves, whose targets are never sources.  Entries and scalars
+    are ints or lane arrays of K; the result is in phi1 order.  A factor
+    that is not a root raises NotARoot, one of another level ValueError.
     """
     rs = table.rs
-    for g, _ in word:
-        if rs.level(tuple(g)) != 0:
-            raise ValueError(
-                f"{g} has level {rs.level(tuple(g))}; the V1 action needs "
-                f"level-0 factors"
-            )
-    v = LieVector.from_v1(table, K, [K.of(c) for c in x])
-    v = apply_word(table, word, v)
-    return v.v1_part()
+    x = [K.of(c) for c in rs.check_v1(x)]
+    for g, t in reversed(word):
+        g = tuple(g)
+        if rs.level(g) != 0:
+            raise ValueError(f"{g} has level {rs.level(g)}; the V1 action "
+                             f"needs level-0 factors")
+        t = K.of(t)
+        for src, dst, sgn in _v1_moves(table, g):
+            tx = K.mul(t, x[src])
+            x[dst] = K.add(x[dst], tx) if sgn > 0 else K.sub(x[dst], tx)
+    return tuple(x)
 
 
 # -- canonical forms -----------------------------------------------------------------

@@ -211,13 +211,24 @@ class RootSystem:
 
     def level(self, root: Root) -> int:
         """<root, delta>: the grading used by the classifier."""
-        return self._level[root]
+        try:
+            return self._level[root]
+        except KeyError:
+            raise NotARoot(f"{root} is not a root of {self.name}") from None
 
     def phi1_index(self, root: Root) -> int:
         try:
             return self._phi1_index[root]
         except KeyError:
             raise NotARoot(f"{root!r} is not a level-1 root of {self.name}") from None
+
+    def check_v1(self, x) -> list:
+        """x as a list, once it has one entry per level-1 root."""
+        x, m = list(x), len(self.phi1)
+        if len(x) != m:
+            raise ValueError(f"level-1 vector for {self.name} needs {m} "
+                             f"coefficients, got {len(x)}")
+        return x
 
     def to_json(self) -> dict:
         return {

@@ -122,8 +122,10 @@ def random_v1(rng, rs: RootSystem, p: int) -> tuple[int, ...]:
     return tuple(rng.randrange(p) for _ in rs.phi1)
 
 
-def random_level0_word(rng, rs: RootSystem, p: int, max_len: int = 4) -> list:
-    """A random word in the elementary generators of the level-0 group.
+def random_level0_word(rng, rs: RootSystem, p: int, max_len: int = 4,
+                       min_len: int = 1) -> list:
+    """A random word in the elementary generators of the level-0 group, of
+    length min_len to max_len.
 
     A2 has no level-0 roots at all (the acting group is trivial there), in
     which case the only word is the empty one.
@@ -131,7 +133,7 @@ def random_level0_word(rng, rs: RootSystem, p: int, max_len: int = 4) -> list:
     lvl0 = rs.phi0
     if not lvl0:
         return []
-    length = rng.randrange(1, max_len + 1)
+    length = rng.randrange(min_len, max_len + 1)
     return [(rng.choice(lvl0), rng.randrange(1, p)) for _ in range(length)]
 
 

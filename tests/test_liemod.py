@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,15 @@ from chevorbit import (
     w_word,
     weyl_word,
 )
-from helpers import get_field, get_system, get_table
+from helpers import (
+    get_field,
+    get_system,
+    get_table,
+    random_level0_word,
+    random_v1,
+)
+
+V1_SYSTEMS = [f"A{l}" for l in range(3, 9)] + [f"D{l}" for l in range(4, 9)]
 
 
 def rand_vector(rng, table, K):
@@ -276,19 +285,30 @@ def test_weyl_word_squares_to_the_minus_one_torus_element():
         assert v == expect
 
 
-def test_act_on_v1_matches_full_module_action():
-    t = get_table("D4")
-    K = get_field(3)
+@pytest.mark.parametrize("p", [3, 1009, 65521])
+@pytest.mark.parametrize("name", V1_SYSTEMS)
+def test_act_on_v1_matches_full_module_action(name, p):
+    """The V1 gather-adds equal the whole-module action restricted to V1,
+    on single vectors and on int64 lanes with a separate scalar per lane."""
+    t = get_table(name)
+    K = get_field(p)
     rs = t.rs
-    rng = random.Random(31)
-    lvl0 = rs.phi0
-    for _ in range(60):
-        x = tuple(rng.randrange(3) for _ in rs.phi1)
-        word = [(rng.choice(lvl0), rng.randrange(3)) for _ in range(rng.randrange(1, 4))]
-        gx = act_on_v1(t, K, word, x)
+    rng = random.Random(31 * p + rs.rank)
+    xs = [random_v1(rng, rs, p) for _ in range(20)]
+    for x in xs:
+        word = random_level0_word(rng, rs, p, 12, min_len=8)
         full = apply_word(t, word, LieVector.from_v1(t, K, x))
-        assert gx == full.v1_part()
+        assert act_on_v1(t, K, word, x) == full.v1_part()
         assert full.level_support() <= {1}
+    roots = [g for g, _ in random_level0_word(rng, rs, p, 8, min_len=8)]
+    scalars = np.array([[rng.randrange(p) for _ in roots] for _ in xs],
+                       dtype=np.int64)
+    lanes = act_on_v1(t, K, list(zip(roots, scalars.T)),
+                      np.array(xs, dtype=np.int64).T)
+    assert np.array_equal(np.stack(lanes, axis=1), [
+        act_on_v1(t, K, list(zip(roots, s.tolist())), x)
+        for x, s in zip(xs, scalars)
+    ])
 
 
 def test_act_on_v1_rejects_factors_off_level_zero():
@@ -296,3 +316,9 @@ def test_act_on_v1_rejects_factors_off_level_zero():
     K = get_field(3)
     with pytest.raises(ValueError):
         act_on_v1(t, K, [((1, 0, 0), 1)], (0, 0, 0, 0))
+    # factors that are not roots at all
+    t = get_table("D4")
+    K = get_field(5)
+    for g in [(5, 5, 5, 5), (1, 0, 0)]:
+        with pytest.raises(NotARoot):
+            act_on_v1(t, K, [(g, 1)], (0,) * 8)

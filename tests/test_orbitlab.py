@@ -842,6 +842,38 @@ def test_classify_is_action_invariant_at_large_primes(name, p):
         assert classify(t, K, gx) == classify(t, K, x), (name, p, x, word)
 
 
+@pytest.mark.parametrize(
+    "name", [f"A{l}" for l in range(3, 9)] + [f"D{l}" for l in range(4, 9)])
+def test_every_orbit_type_is_action_invariant_at_large_primes(name):
+    """Every catalogue label, at p = 1009, 65521 and 1,300,021, where batch
+    lanes are Python ints: the canonical vector of each orbit type, with a
+    few sampled values of each parameter that ranges over the units (V's k,
+    family A's c), moved by random level-0 words, classifies back to its
+    descriptor in one classify_many batch."""
+    t = get_table(name)
+    rs = t.rs
+    for p in (1009, 65521, 1_300_021):
+        K = get_field(p)
+        rng = random.Random(p + rs.rank)
+        types = orbitlab._orbit_types(t, K)
+        want = []
+        for label, (params, _) in types.items():
+            params = [(n, r if len(r) <= 2 else
+                       (1, p - 1, *rng.sample(range(2, p - 1), 3)))
+                      for n, r in params]
+            for d in orbitlab._descriptors_of_type(rs, p, label, params):
+                want += [d] * 8
+        vectors = [
+            act_on_v1(t, K, random_level0_word(rng, rs, p, 12, min_len=8),
+                      canonical_form(t, K, d))
+            for d in want
+        ]
+        got = classify_many(t, K, vectors)
+        assert got == want, (name, p)
+        assert {d.label for d in got} == set(types)
+    assert orbitlab._lane(t, p) is object
+
+
 def test_descriptor_json_round_trip():
     t = get_table("D4")
     K = get_field(3)
