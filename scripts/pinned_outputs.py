@@ -58,6 +58,9 @@ def invocations(batch: str) -> list[list[str]]:
     out += [["orbits", "D22", "-p", "3", "--brute-force"],
             ["orbits", "D4", "-p", "3", "--brute-force", "--budget", "0"],
             ["orbits", "D4", "-p", "3", "--budget", "0"]]
+    out += [["orbits", "E6", "-p", "3", "--brute-force"],
+            ["orbits", "E6", "-p", "3", "--compare"],
+            ["orbits", "D4", "-p", "3", "--format", "csv"]]
     return out
 
 

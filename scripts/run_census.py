@@ -56,6 +56,8 @@ class CensusConfig:
         args = ap.parse_args(argv)
         if (args.system is None) != (args.p is None):
             ap.error("--system and -p must be given together")
+        if args.pairs < 0:
+            ap.error(f"--pairs must be >= 0, got {args.pairs}")
         cases = PINNED_CASES if args.system is None else ((args.system, args.p),)
         return cls(
             cases=cases,

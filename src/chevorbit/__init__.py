@@ -31,16 +31,11 @@ from .chevalley import (
 from .gfield import (
     INTEGERS,
     ExactIntegers,
-    NormClass,
     NotPrime,
     PrimeField,
     SquareClass,
     UnsupportedField,
     is_prime,
-    k_class_equal,
-    norm_class_of,
-    norm_class_reps,
-    norm_form_solvable,
     square_class,
 )
 from .liemod import (

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -305,6 +306,8 @@ def crosscheck(table: StructureConstantTable, p: int,
                seed: int = 0,
                census: OrbitCensus | None = None) -> dict:
     """Verify the classifier against brute-force enumeration; raise on mismatch."""
+    if pairs < 0:
+        raise ValueError(f"pairs must be >= 0, got {pairs}")
     rs = table.rs
     K = PrimeField(p)
     if census is None:
@@ -408,8 +411,10 @@ def crosscheck(table: StructureConstantTable, p: int,
 
     # predicted orbit list == enumerated orbit list, as sets
     predicted = predicted_census(table, p)
-    if len(set(predicted)) != len(predicted):
-        raise MismatchReport("predicted descriptor list has duplicates", {})
+    dups = [d.to_json() for d, n in Counter(predicted).items() if n > 1]
+    if dups:
+        raise MismatchReport("predicted descriptor list has duplicates",
+                             {"duplicated": dups})
     if set(predicted) != set(seen):
         only_pred = [d.to_json() for d in set(predicted) - set(seen)]
         only_enum = [d.to_json() for d in set(seen) - set(predicted)]

@@ -244,6 +244,13 @@ def _parse_batch(spec: str, p: int) -> list[tuple[int, list[int]]]:
     return out
 
 
+def _require_classifiable(family: str, rank: int) -> None:
+    if family == "E":
+        raise UnsupportedFamily(
+            f"orbit classification covers families A and D, not {family}{rank}"
+        )
+
+
 def cmd_classify(args) -> str:
     family, rank = parse_system_name(args.system)
     n_roots = root_count(family, rank)
@@ -254,10 +261,7 @@ def cmd_classify(args) -> str:
         rows = [(None, _parse_vector(args.vector, args.p))]
     else:
         rows = _parse_batch(args.batch, args.p)
-    if family == "E":
-        raise UnsupportedFamily(
-            f"orbit classification covers families A and D, not {family}{rank}"
-        )
+    _require_classifiable(family, rank)
     # every simply-laced system has |phi1| = 2 |Phi| / l - 4, so the length
     # is checked before the table is built
     m = 2 * n_roots // rank - 4
@@ -303,6 +307,9 @@ def cmd_orbits(args) -> str:
     rs = build_root_system(family, rank)
     K = PrimeField(args.p)
     K.require_odd()
+    # every mode classifies, so family E is refused before any budget check
+    # or table build
+    _require_classifiable(family, rank)
     if args.compare or args.brute_force:
         check_budget(rs, args.p, args.budget)
     elif args.budget is not None:
@@ -436,6 +443,14 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         text = args.func(args)
+        # an empty batch writes nothing
+        text += "\n" if text else ""
+        out = getattr(args, "out", None)
+        if out:
+            with io.open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (UnsupportedFamily, CharTwo, UnsupportedField) as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return 3
@@ -458,14 +473,6 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
-    # an empty batch writes nothing
-    text += "\n" if text else ""
-    out = getattr(args, "out", None)
-    if out:
-        with io.open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Small prime fields, square classes, and quadratic-extension norm classes.
+"""Small prime fields and square classes.
 
 Field elements are plain Python ints in ``range(p)``; the :class:`PrimeField`
 object carries the arithmetic.  Coefficient domains share one protocol:
@@ -6,19 +6,7 @@ object carries the arithmetic.  Coefficient domains share one protocol:
 ``is_zero``.  :class:`ExactIntegers` implements it over the integers.
 
 Square classes of units are represented by a canonical representative:
-1 for squares and the least quadratic nonresidue otherwise.  Norm classes are
-the cosets of the value group of the form x**2 - k*y**2 inside the unit
-group, named by their least member.  They have a closed form over F_p:
-
-* for k != 0 the form takes every unit value (for square k it factors, and
-  for nonsquare k it is the norm of F_{p^2}/F_p, which is onto), so there is
-  the single class 1 and every unit is represented;
-* for k = 0 the values are the unit squares, so the classes are the square
-  classes (1, nu) and a unit is represented exactly when it is a square.
-
-The regular sl2 invariant of the orbit module still carries and serializes
-its norm class, always "1" there since k != 0, so its JSON states the
-invariant in its general form (k, norm class).
+1 for squares and the least quadratic nonresidue otherwise.
 """
 
 from __future__ import annotations
@@ -200,58 +188,3 @@ def square_class(field: PrimeField, a: int) -> SquareClass:
         raise ZeroDivisionError("0 has no square class")
     rep = 1 if field.is_square(a) else field.least_nonresidue()
     return SquareClass(field.p, rep)
-
-
-@dataclass(frozen=True, order=True)
-class NormClass:
-    """A coset of the norm-value group of x**2 - k*y**2, by least representative."""
-
-    p: int
-    k: int
-    rep: int
-
-    def __str__(self) -> str:
-        return str(self.rep)
-
-
-def norm_class_of(field: PrimeField, k: int, a: int) -> NormClass:
-    """Norm class of the unit a relative to the form x**2 - k*y**2."""
-    field.require_odd()
-    a %= field.p
-    if a == 0:
-        raise ZeroDivisionError("0 has no norm class")
-    k %= field.p
-    rep = square_class(field, a).rep if k == 0 else 1
-    return NormClass(field.p, k, rep)
-
-
-def norm_class_reps(field: PrimeField, k: int) -> tuple[int, ...]:
-    """Canonical representatives of the norm classes for x**2 - k*y**2."""
-    field.require_odd()
-    if k % field.p == 0:
-        return (1, field.least_nonresidue())
-    return (1,)
-
-
-def norm_form_solvable(field: PrimeField, k: int, a: int) -> bool:
-    """Is a represented by x**2 - k*y**2 with (x, y) != (0, 0)?"""
-    field.require_odd()
-    a %= field.p
-    k %= field.p
-    if a == 0:
-        # nontrivial zero exists exactly when k is a unit square
-        return k != 0 and field.is_square(k)
-    return k != 0 or field.is_square(a)
-
-
-def k_class_equal(field: PrimeField, k1: int, k2: int) -> bool:
-    """Do k1 and k2 define the same quadratic extension class?
-
-    True when both are zero, or both are units in the same square class.
-    """
-    field.require_odd()
-    k1 %= field.p
-    k2 %= field.p
-    if k1 == 0 or k2 == 0:
-        return k1 == k2
-    return field.is_square(k1 * k2 % field.p)

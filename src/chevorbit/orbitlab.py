@@ -54,14 +54,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chevalley import StructureConstantTable, table_cached
-from .gfield import (
-    NormClass,
-    PrimeField,
-    SquareClass,
-    _pow_mod,
-    norm_class_of,
-    square_class,
-)
+from .gfield import PrimeField, SquareClass, _pow_mod, square_class
 from .liemod import LieVector, _v1_moves, apply_root_element
 from .rootsys import Root, RootSystem, simple_index, standard_quadruple
 
@@ -116,28 +109,15 @@ class Sl2Invariant:
     kind "nilpotent": nonzero with zero determinant; `square` is the square
         class of the upper-right entry after conjugating to upper-triangular
         form.
-    kind "regular": nonzero determinant; `k` is minus the determinant and
-        `norm` is the class of the upper-right entry of an antidiagonal
-        conjugate [[0, *], [*, 0]] in the unit group modulo the values of
-        x**2 - k*y**2.  For k != 0 that form takes every unit value over
-        F_p, so the class is always "1" and k alone separates the classes.
-        The class is still carried and serialized ("norm_class": "1") so
-        the JSON states the invariant in its general form (k, norm class).
+    kind "regular": nonzero determinant; `k` is minus the determinant, and
+        k alone names the class, because conjugation moves the upper-right
+        entry of an antidiagonal form [[0, *], [*, 0]] by the unit values of
+        x**2 - k*y**2, and for k != 0 those are all units of F_p.
     """
 
     kind: str
     square: SquareClass | None = None
     k: int | None = None
-    norm: NormClass | None = None
-
-    def to_json(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.square is not None:
-            out["square_class"] = str(self.square)
-        if self.k is not None:
-            out["k"] = self.k
-            out["norm_class"] = str(self.norm)
-        return out
 
 
 @dataclass(frozen=True)
@@ -310,7 +290,7 @@ def sl2_invariant(K, z: ZBlock) -> Sl2Invariant:
     if K.is_zero(k):
         top = u if not K.is_zero(u) else K.neg(w)
         return Sl2Invariant(kind="nilpotent", square=square_class(K, top))
-    return Sl2Invariant(kind="regular", k=k, norm=norm_class_of(K, k, K.one))
+    return Sl2Invariant(kind="regular", k=k)
 
 
 def sl2_invariant_matrix(K, mat) -> Sl2Invariant:
@@ -499,8 +479,8 @@ def _invariant_code(table: StructureConstantTable, p: int, co):
     luminosity (0 ZeroVec, 1 Singular, 2 Brilliant, 3 Shining, 4 Dark),
     followed by one digit per block of z_blocks: 0 for the zero block, 1 or
     2 for a nilpotent block whose sl2_invariant square class is a nonsquare
-    or a square, and 2 + k for a regular block (its norm class is always
-    1).  The code uses only arithmetic and comparisons, so the coefficients
+    or a square, and 2 + k for a regular block (k alone names its class).
+    The code uses only arithmetic and comparisons, so the coefficients
     may be ints or lane arrays, and the result is an int or an array.
     """
     bottom, lev_m1, lev0, lev1, blocks = _kernel_plan(table)

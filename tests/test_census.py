@@ -6,7 +6,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +322,148 @@ def test_crosscheck_recomputes_a_missing_orbit_id(name, p):
     census = dataclasses.replace(get_census(name, p), orbit_id=None)
     report = crosscheck(get_table(name), p, census=census)
     assert all(v == "ok" for v in report["checks"].values())
+
+
+def test_crosscheck_rejects_negative_pairs():
+    with pytest.raises(ValueError, match="pairs"):
+        crosscheck(get_table("A2"), 3, census=get_census("A2", 3), pairs=-1)
+    report = crosscheck(get_table("A2"), 3, census=get_census("A2", 3),
+                        pairs=0)
+    assert report["pairs_sampled"] == 0
+
+
+def test_run_census_script_rejects_negative_pairs(capsys):
+    path = Path(__file__).parents[1] / "scripts" / "run_census.py"
+    config = runpy.run_path(str(path), run_name="run_census")["CensusConfig"]
+    with pytest.raises(SystemExit) as e:
+        config.from_args(["--pairs", "-1"])
+    assert e.value.code == 2
+    assert "--pairs must be >= 0" in capsys.readouterr().err
+    assert config.from_args(["--pairs", "0"]).pairs == 0
+
+
+# -- crosscheck failure reports: each check, tripped by one monkeypatch ------------
+
+
+def _d4_crosscheck(**kwargs):
+    return crosscheck(get_table("D4"), 3, pairs=50, **kwargs)
+
+
+def test_crosscheck_reports_a_code_that_varies_inside_an_orbit(monkeypatch):
+    census = get_census("D4", 3)
+    rs = get_table("D4").rs
+    i = next(i for i, o in enumerate(census.orbits) if o.size > 1)
+    state = int(np.flatnonzero(census.orbit_id == i)[-1])
+    real = census_mod._state_codes
+
+    def one_off(table, p):
+        codes = real(table, p)
+        codes[state] += 1
+        return codes
+
+    monkeypatch.setattr(census_mod, "_state_codes", one_off)
+    with pytest.raises(MismatchReport, match="varies inside") as e:
+        _d4_crosscheck(census=census)
+    assert e.value.details == {
+        "state": vector_of_state(rs, 3, state),
+        "orbit_representative": census.orbits[i].representative,
+    }
+
+
+def test_crosscheck_reports_scalar_and_batch_codes_that_disagree(monkeypatch):
+    census = get_census("D4", 3)
+    rep = census.orbits[3].representative
+    real = census_mod._code_of
+
+    def skewed(table, K, x):
+        return real(table, K, x) + (tuple(x) == rep)
+
+    monkeypatch.setattr(census_mod, "_code_of", skewed)
+    with pytest.raises(MismatchReport, match="scalar and batch") as e:
+        _d4_crosscheck(census=census)
+    assert e.value.details == {"representative": rep}
+
+
+def test_crosscheck_reports_two_orbits_sharing_a_descriptor(monkeypatch):
+    # orbit j is relabelled with orbit i's descriptor, and the decode agrees,
+    # so only the distinctness check can notice
+    census = get_census("D4", 3)
+    orbits = list(census.orbits)
+    i, j = 2, 5
+    shared, lost = orbits[i].descriptor, orbits[j].descriptor
+    orbits[j] = dataclasses.replace(orbits[j], descriptor=shared)
+    real = census_mod._descriptor_of
+
+    def merged(table, K, code):
+        d = real(table, K, code)
+        return shared if d == lost else d
+
+    monkeypatch.setattr(census_mod, "_descriptor_of", merged)
+    with pytest.raises(MismatchReport, match="share a descriptor") as e:
+        _d4_crosscheck(census=dataclasses.replace(census, orbits=tuple(orbits)))
+    assert e.value.details == {
+        "first": orbits[i].representative,
+        "second": orbits[j].representative,
+        "descriptor": shared.to_json(),
+    }
+
+
+def test_crosscheck_reports_a_canonical_form_in_another_orbit(monkeypatch):
+    census = get_census("D4", 3)
+    wrong, other = census.orbits[4], census.orbits[9]
+    real = census_mod.canonical_form
+
+    def swapped(table, K, d):
+        return real(table, K, other.descriptor if d == wrong.descriptor else d)
+
+    monkeypatch.setattr(census_mod, "canonical_form", swapped)
+    with pytest.raises(MismatchReport, match="different orbit") as e:
+        _d4_crosscheck(census=census)
+    assert e.value.details == {
+        "descriptor": wrong.descriptor.to_json(),
+        "canonical": real(get_table("D4"), get_field(3), other.descriptor),
+        "expected_representative": wrong.representative,
+    }
+
+
+def test_crosscheck_reports_a_scalar_same_orbit_disagreement(monkeypatch):
+    table = get_table("D4")
+    real = census_mod.same_orbit
+    monkeypatch.setattr(census_mod, "same_orbit",
+                        lambda *args: not real(*args))
+    with pytest.raises(MismatchReport, match="same_orbit disagrees") as e:
+        _d4_crosscheck(census=get_census("D4", 3), seed=3)
+    rng = random.Random(3)
+    x1, x2 = (vector_of_state(table.rs, 3, rng.randrange(3**8))
+              for _ in range(2))
+    want = real(table, get_field(3), x1, x2)
+    assert e.value.details == {"x1": x1, "x2": x2, "got": not want,
+                               "want": want}
+
+
+def test_crosscheck_reports_duplicated_predicted_descriptors(monkeypatch):
+    real = census_mod.predicted_census
+    twice = real(get_table("D4"), 3)[6]
+    monkeypatch.setattr(census_mod, "predicted_census",
+                        lambda t, p: real(t, p) + [twice])
+    with pytest.raises(MismatchReport, match="duplicates") as e:
+        _d4_crosscheck(census=get_census("D4", 3))
+    assert e.value.details == {"duplicated": [twice.to_json()]}
+
+
+def test_crosscheck_reports_predicted_and_enumerated_lists_that_differ(
+        monkeypatch):
+    real = census_mod.predicted_census
+    dropped = real(get_table("D4"), 3)[6]
+    extra = OrbitDescriptor(family="D", rank=4, p=3, label="V",
+                            params=(("k", 7),))
+    monkeypatch.setattr(
+        census_mod, "predicted_census",
+        lambda t, p: [d for d in real(t, p) if d != dropped] + [extra])
+    with pytest.raises(MismatchReport, match="lists differ") as e:
+        _d4_crosscheck(census=get_census("D4", 3))
+    assert e.value.details == {"only_predicted": [extra.to_json()],
+                               "only_enumerated": [dropped.to_json()]}
 
 
 def test_crosscheck_code_pass_memory_is_bounded():

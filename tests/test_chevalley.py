@@ -138,6 +138,42 @@ def test_verify_table_detects_symmetric_corruption():
         verify_table(t)
 
 
+def _tampered(name, nt=None, sum_id=None):
+    t = get_table(name)
+    return StructureConstantTable(
+        t.rs, t._nt if nt is None else nt, t._sum if sum_id is None else sum_id,
+        t._neg, t._instances, t.stats,
+    )
+
+
+def test_verify_table_detects_an_asymmetric_mask():
+    t = get_table("D4")
+    i, j = map(int, t.defined_pairs()[0])
+    sum_id = t._sum.copy()
+    sum_id[i, j] = -1
+    with pytest.raises(InconsistentTable, match="mask is not symmetric"):
+        verify_table(_tampered("D4", sum_id=sum_id))
+
+
+def test_verify_table_detects_a_support_mismatch():
+    t = get_table("D4")
+    i = int(t.e_key(t.rs.delta))
+    assert t._sum[i, i] < 0  # (delta, delta) is not a defined pair
+    nt = t._nt.copy()
+    nt[i, i] = 1
+    with pytest.raises(InconsistentTable, match="support"):
+        verify_table(_tampered("D4", nt=nt))
+
+
+def test_verify_table_detects_flipped_seeds():
+    # -N satisfies every identity that is linear or quadratic in N (it is N
+    # under e_alpha -> -e_alpha), so only the +1 normalization seeds fail
+    t = get_table("D4")
+    with pytest.raises(InconsistentTable,
+                       match=r"identity checks failed: \['seeds'\]"):
+        verify_table(_tampered("D4", nt=-t._nt))
+
+
 def test_jacobi_exhaustive_small_system():
     report = jacobi_check(get_table("A2"))
     assert report == {"mode": "exhaustive", "triples": 56}  # C(8, 3)

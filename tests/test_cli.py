@@ -88,10 +88,14 @@ def test_constants_single_check(capsys):
 
 
 def test_constants_d_family_includes_quadruple_products(capsys):
-    code, out, _ = run_cli(capsys, "constants", "D5")
-    assert code == 0
-    data = json.loads(out)
-    assert data["quadruple_sign_products"]["status"] == "pass"
+    # D4 adds a second product, with the roles of rho and sigma exchanged
+    for system, count in (("D4", 2), ("D5", 1)):
+        code, out, _ = run_cli(capsys, "constants", system)
+        assert code == 0
+        data = json.loads(out)
+        assert data["quadruple_sign_products"] == {
+            "status": "pass", "products": [1] * count,
+        }
 
 
 def test_constants_csv_is_the_table(capsys):
@@ -330,6 +334,25 @@ def test_orbits_predicted_census_json(capsys):
     assert labels[0] == "I"
 
 
+@pytest.mark.parametrize("system", ["D4", "A2"])
+def test_orbits_predicted_csv_matches_the_json(capsys, system):
+    code, out, _ = run_cli(capsys, "orbits", system, "-p", "3")
+    assert code == 0
+    entries = json.loads(out)["orbits"]
+    code, out, _ = run_cli(capsys, "orbits", system, "-p", "3",
+                           "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["label"], r["params"], r["size"], r["representative"])
+            for r in rows] == [
+        (e["descriptor"]["label"],
+         ";".join(f"{k}={v}"
+                  for k, v in sorted(e["descriptor"]["params"].items())),
+         "", " ".join(map(str, e["representative"])))
+        for e in entries
+    ]
+
+
 def test_orbits_brute_force_matches_predicted_count(capsys):
     code, out, _ = run_cli(capsys, "orbits", "D4", "-p", "3", "--brute-force")
     assert code == 0
@@ -445,6 +468,21 @@ def test_orbits_char_two_unsupported(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("system", ["E6", "E7", "E8"])
+@pytest.mark.parametrize("mode", [(), ("--brute-force",), ("--compare",),
+                                  ("--format", "csv")],
+                         ids=["predicted", "brute-force", "compare", "csv"])
+def test_orbits_e_family_unsupported_before_building_the_table(
+        capsys, monkeypatch, system, mode):
+    def never(rs):
+        raise AssertionError("the table must not be built")
+
+    monkeypatch.setattr(cli_mod, "build_table_oracle", never)
+    code, out, err = run_cli(capsys, "orbits", system, "-p", "3", *mode)
+    assert code == 3 and out == ""
+    assert err.startswith("unsupported: ")
+
+
 # -- generic behaviour -------------------------------------------------------------
 
 
@@ -495,6 +533,16 @@ def test_out_flag_writes_the_same_content(capsys, tmp_path):
     text = target.read_text()
     assert json.loads(text) == json.loads(out) if out.strip() else True
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_out_to_an_unwritable_path_exits_two(capsys, tmp_path, target):
+    # a file inside a missing directory, and a directory
+    code, out, err = run_cli(capsys, "orbits", "D4", "-p", "3",
+                             "--out", str(tmp_path / target))
+    assert code == 2 and out == ""
+    assert err.startswith("i/o error: ")
+    assert [f.name for f in tmp_path.iterdir()] == []
 
 
 def test_module_entry_point_runs():

@@ -1,4 +1,4 @@
-"""Prime-field arithmetic, square classes, and norm-form coset tests."""
+"""Prime-field arithmetic and square-class tests."""
 
 from __future__ import annotations
 
@@ -12,10 +12,6 @@ from chevorbit import (
     PrimeField,
     UnsupportedField,
     is_prime,
-    k_class_equal,
-    norm_class_of,
-    norm_class_reps,
-    norm_form_solvable,
     square_class,
 )
 
@@ -94,53 +90,6 @@ def test_square_class_is_the_quadratic_character(p):
 def test_square_class_of_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         square_class(PrimeField(5), 0)
-
-
-@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
-def test_norm_form_solvable_matches_brute_force(p):
-    K = PrimeField(p)
-    for k in K.elements():
-        reachable = {(x * x - k * y * y) % p for x in range(p) for y in range(p)}
-        for a in K.units():
-            assert norm_form_solvable(K, k, a) == (a in reachable), (p, k, a)
-
-
-@pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
-def test_norm_cosets_collapse_for_nonzero_k(p):
-    # x^2 - k y^2 represents every unit when k != 0 (factoring for square k,
-    # full norm image of the quadratic extension for nonsquare k), so the
-    # coset space is trivial; k = 0 leaves the two square classes.
-    K = PrimeField(p)
-    assert norm_class_reps(K, 0) == (1, K.least_nonresidue())
-    for k in K.units():
-        assert norm_class_reps(K, k) == (1,)
-        for a in K.units():
-            assert norm_class_of(K, k, a).rep == 1
-
-
-@pytest.mark.parametrize("p", (3, 5, 7))
-def test_norm_class_is_constant_exactly_on_cosets(p):
-    K = PrimeField(p)
-    for k in K.elements():
-        for a in K.units():
-            for b in K.units():
-                same = norm_class_of(K, k, a) == norm_class_of(K, k, b)
-                assert same == norm_form_solvable(K, k, K.mul(a, b)), (k, a, b)
-
-
-@pytest.mark.parametrize("p", (3, 5, 7, 11))
-def test_k_class_equality(p):
-    K = PrimeField(p)
-    for k1 in K.elements():
-        for k2 in K.elements():
-            got = k_class_equal(K, k1, k2)
-            if (k1 == 0) != (k2 == 0):
-                assert not got
-            elif k1 == 0:
-                assert got
-            else:
-                # nonzero values are equivalent iff they differ by a square
-                assert got == K.is_square(K.mul(k1, K.inv(k2)))
 
 
 def test_exact_integers_domain():

@@ -330,6 +330,36 @@ def test_sl2_invariant_is_conjugation_invariant_over_f5():
         assert sl2_invariant_matrix(K, conj) == base
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_sl2_invariant_partition_is_the_conjugacy_partition(p):
+    # exhaustive: the regular invariant is k alone, with no finer class
+    # (x**2 - k*y**2 takes every unit value for k != 0), so the invariant
+    # must split the trace-zero matrices exactly into SL2(F_p) classes
+    K = get_field(p)
+    group = [
+        g for g in itertools.product(range(p), repeat=4)
+        if (g[0] * g[3] - g[1] * g[2]) % p == 1
+    ]
+
+    def conjugate(g, c, u, w):
+        # g [[c, u], [w, -c]] g^{-1}, with g^{-1} = [[d, -b], [-cc, a]]
+        a, b, cc, d = g
+        n00, n01 = a * c + b * w, a * u - b * c
+        n10, n11 = cc * c + d * w, cc * u - d * c
+        return ((n00 * d - n01 * cc) % p, (n01 * a - n00 * b) % p,
+                (n10 * d - n11 * cc) % p)
+
+    blocks = list(itertools.product(range(p), repeat=3))
+    conjugacy = {frozenset(conjugate(g, *z) for g in group) for z in blocks}
+    by_invariant: dict = {}
+    for c, u, w in blocks:
+        inv = sl2_invariant_matrix(K, ((c, u), (w, (-c) % p)))
+        by_invariant.setdefault(inv, set()).add((c, u, w))
+    assert {frozenset(s) for s in by_invariant.values()} == conjugacy
+    # zero, two nilpotent square classes, and one class per k != 0
+    assert len(conjugacy) == p + 2
+
+
 # -- the invariant kernel ---------------------------------------------------------
 
 
