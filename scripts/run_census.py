@@ -7,23 +7,38 @@ the full census per case.
 
     python3 scripts/run_census.py
     python3 scripts/run_census.py --system D4 -p 5 --json-dir out/
+
+Every case is checked before any table is built or any line is printed.
+Exit codes, as for the chevorbit CLI: 0 success, 1 a failed crosscheck, 2
+malformed input (system name, modulus, budget or pairs), 3 unsupported
+request (family E, characteristic 2 for family D), 4 enumeration budget
+exceeded or a system with more than 1000 roots.  A refused case prints one
+line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from chevorbit import (
+    BudgetExceeded,
+    CharTwo,
+    PrimeField,
+    RootSystem,
+    SystemTooLarge,
+    UnsupportedFamily,
     build_root_system,
     build_table_oracle,
     crosscheck,
     enumerate_orbits,
     parse_system_name,
 )
+from chevorbit.census import check_budget
 
 PINNED_CASES = (
     ("A2", 3), ("A3", 3), ("A3", 5), ("A4", 3),
@@ -69,9 +84,24 @@ class CensusConfig:
         )
 
 
-def run_case(cfg: CensusConfig, name: str, p: int) -> dict:
+def admit(cfg: CensusConfig, name: str, p: int) -> RootSystem:
+    """The root system of one case, once the case can run; raises the
+    exception of the first reason it cannot, before any table is built."""
     family, rank = parse_system_name(name)
-    table = build_table_oracle(build_root_system(family, rank))
+    rs = build_root_system(family, rank)
+    PrimeField(p)  # NotPrime
+    if family not in ("A", "D"):
+        raise UnsupportedFamily(
+            f"orbit classification covers families A and D, not {rs.name}")
+    if family == "D" and p == 2:
+        raise CharTwo("family-D classification needs characteristic != 2")
+    check_budget(rs, p, cfg.budget)
+    return rs
+
+
+def run_case(cfg: CensusConfig, rs: RootSystem, p: int) -> dict:
+    name = rs.name
+    table = build_table_oracle(rs)
     t0 = time.perf_counter()
     census = enumerate_orbits(table, p, budget=cfg.budget)
     enumerate_time = time.perf_counter() - t0
@@ -102,13 +132,26 @@ def run_case(cfg: CensusConfig, name: str, p: int) -> dict:
 
 def main(argv=None) -> int:
     cfg = CensusConfig.from_args(argv)
+    # the exception classes overlap: SystemTooLarge, UnsupportedFamily and
+    # CharTwo are ValueErrors, so they are caught first
+    try:
+        cases = [(admit(cfg, name, p), p) for name, p in cfg.cases]
+    except (UnsupportedFamily, CharTwo) as e:
+        print(f"unsupported: {e}", file=sys.stderr)
+        return 3
+    except (BudgetExceeded, SystemTooLarge) as e:
+        print(f"budget exceeded: {e}", file=sys.stderr)
+        return 4
+    except ValueError as e:
+        print(f"invalid input: {e}", file=sys.stderr)
+        return 2
     header = (f"{'system':<8}{'p':>3}{'states':>9}{'orbits':>8}{'enum[s]':>9}"
               f"{'check[s]':>10}  check")
     print(header)
     print("-" * len(header))
     ok = True
-    for name, p in cfg.cases:
-        row = run_case(cfg, name, p)
+    for rs, p in cases:
+        row = run_case(cfg, rs, p)
         check = row.get("crosscheck", "-")
         ok &= check in ("ok", "-")
         seconds = row.get("crosscheck_seconds")

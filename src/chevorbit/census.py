@@ -25,8 +25,11 @@ truth partition:
   every pair of representatives is classified apart,
 * canonical forms land back in the orbit they were computed from,
 * same_orbit agrees with the partition on a random sample of pairs: the
-  sampled states go through the batch classifier (orbitlab.classify_many),
-  and the first 500 pairs also through the scalar same_orbit, and
+  2 * pairs states are drawn in one call, as little-endian 64-bit words of
+  random.Random(seed).randbytes reduced mod the state count (pair i is
+  words 2i and 2i + 1); they go through the batch classifier
+  (orbitlab.classify_many), and the first 500 pairs also through the
+  scalar same_orbit, and
 * the predicted descriptor list matches the enumerated one as a set.
 """
 
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chevalley import StructureConstantTable
-from .gfield import PrimeField
+from .gfield import PrimeField, _mod
 from .liemod import _v1_moves
 from .orbitlab import (
     OrbitDescriptor,
@@ -286,11 +289,17 @@ def _state_codes(table: StructureConstantTable, p: int) -> np.ndarray:
     orbitlab._CHUNK states, which bounds the memory of the batch code pass."""
     m = len(table.rs.phi1)
     total = p ** m
-    pw = _powers(p, m)
 
     def columns(lo, hi):
-        states = np.arange(lo, hi, dtype=np.int64)
-        return [(states // w) % p for w in pw]
+        # base-p digits, least significant first, each reduced by floor
+        # division as gfield._mod does, with the quotient kept for the next
+        q = np.arange(lo, hi, dtype=_index_dtype(total))
+        digits = []
+        for _ in range(m):
+            r = q // p
+            digits.append(q - r * p)
+            q = r
+        return digits[::-1]
 
     code = np.empty(total, dtype=np.int64)
     for lo, chunk in _chunk_codes(table, p, total, columns):
@@ -380,9 +389,9 @@ def crosscheck(table: StructureConstantTable, p: int,
     # (d) same_orbit against ground truth on a sample of pairs, classified
     # as one batch; same_orbit itself also runs on the first _SCALAR_PAIRS
     # (every pair of representatives is already covered by (b))
-    rng = random.Random(seed)
-    sampled = np.fromiter((rng.randrange(total) for _ in range(2 * pairs)),
-                          dtype=np.int64, count=2 * pairs).reshape(pairs, 2)
+    words = np.frombuffer(random.Random(seed).randbytes(16 * pairs),
+                          dtype="<u8")
+    sampled = _mod(words, total).astype(np.int64).reshape(pairs, 2)
     want = orbit_id[sampled[:, 0]] == orbit_id[sampled[:, 1]]
 
     def disagree(i, got):
@@ -399,7 +408,7 @@ def crosscheck(table: StructureConstantTable, p: int,
                          vector_of_state(rs, p, s2))
         if got != want[i]:
             raise disagree(i, got)
-    digits = sampled.reshape(-1, 1) // _powers(p, len(rs.phi1)) % p
+    digits = _mod(sampled.reshape(-1, 1) // _powers(p, len(rs.phi1)), p)
     index: dict[OrbitDescriptor, int] = {}
     ids = np.array([index.setdefault(d, len(index))
                     for d in classify_many(table, K, digits)],

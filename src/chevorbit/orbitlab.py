@@ -42,6 +42,7 @@ basis-level sign conventions.
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import math
@@ -54,7 +55,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chevalley import StructureConstantTable, table_cached
-from .gfield import PrimeField, SquareClass, _pow_mod, square_class
+from .gfield import PrimeField, SquareClass, _mod, _pow_mod, square_class
 from .liemod import LieVector, _v1_moves, apply_root_element
 from .rootsys import Root, RootSystem, simple_index, standard_quadruple
 
@@ -382,12 +383,25 @@ class _LiftKernel:
 
     lift(p, *x) maps a level-1 vector x, entries in range(p) as ints or as
     integer lane arrays, to {basis key: coordinate of the lift mod p}.
-    weights holds, per compiled coordinate, {degree: sum of the absolute
-    integer coefficients of its terms of that degree}.
+    lift reduces by %, the fast spelling for Python ints and object lanes;
+    lift_fixed is the same function reducing through gfield._mod, the fast
+    spelling for int32 and int64 lanes.  spell(mod) compiles the function
+    with mod(e) as the spelling of e mod p; each spelling is compiled on
+    first use, so a process that classifies only single vectors compiles
+    one.  weights holds, per compiled coordinate, {degree: sum of the
+    absolute integer coefficients of its terms of that degree}.
     """
 
-    lift: Callable[..., dict]
+    spell: Callable[[Callable[[str], str]], Callable[..., dict]]
     weights: tuple
+
+    @functools.cached_property
+    def lift(self) -> Callable[..., dict]:
+        return self.spell(lambda e: f"({e}) % p")
+
+    @functools.cached_property
+    def lift_fixed(self) -> Callable[..., dict]:
+        return self.spell(lambda e: f"_mod({e}, p)")
 
     def bound(self, p: int) -> int:
         """An upper bound on |every intermediate value| of lift over F_p."""
@@ -413,7 +427,9 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
     integers of the table.  Monomial prefixes shared across coordinates are
     computed once.  A Python function, rather than a loop over terms, keeps
     the scalar evaluation fast; on lane arrays every operation is a
-    vectorized one.
+    vectorized one.  The source is generated once and compiled with either
+    spelling of its reductions (_LiftKernel): on fixed-width lanes numpy's
+    remainder would be most of the lift's time.
     """
     rs = table.rs
     m = len(rs.phi1)
@@ -432,7 +448,7 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
                          f"{prefix(mono[:-1])} * x{mono[-1]}")
         return prefixes[mono]
 
-    entries, weights, inverses = [], [], set()
+    sums, weights, inverses = [], [], set()
     for key in [bottom, *lev_m1, *lev0]:
         poly = y[key]
         d = math.lcm(*(c.denominator for c in poly.values()))
@@ -452,22 +468,30 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
             elif c < 0:
                 s = f"({s})"
             expr += (" - " if c < 0 else " + ") + s
-        expr = f"({expr.lstrip(' +')}) % p" if poly else "0"
         if d != 1:
             inverses.add(d)
-            expr += f" * q{d} % p"
-        entries.append(f"{key}: {expr}")
+        sums.append((key, expr.lstrip(" +"), d))
         weights.append(ws)
-    entries += [f"{table.e_key(r)}: x{i}" for i, r in enumerate(rs.phi1)]
-    source = "\n".join(
-        [f"def lift(p, {', '.join(f'x{i}' for i in range(m))}):"]
-        + [f"    q{d} = pow({d}, -1, p)" for d in sorted(inverses)]
-        + lines
-        + ["    return {", *(f"        {e}," for e in entries), "    }"]
-    )
-    namespace: dict = {}
-    exec(compile(source, f"<lift of {rs.name}>", "exec"), namespace)
-    return _LiftKernel(namespace["lift"], tuple(weights))
+
+    def spell(mod):
+        entries = []
+        for key, expr, d in sums:
+            expr = mod(expr) if expr else "0"
+            if d != 1:
+                expr = mod(f"{expr} * q{d}")
+            entries.append(f"{key}: {expr}")
+        entries += [f"{table.e_key(r)}: x{i}" for i, r in enumerate(rs.phi1)]
+        source = "\n".join(
+            [f"def lift(p, {', '.join(f'x{i}' for i in range(m))}):"]
+            + [f"    q{d} = pow({d}, -1, p)" for d in sorted(inverses)]
+            + lines
+            + ["    return {", *(f"        {e}," for e in entries), "    }"]
+        )
+        namespace = {"_mod": _mod}
+        exec(compile(source, f"<lift of {rs.name}>", "exec"), namespace)
+        return namespace["lift"]
+
+    return _LiftKernel(spell, tuple(weights))
 
 
 def _invariant_code(table: StructureConstantTable, p: int, co):
@@ -496,8 +520,8 @@ def _invariant_code(table: StructureConstantTable, p: int, co):
     code = _select(co[bottom] != 0, _DARK, lum)
     for ck, uk, wk in blocks:
         c, u, w = co[ck], co[uk], co[wk]
-        k = (c * c + u * w) % p
-        top = _select(u != 0, u, (p - w) % p)
+        k = _mod(c * c + u * w, p)
+        top = _select(u != 0, u, p - w)  # _pow_mod reduces p to 0
         # Euler's criterion: top is a unit square iff top**((p-1)/2) == 1
         square = _pow_mod(top, (p - 1) // 2, p) == 1
         digit = _select(k == 0, 1 + square, 2 + k)
@@ -554,7 +578,8 @@ def _a_code(rs: RootSystem, p: int, x):
     for uj, vj in zip(u, v):
         u_set = u_set | (uj != 0)
         v_set = v_set | (vj != 0)
-        s = (s + uj * vj) % p
+        s = s + uj * vj
+    s = _mod(s, p)  # below 30 * p**2 (rank <= 31), inside _lane's bound
     # s != 0 only when u and v are both set, so the label is 0..4
     label = u_set + 2 * v_set + (s != 0)
     if rs.rank == 2:
@@ -563,8 +588,8 @@ def _a_code(rs: RootSystem, p: int, x):
     a = s
     if rs.rank == 3:
         (u1, u2), (v1, v2) = u, v
-        c = _select(u1 != 0, _pow_mod(u1, p - 2, p) * v2,
-                    -_pow_mod(u2, p - 2, p) * v1) % p
+        c = _mod(_select(u1 != 0, _pow_mod(u1, p - 2, p) * v2,
+                         -_pow_mod(u2, p - 2, p) * v1), p)
         a = _select(label == 3, c, s)
     return (label * p + a) * p
 
@@ -686,8 +711,11 @@ def _code_of(table: StructureConstantTable, K, x):
     p = _field_p(K)
     if rs.family == "A":
         return _a_code(rs, p, x)
-    return _invariant_code(table, p,
-                           _lift_kernel(table).lift(p, *rs.check_v1(x)))
+    x = rs.check_v1(x)
+    kernel = _lift_kernel(table)
+    fixed = isinstance(x[0], np.ndarray) and x[0].dtype != object
+    lift = kernel.lift_fixed if fixed else kernel.lift
+    return _invariant_code(table, p, lift(p, *x))
 
 
 @table_cached
@@ -710,9 +738,42 @@ def _canonical_codes(table: StructureConstantTable, K) -> dict:
 
 @table_cached
 def _dark_codes(table: StructureConstantTable, K) -> dict:
-    """Code -> V(k), filled by _descriptor_of as dark codes are confirmed;
-    only V is dark, so a dark decode never needs _canonical_codes."""
+    """Code -> V(k), filled as dark codes are confirmed (_descriptor_of,
+    _confirm_dark); only V is dark, so a dark decode never needs
+    _canonical_codes."""
     return {}
+
+
+def _v_of(table: StructureConstantTable, K, k: int):
+    """V(k) and its canonical vector.
+
+    The blocks of a dark vector are regular and share k, its code's last
+    digit minus 2, and V(k) names its orbit if V(k)'s canonical vector has
+    the same code (V's parameters after k take one value each).
+    """
+    params, _ = _orbit_types(table, K)["V"]
+    d = _mkdesc(table.rs, K.p, "V",
+                [("k", k)] + [(n, v) for n, (v,) in params[1:]])
+    return d, _canonical_vector(table, K, d)
+
+
+def _confirm_dark(table: StructureConstantTable, K, codes) -> None:
+    """Enter into _dark_codes every new dark code among codes that its V(k)
+    names, computing the candidates' codes as one batch of lanes."""
+    if table.rs.family != "D":
+        return
+    radix = K.p + 2
+    place = radix ** len(_kernel_plan(table)[-1])  # of the luminosity digit
+    dark = _dark_codes(table, K)
+    found = [(code, *_v_of(table, K, code % radix - 2)) for code in codes
+             if code // place == _DARK and code % radix > 2
+             and code not in dark]
+    vecs = np.array([vec for _, _, vec in found], dtype=np.int64)
+    for lo, got in _chunk_codes(table, K.p, len(found),
+                                lambda lo, hi: vecs[lo:hi].T):
+        for (code, d, _), g in zip(found[lo:], got.tolist()):
+            if g == code:
+                dark[code] = d
 
 
 def _descriptor_of(table: StructureConstantTable, K, code: int,
@@ -733,13 +794,7 @@ def _descriptor_of(table: StructureConstantTable, K, code: int,
     else:
         codes = _dark_codes(table, K)
         if code not in codes and k > 0:
-            # the blocks of a dark vector are regular and share k, and V(k)
-            # names its orbit if its canonical vector has the same code
-            # (V's parameters after k take one value each)
-            params, _ = _orbit_types(table, K)["V"]
-            d = _mkdesc(rs, p, "V",
-                        [("k", k)] + [(n, v) for n, (v,) in params[1:]])
-            vec = _canonical_vector(table, K, d)
+            d, vec = _v_of(table, K, k)
             if ((x is not None and vec == tuple(K.of(c) for c in x))
                     or _code_of(table, K, vec) == code):
                 codes[code] = d
@@ -766,7 +821,10 @@ def _lane(table: StructureConstantTable, p: int):
     5 * (p + 2)**3 and, for family D, below the compiled lift's own bound
     (about sum |c| * (p - 1)**4 over its quartic coordinate).  The lanes are
     int32 while that fits, then int64, then Python ints (dtype object): no
-    lane ever wraps.
+    lane ever wraps.  int32 and int64 lanes are reduced by floor division
+    (gfield._mod, and the lift_fixed spelling of the compiled lift), object
+    lanes by %; a // p * p lies within p of a, and a - a // p * p is exact
+    even where that product wraps, so the bound is the same for both.
     """
     bound = 5 * (p + 2) ** 3
     if table.rs.family == "D":
@@ -826,13 +884,15 @@ def classify_many(table: StructureConstantTable, K,
     rows = _batch_rows(table.rs, p, X)
 
     def columns(lo, hi):
-        return (rows[lo:hi] % p).T
+        return _mod(rows[lo:hi], p).T
 
     out: list = [None] * len(rows)
     seen: dict = {}
     for lo, codes in _chunk_codes(table, p, len(rows), columns):
         keys = codes.tolist()
-        for c in set(keys).difference(seen):
+        new = set(keys).difference(seen)
+        _confirm_dark(table, K, new)
+        for c in new:
             seen[c] = _descriptor_of(table, K, c)
         out[lo:lo + len(keys)] = map(seen.__getitem__, keys)
     return out

@@ -207,9 +207,17 @@ def test_crosscheck_detects_a_broken_classifier(monkeypatch):
     assert exc_info.value.details
 
 
+def sampled_states(seed: int, pairs: int, total: int) -> list[int]:
+    """The crosscheck's draw, rebuilt with Python ints: little-endian 64-bit
+    words of random.Random(seed).randbytes, each reduced mod total."""
+    raw = random.Random(seed).randbytes(16 * pairs)
+    return [int.from_bytes(raw[i:i + 8], "little") % total
+            for i in range(0, len(raw), 8)]
+
+
 def test_crosscheck_batch_pairs_catch_one_wrong_descriptor(monkeypatch):
-    # the pairs are drawn as before: state 2i and 2i + 1 of the batch are
-    # s1 and s2 of pair i, in random.Random(seed) order
+    # state 2i and 2i + 1 of the batch are s1 and s2 of pair i, in the
+    # order of the draw
     table = get_table("D4")
     census = get_census("D4", 3)
     real = census_mod.classify_many
@@ -231,9 +239,8 @@ def test_crosscheck_batch_pairs_catch_one_wrong_descriptor(monkeypatch):
                        match="same_orbit disagrees with the enumeration") as e:
         crosscheck(table, 3, census=census, seed=5)
     assert set(e.value.details) == {"x1", "x2", "got", "want"}
-    rng = random.Random(5)
-    drawn = [vector_of_state(table.rs, 3, rng.randrange(3**8))
-             for _ in range(20_000)]
+    drawn = [vector_of_state(table.rs, 3, st)
+             for st in sampled_states(5, 10_000, 3**8)]
     (sampled,) = batches
     assert sampled.tolist() == [list(x) for x in drawn]
     assert (e.value.details["x1"], e.value.details["x2"]) == (
@@ -256,10 +263,9 @@ def test_crosscheck_runs_scalar_same_orbit_on_a_sample_prefix(
     report = crosscheck(table, 3, census=census, pairs=pairs)
     assert report["pairs_sampled"] == pairs
     assert len(calls) == sampled
-    rng = random.Random(0)
-    first = (vector_of_state(table.rs, 3, rng.randrange(3**8)),
-             vector_of_state(table.rs, 3, rng.randrange(3**8)))
-    assert calls[0] == first
+    drawn = [vector_of_state(table.rs, 3, st)
+             for st in sampled_states(0, pairs, 3**8)]
+    assert calls == list(zip(drawn[:2 * sampled:2], drawn[1:2 * sampled:2]))
 
 
 def test_orbit_id_is_not_serialized_or_compared():
@@ -340,6 +346,35 @@ def test_run_census_script_rejects_negative_pairs(capsys):
     assert e.value.code == 2
     assert "--pairs must be >= 0" in capsys.readouterr().err
     assert config.from_args(["--pairs", "0"]).pairs == 0
+
+
+@pytest.mark.parametrize("argv,code,prefix", [
+    (["--system", "A2", "-p", "3", "--budget", "0"], 2, "invalid input"),
+    (["--budget", "-5"], 2, "invalid input"),
+    (["--system", "A2", "-p", "4"], 2, "invalid input"),
+    (["--system", "Q3", "-p", "3"], 2, "invalid input"),
+    (["--system", "E6", "-p", "3"], 3, "unsupported"),
+    (["--system", "E8", "-p", "3", "--budget", "1"], 3, "unsupported"),
+    (["--system", "D4", "-p", "2"], 3, "unsupported"),
+    (["--system", "A3", "-p", "3", "--budget", "80"], 4, "budget exceeded"),
+    (["--budget", "9"], 4, "budget exceeded"),
+    (["--system", "A40", "-p", "3"], 4, "budget exceeded"),
+])
+def test_run_census_script_refuses_a_case_before_building_a_table(
+        monkeypatch, capsys, argv, code, prefix):
+    import chevorbit
+
+    def fail(rs):
+        raise AssertionError(f"built the {rs.name} table")
+
+    # the script imports build_table_oracle from the package when it runs
+    monkeypatch.setattr(chevorbit, "build_table_oracle", fail)
+    path = Path(__file__).parents[1] / "scripts" / "run_census.py"
+    main = runpy.run_path(str(path), run_name="run_census")["main"]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{prefix}: ") and err.count("\n") == 1
 
 
 # -- crosscheck failure reports: each check, tripped by one monkeypatch ------------
@@ -433,9 +468,8 @@ def test_crosscheck_reports_a_scalar_same_orbit_disagreement(monkeypatch):
                         lambda *args: not real(*args))
     with pytest.raises(MismatchReport, match="same_orbit disagrees") as e:
         _d4_crosscheck(census=get_census("D4", 3), seed=3)
-    rng = random.Random(3)
-    x1, x2 = (vector_of_state(table.rs, 3, rng.randrange(3**8))
-              for _ in range(2))
+    x1, x2 = (vector_of_state(table.rs, 3, st)
+              for st in sampled_states(3, 1, 3**8))
     want = real(table, get_field(3), x1, x2)
     assert e.value.details == {"x1": x1, "x2": x2, "got": not want,
                                "want": want}

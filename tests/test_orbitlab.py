@@ -52,6 +52,7 @@ from chevorbit import (
     ZBlock,
 )
 from chevorbit import orbitlab
+from chevorbit.gfield import _mod, _pow_mod
 from chevorbit.orbitlab import _invariant_code
 from helpers import (
     ArrayField,
@@ -189,6 +190,67 @@ def test_compiled_lift_equals_reference_lift(name):
         for k, got in co.items():
             assert np.broadcast_to(got, (len(vectors),)).tolist() == [
                 y[k] for y in want], (p, k)
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
+def test_compiled_lift_spellings_agree(name):
+    # lift reduces by %, lift_fixed by floor division; _code_of runs the
+    # second on int32 and int64 lanes
+    t = get_table(name)
+    kernel = orbitlab._lift_kernel(t)
+    for p in (3, 5, 1009):
+        rng = random.Random(p * 31 + t.rs.rank)
+        vectors = half_sparse(rng, t.rs, p, 60) + [(p - 1,) * len(t.rs.phi1)]
+        want = [kernel.lift(p, *x) for x in vectors]
+        for lane in {orbitlab._lane(t, p), np.int64}:
+            got = kernel.lift_fixed(p, *np.array(vectors, dtype=lane).T)
+            assert got.keys() == want[0].keys()
+            for k, col in got.items():
+                # a coordinate that is the zero polynomial stays the int 0
+                assert isinstance(col, int) or col.dtype == lane, (p, k)
+                assert np.broadcast_to(col, (len(vectors),)).tolist() == [
+                    y[k] for y in want], (p, lane, k)
+
+
+@pytest.mark.parametrize("name,p", [
+    ("A3", 3), ("D4", 3), ("D8", 5),        # int32 lanes
+    ("A3", 1009), ("D4", 1009), ("D8", 1009),  # int64
+    ("A3", 1_300_021), ("D4", 65521),        # object
+])
+def test_lane_reduction_equals_python_mod(name, p):
+    t = get_table(name)
+    lane = orbitlab._lane(t, p)
+    bound = 5 * (p + 2) ** 3
+    if t.rs.family == "D":
+        bound = max(bound, orbitlab._lift_kernel(t).bound(p))
+    rng = random.Random(p)
+    values = [0, 1, -1, p - 1, p, p + 1, -p, -p - 1]
+    values += [s * (bound - i) for s in (1, -1) for i in (1, 2, p, p + 1)]
+    values += [rng.randrange(-bound + 1, bound) for _ in range(200)]
+    if lane is not object:
+        # past the bound too: a // p * p may wrap, the result may not
+        info = np.iinfo(lane)
+        values += [info.min, info.min + 1, info.max - 1, info.max]
+    a = np.array(values, dtype=lane)
+    got = _mod(a, p)
+    assert got.dtype == a.dtype
+    assert got.tolist() == [v % p for v in values]
+    e = (p - 1) // 2
+    got = _pow_mod(a, e, p)
+    assert got.dtype == a.dtype
+    assert got.tolist() == [pow(v, e, p) for v in values]
+    assert _mod(values[-1], p) == values[-1] % p
+    assert _pow_mod(values[-1], e, p) == pow(values[-1], e, p)
+
+
+def test_lane_reduction_of_unsigned_words():
+    # the crosscheck reduces 64-bit random words mod the state count
+    words = [0, 1, 2**63, 2**64 - 1] + [random.Random(1).getrandbits(64)
+                                        for _ in range(100)]
+    for m in (3, 3**8, 5**12, 2**62 - 1):
+        got = _mod(np.array(words, dtype=np.uint64), m)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [w % m for w in words]
 
 
 # -- luminosity -------------------------------------------------------------------
@@ -518,6 +580,27 @@ def test_classify_many_matches_classify_at_p_1009(name):
     assert classify_many(t, K, vectors) == want
     assert classify_many(t, K, np.array(vectors, dtype=np.int32)) == want
     assert len({d.label for d in want}) >= 4
+
+
+def test_classify_many_confirms_new_dark_codes_in_one_batch(monkeypatch):
+    # fresh tables, so no dark code of F_4001 is confirmed yet
+    t, ref = (build_table_oracle(get_system("D4")) for _ in range(2))
+    K = get_field(4001)
+    vectors = [random_v1(random.Random(i), t.rs, 4001) for i in range(300)]
+    want = [classify(ref, K, x) for x in vectors]
+    assert sum(d.label == "V" for d in want) > 250
+    orbitlab._canonical_codes(t, K)
+    lanes = []
+    real = orbitlab._code_of
+
+    def counted(table, K, x):
+        lanes.append(isinstance(x[0], np.ndarray))
+        return real(table, K, x)
+
+    monkeypatch.setattr(orbitlab, "_code_of", counted)
+    assert classify_many(t, K, vectors) == want
+    # the vectors' codes, then the V(k) canonical vectors' codes
+    assert lanes == [True, True]
 
 
 @pytest.mark.parametrize("name", ["D4", "A3"])
