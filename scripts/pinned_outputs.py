@@ -3,10 +3,11 @@
 
 Runs each pinned invocation in-process through chevorbit.cli.main and prints
 one line per invocation: the sha256 of its stdout, its exit code and its
-argv.  The classify --batch invocation reads a file of seeded random D5/F3
-vectors that the script writes itself (shown as @FILE).  Run it on two
-checkouts and diff the outputs: identical lines mean byte-identical stdout
-and equal exit codes.
+argv.  The classify --batch invocations read files of seeded random vectors
+that the script writes itself (shown as @FILE): D5/F3, and D4/F65521 and
+D8/F1009, whose vectors are mostly dark.  Run it on two checkouts and diff
+the outputs: identical lines mean byte-identical stdout and equal exit
+codes.
 
     PYTHONPATH=src python3 scripts/pinned_outputs.py > pinned.txt
 """
@@ -21,6 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from chevorbit import build_root_system, parse_system_name
 from chevorbit.cli import main
 
 SYSTEMS = tuple(f"A{r}" for r in range(1, 9)) + tuple(
@@ -30,9 +32,11 @@ PINNED_CASES = (
     ("D4", 3), ("D4", 5), ("D5", 3),
 )
 BATCH_SIZE = 500
+BATCHES = (("D5", 3), ("D4", 65521), ("D8", 1009))
 
 
-def invocations(batch: str) -> list[list[str]]:
+def invocations(batches: dict) -> list[list[str]]:
+    """The pinned argv lists; batches maps (system, p) to a --batch spec."""
     out = []
     for s in SYSTEMS:
         out += [["constants", s], ["constants", s, "--format", "csv"]]
@@ -54,25 +58,29 @@ def invocations(batch: str) -> list[list[str]]:
             ["orbits", "D8", "-p", "3"]]
     out += [["classify", "D4", "-p", "1009", "--vector", "1,2,3,4,5,6,7,8"],
             ["classify", "A3", "-p", "5", "--vector", "1,2,3,4"],
-            ["classify", "D5", "-p", "3", "--batch", batch]]
+            ["classify", "D5", "-p", "3", "--batch", batches["D5", 3]]]
     out += [["orbits", "D22", "-p", "3", "--brute-force"],
             ["orbits", "D4", "-p", "3", "--brute-force", "--budget", "0"],
             ["orbits", "D4", "-p", "3", "--budget", "0"]]
     out += [["orbits", "E6", "-p", "3", "--brute-force"],
             ["orbits", "E6", "-p", "3", "--compare"],
             ["orbits", "D4", "-p", "3", "--format", "csv"]]
+    out += [["classify", s, "-p", str(p), "--batch", batches[s, p]]
+            for s, p in BATCHES[1:]]
     return out
 
 
-def write_batch(path: Path, seed: int = 0) -> None:
-    """BATCH_SIZE random D5 vectors over F_3 (12 entries each), a third of
-    them sparse, so that several orbit labels occur."""
+def write_batch(path: Path, system: str, p: int, seed: int = 0) -> None:
+    """BATCH_SIZE random level-1 vectors of system over F_p, a third of them
+    sparse, so that several orbit labels occur; the others are uniform, so
+    at large p most of them are dark."""
+    m = len(build_root_system(*parse_system_name(system)).phi1)
     rng = random.Random(seed)
     lines = []
     for i in range(BATCH_SIZE):
         density = 0.25 if i % 3 == 0 else 1.0
-        x = [rng.randrange(3) if rng.random() < density else 0
-             for _ in range(12)]
+        x = [rng.randrange(p) if rng.random() < density else 0
+             for _ in range(m)]
         lines.append(",".join(map(str, x)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -86,12 +94,15 @@ def run(argv: list[str]) -> tuple[str, int]:
 
 def main_script() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        batch = Path(tmp) / "batch.txt"
-        write_batch(batch)
-        spec = f"@{batch}"
-        for argv in invocations(spec):
+        batches = {}
+        for s, p in BATCHES:
+            path = Path(tmp) / f"{s}_{p}.txt"
+            write_batch(path, s, p)
+            batches[s, p] = f"@{path}"
+        specs = set(batches.values())
+        for argv in invocations(batches):
             digest, code = run(argv)
-            shown = " ".join("@FILE" if a == spec else a for a in argv)
+            shown = " ".join("@FILE" if a in specs else a for a in argv)
             print(f"{digest} {code} {shown}", flush=True)
     return 0
 

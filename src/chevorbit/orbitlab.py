@@ -33,11 +33,12 @@ For either family the invariants are packed into one integer code by
 arithmetic and comparisons only, so the same code runs on a single vector
 (classify) and on a batch of vectors held as coefficient arrays
 (classify_many).  A family-A code decodes directly into its descriptor, the
-parameter names coming from the catalogue; a family-D code is looked up in
-a map built, per table and prime, from the codes of the catalogue's
-canonical vectors.  Both entry points decode through the same step.  So
-descriptor equality is exactly orbit equality and never depends on
-basis-level sign conventions.
+parameter names coming from the catalogue.  A dark family-D code names V(k)
+in closed form, an identity checked once per table; any other family-D code
+is looked up in a map built, per table and prime, from the codes of the
+catalogue's other canonical vectors.  Both entry points decode through the
+same step.  So descriptor equality is exactly orbit equality and never
+depends on basis-level sign conventions.
 """
 
 from __future__ import annotations
@@ -700,7 +701,7 @@ def classify(table: StructureConstantTable, K, x) -> OrbitDescriptor:
     p = _check_domain(table, K)
     # Python ints: the compiled lift sums its terms before reducing them
     x = [operator.index(c) % p for c in x]
-    return _descriptor_of(table, K, _code_of(table, K, x), x)
+    return _descriptor_of(table, K, _code_of(table, K, x))
 
 
 def _code_of(table: StructureConstantTable, K, x):
@@ -737,49 +738,47 @@ def _canonical_codes(table: StructureConstantTable, K) -> dict:
 
 
 @table_cached
-def _dark_codes(table: StructureConstantTable, K) -> dict:
-    """Code -> V(k), filled as dark codes are confirmed (_descriptor_of,
-    _confirm_dark); only V is dark, so a dark decode never needs
-    _canonical_codes."""
-    return {}
+def _v_code_checked(table: StructureConstantTable, entries) -> None:
+    """Check, once per table, that V(k)'s canonical vector (entries: ints and
+    the parameter k) has the code _DARK, then 2 + k in every block, for every
+    odd p and unit k: run over _Polynomials in k, its lift has e_{-delta}
+    coefficient k and c**2 + u*w = k in every block, identities that survive
+    reduction mod an odd p (the lift's denominators divide 4).  Raises
+    ClassificationError if they fail or an entry is neither int nor k."""
+    rs, P, k = table.rs, _Polynomials(), {(0,): 1}
+    x = [P.zero] * len(rs.phi1)
+    for root, v in entries:
+        if v != "k" and not isinstance(v, int):
+            raise ClassificationError(f"V's entry {v!r} is neither k nor an int")
+        x[rs.phi1_index(root)] = k if v == "k" else P.of(v)
+    y = associated_root_element(table, P, x).coeffs
+    bottom, _, _, _, blocks = _kernel_plan(table)
+    if y[bottom] != k or any(P.add(P.mul(y[c], y[c]), P.mul(y[u], y[w])) != k
+                             for c, u, w in blocks):
+        raise ClassificationError(f"V(k)'s canonical vector of {rs.name} does "
+                                  f"not have the closed-form dark code")
 
 
-def _v_of(table: StructureConstantTable, K, k: int):
-    """V(k) and its canonical vector.
-
-    The blocks of a dark vector are regular and share k, its code's last
-    digit minus 2, and V(k) names its orbit if V(k)'s canonical vector has
-    the same code (V's parameters after k take one value each).
-    """
-    params, _ = _orbit_types(table, K)["V"]
-    d = _mkdesc(table.rs, K.p, "V",
-                [("k", k)] + [(n, v) for n, (v,) in params[1:]])
-    return d, _canonical_vector(table, K, d)
-
-
-def _confirm_dark(table: StructureConstantTable, K, codes) -> None:
-    """Enter into _dark_codes every new dark code among codes that its V(k)
-    names, computing the candidates' codes as one batch of lanes."""
-    if table.rs.family != "D":
-        return
+@table_cached
+def _v_named(table: StructureConstantTable, K, code: int):
+    """V(k) if the dark code is V(k)'s (_v_code_checked), else None; k is its
+    last digit minus 2, and V's parameters after k take one value each."""
+    params, entries = _orbit_types(table, K)["V"]
+    _v_code_checked(table, entries)
     radix = K.p + 2
     place = radix ** len(_kernel_plan(table)[-1])  # of the luminosity digit
-    dark = _dark_codes(table, K)
-    found = [(code, *_v_of(table, K, code % radix - 2)) for code in codes
-             if code // place == _DARK and code % radix > 2
-             and code not in dark]
-    vecs = np.array([vec for _, _, vec in found], dtype=np.int64)
-    for lo, got in _chunk_codes(table, K.p, len(found),
-                                lambda lo, hi: vecs[lo:hi].T):
-        for (code, d, _), g in zip(found[lo:], got.tolist()):
-            if g == code:
-                dark[code] = d
+    k = code % radix - 2
+    if k <= 0 or code != _DARK * place + (2 + k) * (place - 1) // (radix - 1):
+        return None
+    return _mkdesc(table.rs, K.p, "V",
+                   [("k", k)] + [(n, v) for n, (v,) in params[1:]])
 
 
-def _descriptor_of(table: StructureConstantTable, K, code: int,
-                   x=None) -> OrbitDescriptor:
+def _descriptor_of(table: StructureConstantTable, K,
+                   code: int) -> OrbitDescriptor:
     """The descriptor an invariant code names; classify and classify_many
-    both decode here.  x, when given, is the vector the code came from."""
+    both decode here.  A dark family-D code names V(k) in closed form,
+    proven once per table (_v_named); any other is in _canonical_codes."""
     rs = table.rs
     p = K.p
     if rs.family == "A":
@@ -787,24 +786,16 @@ def _descriptor_of(table: StructureConstantTable, K, code: int,
         params, _ = _orbit_types(table, K)[label]
         return _mkdesc(rs, p, label,
                        zip((n for n, _ in params), (code // p % p, code % p)))
-    radix = p + 2
-    k = code % radix - 2
-    if code // radix ** len(_kernel_plan(table)[-1]) != _DARK:
-        codes = _canonical_codes(table, K)
+    if code // (p + 2) ** len(_kernel_plan(table)[-1]) == _DARK:
+        d = _v_named(table, K, code)
     else:
-        codes = _dark_codes(table, K)
-        if code not in codes and k > 0:
-            d, vec = _v_of(table, K, k)
-            if ((x is not None and vec == tuple(K.of(c) for c in x))
-                    or _code_of(table, K, vec) == code):
-                codes[code] = d
-    try:
-        return codes[code]
-    except KeyError:
+        d = _canonical_codes(table, K).get(code)
+    if d is None:
         raise ClassificationError(
             f"invariant code {code} matches no canonical representative "
             f"of {rs.name} over F_{p}"
-        ) from None
+        )
+    return d
 
 
 # -- batches -----------------------------------------------------------------------
@@ -849,7 +840,8 @@ def _chunk_codes(table: StructureConstantTable, p: int, n: int, columns):
 
 
 def _batch_rows(rs: RootSystem, p: int, X) -> np.ndarray:
-    """X as an (n, |phi1|) integer array; ValueError for anything else."""
+    """X as an (n, |phi1|) array of 64-bit integers, a narrower integer
+    dtype, which need not hold p, widened to int64; ValueError otherwise."""
     m = len(rs.phi1)
     try:
         rows = np.asarray(X)
@@ -865,7 +857,7 @@ def _batch_rows(rs: RootSystem, p: int, X) -> np.ndarray:
         raise ValueError(
             f"level-1 vector entries over F_{p} must be 64-bit integers"
         )
-    return rows
+    return rows if rows.dtype.itemsize == 8 else rows.astype(np.int64)
 
 
 def classify_many(table: StructureConstantTable, K,
@@ -890,9 +882,7 @@ def classify_many(table: StructureConstantTable, K,
     seen: dict = {}
     for lo, codes in _chunk_codes(table, p, len(rows), columns):
         keys = codes.tolist()
-        new = set(keys).difference(seen)
-        _confirm_dark(table, K, new)
-        for c in new:
+        for c in set(keys).difference(seen):
             seen[c] = _descriptor_of(table, K, c)
         out[lo:lo + len(keys)] = map(seen.__getitem__, keys)
     return out

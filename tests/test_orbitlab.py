@@ -37,6 +37,7 @@ from chevorbit import (
     apply_root_element,
     associated_root_element,
     block_gammas,
+    build_root_system,
     build_table_oracle,
     canonical_form,
     classify,
@@ -100,7 +101,8 @@ def test_lift_order_must_be_a_permutation():
 
 def test_lift_postconditions_survive_optimized_mode():
     # python -O strips assert statements; the lift's checks must still fire,
-    # in the reference lift and when classify compiles the lift of a table
+    # in the reference lift and when classify compiles the lift of a table,
+    # and so must the check of V's catalogue entry behind the dark decode
     script = textwrap.dedent("""
         import chevorbit.orbitlab as ol
         from chevorbit import (
@@ -109,6 +111,18 @@ def test_lift_postconditions_survive_optimized_mode():
         )
         from helpers import ArrayField
         import numpy as np
+        table = build_table_oracle(build_root_system("D", 4))
+        types = ol._orbit_types(table, PrimeField(5))
+        params, entries = types["V"]
+        types["V"] = (params, tuple((r, 2 if v == 1 else v)
+                                    for r, v in entries))
+        x = [0] * 8  # V(1)
+        for r, _ in entries:
+            x[table.rs.phi1_index(r)] = 1
+        try:
+            ol.classify(table, PrimeField(5), x)
+        except ClassificationError:
+            print("raised")
         ol.apply_root_element = lambda table, g, t, v: v
         table = build_table_oracle(build_root_system("D", 4))
         # a single vector, then a batch of five in lanes
@@ -135,7 +149,7 @@ def test_lift_postconditions_survive_optimized_mode():
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised", "raised", "raised"]
+    assert proc.stdout.split() == ["raised"] * 4
 
 
 def test_lift_level_support_is_bounded():
@@ -533,7 +547,7 @@ def test_tables_are_freed_after_use():
     assert ref() is None
 
 
-def test_classify_raises_when_no_canonical_code_matches(monkeypatch):
+def test_classify_raises_when_no_canonical_code_matches():
     rs = get_system("D4")
     t = build_table_oracle(rs)  # private code maps, free to tamper with
     K = get_field(3)
@@ -543,10 +557,14 @@ def test_classify_raises_when_no_canonical_code_matches(monkeypatch):
     del codes[next(c for c, e in codes.items() if e == d)]
     with pytest.raises(ClassificationError, match="matches no canonical"):
         classify(t, K, x)
-    # V(k) is accepted only when its canonical vector has the same code
-    monkeypatch.setattr(orbitlab, "_canonical_vector",
-                        lambda t, K, d: quad_vector(t.rs, (1, 1, 1, 2)))
-    with pytest.raises(ClassificationError, match="matches no canonical"):
+    # a dark code names V(k) only while V's catalogue entry has the code
+    # the closed form assumes: rho = 2 breaks it, on a fresh table
+    t = build_table_oracle(rs)
+    types = orbitlab._orbit_types(t, K)
+    params, entries = types["V"]
+    rho = standard_quadruple(rs)[1]
+    types["V"] = (params, tuple((r, 2 if r == rho else v) for r, v in entries))
+    with pytest.raises(ClassificationError, match="V.k.'s canonical vector"):
         classify(t, K, quad_vector(rs, (1, 1, 1, 1)))
 
 
@@ -599,8 +617,8 @@ def test_classify_many_confirms_new_dark_codes_in_one_batch(monkeypatch):
 
     monkeypatch.setattr(orbitlab, "_code_of", counted)
     assert classify_many(t, K, vectors) == want
-    # the vectors' codes, then the V(k) canonical vectors' codes
-    assert lanes == [True, True]
+    # the vectors' codes only: V(k) is named from its code in closed form
+    assert lanes == [True]
 
 
 @pytest.mark.parametrize("name", ["D4", "A3"])
@@ -668,6 +686,90 @@ def test_dark_decode_leaves_the_non_v_code_map_unbuilt():
         assert non_v in t.memo
 
 
+def packed(p, *digits):
+    """The code with these digits in radix p + 2, the leading one first."""
+    code = 0
+    for digit in digits:
+        code = code * (p + 2) + digit
+    return code
+
+
+def v_code(rs, p, k):
+    """The code of V(k): the dark luminosity digit, then 2 + k per block."""
+    return packed(p, orbitlab._DARK, *[2 + k] * len(block_gammas(rs)))
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
+def test_v_code_closed_form_equals_canonical_vector_codes(name):
+    t = get_table(name)
+    rs = t.rs
+    primes = [q for q in range(3, 102) if is_prime(q)] + [1009]
+    rng = random.Random(rs.rank)
+    for p in primes + [65521, 1_300_021]:
+        K = get_field(p)
+        if p in primes:
+            ks = list(range(1, p))
+        else:
+            ks = [1, 2, p - 1] + rng.sample(range(3, p - 1), 60)
+        vecs = [orbitlab._canonical_vector(t, K, OrbitDescriptor(
+            "D", rs.rank, p, "V", (("k", k),))) for k in ks]
+        lanes = list(np.array(vecs, dtype=orbitlab._lane(t, p)).T)
+        got = np.broadcast_to(orbitlab._code_of(t, K, lanes), (len(ks),))
+        assert got.tolist() == [v_code(rs, p, k) for k in ks], p
+        for k in ks[:3]:
+            d = orbitlab._descriptor_of(t, K, v_code(rs, p, k))
+            assert (d.label, d.param("k")) == ("V", k)
+    assert orbitlab._lane(t, 1_300_021) is object
+
+
+@pytest.mark.parametrize("rank", range(4, 23))
+def test_v_code_identity_holds_for_every_d_rank(rank):
+    t = build_table_oracle(build_root_system("D", rank))
+    _, entries = orbitlab._orbit_types(t, get_field(3))["V"]
+    assert orbitlab._v_code_checked(t, entries) is None
+
+
+def test_v_code_identity_checks_the_bottom_and_every_block(monkeypatch):
+    real = orbitlab.associated_root_element
+    K = get_field(3)
+    bottom, _, _, _, blocks = orbitlab._kernel_plan(get_table("D4"))
+    for key in (bottom, blocks[-1][0]):  # e_{-delta}; c of the last block
+        t = build_table_oracle(get_system("D4"))  # unchecked
+
+        def moved(table, P, x, key=key):
+            y = real(table, P, x)
+            y.coeffs[key] = P.add(y.coeffs[key], P.one)
+            return y
+
+        monkeypatch.setattr(orbitlab, "associated_root_element", moved)
+        _, entries = orbitlab._orbit_types(t, K)["V"]
+        with pytest.raises(ClassificationError, match="closed-form dark code"):
+            orbitlab._v_code_checked(t, entries)
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
+def test_non_v_canonical_codes_are_never_dark(name):
+    t = get_table(name)
+    place_exp = len(block_gammas(t.rs))
+    for p in (3, 5, 1009):
+        codes = orbitlab._canonical_codes(t, get_field(p))
+        assert codes and all(code // (p + 2) ** place_exp != orbitlab._DARK
+                             for code in codes), p
+
+
+def test_malformed_dark_codes_raise():
+    t = get_table("D4")
+    p = 7
+    K = get_field(p)
+    assert orbitlab._descriptor_of(t, K, packed(p, 4, 3, 3, 3)).label == "V"
+    bad = [packed(p, 4, 3, 4, 3), packed(p, 4, 5, 5, 4)]  # unequal k
+    bad += [packed(p, 4, d, d, d) for d in (0, 1, 2)]
+    bad += [packed(p, 4, 3, 3, d) for d in (0, 1, 2)]
+    for code in bad:
+        with pytest.raises(ClassificationError, match="matches no canonical"):
+            orbitlab._descriptor_of(t, K, code)
+
+
 def test_classify_many_crosses_chunk_boundaries():
     t = get_table("D4")
     K = get_field(3)
@@ -707,6 +809,27 @@ def test_classify_many_validates_like_classify():
         classify(t, K, (0.5,) * 8)
     with pytest.raises(UnsupportedFamily):
         classify_many(get_table("E6"), K, [(0,) * 20])
+
+
+@pytest.mark.parametrize("name", ["D4", "A3"])
+@pytest.mark.parametrize("p", [3, 1009, 65521])
+def test_classify_many_accepts_every_integer_dtype(name, p):
+    t = get_table(name)
+    K = get_field(p)
+    m = len(t.rs.phi1)
+    rng = np.random.default_rng(p + m)
+    for dtype in (np.int8, np.int16, np.int32, np.int64,
+                  np.uint8, np.uint16, np.uint32, np.uint64):
+        info = np.iinfo(dtype)
+        rows = rng.integers(info.min, info.max, (30, m), dtype=dtype,
+                            endpoint=True)
+        rows[0], rows[1] = info.min, info.max
+        rows[2] = rng.integers(0, min(p, info.max + 1), m)
+        want = [classify(t, K, x) for x in rows.tolist()]
+        assert classify_many(t, K, rows) == want, dtype
+        # numpy reads a list that mixes 0 and 2**64 - 1 as floats
+        if info.max < 2**63:
+            assert classify_many(t, K, rows.tolist()) == want, dtype
 
 
 def test_classify_many_memory_does_not_grow_with_the_batch():
