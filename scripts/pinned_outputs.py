@@ -5,9 +5,11 @@ Runs each pinned invocation in-process through chevorbit.cli.main and prints
 one line per invocation: the sha256 of its stdout, its exit code and its
 argv.  The classify --batch invocations read files of seeded random vectors
 that the script writes itself (shown as @FILE): D5/F3, and D4/F65521 and
-D8/F1009, whose vectors are mostly dark.  Run it on two checkouts and diff
-the outputs: identical lines mean byte-identical stdout and equal exit
-codes.
+D8/F1009, whose vectors are mostly dark.  The roots invocations dump root
+systems in every format; constants A31 and D22 with --check theorem1 run
+the closed form on every pair of the two largest systems.  Run it on two
+checkouts and diff the outputs: identical lines mean byte-identical stdout
+and equal exit codes.
 
     PYTHONPATH=src python3 scripts/pinned_outputs.py > pinned.txt
 """
@@ -67,6 +69,9 @@ def invocations(batches: dict) -> list[list[str]]:
             ["orbits", "D4", "-p", "3", "--format", "csv"]]
     out += [["classify", s, "-p", str(p), "--batch", batches[s, p]]
             for s, p in BATCHES[1:]]
+    out += [["roots", s, "--format", f] for s in ("A1", "A8", "D4", "D8", "E8")
+            for f in ("text", "json", "csv")]
+    out += [["constants", s, "--check", "theorem1"] for s in ("A31", "D22")]
     return out
 
 

@@ -3,10 +3,15 @@
 For a simply-laced system every constant N(alpha, beta) with alpha + beta a
 root is +-1.  This module computes the whole table by constraint propagation
 from a small set of normalization seeds, and separately by a closed-form sign
-rule plus a recursive peeling reduction.  The two paths share only the root
-system, so agreement between them is a meaningful cross-check, and both are
-validated against the defining identities and the Jacobi identity of the
-resulting bracket.
+rule plus a recursive peeling reduction.  Both run on root ids and share
+only facts about the root system, the tables of rs.ids: the sum id of every
+pair (which sums are roots, checked against the coefficient vectors when
+the tables are built), negation, the simple roots, and per positive root its
+simple index, least subtractable index and support top.  The closed form
+reads no constant of the propagated table and the propagation none of the
+closed form, so agreement between them is a meaningful cross-check, and
+both are validated against the defining identities and the Jacobi identity
+of the resulting bracket.
 
 The identities used (all specialized to the simply-laced case, where defined
 constants are units):
@@ -29,7 +34,7 @@ exhaustive re-check of every instance guards against scatter conflicts.
 
 jacobi_check evaluates basis triples with array gathers: every bracket of
 two basis elements is tabulated once per check, so each double bracket
-[a, [b, c]] is two gathers, in batches of at most 2**14 triples.  It checks
+[a, [b, c]] is two gathers, in batches of 2**14 triples.  It checks
 every x < y < z when the basis has at most 80 elements (A1-A8, D4-D6, E6)
 and 10**5 triples of distinct keys drawn from random.Random(seed) otherwise;
 the tests run it exhaustively on all 16 systems.  _jacobi_defect is the
@@ -45,11 +50,8 @@ import numpy as np
 
 from .rootsys import (
     NotAPositiveRoot,
-    NotARoot,
-    Root,
+    RootIds,
     RootSystem,
-    min_subtractable_index,
-    simple_index,
 )
 
 
@@ -81,11 +83,10 @@ def sign_rule(rs: RootSystem, i: int, beta) -> int:
     beta = tuple(beta)
     if not rs.is_positive(beta):
         raise NotAPositiveRoot(f"{beta} is not a positive root of {rs.name}")
-    s = rs.add(rs.simple(i), beta)
-    if not rs.is_root(s):
+    b = rs.root_id(beta)
+    if rs.ids.sums[rs.root_id(rs.simple(i))][b] < 0:
         raise UndefinedPair(f"alpha_{i} + {beta} is not a root of {rs.name}")
-    top = max(j for j, c in enumerate(beta, start=1) if c)
-    return -1 if i > top else 1
+    return -1 if i > rs.ids.top[b] else 1
 
 
 def structure_constant_fast(rs: RootSystem, alpha, beta, memo: dict | None = None) -> int:
@@ -94,74 +95,85 @@ def structure_constant_fast(rs: RootSystem, alpha, beta, memo: dict | None = Non
     Mixed-sign pairs are first rewritten into pairs of positive roots using
     the antisymmetry and zero-sum identities; a positive non-simple first
     argument is then peeled at its smallest subtractable index, which lowers
-    its height until the sign rule applies directly.
+    its height until the sign rule applies directly.  The work runs on root
+    ids, and memo, shared by calls on the same root system, is keyed by
+    them.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
-    for r in (alpha, beta):
-        if not rs.is_root(r):
-            raise NotARoot(f"{r} is not a root of {rs.name}")
-    if not rs.is_root(rs.add(alpha, beta)):
+    a = rs.root_id(alpha)
+    b = rs.root_id(beta)
+    if rs.ids.sums[a][b] < 0:
         raise UndefinedPair(f"{alpha} + {beta} is not a root of {rs.name}")
     if memo is None:
         memo = {}
-    return _fast(rs, alpha, beta, memo)
+    return _fast(rs.ids, a, b, memo)
 
 
-def _fast(rs: RootSystem, a: Root, b: Root, memo: dict) -> int:
-    key = (a, b)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    s = rs.add(a, b)
-    if not rs.is_positive(a):
-        if not rs.is_positive(b):
-            r = -_fast(rs, rs.neg(a), rs.neg(b), memo)
-        elif rs.is_positive(s):
-            # N(a,b) = N(-a, a+b) via the zero-sum rotation of (-a, s, -b)
-            r = _fast(rs, rs.neg(a), s, memo)
-        else:
-            # N(a,b) = N(b, -a-b) via the rotation of (b, -s, -a)
-            r = _fast(rs, b, rs.neg(s), memo)
-    elif not rs.is_positive(b):
-        r = -_fast(rs, b, a, memo)
-    else:
-        i = simple_index(a)
-        if i is not None:
-            r = sign_rule(rs, i, b)
-        else:
-            j = min_subtractable_index(rs, a)
-            aj = rs.simple(j)
-            ap = rs.sub(a, aj)
-            apb = rs.add(ap, b)
-            if rs.is_root(apb):
-                # associativity instance (alpha_j, ap, b)
-                r = sign_rule(rs, j, ap) * sign_rule(rs, j, apb) * _fast(rs, ap, b, memo)
+def _fast(ids: RootIds, a: int, b: int, memo: dict) -> int:
+    """N(roots[a], roots[b]) for a defined pair of root ids.
+
+    Each step rewrites N(a, b) as sign * N(a', b'), so the recursion is a
+    chain; it runs as a loop, and every pair on the chain is memoized on the
+    way back, under the key a * n + b.
+    """
+    sums, negs, top = ids.sums, ids.negs, ids.top
+    n, h = len(negs), len(top)
+    chain = []
+    while True:
+        key = a * n + b
+        r = memo.get(key)
+        if r is not None:
+            break
+        if a >= h:
+            s = sums[a][b]
+            if b >= h:
+                sign, a, b = -1, negs[a], negs[b]
+            elif s < h:
+                # N(a,b) = N(-a, a+b) via the zero-sum rotation of (-a, s, -b)
+                sign, a, b = 1, negs[a], s
             else:
-                ajb = rs.add(aj, b)
-                if not rs.is_root(ajb):
+                # N(a,b) = N(b, -a-b) via the rotation of (b, -s, -a)
+                sign, a, b = 1, b, negs[s]
+        elif b >= h:
+            sign, a, b = -1, b, a
+        elif ids.simple_of[a]:
+            # the sign rule
+            r = memo[key] = -1 if ids.simple_of[a] > top[b] else 1
+            break
+        else:
+            j = ids.least_sub[a]
+            aj = ids.simple_ids[j - 1]
+            ap = sums[a][negs[aj]]
+            apb = sums[ap][b]
+            if apb >= 0:
+                # associativity instance (alpha_j, ap, b)
+                sign = (-1 if j > top[ap] else 1) * (-1 if j > top[apb] else 1)
+                a = ap
+            else:
+                ajb = sums[aj][b]
+                if ajb < 0:
                     raise AssertionError(
                         "peeling dichotomy failed: neither ap+b nor alpha_j+b is a root"
                     )
                 # associativity instance (ap, alpha_j, b)
-                r = -sign_rule(rs, j, ap) * sign_rule(rs, j, b) * _fast(rs, ap, ajb, memo)
-    memo[key] = r
+                sign = -(-1 if j > top[ap] else 1) * (-1 if j > top[b] else 1)
+                a, b = ap, ajb
+        chain.append((key, sign))
+    for key, sign in reversed(chain):
+        r = memo[key] = sign * r
     return r
 
 
 # -- propagation oracle ----------------------------------------------------
 
 
-def _sum_table(rs: RootSystem) -> np.ndarray:
-    """sum_id[i, j] = root id of roots[i] + roots[j], or -1 if not a root.
-
-    For roots of equal length, a + b is a root exactly when <a, b> == -1.
-    """
-    r = np.array(rs.roots, dtype=np.int64)
-    i, j = np.nonzero(r @ np.array(rs.cartan) @ r.T == -1)
-    sum_id = np.full((len(r), len(r)), -1, dtype=np.int64)
-    sum_id[i, j] = [rs.root_id(s) for s in map(tuple, (r[i] + r[j]).tolist())]
-    return sum_id
+def _seeds(ids: RootIds) -> tuple[np.ndarray, np.ndarray]:
+    """Root ids (alpha_j, g - alpha_j) of the normalization seeds: one per
+    positive non-simple root g, with j its least subtractable index."""
+    g = np.flatnonzero(np.array(ids.simple_of) == 0)
+    aj = np.array(ids.simple_ids)[np.array(ids.least_sub)[g] - 1]
+    return aj, ids.sum_id[g, ids.neg_id[aj]]
 
 
 class StructureConstantTable:
@@ -169,24 +181,24 @@ class StructureConstantTable:
 
     Basis keys: ints 0..n-1 are the root vectors e_{roots[i]} in the global
     root order, keys n..n+rank-1 are the Cartan generators h_1..h_rank.
+    The sum and negation tables are the root system's own (rs.ids), not
+    copies.
     """
 
-    def __init__(self, rs: RootSystem, nt: np.ndarray, sum_id: np.ndarray,
-                 neg_id: np.ndarray, instances: np.ndarray, stats: dict):
+    def __init__(self, rs: RootSystem, nt: np.ndarray, instances: np.ndarray,
+                 stats: dict):
         self.rs = rs
         self._nt = nt
-        self._sum = sum_id
-        self._neg = neg_id
+        self._sum, self._sums = rs.ids.sum_id, rs.ids.sums
+        self._neg, self._negs = rs.ids.neg_id, rs.ids.negs
         self._instances = instances  # (4, I) flat pair indices, raw
         self.stats = stats
         # derived per-table data (see table_cached); freed with the table
         self.memo: dict = {}
         self._n = len(rs.roots)
-        # plain-list mirrors: scalar indexing of ndarrays is slow in the
+        # plain-list mirror: scalar indexing of ndarrays is slow in the
         # per-key loops of bracket_keys and liemod
         self._nt_list = nt.tolist()
-        self._sum_list = sum_id.tolist()
-        self._neg_list = neg_id.tolist()
         # _sp[t - 1][j] = <alpha_t, roots[j]>
         self._sp = (np.array(rs.roots) @ np.array(rs.cartan)).T.tolist()
 
@@ -242,10 +254,10 @@ class StructureConstantTable:
         if j >= n:
             c = self._sp[j - n][i]
             return ((i, -c),) if c else ()
-        s = self._sum_list[i][j]
+        s = self._sums[i][j]
         if s >= 0:
             return ((s, self._nt_list[i][j]),)
-        if self._neg_list[i] == j:
+        if self._negs[i] == j:
             # [e_a, e_{-a}] = h_a expanded over the Cartan generators
             r = self.rs.roots[i]
             return tuple((n + t, c) for t, c in enumerate(r) if c)
@@ -288,9 +300,7 @@ def build_table_oracle(rs: RootSystem) -> StructureConstantTable:
     canonical pair of an orbit is the one with the least flat index.
     """
     n = len(rs.roots)
-    sum_id = _sum_table(rs)
-    neg_id = np.array([rs.root_id(rs.neg(r)) for r in rs.roots],
-                      dtype=np.int64)
+    sum_id, neg_id = rs.ids.sum_id, rs.ids.neg_id
 
     # quotient of defined pairs by the antisymmetry + rotation group;
     # stored sign means value(pair) == sign * value(canonical pair)
@@ -317,16 +327,9 @@ def build_table_oracle(rs: RootSystem) -> StructureConstantTable:
 
     # seeds
     val = np.zeros(n * n, dtype=np.int8)
-    zero = (0,) * rs.rank
-    n_seeds = 0
-    for g in rs.positive_roots:
-        j = min_subtractable_index(rs, g)
-        rest = rs.sub(g, rs.simple(j))
-        if rest == zero:
-            continue
-        f = rs.root_id(rs.simple(j)) * n + rs.root_id(rest)
-        val[canon_flat[f]] = rel_sign[f]
-        n_seeds += 1
+    sa, sb = _seeds(rs.ids)
+    f = sa * n + sb
+    val[canon_flat[f]] = rel_sign[f]
 
     # propagation rounds: rows with exactly one unknown pin it
     rounds = 0
@@ -366,10 +369,10 @@ def build_table_oracle(rs: RootSystem) -> StructureConstantTable:
         "defined_pairs": int(pflat.size),
         "pair_orbits": int(np.count_nonzero(first == 0)),  # canonical pairs
         "instances": int(flat.shape[1]),
-        "seeds": n_seeds,
+        "seeds": int(f.size),
         "rounds": rounds,
     }
-    return StructureConstantTable(rs, nt, sum_id, neg_id, flat, stats)
+    return StructureConstantTable(rs, nt, flat, stats)
 
 
 # -- verification ----------------------------------------------------------
@@ -409,18 +412,8 @@ def verify_table(table: StructureConstantTable) -> dict:
     else:
         checks["associativity"] = True
 
-    zero = (0,) * rs.rank
-    seeds_ok = True
-    n_seeds = 0
-    for g in rs.positive_roots:
-        j = min_subtractable_index(rs, g)
-        rest = rs.sub(g, rs.simple(j))
-        if rest == zero:
-            continue
-        n_seeds += 1
-        if table.structure_constant(rs.simple(j), rest) != 1:
-            seeds_ok = False
-    checks["seeds"] = seeds_ok
+    sa, sb = _seeds(rs.ids)
+    checks["seeds"] = bool(np.all(nt[sa, sb] == 1))
 
     bad = [name for name, ok in checks.items() if not ok]
     if bad:
@@ -428,7 +421,7 @@ def verify_table(table: StructureConstantTable) -> dict:
     return {
         "defined_pairs": int(aa.size),
         "instances": int(flat.shape[1]),
-        "seeds": n_seeds,
+        "seeds": int(sa.size),
     }
 
 
@@ -466,7 +459,7 @@ def _bracket_arrays(table: StructureConstantTable) -> tuple:
     roots = np.array(rs.roots, dtype=np.int64)
     pairing = roots @ np.array(rs.cartan, dtype=np.int64) @ roots.T
     ids = np.arange(n)
-    simple = np.array([rs.root_id(rs.simple(t)) for t in range(1, rank + 1)])
+    simple = np.array(rs.ids.simple_ids)
     out = np.full((n + rank, zero + 1), zero, dtype=np.intp)
     coef = np.zeros((n + rank, zero + 1), dtype=np.int64)
     a, b = np.nonzero(table._sum >= 0)
@@ -508,13 +501,17 @@ def _jacobi_fails(brackets: tuple, x: np.ndarray, y: np.ndarray,
 
 
 def _all_triples(m: int):
-    """Chunks of x < y < z in lexicographic order, one x at a time."""
+    """Chunks of 2**14 triples x < y < z in lexicographic order (the last
+    chunk may be shorter).  Triple t of the order is pair k of the y < z
+    pairs with y > x, for the x whose block of the order holds t."""
     ys, zs = np.triu_indices(m, 1)  # y < z, ordered by y then z
-    for x in range(m - 2):
-        first = int(np.searchsorted(ys, x + 1))
-        for lo in range(first, ys.size, _JACOBI_CHUNK):
-            y, z = ys[lo:lo + _JACOBI_CHUNK], zs[lo:lo + _JACOBI_CHUNK]
-            yield np.full(y.size, x), y, z
+    first = np.searchsorted(ys, np.arange(1, m - 1))  # first pair past x
+    offsets = np.concatenate([[0], np.cumsum(ys.size - first)])
+    for lo in range(0, int(offsets[-1]), _JACOBI_CHUNK):
+        t = np.arange(lo, min(lo + _JACOBI_CHUNK, int(offsets[-1])))
+        x = np.searchsorted(offsets, t, side="right") - 1
+        k = first[x] + (t - offsets[x])
+        yield x, ys[k], zs[k]
 
 
 def _sampled_triples(m: int, samples: int, seed: int):

@@ -43,6 +43,7 @@ depends on basis-level sign conventions.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gc
 import itertools
@@ -124,13 +125,31 @@ class Sl2Invariant:
 
 @dataclass(frozen=True)
 class OrbitDescriptor:
-    """Canonical name of a G0-orbit on V1."""
+    """Canonical name of a G0-orbit on V1.
+
+    The hash is the one dataclass generates, computed on first use and kept,
+    because census and crosscheck index many descriptors by it; computing it
+    at construction slowed the scalar family-A classify, which builds a
+    descriptor per call.
+    """
 
     family: str
     rank: int
     p: int
     label: str
     params: tuple[tuple[str, int | str], ...] = ()
+    _hash = None  # not a field: no annotation
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(
+                (self.family, self.rank, self.p, self.label, self.params)))
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, since string hashes differ by process
+        return type(self), (self.family, self.rank, self.p, self.label,
+                            self.params)
 
     def param(self, name: str):
         for n, v in self.params:
@@ -841,10 +860,19 @@ def _chunk_codes(table: StructureConstantTable, p: int, n: int, columns):
 
 def _batch_rows(rs: RootSystem, p: int, X) -> np.ndarray:
     """X as an (n, |phi1|) array of 64-bit integers, a narrower integer
-    dtype, which need not hold p, widened to int64; ValueError otherwise."""
+    dtype, which need not hold p, widened to int64; ValueError otherwise.
+    A list is read as int64 when that holds it and as uint64 otherwise."""
     m = len(rs.phi1)
     try:
         rows = np.asarray(X)
+        if rows.dtype.kind == "f" and not isinstance(X, np.ndarray):
+            # numpy reads a list that mixes entries below 2**63 with entries
+            # in [2**63, 2**64) as float64; read integers again, as uint64
+            obj = np.asarray(X, dtype=object)
+            if all(isinstance(v, (int, np.integer)) for v in obj.flat):
+                # with negative entries too, no 64-bit dtype holds the list
+                with contextlib.suppress(OverflowError):
+                    rows = obj.astype(np.uint64)
         if rows.size == 0:  # no vectors, or vectors without entries (A1)
             rows = rows.astype(np.int64).reshape(len(rows), m)
     except ValueError:  # rows of different lengths

@@ -18,9 +18,18 @@ Positive roots are ordered by height, then lexicographically by coefficient
 vector; the full root list is the positive roots followed by their negatives
 in the same order.  The ordering of ``phi1`` induced by this is part of the
 external data format for level-one vectors.
+
+Root ids are positions in that list.  RootSystem.ids holds the tables over
+root ids that the structure-constant code reads (see RootIds); they are
+built once per root system, on first use.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
+
+import numpy as np
 
 Root = tuple[int, ...]
 
@@ -102,6 +111,73 @@ def simple_index(root: Root) -> int | None:
     return root.index(1) + 1
 
 
+class RootIds(NamedTuple):
+    """Tables over root ids, built once per root system by _root_ids.
+
+    The arrays are read-only and shared by everything built on the root
+    system; copy one before editing it.
+    """
+
+    sum_id: np.ndarray  # (n, n): id of roots[i] + roots[j], or -1
+    sums: list  # sum_id as nested lists, for scalar reads
+    neg_id: np.ndarray  # (n,): id of -roots[i]
+    negs: list
+    simple_ids: tuple  # id of alpha_i at position i - 1
+    # over positive ids g < n_positive, indices 1-based:
+    simple_of: list  # i if roots[g] is alpha_i, else 0
+    least_sub: list  # least i with roots[g] - alpha_i a root or zero
+    top: list  # greatest i with a nonzero coefficient in roots[g]
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row as one byte string, for sorting and searching."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _sum_ids(coeffs: np.ndarray, defined: np.ndarray) -> np.ndarray:
+    """sum_id[i, j] = the row of coeffs equal to coeffs[i] + coeffs[j]
+    where defined[i, j], and -1 elsewhere.
+
+    Each sum is found by a binary search over the rows as byte strings, then
+    compared with the row found; a sum that is no row raises AssertionError.
+    """
+    n = len(coeffs)
+    keys = _row_keys(coeffs)
+    order = np.argsort(keys)
+    i, j = np.nonzero(defined)
+    s = coeffs[i] + coeffs[j]
+    found = order[np.searchsorted(keys[order], _row_keys(s)).clip(max=n - 1)]
+    if not np.array_equal(coeffs[found], s):
+        raise AssertionError("a pair marked as summing to a root does not")
+    sum_id = np.full((n, n), -1, dtype=np.int64)
+    sum_id[i, j] = found
+    return sum_id
+
+
+def _root_ids(rs: "RootSystem") -> RootIds:
+    n, h, rank = len(rs.roots), rs.n_positive, rs.rank
+    coeffs = np.array(rs.roots, dtype=np.int64)
+    # for roots of equal length, a + b is a root exactly when <a, b> == -1
+    sum_id = _sum_ids(coeffs, coeffs @ np.array(rs.cartan) @ coeffs.T == -1)
+    neg_id = (np.arange(n) + h) % n  # negatives follow positives in order
+    simple_ids = tuple(rs.root_id(rs.simple(i)) for i in range(1, rank + 1))
+    simple_of = [0] * h
+    for i, g in enumerate(simple_ids, start=1):
+        simple_of[g] = i
+    # sub[g, i - 1]: roots[g] - alpha_i is a root, or zero
+    sub = sum_id[:h, neg_id[list(simple_ids)]] >= 0
+    sub[simple_ids, range(rank)] = True
+    if not sub.any(axis=1).all():
+        raise AssertionError("positive root with no subtractable simple root")
+    top = rank - (coeffs[:h, ::-1] != 0).argmax(axis=1)
+    for a in (sum_id, neg_id):
+        a.flags.writeable = False
+    return RootIds(sum_id, sum_id.tolist(), neg_id, neg_id.tolist(),
+                   simple_ids, simple_of, (sub.argmax(axis=1) + 1).tolist(),
+                   top.tolist())
+
+
 class RootSystem:
     """A simply-laced root system closed up from its Cartan matrix.
 
@@ -162,6 +238,11 @@ class RootSystem:
             r for r in self.roots if self._level[r] == 0
         )
         self._phi1_index = {r: i for i, r in enumerate(self.phi1)}
+
+    @functools.cached_property
+    def ids(self) -> RootIds:
+        """The tables over root ids (see RootIds), built on first use."""
+        return _root_ids(self)
 
     # -- basic queries ----------------------------------------------------
 
@@ -279,12 +360,7 @@ def min_subtractable_index(rs: RootSystem, gamma) -> int:
     gamma = tuple(gamma)
     if not rs.is_positive(gamma):
         raise NotAPositiveRoot(f"{gamma} is not a positive root of {rs.name}")
-    zero = (0,) * rs.rank
-    for i in range(1, rs.rank + 1):
-        d = rs.sub(gamma, rs.simple(i))
-        if d == zero or rs.is_root(d):
-            return i
-    raise AssertionError("positive root with no subtractable simple root")
+    return rs.ids.least_sub[rs.root_id(gamma)]
 
 
 def standard_quadruple(rs: RootSystem) -> tuple[Root, Root, Root, Root]:

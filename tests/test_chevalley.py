@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ import pytest
 from chevorbit import (
     InconsistentTable,
     JacobiViolation,
+    NotAPositiveRoot,
+    NotARoot,
     StructureConstantTable,
     UndefinedPair,
     build_root_system,
@@ -29,7 +32,6 @@ from chevorbit.chevalley import (
     _jacobi_defect,
     _jacobi_fails,
     _sampled_triples,
-    _sum_table,
 )
 from helpers import ALL_SYSTEMS, get_system, get_table
 
@@ -140,10 +142,11 @@ def test_verify_table_detects_symmetric_corruption():
 
 def _tampered(name, nt=None, sum_id=None):
     t = get_table(name)
-    return StructureConstantTable(
-        t.rs, t._nt if nt is None else nt, t._sum if sum_id is None else sum_id,
-        t._neg, t._instances, t.stats,
-    )
+    bad = StructureConstantTable(t.rs, t._nt if nt is None else nt,
+                                 t._instances, t.stats)
+    if sum_id is not None:
+        bad._sum = sum_id  # the root system's own table stays as it is
+    return bad
 
 
 def test_verify_table_detects_an_asymmetric_mask():
@@ -209,8 +212,7 @@ def _negated_pair(name: str) -> tuple[StructureConstantTable, int, int]:
     nt = t._nt.copy()
     nt[i, j] = -nt[i, j]
     nt[j, i] = -nt[j, i]
-    return (StructureConstantTable(t.rs, nt, t._sum, t._neg, t._instances,
-                                   t.stats), i, j)
+    return StructureConstantTable(t.rs, nt, t._instances, t.stats), i, j
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS[1:])
@@ -271,11 +273,13 @@ def test_sampled_triples_cover_every_ordered_triple_of_distinct_keys(m):
 
 
 def test_exhaustive_triples_are_the_combinations_in_order():
-    for m in (3, 8, 30):
+    for m in (3, 8, 30, 80):
         got = [k for chunk in _all_triples(m) for k in zip(*(c.tolist() for c in chunk))]
         assert got == list(itertools.combinations(range(m), 3))
-    sizes = [x.size for x, _, _ in _all_triples(248)]
-    assert max(sizes) == 2**14 and sum(sizes) == 248 * 247 * 246 // 6
+    for m in (3, 4, 80, 248):  # full chunks of 2**14 but the last
+        total = m * (m - 1) * (m - 2) // 6
+        sizes = [x.size for x, _, _ in _all_triples(m)]
+        assert sizes == [2**14] * (total // 2**14) + [total % 2**14]
 
 
 def test_oracle_stats_shape():
@@ -351,13 +355,40 @@ def test_bracket_keys_h_action_is_the_pairing():
                 assert items == ((t.e_key(b), expected),)
 
 
-@pytest.mark.parametrize("name", ALL_SYSTEMS + ("A16", "D16"))
+@pytest.mark.parametrize("name", ALL_SYSTEMS + ("A16", "D16", "A31", "D22"))
 def test_sum_table_matches_brute_force(name):
     rs = get_system(name)
-    want = np.full((len(rs.roots), len(rs.roots)), -1, dtype=np.int64)
-    for i, a in enumerate(rs.roots):
-        for j, b in enumerate(rs.roots):
-            s = rs.add(a, b)
-            if rs.is_root(s):
-                want[i, j] = rs.root_id(s)
-    assert np.array_equal(_sum_table(rs), want)
+    index = {r: i for i, r in enumerate(rs.roots)}
+    want = [[index.get(rs.add(a, b), -1) for b in rs.roots] for a in rs.roots]
+    assert rs.ids.sums == want
+    assert np.array_equal(rs.ids.sum_id, want)
+    if name in ALL_SYSTEMS:  # the table reads the root system's tables
+        t = get_table(name)
+        assert t._sum is rs.ids.sum_id and t._sums is rs.ids.sums
+
+
+def test_closed_form_needs_no_table_and_keeps_its_messages():
+    rs = build_root_system("D", 5)  # fresh: no table, no id tables yet
+    assert "ids" not in vars(rs)
+    a, b = rs.simple(3), rs.simple(4)
+    assert structure_constant_fast(rs, a, b) == sign_rule(rs, 3, b) == 1
+    assert structure_constant_fast(rs, rs.neg(a), rs.neg(b)) == -1
+    cases = [
+        (lambda: structure_constant_fast(rs, (2, 0, 0, 0, 0), b),
+         NotARoot, "(2, 0, 0, 0, 0) is not a root of D5"),
+        (lambda: structure_constant_fast(rs, a, [0, 0, 0, 0, 7]),
+         NotARoot, "(0, 0, 0, 0, 7) is not a root of D5"),
+        (lambda: structure_constant_fast(rs, a, rs.neg(a)),
+         UndefinedPair, "(0, 0, 1, 0, 0) + (0, 0, -1, 0, 0) is not a root of D5"),
+        (lambda: sign_rule(rs, 3, rs.neg(b)),
+         NotAPositiveRoot, "(0, 0, 0, -1, 0) is not a positive root of D5"),
+        (lambda: sign_rule(rs, 6, b),
+         NotARoot, "no simple root alpha_6 in rank 5"),
+        (lambda: sign_rule(rs, 1, b),
+         UndefinedPair, "alpha_1 + (0, 0, 0, 1, 0) is not a root of D5"),
+        (lambda: min_subtractable_index(rs, rs.neg(b)),
+         NotAPositiveRoot, "(0, 0, 0, -1, 0) is not a positive root of D5"),
+    ]
+    for call, exc, message in cases:
+        with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+            call()

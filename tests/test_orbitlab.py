@@ -3,10 +3,12 @@ descriptors, canonical forms, and validation errors."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -792,9 +794,14 @@ def test_classify_many_validates_like_classify():
                 np.zeros(8, int)):
         with pytest.raises(ValueError, match="8 coefficients"):
             classify_many(t, K, bad)
-    for bad in (np.full((2, 8), 0.5), good + [(1,) * 7 + (2**70,)]):
+    # no 64-bit dtype holds both -1 and 2**64 - 1
+    for bad in (np.full((2, 8), 0.5), good + [(1,) * 7 + (2**70,)],
+                [(0.5,) * 7 + (2**64 - 1,)], [(-1,) * 7 + (2**64 - 1,)]):
         with pytest.raises(ValueError, match="integers"):
             classify_many(t, K, bad)
+    # a list mixing entries below 2**63 and above is read exactly
+    x = (0,) * 7 + (2**64 - 1,)
+    assert classify_many(t, K, [x]) == [classify(t, K, x)]
     # entries are reduced mod p, as classify reduces them
     for entry in (-1, 5, 7):
         x = (1,) * 7 + (entry,)
@@ -827,9 +834,7 @@ def test_classify_many_accepts_every_integer_dtype(name, p):
         rows[2] = rng.integers(0, min(p, info.max + 1), m)
         want = [classify(t, K, x) for x in rows.tolist()]
         assert classify_many(t, K, rows) == want, dtype
-        # numpy reads a list that mixes 0 and 2**64 - 1 as floats
-        if info.max < 2**63:
-            assert classify_many(t, K, rows.tolist()) == want, dtype
+        assert classify_many(t, K, rows.tolist()) == want, dtype
 
 
 def test_classify_many_memory_does_not_grow_with_the_batch():
@@ -1115,6 +1120,30 @@ def test_descriptor_json_round_trip():
     K = get_field(3)
     for d in all_descriptors(t, K):
         assert OrbitDescriptor.from_json(d.to_json()) == d
+
+
+def test_descriptor_hash_is_the_generated_one_in_every_process():
+    d = OrbitDescriptor("D", 4, 5, "V", (("k", 2),))
+    assert hash(d) == hash(("D", 4, 5, "V", (("k", 2),)))
+    moved = dataclasses.replace(d, p=7)
+    assert moved != d and hash(moved) == hash(("D", 4, 7, "V", (("k", 2),)))
+    assert repr(d) == ("OrbitDescriptor(family='D', rank=4, p=5, label='V', "
+                       "params=(('k', 2),))")
+    assert dataclasses.asdict(d) == {"family": "D", "rank": 4, "p": 5,
+                                     "label": "V", "params": (("k", 2),)}
+    # string hashes differ between processes, so an unpickled descriptor
+    # must hash by its fields there, not carry this process's hash along
+    script = ("import pickle, sys; d = pickle.loads(sys.stdin.buffer.read()); "
+              "print(hash(d) == hash((d.family, d.rank, d.p, d.label, "
+              "d.params)), d in {d: 0})")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chevorbit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src,
+               PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1"
+               else "1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          input=pickle.dumps(d), capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"True", b"True"]
 
 
 def test_canonical_form_validates_descriptor_context():

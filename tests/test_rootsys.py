@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,6 +185,45 @@ def test_min_subtractable_index_is_minimal_and_positive():
             for i in range(1, j):
                 smaller = rs.sub(g, rs.simple(i))
                 assert smaller != zero and not rs.is_positive(smaller)
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS + ("A16", "D16", "A31", "D22"))
+def test_root_ids_match_tuple_arithmetic(name):
+    # the sum ids are compared with rs.add in test_chevalley
+    rs = get_system(name)
+    ids = rs.ids
+    zero = (0,) * rs.rank
+    assert ids.negs == [rs.root_id(rs.neg(r)) for r in rs.roots]
+    assert np.array_equal(ids.neg_id, ids.negs)
+    assert ids.simple_ids == tuple(rs.root_id(rs.simple(i))
+                                   for i in range(1, rs.rank + 1))
+    assert len(ids.simple_of) == len(ids.least_sub) == len(ids.top) \
+        == rs.n_positive
+    for g, r in enumerate(rs.positive_roots):
+        assert ids.simple_of[g] == (simple_index(r) or 0)
+        assert ids.top[g] == max(i for i, c in enumerate(r, start=1) if c)
+        least = next(i for i in range(1, rs.rank + 1)
+                     if rs.sub(r, rs.simple(i)) == zero
+                     or rs.is_root(rs.sub(r, rs.simple(i))))
+        assert ids.least_sub[g] == least == min_subtractable_index(rs, r)
+
+
+def test_root_id_tables_are_checked_and_read_only():
+    rs = get_system("D4")
+    coeffs = np.array(rs.roots, dtype=np.int64)
+    defined = rs.ids.sum_id >= 0
+    assert np.array_equal(rootsys._sum_ids(coeffs, defined), rs.ids.sum_id)
+    bad = defined.copy()
+    bad[0, 0] = True  # 2 * roots[0] is not a root
+    with pytest.raises(AssertionError, match="does not"):
+        rootsys._sum_ids(coeffs, bad)
+    moved = coeffs.copy()
+    moved[rs.n_positive - 1] = 0  # no row is delta now, so its sums miss
+    with pytest.raises(AssertionError, match="does not"):
+        rootsys._sum_ids(moved, defined)
+    for shared in (rs.ids.sum_id, rs.ids.neg_id):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 1
 
 
 def test_standard_quadruple_spans_twice_delta():
