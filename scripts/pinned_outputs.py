@@ -6,8 +6,11 @@ one line per invocation: the sha256 of its stdout, its exit code and its
 argv.  The classify --batch invocations read files of seeded random vectors
 that the script writes itself (shown as @FILE): D5/F3, and D4/F65521 and
 D8/F1009, whose vectors are mostly dark.  The roots invocations dump root
-systems in every format; constants A31 and D22 with --check theorem1 run
-the closed form on every pair of the two largest systems.  Run it on two
+systems in every format, and A31 and D22, the two largest, in one format
+each; constants A31 and D22 with --check theorem1 run the closed form on
+every pair of the two largest systems, classify D22 lifts one vector
+through the largest family-D table, and classify A2 at a 17-digit prime
+tests that modulus for primality.  Run it on two
 checkouts and diff the outputs: identical lines mean byte-identical stdout
 and equal exit codes.
 
@@ -72,6 +75,10 @@ def invocations(batches: dict) -> list[list[str]]:
     out += [["roots", s, "--format", f] for s in ("A1", "A8", "D4", "D8", "E8")
             for f in ("text", "json", "csv")]
     out += [["constants", s, "--check", "theorem1"] for s in ("A31", "D22")]
+    out += [["roots", "A31", "--format", "json"],
+            ["roots", "D22", "--format", "csv"],
+            ["classify", "D22", "-p", "3", "--vector", ",".join(["1"] * 80)],
+            ["classify", "A2", "-p", "10000000000000061", "--vector", "1,1"]]
     return out
 
 

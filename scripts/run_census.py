@@ -12,7 +12,8 @@ Every case is checked before any table is built or any line is printed.
 Exit codes, as for the chevorbit CLI: 0 success, 1 a failed crosscheck, 2
 malformed input (system name, modulus, budget or pairs), 3 unsupported
 request (family E, characteristic 2 for family D), 4 enumeration budget
-exceeded or a system with more than 1000 roots.  A refused case prints one
+exceeded, a system with more than 1000 roots or a modulus past
+gfield.MAX_MODULUS.  A refused case prints one
 line on stderr and nothing on stdout.
 """
 
@@ -28,6 +29,7 @@ from pathlib import Path
 from chevorbit import (
     BudgetExceeded,
     CharTwo,
+    ModulusTooLarge,
     PrimeField,
     RootSystem,
     SystemTooLarge,
@@ -132,14 +134,14 @@ def run_case(cfg: CensusConfig, rs: RootSystem, p: int) -> dict:
 
 def main(argv=None) -> int:
     cfg = CensusConfig.from_args(argv)
-    # the exception classes overlap: SystemTooLarge, UnsupportedFamily and
-    # CharTwo are ValueErrors, so they are caught first
+    # the exception classes overlap: SystemTooLarge, ModulusTooLarge,
+    # UnsupportedFamily and CharTwo are ValueErrors, so they are caught first
     try:
         cases = [(admit(cfg, name, p), p) for name, p in cfg.cases]
     except (UnsupportedFamily, CharTwo) as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return 3
-    except (BudgetExceeded, SystemTooLarge) as e:
+    except (BudgetExceeded, SystemTooLarge, ModulusTooLarge) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 4
     except ValueError as e:

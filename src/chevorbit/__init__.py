@@ -31,6 +31,7 @@ from .chevalley import (
 from .gfield import (
     INTEGERS,
     ExactIntegers,
+    ModulusTooLarge,
     NotPrime,
     PrimeField,
     SquareClass,

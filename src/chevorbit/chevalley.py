@@ -199,8 +199,6 @@ class StructureConstantTable:
         # plain-list mirror: scalar indexing of ndarrays is slow in the
         # per-key loops of bracket_keys and liemod
         self._nt_list = nt.tolist()
-        # _sp[t - 1][j] = <alpha_t, roots[j]>
-        self._sp = (np.array(rs.roots) @ np.array(rs.cartan)).T.tolist()
 
     # -- sizes and keys ----------------------------------------------------
 
@@ -249,10 +247,10 @@ class StructureConstantTable:
         if i >= n:
             if j >= n:
                 return ()
-            c = self._sp[i - n][j]
+            c = self.rs.simple_pairs[j][i - n]
             return ((j, c),) if c else ()
         if j >= n:
-            c = self._sp[j - n][i]
+            c = self.rs.simple_pairs[i][j - n]
             return ((i, -c),) if c else ()
         s = self._sums[i][j]
         if s >= 0:
@@ -456,8 +454,7 @@ def _bracket_arrays(table: StructureConstantTable) -> tuple:
     rs = table.rs
     n, rank = table.n_roots, rs.rank
     zero = 2 * n
-    roots = np.array(rs.roots, dtype=np.int64)
-    pairing = roots @ np.array(rs.cartan, dtype=np.int64) @ roots.T
+    pairing = rs.ids.pairing
     ids = np.arange(n)
     simple = np.array(rs.ids.simple_ids)
     out = np.full((n + rank, zero + 1), zero, dtype=np.intp)
@@ -473,7 +470,7 @@ def _bracket_arrays(table: StructureConstantTable) -> tuple:
     coef[n:, :n] = pairing[simple]
     slot = np.concatenate([ids, n + simple])  # h_t is the coroot of alpha_t
     hroot = np.zeros((zero + 1, rank), dtype=np.int64)
-    hroot[n:zero] = roots
+    hroot[n:zero] = rs.roots
     return out, coef, out[:, slot], coef[:, slot], hroot, n
 
 

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 failed verification, crosscheck or classification
 (an internal inconsistency), 2 malformed input, 3 unsupported request
 (family E classification, characteristic 2), 4 enumeration budget
-exceeded, out of memory, or a system with more than rootsys.MAX_ROOTS
-(1000) roots, 130 interrupted (Ctrl-C).  Output goes to stdout, or to
+exceeded, out of memory, a system with more than rootsys.MAX_ROOTS (1000)
+roots, or a modulus of gfield.MAX_MODULUS (about 3.3e24) or more, 130
+interrupted (Ctrl-C).  Output goes to stdout, or to
 --out FILE; identical invocations produce byte-identical output.
 """
 
@@ -35,7 +36,7 @@ from .chevalley import (
     structure_constant_fast,
     verify_table,
 )
-from .gfield import NotPrime, PrimeField, UnsupportedField
+from .gfield import ModulusTooLarge, NotPrime, PrimeField, UnsupportedField
 from .orbitlab import (
     CharTwo,
     ClassificationError,
@@ -108,17 +109,15 @@ def _sign_rule_agreement(table: StructureConstantTable) -> dict:
     """Closed-form sign rule and recursive peel versus the oracle table."""
     rs = table.rs
     rule_pairs = 0
-    for i in range(1, rs.rank + 1):
-        a = rs.simple(i)
-        for b in rs.positive_roots:
-            s = rs.add(a, b)
-            if not rs.is_root(s):
+    for i, a in enumerate(rs.ids.simple_ids, start=1):
+        for b, s in enumerate(rs.ids.sums[a][:rs.n_positive]):
+            if s < 0:
                 continue
             rule_pairs += 1
-            if sign_rule(rs, i, b) != table.structure_constant(a, b):
+            if sign_rule(rs, i, rs.roots[b]) != table.nv(a, b):
                 raise CheckFailed(
                     f"{rs.name}: sign rule disagrees with the table "
-                    f"at ({a}, {b})"
+                    f"at ({rs.roots[a]}, {rs.roots[b]})"
                 )
     memo: dict = {}
     for i, j in table.defined_pairs():
@@ -454,7 +453,8 @@ def main(argv=None) -> int:
     except (UnsupportedFamily, CharTwo, UnsupportedField) as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return 3
-    except (BudgetExceeded, MemoryError, SystemTooLarge) as e:
+    except (BudgetExceeded, MemoryError, SystemTooLarge,
+            ModulusTooLarge) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 4
     except (InconsistentTable, UnderdeterminedTable, JacobiViolation,

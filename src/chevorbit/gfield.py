@@ -28,19 +28,36 @@ class UnsupportedField(ValueError):
     """The operation needs an odd prime field (characteristic != 2)."""
 
 
+class ModulusTooLarge(ValueError):
+    """The modulus is at least MAX_MODULUS, past which is_prime is not exact."""
+
+
+# Miller-Rabin to the first 13 prime bases is exact below MAX_MODULUS, the
+# least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
+# 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Whether n is prime, by deterministic Miller-Rabin; raises
+    ModulusTooLarge for n >= MAX_MODULUS."""
+    if n >= MAX_MODULUS:
+        raise ModulusTooLarge(
+            f"{n} is past the largest supported modulus {MAX_MODULUS - 1}"
+        )
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # a witnesses that n is composite unless a^d == 1 or a^(d 2^r) == -1
+    # for some r < s
+    return not any(
+        pow(a, d, n) != 1
+        and all(pow(a, d << r, n) != n - 1 for r in range(s))
+        for a in _MR_BASES
+    )
 
 
 class PrimeField:

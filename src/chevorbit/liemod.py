@@ -21,8 +21,10 @@ The action of the root element x_gamma(a) on a basis vector:
 
 with h_gamma = sum_t gamma_t h_t (all roots here have the same length).
 Group words are lists of (root, scalar) factors and act right-to-left.
-_action_plan holds these moves per gamma; _v1_moves keeps those from level
-1, re-indexed to phi1: for level-0 gamma they are the whole action on V1.
+_action_plan holds these moves per gamma, read from gamma's rows of
+rs.ids.sums and rs.simple_pairs; _v1_moves keeps those from level 1,
+re-indexed to phi1: for level-0 gamma they are the whole action on V1.
+_scale_plan groups root ids by gamma's column of rs.ids.pairing.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chevalley import StructureConstantTable, table_cached
-from .rootsys import NotARoot, Root
+from .rootsys import Root
 
 
 class ZeroScalar(ValueError):
@@ -102,10 +104,7 @@ class LieVector:
         """Levels carrying a nonzero coefficient; Cartan part counts as 0."""
         rs = self.table.rs
         dom = self.domain
-        out = set()
-        for i, r in enumerate(rs.roots):
-            if not dom.is_zero(self.coeffs[i]):
-                out.add(rs.level(r))
+        out = {q for q, c in zip(rs.levels, self.coeffs) if not dom.is_zero(c)}
         if any(not dom.is_zero(c) for c in self.coeffs[len(rs.roots):]):
             out.add(0)
         return out
@@ -166,16 +165,12 @@ def _action_plan(table: StructureConstantTable, gamma: Root):
     """Per-(table, gamma) index plan for the x_gamma(a) action."""
     rs = table.rs
     gid = rs.root_id(gamma)
-    mid = rs.root_id(rs.neg(gamma))
     n = table.n_roots
-    moves = tuple(
-        (src, rs.root_id(rs.add(beta, gamma)), table.nv(gid, src))
-        for src, beta in enumerate(rs.roots)
-        if rs.pair(beta, gamma) == -1
-    )
+    moves = tuple((src, dst, table.nv(gid, src))
+                  for src, dst in enumerate(rs.ids.sums[gid]) if dst >= 0)
     h_coords = tuple((n + t, c) for t, c in enumerate(gamma) if c)
-    h_feed = tuple((n + t, w) for t, w in enumerate(rs.cdot(gamma)) if w)
-    return gid, mid, moves, h_coords, h_feed
+    h_feed = tuple((n + t, w) for t, w in enumerate(rs.simple_pairs[gid]) if w)
+    return gid, rs.ids.negs[gid], moves, h_coords, h_feed
 
 
 @table_cached
@@ -261,20 +256,14 @@ def w_word(domain, gamma, a) -> GroupWord:
 def _scale_plan(table: StructureConstantTable, gamma: Root):
     """Root ids grouped by <beta, gamma>, for the diagonal torus action."""
     rs = table.rs
-    groups: dict[int, list[int]] = {-2: [], -1: [], 1: [], 2: []}
-    for i, beta in enumerate(rs.roots):
-        q = rs.pair(beta, gamma)
-        if q:
-            groups[q].append(i)
-    return {q: tuple(ids) for q, ids in groups.items()}
+    col = rs.ids.pairing[:, rs.root_id(gamma)]
+    return {q: tuple(np.flatnonzero(col == q).tolist()) for q in (-2, -1, 1, 2)}
 
 
 def w_apply_fast(table: StructureConstantTable, gamma, a,
                  v: LieVector) -> LieVector:
     """w_gamma(a) . v directly: e_beta scales by a^{-<beta, gamma>}."""
-    gamma = tuple(gamma)
-    if not table.rs.is_root(gamma):
-        raise NotARoot(f"{gamma} is not a root of {table.rs.name}")
+    groups = _scale_plan(table, tuple(gamma))  # NotARoot for a non-root
     dom = v.domain
     a = dom.of(a)
     if dom.is_zero(a):
@@ -287,7 +276,7 @@ def w_apply_fast(table: StructureConstantTable, gamma, a,
         2: dom.mul(ia, ia),
     }
     new = list(v.coeffs)
-    for q, ids in _scale_plan(table, gamma).items():
+    for q, ids in groups.items():
         f = factor[q]
         for i in ids:
             new[i] = dom.mul(f, new[i])

@@ -338,9 +338,9 @@ def _kernel_plan(table: StructureConstantTable):
     0 (with the Cartan part) and 1; and (c, u, w) for each block."""
     rs = table.rs
     levels = {-1: [], 0: list(range(table.n_roots, table.n_basis)), 1: []}
-    for i, r in enumerate(rs.roots):
-        if rs.level(r) in levels:
-            levels[rs.level(r)].append(i)
+    for i, q in enumerate(rs.levels):
+        if q in levels:
+            levels[q].append(i)
     blocks = tuple(
         (table.h_key(simple_index(g)), table.e_key(g), table.e_key(rs.neg(g)))
         for g in block_gammas(rs)

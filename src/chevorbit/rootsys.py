@@ -3,7 +3,9 @@
 Roots are integer coefficient vectors over the simple roots alpha_1..alpha_l,
 stored as plain tuples.  All inner products go through the Cartan matrix in
 the normalization <alpha, alpha> = 2 for every root, so pairings are exact
-integers in {-2, ..., 2}.
+integers in {-2, ..., 2}.  Only this module pairs roots: one product of
+the roots with the Cartan matrix, RootSystem.simple_pairs, gives pair, the
+levels, phi1/phi0 and the Cartan terms of the bracket and of liemod.
 
 Numbering conventions (everything downstream depends on them):
 
@@ -20,8 +22,9 @@ in the same order.  The ordering of ``phi1`` induced by this is part of the
 external data format for level-one vectors.
 
 Root ids are positions in that list.  RootSystem.ids holds the tables over
-root ids that the structure-constant code reads (see RootIds); they are
-built once per root system, on first use.
+root ids (see RootIds), the n x n pairing and sum ids among them; they are
+built once per root system, on first use, so the CLI's `roots` never
+builds them.
 """
 
 from __future__ import annotations
@@ -99,11 +102,6 @@ def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-def height(root: Root) -> int:
-    """Sum of simple-root coefficients; negative for negative roots."""
-    return sum(root)
-
-
 def simple_index(root: Root) -> int | None:
     """1-based index if the vector is a simple root, else None."""
     if sum(root) != 1 or min(root) < 0:
@@ -114,10 +112,13 @@ def simple_index(root: Root) -> int | None:
 class RootIds(NamedTuple):
     """Tables over root ids, built once per root system by _root_ids.
 
-    The arrays are read-only and shared by everything built on the root
-    system; copy one before editing it.
+    The sum ids are read by both structure-constant paths and liemod's
+    root-element action, the pairing by the Jacobi check and liemod's torus
+    action.  The arrays are read-only and shared by everything built on the
+    root system; copy one before editing it.
     """
 
+    pairing: np.ndarray  # (n, n) int8: <roots[i], roots[j]>
     sum_id: np.ndarray  # (n, n): id of roots[i] + roots[j], or -1
     sums: list  # sum_id as nested lists, for scalar reads
     neg_id: np.ndarray  # (n,): id of -roots[i]
@@ -158,22 +159,23 @@ def _sum_ids(coeffs: np.ndarray, defined: np.ndarray) -> np.ndarray:
 def _root_ids(rs: "RootSystem") -> RootIds:
     n, h, rank = len(rs.roots), rs.n_positive, rs.rank
     coeffs = np.array(rs.roots, dtype=np.int64)
+    pairing = (coeffs @ np.array(rs.simple_pairs, dtype=np.int64).T
+               ).astype(np.int8)
     # for roots of equal length, a + b is a root exactly when <a, b> == -1
-    sum_id = _sum_ids(coeffs, coeffs @ np.array(rs.cartan) @ coeffs.T == -1)
+    sum_id = _sum_ids(coeffs, pairing == -1)
     neg_id = (np.arange(n) + h) % n  # negatives follow positives in order
-    simple_ids = tuple(rs.root_id(rs.simple(i)) for i in range(1, rank + 1))
-    simple_of = [0] * h
-    for i, g in enumerate(simple_ids, start=1):
-        simple_of[g] = i
+    # the closure puts height 1 first as alpha_l, ..., alpha_1
+    simple_ids = tuple(range(rank - 1, -1, -1))
+    simple_of = [rank - g if g < rank else 0 for g in range(h)]
     # sub[g, i - 1]: roots[g] - alpha_i is a root, or zero
     sub = sum_id[:h, neg_id[list(simple_ids)]] >= 0
     sub[simple_ids, range(rank)] = True
     if not sub.any(axis=1).all():
         raise AssertionError("positive root with no subtractable simple root")
     top = rank - (coeffs[:h, ::-1] != 0).argmax(axis=1)
-    for a in (sum_id, neg_id):
+    for a in (pairing, sum_id, neg_id):
         a.flags.writeable = False
-    return RootIds(sum_id, sum_id.tolist(), neg_id, neg_id.tolist(),
+    return RootIds(pairing, sum_id, sum_id.tolist(), neg_id, neg_id.tolist(),
                    simple_ids, simple_of, (sub.argmax(axis=1) + 1).tolist(),
                    top.tolist())
 
@@ -186,6 +188,8 @@ class RootSystem:
     positive_roots : tuple of roots, ordered by (height, lexicographic)
     roots          : positive roots followed by their negatives, same order
     delta          : the highest root
+    simple_pairs   : per root id j, the list (<roots[j], alpha_t>)_t
+    levels         : per root id j, <roots[j], delta>
     phi1           : roots with <beta, delta> == 1, in the global order
     phi0           : roots with <beta, delta> == 0, in the global order
     """
@@ -195,47 +199,40 @@ class RootSystem:
         self.family = family
         self.rank = rank
         self.cartan = cartan_matrix(family, rank)
+        cartan = np.array(self.cartan, dtype=np.int64)
 
-        simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-        csimple = [self.cartan[i] for i in range(rank)]
-        pos = set(simples)
-        queue = list(simples)
-        while queue:
-            g = queue.pop()
-            for i in range(rank):
-                # for distinct roots of equal length, g + alpha_i is a root
-                # exactly when <g, alpha_i> == -1
-                if sum(gj * cj for gj, cj in zip(g, csimple[i])) == -1:
-                    ng = tuple(gj + sj for gj, sj in zip(g, simples[i]))
-                    if ng not in pos:
-                        pos.add(ng)
-                        queue.append(ng)
-
-        plist = sorted(pos, key=lambda r: (height(r), r))
-        self.positive_roots: tuple[Root, ...] = tuple(plist)
-        self.n_positive = len(plist)
-        self.roots: tuple[Root, ...] = tuple(plist) + tuple(
-            tuple(-c for c in r) for r in plist
-        )
-        self._index = {r: i for i, r in enumerate(self.roots)}
-        self._cdot = {
-            r: tuple(
-                sum(self.cartan[i][j] * r[j] for j in range(rank))
-                for i in range(rank)
-            )
-            for r in self.roots
-        }
-
-        top = height(plist[-1])
-        if sum(1 for r in plist if height(r) == top) != 1:
+        # closure one height at a time: the roots of height h + 1 are the
+        # g + alpha_i over the roots g of height h with <g, alpha_i> == -1
+        # (Humphreys, Introduction to Lie Algebras, 10.2); np.unique sorts
+        # each height lexicographically, starting from the simple roots.
+        # Asking it for indices keeps it from importing numpy.ma (about
+        # 14 ms and 1.7 MB) to test for a masked array.
+        eye = np.eye(rank, dtype=np.int64)
+        heights = [eye[::-1]]
+        while len(heights[-1]):
+            g, i = np.nonzero(heights[-1] @ cartan == -1)
+            heights.append(np.unique(heights[-1][g] + eye[i], axis=0,
+                                     return_index=True)[0])
+        if len(heights[-2]) != 1:
             raise AssertionError("highest root is not unique")
-        self.delta: Root = plist[-1]
-        self._level = {r: self.pair(r, self.delta) for r in self.roots}
+        pos = np.concatenate(heights)
+        coeffs = np.concatenate([pos, -pos])
+
+        self.roots: tuple[Root, ...] = tuple(map(tuple, coeffs.tolist()))
+        self.n_positive = len(pos)
+        self.positive_roots: tuple[Root, ...] = self.roots[:self.n_positive]
+        self._index = {r: i for i, r in enumerate(self.roots)}
+        self.delta: Root = self.positive_roots[-1]
+        # the one root-by-simple-root product (the Cartan matrix is
+        # symmetric): every pairing of roots is read from its rows
+        simple_pairs = coeffs @ cartan
+        self.simple_pairs: list = simple_pairs.tolist()
+        self.levels: list = (simple_pairs @ pos[-1]).tolist()
         self.phi1: tuple[Root, ...] = tuple(
-            r for r in self.roots if self._level[r] == 1
+            r for r, q in zip(self.roots, self.levels) if q == 1
         )
         self.phi0: tuple[Root, ...] = tuple(
-            r for r in self.roots if self._level[r] == 0
+            r for r, q in zip(self.roots, self.levels) if q == 0
         )
         self._phi1_index = {r: i for i, r in enumerate(self.phi1)}
 
@@ -281,21 +278,13 @@ class RootSystem:
     def sub(self, a: Root, b: Root) -> Root:
         return tuple(x - y for x, y in zip(a, b))
 
-    def cdot(self, root: Root) -> tuple[int, ...]:
-        """The vector (<alpha_1, root>, ..., <alpha_l, root>)."""
-        return self._cdot[root]
-
     def pair(self, a: Root, b: Root) -> int:
-        """<a, b> without membership validation (b must be a root)."""
-        cd = self._cdot[b]
-        return sum(x * y for x, y in zip(a, cd))
+        """<a, b> for a root b (NotARoot otherwise); a may be any vector."""
+        return sum(x * y for x, y in zip(a, self.simple_pairs[self.root_id(b)]))
 
     def level(self, root: Root) -> int:
         """<root, delta>: the grading used by the classifier."""
-        try:
-            return self._level[root]
-        except KeyError:
-            raise NotARoot(f"{root} is not a root of {self.name}") from None
+        return self.levels[self.root_id(root)]
 
     def phi1_index(self, root: Root) -> int:
         try:

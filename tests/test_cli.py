@@ -438,6 +438,25 @@ def test_orbits_memory_error_exits_four(capsys, monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "A2", "-p", "3317044064679887385961981", "--vector", "1,1"),
+    ("orbits", "D4", "-p", str(2**89 - 1)),
+])
+def test_modulus_past_the_exact_primality_range_exits_four(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert "largest supported modulus" in err
+
+
+def test_classify_at_a_17_digit_prime_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "classify", "A2", "-p",
+                           "10000000000000061", "--vector", "1,1")
+    assert code == 0 and json.loads(out)["descriptor"]
+    assert time.perf_counter() - t0 < 2.0
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_orbits_nonpositive_budget_exits_two(capsys, budget):
     code, out, err = run_cli(

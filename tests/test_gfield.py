@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevorbit import (
     INTEGERS,
+    ModulusTooLarge,
     NotPrime,
     PrimeField,
     UnsupportedField,
@@ -22,6 +25,59 @@ def test_is_prime_small_values():
     primes_below_50 = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(-5, 50):
         assert is_prime(n) == (n in primes_below_50), n
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n)] == \
+        [n for n in range(10**5) if _trial_division(n)]
+
+
+# n: factors.  Carmichael numbers, then the least strong pseudoprimes to
+# the first k prime bases for k = 1..12 where they differ (Jaeschke;
+# Sorenson and Webster).
+COMPOSITES = {
+    561: (3, 11, 17), 1105: (5, 13, 17), 1729: (7, 13, 19),
+    2465: (5, 17, 29), 2821: (7, 13, 31), 6601: (7, 23, 41),
+    8911: (7, 19, 67), 41041: (7, 11, 13, 41), 825265: (5, 7, 17, 19, 73),
+    321197185: (5, 19, 23, 29, 37, 137),
+    2047: (23, 89), 1373653: (829, 1657), 25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+}
+
+
+@pytest.mark.parametrize("n", sorted(COMPOSITES))
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes(n):
+    assert math.prod(COMPOSITES[n]) == n
+    assert not is_prime(n)
+    with pytest.raises(NotPrime):
+        PrimeField(n)
+
+
+def test_is_prime_accepts_large_primes():
+    for p in (2**31 - 1, 2**61 - 1, 10**16 + 61, 1287836182261,
+              2575672364521):
+        assert is_prime(p), p
+
+
+def test_is_prime_refuses_moduli_past_its_exact_range():
+    from chevorbit.gfield import MAX_MODULUS
+    # the least strong pseudoprime to all 13 bases, so the bound is tight
+    assert math.prod((1287836182261, 2575672364521)) == MAX_MODULUS
+    assert not is_prime(MAX_MODULUS - 1)  # the largest n still decided
+    for n in (MAX_MODULUS, MAX_MODULUS + 2, 2**89 - 1):
+        with pytest.raises(ModulusTooLarge):
+            is_prime(n)
+        with pytest.raises(ModulusTooLarge):
+            PrimeField(n)
 
 
 def test_non_primes_rejected():

@@ -24,6 +24,7 @@ from chevorbit import (
     w_word,
     weyl_word,
 )
+from chevorbit import liemod
 from helpers import (
     get_field,
     get_system,
@@ -322,3 +323,30 @@ def test_act_on_v1_rejects_factors_off_level_zero():
     for g in [(5, 5, 5, 5), (1, 0, 0)]:
         with pytest.raises(NotARoot):
             act_on_v1(t, K, [(g, 1)], (0,) * 8)
+
+
+@pytest.mark.parametrize("name", ["A3", "D4", "E6"])
+def test_action_and_scale_plans_match_tuple_arithmetic(name):
+    # the plans read rs.ids and rs.simple_pairs; compare them with their
+    # definitions written out over root tuples and the Cartan matrix
+    t = get_table(name)
+    rs = t.rs
+    n = t.n_roots
+
+    def form(a, b):
+        return sum(x * c * y for x, row in zip(a, rs.cartan)
+                   for c, y in zip(row, b))
+
+    for gid, gamma in enumerate(rs.roots):
+        moves = tuple((src, rs.root_id(rs.add(beta, gamma)), t.nv(gid, src))
+                      for src, beta in enumerate(rs.roots)
+                      if form(beta, gamma) == -1)
+        h_coords = tuple((n + i, c) for i, c in enumerate(gamma) if c)
+        h_feed = tuple((n + i, w) for i in range(rs.rank)
+                       if (w := form(rs.simple(i + 1), gamma)))
+        assert liemod._action_plan(t, gamma) == (
+            gid, rs.root_id(rs.neg(gamma)), moves, h_coords, h_feed)
+        assert liemod._scale_plan(t, gamma) == {
+            q: tuple(i for i, beta in enumerate(rs.roots)
+                     if form(beta, gamma) == q)
+            for q in (-2, -1, 1, 2)}

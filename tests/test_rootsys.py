@@ -22,7 +22,7 @@ from chevorbit import (
     standard_quadruple,
 )
 from chevorbit import rootsys
-from chevorbit.rootsys import cartan_matrix, dynkin_edges, height
+from chevorbit.rootsys import cartan_matrix, dynkin_edges
 from helpers import ALL_SYSTEMS, ROOT_COUNTS, get_system
 
 
@@ -69,7 +69,7 @@ def test_level_one_size_formula(name):
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
 def test_positive_roots_ordered_by_height_then_lex(name):
     rs = get_system(name)
-    keys = [(height(r), r) for r in rs.positive_roots]
+    keys = [(sum(r), r) for r in rs.positive_roots]  # (height, lex)
     assert keys == sorted(keys)
     # simples come first (height 1), highest root last
     assert sorted(
@@ -95,6 +95,43 @@ def test_sum_is_root_iff_pairing_is_minus_one(name):
         if b == a or b == rs.neg(a):
             continue
         assert rs.is_root(rs.add(a, b)) == (rs.pair(a, b) == -1), (a, b)
+
+
+def test_pair_with_a_non_root_raises_not_a_root():
+    rs = get_system("A3")
+    with pytest.raises(NotARoot):
+        rs.pair((1, 0, 0), (5, 5, 5))
+    assert rs.pair((5, 5, 5), (1, 0, 0)) == 5  # the first argument is free
+
+
+def _cartan_row(rs, b) -> list[int]:
+    """(C b)_t = <alpha_t, b> straight from the Cartan matrix, by tuple
+    arithmetic."""
+    return [sum(c * y for c, y in zip(row, b)) for row in rs.cartan]
+
+
+# the largest coefficient of the highest root, a bound on every root's
+# coefficients
+_MAX_COEFF = {"A": 1, "D": 2, "E6": 3, "E7": 4, "E8": 6}
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_positive_roots_are_the_norm_two_vectors(name):
+    # In a root lattice of type A, D or E the vectors of norm 2 are exactly
+    # the roots, so the positive roots are the nonzero nonnegative integer
+    # vectors v with v^T C v == 2: searched over a box, in chunks, with no
+    # use of the closure.
+    rs = get_system(name)
+    m = _MAX_COEFF[name if name[0] == "E" else name[0]]
+    assert max(rs.delta) == m
+    cartan = np.array(rs.cartan)
+    tail = min(rs.rank, 6)
+    grid = np.array(list(itertools.product(range(m + 1), repeat=tail)))
+    found = []
+    for head in itertools.product(range(m + 1), repeat=rs.rank - tail):
+        v = np.hstack([np.tile(head, (len(grid), 1)).astype(int), grid])
+        found += map(tuple, v[((v @ cartan) * v).sum(axis=1) == 2].tolist())
+    assert rs.positive_roots == tuple(sorted(found, key=lambda r: (sum(r), r)))
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
@@ -206,6 +243,19 @@ def test_root_ids_match_tuple_arithmetic(name):
                      if rs.sub(r, rs.simple(i)) == zero
                      or rs.is_root(rs.sub(r, rs.simple(i))))
         assert ids.least_sub[g] == least == min_subtractable_index(rs, r)
+    cb = [_cartan_row(rs, b) for b in rs.roots]
+    assert rs.simple_pairs == cb  # the Cartan matrix is symmetric
+    level = _cartan_row(rs, rs.delta)
+    assert rs.levels == [sum(x * w for x, w in zip(a, level))
+                         for a in rs.roots]
+    pairing = ids.pairing
+    assert pairing.dtype == np.int8 and not pairing.flags.writeable
+    # every row up to E8, every 16th row of the four largest systems
+    step = 1 if len(rs.roots) <= 240 else 16
+    for i in range(0, len(rs.roots), step):
+        a = rs.roots[i]
+        assert pairing[i].tolist() == [rs.pair(a, b) for b in rs.roots] \
+            == [sum(x * w for x, w in zip(a, c)) for c in cb]
 
 
 def test_root_id_tables_are_checked_and_read_only():
@@ -221,7 +271,7 @@ def test_root_id_tables_are_checked_and_read_only():
     moved[rs.n_positive - 1] = 0  # no row is delta now, so its sums miss
     with pytest.raises(AssertionError, match="does not"):
         rootsys._sum_ids(moved, defined)
-    for shared in (rs.ids.sum_id, rs.ids.neg_id):
+    for shared in (rs.ids.pairing, rs.ids.sum_id, rs.ids.neg_id):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 1
 
