@@ -8,7 +8,8 @@ that the script writes itself (shown as @FILE): D5/F3, and D4/F65521 and
 D8/F1009, whose vectors are mostly dark.  The roots invocations dump root
 systems in every format, and A31 and D22, the two largest, in one format
 each; constants A31 and D22 with --check theorem1 run the closed form on
-every pair of the two largest systems, classify D22 lifts one vector
+every pair of the two largest systems and with --check n3pp count every
+associativity instance of them, classify D22 lifts one vector
 through the largest family-D table, and classify A2 at a 17-digit prime
 tests that modulus for primality.  Run it on two
 checkouts and diff the outputs: identical lines mean byte-identical stdout
@@ -79,6 +80,7 @@ def invocations(batches: dict) -> list[list[str]]:
             ["roots", "D22", "--format", "csv"],
             ["classify", "D22", "-p", "3", "--vector", ",".join(["1"] * 80)],
             ["classify", "A2", "-p", "10000000000000061", "--vector", "1,1"]]
+    out += [["constants", s, "--check", "n3pp"] for s in ("A31", "D22")]
     return out
 
 

@@ -50,6 +50,7 @@ from .orbitlab import (
     _chunk_codes,
     _code_of,
     _descriptor_of,
+    _orbit_count,
     all_descriptors,
     canonical_form,
     classify,
@@ -277,8 +278,18 @@ def enumerate_orbits(table: StructureConstantTable, p: int,
 
 
 def predicted_census(table: StructureConstantTable, p: int) -> list[OrbitDescriptor]:
-    """The descriptor-derived orbit list, no enumeration involved."""
-    return all_descriptors(table, PrimeField(p))
+    """The descriptor-derived orbit list, no enumeration involved.
+
+    Its length is counted first, in closed form: BudgetExceeded when it
+    reaches 2**62, the bound check_budget puts on states."""
+    K = PrimeField(p)
+    count = _orbit_count(table, K)
+    if count >= 2**62:
+        raise BudgetExceeded(
+            f"{table.rs.name} over F_{p} has {count} orbits, "
+            f"too many to list"
+        )
+    return all_descriptors(table, K)
 
 
 # -- invariant codes of all states -------------------------------------------------

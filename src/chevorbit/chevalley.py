@@ -29,8 +29,13 @@ by the first two identity families.  Every orbit has exactly 12 pairs, in
 closed form: with c = -a - b, the ordered pairs of distinct elements of
 {a, b, c} and of {-a, -b, -c} (see build_table_oracle).  The associativity
 instances then become product-of-four relations on canonical
-representatives, solved to a fixpoint with vectorized rounds.  A final
-exhaustive re-check of every instance guards against scatter conflicts.
+representatives.  With d = -a-b-c an instance is the zero-sum 4-cycle
+(a, b, c, d) and its relation is N(a,b) N(c,d) = N(b,c) N(d,a); the order-16
+group of the cycle's rotations, reversal and negation acts freely on the
+instances and keeps the relation, so the oracle solves it to a fixpoint with
+vectorized rounds over one instance per class, and re-checks those rows to
+guard against scatter conflicts.  verify_table re-checks every instance,
+regenerated from the defined-pair mask in bounded chunks.
 
 jacobi_check evaluates basis triples with array gathers: every bracket of
 two basis elements is tabulated once per check, so each double bracket
@@ -176,6 +181,49 @@ def _seeds(ids: RootIds) -> tuple[np.ndarray, np.ndarray]:
     return aj, ids.sum_id[g, ids.neg_id[aj]]
 
 
+_INSTANCE_CHUNK = 1 << 18  # mask entries per chunk: bounds an instance sweep
+
+
+def _instances(sum_id: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The associativity instances (a, b, c) over the given defined pairs
+    (a, b), in that order and then by c: every c with b + c and a + b + c
+    roots.  Yields them as chunks of three int64 arrays, each chunk tested
+    on a mask of at most 2**18 entries (at least one pair), so the sweep
+    holds no array that grows with the instance count."""
+    defined = sum_id >= 0
+    step = max(1, _INSTANCE_CHUNK // len(sum_id))
+    for lo in range(0, a.size, step):
+        x, y = a[lo:lo + step], b[lo:lo + step]
+        i, c = np.nonzero(defined[y] & defined[sum_id[x, y]])
+        yield x[i], y[i], c
+
+
+def _rows(sum_id: np.ndarray, a: np.ndarray, b: np.ndarray,
+          c: np.ndarray) -> np.ndarray:
+    """The flat pair indices (4, m) of instances (a, b, c): the pairs
+    (b, c), (a, b+c), (a+b, c), (a, b), whose constants N0..N3 satisfy
+    N0 N1 == N2 N3.  Sum ids are widened to int64 before they multiply."""
+    n = len(sum_id)
+    ab = sum_id[a, b].astype(np.int64)
+    bc = sum_id[b, c].astype(np.int64)
+    return np.stack([b * n + c, a * n + bc, ab * n + c, a * n + b])
+
+
+def _representatives(ids: RootIds) -> np.ndarray:
+    """One associativity instance (a, b, c) per class of 16, as a (3, I / 16)
+    int64 array (see build_table_oracle): a the least id of the cycle's
+    eight roots, so positive, and b < d."""
+    sum_id, neg_id, h = ids.sum_id, ids.neg_id, len(ids.top)
+    a, b = np.nonzero(sum_id >= 0)
+    lead = (a < h) & (b % h > a)
+    reps = [np.zeros((3, 0), dtype=np.int64)]
+    for x, y, z in _instances(sum_id, a[lead], b[lead]):
+        d = neg_id[sum_id[sum_id[x, y], z]]
+        keep = (z % h > x) & (d % h > x) & (y < d)
+        reps.append(np.stack([x[keep], y[keep], z[keep]]))
+    return np.concatenate(reps, axis=1)
+
+
 class StructureConstantTable:
     """Dense table of N(alpha, beta) with bracket plumbing on basis keys.
 
@@ -185,13 +233,11 @@ class StructureConstantTable:
     copies.
     """
 
-    def __init__(self, rs: RootSystem, nt: np.ndarray, instances: np.ndarray,
-                 stats: dict):
+    def __init__(self, rs: RootSystem, nt: np.ndarray, stats: dict):
         self.rs = rs
         self._nt = nt
         self._sum, self._sums = rs.ids.sum_id, rs.ids.sums
         self._neg, self._negs = rs.ids.neg_id, rs.ids.negs
-        self._instances = instances  # (4, I) flat pair indices, raw
         self.stats = stats
         # derived per-table data (see table_cached); freed with the table
         self.memo: dict = {}
@@ -296,16 +342,60 @@ def build_table_oracle(rs: RootSystem) -> StructureConstantTable:
     would make b = -2a or a = -2b a root.  So the group acts freely, every
     orbit has exactly 12 pairs, and no pair is reached with two signs.  The
     canonical pair of an orbit is the one with the least flat index.
+
+    The associativity instances are the (a, b, c) with a+b, b+c and a+b+c
+    roots.  Put d = -a-b-c.  The rotation identity on the zero-sum triples
+    (a, b+c, d) and (a+b, c, d) gives N(a, b+c) = N(d, a) and
+    N(a+b, c) = N(c, d), so each instance says
+
+        N(a,b) N(c,d) = N(b,c) N(d,a),
+
+    and the instances are exactly the zero-sum 4-cycles (a, b, c, d) of
+    roots whose neighbours sum to roots (c+d = -(a+b), d+a = -(b+c)).  The
+    cycle's 4 rotations, its reversal (d, c, b, a) and its negation
+    (-a, -b, -c, -d) generate a group of order 16 that maps such cycles to
+    such cycles, and every instance is one cycle.
+
+    The group acts freely.  The eight roots +-a, +-b, +-c, +-d are pairwise
+    distinct: neighbours x, y are neither equal nor opposite, as x + y is a
+    root and neither 2x nor 0 is; a = c would make a+b+c = 2a+b a root of
+    squared length 8 - 4 + 2 = 6, as <a, b> = -1; a = -c would need
+    <a, b> = -1 for a+b and <a, b> = +1 for b+c = b-a to be roots; and the
+    same holds for b and d by rotation.  A nontrivial element negates (and
+    moves a to one of -a, -b, -c, -d), or moves the first place to b, c or d,
+    or is the reflection (a, d, c, b), which moves b to d.  So no element
+    fixes a cycle, and every class has exactly 16 instances.
+
+    Every instance of a class gives the same equation.  The row of (a, b, c)
+    is the pairs (b,c), (a,b+c), (a+b,c), (a,b); with the stored signs,
+    N(pair) = rel_sign[pair] * val[canonical pair], and as the constants are
+    units the row says that the product of val over its four canonical
+    pairs is the product of their four rel_signs.  (a, b+c) lies in the
+    orbit of (d, a) and (a+b, c) in that of (c, d), each with the same sign,
+    so the row's canonical pairs and sign product are those of the four
+    edges (a,b), (b,c), (c,d), (d,a) of its cycle.  A rotation permutes the
+    edges; reversal turns each edge (x, y) into (y, x) and negation into
+    (-x, -y), each the same orbit with the opposite sign, four flips in all.
+    So the rows of a class have one multiset of canonical unknowns and one
+    sign product: in every round they are open together and pin the same
+    value.  Propagating over one row per class therefore gives the values
+    and the round count of propagating over all rows, and the re-check of
+    those rows on the finished table, whose pairs are filled from the
+    canonical values by rel_sign, checks every instance.
+
+    The rows of a class that start at a given root x are (x, y, z, w) and
+    (x, w, z, y), for each of the eight roots.  The representative starts at
+    the least id of the eight, which is positive (negatives follow the
+    positives, so x % h is the id of the positive one of +-x), and has
+    b < d.  stats["instances"] counts all instances, 16 per representative.
     """
     n = len(rs.roots)
     sum_id, neg_id = rs.ids.sum_id, rs.ids.neg_id
 
     # quotient of defined pairs by the antisymmetry + rotation group;
     # stored sign means value(pair) == sign * value(canonical pair)
-    defined = sum_id >= 0
-    a, b = np.nonzero(defined)
-    ab = sum_id[a, b]
-    c = neg_id[ab]
+    a, b = np.nonzero(sum_id >= 0)
+    c = neg_id[sum_id[a, b]]
     x = np.stack([a, b, c, neg_id[b], neg_id[a], neg_id[c]])
     y = np.stack([b, c, a, neg_id[a], neg_id[c], neg_id[b]])
     images = np.concatenate([x * n + y, y * n + x])  # (12, P), signs + then -
@@ -316,10 +406,7 @@ def build_table_oracle(rs: RootSystem) -> StructureConstantTable:
     rel_sign = np.zeros(n * n, dtype=np.int8)
     rel_sign[pflat] = np.where(first < 6, 1, -1)
 
-    # associativity instances (a, b, c): a+b, b+c, a+b+c all roots
-    i, cs = np.nonzero(defined[b] & defined[ab])
-    flat = np.stack([b[i] * n + cs, a[i] * n + sum_id[b[i], cs],
-                     ab[i] * n + cs, pflat[i]])  # (4, I)
+    flat = _rows(sum_id, *_representatives(rs.ids))  # (4, I / 16)
     unknowns = canon_flat[flat]
     rel_prod = rel_sign[flat].astype(np.int16).prod(axis=0).astype(np.int8)
 
@@ -332,7 +419,7 @@ def build_table_oracle(rs: RootSystem) -> StructureConstantTable:
     # propagation rounds: rows with exactly one unknown pin it
     rounds = 0
     while unknowns.shape[1]:
-        v = val[unknowns]  # (4, I)
+        v = val[unknowns]  # (4, I / 16)
         open_mask = v == 0
         cnt = open_mask.sum(axis=0)
         rows = np.nonzero(cnt == 1)[0]
@@ -355,7 +442,7 @@ def build_table_oracle(rs: RootSystem) -> StructureConstantTable:
     nt_flat[pflat] = resolved
     nt = nt_flat.reshape(n, n)
 
-    # exhaustive instance re-check guards against scatter conflicts
+    # re-checking the representatives guards against scatter conflicts
     w = nt_flat[flat].astype(np.int16)
     if not np.all(w[0] * w[1] == w[2] * w[3]):
         raise InconsistentTable(
@@ -366,11 +453,11 @@ def build_table_oracle(rs: RootSystem) -> StructureConstantTable:
         "roots": n,
         "defined_pairs": int(pflat.size),
         "pair_orbits": int(np.count_nonzero(first == 0)),  # canonical pairs
-        "instances": int(flat.shape[1]),
+        "instances": 16 * int(flat.shape[1]),
         "seeds": int(f.size),
         "rounds": rounds,
     }
-    return StructureConstantTable(rs, nt, flat, stats)
+    return StructureConstantTable(rs, nt, stats)
 
 
 # -- verification ----------------------------------------------------------
@@ -382,7 +469,6 @@ def verify_table(table: StructureConstantTable) -> dict:
     Raises InconsistentTable on any violation; returns check counts.
     """
     rs = table.rs
-    n = table.n_roots
     nt = table._nt
     sum_id = table._sum
     neg = table._neg
@@ -403,12 +489,13 @@ def verify_table(table: StructureConstantTable) -> dict:
         "rotation_1": np.array_equal(v, nt[bb, neg[ss]]),
         "rotation_2": np.array_equal(v, nt[neg[ss], aa]),
     }
-    flat = table._instances
-    if flat.shape[1]:
-        w = nt.reshape(-1)[flat].astype(np.int16)
-        checks["associativity"] = bool(np.all(w[0] * w[1] == w[2] * w[3]))
-    else:
-        checks["associativity"] = True
+    # every instance, regenerated from the mask in bounded chunks
+    nt_flat, instances, holds = nt.reshape(-1), 0, True
+    for a, b, c in _instances(sum_id, aa, bb):
+        w = nt_flat[_rows(sum_id, a, b, c)].astype(np.int16)
+        holds &= bool(np.all(w[0] * w[1] == w[2] * w[3]))
+        instances += a.size
+    checks["associativity"] = holds
 
     sa, sb = _seeds(rs.ids)
     checks["seeds"] = bool(np.all(nt[sa, sb] == 1))
@@ -418,7 +505,7 @@ def verify_table(table: StructureConstantTable) -> dict:
         raise InconsistentTable(f"{rs.name}: identity checks failed: {bad}")
     return {
         "defined_pairs": int(aa.size),
-        "instances": int(flat.shape[1]),
+        "instances": instances,
         "seeds": int(sa.size),
     }
 

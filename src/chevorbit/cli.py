@@ -455,7 +455,9 @@ def main(argv=None) -> int:
         return 3
     except (BudgetExceeded, MemoryError, SystemTooLarge,
             ModulusTooLarge) as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
+        # a MemoryError usually carries no message
+        print(f"budget exceeded: {str(e) or 'out of memory'}",
+              file=sys.stderr)
         return 4
     except (InconsistentTable, UnderdeterminedTable, JacobiViolation,
             MismatchReport, CheckFailed, ClassificationError) as e:

@@ -676,6 +676,19 @@ def _orbit_types(table: StructureConstantTable, K) -> dict:
     return types
 
 
+def _orbit_count(table: StructureConstantTable, K) -> int:
+    """How many descriptors all_descriptors lists, without listing them:
+    summed over the orbit types, the product of their parameter-range
+    sizes.  A range is sized by its ends, since len() of one past 2**63
+    raises OverflowError."""
+    _check_domain(table, K)
+    return sum(
+        math.prod(r.stop - r.start if isinstance(r, range) else len(r)
+                  for _, r in params)
+        for params, _ in _orbit_types(table, K).values()
+    )
+
+
 def _descriptors_of_type(rs: RootSystem, p: int, label: str, params):
     """The descriptors of one orbit type, in all_descriptors order."""
     names = [n for n, _ in params]

@@ -119,7 +119,7 @@ class RootIds(NamedTuple):
     """
 
     pairing: np.ndarray  # (n, n) int8: <roots[i], roots[j]>
-    sum_id: np.ndarray  # (n, n): id of roots[i] + roots[j], or -1
+    sum_id: np.ndarray  # (n, n) int32: id of roots[i] + roots[j], or -1
     sums: list  # sum_id as nested lists, for scalar reads
     neg_id: np.ndarray  # (n,): id of -roots[i]
     negs: list
@@ -138,7 +138,8 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 def _sum_ids(coeffs: np.ndarray, defined: np.ndarray) -> np.ndarray:
     """sum_id[i, j] = the row of coeffs equal to coeffs[i] + coeffs[j]
-    where defined[i, j], and -1 elsewhere.
+    where defined[i, j], and -1 elsewhere, as int32 since ids stay below
+    MAX_ROOTS; readers widen to int64 before forming id * n + id.
 
     Each sum is found by a binary search over the rows as byte strings, then
     compared with the row found; a sum that is no row raises AssertionError.
@@ -151,7 +152,7 @@ def _sum_ids(coeffs: np.ndarray, defined: np.ndarray) -> np.ndarray:
     found = order[np.searchsorted(keys[order], _row_keys(s)).clip(max=n - 1)]
     if not np.array_equal(coeffs[found], s):
         raise AssertionError("a pair marked as summing to a root does not")
-    sum_id = np.full((n, n), -1, dtype=np.int64)
+    sum_id = np.full((n, n), -1, dtype=np.int32)
     sum_id[i, j] = found
     return sum_id
 

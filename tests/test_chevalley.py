@@ -29,9 +29,12 @@ from chevorbit import (
 from chevorbit.chevalley import (
     _all_triples,
     _bracket_arrays,
+    _instances,
     _jacobi_defect,
     _jacobi_fails,
+    _representatives,
     _sampled_triples,
+    _seeds,
 )
 from helpers import ALL_SYSTEMS, get_system, get_table
 
@@ -142,8 +145,7 @@ def test_verify_table_detects_symmetric_corruption():
 
 def _tampered(name, nt=None, sum_id=None):
     t = get_table(name)
-    bad = StructureConstantTable(t.rs, t._nt if nt is None else nt,
-                                 t._instances, t.stats)
+    bad = StructureConstantTable(t.rs, t._nt if nt is None else nt, t.stats)
     if sum_id is not None:
         bad._sum = sum_id  # the root system's own table stays as it is
     return bad
@@ -175,6 +177,86 @@ def test_verify_table_detects_flipped_seeds():
     with pytest.raises(InconsistentTable,
                        match=r"identity checks failed: \['seeds'\]"):
         verify_table(_tampered("D4", nt=-t._nt))
+
+
+def _unseeded_orbits(rs) -> list[list[tuple[int, int]]]:
+    """The pair orbits (see build_table_oracle) that hold no seed, each as
+    its 12 pairs sorted, in order: (x, y), (y, x), (-x, -y), (-y, -x) for
+    the pairs (x, y) of a zero-sum triple in cyclic order."""
+    sums, negs = rs.ids.sums, rs.ids.negs
+    seeds = set(zip(*(s.tolist() for s in _seeds(rs.ids))))
+    orbits = set()
+    for a, b in zip(*np.nonzero(rs.ids.sum_id >= 0)):
+        a, b = int(a), int(b)
+        c = negs[sums[a][b]]
+        orbits.add(frozenset(
+            q for x, y in ((a, b), (b, c), (c, a))
+            for q in ((x, y), (y, x), (negs[x], negs[y]), (negs[y], negs[x]))
+        ))
+    return sorted(sorted(o) for o in orbits if not o & seeds)
+
+
+@pytest.mark.parametrize("name,k", [("D4", k) for k in range(8)]
+                         + [("A5", None), ("E6", None), ("E8", None)])
+def test_verify_table_catches_a_flipped_unseeded_orbit_by_associativity(name,
+                                                                      k):
+    # negating a whole pair orbit keeps antisymmetry and the rotations, and
+    # an orbit without a seed keeps the seeds: associativity alone, which
+    # pins every value from the seeds, must fail
+    t = get_table(name)
+    orbits = _unseeded_orbits(t.rs)
+    assert len(orbits) == t.stats["pair_orbits"] - t.stats["seeds"]
+    orbit = orbits[k] if k is not None else random.Random(name).choice(orbits)
+    assert len(orbit) == 12
+    nt = t._nt.copy()
+    for i, j in orbit:
+        nt[i, j] = -nt[i, j]
+    with pytest.raises(InconsistentTable,
+                       match=r"identity checks failed: \['associativity'\]"):
+        verify_table(_tampered(name, nt=nt))
+
+
+def _cycle_images(rs, rows: np.ndarray) -> np.ndarray:
+    """The 16 images (a, b, c) of each instance under the rotations, the
+    reversal and the negation of its cycle (a, b, c, -a-b-c): (16, 3, R)."""
+    sum_id, neg = rs.ids.sum_id, rs.ids.neg_id
+    a, b, c = rows
+    cycle = [a, b, c, neg[sum_id[sum_id[a, b], c]]]
+    images = []
+    for k in range(4):
+        turned = cycle[k:] + cycle[:k]
+        for way in (turned, turned[::-1]):
+            images += [np.stack(way[:3]), neg[np.stack(way[:3])]]
+    return np.stack(images)
+
+
+def _keys(n: int, rows: np.ndarray) -> np.ndarray:
+    """Instances (a, b, c) as sorted integers (a * n + b) * n + c."""
+    return np.sort(((rows[0] * n + rows[1]) * n + rows[2]).ravel())
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS + ("A16", "D16"))
+def test_representatives_are_one_instance_per_class_of_16(name):
+    t = get_table(name)
+    rs, n = t.rs, t.n_roots
+    reps = _representatives(rs.ids)
+    images = _keys(n, _cycle_images(rs, reps).transpose(1, 0, 2).reshape(3, -1))
+    assert np.all(images[1:] != images[:-1])  # 16 distinct images per row
+    aa, bb = np.nonzero(rs.ids.sum_id >= 0)
+    full = np.concatenate([np.zeros((3, 0), dtype=np.int64)]
+                          + [np.stack(k) for k in _instances(rs.ids.sum_id,
+                                                             aa, bb)], axis=1)
+    assert np.array_equal(images, _keys(n, full))
+    assert 16 * reps.shape[1] == t.stats["instances"] \
+        == verify_table(t)["instances"]
+
+
+@pytest.mark.parametrize("name,count", [("A31", 1_726_080),
+                                        ("D22", 2_882_880)])
+def test_instance_counts_of_the_largest_systems(name, count):
+    t = build_table_oracle(get_system(name))
+    assert 16 * _representatives(t.rs.ids).shape[1] == t.stats["instances"] \
+        == verify_table(t)["instances"] == count
 
 
 def test_jacobi_exhaustive_small_system():
@@ -212,7 +294,7 @@ def _negated_pair(name: str) -> tuple[StructureConstantTable, int, int]:
     nt = t._nt.copy()
     nt[i, j] = -nt[i, j]
     nt[j, i] = -nt[j, i]
-    return StructureConstantTable(t.rs, nt, t._instances, t.stats), i, j
+    return StructureConstantTable(t.rs, nt, t.stats), i, j
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS[1:])

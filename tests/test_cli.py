@@ -438,6 +438,28 @@ def test_orbits_memory_error_exits_four(capsys, monkeypatch):
     assert out == ""
 
 
+def test_memory_error_without_a_message_still_gives_a_reason(capsys,
+                                                            monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "predicted_census", exhausted)
+    code, out, err = run_cli(capsys, "orbits", "A3", "-p", "3")
+    assert code == 4
+    assert out == ""
+    assert err == "budget exceeded: out of memory\n"
+
+
+@pytest.mark.parametrize("p", [10**16 + 61, 2**64 + 13])
+def test_predicted_census_past_2_62_orbits_exits_four(capsys, p):
+    # A2 has p**2 orbits; the count is refused before any is listed
+    code, out, err = run_cli(capsys, "orbits", "A2", "-p", str(p))
+    assert code == 4
+    assert out == ""
+    assert err == (f"budget exceeded: A2 over F_{p} has {p * p} orbits, "
+                   f"too many to list\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "A2", "-p", "3317044064679887385961981", "--vector", "1,1"),
     ("orbits", "D4", "-p", str(2**89 - 1)),

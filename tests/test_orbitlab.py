@@ -961,6 +961,22 @@ def test_descriptor_counts_match_pinned_censuses():
         assert descs[0].label == "I"
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A8", "D4", "D5",
+                                  "D8"])
+def test_orbit_count_is_the_length_of_the_descriptor_list(name):
+    t = get_table(name)
+    for p in (3, 5, 31):
+        K = get_field(p)
+        assert orbitlab._orbit_count(t, K) == len(all_descriptors(t, K))
+
+
+
+def test_orbit_count_past_2_63():
+    # A2 has p**2 orbits; len() of a range this long raises OverflowError
+    p = 2**64 + 13
+    assert orbitlab._orbit_count(get_table("A2"), PrimeField(p)) == p * p
+
+
 def test_descriptor_list_is_deterministic():
     t = get_table("D4")
     K = get_field(5)

@@ -274,6 +274,7 @@ def test_root_id_tables_are_checked_and_read_only():
     for shared in (rs.ids.pairing, rs.ids.sum_id, rs.ids.neg_id):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 1
+    assert rs.ids.sum_id.dtype == np.int32
 
 
 def test_standard_quadruple_spans_twice_delta():
