@@ -10,8 +10,10 @@ systems in every format, and A31 and D22, the two largest, in one format
 each; constants A31 and D22 with --check theorem1 run the closed form on
 every pair of the two largest systems and with --check n3pp count every
 associativity instance of them, classify D22 lifts one vector
-through the largest family-D table, and classify A2 at a 17-digit prime
-tests that modulus for primality.  Run it on two
+through the largest family-D table, classify A2 at a 17-digit prime
+tests that modulus for primality, and orbits D4 -p 7 --brute-force
+partitions 5,764,801 states, the largest family-D census within the
+default budget.  Run it on two
 checkouts and diff the outputs: identical lines mean byte-identical stdout
 and equal exit codes.
 
@@ -81,6 +83,7 @@ def invocations(batches: dict) -> list[list[str]]:
             ["classify", "D22", "-p", "3", "--vector", ",".join(["1"] * 80)],
             ["classify", "A2", "-p", "10000000000000061", "--vector", "1,1"]]
     out += [["constants", s, "--check", "n3pp"] for s in ("A31", "D22")]
+    out.append(["orbits", "D4", "-p", "7", "--brute-force"])
     return out
 
 

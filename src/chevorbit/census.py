@@ -9,7 +9,10 @@ Lectures on Chevalley Groups, 1967).  Each generator shifts coefficients
 along the disjoint source/target pairs of liemod's plan (_v1_moves) and
 permutes the states; the orbits are
 the connected components of those permutations, each labelled by its least
-(lexicographically first) state.
+(lexicographically first) state.  They are found by hooking and pointer
+jumping on arrays indexed by state; each permutation is rebuilt from its
+shift tables when it is needed, so enumeration holds a fixed number of such
+arrays whatever the number of generators.
 
 The crosscheck compares the invariant-based classifier against the ground
 truth partition:
@@ -18,8 +21,9 @@ truth partition:
   orbit has the listed size,
 * the classifier's invariant code is constant on every orbit, checked for
   every single state by classify's own code (orbitlab._code_of) on batches
-  of fixed-size chunks of states, and equal to the code of the scalar path
-  at every representative,
+  of fixed-size chunks of states, streamed in ascending order so that no
+  array of codes of every state is held, and equal to the code of the
+  scalar path at every representative,
 * each census descriptor is the one the classifier decodes from its
   representative's code, and the descriptors are pairwise distinct, so
   every pair of representatives is classified apart,
@@ -192,36 +196,48 @@ def _orbit_partition(moves, p: int, m: int):
     jumps until every label is a root; once no edge joins two labels, each
     label is the least state of its component.  Orbits are indexed by
     ascending least state.
+
+    A move's image, a permutation of the states, is rebuilt from the move's
+    shift tables in every round and dropped after its one gather, so the
+    peak is a fixed number of index arrays (_PARTITION_ARRAYS), whatever the
+    number of moves.
     """
     total = p ** m
     dtype = _index_dtype(total)
-    pw = [p ** (m - 1 - i) for i in range(m)]
-    states = np.arange(total, dtype=dtype)
     digit = np.arange(p, dtype=dtype)
 
-    def along(i):
-        return digit.reshape([p if j == i else 1 for j in range(m)])
-
-    # viewed as a (p,) * m grid of states, a move adds sgn * x_src to x_dst
-    # for each of its pairs, and no target is also a source: each pair adds
-    # a p x p table of state shifts, broadcast over the other digits
-    images = []
-    for move in moves:
-        img = states.copy()
-        grid = img.reshape((p,) * m)
+    def image(move):
+        # a move adds sgn * x_src to x_dst for each of its pairs, and no
+        # target is also a source: each pair adds a p x p table of state
+        # shifts, indexed by the two digits and broadcast over the others
+        # through a 5-D view of the states
+        img = np.arange(total, dtype=dtype)
         for s, d, g in move:
-            grid += ((along(d) + g * along(s)) % p - along(d)) * pw[d]
-        images.append(img)
+            shift = (((digit + g * digit[:, None]) % p - digit)
+                     * p ** (m - 1 - d))  # [x_src, x_dst]
+            lo, hi = sorted((s, d))
+            shape = (p ** lo, p, p ** (hi - lo - 1), p, p ** (m - 1 - hi))
+            table = (shift if s < d else shift.T)[:, None, :, None]
+            if lo:
+                # numpy's inner loop runs over the last axis, which is short
+                # when hi is a late digit: spell the table out over every
+                # digit after x_lo, at most total / p entries, and add it
+                # over the leading digits instead
+                table = np.broadcast_to(table, shape[1:]).reshape(-1)
+                shape = (shape[0], -1)
+            view = img.reshape(shape)
+            view += table
+        return img
 
-    label = states
+    label = np.arange(total, dtype=dtype)
     while True:
         root = label.copy()
-        for img in images:
-            a, b = root, root[img]
-            cut = a != b
-            if cut.any():
-                a, b = a[cut], b[cut]
-                np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        for move in moves:
+            b = root[image(move)]
+            # where root == b the hook writes min(label[b], b): a no-op,
+            # since every label is at most its own state
+            if not np.array_equal(root, b):
+                np.minimum.at(label, np.maximum(root, b), np.minimum(root, b))
         if np.array_equal(label, root):
             break
         while True:
@@ -235,9 +251,11 @@ def _orbit_partition(moves, p: int, m: int):
     return orbit_id, np.flatnonzero(is_least), np.bincount(orbit_id)
 
 
-# _orbit_partition holds one array per move plus at most this many more
-# (8.5 measured), each of p**m index-sized entries
-_PARTITION_ARRAYS = 9
+# _orbit_partition holds at most this many arrays of p**m index-sized
+# entries, whatever the number of moves: 7.25 measured with tracemalloc,
+# since a gather or minimum.at through int32 indices first copies them to
+# int64
+_PARTITION_ARRAYS = 8
 
 
 def enumerate_orbits(table: StructureConstantTable, p: int,
@@ -257,8 +275,7 @@ def enumerate_orbits(table: StructureConstantTable, p: int,
     m = len(rs.phi1)
     total = check_budget(rs, p, budget)
     moves = _generator_moves(table)
-    peak = ((len(moves) + _PARTITION_ARRAYS) * total
-            * np.dtype(_index_dtype(total)).itemsize)
+    peak = _PARTITION_ARRAYS * total * np.dtype(_index_dtype(total)).itemsize
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # platform without sysconf
@@ -292,32 +309,6 @@ def predicted_census(table: StructureConstantTable, p: int) -> list[OrbitDescrip
     return all_descriptors(table, K)
 
 
-# -- invariant codes of all states -------------------------------------------------
-
-
-def _state_codes(table: StructureConstantTable, p: int) -> np.ndarray:
-    """orbitlab._code_of of every state of V1(F_p), computed in chunks of
-    orbitlab._CHUNK states, which bounds the memory of the batch code pass."""
-    m = len(table.rs.phi1)
-    total = p ** m
-
-    def columns(lo, hi):
-        # base-p digits, least significant first, each reduced by floor
-        # division as gfield._mod does, with the quotient kept for the next
-        q = np.arange(lo, hi, dtype=_index_dtype(total))
-        digits = []
-        for _ in range(m):
-            r = q // p
-            digits.append(q - r * p)
-            q = r
-        return digits[::-1]
-
-    code = np.empty(total, dtype=np.int64)
-    for lo, chunk in _chunk_codes(table, p, total, columns):
-        code[lo:lo + len(chunk)] = chunk
-    return code
-
-
 # -- the crosscheck ---------------------------------------------------------------
 
 
@@ -342,22 +333,42 @@ def crosscheck(table: StructureConstantTable, p: int,
     orbit_id = _orbit_id_array(table, p, census, rep_states)
 
     # (a) the classifier's code is constant state-by-state on every orbit,
-    # and the batch code agrees with the scalar one at every representative
-    codes = _state_codes(table, p)
-    want = codes[rep_states][orbit_id]
-    if not np.array_equal(codes, want):
-        bad = int(np.nonzero(codes != want)[0][0])
-        raise MismatchReport(
-            "invariant code varies inside a brute-force orbit",
-            {
-                "state": vector_of_state(rs, p, bad),
-                "orbit_representative": census.orbits[
-                    int(orbit_id[bad])
-                ].representative,
-            },
-        )
-    for o, st in zip(census.orbits, rep_states):
-        if _code_of(table, K, o.representative) != codes[st]:
+    # and the batch code agrees with the scalar one at every representative.
+    # The chunks come in ascending order and each representative is the
+    # least state of its orbit, so its code is recorded from its own chunk
+    # before any other state of the orbit is compared with it.
+    m = len(rs.phi1)
+
+    def columns(lo, hi):
+        # base-p digits, least significant first, each reduced by floor
+        # division as gfield._mod does, with the quotient kept for the next
+        q = np.arange(lo, hi, dtype=_index_dtype(total))
+        digits = []
+        for _ in range(m):
+            r = q // p
+            digits.append(q - r * p)
+            q = r
+        return digits[::-1]
+
+    rep_codes = np.empty(census.orbit_count, dtype=np.int64)
+    for lo, chunk in _chunk_codes(table, p, total, columns):
+        first, last = np.searchsorted(rep_states, (lo, lo + len(chunk)))
+        rep_codes[first:last] = chunk[rep_states[first:last] - lo]
+        ids = orbit_id[lo:lo + len(chunk)]
+        bad = np.flatnonzero(chunk != rep_codes[ids])
+        if bad.size:
+            raise MismatchReport(
+                "invariant code varies inside a brute-force orbit",
+                {
+                    "state": vector_of_state(rs, p, lo + int(bad[0])),
+                    "orbit_representative": census.orbits[
+                        int(ids[bad[0]])
+                    ].representative,
+                },
+            )
+    codes = rep_codes.tolist()
+    for o, code in zip(census.orbits, codes):
+        if _code_of(table, K, o.representative) != code:
             raise MismatchReport(
                 "scalar and batch invariant codes disagree",
                 {"representative": o.representative},
@@ -367,7 +378,7 @@ def crosscheck(table: StructureConstantTable, p: int,
     # (b) each census descriptor is its representative's decoded code, and
     # the descriptors are pairwise distinct across orbits
     seen: dict[OrbitDescriptor, tuple] = {}
-    for o, code in zip(census.orbits, codes[rep_states].tolist()):
+    for o, code in zip(census.orbits, codes):
         got = _descriptor_of(table, K, code)
         if got != o.descriptor:
             raise MismatchReport(
@@ -414,12 +425,11 @@ def crosscheck(table: StructureConstantTable, p: int,
              "got": got, "want": bool(want[i])},
         )
 
-    for i, (s1, s2) in enumerate(sampled[:_SCALAR_PAIRS].tolist()):
-        got = same_orbit(table, K, vector_of_state(rs, p, s1),
-                         vector_of_state(rs, p, s2))
-        if got != want[i]:
-            raise disagree(i, got)
-    digits = _mod(sampled.reshape(-1, 1) // _powers(p, len(rs.phi1)), p)
+    digits = _mod(sampled.reshape(-1, 1) // _powers(p, m), p)
+    vectors = list(map(tuple, digits[:2 * _SCALAR_PAIRS].tolist()))
+    for i, (x1, x2) in enumerate(zip(vectors[::2], vectors[1::2])):
+        if same_orbit(table, K, x1, x2) != want[i]:
+            raise disagree(i, not want[i])
     index: dict[OrbitDescriptor, int] = {}
     ids = np.array([index.setdefault(d, len(index))
                     for d in classify_many(table, K, digits)],

@@ -23,6 +23,7 @@ from chevorbit import (
     predicted_census,
 )
 from chevorbit import census as census_mod
+from chevorbit import orbitlab
 from chevorbit.census import state_of_vector, vector_of_state
 from helpers import (
     ArrayField,
@@ -114,6 +115,25 @@ def test_enumeration_matches_predicted_census_beyond_pinned_cases(
     assert ({e.descriptor for e in census.orbits}
             == set(predicted_census(table, p)))
     assert sum(e.size for e in census.orbits) == p ** len(table.rs.phi1)
+
+
+# D6/F3 has 43,046,721 states, past the default budget and too slow for this
+# suite: scripts/run_census.py --system D6 -p 3 --budget 43046721 enumerated
+# it, with its crosscheck, into these nine orbits
+D6_F3_ORBITS = {
+    ("I", ()), ("II", ()), ("IIIb", ()),
+    ("IIIa", (("rho_class", "1"),)), ("IIIa", (("rho_class", "2"),)),
+    ("IV", (("rho_class", "1"),)), ("IV", (("rho_class", "2"),)),
+    ("V", (("k", 1), ("rho_class", "1"))),
+    ("V", (("k", 2), ("rho_class", "1"))),
+}
+
+
+def test_predicted_census_of_d6_over_f3_is_the_enumerated_one():
+    predicted = predicted_census(get_table("D6"), 3)
+    assert len(predicted) == 9
+    assert {(d.label, tuple(sorted(d.to_json()["params"].items())))
+            for d in predicted} == D6_F3_ORBITS
 
 
 def test_census_metadata_and_sizes():
@@ -389,14 +409,20 @@ def test_crosscheck_reports_a_code_that_varies_inside_an_orbit(monkeypatch):
     rs = get_table("D4").rs
     i = next(i for i, o in enumerate(census.orbits) if o.size > 1)
     state = int(np.flatnonzero(census.orbit_id == i)[-1])
-    real = census_mod._state_codes
+    real = census_mod._chunk_codes
+    # the code pass streams chunks: with chunks of 2**10 of the 3**8 states
+    # the shifted code lies past the first chunk
+    monkeypatch.setattr(orbitlab, "_CHUNK", 1 << 10)
+    assert state >= 1 << 10
 
-    def one_off(table, p):
-        codes = real(table, p)
-        codes[state] += 1
-        return codes
+    def one_off(table, p, n, columns):
+        for lo, codes in real(table, p, n, columns):
+            if lo <= state < lo + len(codes):
+                codes = codes.copy()
+                codes[state - lo] += 1
+            yield lo, codes
 
-    monkeypatch.setattr(census_mod, "_state_codes", one_off)
+    monkeypatch.setattr(census_mod, "_chunk_codes", one_off)
     with pytest.raises(MismatchReport, match="varies inside") as e:
         _d4_crosscheck(census=census)
     assert e.value.details == {
@@ -502,17 +528,37 @@ def test_crosscheck_reports_predicted_and_enumerated_lists_that_differ(
 
 def test_crosscheck_code_pass_memory_is_bounded():
     table = get_table("D4")
+    census = get_census("D4", 5)
     total = 5 ** 8  # 390,625 states
     tracemalloc.start()
     try:
-        codes = census_mod._state_codes(table, 5)
+        crosscheck(table, 5, census=census)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert codes.shape == (total,)
-    # the codes take 8 bytes per state; lifting every state at once held
-    # about 200 (an int64 and an int16 lane per lift coefficient)
-    assert peak < 40 * total
+    # the code pass streams its chunks: holding every state's int64 code,
+    # and the int64 code wanted at every state, took 16 bytes per state on
+    # their own and about 23 for the whole crosscheck; lifting every state
+    # at once held about 200 (an int64 and an int16 lane per coefficient)
+    assert peak < 20 * total
+
+
+@pytest.mark.parametrize("system,p,moves", [("D4", 5, 6), ("D5", 3, 8)])
+def test_orbit_partition_memory_does_not_grow_with_the_moves(system, p,
+                                                             moves):
+    table = get_table(system)
+    gens = census_mod._generator_moves(table)
+    m = len(table.rs.phi1)
+    assert len(gens) == moves
+    tracemalloc.start()
+    try:
+        census_mod._orbit_partition(gens, p, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # each move's image is rebuilt per hook round and dropped after its
+    # gather; holding one image per move peaked at 14.5 and 16.5 arrays
+    assert peak < 8 * p ** m * np.dtype(np.int32).itemsize
 
 
 def test_orbit_entry_json_schema():
