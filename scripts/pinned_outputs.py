@@ -13,7 +13,9 @@ associativity instance of them, classify D22 lifts one vector
 through the largest family-D table, classify A2 at a 17-digit prime
 tests that modulus for primality, and orbits D4 -p 7 --brute-force
 partitions 5,764,801 states, the largest family-D census within the
-default budget.  Run it on two
+default budget.  orbits D7 -p 5 classifies every canonical vector of D7,
+and classify --vector runs at D8/F65521 on a dark and a sparse vector and
+at A8/F65521.  Run it on two
 checkouts and diff the outputs: identical lines mean byte-identical stdout
 and equal exit codes.
 
@@ -84,6 +86,16 @@ def invocations(batches: dict) -> list[list[str]]:
             ["classify", "A2", "-p", "10000000000000061", "--vector", "1,1"]]
     out += [["constants", s, "--check", "n3pp"] for s in ("A31", "D22")]
     out.append(["orbits", "D4", "-p", "7", "--brute-force"])
+    # scalar classify: every canonical vector of D7, and single vectors at a
+    # large prime, a dark and a sparse one of D8 and one of A8
+    sparse = ["0"] * 24
+    sparse[0], sparse[3], sparse[5], sparse[22] = "3", "7", "11", "65520"
+    out += [["orbits", "D7", "-p", "5"],
+            ["classify", "D8", "-p", "65521", "--vector",
+             ",".join(map(str, range(1, 25)))],
+            ["classify", "D8", "-p", "65521", "--vector", ",".join(sparse)],
+            ["classify", "A8", "-p", "65521", "--vector",
+             ",".join(map(str, range(1, 15)))]]
     return out
 
 

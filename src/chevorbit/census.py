@@ -330,13 +330,26 @@ def crosscheck(table: StructureConstantTable, p: int,
         [state_of_vector(rs, p, o.representative) for o in census.orbits],
         dtype=np.int64,
     )
-    orbit_id = _orbit_id_array(table, p, census, rep_states)
+    orbit_id = census.orbit_id
+    if orbit_id is None:
+        orbit_id = _orbit_partition(_generator_moves(table), p,
+                                    len(rs.phi1))[0]
+    k = census.orbit_count
+
+    def not_least(i):
+        return MismatchReport(
+            "census representative is not the least state of its orbit",
+            {"orbit": i, "representative": census.orbits[i].representative},
+        )
 
     # (a) the classifier's code is constant state-by-state on every orbit,
     # and the batch code agrees with the scalar one at every representative.
-    # The chunks come in ascending order and each representative is the
-    # least state of its orbit, so its code is recorded from its own chunk
-    # before any other state of the orbit is compared with it.
+    # One pass over the states, in ascending chunks, also checks the census
+    # against orbit_id: representative i is the least state of orbit i, and
+    # orbit i has the listed size.  Orbits are numbered by least state, so
+    # orbit i first appears where the running maximum of the ids reaches i;
+    # each chunk's new orbits are checked, and their codes recorded, before
+    # its other states are compared with them.
     m = len(rs.phi1)
 
     def columns(lo, hi):
@@ -350,11 +363,27 @@ def crosscheck(table: StructureConstantTable, p: int,
             q = r
         return digits[::-1]
 
-    rep_codes = np.empty(census.orbit_count, dtype=np.int64)
+    rep_codes = np.empty(k, dtype=np.int64)
+    sizes = np.zeros(k, dtype=np.int64)
+    top = -1  # the largest orbit id of the chunks so far
     for lo, chunk in _chunk_codes(table, p, total, columns):
-        first, last = np.searchsorted(rep_states, (lo, lo + len(chunk)))
-        rep_codes[first:last] = chunk[rep_states[first:last] - lo]
         ids = orbit_id[lo:lo + len(chunk)]
+        running = np.maximum.accumulate(ids)
+        new = np.arange(top + 1, min(int(running[-1]), k - 1) + 1)
+        least = np.searchsorted(running, new)
+        bad = (lo + least != rep_states[new]) | (ids[least] != new)
+        if bad.any():
+            raise not_least(int(new[np.argmax(bad)]))
+        rep_codes[new] = chunk[least]
+        top = max(top, int(running[-1]))
+        low = int(ids.min())
+        counts = np.bincount(ids - low)
+        if low + len(counts) > len(sizes):  # ids the census does not list
+            sizes = np.concatenate(
+                [sizes, np.zeros(low + len(counts) - len(sizes), np.int64)])
+        sizes[low:low + len(counts)] += counts
+        if top >= k:
+            continue  # the size check below reports the unlisted orbits
         bad = np.flatnonzero(chunk != rep_codes[ids])
         if bad.size:
             raise MismatchReport(
@@ -366,6 +395,14 @@ def crosscheck(table: StructureConstantTable, p: int,
                     ].representative,
                 },
             )
+    if top + 1 < k:  # orbits that no state belongs to
+        raise not_least(top + 1)
+    want_sizes = [o.size for o in census.orbits]
+    if sizes.tolist() != want_sizes:
+        raise MismatchReport(
+            "census orbit sizes differ from the enumeration",
+            {"enumerated": sizes.tolist(), "census": want_sizes},
+        )
     codes = rep_codes.tolist()
     for o, code in zip(census.orbits, codes):
         if _code_of(table, K, o.representative) != code:
@@ -462,34 +499,3 @@ def crosscheck(table: StructureConstantTable, p: int,
         "pairs_sampled": pairs,
         "checks": checks,
     }
-
-
-def _orbit_id_array(table: StructureConstantTable, p: int,
-                    census: OrbitCensus, reps: np.ndarray) -> np.ndarray:
-    """The state -> orbit index array of the census, checked against its
-    entries, whose representatives have the states reps: representative i
-    is the least state of orbit i, and orbit i has the listed size.  A
-    census without the array gets it recomputed."""
-    orbit_id = census.orbit_id
-    if orbit_id is None:
-        orbit_id = _orbit_partition(_generator_moves(table), p,
-                                    len(table.rs.phi1))[0]
-    k = census.orbit_count
-    # ids are numbered by least state, so orbit i first appears where the
-    # running maximum of the ids reaches i
-    least = np.searchsorted(np.maximum.accumulate(orbit_id), np.arange(k))
-    bad = (orbit_id[reps] != np.arange(k)) | (least != reps)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise MismatchReport(
-            "census representative is not the least state of its orbit",
-            {"orbit": i, "representative": census.orbits[i].representative},
-        )
-    sizes = np.bincount(orbit_id, minlength=k)
-    want = [o.size for o in census.orbits]
-    if sizes.tolist() != want:
-        raise MismatchReport(
-            "census orbit sizes differ from the enumeration",
-            {"enumerated": sizes.tolist(), "census": want},
-        )
-    return orbit_id

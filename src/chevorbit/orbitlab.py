@@ -15,11 +15,14 @@ applying m + 1 root elements to e_delta; it is the reference.  y is a
 polynomial map of x of degree at most 4, so classification runs a compiled
 form of it instead (_lift_kernel): the step-by-step lift is run once per
 table over polynomials, its postconditions checked as identities, and the
-coordinates the invariants read become one generated function that serves
-every p, on single vectors and on batches.  For family A the invariants are
-read off the covector/vector pair (u, v) of prefix/suffix root
-coefficients: which of u and v vanish, and their contraction.  Family E is
-out of scope here.
+coordinates the invariants read, with the invariants themselves, become
+one generated function of x that returns the invariant code and serves
+every p.  It has a lazy scalar spelling for single vectors, which never
+computes the level -1 and level 0 coordinates of a dark vector, and an
+eager lane spelling for batches.  For family A the invariants are read
+off the covector/vector pair (u, v) of prefix/suffix root coefficients:
+which of u and v vanish, and their contraction.  Family E is out of scope
+here.
 
 Orbits are named by OrbitDescriptor values: a label from
 {I, IIa, IIb, II, IIIa, IIIb, IIIc, III, IV, V, VI} plus canonical
@@ -29,16 +32,17 @@ its canonical vector with entries that are constants or parameters.
 all_descriptors lists the catalogue's descriptors, canonical_form fills in
 its canonical vectors, and the decode below reads it too.
 
-For either family the invariants are packed into one integer code by
-arithmetic and comparisons only, so the same code runs on a single vector
-(classify) and on a batch of vectors held as coefficient arrays
-(classify_many).  A family-A code decodes directly into its descriptor, the
-parameter names coming from the catalogue.  A dark family-D code names V(k)
-in closed form, an identity checked once per table; any other family-D code
-is looked up in a map built, per table and prime, from the codes of the
-catalogue's other canonical vectors.  Both entry points decode through the
-same step.  So descriptor equality is exactly orbit equality and never
-depends on basis-level sign conventions.
+For either family the invariants are packed into one integer code, which
+classify computes for a single vector and classify_many for a batch of
+vectors held as coefficient arrays: the family-A code by arithmetic and
+comparisons only, which run on both, the family-D code by the two
+spellings of one generated function.  A family-A code decodes directly
+into its descriptor, the parameter names coming from the catalogue.  A
+dark family-D code names V(k) in closed form, an identity checked once per
+table; any other family-D code is looked up in a map built, per table and
+prime, from the codes of the catalogue's other canonical vectors.  Both
+entry points decode through the same step.  So descriptor equality is
+exactly orbit equality and never depends on basis-level sign conventions.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import gc
 import itertools
 import math
 import operator
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -334,10 +339,10 @@ def _select(cond, a, b):
 
 @table_cached
 def _kernel_plan(table: StructureConstantTable):
-    """Basis keys read by the kernel: e_{-delta}; the keys of levels -1,
-    0 (with the Cartan part) and 1; and (c, u, w) for each block."""
+    """Basis keys the code reads besides x itself: e_{-delta}; the keys of
+    levels -1 and 0 (with the Cartan part); and (c, u, w) for each block."""
     rs = table.rs
-    levels = {-1: [], 0: list(range(table.n_roots, table.n_basis)), 1: []}
+    levels = {-1: [], 0: list(range(table.n_roots, table.n_basis))}
     for i, q in enumerate(rs.levels):
         if q in levels:
             levels[q].append(i)
@@ -346,7 +351,7 @@ def _kernel_plan(table: StructureConstantTable):
         for g in block_gammas(rs)
     )
     bottom = table.e_key(rs.neg(rs.delta))
-    return bottom, levels[-1], levels[0], levels[1], blocks
+    return bottom, levels[-1], levels[0], blocks
 
 
 class _Polynomials:
@@ -399,29 +404,33 @@ class _Polynomials:
 
 @dataclass(frozen=True)
 class _LiftKernel:
-    """The lift restricted to the keys _invariant_code reads, compiled.
+    """The family-D invariant code of a table, as one generated function.
 
-    lift(p, *x) maps a level-1 vector x, entries in range(p) as ints or as
-    integer lane arrays, to {basis key: coordinate of the lift mod p}.
-    lift reduces by %, the fast spelling for Python ints and object lanes;
-    lift_fixed is the same function reducing through gfield._mod, the fast
-    spelling for int32 and int64 lanes.  spell(mod) compiles the function
-    with mod(e) as the spelling of e mod p; each spelling is compiled on
-    first use, so a process that classifies only single vectors compiles
-    one.  weights holds, per compiled coordinate, {degree: sum of the
-    absolute integer coefficients of its terms of that degree}.
+    code(p, *x) is the invariant code of a level-1 vector x of Python ints
+    in range(p), and lanes(p, *x) the codes of a batch, x being one int32,
+    int64 or object lane array per phi1 root.  lift(p, *x) maps x, as ints
+    or lanes, to {basis key: coordinate of the lift mod p} over the keys
+    the code reads, for tests against the reference lift.  spell(name)
+    compiles the function of that name from the one generated source, each
+    on first use, so a process that classifies only single vectors compiles
+    one.  weights holds, per lift coordinate, {degree: sum of the absolute
+    integer coefficients of its terms of that degree}.
     """
 
-    spell: Callable[[Callable[[str], str]], Callable[..., dict]]
+    spell: Callable[[str], Callable]
     weights: tuple
 
     @functools.cached_property
-    def lift(self) -> Callable[..., dict]:
-        return self.spell(lambda e: f"({e}) % p")
+    def code(self) -> Callable[..., int]:
+        return self.spell("code")
 
     @functools.cached_property
-    def lift_fixed(self) -> Callable[..., dict]:
-        return self.spell(lambda e: f"_mod({e}, p)")
+    def lanes(self) -> Callable:
+        return self.spell("lanes")
+
+    @functools.cached_property
+    def lift(self) -> Callable[..., dict]:
+        return self.spell("lift")
 
     def bound(self, p: int) -> int:
         """An upper bound on |every intermediate value| of lift over F_p."""
@@ -431,44 +440,59 @@ class _LiftKernel:
 
 @table_cached
 def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
-    """associated_root_element as one generated polynomial function.
+    """associated_root_element and the invariants of its result, as one
+    generated function: the invariant code of a vector.
 
     The lift is a fixed polynomial map of x, of degree at most 4, whose
     coefficients have denominators dividing 4 (they come from the halving in
     the torus correction).  It is computed once per table by running the
     unchanged associated_root_element over _Polynomials; the lift's three
     postconditions are then polynomial identities, checked by that run, so
-    a failure raises ClassificationError here.  The coordinates
-    _invariant_code reads are kept: e_{-delta}, levels -1 and 0 with the
-    Cartan part (level 1 is x itself).  Each is written as d * y_k, an
-    integer polynomial with d the least common denominator of y_k's
-    coefficients, summed without reduction and then multiplied by d**-1
-    mod p: the function serves every odd p, and its only literals are the
-    integers of the table.  Monomial prefixes shared across coordinates are
-    computed once.  A Python function, rather than a loop over terms, keeps
-    the scalar evaluation fast; on lane arrays every operation is a
-    vectorized one.  The source is generated once and compiled with either
-    spelling of its reductions (_LiftKernel): on fixed-width lanes numpy's
-    remainder would be most of the lift's time.
+    a failure raises ClassificationError here.  The coordinates the code
+    reads are kept: e_{-delta}, levels -1 and 0 with the Cartan part (level
+    1 is x itself).  Each is written as d * y_k, an integer polynomial with
+    d the least common denominator of y_k's coefficients, summed without
+    reduction.  A coordinate that is only tested for zero is reduced as it
+    is; one whose value is read, a block's c, u or w, is then multiplied by
+    d**-1 mod p.  So the function serves every odd p, and its only literals
+    are the integers of the table.  Monomial prefixes shared across
+    coordinates are computed once.
+
+    In radix p + 2 the code's leading digit is the luminosity (0 ZeroVec,
+    1 Singular, 2 Brilliant, 3 Shining, 4 Dark), followed by one digit per
+    block of z_blocks: 0 for the zero block, 1 or 2 for a nilpotent block
+    whose sl2_invariant square class is a nonsquare or a square (Euler's
+    criterion on u, or on -w when u = 0), and 2 + k for a regular block (k
+    alone names its class).  The one source has two spellings:
+
+    * code, for Python ints, reduces by % and pow and is lazy.  It computes
+      the blocks, by if/elif on k, u and w, and then e_{-delta}: a dark
+      vector returns there, and no coordinate of levels -1 and 0 is ever
+      computed.  Otherwise an or chain stops at the first nonzero
+      coordinate of level -1, then the same for level 0; a level's
+      prefixes are computed just before its chain.
+    * lanes, for lane arrays, is eager and uses only arithmetic and
+      comparisons: every coordinate is computed, reduced through
+      gfield._mod (numpy's remainder would be most of its time on int32 and
+      int64 lanes), and combined through _select, with Euler's criterion by
+      _pow_mod.  Its values are the lift's unreduced sums and the block
+      arithmetic below 5 * (p + 2)**3, which _lane bounds.
     """
     rs = table.rs
     m = len(rs.phi1)
     y = associated_root_element(table, _Polynomials(),
                                 [{(i,): 1} for i in range(m)]).coeffs
-    bottom, lev_m1, lev0, _, _ = _kernel_plan(table)
-    prefixes: dict = {}
-    lines = []
+    bottom, lev_m1, lev0, blocks = _kernel_plan(table)
+    names: dict = {}  # monomial of degree >= 2 -> the name of its product
 
-    def prefix(mono):
+    def name(mono):
         if len(mono) == 1:
             return f"x{mono[0]}"
-        if mono not in prefixes:
-            prefixes[mono] = f"t{len(prefixes)}"
-            lines.append(f"    {prefixes[mono]} = "
-                         f"{prefix(mono[:-1])} * x{mono[-1]}")
-        return prefixes[mono]
+        return names.setdefault(mono, f"t{len(names)}")
 
-    sums, weights, inverses = [], [], set()
+    # key -> (the sum d * y_key, d, the prefixes its terms multiply)
+    sums: dict = {}
+    weights = []
     for key in [bottom, *lev_m1, *lev0]:
         poly = y[key]
         d = math.lcm(*(c.denominator for c in poly.values()))
@@ -476,9 +500,9 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
         ws: dict = {}
         for mono, c in sorted(poly.items()):
             c = int(c * d)
-            last = f"x{mono[-1]}"
             groups.setdefault(c, []).append(
-                last if len(mono) == 1 else f"{prefix(mono[:-1])} * {last}")
+                name(mono) if len(mono) == 1
+                else f"{name(mono[:-1])} * x{mono[-1]}")
             ws[len(mono)] = ws.get(len(mono), 0) + abs(c)
         expr = ""
         for c, terms in sorted(groups.items(), key=lambda g: -g[0]):
@@ -488,68 +512,138 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
             elif c < 0:
                 s = f"({s})"
             expr += (" - " if c < 0 else " + ") + s
-        if d != 1:
-            inverses.add(d)
-        sums.append((key, expr.lstrip(" +"), d))
+        sums[key] = (expr.lstrip(" +"), d,
+                     [mono[:-1] for mono in sorted(poly) if len(mono) > 2])
         weights.append(ws)
+    in_blocks = {key for block in blocks for key in block}
+    others = [key for key in lev0 if key not in in_blocks]
+    place = f"(p + 2) ** {len(blocks)}"  # of the luminosity digit
 
-    def spell(mod):
-        entries = []
-        for key, expr, d in sums:
-            expr = mod(expr) if expr else "0"
-            if d != 1:
-                expr = mod(f"{expr} * q{d}")
-            entries.append(f"{key}: {expr}")
-        entries += [f"{table.e_key(r)}: x{i}" for i, r in enumerate(rs.phi1)]
+    def spell(kind):
+        mod = ((lambda e: f"_mod({e}, p)") if kind == "lanes"
+               else (lambda e: f"({e}) % p"))
+        body: list = []
+        done: set = set()
+        inverses: set = set()
+
+        def residue(key):
+            """d * y_key mod p, zero exactly where y_key is, after the lines
+            that compute its prefixes."""
+            expr, _, prefixes = sums[key]
+            for mono in prefixes:
+                for j in range(2, len(mono) + 1):
+                    if mono[:j] not in done:
+                        done.add(mono[:j])
+                        body.append(f"    {name(mono[:j])} = "
+                                    f"{name(mono[:j - 1])} * x{mono[j - 1]}")
+            return mod(expr) if expr else "0"
+
+        def value(key):
+            """y_key mod p."""
+            e, d = residue(key), sums[key][1]
+            if d == 1:
+                return e
+            inverses.add(d)
+            return mod(f"{e} * q{d}")
+
+        def blocks_loop():
+            """The loop header over the blocks' (c, u, w) values."""
+            triples = "".join(f"({', '.join(map(value, block))}), "
+                              for block in blocks)
+            return f"    for c, u, w in ({triples}):"
+
+        if kind == "lift":
+            entries = [f"        {key}: {value(key)}," for key in sums]
+            body.extend(["    return {", *entries, "    }"])
+        elif kind == "code":
+            body.extend([
+                "    code = 0",
+                blocks_loop(),
+                "        k = (c * c + u * w) % p",
+                "        if k:", "            digit = 2 + k",
+                "        elif u:",
+                "            digit = 1 + (pow(u, (p - 1) // 2, p) == 1)",
+                "        elif w:",
+                "            digit = 1 + (pow(p - w, (p - 1) // 2, p) == 1)",
+                "        else:", "            digit = 0",
+                "        code = code * (p + 2) + digit",
+            ])
+
+            def first_nonzero(lum, keys):
+                tests = [residue(key) for key in keys if sums[key][0]]
+                if tests:
+                    body.extend([f"    if {' or '.join(tests)}:",
+                                 f"        return code + {lum} * {place}"])
+
+            first_nonzero(_DARK, [bottom])
+            first_nonzero(3, lev_m1)
+            # a nonzero block is a nonzero level-0 coordinate
+            body.extend(["    if code:", f"        return code + 2 * {place}"])
+            first_nonzero(2, others)
+            body.extend([f"    if {' or '.join(f'x{i}' for i in range(m))}:",
+                         f"        return {place}",
+                         "    return 0"])
+        else:
+            body.extend([
+                "    code = 0",
+                "    filled = False",
+                blocks_loop(),
+                "        k = _mod(c * c + u * w, p)",
+                # _pow_mod reduces p to 0
+                "        top = _select(u != 0, u, p - w)",
+                "        square = _pow_mod(top, (p - 1) // 2, p) == 1",
+                "        nonzero = (c != 0) | (u != 0) | (w != 0)",
+                "        filled = filled | nonzero",
+                "        code = code * (p + 2)"
+                " + _select(k == 0, 1 + square, 2 + k) * nonzero",
+                # the last block's lanes would stay alive beside the prefixes
+                "    del c, u, w, k, top, square, nonzero",
+            ])
+
+            def populated(keys):
+                return " | ".join(f"({residue(key)} != 0)" for key in keys
+                                  if sums[key][0]) or "False"
+
+            for var, keys in (("dark", [bottom]), ("shining", lev_m1),
+                              ("brilliant", others)):
+                body.append(f"    {var} = {populated(keys)}")
+            body.extend([
+                "    singular = "
+                + " | ".join(f"(x{i} != 0)" for i in range(m)),
+                f"    lum = _select(dark, {_DARK}, _select(shining, 3, "
+                f"_select(filled | brilliant, 2, singular)))",
+                f"    return lum * {place} + code",
+            ])
         source = "\n".join(
-            [f"def lift(p, {', '.join(f'x{i}' for i in range(m))}):"]
+            [f"def {kind}(p, {', '.join(f'x{i}' for i in range(m))}):"]
             + [f"    q{d} = pow({d}, -1, p)" for d in sorted(inverses)]
-            + lines
-            + ["    return {", *(f"        {e}," for e in entries), "    }"]
+            + body
         )
-        namespace = {"_mod": _mod}
-        exec(compile(source, f"<lift of {rs.name}>", "exec"), namespace)
-        return namespace["lift"]
+        namespace = {"_mod": _mod, "_pow_mod": _pow_mod, "_select": _select}
+        exec(compile(source, f"<{kind} of {rs.name}>", "exec"), namespace)
+        return namespace[kind]
 
     return _LiftKernel(spell, tuple(weights))
 
 
-def _invariant_code(table: StructureConstantTable, p: int, co):
-    """The luminosity of a lift and the invariants of its blocks, packed.
-
-    co maps the basis keys of _kernel_plan to the lift's coefficients: the
-    coeffs of the LieVector of associated_root_element, or what the
-    compiled _lift_kernel returns.  In radix p + 2 the leading digit is the
-    luminosity (0 ZeroVec, 1 Singular, 2 Brilliant, 3 Shining, 4 Dark),
-    followed by one digit per block of z_blocks: 0 for the zero block, 1 or
-    2 for a nilpotent block whose sl2_invariant square class is a nonsquare
-    or a square, and 2 + k for a regular block (k alone names its class).
-    The code uses only arithmetic and comparisons, so the coefficients
-    may be ints or lane arrays, and the result is an int or an array.
-    """
-    bottom, lev_m1, lev0, lev1, blocks = _kernel_plan(table)
-
-    def populated(keys):
-        out = False
-        for i in keys:
-            out = out | (co[i] != 0)
-        return out
-
-    lum = _select(populated(lev0), 2, populated(lev1))
-    lum = _select(populated(lev_m1), 3, lum)
-    code = _select(co[bottom] != 0, _DARK, lum)
-    for ck, uk, wk in blocks:
-        c, u, w = co[ck], co[uk], co[wk]
-        k = _mod(c * c + u * w, p)
-        top = _select(u != 0, u, p - w)  # _pow_mod reduces p to 0
-        # Euler's criterion: top is a unit square iff top**((p-1)/2) == 1
-        square = _pow_mod(top, (p - 1) // 2, p) == 1
-        digit = _select(k == 0, 1 + square, 2 + k)
-        code = code * (p + 2) + digit * ((c != 0) | (u != 0) | (w != 0))
-    return code
-
-
 # -- family A: covector/vector pair ---------------------------------------------
+
+
+_AL_INDICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _al_indices(rs: RootSystem) -> tuple[list, list]:
+    """The phi1 indices of the prefix roots alpha_1 + ... + alpha_j and of
+    the suffix roots alpha_{j+1} + ... + alpha_l, j = 1..l-1, computed once
+    per root system."""
+    idx = _AL_INDICES.get(rs)
+    if idx is None:
+        l, at = rs.rank, rs.phi1_index
+        idx = _AL_INDICES[rs] = (
+            [at((1,) * j + (0,) * (l - j)) for j in range(1, l)],
+            [at((0,) * j + (1,) * (l - j)) for j in range(1, l)],
+        )
+    return idx
 
 
 def al_pair(rs: RootSystem, x) -> tuple[tuple, tuple]:
@@ -565,19 +659,17 @@ def al_pair(rs: RootSystem, x) -> tuple[tuple, tuple]:
         raise UnsupportedFamily(
             f"the covector/vector pair is defined for family A, not {rs.name}"
         )
-    l = rs.rank
     x = rs.check_v1(x)
-    at = rs.phi1_index
-    u = tuple(x[at((1,) * j + (0,) * (l - j))] for j in range(1, l))
-    v = tuple(x[at((0,) * j + (1,) * (l - j))] for j in range(1, l))
-    return u, v
+    iu, iv = _al_indices(rs)
+    return tuple([x[i] for i in iu]), tuple([x[i] for i in iv])
 
 
 _A_LABELS = ("I", "IIa", "IIb", "III", "VI")  # indexed by the label digit
 
 
 def _a_code(rs: RootSystem, p: int, x):
-    """The family-A invariants of x, packed as (label * p + a) * p + b.
+    """The family-A invariants of x (a list of |phi1| entries), packed as
+    (label * p + a) * p + b.
 
     The label indexes _A_LABELS.  With (u, v) = al_pair(rs, x) and the
     contraction s = sum(u_j * v_j), it is I when u and v vanish, IIa when
@@ -592,7 +684,8 @@ def _a_code(rs: RootSystem, p: int, x):
     arithmetic and comparisons, so the entries of x (in range(p)) may be
     ints or integer arrays, and the result is an int or an array.
     """
-    u, v = al_pair(rs, x)
+    iu, iv = _al_indices(rs)
+    u, v = [x[i] for i in iu], [x[i] for i in iv]
     u_set = v_set = False
     s = 0
     for uj, vj in zip(u, v):
@@ -742,13 +835,12 @@ def _code_of(table: StructureConstantTable, K, x):
     entries are in range(p)."""
     rs = table.rs
     p = _field_p(K)
+    x = rs.check_v1(x)
     if rs.family == "A":
         return _a_code(rs, p, x)
-    x = rs.check_v1(x)
     kernel = _lift_kernel(table)
-    fixed = isinstance(x[0], np.ndarray) and x[0].dtype != object
-    lift = kernel.lift_fixed if fixed else kernel.lift
-    return _invariant_code(table, p, lift(p, *x))
+    code = kernel.lanes if isinstance(x[0], np.ndarray) else kernel.code
+    return code(p, *x)
 
 
 @table_cached
@@ -784,7 +876,7 @@ def _v_code_checked(table: StructureConstantTable, entries) -> None:
             raise ClassificationError(f"V's entry {v!r} is neither k nor an int")
         x[rs.phi1_index(root)] = k if v == "k" else P.of(v)
     y = associated_root_element(table, P, x).coeffs
-    bottom, _, _, _, blocks = _kernel_plan(table)
+    bottom, _, _, blocks = _kernel_plan(table)
     if y[bottom] != k or any(P.add(P.mul(y[c], y[c]), P.mul(y[u], y[w])) != k
                              for c, u, w in blocks):
         raise ClassificationError(f"V(k)'s canonical vector of {rs.name} does "
@@ -833,7 +925,7 @@ def _descriptor_of(table: StructureConstantTable, K,
 # -- batches -----------------------------------------------------------------------
 
 # vectors per batch; bounds the memory of a batch code pass, which holds a
-# lane array for every prefix and coordinate of the compiled lift
+# lane array for every prefix and block coordinate of the compiled code
 _CHUNK = 1 << 14
 
 
@@ -845,9 +937,10 @@ def _lane(table: StructureConstantTable, p: int):
     (about sum |c| * (p - 1)**4 over its quartic coordinate).  The lanes are
     int32 while that fits, then int64, then Python ints (dtype object): no
     lane ever wraps.  int32 and int64 lanes are reduced by floor division
-    (gfield._mod, and the lift_fixed spelling of the compiled lift), object
-    lanes by %; a // p * p lies within p of a, and a - a // p * p is exact
-    even where that product wraps, so the bound is the same for both.
+    (gfield._mod, through which the lanes spelling of the compiled code
+    reduces), object lanes by %; a // p * p lies within p of a, and
+    a - a // p * p is exact even where that product wraps, so the bound is
+    the same for both.
     """
     bound = 5 * (p + 2) ** 3
     if table.rs.family == "D":

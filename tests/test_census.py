@@ -117,6 +117,20 @@ def test_enumeration_matches_predicted_census_beyond_pinned_cases(
     assert sum(e.size for e in census.orbits) == p ** len(table.rs.phi1)
 
 
+def test_brute_force_agrees_with_classifier_and_prediction_on_a7_over_f3():
+    # 531,441 states, the largest family-A census in this suite: the BFS
+    # orbits, their crosscheck against the classifier, and the predicted
+    # census (crosscheck's last check) all agree
+    table = get_table("A7")
+    census = enumerate_orbits(table, 3)
+    assert census.orbit_count == 6
+    assert ({e.descriptor for e in census.orbits}
+            == set(predicted_census(table, 3)))
+    report = crosscheck(table, 3, census=census)
+    assert report["states"] == 3 ** 12
+    assert all(v == "ok" for v in report["checks"].values())
+
+
 # D6/F3 has 43,046,721 states, past the default budget and too slow for this
 # suite: scripts/run_census.py --system D6 -p 3 --budget 43046721 enumerated
 # it, with its crosscheck, into these nine orbits
@@ -306,6 +320,16 @@ def test_crosscheck_rejects_tampered_sizes(keep_orbit_id):
     )
     with pytest.raises(MismatchReport, match="sizes"):
         crosscheck(get_table("A3"), 5, census=tampered)
+
+
+def test_crosscheck_rejects_a_census_without_its_last_orbit():
+    # orbit_id names one orbit more than the census lists; the code pass
+    # skips it, and the size check reports it
+    census = get_census("D4", 3)
+    tampered = dataclasses.replace(census, orbits=census.orbits[:-1])
+    with pytest.raises(MismatchReport, match="sizes") as e:
+        crosscheck(get_table("D4"), 3, census=tampered)
+    assert e.value.details["enumerated"] == [o.size for o in census.orbits]
 
 
 @pytest.mark.parametrize("keep_orbit_id", [True, False])

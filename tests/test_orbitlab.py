@@ -56,7 +56,6 @@ from chevorbit import (
 )
 from chevorbit import orbitlab
 from chevorbit.gfield import _mod, _pow_mod
-from chevorbit.orbitlab import _invariant_code
 from helpers import (
     ArrayField,
     CENSUS_CASES,
@@ -210,22 +209,18 @@ def test_compiled_lift_equals_reference_lift(name):
 
 @pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
 def test_compiled_lift_spellings_agree(name):
-    # lift reduces by %, lift_fixed by floor division; _code_of runs the
-    # second on int32 and int64 lanes
+    # code is the lazy spelling for Python ints, lanes the eager one that
+    # classify_many runs on int32, int64 and object lanes
     t = get_table(name)
     kernel = orbitlab._lift_kernel(t)
     for p in (3, 5, 1009):
         rng = random.Random(p * 31 + t.rs.rank)
         vectors = half_sparse(rng, t.rs, p, 60) + [(p - 1,) * len(t.rs.phi1)]
-        want = [kernel.lift(p, *x) for x in vectors]
-        for lane in {orbitlab._lane(t, p), np.int64}:
-            got = kernel.lift_fixed(p, *np.array(vectors, dtype=lane).T)
-            assert got.keys() == want[0].keys()
-            for k, col in got.items():
-                # a coordinate that is the zero polynomial stays the int 0
-                assert isinstance(col, int) or col.dtype == lane, (p, k)
-                assert np.broadcast_to(col, (len(vectors),)).tolist() == [
-                    y[k] for y in want], (p, lane, k)
+        want = [kernel.code(p, *x) for x in vectors]
+        assert all(isinstance(c, int) for c in want)
+        for lane in {orbitlab._lane(t, p), np.int64, object}:
+            got = kernel.lanes(p, *np.array(vectors, dtype=lane).T)
+            assert got.tolist() == want, (p, lane)
 
 
 @pytest.mark.parametrize("name,p", [
@@ -460,19 +455,20 @@ def test_invariant_code_matches_reference_invariants(name, p):
             tuple(c if rng.random() < 0.3 else 0 for c in random_v1(rng, rs, p))
             for _ in range(1000)
         ]
-    want, scalar = [], []
+    want = []
     for x in vectors:
         y = associated_root_element(t, K, x)
         invs = tuple(sl2_invariant(K, z) for z in z_blocks(t, K, y))
         want.append(pack_profile(p, luminosity(rs, y), invs))
-        scalar.append(_invariant_code(t, p, y.coeffs))
-    assert scalar == want
-    columns = list(np.array(vectors, dtype=np.int64).T)
-    y = associated_root_element(t, ArrayField(p), columns)
-    batch = np.broadcast_to(_invariant_code(t, p, y.coeffs), (len(vectors),))
-    assert batch.tolist() == want
-    radix = (p + 2) ** len(block_gammas(rs))
-    assert {c // radix for c in want} == {0, 1, 2, 3, 4}
+    kernel = orbitlab._lift_kernel(t)
+    assert [kernel.code(p, *x) for x in vectors] == want
+    columns = np.array(vectors, dtype=orbitlab._lane(t, p)).T
+    assert kernel.lanes(p, *columns).tolist() == want
+    blocks = len(block_gammas(rs))
+    assert {c // (p + 2) ** blocks for c in want} == {0, 1, 2, 3, 4}
+    # block digits 1 and 2: nilpotent blocks of both square classes
+    digits = {c // (p + 2) ** i % (p + 2) for c in want for i in range(blocks)}
+    assert {1, 2} <= digits
 
 
 @pytest.mark.parametrize(
@@ -638,8 +634,11 @@ def test_classify_many_uses_object_lanes_past_int64(name):
     assert [classify(t, K, x) for x in rows[:50]] == want[:50]
 
 
-@pytest.mark.parametrize("name", ["A3", "D4", "D8"])
+@pytest.mark.parametrize("name", ["A3", "D4", "D5", "D6", "D7", "D8"])
 def test_classify_many_matches_classify_across_lane_thresholds(name):
+    # classify runs the scalar spelling of the code, classify_many the lane
+    # one: compared on both sides of every lane threshold, and for family D
+    # also at 65521
     t = get_table(name)
     m = len(t.rs.phi1)
     lanes = [np.int32, np.int64, object]
@@ -647,6 +646,7 @@ def test_classify_many_matches_classify_across_lane_thresholds(name):
     def width(p):
         return lanes.index(orbitlab._lane(t, p))
 
+    primes = []
     for w in (1, 2):
         lo, hi = 3, 2**21  # width(lo) < w <= width(hi)
         while hi - lo > 1:
@@ -655,23 +655,26 @@ def test_classify_many_matches_classify_across_lane_thresholds(name):
         below = next(q for q in range(hi - 1, 2, -1) if is_prime(q))
         above = next(q for q in itertools.count(hi) if is_prime(q))
         assert (width(below), width(above)) == (w - 1, w)
-        for p in (below, above):
-            K = get_field(p)
-            rng = random.Random(p)
-            # entries near p - 1 drive the unreduced sums towards the bound;
-            # a wrapped lane shows when a coordinate that is 0 mod p reads
-            # nonzero, so one vector of each label is moved by random words
-            sparse = half_sparse(rng, t.rs, p, 60)
-            by_label = {classify(t, K, x).label: x for x in sparse}
-            vectors = sparse + [
-                tuple(p - 1 - rng.randrange(3) for _ in range(m))
-                for _ in range(20)
-            ] + [(p - 1,) * m] + [
-                act_on_v1(t, K, random_level0_word(rng, t.rs, p, 8), x)
-                for x in by_label.values() for _ in range(4)
-            ]
-            assert classify_many(t, K, vectors) == [
-                classify(t, K, x) for x in vectors], (p, lanes[width(p)])
+        primes += [below, above]
+    if t.rs.family == "D":
+        primes.append(65521)
+    for p in primes:
+        K = get_field(p)
+        rng = random.Random(p)
+        # entries near p - 1 drive the unreduced sums towards the bound;
+        # a wrapped lane shows when a coordinate that is 0 mod p reads
+        # nonzero, so one vector of each label is moved by random words
+        sparse = half_sparse(rng, t.rs, p, 60)
+        by_label = {classify(t, K, x).label: x for x in sparse}
+        vectors = sparse + [
+            tuple(p - 1 - rng.randrange(3) for _ in range(m))
+            for _ in range(20)
+        ] + [(p - 1,) * m] + [
+            act_on_v1(t, K, random_level0_word(rng, t.rs, p, 8), x)
+            for x in by_label.values() for _ in range(4)
+        ]
+        assert classify_many(t, K, vectors) == [
+            classify(t, K, x) for x in vectors], (p, lanes[width(p)])
 
 
 def test_dark_decode_leaves_the_non_v_code_map_unbuilt():
@@ -734,7 +737,7 @@ def test_v_code_identity_holds_for_every_d_rank(rank):
 def test_v_code_identity_checks_the_bottom_and_every_block(monkeypatch):
     real = orbitlab.associated_root_element
     K = get_field(3)
-    bottom, _, _, _, blocks = orbitlab._kernel_plan(get_table("D4"))
+    bottom, _, _, blocks = orbitlab._kernel_plan(get_table("D4"))
     for key in (bottom, blocks[-1][0]):  # e_{-delta}; c of the last block
         t = build_table_oracle(get_system("D4"))  # unchecked
 
