@@ -3,9 +3,12 @@
 
 Runs each pinned invocation in-process through chevorbit.cli.main and prints
 one line per invocation: the sha256 of its stdout, its exit code and its
-argv.  The classify --batch invocations read files of seeded random vectors
-that the script writes itself (shown as @FILE): D5/F3, and D4/F65521 and
-D8/F1009, whose vectors are mostly dark.  The roots invocations dump root
+argv, or, where an exception escapes main, its type name in place of the
+exit code.  The classify --batch invocations read files of seeded random
+vectors that the script writes itself (shown as @FILE): D5/F3, and
+D4/F65521, D8/F1009, D4/F1321213 and A3 at 2**64 + 13, whose vectors are
+mostly dark (family D) or of label VI (A3); all but D5/F3 and D8/F1009
+run the scalar code of a batch, past the int64 lane bound.  The roots invocations dump root
 systems in every format, and A31 and D22, the two largest, in one format
 each; constants A31 and D22 with --check theorem1 run the closed form on
 every pair of the two largest systems and with --check n3pp count every
@@ -42,7 +45,8 @@ PINNED_CASES = (
     ("D4", 3), ("D4", 5), ("D5", 3),
 )
 BATCH_SIZE = 500
-BATCHES = (("D5", 3), ("D4", 65521), ("D8", 1009))
+BATCHES = (("D5", 3), ("D4", 65521), ("D8", 1009), ("D4", 1321213),
+           ("A3", 18446744073709551629))
 
 
 def invocations(batches: dict) -> list[list[str]]:
@@ -114,10 +118,15 @@ def write_batch(path: Path, system: str, p: int, seed: int = 0) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def run(argv: list[str]) -> tuple[str, int]:
+def run(argv: list[str]) -> tuple[str, int | str]:
+    """The sha256 of argv's stdout, and its exit code, or the type name of
+    an exception that escapes main."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as e:  # noqa: BLE001  (reported, not raised)
+            code = type(e).__name__
     return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
 
 

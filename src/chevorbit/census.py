@@ -20,8 +20,8 @@ truth partition:
 * each census representative is the least state of its orbit, and each
   orbit has the listed size,
 * the classifier's invariant code is constant on every orbit, checked for
-  every single state by classify's own code (orbitlab._code_of) on batches
-  of fixed-size chunks of states, streamed in ascending order so that no
+  every single state by classify's own classifier on batches of
+  fixed-size chunks of states, streamed in ascending order so that no
   array of codes of every state is held, and equal to the code of the
   scalar path at every representative,
 * each census descriptor is the one the classifier decodes from its
@@ -51,10 +51,7 @@ from .gfield import PrimeField, _mod
 from .liemod import _v1_moves
 from .orbitlab import (
     OrbitDescriptor,
-    _chunk_codes,
-    _code_of,
-    _descriptor_of,
-    _orbit_count,
+    _classifier,
     all_descriptors,
     canonical_form,
     classify,
@@ -300,7 +297,7 @@ def predicted_census(table: StructureConstantTable, p: int) -> list[OrbitDescrip
     Its length is counted first, in closed form: BudgetExceeded when it
     reaches 2**62, the bound check_budget puts on states."""
     K = PrimeField(p)
-    count = _orbit_count(table, K)
+    count = _classifier(table, K).orbit_count()
     if count >= 2**62:
         raise BudgetExceeded(
             f"{table.rs.name} over F_{p} has {count} orbits, "
@@ -324,6 +321,10 @@ def crosscheck(table: StructureConstantTable, p: int,
     if census is None:
         census = enumerate_orbits(table, p, budget=budget)
     total = census.total_states
+    clf = _classifier(table, K)
+    if clf.lane is None:  # A2 alone, from 1.8e18 states on
+        raise BudgetExceeded(f"the codes of {rs.name} over F_{p} do not fit "
+                             f"the 64-bit lanes of the code pass")
     checks: dict[str, str] = {}
 
     rep_states = np.array(
@@ -352,21 +353,21 @@ def crosscheck(table: StructureConstantTable, p: int,
     # its other states are compared with them.
     m = len(rs.phi1)
 
-    def columns(lo, hi):
-        # base-p digits, least significant first, each reduced by floor
-        # division as gfield._mod does, with the quotient kept for the next
+    def rows(lo, hi):
+        # base-p digits, least significant first, by floor division as
+        # gfield._mod reduces, into columns: each coordinate is contiguous
         q = np.arange(lo, hi, dtype=_index_dtype(total))
-        digits = []
-        for _ in range(m):
+        digits = np.empty((m, hi - lo), dtype=q.dtype)
+        for j in range(m - 1, -1, -1):
             r = q // p
-            digits.append(q - r * p)
+            np.subtract(q, r * p, out=digits[j])
             q = r
-        return digits[::-1]
+        return digits.T
 
     rep_codes = np.empty(k, dtype=np.int64)
     sizes = np.zeros(k, dtype=np.int64)
     top = -1  # the largest orbit id of the chunks so far
-    for lo, chunk in _chunk_codes(table, p, total, columns):
+    for lo, chunk in clf.chunk_codes(total, rows, reduced=True):
         ids = orbit_id[lo:lo + len(chunk)]
         running = np.maximum.accumulate(ids)
         new = np.arange(top + 1, min(int(running[-1]), k - 1) + 1)
@@ -405,7 +406,7 @@ def crosscheck(table: StructureConstantTable, p: int,
         )
     codes = rep_codes.tolist()
     for o, code in zip(census.orbits, codes):
-        if _code_of(table, K, o.representative) != code:
+        if clf.code(o.representative) != code:
             raise MismatchReport(
                 "scalar and batch invariant codes disagree",
                 {"representative": o.representative},
@@ -416,7 +417,7 @@ def crosscheck(table: StructureConstantTable, p: int,
     # the descriptors are pairwise distinct across orbits
     seen: dict[OrbitDescriptor, tuple] = {}
     for o, code in zip(census.orbits, codes):
-        got = _descriptor_of(table, K, code)
+        got = clf.decode(code)
         if got != o.descriptor:
             raise MismatchReport(
                 "census descriptor differs from its representative's class",

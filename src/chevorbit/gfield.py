@@ -175,10 +175,10 @@ def _mod(a, p: int):
     (Granlund & Montgomery, PLDI 1994), several times faster than its
     remainder ufunc, which divides every element.  The result is exact even
     where a // p * p wraps: the difference is then taken modulo 2**bits,
-    and its true value lies in range(p).  Python ints and object lanes keep
-    %, the faster spelling for them.
+    and its true value lies in range(p).  Python ints keep %, the faster
+    spelling for them.
     """
-    if isinstance(a, np.ndarray) and a.dtype != object:
+    if isinstance(a, np.ndarray):
         q = a // p
         q *= p
         return np.subtract(a, q, out=q)  # in place: one array, as % makes

@@ -32,17 +32,16 @@ its canonical vector with entries that are constants or parameters.
 all_descriptors lists the catalogue's descriptors, canonical_form fills in
 its canonical vectors, and the decode below reads it too.
 
-For either family the invariants are packed into one integer code, which
-classify computes for a single vector and classify_many for a batch of
-vectors held as coefficient arrays: the family-A code by arithmetic and
-comparisons only, which run on both, the family-D code by the two
-spellings of one generated function.  A family-A code decodes directly
-into its descriptor, the parameter names coming from the catalogue.  A
-dark family-D code names V(k) in closed form, an identity checked once per
-table; any other family-D code is looked up in a map built, per table and
-prime, from the codes of the catalogue's other canonical vectors.  Both
-entry points decode through the same step.  So descriptor equality is
-exactly orbit equality and never depends on basis-level sign conventions.
+For either family the invariants are packed into one integer code, owned
+by one classifier per table and prime field (_classifier): the domain
+check, the code of a single vector (classify) or of a batch
+(classify_many), on int32 or int64 lanes while the family's bound allows
+and by the scalar code over Python ints past it, and the decode.  A
+family-A code decodes directly into its descriptor.  A dark family-D code
+names V(k) in closed form, an identity checked once per table; any other
+family-D code is looked up in a map built from the codes of the
+catalogue's other canonical vectors.  So descriptor equality is exactly
+orbit equality and never depends on basis-level sign conventions.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ import gc
 import itertools
 import math
 import operator
-import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -62,7 +60,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chevalley import StructureConstantTable, table_cached
-from .gfield import PrimeField, SquareClass, _mod, _pow_mod, square_class
+from .gfield import SquareClass, _mod, _pow_mod, square_class
 from .liemod import LieVector, _v1_moves, apply_root_element
 from .rootsys import Root, RootSystem, simple_index, standard_quadruple
 
@@ -407,8 +405,8 @@ class _LiftKernel:
     """The family-D invariant code of a table, as one generated function.
 
     code(p, *x) is the invariant code of a level-1 vector x of Python ints
-    in range(p), and lanes(p, *x) the codes of a batch, x being one int32,
-    int64 or object lane array per phi1 root.  lift(p, *x) maps x, as ints
+    in range(p), and lanes(p, *x) the codes of a batch, x being one int32
+    or int64 lane array per phi1 root.  lift(p, *x) maps x, as ints
     or lanes, to {basis key: coordinate of the lift mod p} over the keys
     the code reads, for tests against the reference lift.  spell(name)
     compiles the function of that name from the one generated source, each
@@ -475,8 +473,8 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
       comparisons: every coordinate is computed, reduced through
       gfield._mod (numpy's remainder would be most of its time on int32 and
       int64 lanes), and combined through _select, with Euler's criterion by
-      _pow_mod.  Its values are the lift's unreduced sums and the block
-      arithmetic below 5 * (p + 2)**3, which _lane bounds.
+      _pow_mod.  Its values are the lift's unreduced sums, within bound(p),
+      and the block arithmetic and the code, below 5 * (p + 2)**blocks.
     """
     rs = table.rs
     m = len(rs.phi1)
@@ -629,21 +627,12 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
 # -- family A: covector/vector pair ---------------------------------------------
 
 
-_AL_INDICES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _al_indices(rs: RootSystem) -> tuple[list, list]:
     """The phi1 indices of the prefix roots alpha_1 + ... + alpha_j and of
-    the suffix roots alpha_{j+1} + ... + alpha_l, j = 1..l-1, computed once
-    per root system."""
-    idx = _AL_INDICES.get(rs)
-    if idx is None:
-        l, at = rs.rank, rs.phi1_index
-        idx = _AL_INDICES[rs] = (
-            [at((1,) * j + (0,) * (l - j)) for j in range(1, l)],
-            [at((0,) * j + (1,) * (l - j)) for j in range(1, l)],
-        )
-    return idx
+    the suffix roots alpha_{j+1} + ... + alpha_l, j = 1..l-1."""
+    l, at = rs.rank, rs.phi1_index
+    return ([at((1,) * j + (0,) * (l - j)) for j in range(1, l)],
+            [at((0,) * j + (1,) * (l - j)) for j in range(1, l)])
 
 
 def al_pair(rs: RootSystem, x) -> tuple[tuple, tuple]:
@@ -667,39 +656,38 @@ def al_pair(rs: RootSystem, x) -> tuple[tuple, tuple]:
 _A_LABELS = ("I", "IIa", "IIb", "III", "VI")  # indexed by the label digit
 
 
-def _a_code(rs: RootSystem, p: int, x):
-    """The family-A invariants of x (a list of |phi1| entries), packed as
+def _a_code(p: int, u, v):
+    """The family-A invariants of al_pair's (u, v), packed as
     (label * p + a) * p + b.
 
-    The label indexes _A_LABELS.  With (u, v) = al_pair(rs, x) and the
-    contraction s = sum(u_j * v_j), it is I when u and v vanish, IIa when
-    only v does, IIb when only u does, and otherwise VI when s != 0 and III
-    when s == 0.  (a, b) are the values of the label's parameters in
-    _orbit_types order, zero where it has fewer.  For A2, whose orbits are
-    single points, they are (u_1, v_1) for VI, u_1 for IIa and v_1 for IIb:
-    a = u_1 if u_1 != 0 else v_1, and b = v_1 if u_1 != 0 else 0.
-    Otherwise b = 0 and a is s (zero except for VI), or, for III of A3, the
-    contraction c of v with the completion of u to a unimodular basis:
-    (0, 1/u_1) when u_1 != 0, else (-1/u_2, 0).  The code uses only
-    arithmetic and comparisons, so the entries of x (in range(p)) may be
-    ints or integer arrays, and the result is an int or an array.
+    The label indexes _A_LABELS.  With the contraction s = sum(u_j * v_j),
+    it is I when u and v vanish, IIa when only v does, IIb when only u
+    does, and otherwise VI when s != 0 and III when s == 0.  (a, b) are the
+    values of the label's parameters in _orbit_types order, zero where it
+    has fewer.  For A2, whose orbits are single points, they are (u_1, v_1)
+    for VI, u_1 for IIa and v_1 for IIb: a = u_1 if u_1 != 0 else v_1, and
+    b = v_1 if u_1 != 0 else 0.  Otherwise b = 0 and a is s (zero except
+    for VI), or, for III of A3, the contraction c of v with the completion
+    of u to a unimodular basis: (0, 1/u_1) when u_1 != 0, else (-1/u_2, 0).
+    The code uses only arithmetic and comparisons, so the entries (in
+    range(p)) may be ints or integer lane arrays.  Its values stay below
+    max(5, l - 1) * p**2: s sums l - 1 products, A3's _select spans less
+    than 2 * p**2, and the code is below 5 * p**2.
     """
-    iu, iv = _al_indices(rs)
-    u, v = [x[i] for i in iu], [x[i] for i in iv]
     u_set = v_set = False
     s = 0
     for uj, vj in zip(u, v):
         u_set = u_set | (uj != 0)
         v_set = v_set | (vj != 0)
         s = s + uj * vj
-    s = _mod(s, p)  # below 30 * p**2 (rank <= 31), inside _lane's bound
+    s = _mod(s, p)
     # s != 0 only when u and v are both set, so the label is 0..4
     label = u_set + 2 * v_set + (s != 0)
-    if rs.rank == 2:
+    if len(u) == 1:  # A2
         (u1,), (v1,) = u, v
         return (label * p + _select(u1 != 0, u1, v1)) * p + (u1 != 0) * v1
     a = s
-    if rs.rank == 3:
+    if len(u) == 2:  # A3
         (u1, u2), (v1, v2) = u, v
         c = _mod(_select(u1 != 0, _pow_mod(u1, p - 2, p) * v2,
                          -_pow_mod(u2, p - 2, p) * v1), p)
@@ -718,7 +706,7 @@ def _orbit_types(table: StructureConstantTable, K) -> dict:
     params lists (name, values) per parameter, the first varying slowest;
     entries lists (root, value) per nonzero coefficient of the canonical
     vector, the value an int or the name of an int parameter.  Needs
-    _check_domain to have passed.
+    _classifier's domain check to have passed.
     """
     rs = table.rs
     units = K.units()
@@ -769,19 +757,6 @@ def _orbit_types(table: StructureConstantTable, K) -> dict:
     return types
 
 
-def _orbit_count(table: StructureConstantTable, K) -> int:
-    """How many descriptors all_descriptors lists, without listing them:
-    summed over the orbit types, the product of their parameter-range
-    sizes.  A range is sized by its ends, since len() of one past 2**63
-    raises OverflowError."""
-    _check_domain(table, K)
-    return sum(
-        math.prod(r.stop - r.start if isinstance(r, range) else len(r)
-                  for _, r in params)
-        for params, _ in _orbit_types(table, K).values()
-    )
-
-
 def _descriptors_of_type(rs: RootSystem, p: int, label: str, params):
     """The descriptors of one orbit type, in all_descriptors order."""
     names = [n for n, _ in params]
@@ -789,76 +764,179 @@ def _descriptors_of_type(rs: RootSystem, p: int, label: str, params):
         yield _mkdesc(rs, p, label, zip(names, values))
 
 
-def _canonical_vector(table: StructureConstantTable, K,
-                      d: OrbitDescriptor) -> tuple[int, ...]:
-    """The entries of d's orbit type filled with d's parameters (phi1 order);
-    whether the vector classifies back to d is canonical_form's check."""
-    rs = table.rs
-    try:
-        _, entries = _orbit_types(table, K)[d.label]
-    except (KeyError, TypeError):
-        raise InvalidDescriptor(f"no label {d.label} for {rs.name}") from None
-    out = [0] * len(rs.phi1)
-    for root, v in entries:
-        out[rs.phi1_index(root)] = (v if isinstance(v, int)
-                                    else _int_param(d, v))
-    return tuple(out)
+# -- the classifier ------------------------------------------------------------------
+
+# vectors per batch; bounds the memory of a batch code pass, which holds a
+# lane array for every prefix and block coordinate of the compiled code
+_CHUNK = 1 << 14
 
 
-# -- classification ----------------------------------------------------------------
+class _Classifier:
+    """The invariant code of one table over one prime field, and its decode.
+
+    Each family implements code(x), the code of one vector of ints in
+    range(p); lanes(xs), the codes of a batch, one lane array per phi1
+    coordinate; and decode(code), the descriptor a code names.  lane is
+    int32 while the family's bound on |every value of lanes| is below 2**31
+    (it covers gfield._mod, exact even where a // p * p wraps), int64 below
+    2**63, and None past that, where batches run code over Python ints.
+    """
+
+    def __init__(self, table: StructureConstantTable, K, bound: int):
+        self.rs, self.p, self.types = table.rs, K.p, _orbit_types(table, K)
+        self.m = len(self.rs.phi1)
+        self.lane = (np.int32 if bound < 2**31
+                     else np.int64 if bound < 2**63 else None)
+
+    def classify(self, x) -> OrbitDescriptor:
+        p = self.p
+        # Python ints: the compiled lift sums its terms before reducing them
+        x = [operator.index(c) % p for c in x]
+        if len(x) != self.m:
+            self.rs.check_v1(x)  # raises, with the system's message
+        return self.decode(self.code(x))
+
+    def chunk_codes(self, n: int, rows, reduced: bool = False):
+        """Yield (lo, codes) for the chunks of _CHUNK out of n vectors.
+
+        rows(lo, hi) gives vectors lo..hi-1 as an (hi - lo, |phi1|) integer
+        array or a list of lists of ints, reduced mod p here unless reduced
+        says that they are in range(p).  codes is a lane array, or, past
+        the lane bound or for a list, a list from code over Python ints.
+        """
+        p, lane = self.p, self.lane
+        for lo in range(0, n, _CHUNK):
+            chunk = rows(lo, min(lo + _CHUNK, n))
+            if lane is None or isinstance(chunk, list):
+                xs = chunk if isinstance(chunk, list) else chunk.tolist()
+                yield lo, [self.code([c % p for c in x]) for x in xs]
+            else:
+                xs = [c.astype(lane) for c in
+                      (chunk if reduced else _mod(chunk, p)).T]
+                yield lo, np.broadcast_to(self.lanes(xs), (len(chunk),))
+
+    def orbit_count(self) -> int:
+        """How many descriptors descriptors() lists, without listing them:
+        summed over the orbit types, the product of their parameter-range
+        sizes.  A range is sized by its ends, since len() of one past 2**63
+        raises OverflowError."""
+        return sum(math.prod(r.stop - r.start if isinstance(r, range)
+                             else len(r) for _, r in params)
+                   for params, _ in self.types.values())
+
+    def descriptors(self, skip: str | None = None):
+        """The catalogue's descriptors in all_descriptors order, without
+        those of the label skip."""
+        for label, (params, _) in self.types.items():
+            if label != skip:
+                yield from _descriptors_of_type(self.rs, self.p, label, params)
+
+    def canonical_vector(self, d: OrbitDescriptor) -> tuple[int, ...]:
+        """The entries of d's orbit type filled with d's parameters (phi1
+        order); whether the vector classifies back to d is canonical_form's
+        check."""
+        rs = self.rs
+        try:
+            _, entries = self.types[d.label]
+        except (KeyError, TypeError):
+            raise InvalidDescriptor(f"no label {d.label} for {rs.name}") from None
+        out = [0] * self.m
+        for root, v in entries:
+            out[rs.phi1_index(root)] = (v if isinstance(v, int)
+                                        else _int_param(d, v))
+        return tuple(out)
 
 
-def _check_domain(table: StructureConstantTable, K) -> int:
-    """p, once the system and the field suit the classification."""
-    rs = table.rs
-    if rs.family == "A":
-        return _field_p(K)
-    if rs.family == "D":
-        return _require_odd(K)
-    raise UnsupportedFamily(
-        f"orbit classification covers families A and D, not {rs.name}"
-    )
+class _AClassifier(_Classifier):
+    """Family A: _a_code, on ints and lanes alike; a code names its label
+    and parameters directly."""
+
+    def __init__(self, table: StructureConstantTable, K):
+        super().__init__(table, K, max(5, table.rs.rank - 1) * K.p ** 2)
+        self.iu, self.iv = _al_indices(self.rs)
+
+    def code(self, x):
+        return _a_code(self.p, [x[i] for i in self.iu], [x[i] for i in self.iv])
+
+    lanes = code
+
+    def decode(self, code: int) -> OrbitDescriptor:
+        p = self.p
+        label = _A_LABELS[code // (p * p)]
+        params, _ = self.types[label]
+        return _mkdesc(self.rs, p, label,
+                       zip((n for n, _ in params), (code // p % p, code % p)))
 
 
-def classify(table: StructureConstantTable, K, x) -> OrbitDescriptor:
-    """Orbit descriptor of a level-1 coefficient vector (phi1 order) of
-    integers; TypeError for entries that are not integers."""
-    p = _check_domain(table, K)
-    # Python ints: the compiled lift sums its terms before reducing them
-    x = [operator.index(c) % p for c in x]
-    return _descriptor_of(table, K, _code_of(table, K, x))
+class _DClassifier(_Classifier):
+    """Family D: the compiled lift's code (_lift_kernel), whose values stay
+    below max(5 * (p + 2)**blocks, kernel.bound(p)).  A dark code names V(k)
+    in closed form, its digits _DARK and then 2 + k in every block, as
+    _v_code_checked proves once per table; any other is looked up in
+    canonical_codes, which the first such decode builds."""
 
+    def __init__(self, table: StructureConstantTable, K):
+        kernel = self.kernel = _lift_kernel(table)
+        # the place of the luminosity digit
+        self.place = (K.p + 2) ** len(_kernel_plan(table)[-1])
+        super().__init__(table, K, max(5 * self.place, kernel.bound(K.p)))
+        params, entries = self.types["V"]
+        _v_code_checked(table, entries)
+        # V's parameters after k take one value each, in sorted order
+        self.v_params = tuple((n, v) for n, (v,) in params[1:])
 
-def _code_of(table: StructureConstantTable, K, x):
-    """The invariant code of x over the prime field K: one level-1 vector of
-    ints, or a batch of them, one integer lane array per phi1 root; the
-    entries are in range(p)."""
-    rs = table.rs
-    p = _field_p(K)
-    x = rs.check_v1(x)
-    if rs.family == "A":
-        return _a_code(rs, p, x)
-    kernel = _lift_kernel(table)
-    code = kernel.lanes if isinstance(x[0], np.ndarray) else kernel.code
-    return code(p, *x)
+    def code(self, x) -> int:
+        return self.kernel.code(self.p, *x)
 
+    def lanes(self, xs):
+        return self.kernel.lanes(self.p, *xs)
 
-@table_cached
-def _canonical_codes(table: StructureConstantTable, K) -> dict:
-    """Code -> descriptor for every family-D canonical representative
-    except V(k)."""
-    codes: dict = {}
-    for label, (params, _) in _orbit_types(table, K).items():
-        if label == "V":
-            continue
-        for d in _descriptors_of_type(table.rs, K.p, label, params):
-            code = _code_of(table, K, _canonical_vector(table, K, d))
+    def decode(self, code: int) -> OrbitDescriptor:
+        p, place = self.p, self.place
+        if code // place != _DARK:
+            d = self.canonical_codes.get(code)
+            if d is not None:
+                return d
+        # 2 + k in every block: 2 + k times the repunit 1 + (p + 2) + ...
+        elif (k := code % (p + 2) - 2) > 0 and code == (
+                _DARK * place + (2 + k) * (place - 1) // (p + 1)):
+            # as _mkdesc builds it: "k" sorts first
+            return OrbitDescriptor("D", self.rs.rank, p, "V",
+                                   (("k", k),) + self.v_params)
+        raise ClassificationError(
+            f"invariant code {code} matches no canonical representative "
+            f"of {self.rs.name} over F_{p}"
+        )
+
+    @functools.cached_property
+    def canonical_codes(self) -> dict:
+        """Code -> descriptor for every canonical representative except
+        V(k)'s."""
+        codes: dict = {}
+        for d in self.descriptors(skip="V"):
+            code = self.code(self.canonical_vector(d))
             if code in codes:
                 raise ClassificationError(
                     f"{codes[code]} and {d} share the invariant code {code}"
                 )
             codes[code] = d
-    return codes
+        return codes
+
+
+@table_cached
+def _classifier(table: StructureConstantTable, K) -> _Classifier:
+    """The classifier of table over K, once the system and the field suit
+    the classification."""
+    rs = table.rs
+    if rs.family == "A":
+        _field_p(K)
+        return _AClassifier(table, K)
+    if rs.family == "D":
+        _require_odd(K)
+        return _DClassifier(table, K)
+    raise UnsupportedFamily(
+        f"orbit classification covers families A and D, not {rs.name}"
+    )
 
 
 @table_cached
@@ -883,102 +961,24 @@ def _v_code_checked(table: StructureConstantTable, entries) -> None:
                                   f"not have the closed-form dark code")
 
 
-@table_cached
-def _v_named(table: StructureConstantTable, K, code: int):
-    """V(k) if the dark code is V(k)'s (_v_code_checked), else None; k is its
-    last digit minus 2, and V's parameters after k take one value each."""
-    params, entries = _orbit_types(table, K)["V"]
-    _v_code_checked(table, entries)
-    radix = K.p + 2
-    place = radix ** len(_kernel_plan(table)[-1])  # of the luminosity digit
-    k = code % radix - 2
-    if k <= 0 or code != _DARK * place + (2 + k) * (place - 1) // (radix - 1):
-        return None
-    return _mkdesc(table.rs, K.p, "V",
-                   [("k", k)] + [(n, v) for n, (v,) in params[1:]])
-
-
-def _descriptor_of(table: StructureConstantTable, K,
-                   code: int) -> OrbitDescriptor:
-    """The descriptor an invariant code names; classify and classify_many
-    both decode here.  A dark family-D code names V(k) in closed form,
-    proven once per table (_v_named); any other is in _canonical_codes."""
-    rs = table.rs
-    p = K.p
-    if rs.family == "A":
-        label = _A_LABELS[code // (p * p)]
-        params, _ = _orbit_types(table, K)[label]
-        return _mkdesc(rs, p, label,
-                       zip((n for n, _ in params), (code // p % p, code % p)))
-    if code // (p + 2) ** len(_kernel_plan(table)[-1]) == _DARK:
-        d = _v_named(table, K, code)
-    else:
-        d = _canonical_codes(table, K).get(code)
-    if d is None:
-        raise ClassificationError(
-            f"invariant code {code} matches no canonical representative "
-            f"of {rs.name} over F_{p}"
-        )
-    return d
+def classify(table: StructureConstantTable, K, x) -> OrbitDescriptor:
+    """Orbit descriptor of a level-1 coefficient vector (phi1 order) of
+    integers; TypeError for entries that are not integers."""
+    return _classifier(table, K).classify(x)
 
 
 # -- batches -----------------------------------------------------------------------
 
-# vectors per batch; bounds the memory of a batch code pass, which holds a
-# lane array for every prefix and block coordinate of the compiled code
-_CHUNK = 1 << 14
 
-
-def _lane(table: StructureConstantTable, p: int):
-    """The dtype of batch code lanes over F_p.
-
-    Every intermediate value of a code, and the code itself, is below
-    5 * (p + 2)**3 and, for family D, below the compiled lift's own bound
-    (about sum |c| * (p - 1)**4 over its quartic coordinate).  The lanes are
-    int32 while that fits, then int64, then Python ints (dtype object): no
-    lane ever wraps.  int32 and int64 lanes are reduced by floor division
-    (gfield._mod, through which the lanes spelling of the compiled code
-    reduces), object lanes by %; a // p * p lies within p of a, and
-    a - a // p * p is exact even where that product wraps, so the bound is
-    the same for both.
-    """
-    bound = 5 * (p + 2) ** 3
-    if table.rs.family == "D":
-        bound = max(bound, _lift_kernel(table).bound(p))
-    if bound < 2**31:
-        return np.int32
-    return np.int64 if bound < 2**63 else object
-
-
-def _chunk_codes(table: StructureConstantTable, p: int, n: int, columns):
-    """Yield (lo, codes) for the chunks of _CHUNK out of n vectors.
-
-    columns(lo, hi) gives vectors lo..hi-1 as one integer array per phi1
-    coordinate, entries in range(p); codes holds their _code_of values.
-    """
-    lane = _lane(table, p)
-    K = PrimeField(p)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        xs = [c.astype(lane) for c in columns(lo, hi)]
-        yield lo, np.broadcast_to(_code_of(table, K, xs), (hi - lo,))
-
-
-def _batch_rows(rs: RootSystem, p: int, X) -> np.ndarray:
-    """X as an (n, |phi1|) array of 64-bit integers, a narrower integer
-    dtype, which need not hold p, widened to int64; ValueError otherwise.
-    A list is read as int64 when that holds it and as uint64 otherwise."""
+def _batch_rows(rs: RootSystem, p: int, X):
+    """X as an (n, |phi1|) array of 64-bit integers (a narrower dtype,
+    which need not hold p, widened to int64), or, for a sequence that numpy
+    reads as no integer dtype (entries of 2**64 or more, or of 2**63 or more
+    beside smaller ones), as a list of lists of ints; ValueError for rows of
+    the wrong length or entries that are not integers."""
     m = len(rs.phi1)
     try:
         rows = np.asarray(X)
-        if rows.dtype.kind == "f" and not isinstance(X, np.ndarray):
-            # numpy reads a list that mixes entries below 2**63 with entries
-            # in [2**63, 2**64) as float64; read integers again, as uint64
-            obj = np.asarray(X, dtype=object)
-            if all(isinstance(v, (int, np.integer)) for v in obj.flat):
-                # with negative entries too, no 64-bit dtype holds the list
-                with contextlib.suppress(OverflowError):
-                    rows = obj.astype(np.uint64)
         if rows.size == 0:  # no vectors, or vectors without entries (A1)
             rows = rows.astype(np.int64).reshape(len(rows), m)
     except ValueError:  # rows of different lengths
@@ -987,37 +987,32 @@ def _batch_rows(rs: RootSystem, p: int, X) -> np.ndarray:
         raise ValueError(
             f"level-1 vectors for {rs.name} need {m} coefficients each"
         )
-    if rows.dtype.kind not in "iu":
-        raise ValueError(
-            f"level-1 vector entries over F_{p} must be 64-bit integers"
-        )
-    return rows if rows.dtype.itemsize == 8 else rows.astype(np.int64)
+    if rows.dtype.kind in "iu":
+        return rows if rows.dtype.itemsize == 8 else rows.astype(np.int64)
+    with contextlib.suppress(TypeError):
+        if not isinstance(X, np.ndarray):
+            return [[operator.index(c) for c in x] for x in X]
+    raise ValueError(f"level-1 vector entries over F_{p} must be integers")
 
 
 def classify_many(table: StructureConstantTable, K,
                   X) -> list[OrbitDescriptor]:
     """Orbit descriptors of a batch of level-1 vectors, in input order.
 
-    X is a sequence of vectors in phi1 order, or an (n, |phi1|) integer
-    array.  The result equals [classify(table, K, x) for x in X]: the codes
-    come from the same kernel, run on lane arrays of _CHUNK vectors at a
-    time, and each distinct code is decoded once.  Entries are reduced mod p,
-    as classify reduces them, before they enter lanes sized for range(p).  A
-    row of the wrong length, or entries that are not integers of at most
-    64 bits, raise ValueError.
+    X is a sequence of integer vectors in phi1 order, or an (n, |phi1|)
+    integer array.  The result equals [classify(table, K, x) for x in X]:
+    the codes come from the same classifier (its chunk_codes), and each
+    distinct code is decoded once.  A row of the wrong length, or entries
+    that are not integers, raise ValueError.
     """
-    p = _check_domain(table, K)
-    rows = _batch_rows(table.rs, p, X)
-
-    def columns(lo, hi):
-        return _mod(rows[lo:hi], p).T
-
+    clf = _classifier(table, K)
+    rows = _batch_rows(clf.rs, clf.p, X)
     out: list = [None] * len(rows)
     seen: dict = {}
-    for lo, codes in _chunk_codes(table, p, len(rows), columns):
-        keys = codes.tolist()
+    for lo, codes in clf.chunk_codes(len(rows), lambda lo, hi: rows[lo:hi]):
+        keys = codes if isinstance(codes, list) else codes.tolist()
         for c in set(keys).difference(seen):
-            seen[c] = _descriptor_of(table, K, c)
+            seen[c] = clf.decode(c)
         out[lo:lo + len(keys)] = map(seen.__getitem__, keys)
     return out
 
@@ -1070,15 +1065,15 @@ def _int_param(d: OrbitDescriptor, name: str) -> int:
 def canonical_form(table: StructureConstantTable, K,
                    d: OrbitDescriptor) -> tuple[int, ...]:
     """The canonical level-1 vector named by the descriptor (phi1 order)."""
-    rs = table.rs
-    p = _check_domain(table, K)
+    clf = _classifier(table, K)
+    rs, p = clf.rs, clf.p
     if (d.family, d.rank) != (rs.family, rs.rank) or d.p != p:
         raise InvalidDescriptor(
             f"descriptor {d.family}{d.rank}/F_{d.p} does not match "
             f"{rs.name}/F_{p}"
         )
-    vec = _canonical_vector(table, K, d)
-    got = classify(table, K, vec)
+    vec = clf.canonical_vector(d)
+    got = clf.classify(vec)
     if got != d:
         raise InvalidDescriptor(
             f"{d.label} with params {dict(d.params)} does not name an orbit "
@@ -1097,14 +1092,11 @@ def all_descriptors(table: StructureConstantTable, K) -> list[OrbitDescriptor]:
     The cyclic collector is paused while the list is built: the
     descriptors hold no cycles, and at p >= 1009 (about 10**6 of them)
     its passes over the growing list took about a third of the time."""
-    p = _check_domain(table, K)
+    clf = _classifier(table, K)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return [
-            d for label, (params, _) in _orbit_types(table, K).items()
-            for d in _descriptors_of_type(table.rs, p, label, params)
-        ]
+        return list(clf.descriptors())
     finally:
         if enabled:
             gc.enable()

@@ -332,6 +332,15 @@ def test_crosscheck_rejects_a_census_without_its_last_orbit():
     assert e.value.details["enumerated"] == [o.size for o in census.orbits]
 
 
+def test_crosscheck_refuses_codes_past_64_bit_lanes():
+    # A2's codes pass 2**63 from p = 1,358,187,923 on, at fewer than 2**62
+    # states; refused before any state is read
+    p = 1_358_187_923
+    census = census_mod.OrbitCensus("A", 2, p, p * p, ())
+    with pytest.raises(BudgetExceeded, match="64-bit lanes"):
+        crosscheck(get_table("A2"), p, census=census)
+
+
 @pytest.mark.parametrize("keep_orbit_id", [True, False])
 def test_crosscheck_rejects_a_representative_that_is_not_least(
         keep_orbit_id):
@@ -433,20 +442,21 @@ def test_crosscheck_reports_a_code_that_varies_inside_an_orbit(monkeypatch):
     rs = get_table("D4").rs
     i = next(i for i, o in enumerate(census.orbits) if o.size > 1)
     state = int(np.flatnonzero(census.orbit_id == i)[-1])
-    real = census_mod._chunk_codes
+    clf = orbitlab._classifier(get_table("D4"), get_field(3))
+    real = clf.chunk_codes
     # the code pass streams chunks: with chunks of 2**10 of the 3**8 states
     # the shifted code lies past the first chunk
     monkeypatch.setattr(orbitlab, "_CHUNK", 1 << 10)
     assert state >= 1 << 10
 
-    def one_off(table, p, n, columns):
-        for lo, codes in real(table, p, n, columns):
+    def one_off(n, rows, **kwargs):
+        for lo, codes in real(n, rows, **kwargs):
             if lo <= state < lo + len(codes):
                 codes = codes.copy()
                 codes[state - lo] += 1
             yield lo, codes
 
-    monkeypatch.setattr(census_mod, "_chunk_codes", one_off)
+    monkeypatch.setattr(clf, "chunk_codes", one_off)
     with pytest.raises(MismatchReport, match="varies inside") as e:
         _d4_crosscheck(census=census)
     assert e.value.details == {
@@ -458,12 +468,13 @@ def test_crosscheck_reports_a_code_that_varies_inside_an_orbit(monkeypatch):
 def test_crosscheck_reports_scalar_and_batch_codes_that_disagree(monkeypatch):
     census = get_census("D4", 3)
     rep = census.orbits[3].representative
-    real = census_mod._code_of
+    clf = orbitlab._classifier(get_table("D4"), get_field(3))
+    real = clf.code
 
-    def skewed(table, K, x):
-        return real(table, K, x) + (tuple(x) == rep)
+    def skewed(x):
+        return real(x) + (tuple(x) == rep)
 
-    monkeypatch.setattr(census_mod, "_code_of", skewed)
+    monkeypatch.setattr(clf, "code", skewed)
     with pytest.raises(MismatchReport, match="scalar and batch") as e:
         _d4_crosscheck(census=census)
     assert e.value.details == {"representative": rep}
@@ -477,13 +488,14 @@ def test_crosscheck_reports_two_orbits_sharing_a_descriptor(monkeypatch):
     i, j = 2, 5
     shared, lost = orbits[i].descriptor, orbits[j].descriptor
     orbits[j] = dataclasses.replace(orbits[j], descriptor=shared)
-    real = census_mod._descriptor_of
+    clf = orbitlab._classifier(get_table("D4"), get_field(3))
+    real = clf.decode
 
-    def merged(table, K, code):
-        d = real(table, K, code)
+    def merged(code):
+        d = real(code)
         return shared if d == lost else d
 
-    monkeypatch.setattr(census_mod, "_descriptor_of", merged)
+    monkeypatch.setattr(clf, "decode", merged)
     with pytest.raises(MismatchReport, match="share a descriptor") as e:
         _d4_crosscheck(census=dataclasses.replace(census, orbits=tuple(orbits)))
     assert e.value.details == {

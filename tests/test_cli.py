@@ -10,6 +10,7 @@ import json
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -270,13 +271,19 @@ def test_classify_checks_length_before_building_the_table(capsys, monkeypatch,
     assert code == 3
 
 
-@pytest.mark.parametrize("system,p", [("D4", 5), ("A3", 5), ("D5", 1009)])
+@pytest.mark.parametrize("system,p", [
+    ("D4", 5), ("A3", 5), ("D5", 1009),
+    # D4's lane code wrapped from 1,321,213 on; past the int64 bound, and
+    # past 2**63 and 2**64, batches run the scalar code
+    ("D4", 1321213), ("D4", 1000000007),
+    ("A3", 9223372036854775837), ("A3", 18446744073709551629),
+])
 def test_classify_batch_lines_match_single_vector_output(capsys, tmp_path,
                                                          system, p):
     rs = chevorbit.build_root_system(system[0], int(system[1:]))
     rng = random.Random(p)
     vectors = [[rng.randrange(p) if rng.random() < 0.4 else 0 for _ in rs.phi1]
-               for _ in range(40)]
+               for _ in range(39)] + [[p - 1] * len(rs.phi1)]
     f = tmp_path / "batch.txt"
     f.write_text("\n".join(",".join(map(str, x)) for x in vectors[:20])
                  + "\n\n  \n"
@@ -608,7 +615,8 @@ _SYSTEMS = st.one_of(
     st.builds("{}{}".format, st.sampled_from("ADE"),
               st.integers(1, 16) | st.just(16) | st.integers(17, 10**6)),
 )
-_PRIMES = st.sampled_from([-3, 0, 1, 2, 3, 4, 5, 9, 1009])
+_PRIMES = st.sampled_from([-3, 0, 1, 2, 3, 4, 5, 9, 1009, 1321213,
+                           18446744073709551629])
 _VECTORS = st.one_of(
     st.lists(st.integers(-2, 1010), max_size=30).map(
         lambda xs: ",".join(map(str, xs))),
@@ -628,7 +636,25 @@ def _argv(draw):
         return ["constants", system, "--check", check]
     p = str(draw(_PRIMES))
     if cmd == "classify":
-        return ["classify", system, "-p", p, f"--vector={draw(_VECTORS)}"]
+        # half of the examples on small classifiable systems, whose vectors
+        # reach the classifier, and at the primes past its lane bounds
+        system = draw(st.sampled_from(["A2", "A3", "D4", "D5"]) | _SYSTEMS)
+        p = str(draw(st.sampled_from([1321213, 18446744073709551629])
+                     | _PRIMES))
+        if draw(st.booleans()):
+            return ["classify", system, "-p", p, f"--vector={draw(_VECTORS)}"]
+        # the lines of a --batch file, written for the example; of the
+        # system's |phi1| entries where that is small, so most lines parse
+        try:
+            family, rank = chevorbit.parse_system_name(system)
+            m = 2 * chevorbit.root_count(family, rank) // rank - 4
+        except ValueError:
+            m = 99
+        line = (_VECTORS if m > 30 else st.lists(
+            st.integers(-2, 1010), min_size=m, max_size=m).map(
+                lambda xs: ",".join(map(str, xs))))
+        lines = draw(st.lists(line, max_size=4))
+        return ["classify", system, "-p", p, "--batch", "\n".join(lines)]
     argv = ["orbits", system, "-p", p,
             "--format", draw(st.sampled_from(["json", "csv"]))]
     mode = draw(st.sampled_from([None, "--brute-force", "--compare"]))
@@ -646,8 +672,13 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
     # p = 1009, correct but too slow for a fuzz example
     assume(argv[:2] != ["orbits", "A2"] or "1009" not in argv
            or "--budget" in argv)
-    with contextlib.redirect_stdout(io.StringIO()), \
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
+        if "--batch" in argv:
+            path = Path(tmp, "batch.txt")
+            path.write_text(argv[-1], encoding="utf-8")
+            argv = argv[:-1] + [f"@{path}"]
         code = main(argv)
     assert code in (0, 1, 2, 3, 4), argv
     if argv[1][:1] in "AD" and argv[1][1:].isdigit() and int(argv[1][1:]) > 31:

@@ -79,6 +79,21 @@ def quad_vector(rs, coeffs):
     return tuple(out)
 
 
+def lane_of(t, p):
+    """The dtype of t's batch lanes over F_p; None past the int64 bound."""
+    return orbitlab._classifier(t, get_field(p)).lane
+
+
+def batch_codes(t, p, vectors):
+    """The codes of vectors through classify_many's chunked batch path."""
+    rows = np.array(vectors, dtype=np.int64)
+    out = []
+    for _, codes in orbitlab._classifier(t, get_field(p)).chunk_codes(
+            len(rows), lambda lo, hi: rows[lo:hi]):
+        out += codes if isinstance(codes, list) else codes.tolist()
+    return out
+
+
 # -- the lift ---------------------------------------------------------------------
 
 
@@ -175,7 +190,7 @@ def test_batch_lift_equals_stacked_scalar_lifts(name, p):
     X = rng.integers(0, p, size=(n, m)) * (rng.random((n, m)) < 0.3)
     X[:, 0] = 0
     X[:, 1] = p - 1
-    lanes = [c.astype(orbitlab._lane(t, p)) for c in X.T]
+    lanes = [c.astype(lane_of(t, p)) for c in X.T]
     y = associated_root_element(t, ArrayField(p), lanes)
     want = np.array([associated_root_element(t, K, x).coeffs
                      for x in X.tolist()])
@@ -200,7 +215,9 @@ def test_compiled_lift_equals_reference_lift(name):
         for x, y in zip(vectors, want):
             co = kernel.lift(p, *x)
             assert {k: y[k] for k in co} == co, (p, x)
-        lanes = np.array(vectors, dtype=orbitlab._lane(t, p)).T
+        if lane_of(t, p) is None:  # past the int64 bound: no lanes
+            continue
+        lanes = np.array(vectors, dtype=lane_of(t, p)).T
         co = kernel.lift(p, *lanes)
         for k, got in co.items():
             assert np.broadcast_to(got, (len(vectors),)).tolist() == [
@@ -210,7 +227,7 @@ def test_compiled_lift_equals_reference_lift(name):
 @pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
 def test_compiled_lift_spellings_agree(name):
     # code is the lazy spelling for Python ints, lanes the eager one that
-    # classify_many runs on int32, int64 and object lanes
+    # classify_many runs on int32 and int64 lanes
     t = get_table(name)
     kernel = orbitlab._lift_kernel(t)
     for p in (3, 5, 1009):
@@ -218,30 +235,42 @@ def test_compiled_lift_spellings_agree(name):
         vectors = half_sparse(rng, t.rs, p, 60) + [(p - 1,) * len(t.rs.phi1)]
         want = [kernel.code(p, *x) for x in vectors]
         assert all(isinstance(c, int) for c in want)
-        for lane in {orbitlab._lane(t, p), np.int64, object}:
+        for lane in {lane_of(t, p), np.int64}:
             got = kernel.lanes(p, *np.array(vectors, dtype=lane).T)
             assert got.tolist() == want, (p, lane)
 
 
 @pytest.mark.parametrize("name,p", [
-    ("A3", 3), ("D4", 3), ("D8", 5),        # int32 lanes
-    ("A3", 1009), ("D4", 1009), ("D8", 1009),  # int64
-    ("A3", 1_300_021), ("D4", 65521),        # object
+    ("A3", 3), ("D4", 3), ("D8", 5), ("A3", 1009),  # int32 lanes
+    ("D4", 1009), ("D8", 1009), ("A3", 1_300_021),  # int64
+    # the largest primes with int64 lanes
+    ("A5", 1_358_187_913), ("A8", 1_147_878_283), ("D4", 24889),
+    ("D8", 13669),
+    ("D4", 65521),  # no lanes: batches run the scalar code
 ])
 def test_lane_reduction_equals_python_mod(name, p):
     t = get_table(name)
-    lane = orbitlab._lane(t, p)
-    bound = 5 * (p + 2) ** 3
-    if t.rs.family == "D":
-        bound = max(bound, orbitlab._lift_kernel(t).bound(p))
+    rs = t.rs
+    lane = lane_of(t, p)
+    # the bounds the classifier documents, on every intermediate value of a
+    # lane code
+    if rs.family == "A":
+        bound = max(5, rs.rank - 1) * p * p
+    else:
+        bound = max(5 * (p + 2) ** len(block_gammas(rs)),
+                    orbitlab._lift_kernel(t).bound(p))
+    assert lane == (np.int32 if bound < 2**31 else
+                    np.int64 if bound < 2**63 else None)
     rng = random.Random(p)
     values = [0, 1, -1, p - 1, p, p + 1, -p, -p - 1]
     values += [s * (bound - i) for s in (1, -1) for i in (1, 2, p, p + 1)]
     values += [rng.randrange(-bound + 1, bound) for _ in range(200)]
-    if lane is not object:
-        # past the bound too: a // p * p may wrap, the result may not
-        info = np.iinfo(lane)
-        values += [info.min, info.min + 1, info.max - 1, info.max]
+    if lane is None:
+        assert all(_mod(v, p) == v % p for v in values)
+        return
+    # past the bound too: a // p * p may wrap, the result may not
+    info = np.iinfo(lane)
+    values += [info.min, info.min + 1, info.max - 1, info.max]
     a = np.array(values, dtype=lane)
     got = _mod(a, p)
     assert got.dtype == a.dtype
@@ -462,7 +491,7 @@ def test_invariant_code_matches_reference_invariants(name, p):
         want.append(pack_profile(p, luminosity(rs, y), invs))
     kernel = orbitlab._lift_kernel(t)
     assert [kernel.code(p, *x) for x in vectors] == want
-    columns = np.array(vectors, dtype=orbitlab._lane(t, p)).T
+    columns = np.array(vectors, dtype=lane_of(t, p)).T
     assert kernel.lanes(p, *columns).tolist() == want
     blocks = len(block_gammas(rs))
     assert {c // (p + 2) ** blocks for c in want} == {0, 1, 2, 3, 4}
@@ -493,11 +522,8 @@ def test_classify_a_matches_reference(name, p):
         ]
     want = [classify_a_reference(rs, K, x) for x in vectors]
     assert [classify(t, K, x) for x in vectors] == want
-    scalar = [orbitlab._code_of(t, K, x) for x in vectors]
-    columns = list(np.array(vectors, dtype=np.int64).T)
-    batch = np.broadcast_to(orbitlab._code_of(t, ArrayField(p), columns),
-                            (len(vectors),))
-    assert batch.tolist() == scalar
+    scalar = [orbitlab._classifier(t, K).code(x) for x in vectors]
+    assert batch_codes(t, p, vectors) == scalar
     labels = {d.label for d in want}
     assert labels == {"I", "IIa", "IIb", "VI"} | ({"III"} if rs.rank > 2 else set())
     if rs.rank == 3:
@@ -507,26 +533,37 @@ def test_classify_a_matches_reference(name, p):
 
 
 def test_classify_holds_no_memory_per_vector():
+    # distinct vectors through classify and through classify_many, after the
+    # per-table state is built: at F_5, and at F_1000000007, where uniform
+    # vectors are dark and batches run the scalar code
     t = get_table("D4")
-    K = get_field(5)
-    rng = random.Random(3000)
-    vectors = list(dict.fromkeys(random_v1(rng, t.rs, 5) for _ in range(3100)))
-    vectors = vectors[:3000]
-    assert len(vectors) == 3000
-    for d in all_descriptors(t, K):  # fill the per-table code maps first
-        classify(t, K, canonical_form(t, K, d))
-    held = {}
-    tracemalloc.start()
-    try:
-        for i, x in enumerate(vectors, 1):
-            classify(t, K, x)
-            if i in (1000, 3000):
-                gc.collect()  # also empties the interpreter's free lists
-                held[i] = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held[3000] < 16 * 1024
-    assert held[3000] - held[1000] < 4 * 1024
+    n = 3000
+    for p in (5, 1_000_000_007):
+        K = get_field(p)
+        rng = random.Random(3000 + p)
+        vectors = list(dict.fromkeys(random_v1(rng, t.rs, p)
+                                     for _ in range(n + 100)))[:n]
+        assert len(vectors) == n
+        # every orbit type but V, and V(1), by both entry points
+        descs = orbitlab._classifier(t, K).descriptors(skip="V")
+        classify_many(t, K, [canonical_form(t, K, d) for d in descs]
+                      + [quad_vector(t.rs, (1, 1, 1, 1))])
+        memo = len(t.memo)
+        for run in (lambda xs: [classify(t, K, x) for x in xs],
+                    lambda xs: classify_many(t, K, xs)):
+            held = {}
+            tracemalloc.start()
+            try:
+                for i in range(0, n, 100):
+                    run(vectors[i:i + 100])
+                    if i + 100 in (1000, n):
+                        gc.collect()  # also empties the free lists
+                        held[i + 100] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert held[n] < 16 * 1024, (p, held)
+            assert held[n] - held[1000] < 4 * 1024, (p, held)
+        assert len(t.memo) == memo, p
 
 
 def test_tables_are_freed_after_use():
@@ -551,7 +588,7 @@ def test_classify_raises_when_no_canonical_code_matches():
     K = get_field(3)
     x = quad_vector(rs, (1, 1, 0, 0))
     d = classify(t, K, x)
-    codes = orbitlab._canonical_codes(t, K)
+    codes = orbitlab._classifier(t, K).canonical_codes
     del codes[next(c for c, e in codes.items() if e == d)]
     with pytest.raises(ClassificationError, match="matches no canonical"):
         classify(t, K, x)
@@ -605,25 +642,30 @@ def test_classify_many_confirms_new_dark_codes_in_one_batch(monkeypatch):
     vectors = [random_v1(random.Random(i), t.rs, 4001) for i in range(300)]
     want = [classify(ref, K, x) for x in vectors]
     assert sum(d.label == "V" for d in want) > 250
-    orbitlab._canonical_codes(t, K)
+    clf = orbitlab._classifier(t, K)
+    clf.canonical_codes
     lanes = []
-    real = orbitlab._code_of
+    for spelling in ("code", "lanes"):
+        real = getattr(clf, spelling)
 
-    def counted(table, K, x):
-        lanes.append(isinstance(x[0], np.ndarray))
-        return real(table, K, x)
+        def counted(x, real=real, spelling=spelling):
+            lanes.append(spelling)
+            return real(x)
 
-    monkeypatch.setattr(orbitlab, "_code_of", counted)
+        monkeypatch.setattr(clf, spelling, counted)
     assert classify_many(t, K, vectors) == want
     # the vectors' codes only: V(k) is named from its code in closed form
-    assert lanes == [True]
+    assert lanes == ["lanes"]
 
 
 @pytest.mark.parametrize("name", ["D4", "A3"])
-def test_classify_many_uses_object_lanes_past_int64(name):
-    p = 1_300_021  # 5 (p + 2)**3 > 2**63: int64 lanes could wrap
+def test_classify_many_runs_the_scalar_code_past_int64(name):
+    # past a family's int64 bound int64 lanes could wrap, so batches run
+    # the scalar code: D4's lane code passes 2**63 from p = 24,907 on, and
+    # A3's from 1,358,187,923
+    p = {"D4": 1_300_021, "A3": 10**12 + 39}[name]
     t = get_table(name)
-    assert 5 * (p + 2) ** 3 > 2**63 and orbitlab._lane(t, p) is object
+    assert lane_of(t, p) is None
     K = get_field(p)
     vectors = half_sparse(random.Random(p), t.rs, p, 200)
     want = [classify(t, K, x) for x in vectors]
@@ -632,32 +674,41 @@ def test_classify_many_uses_object_lanes_past_int64(name):
     # Python ints before the unreduced sums of the compiled lift
     rows = np.array(vectors, dtype=np.int64)
     assert [classify(t, K, x) for x in rows[:50]] == want[:50]
+    # entries are reduced mod p on this path too, from arrays and lists
+    assert classify_many(t, K, rows - p) == want
+    assert classify_many(t, K, [[c + 2**64 * p for c in x]
+                                for x in vectors]) == want
 
 
-@pytest.mark.parametrize("name", ["A3", "D4", "D5", "D6", "D7", "D8"])
+@pytest.mark.parametrize(
+    "name", [f"A{l}" for l in range(3, 9)] + [f"D{l}" for l in range(4, 9)])
 def test_classify_many_matches_classify_across_lane_thresholds(name):
     # classify runs the scalar spelling of the code, classify_many the lane
-    # one: compared on both sides of every lane threshold, and for family D
-    # also at 65521
+    # one up to the int64 bound and the scalar one past it: compared on
+    # both sides of every threshold (int32 -> int64 -> scalar), at 65521,
+    # at 1,321,213 (where the D4 lane code wrapped), and past 2**63 and
+    # 2**64
     t = get_table(name)
     m = len(t.rs.phi1)
-    lanes = [np.int32, np.int64, object]
+    lanes = [np.int32, np.int64, None]
 
-    def width(p):
-        return lanes.index(orbitlab._lane(t, p))
+    def next_prime(n):
+        return next(q for q in itertools.count(n) if is_prime(q))
+
+    def width(n):  # of the least prime >= n, so monotone in n
+        return lanes.index(lane_of(t, next_prime(n)))
 
     primes = []
     for w in (1, 2):
-        lo, hi = 3, 2**21  # width(lo) < w <= width(hi)
+        lo, hi = 3, 2**31  # width(lo) < w <= width(hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if width(mid) >= w else (mid, hi)
-        below = next(q for q in range(hi - 1, 2, -1) if is_prime(q))
-        above = next(q for q in itertools.count(hi) if is_prime(q))
+        above = next_prime(hi)
+        below = next(q for q in range(above - 1, 2, -1) if is_prime(q))
         assert (width(below), width(above)) == (w - 1, w)
         primes += [below, above]
-    if t.rs.family == "D":
-        primes.append(65521)
+    primes += [65521, 1_321_213, 2**63 + 29, 2**64 + 13]
     for p in primes:
         K = get_field(p)
         rng = random.Random(p)
@@ -681,14 +732,13 @@ def test_dark_decode_leaves_the_non_v_code_map_unbuilt():
     rs = get_system("D4")
     K = get_field(1009)
     dark = quad_vector(rs, (1, 1, 1, 3))
-    non_v = (orbitlab._canonical_codes.__wrapped__, K)
     for run in (lambda t, x: classify(t, K, x),
                 lambda t, x: classify_many(t, K, [x])[0]):
         t = build_table_oracle(rs)  # fresh code maps
         assert run(t, dark).label == "V"
-        assert non_v not in t.memo
+        assert "canonical_codes" not in vars(orbitlab._classifier(t, K))
         assert run(t, quad_vector(rs, (1, 1, 0, 0))).label == "IIIa"
-        assert non_v in t.memo
+        assert "canonical_codes" in vars(orbitlab._classifier(t, K))
 
 
 def packed(p, *digits):
@@ -711,20 +761,20 @@ def test_v_code_closed_form_equals_canonical_vector_codes(name):
     primes = [q for q in range(3, 102) if is_prime(q)] + [1009]
     rng = random.Random(rs.rank)
     for p in primes + [65521, 1_300_021]:
-        K = get_field(p)
+        clf = orbitlab._classifier(t, get_field(p))
         if p in primes:
             ks = list(range(1, p))
         else:
             ks = [1, 2, p - 1] + rng.sample(range(3, p - 1), 60)
-        vecs = [orbitlab._canonical_vector(t, K, OrbitDescriptor(
+        vecs = [clf.canonical_vector(OrbitDescriptor(
             "D", rs.rank, p, "V", (("k", k),))) for k in ks]
-        lanes = list(np.array(vecs, dtype=orbitlab._lane(t, p)).T)
-        got = np.broadcast_to(orbitlab._code_of(t, K, lanes), (len(ks),))
-        assert got.tolist() == [v_code(rs, p, k) for k in ks], p
+        want = [v_code(rs, p, k) for k in ks]
+        assert batch_codes(t, p, vecs) == want, p
+        assert [clf.code(x) for x in vecs[:10]] == want[:10], p
         for k in ks[:3]:
-            d = orbitlab._descriptor_of(t, K, v_code(rs, p, k))
+            d = clf.decode(v_code(rs, p, k))
             assert (d.label, d.param("k")) == ("V", k)
-    assert orbitlab._lane(t, 1_300_021) is object
+    assert lane_of(t, 1_300_021) is None
 
 
 @pytest.mark.parametrize("rank", range(4, 23))
@@ -757,7 +807,7 @@ def test_non_v_canonical_codes_are_never_dark(name):
     t = get_table(name)
     place_exp = len(block_gammas(t.rs))
     for p in (3, 5, 1009):
-        codes = orbitlab._canonical_codes(t, get_field(p))
+        codes = orbitlab._classifier(t, get_field(p)).canonical_codes
         assert codes and all(code // (p + 2) ** place_exp != orbitlab._DARK
                              for code in codes), p
 
@@ -765,14 +815,14 @@ def test_non_v_canonical_codes_are_never_dark(name):
 def test_malformed_dark_codes_raise():
     t = get_table("D4")
     p = 7
-    K = get_field(p)
-    assert orbitlab._descriptor_of(t, K, packed(p, 4, 3, 3, 3)).label == "V"
+    clf = orbitlab._classifier(t, get_field(p))
+    assert clf.decode(packed(p, 4, 3, 3, 3)).label == "V"
     bad = [packed(p, 4, 3, 4, 3), packed(p, 4, 5, 5, 4)]  # unequal k
     bad += [packed(p, 4, d, d, d) for d in (0, 1, 2)]
     bad += [packed(p, 4, 3, 3, d) for d in (0, 1, 2)]
     for code in bad:
         with pytest.raises(ClassificationError, match="matches no canonical"):
-            orbitlab._descriptor_of(t, K, code)
+            clf.decode(code)
 
 
 def test_classify_many_crosses_chunk_boundaries():
@@ -797,14 +847,15 @@ def test_classify_many_validates_like_classify():
                 np.zeros(8, int)):
         with pytest.raises(ValueError, match="8 coefficients"):
             classify_many(t, K, bad)
-    # no 64-bit dtype holds both -1 and 2**64 - 1
-    for bad in (np.full((2, 8), 0.5), good + [(1,) * 7 + (2**70,)],
-                [(0.5,) * 7 + (2**64 - 1,)], [(-1,) * 7 + (2**64 - 1,)]):
+    for bad in (np.full((2, 8), 0.5), [(0.5,) * 7 + (2**64 - 1,)],
+                [("1",) * 8]):
         with pytest.raises(ValueError, match="integers"):
             classify_many(t, K, bad)
-    # a list mixing entries below 2**63 and above is read exactly
-    x = (0,) * 7 + (2**64 - 1,)
-    assert classify_many(t, K, [x]) == [classify(t, K, x)]
+    # a list that no 64-bit dtype holds is read entry by entry, exactly:
+    # entries on both sides of 2**63, -1 beside 2**64 - 1, and past 2**64
+    for x in ((0,) * 7 + (2**64 - 1,), (-1,) * 7 + (2**64 - 1,),
+              (1,) * 7 + (2**70,)):
+        assert classify_many(t, K, good + [x])[-1] == classify(t, K, x)
     # entries are reduced mod p, as classify reduces them
     for entry in (-1, 5, 7):
         x = (1,) * 7 + (entry,)
@@ -970,14 +1021,16 @@ def test_orbit_count_is_the_length_of_the_descriptor_list(name):
     t = get_table(name)
     for p in (3, 5, 31):
         K = get_field(p)
-        assert orbitlab._orbit_count(t, K) == len(all_descriptors(t, K))
+        assert (orbitlab._classifier(t, K).orbit_count()
+                == len(all_descriptors(t, K)))
 
 
 
 def test_orbit_count_past_2_63():
     # A2 has p**2 orbits; len() of a range this long raises OverflowError
     p = 2**64 + 13
-    assert orbitlab._orbit_count(get_table("A2"), PrimeField(p)) == p * p
+    clf = orbitlab._classifier(get_table("A2"), PrimeField(p))
+    assert clf.orbit_count() == p * p
 
 
 def test_descriptor_list_is_deterministic():
@@ -1105,14 +1158,15 @@ def test_classify_is_action_invariant_at_large_primes(name, p):
 @pytest.mark.parametrize(
     "name", [f"A{l}" for l in range(3, 9)] + [f"D{l}" for l in range(4, 9)])
 def test_every_orbit_type_is_action_invariant_at_large_primes(name):
-    """Every catalogue label, at p = 1009, 65521 and 1,300,021, where batch
-    lanes are Python ints: the canonical vector of each orbit type, with a
-    few sampled values of each parameter that ranges over the units (V's k,
-    family A's c), moved by random level-0 words, classifies back to its
-    descriptor in one classify_many batch."""
+    """Every catalogue label, at p = 1009, 65521, 1,300,021 and 10**12 + 39,
+    where batches of both families run the scalar code over Python ints:
+    the canonical vector of each orbit type, with a few sampled values of
+    each parameter that ranges over the units (V's k, family A's c), moved
+    by random level-0 words, classifies back to its descriptor in one
+    classify_many batch."""
     t = get_table(name)
     rs = t.rs
-    for p in (1009, 65521, 1_300_021):
+    for p in (1009, 65521, 1_300_021, 10**12 + 39):
         K = get_field(p)
         rng = random.Random(p + rs.rank)
         types = orbitlab._orbit_types(t, K)
@@ -1131,7 +1185,7 @@ def test_every_orbit_type_is_action_invariant_at_large_primes(name):
         got = classify_many(t, K, vectors)
         assert got == want, (name, p)
         assert {d.label for d in got} == set(types)
-    assert orbitlab._lane(t, p) is object
+    assert lane_of(t, p) is None
 
 
 def test_descriptor_json_round_trip():
