@@ -18,7 +18,10 @@ tests that modulus for primality, and orbits D4 -p 7 --brute-force
 partitions 5,764,801 states, the largest family-D census within the
 default budget.  orbits D7 -p 5 classifies every canonical vector of D7,
 and classify --vector runs at D8/F65521 on a dark and a sparse vector and
-at A8/F65521.  Run it on two
+at A8/F65521.  The last invocations are refused, each with its exit code:
+F_2, family E (before a wrong length, after an unparsable vector), a
+wrong length, a modulus that is not prime, a census past physical memory
+and a system past the root limit.  Run it on two
 checkouts and diff the outputs: identical lines mean byte-identical stdout
 and equal exit codes.
 
@@ -100,6 +103,16 @@ def invocations(batches: dict) -> list[list[str]]:
             ["classify", "D8", "-p", "65521", "--vector", ",".join(sparse)],
             ["classify", "A8", "-p", "65521", "--vector",
              ",".join(map(str, range(1, 15)))]]
+    # refusals, in the order of the checks where a request has two faults
+    out += [["classify", "A3", "-p", "2", "--vector", "0,1,1,0"],
+            ["classify", "E6", "-p", "3", "--vector", "1"],
+            ["classify", "E6", "-p", "3", "--vector", "a"],
+            ["classify", "D16", "-p", "1009", "--vector", "1"],
+            ["classify", "A3", "-p", "9", "--vector", "0,1,2,0"],
+            ["orbits", "A3", "-p", "2"],
+            ["orbits", "D4", "-p", "101", "--brute-force", "--budget",
+             "100000000000000000000"],
+            ["orbits", "A40", "-p", "3"]]
     return out
 
 

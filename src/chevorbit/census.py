@@ -127,12 +127,27 @@ def _resolve_budget(budget: int | None) -> int:
     return budget
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(need: int, what: str) -> None:
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise BudgetExceeded(f"{what} needs about {need} bytes, more than "
+                             f"the {memory} bytes of physical memory")
+
+
 def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
     """The number p**|phi1| of states of V1(F_p), once it is within the
-    state budget (budget, else CHEVORBIT_BUDGET, else DEFAULT_BUDGET) and
-    below 2**62; BudgetExceeded otherwise, ValueError for a nonpositive
-    budget.  Needs only the root system, so a census can be refused before
-    its table is built."""
+    state budget (budget, else CHEVORBIT_BUDGET, else DEFAULT_BUDGET),
+    below 2**62, and partitioned within physical memory; BudgetExceeded
+    otherwise, ValueError for a nonpositive budget.  Needs only the root
+    system, so a census can be refused before its table is built."""
     total = p ** len(rs.phi1)
     limit = _resolve_budget(budget)
     if total > limit:
@@ -146,6 +161,9 @@ def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
             f"{rs.name} over F_{p} has {total} level-1 vectors, too many to "
             f"index with 64-bit integers"
         )
+    _check_memory(
+        _PARTITION_ARRAYS * total * np.dtype(_index_dtype(total)).itemsize,
+        f"enumerating {rs.name} over F_{p}")
     return total
 
 
@@ -272,17 +290,6 @@ def enumerate_orbits(table: StructureConstantTable, p: int,
     m = len(rs.phi1)
     total = check_budget(rs, p, budget)
     moves = _generator_moves(table)
-    peak = _PARTITION_ARRAYS * total * np.dtype(_index_dtype(total)).itemsize
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # platform without sysconf
-        memory = None
-    if memory is not None and peak > memory:
-        raise BudgetExceeded(
-            f"enumerating {rs.name} over F_{p} needs about {peak} bytes, "
-            f"more than the {memory} bytes of physical memory"
-        )
-
     orbit_id, least, sizes = _orbit_partition(moves, p, m)
     orbits = []
     for s, size in zip(least.tolist(), sizes.tolist()):
@@ -291,11 +298,14 @@ def enumerate_orbits(table: StructureConstantTable, p: int,
     return OrbitCensus(rs.family, rs.rank, p, total, tuple(orbits), orbit_id)
 
 
-def predicted_census(table: StructureConstantTable, p: int) -> list[OrbitDescriptor]:
+def predicted_census(table: StructureConstantTable, p: int,
+                     bytes_per_orbit: int = 400) -> list[OrbitDescriptor]:
     """The descriptor-derived orbit list, no enumeration involved.
 
     Its length is counted first, in closed form: BudgetExceeded when it
-    reaches 2**62, the bound check_budget puts on states."""
+    reaches 2**62, the bound check_budget puts on states, or when that many
+    orbits at bytes_per_orbit each (by default the list's own: 288 to 327
+    traced on A2 and D8) would not fit in physical memory."""
     K = PrimeField(p)
     count = _classifier(table, K).orbit_count()
     if count >= 2**62:
@@ -303,6 +313,8 @@ def predicted_census(table: StructureConstantTable, p: int) -> list[OrbitDescrip
             f"{table.rs.name} over F_{p} has {count} orbits, "
             f"too many to list"
         )
+    _check_memory(count * bytes_per_orbit,
+                  f"listing the {count} orbits of {table.rs.name} over F_{p}")
     return all_descriptors(table, K)
 
 

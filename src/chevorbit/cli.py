@@ -1,11 +1,10 @@
 """Command-line surface: roots | constants | classify | orbits.
 
-Exit codes: 0 success, 1 failed verification, crosscheck or classification
-(an internal inconsistency), 2 malformed input, 3 unsupported request
-(family E classification, characteristic 2), 4 enumeration budget
-exceeded, out of memory, a system with more than rootsys.MAX_ROOTS (1000)
-roots, or a modulus of gfield.MAX_MODULUS (about 3.3e24) or more, 130
-interrupted (Ctrl-C).  Output goes to stdout, or to
+Exit codes: 0 success, else the code EXIT_CODES gives the exception: 1
+failed verification, crosscheck or classification (an internal
+inconsistency), 2 malformed input, 3 unsupported request, 4 a request past
+the state budget, physical memory, rootsys.MAX_ROOTS (1000 roots) or
+gfield.MAX_MODULUS, 130 interrupted (Ctrl-C).  Output goes to stdout, or to
 --out FILE; identical invocations produce byte-identical output.
 """
 
@@ -36,21 +35,20 @@ from .chevalley import (
     structure_constant_fast,
     verify_table,
 )
-from .gfield import ModulusTooLarge, NotPrime, PrimeField, UnsupportedField
+from .gfield import ModulusTooLarge, PrimeField, UnsupportedField
 from .orbitlab import (
     CharTwo,
     ClassificationError,
     UnsupportedFamily,
     canonical_form,
+    check_domain,
     classify,
     classify_many,
 )
 from .rootsys import (
     SystemTooLarge,
-    UnsupportedSystem,
     build_root_system,
     parse_system_name,
-    root_count,
     standard_quadruple,
 )
 
@@ -243,35 +241,24 @@ def _parse_batch(spec: str, p: int) -> list[tuple[int, list[int]]]:
     return out
 
 
-def _require_classifiable(family: str, rank: int) -> None:
-    if family == "E":
-        raise UnsupportedFamily(
-            f"orbit classification covers families A and D, not {family}{rank}"
-        )
-
-
 def cmd_classify(args) -> str:
-    family, rank = parse_system_name(args.system)
-    n_roots = root_count(family, rank)
+    rs = build_root_system(*parse_system_name(args.system))
     K = PrimeField(args.p)
-    if args.p == 2:
-        raise CharTwo("classification over F_2 is unsupported")
+    K.require_odd()
     if args.batch is None:
         rows = [(None, _parse_vector(args.vector, args.p))]
     else:
         rows = _parse_batch(args.batch, args.p)
-    _require_classifiable(family, rank)
-    # every simply-laced system has |phi1| = 2 |Phi| / l - 4, so the length
-    # is checked before the table is built
-    m = 2 * n_roots // rank - 4
+    check_domain(rs, K)
+    m = len(rs.phi1)
     for n, x in rows:
         if len(x) != m:
             where = "" if n is None else f"line {n}: "
             raise ValueError(
-                f"{where}level-1 vector for {family}{rank} needs {m} "
+                f"{where}level-1 vector for {rs.name} needs {m} "
                 f"coefficients, got {len(x)}"
             )
-    table = build_table_oracle(build_root_system(family, rank))
+    table = build_table_oracle(rs)
 
     def entry(d):
         return {"descriptor": d.to_json(),
@@ -302,13 +289,12 @@ def _census_csv(rows) -> str:
 
 
 def cmd_orbits(args) -> str:
-    family, rank = parse_system_name(args.system)
-    rs = build_root_system(family, rank)
+    rs = build_root_system(*parse_system_name(args.system))
     K = PrimeField(args.p)
     K.require_odd()
     # every mode classifies, so family E is refused before any budget check
     # or table build
-    _require_classifiable(family, rank)
+    check_domain(rs, K)
     if args.compare or args.brute_force:
         check_budget(rs, args.p, args.budget)
     elif args.budget is not None:
@@ -336,7 +322,10 @@ def cmd_orbits(args) -> str:
         body["mode"] = "brute-force"
         return _dump(body)
 
-    descs = predicted_census(table, args.p)
+    # peak RSS per orbit, base + per_entry * |phi1|: A2 and D8 measured
+    # 3,411 and 5,460 bytes in json, 1,231 and 1,510 in csv
+    base, per_entry = {"json": (3300, 95), "csv": (1250, 13)}[args.format]
+    descs = predicted_census(table, args.p, base + per_entry * len(rs.phi1))
     entries = []
     for d in descs:
         rep = canonical_form(table, K, d)
@@ -434,48 +423,59 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# exit code and stderr prefix per exception class, the first match winning:
+# ValueError's subclasses come before it
+EXIT_CODES = (
+    ((UnsupportedFamily, CharTwo, UnsupportedField), 3, "unsupported"),
+    ((BudgetExceeded, MemoryError, SystemTooLarge, ModulusTooLarge), 4,
+     "budget exceeded"),
+    ((InconsistentTable, UnderdeterminedTable, JacobiViolation,
+      MismatchReport, CheckFailed, ClassificationError), 1,
+     "verification failed"),
+    ((ValueError,), 2, "invalid input"),
+    ((OSError,), 2, "i/o error"),
+    ((KeyboardInterrupt,), 130, "interrupted"),
+)
+
+
+def exit_status(work) -> int:
+    """Run work(): 0 when it returns, else the EXIT_CODES code of what it
+    raises, with one stderr line (and a MismatchReport's details line)."""
+    try:
+        work()
+    except tuple(c for row in EXIT_CODES for c in row[0]) as e:
+        code, prefix = next(row[1:] for row in EXIT_CODES
+                            if isinstance(e, row[0]))
+        reason = str(e)
+        if isinstance(e, MemoryError):  # which usually carries no message
+            reason = reason or "out of memory"
+        print(f"{prefix}: {reason}" if reason else prefix, file=sys.stderr)
+        if isinstance(e, MismatchReport):
+            print(json.dumps(e.details, sort_keys=True, default=str),
+                  file=sys.stderr)
+        return code
+    return 0
+
+
+def _write(args) -> None:
+    text = args.func(args)
+    # an empty batch writes nothing
+    text += "\n" if text else ""
+    out = getattr(args, "out", None)
+    if out:
+        with io.open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        text = args.func(args)
-        # an empty batch writes nothing
-        text += "\n" if text else ""
-        out = getattr(args, "out", None)
-        if out:
-            with io.open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    except (UnsupportedFamily, CharTwo, UnsupportedField) as e:
-        print(f"unsupported: {e}", file=sys.stderr)
-        return 3
-    except (BudgetExceeded, MemoryError, SystemTooLarge,
-            ModulusTooLarge) as e:
-        # a MemoryError usually carries no message
-        print(f"budget exceeded: {str(e) or 'out of memory'}",
-              file=sys.stderr)
-        return 4
-    except (InconsistentTable, UnderdeterminedTable, JacobiViolation,
-            MismatchReport, CheckFailed, ClassificationError) as e:
-        print(f"verification failed: {e}", file=sys.stderr)
-        if isinstance(e, MismatchReport):
-            print(json.dumps(e.details, sort_keys=True, default=str),
-                  file=sys.stderr)
-        return 1
-    except (UnsupportedSystem, NotPrime, ValueError) as e:
-        print(f"invalid input: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return 130
-    return 0
+    return exit_status(lambda: _write(args))
 
 
 if __name__ == "__main__":

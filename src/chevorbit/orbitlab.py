@@ -33,10 +33,10 @@ all_descriptors lists the catalogue's descriptors, canonical_form fills in
 its canonical vectors, and the decode below reads it too.
 
 For either family the invariants are packed into one integer code, owned
-by one classifier per table and prime field (_classifier): the domain
-check, the code of a single vector (classify) or of a batch
-(classify_many), on int32 or int64 lanes while the family's bound allows
-and by the scalar code over Python ints past it, and the decode.  A
+by one classifier per table and prime field (_classifier), once
+check_domain admits them: the code of a single vector (classify) or of a
+batch (classify_many), on int32 or int64 lanes while the family's bound
+allows and by the scalar code over Python ints past it, and the decode.  A
 family-A code decodes directly into its descriptor.  A dark family-D code
 names V(k) in closed form, an identity checked once per table; any other
 family-D code is looked up in a map built from the codes of the
@@ -49,7 +49,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
-import itertools
 import math
 import operator
 from collections.abc import Callable
@@ -188,18 +187,22 @@ def _mkdesc(rs: RootSystem, p: int, label: str, params=()) -> OrbitDescriptor:
     )
 
 
-def _field_p(K) -> int:
-    p = getattr(K, "p", None)
-    if p is None:
+def _require_odd(K) -> None:
+    if getattr(K, "p", None) is None:
         raise UnsupportedFamily("classification needs a prime-field domain")
-    return p
-
-
-def _require_odd(K) -> int:
-    p = _field_p(K)
-    if p == 2:
+    if K.p == 2:
         raise CharTwo("family-D classification needs characteristic != 2")
-    return p
+
+
+def check_domain(rs: RootSystem, K) -> None:
+    """Raise unless the classification covers rs over K: family A over any
+    prime field, family D over an odd one.  Needs no table."""
+    if rs.family not in ("A", "D"):
+        raise UnsupportedFamily(
+            f"orbit classification covers families A and D, not {rs.name}"
+        )
+    if rs.family == "D" or not hasattr(K, "p"):
+        _require_odd(K)
 
 
 # -- the associated root element ----------------------------------------------
@@ -706,7 +709,7 @@ def _orbit_types(table: StructureConstantTable, K) -> dict:
     params lists (name, values) per parameter, the first varying slowest;
     entries lists (root, value) per nonzero coefficient of the canonical
     vector, the value an int or the name of an int parameter.  Needs
-    _classifier's domain check to have passed.
+    check_domain to have passed.
     """
     rs = table.rs
     units = K.units()
@@ -757,10 +760,21 @@ def _orbit_types(table: StructureConstantTable, K) -> dict:
     return types
 
 
+def _product(ranges):
+    """itertools.product(*ranges), which would first copy every range into
+    a tuple: V's range(1, p) holds 10**9 ints at p = 10**9 + 7."""
+    if len(ranges) < 2:
+        yield from zip(*ranges) if ranges else [()]
+    else:
+        for head in _product(ranges[:-1]):
+            for v in ranges[-1]:
+                yield (*head, v)
+
+
 def _descriptors_of_type(rs: RootSystem, p: int, label: str, params):
     """The descriptors of one orbit type, in all_descriptors order."""
     names = [n for n, _ in params]
-    for values in itertools.product(*(r for _, r in params)):
+    for values in _product([r for _, r in params]):
         yield _mkdesc(rs, p, label, zip(names, values))
 
 
@@ -925,18 +939,9 @@ class _DClassifier(_Classifier):
 
 @table_cached
 def _classifier(table: StructureConstantTable, K) -> _Classifier:
-    """The classifier of table over K, once the system and the field suit
-    the classification."""
-    rs = table.rs
-    if rs.family == "A":
-        _field_p(K)
-        return _AClassifier(table, K)
-    if rs.family == "D":
-        _require_odd(K)
-        return _DClassifier(table, K)
-    raise UnsupportedFamily(
-        f"orbit classification covers families A and D, not {rs.name}"
-    )
+    """The classifier of table over K, once check_domain passes."""
+    check_domain(table.rs, K)
+    return (_AClassifier if table.rs.family == "A" else _DClassifier)(table, K)
 
 
 @table_cached

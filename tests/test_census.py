@@ -412,6 +412,9 @@ def test_run_census_script_rejects_negative_pairs(capsys):
     (["--system", "A3", "-p", "3", "--budget", "80"], 4, "budget exceeded"),
     (["--budget", "9"], 4, "budget exceeded"),
     (["--system", "A40", "-p", "3"], 4, "budget exceeded"),
+    # 101**8 states, within the budget but past physical memory
+    (["--system", "D4", "-p", "101", "--budget", "100000000000000000000"], 4,
+     "budget exceeded"),
 ])
 def test_run_census_script_refuses_a_case_before_building_a_table(
         monkeypatch, capsys, argv, code, prefix):
@@ -428,6 +431,31 @@ def test_run_census_script_refuses_a_case_before_building_a_table(
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"{prefix}: ") and err.count("\n") == 1
+
+
+def test_run_census_script_runs_family_a_over_f2(capsys):
+    # the CLI documents an odd modulus; the library and the script do not
+    path = Path(__file__).parents[1] / "scripts" / "run_census.py"
+    main = runpy.run_path(str(path), run_name="run_census")["main"]
+    assert main(["--system", "A3", "-p", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].split()[:4] == ["A3", "2", "16", "5"]
+    assert out.endswith("  ok\n") and err == ""
+
+
+def test_run_census_script_reports_a_failed_crosscheck(monkeypatch, capsys):
+    import chevorbit
+
+    def mismatch(*args, **kwargs):
+        raise MismatchReport("synthetic disagreement", {"state": (1, 2)})
+
+    monkeypatch.setattr(chevorbit, "crosscheck", mismatch)
+    path = Path(__file__).parents[1] / "scripts" / "run_census.py"
+    main = runpy.run_path(str(path), run_name="run_census")["main"]
+    assert main(["--system", "A2", "-p", "3"]) == 1
+    _, err = capsys.readouterr()
+    assert err == ('verification failed: synthetic disagreement\n'
+                   '{"state": [1, 2]}\n')
 
 
 # -- crosscheck failure reports: each check, tripped by one monkeypatch ------------

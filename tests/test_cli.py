@@ -422,9 +422,10 @@ def test_orbits_budget_is_checked_before_building_the_table(capsys,
 def test_orbits_unallocatable_census_exits_four(capsys, monkeypatch, system,
                                                 budget, reason):
     def never(*args):
-        raise AssertionError("the orbit kernel must not run")
+        raise AssertionError("neither the table nor the orbit kernel is built")
 
     monkeypatch.setattr(census_mod, "_orbit_partition", never)
+    monkeypatch.setattr(cli_mod, "build_table_oracle", never)
     code, out, err = run_cli(
         capsys, "orbits", system, "-p", "101", "--brute-force",
         "--budget", budget,
@@ -432,6 +433,33 @@ def test_orbits_unallocatable_census_exits_four(capsys, monkeypatch, system,
     assert code == 4
     assert out == ""
     assert "budget exceeded" in err and reason in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_predicted_census_past_physical_memory_exits_four(capsys,
+                                                          monkeypatch, fmt):
+    def never(*args):
+        raise AssertionError("no descriptor is listed")
+
+    # with 1 MB of memory: 10,201 orbits of A2 over F_101 do not fit, the
+    # 9 orbits over F_3 do
+    monkeypatch.setattr(census_mod, "_physical_memory", lambda: 2**20)
+    assert run_cli(capsys, "orbits", "A2", "-p", "3", "--format", fmt)[0] == 0
+    monkeypatch.setattr(census_mod, "all_descriptors", never)
+    code, out, err = run_cli(capsys, "orbits", "A2", "-p", "101",
+                             "--format", fmt)
+    assert code == 4 and out == ""
+    assert err.startswith("budget exceeded: listing the 10201 orbits of A2 "
+                          "over F_101 needs about ")
+    assert err.endswith(f"more than the {2**20} bytes of physical memory\n")
+    # p + 11 orbits: terabytes on any machine, refused at once
+    monkeypatch.undo()
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "orbits", "D4", "-p", "1000000007",
+                             "--format", fmt)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 4 and out == ""
+    assert "listing the 1000000018 orbits of D4" in err
 
 
 def test_orbits_memory_error_exits_four(capsys, monkeypatch):

@@ -1060,6 +1060,23 @@ def test_all_descriptors_restores_the_collector_state(monkeypatch, enabled):
         (gc.enable if was else gc.disable)()
 
 
+def test_descriptors_are_listed_without_copying_the_ranges():
+    # the 13th descriptor of D4 is V(1), the first of a range of p - 1
+    # values of k; itertools.product would copy that range first, about
+    # 360 MB here (at p = 10**9 + 7 it would exhaust memory, not fail)
+    t, p = get_table("D4"), 10_000_019
+    clf = orbitlab._classifier(t, get_field(p))
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(clf.descriptors(), 13))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert [d.label for d in first[-2:]] == ["IV", "V"]
+    assert first[-1].param("k") == 1
+
+
 # every orbit type of both families, each parameter over F_3 (nu = 2)
 _CLS = ("1", "2")
 PREDICTED_ORDER = {
