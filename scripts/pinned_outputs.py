@@ -16,14 +16,15 @@ associativity instance of them, classify D22 lifts one vector
 through the largest family-D table, classify A2 at a 17-digit prime
 tests that modulus for primality, and orbits D4 -p 7 --brute-force
 partitions 5,764,801 states, the largest family-D census within the
-default budget.  orbits D7 -p 5 classifies every canonical vector of D7,
-and classify --vector runs at D8/F65521 on a dark and a sparse vector and
-at A8/F65521.  The last invocations are refused, each with its exit code:
-F_2, family E (before a wrong length, after an unparsable vector), a
-wrong length, a modulus that is not prime, a census past physical memory
-and a system past the root limit.  Run it on two
-checkouts and diff the outputs: identical lines mean byte-identical stdout
-and equal exit codes.
+default budget, and orbits A5 -p 5 --brute-force 390,625 states, a family-A
+census over several blocks of the partition.  orbits D7 -p 5 classifies
+every canonical vector of D7, and classify --vector runs at D8/F65521 on a
+dark and a sparse vector and at A8/F65521.  The last invocations are
+refused, each with its exit code: F_2, family E (before a wrong length,
+after an unparsable vector), a wrong length, a modulus that is not prime,
+a census past physical memory and a system past the root limit.  Run it on
+two checkouts and diff the outputs: identical lines mean byte-identical
+stdout and equal exit codes.
 
     PYTHONPATH=src python3 scripts/pinned_outputs.py > pinned.txt
 """
@@ -92,7 +93,8 @@ def invocations(batches: dict) -> list[list[str]]:
             ["classify", "D22", "-p", "3", "--vector", ",".join(["1"] * 80)],
             ["classify", "A2", "-p", "10000000000000061", "--vector", "1,1"]]
     out += [["constants", s, "--check", "n3pp"] for s in ("A31", "D22")]
-    out.append(["orbits", "D4", "-p", "7", "--brute-force"])
+    out += [["orbits", "D4", "-p", "7", "--brute-force"],
+            ["orbits", "A5", "-p", "5", "--brute-force"]]
     # scalar classify: every canonical vector of D7, and single vectors at a
     # large prime, a dark and a sparse one of D8 and one of A8
     sparse = ["0"] * 24

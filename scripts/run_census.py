@@ -9,13 +9,15 @@ the full census per case.
     python3 scripts/run_census.py --system D4 -p 5 --json-dir out/
 
 Every case is checked before any table is built or any line is printed,
-by the library's own checks (orbitlab.check_domain, census.check_budget).
+by the library's own checks (orbitlab.check_domain, census.check_budget,
+census.check_pairs).
 Family A runs over F_2 as well; only the CLI, which documents an odd prime
 modulus, refuses it.  Exit codes and stderr lines come from the CLI's
 table, chevorbit.cli.EXIT_CODES: 0 success, 1 a failed crosscheck (its
 reason and a line of details on stderr), 2 malformed input, 3 unsupported
 request (family E, characteristic 2 for family D), 4 a case past the state
-budget, physical memory, 1000 roots or gfield.MAX_MODULUS, 130
+budget, physical memory, 1000 roots or gfield.MAX_MODULUS, or a --pairs
+sample of 2**24 pairs or more or past physical memory, 130
 interrupted.  A refused case prints one line on stderr and nothing on
 stdout.
 """
@@ -37,7 +39,7 @@ from chevorbit import (
     enumerate_orbits,
     parse_system_name,
 )
-from chevorbit.census import check_budget
+from chevorbit.census import check_budget, check_pairs
 from chevorbit.cli import exit_status
 from chevorbit.orbitlab import check_domain
 
@@ -64,7 +66,8 @@ class CensusConfig:
         ap.add_argument("--budget", type=int, default=None,
                         help="enumeration budget in states (default 10^7)")
         ap.add_argument("--pairs", type=int, default=10_000,
-                        help="sampled pairs for the same-orbit crosscheck")
+                        help="sampled pairs for the same-orbit crosscheck "
+                        "(fewer than 2**24)")
         ap.add_argument("--seed", type=int, default=0)
         ap.add_argument("--json-dir", type=Path, default=None,
                         help="write <system>_F<p>.json per case here")
@@ -91,6 +94,7 @@ def admit(cfg: CensusConfig, name: str, p: int) -> RootSystem:
     rs = build_root_system(*parse_system_name(name))
     check_domain(rs, PrimeField(p))
     check_budget(rs, p, cfg.budget)
+    check_pairs(rs, p, cfg.pairs)
     return rs
 
 
@@ -124,7 +128,7 @@ def run_case(cfg: CensusConfig, rs: RootSystem, p: int) -> dict:
 
 def run(cfg: CensusConfig) -> None:
     cases = [(admit(cfg, name, p), p) for name, p in cfg.cases]
-    header = (f"{'system':<8}{'p':>3}{'states':>9}{'orbits':>8}{'enum[s]':>9}"
+    header = (f"{'system':<8}{'p':>3}{'states':>12}{'orbits':>8}{'enum[s]':>9}"
               f"{'check[s]':>10}  check")
     print(header)
     print("-" * len(header))
@@ -133,7 +137,7 @@ def run(cfg: CensusConfig) -> None:
         seconds = row.get("crosscheck_seconds")
         check_s = "-" if seconds is None else f"{seconds:.2f}"
         print(
-            f"{row['system']:<8}{row['p']:>3}{row['states']:>9}"
+            f"{row['system']:<8}{row['p']:>3}{row['states']:>12}"
             f"{row['orbits']:>8}{row['enumerate_seconds']:>9.2f}"
             f"{check_s:>10}  {row.get('crosscheck', '-')}"
         )

@@ -10,9 +10,10 @@ along the disjoint source/target pairs of liemod's plan (_v1_moves) and
 permutes the states; the orbits are
 the connected components of those permutations, each labelled by its least
 (lexicographically first) state.  They are found by hooking and pointer
-jumping on arrays indexed by state; each permutation is rebuilt from its
-shift tables when it is needed, so enumeration holds a fixed number of such
-arrays whatever the number of generators.
+jumping on two arrays indexed by state, worked through in blocks of states
+that share their leading digits: each permutation is rebuilt from its shift
+tables block by block when it is needed, so enumeration holds those two
+arrays and a working set of one block, whatever the number of generators.
 
 The crosscheck compares the invariant-based classifier against the ground
 truth partition:
@@ -39,6 +40,7 @@ truth partition:
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from collections import Counter
@@ -64,6 +66,10 @@ DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV = "CHEVORBIT_BUDGET"
 # sampled crosscheck pairs that also go through the scalar same_orbit
 _SCALAR_PAIRS = 500
+# check_pairs refuses this many pairs; below it, a pair holds about
+# 40 + 32 |phi1| bytes at the crosscheck's peak (94 to 417 traced on A2 to
+# A7 over F_3)
+_MAX_PAIRS = 2**24
 
 
 class BudgetExceeded(RuntimeError):
@@ -162,9 +168,24 @@ def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
             f"index with 64-bit integers"
         )
     _check_memory(
-        _PARTITION_ARRAYS * total * np.dtype(_index_dtype(total)).itemsize,
+        _PARTITION_ARRAYS * total * np.dtype(_index_dtype(total)).itemsize
+        + _BLOCK_BYTES * _BLOCK_STATES,
         f"enumerating {rs.name} over F_{p}")
     return total
+
+
+def check_pairs(rs: RootSystem, p: int, pairs: int) -> None:
+    """Refuse a crosscheck sample of pairs before anything is built:
+    ValueError when negative, BudgetExceeded from 2**24 pairs on (the sample
+    is one Random.randbytes call, which takes fewer than 2**31 bits) or when
+    the sample would not fit in physical memory."""
+    if pairs < 0:
+        raise ValueError(f"pairs must be >= 0, got {pairs}")
+    if pairs >= _MAX_PAIRS:
+        raise BudgetExceeded(f"{pairs} sampled pairs are too many; the "
+                             f"crosscheck samples fewer than {_MAX_PAIRS}")
+    _check_memory((40 + 32 * len(rs.phi1)) * pairs,
+                  f"sampling {pairs} pairs of {rs.name} over F_{p}")
 
 
 def _generator_moves(table: StructureConstantTable):
@@ -212,31 +233,62 @@ def _orbit_partition(moves, p: int, m: int):
     label is the least state of its component.  Orbits are indexed by
     ascending least state.
 
-    A move's image, a permutation of the states, is rebuilt from the move's
-    shift tables in every round and dropped after its one gather, so the
-    peak is a fixed number of index arrays (_PARTITION_ARRAYS), whatever the
-    number of moves.
+    The work runs over blocks: the p**n <= _BLOCK_STATES states that share
+    their first m - n digits (the fixed digits).  A move adds sgn * x_src to
+    x_dst for each of its pairs, and no target is also a source, so each
+    pair shifts the state by a p x p table indexed by its two digits.  The
+    pairs with both digits free give the move's in-block image, built once
+    per move and round with a broadcast add; a block adds to it its first
+    state, the shifts of the pairs with both digits fixed, and one row of
+    the table for each pair with one digit fixed.  A fixed target sends the
+    image to another block.  Hooking gathers root at the image and runs
+    minimum.at on the crossing edges alone.  Pointer jumping runs in place,
+    block by block in ascending order: a label only ever moves to an
+    ancestor, which is a smaller state, so the blocks before the current
+    one are already done.  Least states, orbit indices (written over root)
+    and sizes (counted over each block's own range of indices) come block
+    by block too.  So the kernel holds the two index arrays label and root
+    (_PARTITION_ARRAYS) and a working set per block, whatever the number of
+    moves.
     """
     total = p ** m
     dtype = _index_dtype(total)
-    digit = np.arange(p, dtype=dtype)
+    n = 0
+    while n < m and p ** (n + 1) <= _BLOCK_STATES:
+        n += 1
+    fixed, size = m - n, p ** n
+    blocks = list(itertools.product(range(p), repeat=fixed))
+    digit = np.arange(p)
 
-    def image(move):
-        # a move adds sgn * x_src to x_dst for each of its pairs, and no
-        # target is also a source: each pair adds a p x p table of state
-        # shifts, indexed by the two digits and broadcast over the others
-        # through a 5-D view of the states
-        img = np.arange(total, dtype=dtype)
+    def split(move):
+        # each pair's state shift as a table [x_src, x_dst], sorted by the
+        # pair's fixed digits: none, both, or one (the table then indexed
+        # by the fixed digit first)
+        inner, both, rows = [], [], []
         for s, d, g in move:
-            shift = (((digit + g * digit[:, None]) % p - digit)
-                     * p ** (m - 1 - d))  # [x_src, x_dst]
+            t = ((digit + g * digit[:, None]) % p - digit) * p ** (m - 1 - d)
+            if s < fixed and d < fixed:
+                both.append((s, d, t))
+            elif s < fixed:
+                rows.append((s, d - fixed, t))
+            elif d < fixed:
+                rows.append((d, s - fixed, t.T))
+            else:
+                inner.append((s - fixed, d - fixed, t))
+        return inner, both, rows
+
+    def inner_image(inner):
+        # the in-block image of the pairs with both digits free, through a
+        # 5-D view of the block
+        img = np.arange(size)
+        for s, d, shift in inner:
             lo, hi = sorted((s, d))
-            shape = (p ** lo, p, p ** (hi - lo - 1), p, p ** (m - 1 - hi))
+            shape = (p ** lo, p, p ** (hi - lo - 1), p, p ** (n - 1 - hi))
             table = (shift if s < d else shift.T)[:, None, :, None]
             if lo:
                 # numpy's inner loop runs over the last axis, which is short
                 # when hi is a late digit: spell the table out over every
-                # digit after x_lo, at most total / p entries, and add it
+                # digit after x_lo, at most size / p entries, and add it
                 # over the leading digits instead
                 table = np.broadcast_to(table, shape[1:]).reshape(-1)
                 shape = (shape[0], -1)
@@ -244,33 +296,66 @@ def _orbit_partition(moves, p: int, m: int):
             view += table
         return img
 
+    plans = [split(move) for move in moves]
     label = np.arange(total, dtype=dtype)
+    root = np.empty_like(label)
+    img = np.empty(size, dtype=np.intp)
     while True:
-        root = label.copy()
-        for move in moves:
-            b = root[image(move)]
-            # where root == b the hook writes min(label[b], b): a no-op,
-            # since every label is at most its own state
-            if not np.array_equal(root, b):
-                np.minimum.at(label, np.maximum(root, b), np.minimum(root, b))
-        if np.array_equal(label, root):
+        np.copyto(root, label)
+        hooked = False
+        for inner, both, rows in plans:
+            inner = inner_image(inner)
+            for q, xs in enumerate(blocks):
+                lo = q * size
+                np.add(inner, lo + sum(int(t[xs[s], xs[d]])
+                                       for s, d, t in both), out=img)
+                for f, i, t in rows:  # add row x_f of t over free digit x_i
+                    img.reshape(p ** i, p, -1)[...] += t[xs[f], :, None]
+                a = root[lo:lo + size]
+                b = root[img]
+                cross = np.flatnonzero(a != b)
+                if cross.size:
+                    a, b = a[cross], b[cross]
+                    np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+                    hooked = True
+        if not hooked:
             break
-        while True:
-            up = label[label]
-            if np.array_equal(up, label):
-                break
-            label = up
+        for lo in range(0, total, size):
+            view = label[lo:lo + size]
+            while True:
+                up = label[view]
+                if np.array_equal(up, view):
+                    break
+                view[...] = up
 
-    is_least = label == np.arange(total, dtype=dtype)
-    orbit_id = (np.cumsum(is_least, dtype=dtype) - 1)[label]
-    return orbit_id, np.flatnonzero(is_least), np.bincount(orbit_id)
+    # orbit indices overwrite root: each state takes the index of its label,
+    # a least state in this block or an earlier one
+    least = []
+    k = 0
+    for lo in range(0, total, size):
+        view = label[lo:lo + size]
+        new = lo + np.flatnonzero(view == np.arange(lo, lo + size))
+        root[new] = np.arange(k, k + new.size)
+        root[lo:lo + size] = root[view]
+        least.append(new)
+        k += new.size
+    sizes = np.zeros(k, dtype=np.intp)
+    for lo in range(0, total, size):
+        ids = root[lo:lo + size]
+        low = int(ids.min())
+        counts = np.bincount(ids - low)
+        sizes[low:low + counts.size] += counts
+    return root, np.concatenate(least), sizes
 
 
-# _orbit_partition holds at most this many arrays of p**m index-sized
-# entries, whatever the number of moves: 7.25 measured with tracemalloc,
-# since a gather or minimum.at through int32 indices first copies them to
-# int64
-_PARTITION_ARRAYS = 8
+# states per block of _orbit_partition
+_BLOCK_STATES = 2**16
+# _orbit_partition holds this many arrays of p**m index-sized entries,
+# whatever the number of moves, and at most _BLOCK_BYTES bytes per state of
+# a block besides: 8.06 to 8.15 bytes per state in all, traced on D4/F7 and
+# D6/F3, and 47 to 49 bytes per block state on D4/F5 and D5/F3
+_PARTITION_ARRAYS = 2
+_BLOCK_BYTES = 56
 
 
 def enumerate_orbits(table: StructureConstantTable, p: int,
@@ -326,9 +411,8 @@ def crosscheck(table: StructureConstantTable, p: int,
                seed: int = 0,
                census: OrbitCensus | None = None) -> dict:
     """Verify the classifier against brute-force enumeration; raise on mismatch."""
-    if pairs < 0:
-        raise ValueError(f"pairs must be >= 0, got {pairs}")
     rs = table.rs
+    check_pairs(rs, p, pairs)
     K = PrimeField(p)
     if census is None:
         census = enumerate_orbits(table, p, budget=budget)

@@ -74,6 +74,39 @@ def test_enumeration_matches_independent_bfs(name, p):
         assert e.size == len(ref_by_rep[e.representative])
 
 
+def test_orbit_partition_over_blocks_of_p_squared_states(monkeypatch):
+    """Blocks of p**2 states fix all but the last two digits, so the moves'
+    pairs reach all four cases: neither digit fixed, the source fixed, the
+    target fixed, and both fixed."""
+    kinds = set()
+    for name, p in (("A3", 5), ("A4", 3), ("D4", 3)):
+        table = get_table(name)
+        moves = census_mod._generator_moves(table)
+        m = len(table.rs.phi1)
+        kinds |= {(s < m - 2, d < m - 2) for move in moves for s, d, _ in move}
+        default = census_mod._orbit_partition(moves, p, m)
+        with monkeypatch.context() as patch:
+            patch.setattr(census_mod, "_BLOCK_STATES", p * p)
+            blocked = census_mod._orbit_partition(moves, p, m)
+            # the int64 index arrays of 2**31 states and more
+            patch.setattr(census_mod, "_index_dtype", lambda total: np.int64)
+            wide = census_mod._orbit_partition(moves, p, m)
+        for got, want in zip(blocked, default):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert wide[0].dtype == np.int64
+        for got, want in zip(wide, default):
+            assert np.array_equal(got, want)
+        orbit_id, least, sizes = blocked
+        reference = sorted(sorted(state_of_vector(table.rs, p, x) for x in o)
+                           for o in mini_bfs_orbits(table, p))
+        assert least.tolist() == [o[0] for o in reference]
+        assert sizes.tolist() == [len(o) for o in reference]
+        for i, o in enumerate(reference):
+            assert (orbit_id[o] == i).all()
+    assert kinds == {(False, False), (True, False), (False, True),
+                     (True, True)}
+
+
 @pytest.mark.parametrize("name,p", CENSUS_CASES)
 def test_orbit_id_is_closed_under_every_level0_root_element(name, p):
     """The census walks only x_{+-alpha}(1) for simple level-0 alpha, so its
@@ -110,7 +143,15 @@ def test_orbit_id_is_closed_under_every_level0_root_element(name, p):
 def test_enumeration_matches_predicted_census_beyond_pinned_cases(
         name, p, count):
     table = get_table(name)
-    census = enumerate_orbits(table, p)
+    tracemalloc.start()
+    try:
+        census = enumerate_orbits(table, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if (name, p) == ("D4", 7):
+        # the two int32 index arrays of the partition are 8 bytes per state
+        assert peak <= 10 * p ** len(table.rs.phi1)
     assert census.orbit_count == count
     assert ({e.descriptor for e in census.orbits}
             == set(predicted_census(table, p)))
@@ -194,6 +235,18 @@ def test_budget_guard():
     table = get_table("D4")
     with pytest.raises(BudgetExceeded):
         enumerate_orbits(table, 5, budget=100)
+
+
+def test_budget_refuses_a_partition_past_physical_memory(monkeypatch):
+    rs = get_table("D4").rs  # 11**8 = 214,358,881 states: 1.7 GB of index
+    for gigabytes, admitted in ((8, True), (1, False)):
+        monkeypatch.setattr(census_mod, "_physical_memory",
+                            lambda: gigabytes * 2**30)
+        if admitted:
+            assert census_mod.check_budget(rs, 11, 10**9) == 11**8
+        else:
+            with pytest.raises(BudgetExceeded, match="physical memory"):
+                census_mod.check_budget(rs, 11, 10**9)
 
 
 def test_budget_env_override(monkeypatch):
@@ -391,6 +444,21 @@ def test_crosscheck_rejects_negative_pairs():
     assert report["pairs_sampled"] == 0
 
 
+def test_crosscheck_refuses_a_sample_it_cannot_draw(monkeypatch):
+    def never(*args):
+        raise AssertionError("partitioned the states")
+
+    # refused before the census is enumerated
+    monkeypatch.setattr(census_mod, "_orbit_partition", never)
+    table = get_table("A2")
+    with pytest.raises(BudgetExceeded, match="fewer than 16777216"):
+        crosscheck(table, 3, pairs=2**24)
+    # 2**24 - 1 pairs of A2 hold about 1.7 GB
+    monkeypatch.setattr(census_mod, "_physical_memory", lambda: 2**30)
+    with pytest.raises(BudgetExceeded, match="physical memory"):
+        crosscheck(table, 3, pairs=2**24 - 1)
+
+
 def test_run_census_script_rejects_negative_pairs(capsys):
     path = Path(__file__).parents[1] / "scripts" / "run_census.py"
     config = runpy.run_path(str(path), run_name="run_census")["CensusConfig"]
@@ -415,6 +483,10 @@ def test_run_census_script_rejects_negative_pairs(capsys):
     # 101**8 states, within the budget but past physical memory
     (["--system", "D4", "-p", "101", "--budget", "100000000000000000000"], 4,
      "budget exceeded"),
+    # Random.randbytes takes fewer than 2**31 bits: 16 bytes a pair
+    (["--system", "A2", "-p", "3", "--pairs", "1000000000"], 4,
+     "budget exceeded"),
+    (["--pairs", "16777216"], 4, "budget exceeded"),
 ])
 def test_run_census_script_refuses_a_case_before_building_a_table(
         monkeypatch, capsys, argv, code, prefix):
@@ -620,9 +692,11 @@ def test_orbit_partition_memory_does_not_grow_with_the_moves(system, p,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # each move's image is rebuilt per hook round and dropped after its
-    # gather; holding one image per move peaked at 14.5 and 16.5 arrays
-    assert peak < 8 * p ** m * np.dtype(np.int32).itemsize
+    # two int32 index arrays over the states, and a working set per block
+    # (measured 47 and 49 bytes per block state)
+    block = p ** (m - 2)  # the blocks fix two digits here
+    assert block <= census_mod._BLOCK_STATES < p * block
+    assert peak < 2 * p ** m * np.dtype(np.int32).itemsize + 56 * block
 
 
 def test_orbit_entry_json_schema():
