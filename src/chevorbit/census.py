@@ -2,13 +2,15 @@
 
 States are level-1 coefficient vectors encoded as base-p integers with the
 first phi1 coordinate most significant, so numeric order is lexicographic
-order.  The acting group is generated by x_{+-alpha}(1) for the simple
-level-0 roots alpha: over F_p, x_gamma(t) = x_gamma(1)^t, and the Weyl group
-of the level-0 roots conjugates each of them onto a simple one (Steinberg,
-Lectures on Chevalley Groups, 1967).  Each generator shifts coefficients
-along the disjoint source/target pairs of liemod's plan (_v1_moves) and
-permutes the states; the orbits are
-the connected components of those permutations, each labelled by its least
+order.  state_of_vector encodes one vector, and one vectorized decoder,
+_digits, serves the census representatives, the crosscheck's states and
+sample, and vector_of_state.  The acting group is generated by
+x_{+-alpha}(1) for the simple level-0 roots alpha: over F_p, x_gamma(t) =
+x_gamma(1)^t, and the Weyl group of the level-0 roots conjugates each of
+them onto a simple one (Steinberg, Lectures on Chevalley Groups, 1967).
+Each generator shifts coefficients along the disjoint source/target pairs
+of liemod's plan (_v1_moves) and permutes the states; the orbits are the
+connected components of those permutations, each labelled by its least
 (lexicographically first) state.  They are found by hooking and pointer
 jumping on two arrays indexed by state, worked through in blocks of states
 that share their leading digits: each permutation is rebuilt from its shift
@@ -33,14 +35,16 @@ truth partition:
   2 * pairs states are drawn in one call, as little-endian 64-bit words of
   random.Random(seed).randbytes reduced mod the state count (pair i is
   words 2i and 2i + 1); they go through the batch classifier
-  (orbitlab.classify_many), and the first 500 pairs also through the
-  scalar same_orbit, and
+  (orbitlab.classify_many), which must give the two states of a pair equal
+  descriptors exactly when they share an orbit, and the first 500 pairs
+  also through the scalar same_orbit, and
 * the predicted descriptor list matches the enumerated one as a set.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import random
 from collections import Counter
@@ -198,25 +202,37 @@ def _generator_moves(table: StructureConstantTable):
             if (moves := _v1_moves(table, g))]
 
 
-def _powers(p: int, m: int) -> np.ndarray:
-    return p ** np.arange(m - 1, -1, -1, dtype=np.int64)
-
-
 def state_of_vector(rs: RootSystem, p: int, x) -> int:
-    """Base-p encoding of a level-1 vector, first coordinate most significant."""
+    """Base-p encoding of a level-1 vector, first coordinate most
+    significant, each entry reduced mod p; ValueError for a vector of the
+    wrong length, TypeError for entries that are not integers."""
     s = 0
-    for c in x:
-        s = s * p + (int(c) % p)
+    for c in rs.check_v1(x):
+        s = s * p + operator.index(c) % p
     return s
 
 
 def vector_of_state(rs: RootSystem, p: int, s: int) -> tuple[int, ...]:
-    m = len(rs.phi1)
-    out = []
-    for _ in range(m):
-        s, r = divmod(s, p)
-        out.append(r)
-    return tuple(reversed(out))
+    """The level-1 vector of a state in range(p**|phi1|); ValueError for
+    any other integer."""
+    m, s = len(rs.phi1), operator.index(s)
+    if s not in range(p ** m):
+        raise ValueError(f"{s} is not a state of {rs.name} over F_{p}, "
+                         f"which are range({p}**{m})")
+    return tuple(_digits(np.array([s]), p, m)[0].tolist())
+
+
+def _digits(states, p: int, m: int) -> np.ndarray:
+    """The base-p digits of an integer array of states, first digit most
+    significant, as an (n, m) array of its dtype: floor division, as
+    gfield._mod reduces, into columns, so each coordinate is contiguous."""
+    q = np.asarray(states).reshape(-1)
+    digits = np.empty((m, q.size), dtype=q.dtype)
+    for j in range(m - 1, -1, -1):
+        r = q // p
+        np.subtract(q, r * p, out=digits[j])
+        q = r
+    return digits.T
 
 
 def _index_dtype(total: int):
@@ -376,10 +392,9 @@ def enumerate_orbits(table: StructureConstantTable, p: int,
     total = check_budget(rs, p, budget)
     moves = _generator_moves(table)
     orbit_id, least, sizes = _orbit_partition(moves, p, m)
-    orbits = []
-    for s, size in zip(least.tolist(), sizes.tolist()):
-        rep = vector_of_state(rs, p, s)
-        orbits.append(OrbitEntry(rep, size, classify(table, K, rep)))
+    reps = map(tuple, _digits(least, p, m).tolist())
+    orbits = [OrbitEntry(rep, size, classify(table, K, rep))
+              for rep, size in zip(reps, sizes.tolist())]
     return OrbitCensus(rs.family, rs.rank, p, total, tuple(orbits), orbit_id)
 
 
@@ -427,11 +442,9 @@ def crosscheck(table: StructureConstantTable, p: int,
         [state_of_vector(rs, p, o.representative) for o in census.orbits],
         dtype=np.int64,
     )
-    orbit_id = census.orbit_id
+    m, k, orbit_id = len(rs.phi1), census.orbit_count, census.orbit_id
     if orbit_id is None:
-        orbit_id = _orbit_partition(_generator_moves(table), p,
-                                    len(rs.phi1))[0]
-    k = census.orbit_count
+        orbit_id = _orbit_partition(_generator_moves(table), p, m)[0]
 
     def not_least(i):
         return MismatchReport(
@@ -447,21 +460,12 @@ def crosscheck(table: StructureConstantTable, p: int,
     # orbit i first appears where the running maximum of the ids reaches i;
     # each chunk's new orbits are checked, and their codes recorded, before
     # its other states are compared with them.
-    m = len(rs.phi1)
-
     def rows(lo, hi):
-        # base-p digits, least significant first, by floor division as
-        # gfield._mod reduces, into columns: each coordinate is contiguous
-        q = np.arange(lo, hi, dtype=_index_dtype(total))
-        digits = np.empty((m, hi - lo), dtype=q.dtype)
-        for j in range(m - 1, -1, -1):
-            r = q // p
-            np.subtract(q, r * p, out=digits[j])
-            q = r
-        return digits.T
+        return _digits(np.arange(lo, hi, dtype=_index_dtype(total)), p, m)
 
     rep_codes = np.empty(k, dtype=np.int64)
-    sizes = np.zeros(k, dtype=np.int64)
+    # ids past k are orbits the census does not list
+    sizes = np.zeros(max(k, int(orbit_id.max()) + 1), dtype=np.int64)
     top = -1  # the largest orbit id of the chunks so far
     for lo, chunk in clf.chunk_codes(total, rows, reduced=True):
         ids = orbit_id[lo:lo + len(chunk)]
@@ -475,9 +479,6 @@ def crosscheck(table: StructureConstantTable, p: int,
         top = max(top, int(running[-1]))
         low = int(ids.min())
         counts = np.bincount(ids - low)
-        if low + len(counts) > len(sizes):  # ids the census does not list
-            sizes = np.concatenate(
-                [sizes, np.zeros(low + len(counts) - len(sizes), np.int64)])
         sizes[low:low + len(counts)] += counts
         if top >= k:
             continue  # the size check below reports the unlisted orbits
@@ -543,8 +544,8 @@ def crosscheck(table: StructureConstantTable, p: int,
     checks["canonical_forms_in_orbit"] = "ok"
 
     # (d) same_orbit against ground truth on a sample of pairs, classified
-    # as one batch; same_orbit itself also runs on the first _SCALAR_PAIRS
-    # (every pair of representatives is already covered by (b))
+    # as one batch and compared pair by pair; same_orbit itself also runs on
+    # the first _SCALAR_PAIRS (every pair of representatives is covered by (b))
     words = np.frombuffer(random.Random(seed).randbytes(16 * pairs),
                           dtype="<u8")
     sampled = _mod(words, total).astype(np.int64).reshape(pairs, 2)
@@ -559,16 +560,14 @@ def crosscheck(table: StructureConstantTable, p: int,
              "got": got, "want": bool(want[i])},
         )
 
-    digits = _mod(sampled.reshape(-1, 1) // _powers(p, m), p)
+    digits = _digits(sampled, p, m)
     vectors = list(map(tuple, digits[:2 * _SCALAR_PAIRS].tolist()))
     for i, (x1, x2) in enumerate(zip(vectors[::2], vectors[1::2])):
         if same_orbit(table, K, x1, x2) != want[i]:
             raise disagree(i, not want[i])
-    index: dict[OrbitDescriptor, int] = {}
-    ids = np.array([index.setdefault(d, len(index))
-                    for d in classify_many(table, K, digits)],
-                   dtype=np.int64).reshape(pairs, 2)
-    bad = np.flatnonzero((ids[:, 0] == ids[:, 1]) != want)
+    ds = classify_many(table, K, digits)
+    same = np.array([a == b for a, b in zip(ds[::2], ds[1::2])], dtype=bool)
+    bad = np.flatnonzero(same != want)
     if bad.size:
         raise disagree(int(bad[0]), not want[bad[0]])
     checks["same_orbit_sampled"] = "ok"

@@ -270,9 +270,9 @@ def cmd_classify(args) -> str:
     line_of: dict = {}
     lines = []
     for d in classify_many(table, K, [x for _, x in rows]):
-        if d not in line_of:
-            line_of[d] = json.dumps(entry(d), separators=(",", ":"))
-        lines.append(line_of[d])
+        if (line := line_of.get(d)) is None:
+            line = line_of[d] = json.dumps(entry(d), separators=(",", ":"))
+        lines.append(line)
     return "\n".join(lines)
 
 

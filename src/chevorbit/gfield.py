@@ -4,6 +4,8 @@ Field elements are plain Python ints in ``range(p)``; the :class:`PrimeField`
 object carries the arithmetic.  Coefficient domains share one protocol:
 ``zero``, ``one``, ``of``, ``add``, ``sub``, ``mul``, ``neg``, ``inv`` and
 ``is_zero``.  :class:`ExactIntegers` implements it over the integers.
+``of`` takes the integers a caller passes in (Python or numpy ints, and for
+PrimeField integer lane arrays) and raises TypeError for anything else.
 
 Square classes of units are represented by a canonical representative:
 1 for squares and the least quadratic nonresidue otherwise.
@@ -14,6 +16,7 @@ lane per vector of a batch) mod p, each in the spelling that is fast for it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -86,7 +89,7 @@ class PrimeField:
         return 1
 
     def of(self, n: int) -> int:
-        return n % self.p
+        return integral(n) % self.p
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -141,7 +144,7 @@ class ExactIntegers:
         return "ExactIntegers()"
 
     def of(self, n: int) -> int:
-        return int(n)
+        return operator.index(n)
 
     def add(self, a: int, b: int) -> int:
         return a + b
@@ -165,6 +168,15 @@ class ExactIntegers:
 
 
 INTEGERS = ExactIntegers()
+
+
+def integral(n):
+    """n, once it is an integer or an integer lane array; TypeError for
+    anything else, as operator.index raises for a float or a str."""
+    if type(n) is not int and not (isinstance(n, np.ndarray)
+                                   and n.dtype.kind in "iu"):
+        operator.index(n)
+    return n
 
 
 def _mod(a, p: int):

@@ -59,7 +59,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chevalley import StructureConstantTable, table_cached
-from .gfield import SquareClass, _mod, _pow_mod, square_class
+from .gfield import SquareClass, _mod, _pow_mod, integral, square_class
 from .liemod import LieVector, _v1_moves, apply_root_element
 from .rootsys import Root, RootSystem, simple_index, standard_quadruple
 
@@ -127,31 +127,15 @@ class Sl2Invariant:
 
 @dataclass(frozen=True)
 class OrbitDescriptor:
-    """Canonical name of a G0-orbit on V1.
-
-    The hash is the one dataclass generates, computed on first use and kept,
-    because census and crosscheck index many descriptors by it; computing it
-    at construction slowed the scalar family-A classify, which builds a
-    descriptor per call.
-    """
+    """Canonical name of a G0-orbit on V1: the system, the prime, the orbit
+    type's label and its (name, value) parameters, sorted by name.  A plain
+    value, equal and hashed by its fields."""
 
     family: str
     rank: int
     p: int
     label: str
     params: tuple[tuple[str, int | str], ...] = ()
-    _hash = None  # not a field: no annotation
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(
-                (self.family, self.rank, self.p, self.label, self.params)))
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through __init__, since string hashes differ by process
-        return type(self), (self.family, self.rank, self.p, self.label,
-                            self.params)
 
     def param(self, name: str):
         for n, v in self.params:
@@ -645,13 +629,14 @@ def al_pair(rs: RootSystem, x) -> tuple[tuple, tuple]:
     v_j the coefficient at alpha_{j+1} + ... + alpha_l, for j = 1..l-1.
     Under the level-0 subgroup, u transforms as a covector and v as a
     vector of a GL(l-1) action, so the contraction sum(u_j * v_j) is an
-    orbit invariant.
+    orbit invariant.  Entries are integers or integer lane arrays;
+    anything else raises TypeError.
     """
     if rs.family != "A":
         raise UnsupportedFamily(
             f"the covector/vector pair is defined for family A, not {rs.name}"
         )
-    x = rs.check_v1(x)
+    x = [integral(c) for c in rs.check_v1(x)]
     iu, iv = _al_indices(rs)
     return tuple([x[i] for i in iu]), tuple([x[i] for i in iv])
 
@@ -977,10 +962,11 @@ def classify(table: StructureConstantTable, K, x) -> OrbitDescriptor:
 
 def _batch_rows(rs: RootSystem, p: int, X):
     """X as an (n, |phi1|) array of 64-bit integers (a narrower dtype,
-    which need not hold p, widened to int64), or, for a sequence that numpy
-    reads as no integer dtype (entries of 2**64 or more, or of 2**63 or more
-    beside smaller ones), as a list of lists of ints; ValueError for rows of
-    the wrong length or entries that are not integers."""
+    which need not hold p, or bool, widened to int64), or, for an object
+    array or a sequence that numpy reads as no integer dtype (entries of
+    2**64 or more, or of 2**63 or more beside smaller ones), as a list of
+    lists of ints; ValueError for rows of the wrong length or entries that
+    are not integers."""
     m = len(rs.phi1)
     try:
         rows = np.asarray(X)
@@ -992,11 +978,10 @@ def _batch_rows(rs: RootSystem, p: int, X):
         raise ValueError(
             f"level-1 vectors for {rs.name} need {m} coefficients each"
         )
-    if rows.dtype.kind in "iu":
+    if rows.dtype.kind in "biu":
         return rows if rows.dtype.itemsize == 8 else rows.astype(np.int64)
     with contextlib.suppress(TypeError):
-        if not isinstance(X, np.ndarray):
-            return [[operator.index(c) for c in x] for x in X]
+        return [[operator.index(c) for c in x] for x in X]
     raise ValueError(f"level-1 vector entries over F_{p} must be integers")
 
 
@@ -1007,8 +992,8 @@ def classify_many(table: StructureConstantTable, K,
     X is a sequence of integer vectors in phi1 order, or an (n, |phi1|)
     integer array.  The result equals [classify(table, K, x) for x in X]:
     the codes come from the same classifier (its chunk_codes), and each
-    distinct code is decoded once.  A row of the wrong length, or entries
-    that are not integers, raise ValueError.
+    distinct code is decoded once; bool entries count as 0 and 1.  A row of
+    the wrong length, or entries that are not integers, raise ValueError.
     """
     clf = _classifier(table, K)
     rows = _batch_rows(clf.rs, clf.p, X)

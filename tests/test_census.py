@@ -214,6 +214,53 @@ def test_state_encoding_round_trip():
     assert state_of_vector(rs, p, (1,) + (0,) * (m - 1)) == 3 ** (m - 1)
 
 
+@pytest.mark.parametrize("name,p", [("A1", 5), ("A2", 2_147_483_647)])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_state_codec_round_trips_through_the_one_decoder(name, p, dtype):
+    # A1 has no level-1 roots; A2's p**2 is just below the 2**62 states
+    # that check_budget admits, so its largest states need int64
+    rs = get_table(name).rs
+    m = len(rs.phi1)
+    top = min(p ** m, np.iinfo(dtype).max + 1)
+    states = np.array(sorted({s for s in (0, 1, p - 1, p, top // 3, top - 1)
+                              if s < top}), dtype=dtype)
+    digits = census_mod._digits(states, p, m)
+    assert digits.dtype == dtype and digits.shape == (len(states), m)
+    for s, row in zip(states.tolist(), digits.tolist()):
+        x = vector_of_state(rs, p, s)
+        assert x == tuple(row) and all(type(c) is int for c in x)
+        assert state_of_vector(rs, p, x) == s
+    assert vector_of_state(rs, p, p ** m - 1) == (p - 1,) * m
+
+
+def test_state_codec_refuses_what_is_not_a_state_or_a_vector():
+    rs = get_table("D4").rs
+    with pytest.raises(ValueError, match="8 coefficients"):
+        state_of_vector(rs, 5, [1] * 7)
+    for x in (["3", 1.9, 0, 0, 0, 0, 0, 0], [0.0] * 8):
+        with pytest.raises(TypeError):
+            state_of_vector(rs, 5, x)
+    for s in (-1, 5**8, 5**8 + 1):
+        with pytest.raises(ValueError, match="not a state"):
+            vector_of_state(rs, 5, s)
+    with pytest.raises(TypeError):
+        vector_of_state(rs, 5, 3.0)
+    # entries are reduced mod p, numpy integers included
+    assert state_of_vector(rs, 5, [np.int64(6), -1] + [0] * 6) == 5**7 + 4 * 5**6
+
+
+@pytest.mark.parametrize("name,p", [("A1", 3), ("A3", 3), ("D4", 3)])
+def test_census_representatives_are_their_least_states(name, p):
+    table = get_table(name)
+    rs = table.rs
+    orbit_id, least, _ = census_mod._orbit_partition(
+        census_mod._generator_moves(table), p, len(rs.phi1))
+    census = enumerate_orbits(table, p)
+    assert [o.representative for o in census.orbits] == [
+        vector_of_state(rs, p, s) for s in least.tolist()]
+    assert (orbit_id == census.orbit_id).all()
+
+
 def test_enumeration_is_deterministic():
     table = get_table("A3")
     assert enumerate_orbits(table, 3) == enumerate_orbits(table, 3)

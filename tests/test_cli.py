@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import random
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -711,3 +712,18 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
     assert code in (0, 1, 2, 3, 4), argv
     if argv[1][:1] in "AD" and argv[1][1:].isdigit() and int(argv[1][1:]) > 31:
         assert code == 4, argv
+
+
+def test_pinned_outputs_file_lists_the_pinned_invocations():
+    # scripts/pinned_outputs.txt is the script's output, checked in: a change
+    # to the list of invocations must come with the file it prints
+    scripts = Path(__file__).parents[1] / "scripts"
+    script = runpy.run_path(str(scripts / "pinned_outputs.py"),
+                            run_name="pinned_outputs")
+    batches = {case: "@FILE" for case in script["BATCHES"]}
+    want = [" ".join(argv) for argv in script["invocations"](batches)]
+    lines = (scripts / "pinned_outputs.txt").read_text(
+        encoding="utf-8").splitlines()
+    rows = [line.split(" ", 2) for line in lines]
+    assert all(len(digest) == 64 for digest, _, _ in rows)
+    assert [argv for _, _, argv in rows] == want

@@ -69,6 +69,29 @@ def test_from_v1_round_trip_and_validation():
         LieVector.from_v1(t, K, (1, 2))
 
 
+@pytest.mark.parametrize("domain", [INTEGERS, get_field(5)])
+def test_from_v1_refuses_entries_that_are_not_integers(domain):
+    t = get_table("D4")
+    for x in (["3", 1.9, 0, 0, 0, 0, 0, 0], [1.5] * 8):
+        with pytest.raises(TypeError):
+            LieVector.from_v1(t, domain, x)
+    # Python and numpy integers keep working
+    x = (np.int64(3), np.int32(1), True, 0, 0, 0, 0, 2)
+    assert LieVector.from_v1(t, domain, x).v1_part() == (3, 1, 1, 0, 0, 0, 0, 2)
+
+
+def test_apply_word_refuses_scalars_that_are_not_integers():
+    t = get_table("D4")
+    K = get_field(5)
+    v = LieVector.from_v1(t, K, (1, 0, 2, 0, 1, 0, 0, 2))
+    gamma = t.rs.phi0[0]
+    for a in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            apply_word(t, [(gamma, a)], v)
+    assert (apply_word(t, [(gamma, np.int64(2))], v)
+            == apply_word(t, [(gamma, 2)], v))
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.sampled_from(["A3", "D4"]),
@@ -281,7 +304,7 @@ def test_weyl_word_squares_to_the_minus_one_torus_element():
     for beta in rs.roots:
         v = apply_word(t, twice, LieVector.basis(t, K, t.e_key(beta)))
         expect = LieVector.basis(t, K, t.e_key(beta)).scale(
-            K.of((-1) ** rs.pair(beta, gamma))
+            K.of((-1) ** abs(rs.pair(beta, gamma)))
         )
         assert v == expect
 
@@ -323,6 +346,20 @@ def test_act_on_v1_rejects_factors_off_level_zero():
     for g in [(5, 5, 5, 5), (1, 0, 0)]:
         with pytest.raises(NotARoot):
             act_on_v1(t, K, [(g, 1)], (0,) * 8)
+
+
+def test_act_on_v1_refuses_entries_and_scalars_that_are_not_integers():
+    t = get_table("D4")
+    K = get_field(5)
+    gamma = t.rs.phi0[0]
+    with pytest.raises(TypeError):
+        act_on_v1(t, K, [], [1.5] * 8)
+    for a in (2.5, "2"):
+        with pytest.raises(TypeError):
+            act_on_v1(t, K, [(gamma, a)], (1,) * 8)
+    x = (1, 0, 2, 0, 1, 0, 0, 2)
+    assert (act_on_v1(t, K, [(gamma, np.int64(2))], list(map(np.int32, x)))
+            == act_on_v1(t, K, [(gamma, 2)], x))
 
 
 @pytest.mark.parametrize("name", ["A3", "D4", "E6"])

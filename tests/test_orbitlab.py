@@ -107,6 +107,17 @@ def test_lift_rejects_wrong_family_char_and_shape():
         associated_root_element(get_table("D4"), K, (1, 2))
 
 
+def test_lift_refuses_entries_that_are_not_integers():
+    t = get_table("D4")
+    K = get_field(5)
+    for x in ([1.5] * 8, ["3", 1.9, 0, 0, 0, 0, 0, 0]):
+        with pytest.raises(TypeError):
+            associated_root_element(t, K, x)
+    ints = (np.int64(1), np.int32(2), 3, 4, 0, 0, 0, 1)
+    assert (associated_root_element(t, K, ints)
+            == associated_root_element(t, K, [int(c) for c in ints]))
+
+
 def test_lift_order_must_be_a_permutation():
     t = get_table("D4")
     K = get_field(3)
@@ -891,6 +902,26 @@ def test_classify_many_accepts_every_integer_dtype(name, p):
         assert classify_many(t, K, rows.tolist()) == want, dtype
 
 
+@pytest.mark.parametrize("name", ["D4", "A3"])
+def test_classify_many_reads_bool_and_object_arrays(name):
+    t = get_table(name)
+    K = get_field(5)
+    m = len(t.rs.phi1)
+    rng = np.random.default_rng(m)
+    flags = rng.integers(0, 2, (20, m)).astype(bool)
+    flags[0], flags[1] = False, True
+    # numpy's bool is not an index, so classify reads the rows as lists
+    assert classify_many(t, K, flags) == [classify(t, K, x)
+                                          for x in flags.tolist()]
+    ints = np.empty((20, m), dtype=object)
+    ints[...] = rng.integers(-10, 10**6, (20, m)).tolist()
+    ints[0] = [2**70] * m
+    assert ints.dtype == object and type(ints[1, 0]) is int
+    assert classify_many(t, K, ints) == [classify(t, K, x) for x in ints]
+    with pytest.raises(ValueError, match="integers"):
+        classify_many(t, K, np.full((2, m), 0.5, dtype=object))
+
+
 def test_classify_many_memory_does_not_grow_with_the_batch():
     t = get_table("D5")
     K = get_field(3)
@@ -1326,6 +1357,18 @@ def test_al_pair_prefix_suffix_coefficients():
     u, v = al_pair(rs, (7, 11, 13, 17))
     assert u == (11, 17)  # coefficients at alpha_1 and alpha_1+alpha_2
     assert v == (13, 7)  # coefficients at alpha_2+alpha_3 and alpha_3
+
+
+def test_al_pair_refuses_entries_that_are_not_integers():
+    rs = get_system("A3")
+    for x in ((0, 1.5, 2, 0), (0, 1, "2", 0), (0, 1, 2, 1.0)):
+        with pytest.raises(TypeError):
+            al_pair(rs, x)
+    assert al_pair(rs, (np.int64(7), 11, np.int32(13), 17)) == ((11, 17),
+                                                                (13, 7))
+    u, v = al_pair(rs, [np.arange(3) + i for i in range(4)])
+    assert [list(c) for c in u + v] == [[1, 2, 3], [3, 4, 5], [2, 3, 4],
+                                        [0, 1, 2]]
 
 
 def test_al_pair_scalar_is_action_invariant():
