@@ -9,6 +9,13 @@ jacobi_check, t[s] the total.
 
     python3 scripts/constants_report.py
     python3 scripts/constants_report.py --systems D4 D5 --samples 50000
+
+Every name is checked before any table is built or any line is printed.
+Exit codes and stderr lines come from the CLI's table,
+chevorbit.cli.EXIT_CODES: 0 success, 1 a failed check or a closed form that
+disagrees with the table, 2 a name that is no supported system, 4 a system
+past 1000 roots.  A refused run prints one line on stderr and nothing on
+stdout.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import time
 from dataclasses import dataclass
 
 from chevorbit import (
+    InconsistentTable,
     build_root_system,
     build_table_oracle,
     jacobi_check,
@@ -25,6 +33,8 @@ from chevorbit import (
     structure_constant_fast,
     verify_table,
 )
+from chevorbit.cli import exit_status
+from chevorbit.rootsys import root_count
 
 DEFAULT_SYSTEMS = (
     "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
@@ -83,8 +93,9 @@ def run_system(cfg: ReportConfig, name: str) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    cfg = ReportConfig.from_args(argv)
+def run(cfg: ReportConfig) -> None:
+    for name in cfg.systems:  # refuse a bad name before any table or line
+        root_count(*parse_system_name(name))
     header = (
         f"{'system':<8}{'roots':>6}{'pairs':>8}{'seeds':>7}{'orbits':>8}"
         f"{'jacobi':>18}{'closed-form':>13}{'build[s]':>10}{'jacobi[s]':>11}"
@@ -92,10 +103,11 @@ def main(argv=None) -> int:
     )
     print(header)
     print("-" * len(header))
-    ok = True
+    mismatched = []
     for name in cfg.systems:
         row = run_system(cfg, name)
-        ok &= row["closed_form"] == "agree"
+        if row["closed_form"] != "agree":
+            mismatched.append(name)
         print(
             f"{row['system']:<8}{row['roots']:>6}{row['pairs']:>8}"
             f"{row['seeds']:>7}{row['orbits']:>8}{row['jacobi']:>18}"
@@ -103,7 +115,14 @@ def main(argv=None) -> int:
             f"{row['jacobi_seconds']:>11.3f}"
             f"{row['seconds']:>7.2f}"
         )
-    return 0 if ok else 1
+    if mismatched:
+        raise InconsistentTable(f"the closed form disagrees with the table "
+                                f"of {' '.join(mismatched)}")
+
+
+def main(argv=None) -> int:
+    cfg = ReportConfig.from_args(argv)
+    return exit_status(lambda: run(cfg))
 
 
 if __name__ == "__main__":

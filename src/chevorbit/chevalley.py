@@ -38,10 +38,11 @@ guard against scatter conflicts.  verify_table re-checks every instance,
 regenerated from the defined-pair mask in bounded chunks.
 
 jacobi_check evaluates basis triples with array gathers: every bracket of
-two basis elements is tabulated once per check, so each double bracket
-[a, [b, c]] is two gathers, in batches of 2**14 triples.  It checks
-every x < y < z when the basis has at most 80 elements (A1-A8, D4-D6, E6)
-and 10**5 triples of distinct keys drawn from random.Random(seed) otherwise;
+two basis elements is tabulated once per check, in flat int16 slot and int8
+coefficient tables, so each double bracket [a, [b, c]] is two gathers, in
+batches of 2**14 triples.  It checks every x < y < z when the basis has at
+most 80 elements (A1-A8, D4-D6, E6) and 10**5 triples of distinct keys,
+drawn as 32-bit words from random.Random(seed), otherwise;
 the tests run it exhaustively on all 16 systems.  _jacobi_defect is the
 scalar reference the tests compare it against.
 """
@@ -57,6 +58,7 @@ from .rootsys import (
     NotAPositiveRoot,
     RootIds,
     RootSystem,
+    SystemTooLarge,
 )
 
 
@@ -526,26 +528,38 @@ def _jacobi_defect(table: StructureConstantTable, x: int, y: int, z: int) -> dic
 
 _JACOBI_CHUNK = 1 << 14  # triples per gather batch: bounds the check's memory
 
+# gather-table dtypes: slot ids run to 2n, which fits int16 up to 16,383 roots
+# (rootsys.MAX_ROOTS is 1,000); a coefficient is a constant (+-1) or a
+# pairing (-2..2), so products of two and the e-slot sums of three fit int8
+_SLOT = np.int16
+_COEF = np.int8
+
 
 def _bracket_arrays(table: StructureConstantTable) -> tuple:
-    """The bracket as gather tables over slots, for _jacobi_fails.
+    """The bracket as flat gather tables over slots, for _jacobi_fails.
 
     Every bracket of two basis elements, and of a basis element with such a
     bracket, is one multiple of a slot: e_r (slot r), the coroot
     h_r = sum_t r_t h_t of a root r (slot n + r), or zero (slot 2n).
-    Returns (out, coef, inner, inner_c, hroot, n):
-    [basis_a, slot s] = coef[a, s] * slot out[a, s];
-    [basis_b, basis_c] = inner_c[b, c] * slot inner[b, c];
-    hroot[s] is the root of an h slot and 0 for the others.
+    Returns (out, coef, w, inner, inner_c, wi, hroot, n), the tables
+    raveled row by row, with row widths w = 2n + 1 and wi = n + rank:
+    [basis_a, slot s] = coef[a*w + s] * slot out[a*w + s];
+    [basis_b, basis_c] = inner_c[b*wi + c] * slot inner[b*wi + c];
+    hroot[s] is the root of an h slot and 0 for the others.  Slot tables
+    are int16 and coefficient tables int8, so each gather moves few bytes;
+    SystemTooLarge when slot 2n does not fit int16.
     """
     rs = table.rs
     n, rank = table.n_roots, rs.rank
     zero = 2 * n
+    if zero > np.iinfo(_SLOT).max:
+        raise SystemTooLarge(f"{rs.name}: {zero + 1} bracket slots do not fit "
+                             f"the {np.dtype(_SLOT).name} gather tables")
     pairing = rs.ids.pairing
     ids = np.arange(n)
     simple = np.array(rs.ids.simple_ids)
-    out = np.full((n + rank, zero + 1), zero, dtype=np.intp)
-    coef = np.zeros((n + rank, zero + 1), dtype=np.int64)
+    out = np.full((n + rank, zero + 1), zero, dtype=_SLOT)
+    coef = np.zeros((n + rank, zero + 1), dtype=_COEF)
     a, b = np.nonzero(table._sum >= 0)
     out[a, b] = table._sum[a, b]  # [e_a, e_b] = N(a, b) e_{a+b}
     coef[a, b] = table._nt[a, b]
@@ -558,7 +572,8 @@ def _bracket_arrays(table: StructureConstantTable) -> tuple:
     slot = np.concatenate([ids, n + simple])  # h_t is the coroot of alpha_t
     hroot = np.zeros((zero + 1, rank), dtype=np.int64)
     hroot[n:zero] = rs.roots
-    return out, coef, out[:, slot], coef[:, slot], hroot, n
+    return (out.ravel(), coef.ravel(), zero + 1,
+            out[:, slot].ravel(), coef[:, slot].ravel(), n + rank, hroot, n)
 
 
 def _jacobi_fails(brackets: tuple, x: np.ndarray, y: np.ndarray,
@@ -566,18 +581,19 @@ def _jacobi_fails(brackets: tuple, x: np.ndarray, y: np.ndarray,
     """Per triple of basis keys, whether [x,[y,z]] + [y,[z,x]] + [z,[x,y]]
     is nonzero: each double bracket is one multiple of a slot, the e-slots
     must cancel slot by slot and the h-slots must sum to the zero coroot."""
-    out, coef, inner, inner_c, hroot, n = brackets
+    out, coef, w, inner, inner_c, wi, hroot, n = brackets
     terms = []
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        s = inner[b, c]
-        terms.append((out[a, s], inner_c[b, c] * coef[a, s]))
+        bc = b * wi + c
+        ac = a * w + inner[bc]
+        terms.append((out[ac], inner_c[bc] * coef[ac]))
     (s0, c0), (s1, c1), (s2, c2) = terms
     e0, e1, e2 = (np.where(s < n, c, 0) for s, c in terms)
     eq01, eq02, eq12 = s0 == s1, s0 == s2, s1 == s2
     bad = ((e0 + eq01 * e1 + eq02 * e2 != 0)
            | (e1 + eq01 * e0 + eq12 * e2 != 0)
            | (e2 + eq02 * e0 + eq12 * e1 != 0))
-    # only the few triples with a nonzero h-term need the coroot sum
+    # only the few triples with a nonzero h-term need the coroot sum, in int64
     rows = np.flatnonzero((c0 != e0) | (c1 != e1) | (c2 != e2))
     h = sum(hroot[s[rows]] * c[rows, None] for s, c in terms)
     bad[rows] |= h.any(axis=1)
@@ -600,12 +616,14 @@ def _all_triples(m: int):
 
 def _sampled_triples(m: int, samples: int, seed: int):
     """Chunks of `samples` triples of distinct keys drawn from
-    random.Random(seed): three 64-bit words per triple, reduced mod m,
-    m - 1 and m - 2 and shifted past the keys already used."""
+    random.Random(seed): three little-endian 32-bit words per triple, from
+    randbytes(12 * size) per chunk, reduced mod m, m - 1 and m - 2 and
+    shifted past the keys already used.  The modulo bias is below
+    m / 2**32 < 3e-7 for every admitted basis size m."""
     rng = random.Random(seed)
     for lo in range(0, samples, _JACOBI_CHUNK):
         size = min(_JACOBI_CHUNK, samples - lo)
-        w = np.frombuffer(rng.randbytes(24 * size), dtype="<u8").reshape(size, 3)
+        w = np.frombuffer(rng.randbytes(12 * size), dtype="<u4").reshape(size, 3)
         x = (w[:, 0] % m).astype(np.intp)
         y = (w[:, 1] % (m - 1)).astype(np.intp)
         z = (w[:, 2] % (m - 2)).astype(np.intp)
@@ -622,11 +640,13 @@ def jacobi_check(table: StructureConstantTable, exhaustive_limit: int = 80,
     The bracket is antisymmetric by construction once the table passes
     verify_table, so triples of distinct keys suffice.  With at most
     exhaustive_limit basis elements every x < y < z is checked; otherwise
-    `samples` triples of distinct keys drawn from random.Random(seed).
-    Triples are evaluated as array gathers on the bracket tables of
-    _bracket_arrays, at most 2**14 at a time, so memory does not grow with
-    `samples`.  Raises JacobiViolation on the first failing triple in draw
-    order, ValueError when samples is negative.
+    `samples` triples of distinct keys drawn from random.Random(seed), three
+    32-bit words per triple (see _sampled_triples; a draw of three 64-bit
+    words before, so a seed now names a different sample of the same size).
+    Triples are evaluated as array gathers on the flat int16 slot and int8
+    coefficient tables of _bracket_arrays, at most 2**14 at a time, so
+    memory does not grow with `samples`.  Raises JacobiViolation on the
+    first failing triple in draw order, ValueError when samples is negative.
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")

@@ -790,7 +790,15 @@ class _Classifier:
     def classify(self, x) -> OrbitDescriptor:
         p = self.p
         # Python ints: the compiled lift sums its terms before reducing them
-        x = [operator.index(c) % p for c in x]
+        try:
+            x = [operator.index(c) % p for c in x]
+        except TypeError:
+            if iter(x) is x:  # an iterator, already partly read
+                raise
+            # numpy bools have no __index__; as in classify_many, they count
+            # as 0 and 1
+            x = [(int(c) if isinstance(c, np.bool_) else operator.index(c)) % p
+                 for c in x]
         if len(x) != self.m:
             self.rs.check_v1(x)  # raises, with the system's message
         return self.decode(self.code(x))
@@ -953,7 +961,8 @@ def _v_code_checked(table: StructureConstantTable, entries) -> None:
 
 def classify(table: StructureConstantTable, K, x) -> OrbitDescriptor:
     """Orbit descriptor of a level-1 coefficient vector (phi1 order) of
-    integers; TypeError for entries that are not integers."""
+    integers, numpy bools counting as 0 and 1; TypeError for entries that
+    are not integers."""
     return _classifier(table, K).classify(x)
 
 

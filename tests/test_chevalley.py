@@ -4,18 +4,25 @@ computation, and corruption detection."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import re
+import struct
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import chevorbit
 from chevorbit import (
     InconsistentTable,
     JacobiViolation,
     NotAPositiveRoot,
     NotARoot,
     StructureConstantTable,
+    SystemTooLarge,
     UndefinedPair,
     build_root_system,
     build_table_oracle,
@@ -27,6 +34,8 @@ from chevorbit import (
     verify_table,
 )
 from chevorbit.chevalley import (
+    _COEF,
+    _SLOT,
     _all_triples,
     _bracket_arrays,
     _instances,
@@ -36,6 +45,7 @@ from chevorbit.chevalley import (
     _sampled_triples,
     _seeds,
 )
+from chevorbit.rootsys import MAX_ROOTS
 from helpers import ALL_SYSTEMS, get_system, get_table
 
 
@@ -352,6 +362,71 @@ def test_sampled_triples_cover_every_ordered_triple_of_distinct_keys(m):
     assert [x.size for x, _, _ in chunks] == [2**14] * 3 + [5]
     drawn = set(zip(*(np.concatenate(k).tolist() for k in zip(*chunks))))
     assert drawn == set(itertools.permutations(range(m), 3))
+
+
+@pytest.mark.parametrize("name", ["D22", "A31"])
+def test_jacobi_verdict_matches_scalar_defect_at_the_root_cap(name):
+    # the largest admitted systems: slot ids up to 2n = 1,984 in int16
+    t = get_table(name)
+    out, coef, w, inner, inner_c, wi, _, n = _bracket_arrays(t)
+    assert (out.dtype, inner.dtype, coef.dtype, inner_c.dtype) == (
+        np.dtype(_SLOT), np.dtype(_SLOT), np.dtype(_COEF), np.dtype(_COEF))
+    assert (w, wi) == (2 * n + 1, t.n_basis)
+    assert out.size == t.n_basis * w and inner.size == t.n_basis * wi
+    assert int(out.max()) == int(inner.max()) == 2 * n
+    assert -2 <= int(coef.min()) and int(coef.max()) <= 2
+    # with a thousand keys, random probes seldom meet the negated pair, so
+    # every ordered triple of keys around it is probed as well, beside the
+    # largest keys of each kind: the last root and the last Cartan key
+    bad, i, j = _negated_pair(name)
+    s = int(bad._sum[i, j])
+    near = [i, j, s, *(int(bad._neg[k]) for k in (i, j, s)), n - 1, n, wi - 1]
+    rng = random.Random(7)
+    triples = list(itertools.permutations(near, 3)) + [
+        tuple(rng.choice(near) if rng.random() < 0.5 else rng.randrange(wi)
+              for _ in range(3)) for _ in range(1500)]
+    x, y, z = (np.array(k) for k in zip(*triples))
+    for table in (t, bad):
+        want = [bool(_jacobi_defect(table, *k)) for k in triples]
+        assert _jacobi_fails(_bracket_arrays(table), x, y, z).tolist() == want
+    assert any(want)
+
+
+def test_slot_dtype_holds_every_slot_under_the_root_cap():
+    # slot ids run to 2n, so int16 holds them up to n = 16,383 roots; a cap
+    # raised past that must fail here, and a table past it is refused
+    assert 2 * MAX_ROOTS <= np.iinfo(_SLOT).max
+    big = SimpleNamespace(n_roots=16_384, rs=SimpleNamespace(rank=2, name="X"))
+    with pytest.raises(SystemTooLarge, match="32769 bracket slots"):
+        _bracket_arrays(big)
+
+
+def test_jacobi_check_does_not_import_numpy_random():
+    script = ("import sys; from chevorbit import build_root_system, "
+              "build_table_oracle, jacobi_check; "
+              "jacobi_check(build_table_oracle(build_root_system('E', 8))); "
+              "print('numpy' in sys.modules, 'numpy.random' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chevorbit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"True", b"False"]
+
+
+@pytest.mark.parametrize("m, seed", [(91, 1729), (248, 1729), (248, 5)])
+def test_sampled_triples_are_the_32_bit_words_of_the_seeded_draw(m, seed):
+    # rebuilt with Python ints: three little-endian 32-bit words per triple,
+    # reduced mod m, m - 1 and m - 2, each shifted past the keys before it
+    rng = random.Random(seed)
+    for x, y, z in itertools.islice(_sampled_triples(m, 10**5, seed), 2):
+        want = []
+        for u, v, w in struct.iter_unpack("<3I", rng.randbytes(12 * 2**14)):
+            a, b, c = u % m, v % (m - 1), w % (m - 2)
+            b += b >= a
+            c += c >= min(a, b)
+            c += c >= max(a, b)
+            want.append((a, b, c))
+        assert list(zip(x.tolist(), y.tolist(), z.tolist())) == want
 
 
 def test_exhaustive_triples_are_the_combinations_in_order():

@@ -155,6 +155,43 @@ def test_constants_failure_exits_one(capsys, monkeypatch):
     assert "corruption" in err or "Inconsistent" in err
 
 
+def _constants_report_main():
+    path = Path(__file__).parents[1] / "scripts" / "constants_report.py"
+    return runpy.run_path(str(path), run_name="constants_report")["main"]
+
+
+@pytest.mark.parametrize("systems, code, prefix", [
+    (["Q7"], 2, "invalid input"),
+    (["A40"], 4, "budget exceeded"),  # 1640 roots
+    (["A2", "D4", "Q7"], 2, "invalid input"),
+    (["A2", "A40"], 4, "budget exceeded"),
+])
+def test_constants_report_script_refuses_a_name_before_building_a_table(
+        monkeypatch, capsys, systems, code, prefix):
+    def fail(*args):
+        raise AssertionError("built a table")
+
+    # the script imports these from the package when it runs
+    monkeypatch.setattr(chevorbit, "build_root_system", fail)
+    monkeypatch.setattr(chevorbit, "build_table_oracle", fail)
+    assert _constants_report_main()(["--systems", *systems]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{prefix}: ") and err.count("\n") == 1
+
+
+def test_constants_report_script_reports_a_closed_form_mismatch(
+        monkeypatch, capsys):
+    monkeypatch.setattr(chevorbit, "structure_constant_fast",
+                        lambda *args: 0)
+    assert _constants_report_main()(["--systems", "A1", "A2"]) == 1
+    out, err = capsys.readouterr()
+    assert [line.split()[6] for line in out.splitlines()[2:]] == ["agree",
+                                                                 "MISMATCH"]
+    assert err == ("verification failed: the closed form disagrees with the "
+                   "table of A2\n")
+
+
 def test_mismatch_details_reach_stderr(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise MismatchReport("synthetic", {"state": [1, 2]})

@@ -922,6 +922,22 @@ def test_classify_many_reads_bool_and_object_arrays(name):
         classify_many(t, K, np.full((2, m), 0.5, dtype=object))
 
 
+@pytest.mark.parametrize("name", ["D4", "A3"])
+def test_classify_reads_numpy_bools_as_classify_many_does(name):
+    t = get_table(name)
+    K = get_field(5)
+    m = len(t.rs.phi1)
+    flags = np.random.default_rng(m + 1).integers(0, 2, (20, m)).astype(bool)
+    flags[0], flags[1] = False, True
+    many = classify_many(t, K, flags)
+    assert [classify(t, K, x) for x in flags] == many  # rows of np.bool_
+    assert [classify(t, K, list(x)) for x in flags] == many
+    assert [classify(t, K, x.astype(np.int64)) for x in flags] == many
+    for x in (np.full(m, 0.5), ["1"] * m, [np.True_] * (m - 1) + [1.0]):
+        with pytest.raises(TypeError):
+            classify(t, K, x)
+
+
 def test_classify_many_memory_does_not_grow_with_the_batch():
     t = get_table("D5")
     K = get_field(3)
