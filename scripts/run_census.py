@@ -3,7 +3,9 @@
 
 By default this sweeps the seven pinned (system, p) pairs; use --system/-p to
 run a single case.  Each run prints one summary line; --json-dir also writes
-the full census per case.
+the full census per case.  The peak[MB] column is the process's peak resident
+set size (getrusage ru_maxrss) when the case's line is printed: in a sweep,
+the peak so far over all cases run, not that case's own.
 
     python3 scripts/run_census.py
     python3 scripts/run_census.py --system D4 -p 5 --json-dir out/
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -129,7 +133,7 @@ def run_case(cfg: CensusConfig, rs: RootSystem, p: int) -> dict:
 def run(cfg: CensusConfig) -> None:
     cases = [(admit(cfg, name, p), p) for name, p in cfg.cases]
     header = (f"{'system':<8}{'p':>3}{'states':>12}{'orbits':>8}{'enum[s]':>9}"
-              f"{'check[s]':>10}  check")
+              f"{'check[s]':>10}{'peak[MB]':>10}  check")
     print(header)
     print("-" * len(header))
     for rs, p in cases:
@@ -139,8 +143,15 @@ def run(cfg: CensusConfig) -> None:
         print(
             f"{row['system']:<8}{row['p']:>3}{row['states']:>12}"
             f"{row['orbits']:>8}{row['enumerate_seconds']:>9.2f}"
-            f"{check_s:>10}  {row.get('crosscheck', '-')}"
+            f"{check_s:>10}{peak_mb():>10.0f}  {row.get('crosscheck', '-')}"
         )
+
+
+def peak_mb() -> float:
+    """The process's peak resident set size so far, in MB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # kilobytes on Linux, bytes on macOS
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
 def main(argv=None) -> int:

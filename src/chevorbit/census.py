@@ -12,10 +12,10 @@ Each generator shifts coefficients along the disjoint source/target pairs
 of liemod's plan (_v1_moves) and permutes the states; the orbits are the
 connected components of those permutations, each labelled by its least
 (lexicographically first) state.  They are found by hooking and pointer
-jumping on two arrays indexed by state, worked through in blocks of states
-that share their leading digits: each permutation is rebuilt from its shift
-tables block by block when it is needed, so enumeration holds those two
-arrays and a working set of one block, whatever the number of generators.
+jumping in place on one array indexed by state, worked through in blocks of
+states that share their leading digits: each permutation is rebuilt from its
+shift tables block by block when it is needed, so enumeration holds that one
+array and a working set of one block, whatever the number of generators.
 
 The crosscheck compares the invariant-based classifier against the ground
 truth partition:
@@ -172,7 +172,7 @@ def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
             f"index with 64-bit integers"
         )
     _check_memory(
-        _PARTITION_ARRAYS * total * np.dtype(_index_dtype(total)).itemsize
+        total * np.dtype(_index_dtype(total)).itemsize
         + _BLOCK_BYTES * _BLOCK_STATES,
         f"enumerating {rs.name} over F_{p}")
     return total
@@ -243,11 +243,23 @@ def _orbit_partition(moves, p: int, m: int):
     """Orbit index of every state, and the orbits' least states and sizes.
 
     The orbits are the connected components of the graph joining each state
-    to its image under each move.  Each round hooks the larger label across
-    every edge onto the smaller (Shiloach & Vishkin, 1982), then pointer
-    jumps until every label is a root; once no edge joins two labels, each
-    label is the least state of its component.  Orbits are indexed by
+    to its image under each move.  One index array, label, starts as the
+    identity.  Each round hooks the larger label across every edge onto the
+    smaller, in place (the asynchronous form of Shiloach & Vishkin, 1982),
+    then pointer jumps until every label is a root.  Orbits are indexed by
     ascending least state.
+
+    A label only ever moves to a smaller state of its own component: both
+    ends of an edge lie in one component, so do their labels, and hooking
+    lowers the larger label to the smaller one.  That holds even when a
+    label was read after an earlier hook of the same round changed it.
+    Each round starts with every label a root.  A round that hooks nothing
+    changes no label, so it also ends with every label a root, and the two
+    ends of every edge share a label.  Each component then carries one
+    label, a state of the component no larger than any of its states: its
+    least state.  A round that finds an edge with two labels lowers some
+    label, there or at an earlier hook that changed what it read; labels
+    only fall, so the rounds end.
 
     The work runs over blocks: the p**n <= _BLOCK_STATES states that share
     their first m - n digits (the fixed digits).  A move adds sgn * x_src to
@@ -257,15 +269,18 @@ def _orbit_partition(moves, p: int, m: int):
     per move and round with a broadcast add; a block adds to it its first
     state, the shifts of the pairs with both digits fixed, and one row of
     the table for each pair with one digit fixed.  A fixed target sends the
-    image to another block.  Hooking gathers root at the image and runs
-    minimum.at on the crossing edges alone.  Pointer jumping runs in place,
-    block by block in ascending order: a label only ever moves to an
-    ancestor, which is a smaller state, so the blocks before the current
-    one are already done.  Least states, orbit indices (written over root)
-    and sizes (counted over each block's own range of indices) come block
-    by block too.  So the kernel holds the two index arrays label and root
-    (_PARTITION_ARRAYS) and a working set per block, whatever the number of
-    moves.
+    image to another block.  Hooking gathers label at the image and runs
+    minimum.at on copies of the crossing pairs alone.  Pointer jumping runs
+    in place, block by block in ascending order: a label only ever moves to
+    a smaller state, so the blocks before the current one are already done.
+    Orbit indices are written over label block by block: the block's roots
+    take theirs, then every state of the block the index of its root,
+    gathered through a copy of the block's labels.  The root lies in this
+    block or an earlier one, so it holds its index by then, and an orbit's
+    index never exceeds its least state, so it fits the index dtype.
+    Least states and sizes (counted over each block's own range of indices)
+    come block by block too.  So the kernel holds the one index array and a
+    working set per block, whatever the number of moves.
     """
     total = p ** m
     dtype = _index_dtype(total)
@@ -314,10 +329,8 @@ def _orbit_partition(moves, p: int, m: int):
 
     plans = [split(move) for move in moves]
     label = np.arange(total, dtype=dtype)
-    root = np.empty_like(label)
     img = np.empty(size, dtype=np.intp)
     while True:
-        np.copyto(root, label)
         hooked = False
         for inner, both, rows in plans:
             inner = inner_image(inner)
@@ -327,8 +340,8 @@ def _orbit_partition(moves, p: int, m: int):
                                        for s, d, t in both), out=img)
                 for f, i, t in rows:  # add row x_f of t over free digit x_i
                     img.reshape(p ** i, p, -1)[...] += t[xs[f], :, None]
-                a = root[lo:lo + size]
-                b = root[img]
+                a = label[lo:lo + size]
+                b = label[img]
                 cross = np.flatnonzero(a != b)
                 if cross.size:
                     a, b = a[cross], b[cross]
@@ -344,33 +357,32 @@ def _orbit_partition(moves, p: int, m: int):
                     break
                 view[...] = up
 
-    # orbit indices overwrite root: each state takes the index of its label,
-    # a least state in this block or an earlier one
+    # orbit indices overwrite the labels: each state takes the index of its
+    # label, a least state in this block or an earlier one
     least = []
     k = 0
     for lo in range(0, total, size):
-        view = label[lo:lo + size]
+        view = label[lo:lo + size].copy()
         new = lo + np.flatnonzero(view == np.arange(lo, lo + size))
-        root[new] = np.arange(k, k + new.size)
-        root[lo:lo + size] = root[view]
+        label[new] = np.arange(k, k + new.size)
+        label[lo:lo + size] = label[view]
         least.append(new)
         k += new.size
     sizes = np.zeros(k, dtype=np.intp)
     for lo in range(0, total, size):
-        ids = root[lo:lo + size]
+        ids = label[lo:lo + size]
         low = int(ids.min())
         counts = np.bincount(ids - low)
         sizes[low:low + counts.size] += counts
-    return root, np.concatenate(least), sizes
+    return label, np.concatenate(least), sizes
 
 
 # states per block of _orbit_partition
 _BLOCK_STATES = 2**16
-# _orbit_partition holds this many arrays of p**m index-sized entries,
-# whatever the number of moves, and at most _BLOCK_BYTES bytes per state of
-# a block besides: 8.06 to 8.15 bytes per state in all, traced on D4/F7 and
-# D6/F3, and 47 to 49 bytes per block state on D4/F5 and D5/F3
-_PARTITION_ARRAYS = 2
+# _orbit_partition holds one array of p**m index-sized entries, whatever the
+# number of moves, and at most _BLOCK_BYTES bytes per state of a block
+# besides: 4.06 to 4.13 bytes per state in all, traced on D4/F7 and D6/F3,
+# and 41 to 46 bytes per block state on D4/F5 and D5/F3
 _BLOCK_BYTES = 56
 
 
@@ -425,8 +437,14 @@ def crosscheck(table: StructureConstantTable, p: int,
                budget: int | None = None, pairs: int = 10_000,
                seed: int = 0,
                census: OrbitCensus | None = None) -> dict:
-    """Verify the classifier against brute-force enumeration; raise on mismatch."""
+    """Verify the classifier against brute-force enumeration; raise on
+    mismatch.  ValueError, before any work, for a census of another system
+    or prime than (table, p)."""
     rs = table.rs
+    if census is not None and (census.family, census.rank, census.p) != (
+            rs.family, rs.rank, p):
+        raise ValueError(f"the census is of {census.family}{census.rank} "
+                         f"over F_{census.p}, not {rs.name} over F_{p}")
     check_pairs(rs, p, pairs)
     K = PrimeField(p)
     if census is None:

@@ -641,8 +641,7 @@ def jacobi_check(table: StructureConstantTable, exhaustive_limit: int = 80,
     verify_table, so triples of distinct keys suffice.  With at most
     exhaustive_limit basis elements every x < y < z is checked; otherwise
     `samples` triples of distinct keys drawn from random.Random(seed), three
-    32-bit words per triple (see _sampled_triples; a draw of three 64-bit
-    words before, so a seed now names a different sample of the same size).
+    32-bit words per triple (see _sampled_triples).
     Triples are evaluated as array gathers on the flat int16 slot and int8
     coefficient tables of _bracket_arrays, at most 2**14 at a time, so
     memory does not grow with `samples`.  Raises JacobiViolation on the
