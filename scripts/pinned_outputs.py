@@ -8,7 +8,9 @@ exit code.  The classify --batch invocations read files of seeded random
 vectors that the script writes itself (shown as @FILE): D5/F3, and
 D4/F65521, D8/F1009, D4/F1321213 and A3 at 2**64 + 13, whose vectors are
 mostly dark (family D) or of label VI (A3); all but D5/F3 and D8/F1009
-run the scalar code of a batch, past the int64 lane bound.  The roots invocations dump root
+run the scalar code of a batch, past the int64 lane bound.  Four more
+batches run the lane code of family D: D4/F5, D6/F3 and D7/F3 on int32
+lanes and D4/F101 on int64 lanes.  The roots invocations dump root
 systems in every format, and A31 and D22, the two largest, in one format
 each; constants A31 and D22 with --check theorem1 run the closed form on
 every pair of the two largest systems and with --check n3pp count every
@@ -50,7 +52,9 @@ PINNED_CASES = (
 )
 BATCH_SIZE = 500
 BATCHES = (("D5", 3), ("D4", 65521), ("D8", 1009), ("D4", 1321213),
-           ("A3", 18446744073709551629))
+           ("A3", 18446744073709551629),
+           # the lane code: int32 lanes, except int64 at D4/F101
+           ("D4", 5), ("D4", 101), ("D6", 3), ("D7", 3))
 
 
 def invocations(batches: dict) -> list[list[str]]:
@@ -84,7 +88,7 @@ def invocations(batches: dict) -> list[list[str]]:
             ["orbits", "E6", "-p", "3", "--compare"],
             ["orbits", "D4", "-p", "3", "--format", "csv"]]
     out += [["classify", s, "-p", str(p), "--batch", batches[s, p]]
-            for s, p in BATCHES[1:]]
+            for s, p in BATCHES[1:5]]
     out += [["roots", s, "--format", f] for s in ("A1", "A8", "D4", "D8", "E8")
             for f in ("text", "json", "csv")]
     out += [["constants", s, "--check", "theorem1"] for s in ("A31", "D22")]
@@ -105,6 +109,8 @@ def invocations(batches: dict) -> list[list[str]]:
             ["classify", "D8", "-p", "65521", "--vector", ",".join(sparse)],
             ["classify", "A8", "-p", "65521", "--vector",
              ",".join(map(str, range(1, 15)))]]
+    out += [["classify", s, "-p", str(p), "--batch", batches[s, p]]
+            for s, p in BATCHES[5:]]
     # refusals, in the order of the checks where a request has two faults
     out += [["classify", "A3", "-p", "2", "--vector", "0,1,1,0"],
             ["classify", "E6", "-p", "3", "--vector", "1"],

@@ -584,7 +584,7 @@ def crosscheck(table: StructureConstantTable, p: int,
         if same_orbit(table, K, x1, x2) != want[i]:
             raise disagree(i, not want[i])
     ds = classify_many(table, K, digits)
-    same = np.array([a == b for a, b in zip(ds[::2], ds[1::2])], dtype=bool)
+    same = np.fromiter(map(operator.eq, ds[::2], ds[1::2]), bool, count=pairs)
     bad = np.flatnonzero(same != want)
     if bad.size:
         raise disagree(int(bad[0]), not want[bad[0]])

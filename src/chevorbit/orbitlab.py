@@ -17,12 +17,13 @@ form of it instead (_lift_kernel): the step-by-step lift is run once per
 table over polynomials, its postconditions checked as identities, and the
 coordinates the invariants read, with the invariants themselves, become
 one generated function of x that returns the invariant code and serves
-every p.  It has a lazy scalar spelling for single vectors, which never
-computes the level -1 and level 0 coordinates of a dark vector, and an
-eager lane spelling for batches.  For family A the invariants are read
-off the covector/vector pair (u, v) of prefix/suffix root coefficients:
-which of u and v vanish, and their contraction.  Family E is out of scope
-here.
+every p.  Every block's c**2 + u*w equals the e_{-delta} coefficient, an
+identity checked there too, so the blocks decide darkness: the scalar
+spelling for single vectors and the lane spelling for batches both stop
+at a dark vector's blocks, the lanes through a gather of the vectors that
+are not dark.  For family A the invariants are read off the
+covector/vector pair (u, v) of prefix/suffix root coefficients: which of
+u and v vanish, and their contraction.  Family E is out of scope here.
 
 Orbits are named by OrbitDescriptor values: a label from
 {I, IIa, IIb, II, IIIa, IIIb, IIIc, III, IV, V, VI} plus canonical
@@ -394,12 +395,12 @@ class _LiftKernel:
     code(p, *x) is the invariant code of a level-1 vector x of Python ints
     in range(p), and lanes(p, *x) the codes of a batch, x being one int32
     or int64 lane array per phi1 root.  lift(p, *x) maps x, as ints
-    or lanes, to {basis key: coordinate of the lift mod p} over the keys
-    the code reads, for tests against the reference lift.  spell(name)
-    compiles the function of that name from the one generated source, each
-    on first use, so a process that classifies only single vectors compiles
-    one.  weights holds, per lift coordinate, {degree: sum of the absolute
-    integer coefficients of its terms of that degree}.
+    or lanes, to {basis key: coordinate of the lift mod p} over e_{-delta}
+    and the keys the code reads, for tests against the reference lift.
+    spell(name) compiles the function of that name from the one generated
+    source, each on first use, so a process that classifies only single
+    vectors compiles one.  weights holds, per lift coordinate, {degree: sum
+    of the absolute integer coefficients of its terms of that degree}.
     """
 
     spell: Callable[[str], Callable]
@@ -434,40 +435,66 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
     unchanged associated_root_element over _Polynomials; the lift's three
     postconditions are then polynomial identities, checked by that run, so
     a failure raises ClassificationError here.  The coordinates the code
-    reads are kept: e_{-delta}, levels -1 and 0 with the Cartan part (level
-    1 is x itself).  Each is written as d * y_k, an integer polynomial with
-    d the least common denominator of y_k's coefficients, summed without
-    reduction.  A coordinate that is only tested for zero is reduced as it
-    is; one whose value is read, a block's c, u or w, is then multiplied by
-    d**-1 mod p.  So the function serves every odd p, and its only literals
-    are the integers of the table.  Monomial prefixes shared across
-    coordinates are computed once.
+    reads are kept: levels -1 and 0 with the Cartan part (level 1 is x
+    itself), and e_{-delta} for lift alone.  Each is written as d * y_k, an
+    integer polynomial with d the least common denominator of y_k's
+    coefficients, summed without reduction.  A coordinate that is only
+    tested for zero is reduced as it is; one whose value is read, a block's
+    c, u or w, is then multiplied by d**-1 mod p.  So the function serves
+    every odd p, and its only literals are the integers of the table.
+    Monomial prefixes shared across coordinates are computed once.
+
+    The code never reads e_{-delta}, the degree-4 coordinate: every block
+    (c, u, w) of the lift satisfies
+
+        y[e_{-delta}] = c**2 + u*w,
+
+    checked here as a polynomial identity, so a failure raises
+    ClassificationError.  Both sides are quartic relative invariants of G0
+    on V1, which has one up to scalars: on D4, where V1 holds the cubes
+    2 x 2 x 2 and the blocks are the cube's three binary quadratic forms,
+    it is the classical fact that these share the cube's discriminant
+    (Bhargava, Higher composition laws I, 2004); from D5 on, V1 = 2 x W
+    and the one block is the binary form that a pair in W spans.  Its
+    denominators divide 4, so it holds mod every odd p: a vector is dark
+    (y[e_{-delta}] != 0) exactly when the k = c**2 + u*w of any one block
+    is nonzero mod p, and then every block is regular with that same k.
 
     In radix p + 2 the code's leading digit is the luminosity (0 ZeroVec,
     1 Singular, 2 Brilliant, 3 Shining, 4 Dark), followed by one digit per
     block of z_blocks: 0 for the zero block, 1 or 2 for a nilpotent block
     whose sl2_invariant square class is a nonsquare or a square (Euler's
     criterion on u, or on -w when u = 0), and 2 + k for a regular block (k
-    alone names its class).  The one source has two spellings:
+    alone names its class).  Both spellings of the one source compute the
+    blocks first and take dark from the last block's k:
 
-    * code, for Python ints, reduces by % and pow and is lazy.  It computes
-      the blocks, by if/elif on k, u and w, and then e_{-delta}: a dark
-      vector returns there, and no coordinate of levels -1 and 0 is ever
-      computed.  Otherwise an or chain stops at the first nonzero
-      coordinate of level -1, then the same for level 0; a level's
-      prefixes are computed just before its chain.
-    * lanes, for lane arrays, is eager and uses only arithmetic and
-      comparisons: every coordinate is computed, reduced through
-      gfield._mod (numpy's remainder would be most of its time on int32 and
-      int64 lanes), and combined through _select, with Euler's criterion by
-      _pow_mod.  Its values are the lift's unreduced sums, within bound(p),
-      and the block arithmetic and the code, below 5 * (p + 2)**blocks.
+    * code, for Python ints, reduces by % and pow.  It computes each
+      block's digit by if/elif on k, u and w; a dark vector returns after
+      the blocks, and no coordinate of levels -1 and 0 is ever computed.
+      Otherwise an or chain stops at the first nonzero coordinate of level
+      -1, then the same for level 0; a level's prefixes are computed just
+      before its chain.
+    * lanes, for lane arrays, reduces through gfield._mod (numpy's
+      remainder would be most of its time on int32 and int64 lanes) and
+      combines through _select.  It branches where code does, through two
+      gathers (np.flatnonzero): Euler's criterion (_pow_mod) runs only on a
+      block's nilpotent lanes, and levels -1 and 0, with their prefixes,
+      only on the lanes that are not dark.  Its values are the lift's
+      unreduced sums, within bound(p), and the block arithmetic and the
+      code, below 5 * (p + 2)**blocks.
+
+    lift keeps e_{-delta}, for the tests against the reference lift.
     """
     rs = table.rs
     m = len(rs.phi1)
-    y = associated_root_element(table, _Polynomials(),
-                                [{(i,): 1} for i in range(m)]).coeffs
+    P = _Polynomials()
+    y = associated_root_element(table, P, [{(i,): 1} for i in range(m)]).coeffs
     bottom, lev_m1, lev0, blocks = _kernel_plan(table)
+    if any(P.add(P.mul(y[c], y[c]), P.mul(y[u], y[w])) != y[bottom]
+           for c, u, w in blocks):
+        raise ClassificationError(f"the lift of {rs.name} has a block whose "
+                                  f"c**2 + u*w is not its e_(-delta) "
+                                  f"coefficient")
     names: dict = {}  # monomial of degree >= 2 -> the name of its product
 
     def name(mono):
@@ -503,6 +530,7 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
     in_blocks = {key for block in blocks for key in block}
     others = [key for key in lev0 if key not in in_blocks]
     place = f"(p + 2) ** {len(blocks)}"  # of the luminosity digit
+    xs = ", ".join(f"x{i}" for i in range(m))
 
     def spell(kind):
         mod = ((lambda e: f"_mod({e}, p)") if kind == "lanes"
@@ -552,6 +580,7 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
                 "            digit = 1 + (pow(p - w, (p - 1) // 2, p) == 1)",
                 "        else:", "            digit = 0",
                 "        code = code * (p + 2) + digit",
+                "    if k:", f"        return code + {_DARK} * {place}",
             ])
 
             def first_nonzero(lum, keys):
@@ -560,7 +589,6 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
                     body.extend([f"    if {' or '.join(tests)}:",
                                  f"        return code + {lum} * {place}"])
 
-            first_nonzero(_DARK, [bottom])
             first_nonzero(3, lev_m1)
             # a nonzero block is a nonzero level-0 coordinate
             body.extend(["    if code:", f"        return code + 2 * {place}"])
@@ -571,40 +599,46 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
         else:
             body.extend([
                 "    code = 0",
-                "    filled = False",
                 blocks_loop(),
                 "        k = _mod(c * c + u * w, p)",
+                "        nonzero = (c != 0) | (u != 0) | (w != 0)",
+                "        digit = _select(k == 0, nonzero, 2 + k)",
+                "        nil = np.flatnonzero((k == 0) & nonzero)",
+                "        u, w = u[nil], w[nil]",
                 # _pow_mod reduces p to 0
                 "        top = _select(u != 0, u, p - w)",
-                "        square = _pow_mod(top, (p - 1) // 2, p) == 1",
-                "        nonzero = (c != 0) | (u != 0) | (w != 0)",
-                "        filled = filled | nonzero",
-                "        code = code * (p + 2)"
-                " + _select(k == 0, 1 + square, 2 + k) * nonzero",
+                "        digit[nil] += _pow_mod(top, (p - 1) // 2, p) == 1",
+                "        code = code * (p + 2) + digit",
+                "    dark = k != 0",
                 # the last block's lanes would stay alive beside the prefixes
-                "    del c, u, w, k, top, square, nonzero",
+                "    del c, u, w, k, nonzero, digit, nil, top",
+                "    keep = np.flatnonzero(~dark)",
+                f"    {xs} = {', '.join(f'x{i}[keep]' for i in range(m))}",
             ])
 
             def populated(keys):
                 return " | ".join(f"({residue(key)} != 0)" for key in keys
                                   if sums[key][0]) or "False"
 
-            for var, keys in (("dark", [bottom]), ("shining", lev_m1),
-                              ("brilliant", others)):
+            for var, keys in (("shining", lev_m1), ("brilliant", others)):
                 body.append(f"    {var} = {populated(keys)}")
             body.extend([
                 "    singular = "
                 + " | ".join(f"(x{i} != 0)" for i in range(m)),
-                f"    lum = _select(dark, {_DARK}, _select(shining, 3, "
-                f"_select(filled | brilliant, 2, singular)))",
+                f"    lum = {_DARK} * dark",
+                # a lane that is not dark has block digits 0, 1 and 2, so
+                # its code is nonzero exactly where a block is
+                "    lum[keep] = _select(shining, 3, "
+                "_select((code[keep] != 0) | brilliant, 2, singular))",
                 f"    return lum * {place} + code",
             ])
         source = "\n".join(
-            [f"def {kind}(p, {', '.join(f'x{i}' for i in range(m))}):"]
+            [f"def {kind}(p, {xs}):"]
             + [f"    q{d} = pow({d}, -1, p)" for d in sorted(inverses)]
             + body
         )
-        namespace = {"_mod": _mod, "_pow_mod": _pow_mod, "_select": _select}
+        namespace = {"_mod": _mod, "_pow_mod": _pow_mod, "_select": _select,
+                     "np": np}
         exec(compile(source, f"<{kind} of {rs.name}>", "exec"), namespace)
         return namespace[kind]
 
@@ -860,25 +894,39 @@ class _AClassifier(_Classifier):
 
     def __init__(self, table: StructureConstantTable, K):
         super().__init__(table, K, max(5, table.rs.rank - 1) * K.p ** 2)
-        self.iu, self.iv = _al_indices(self.rs)
+        # itemgetter returns a tuple from two indices on, which A3 and up
+        # have; A1 has none and A2 one
+        self.iu, self.iv = (
+            operator.itemgetter(*i) if len(i) > 1
+            else lambda x, i=tuple(i): tuple([x[j] for j in i])
+            for i in _al_indices(self.rs))
+        # label digit -> the label, and its parameters as (name, index into
+        # the code's (a, b)) in name order, the order of descriptor params
+        self.labels = {
+            digit: (label, sorted((n, j) for j, (n, _) in
+                                  enumerate(self.types[label][0])))
+            for digit, label in enumerate(_A_LABELS) if label in self.types}
 
     def code(self, x):
-        return _a_code(self.p, [x[i] for i in self.iu], [x[i] for i in self.iv])
+        return _a_code(self.p, self.iu(x), self.iv(x))
 
     lanes = code
 
     def decode(self, code: int) -> OrbitDescriptor:
         p = self.p
-        label = _A_LABELS[code // (p * p)]
-        params, _ = self.types[label]
-        return _mkdesc(self.rs, p, label,
-                       zip((n for n, _ in params), (code // p % p, code % p)))
+        label, names = self.labels[code // (p * p)]
+        ab = (code // p % p, code % p)
+        return OrbitDescriptor("A", self.rs.rank, p, label,
+                               tuple([(n, ab[j]) for n, j in names]))
 
 
 class _DClassifier(_Classifier):
     """Family D: the compiled lift's code (_lift_kernel), whose values stay
-    below max(5 * (p + 2)**blocks, kernel.bound(p)).  A dark code names V(k)
-    in closed form, its digits _DARK and then 2 + k in every block, as
+    below max(5 * (p + 2)**blocks, kernel.bound(p)).  Both spellings of the
+    code stop at the dark test, the block invariant k that _lift_kernel
+    proves equal to the e_{-delta} coordinate, so a dark vector costs its
+    blocks alone, in a batch as for a single vector.  A dark code names
+    V(k) in closed form, its digits _DARK and then 2 + k in every block, as
     _v_code_checked proves once per table; any other is looked up in
     canonical_codes, which the first such decode builds."""
 

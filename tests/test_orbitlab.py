@@ -235,20 +235,123 @@ def test_compiled_lift_equals_reference_lift(name):
                 y[k] for y in want], (p, k)
 
 
+def branch_batches(t, p, rng):
+    """Batches of vectors that drive the lane code down each of its
+    branches, chosen by their scalar codes: all dark (the gather of the
+    lanes that are not dark is empty), none dark, nilpotent blocks of
+    either square class, zero blocks, and one vector alone."""
+    rs = t.rs
+    clf = orbitlab._classifier(t, get_field(p))
+    canonical = [clf.canonical_vector(d) for d in clf.descriptors(skip="V")]
+    canonical += [clf.canonical_vector(OrbitDescriptor(
+        "D", rs.rank, p, "V", (("k", k),))) for k in (1, 2, p - 1)]
+    pool = half_sparse(rng, rs, p, 200) + canonical + [
+        act_on_v1(t, get_field(p), random_level0_word(rng, rs, p, 6), x)
+        for x in canonical for _ in range(3)]
+    blocks = len(block_gammas(rs))
+    place = (p + 2) ** blocks
+    scalar = orbitlab._lift_kernel(t).code
+    dark, light = [], []
+    digits: dict = {0: [], 1: [], 2: []}  # block digit -> light vectors
+    for x in pool:
+        code = scalar(p, *x)
+        if code // place == orbitlab._DARK:
+            dark.append(x)
+            continue
+        light.append(x)
+        for digit in {code // (p + 2) ** i % (p + 2) for i in range(blocks)}:
+            digits[digit].append(x)
+    batches = {"all dark": dark, "none dark": light,
+               "nilpotent, nonsquare": digits[1], "nilpotent, square": digits[2],
+               "zero blocks": digits[0], "one dark": dark[:1],
+               "one light": light[:1]}
+    assert all(batches.values()), {k: len(v) for k, v in batches.items()}
+    return batches
+
+
 @pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
 def test_compiled_lift_spellings_agree(name):
-    # code is the lazy spelling for Python ints, lanes the eager one that
-    # classify_many runs on int32 and int64 lanes
+    # code is the spelling for Python ints, lanes the one that
+    # classify_many runs on int32 and int64 lanes: each branches at the
+    # dark test, lanes through gathers, so they are compared on random
+    # vectors and on batches built to take each branch, with int32 and
+    # int64 lanes (D4's own lanes are int64 from p = 101 on)
     t = get_table(name)
     kernel = orbitlab._lift_kernel(t)
-    for p in (3, 5, 1009):
+    branch_primes = {"D4": (97, 101), "D5": (3, 1009),
+                     "D6": (3, 1009)}.get(name, ())
+    for p in sorted({3, 5, 1009, *branch_primes}):
         rng = random.Random(p * 31 + t.rs.rank)
         vectors = half_sparse(rng, t.rs, p, 60) + [(p - 1,) * len(t.rs.phi1)]
-        want = [kernel.code(p, *x) for x in vectors]
-        assert all(isinstance(c, int) for c in want)
-        for lane in {lane_of(t, p), np.int64}:
-            got = kernel.lanes(p, *np.array(vectors, dtype=lane).T)
-            assert got.tolist() == want, (p, lane)
+        batches = {"random": vectors}
+        if p in branch_primes:
+            batches.update(branch_batches(t, p, rng))
+        for label, batch in batches.items():
+            want = [kernel.code(p, *x) for x in batch]
+            assert all(isinstance(c, int) for c in want)
+            for lane in {lane_of(t, p), np.int64}:
+                got = kernel.lanes(p, *np.array(batch, dtype=lane).T)
+                assert got.tolist() == want, (p, label, lane)
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
+def test_block_invariant_is_the_dark_test(name):
+    # every block's c**2 + u*w is the e_{-delta} coordinate mod p, so the
+    # code's luminosity digit is _DARK exactly where that coordinate is
+    # nonzero
+    t = get_table(name)
+    rs = t.rs
+    kernel = orbitlab._lift_kernel(t)
+    bottom, _, _, blocks = orbitlab._kernel_plan(t)
+    for p in (3, 5, 7, 1009):
+        place = (p + 2) ** len(blocks)
+        clf = orbitlab._classifier(t, get_field(p))
+        rng = random.Random(p * 17 + rs.rank)
+        vectors = half_sparse(rng, rs, p, 100) + [
+            clf.canonical_vector(d) for d in clf.descriptors()]
+        lum = set()
+        for x in vectors:
+            y = kernel.lift(p, *x)
+            for c, u, w in blocks:
+                assert (y[c] * y[c] + y[u] * y[w] - y[bottom]) % p == 0, (p, x)
+            dark = kernel.code(p, *x) // place == orbitlab._DARK
+            assert dark == (y[bottom] % p != 0), (p, x)
+            lum.add(dark)
+        assert lum == {False, True}, p
+
+
+def test_lift_kernel_refuses_a_plan_whose_bottom_is_not_the_block_invariant(
+        monkeypatch):
+    t = build_table_oracle(get_system("D4"))  # no kernel compiled yet
+    bottom, lev_m1, lev0, blocks = orbitlab._kernel_plan(t)
+    monkeypatch.setattr(orbitlab, "_kernel_plan",
+                        lambda table: (lev_m1[0], lev_m1, lev0, blocks))
+    with pytest.raises(ClassificationError, match="c\\*\\*2 \\+ u\\*w"):
+        orbitlab._lift_kernel(t)
+
+
+@pytest.mark.parametrize("name", ["D4", "D6"])
+def test_only_lift_spells_the_bottom_coordinate(name, monkeypatch):
+    # code and lanes take dark from the blocks; lift keeps e_{-delta}, the
+    # degree-4 coordinate, for the tests against the reference lift
+    sources = {}
+
+    def spy(source, filename, mode):
+        sources[source.split("(", 1)[0].removeprefix("def ")] = source
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(orbitlab, "compile", spy, raising=False)
+    t = build_table_oracle(get_system(name))  # no spelling compiled yet
+    kernel = orbitlab._lift_kernel(t)
+    for kind in ("code", "lanes", "lift"):
+        getattr(kernel, kind)
+    bottom = orbitlab._kernel_plan(t)[0]
+    entry = next(line for line in sources["lift"].splitlines()
+                 if line.strip().startswith(f"{bottom}: "))
+    # the entry is ((sum) % p * q4) % p, sum being 4 * y[e_{-delta}]
+    poly = entry.split(": ((", 1)[1].rsplit(") % p * q", 1)[0]
+    assert poly.count("*") > 10
+    assert poly not in sources["code"] and poly not in sources["lanes"]
 
 
 @pytest.mark.parametrize("name,p", [
