@@ -7,10 +7,11 @@ argv, or, where an exception escapes main, its type name in place of the
 exit code.  The classify --batch invocations read files of seeded random
 vectors that the script writes itself (shown as @FILE): D5/F3, and
 D4/F65521, D8/F1009, D4/F1321213 and A3 at 2**64 + 13, whose vectors are
-mostly dark (family D) or of label VI (A3); all but D5/F3 and D8/F1009
-run the scalar code of a batch, past the int64 lane bound.  Four more
-batches run the lane code of family D: D4/F5, D6/F3 and D7/F3 on int32
-lanes and D4/F101 on int64 lanes.  The roots invocations dump root
+mostly dark (family D) or of label VI (A3); D4/F1321213 and A3 run the
+scalar code of a batch, past the int64 lane bound, and D4/F65521 and
+D8/F1009 int64 lanes.  Six more batches run the lane code of family D:
+D4/F5, D4/F101, D6/F3 and D7/F3 on int32 lanes and D4/F719 and D8/F65521
+on int64 lanes.  The roots invocations dump root
 systems in every format, and A31 and D22, the two largest, in one format
 each; constants A31 and D22 with --check theorem1 run the closed form on
 every pair of the two largest systems and with --check n3pp count every
@@ -53,8 +54,9 @@ PINNED_CASES = (
 BATCH_SIZE = 500
 BATCHES = (("D5", 3), ("D4", 65521), ("D8", 1009), ("D4", 1321213),
            ("A3", 18446744073709551629),
-           # the lane code: int32 lanes, except int64 at D4/F101
-           ("D4", 5), ("D4", 101), ("D6", 3), ("D7", 3))
+           # the lane code: int32 lanes, except int64 at D4/F719 and D8/F65521
+           ("D4", 5), ("D4", 101), ("D6", 3), ("D7", 3), ("D4", 719),
+           ("D8", 65521))
 
 
 def invocations(batches: dict) -> list[list[str]]:

@@ -18,12 +18,13 @@ table over polynomials, its postconditions checked as identities, and the
 coordinates the invariants read, with the invariants themselves, become
 one generated function of x that returns the invariant code and serves
 every p.  Every block's c**2 + u*w equals the e_{-delta} coefficient, an
-identity checked there too, so the blocks decide darkness: the scalar
-spelling for single vectors and the lane spelling for batches both stop
-at a dark vector's blocks, the lanes through a gather of the vectors that
-are not dark.  For family A the invariants are read off the
-covector/vector pair (u, v) of prefix/suffix root coefficients: which of
-u and v vanish, and their contraction.  Family E is out of scope here.
+identity checked there too, so the blocks decide darkness and that
+degree-4 coordinate is never computed: the scalar spelling for single
+vectors and the lane spelling for batches both stop at a dark vector's
+blocks, the lanes through a gather of the vectors that are not dark.  For
+family A the invariants are read off the covector/vector pair (u, v) of
+prefix/suffix root coefficients: which of u and v vanish, and their
+contraction.  Family E is out of scope here.
 
 Orbits are named by OrbitDescriptor values: a label from
 {I, IIa, IIb, II, IIIa, IIIb, IIIc, III, IV, V, VI} plus canonical
@@ -37,7 +38,8 @@ For either family the invariants are packed into one integer code, owned
 by one classifier per table and prime field (_classifier), once
 check_domain admits them: the code of a single vector (classify) or of a
 batch (classify_many), on int32 or int64 lanes while the family's bound
-allows and by the scalar code over Python ints past it, and the decode.  A
+on the values of its lane code allows (for family D, sums of degree at
+most 3) and by the scalar code over Python ints past it, and the decode.  A
 family-A code decodes directly into its descriptor.  A dark family-D code
 names V(k) in closed form, an identity checked once per table; any other
 family-D code is looked up in a map built from the codes of the
@@ -325,8 +327,9 @@ def _select(cond, a, b):
 
 @table_cached
 def _kernel_plan(table: StructureConstantTable):
-    """Basis keys the code reads besides x itself: e_{-delta}; the keys of
-    levels -1 and 0 (with the Cartan part); and (c, u, w) for each block."""
+    """e_{-delta}, which only the kernel's identity checks read, and the
+    basis keys the code reads besides x itself: the keys of levels -1 and 0
+    (with the Cartan part), and (c, u, w) for each block."""
     rs = table.rs
     levels = {-1: [], 0: list(range(table.n_roots, table.n_basis))}
     for i, q in enumerate(rs.levels):
@@ -394,13 +397,12 @@ class _LiftKernel:
 
     code(p, *x) is the invariant code of a level-1 vector x of Python ints
     in range(p), and lanes(p, *x) the codes of a batch, x being one int32
-    or int64 lane array per phi1 root.  lift(p, *x) maps x, as ints
-    or lanes, to {basis key: coordinate of the lift mod p} over e_{-delta}
-    and the keys the code reads, for tests against the reference lift.
-    spell(name) compiles the function of that name from the one generated
-    source, each on first use, so a process that classifies only single
-    vectors compiles one.  weights holds, per lift coordinate, {degree: sum
-    of the absolute integer coefficients of its terms of that degree}.
+    or int64 lane array per phi1 root.  spell(name) compiles the function
+    of that name, "code" or "lanes", from the one generated source, each on
+    first use, so a process that classifies only single vectors compiles
+    one.  weights holds, per coordinate of levels -1 and 0 that the code
+    sums, {degree: sum of the absolute integer coefficients of its terms of
+    that degree}.
     """
 
     spell: Callable[[str], Callable]
@@ -414,14 +416,15 @@ class _LiftKernel:
     def lanes(self) -> Callable:
         return self.spell("lanes")
 
-    @functools.cached_property
-    def lift(self) -> Callable[..., dict]:
-        return self.spell("lift")
-
     def bound(self, p: int) -> int:
-        """An upper bound on |every intermediate value| of lift over F_p."""
-        return max([p * p] + [sum(w * (p - 1) ** d for d, w in ws.items())
-                              for ws in self.weights])
+        """An upper bound on |every intermediate value| of lanes over F_p
+        but the packed code, which _DClassifier bounds: each unreduced sum
+        d * y_k, with its monomials and partial sums, within the weight of
+        y_k; a reduced sum times d**-1 mod p, and the squares and products
+        of Euler's criterion, below p**2; each block's c*c + u*w, below
+        2 * p**2."""
+        return max([2 * p * p] + [sum(w * (p - 1) ** d for d, w in ws.items())
+                                  for ws in self.weights])
 
 
 @table_cached
@@ -436,16 +439,16 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
     postconditions are then polynomial identities, checked by that run, so
     a failure raises ClassificationError here.  The coordinates the code
     reads are kept: levels -1 and 0 with the Cartan part (level 1 is x
-    itself), and e_{-delta} for lift alone.  Each is written as d * y_k, an
-    integer polynomial with d the least common denominator of y_k's
-    coefficients, summed without reduction.  A coordinate that is only
+    itself), of degree at most 3.  Each is written as d * y_k, an integer
+    polynomial with d the least common denominator of y_k's coefficients,
+    summed without reduction.  A coordinate that is only
     tested for zero is reduced as it is; one whose value is read, a block's
     c, u or w, is then multiplied by d**-1 mod p.  So the function serves
     every odd p, and its only literals are the integers of the table.
     Monomial prefixes shared across coordinates are computed once.
 
-    The code never reads e_{-delta}, the degree-4 coordinate: every block
-    (c, u, w) of the lift satisfies
+    Neither spelling computes e_{-delta}, the degree-4 coordinate, and
+    bound(p) does not price it: every block (c, u, w) of the lift satisfies
 
         y[e_{-delta}] = c**2 + u*w,
 
@@ -479,11 +482,9 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
       combines through _select.  It branches where code does, through two
       gathers (np.flatnonzero): Euler's criterion (_pow_mod) runs only on a
       block's nilpotent lanes, and levels -1 and 0, with their prefixes,
-      only on the lanes that are not dark.  Its values are the lift's
-      unreduced sums, within bound(p), and the block arithmetic and the
-      code, below 5 * (p + 2)**blocks.
-
-    lift keeps e_{-delta}, for the tests against the reference lift.
+      only on the lanes that are not dark.  Its values are the unreduced
+      sums and the block arithmetic, within bound(p), and the code, below
+      5 * (p + 2)**blocks.
     """
     rs = table.rs
     m = len(rs.phi1)
@@ -505,7 +506,7 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
     # key -> (the sum d * y_key, d, the prefixes its terms multiply)
     sums: dict = {}
     weights = []
-    for key in [bottom, *lev_m1, *lev0]:
+    for key in [*lev_m1, *lev0]:
         poly = y[key]
         d = math.lcm(*(c.denominator for c in poly.values()))
         groups: dict = {}
@@ -533,8 +534,9 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
     xs = ", ".join(f"x{i}" for i in range(m))
 
     def spell(kind):
-        mod = ((lambda e: f"_mod({e}, p)") if kind == "lanes"
-               else (lambda e: f"({e}) % p"))
+        # a KeyError for any other kind
+        mod = {"code": lambda e: f"({e}) % p",
+               "lanes": lambda e: f"_mod({e}, p)"}[kind]
         body: list = []
         done: set = set()
         inverses: set = set()
@@ -565,10 +567,7 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
                               for block in blocks)
             return f"    for c, u, w in ({triples}):"
 
-        if kind == "lift":
-            entries = [f"        {key}: {value(key)}," for key in sums]
-            body.extend(["    return {", *entries, "    }"])
-        elif kind == "code":
+        if kind == "code":
             body.extend([
                 "    code = 0",
                 blocks_loop(),
@@ -921,14 +920,15 @@ class _AClassifier(_Classifier):
 
 
 class _DClassifier(_Classifier):
-    """Family D: the compiled lift's code (_lift_kernel), whose values stay
-    below max(5 * (p + 2)**blocks, kernel.bound(p)).  Both spellings of the
-    code stop at the dark test, the block invariant k that _lift_kernel
-    proves equal to the e_{-delta} coordinate, so a dark vector costs its
-    blocks alone, in a batch as for a single vector.  A dark code names
-    V(k) in closed form, its digits _DARK and then 2 + k in every block, as
-    _v_code_checked proves once per table; any other is looked up in
-    canonical_codes, which the first such decode builds."""
+    """Family D: the compiled lift's code (_lift_kernel).  Its lane values
+    are the packed code, below 5 * (p + 2)**blocks, and the sums and block
+    arithmetic within kernel.bound(p).  Both spellings stop at the dark
+    test, the block invariant k that _lift_kernel proves equal to the
+    e_{-delta} coordinate, so a dark vector costs its blocks alone, in a
+    batch as for a single vector.  A dark code names V(k) in closed form,
+    its digits _DARK and then 2 + k in every block, as _v_code_checked
+    proves once per table; any other is looked up in canonical_codes,
+    which the first such decode builds."""
 
     def __init__(self, table: StructureConstantTable, K):
         kernel = self.kernel = _lift_kernel(table)
@@ -990,9 +990,10 @@ def _v_code_checked(table: StructureConstantTable, entries) -> None:
     """Check, once per table, that V(k)'s canonical vector (entries: ints and
     the parameter k) has the code _DARK, then 2 + k in every block, for every
     odd p and unit k: run over _Polynomials in k, its lift has e_{-delta}
-    coefficient k and c**2 + u*w = k in every block, identities that survive
-    reduction mod an odd p (the lift's denominators divide 4).  Raises
-    ClassificationError if they fail or an entry is neither int nor k."""
+    coefficient k, an identity that survives reduction mod an odd p (the
+    lift's denominators divide 4); c**2 + u*w = k in every block then
+    follows from the identity _lift_kernel proves for the table.  Raises
+    ClassificationError if it fails or an entry is neither int nor k."""
     rs, P, k = table.rs, _Polynomials(), {(0,): 1}
     x = [P.zero] * len(rs.phi1)
     for root, v in entries:
@@ -1000,9 +1001,7 @@ def _v_code_checked(table: StructureConstantTable, entries) -> None:
             raise ClassificationError(f"V's entry {v!r} is neither k nor an int")
         x[rs.phi1_index(root)] = k if v == "k" else P.of(v)
     y = associated_root_element(table, P, x).coeffs
-    bottom, _, _, blocks = _kernel_plan(table)
-    if y[bottom] != k or any(P.add(P.mul(y[c], y[c]), P.mul(y[u], y[w])) != k
-                             for c, u, w in blocks):
+    if y[_kernel_plan(table)[0]] != k:
         raise ClassificationError(f"V(k)'s canonical vector of {rs.name} does "
                                   f"not have the closed-form dark code")
 

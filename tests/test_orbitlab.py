@@ -214,27 +214,6 @@ def test_batch_lift_equals_stacked_scalar_lifts(name, p):
     assert y != associated_root_element(t, ArrayField(p), lanes)
 
 
-@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
-def test_compiled_lift_equals_reference_lift(name):
-    t = get_table(name)
-    kernel = orbitlab._lift_kernel(t)
-    for p in (3, 5, 7, 1009, 65521, 1_300_021):
-        K = get_field(p)
-        rng = random.Random(p * 13 + t.rs.rank)
-        vectors = half_sparse(rng, t.rs, p, 40) + [(p - 1,) * len(t.rs.phi1)]
-        want = [associated_root_element(t, K, x).coeffs for x in vectors]
-        for x, y in zip(vectors, want):
-            co = kernel.lift(p, *x)
-            assert {k: y[k] for k in co} == co, (p, x)
-        if lane_of(t, p) is None:  # past the int64 bound: no lanes
-            continue
-        lanes = np.array(vectors, dtype=lane_of(t, p)).T
-        co = kernel.lift(p, *lanes)
-        for k, got in co.items():
-            assert np.broadcast_to(got, (len(vectors),)).tolist() == [
-                y[k] for y in want], (p, k)
-
-
 def branch_batches(t, p, rng):
     """Batches of vectors that drive the lane code down each of its
     branches, chosen by their scalar codes: all dark (the gather of the
@@ -275,10 +254,10 @@ def test_compiled_lift_spellings_agree(name):
     # classify_many runs on int32 and int64 lanes: each branches at the
     # dark test, lanes through gathers, so they are compared on random
     # vectors and on batches built to take each branch, with int32 and
-    # int64 lanes (D4's own lanes are int64 from p = 101 on)
+    # int64 lanes (D4's own lanes are int64 from p = 719 on)
     t = get_table(name)
     kernel = orbitlab._lift_kernel(t)
-    branch_primes = {"D4": (97, 101), "D5": (3, 1009),
+    branch_primes = {"D4": (709, 719), "D5": (3, 1009),
                      "D6": (3, 1009)}.get(name, ())
     for p in sorted({3, 5, 1009, *branch_primes}):
         rng = random.Random(p * 31 + t.rs.rank)
@@ -296,26 +275,30 @@ def test_compiled_lift_spellings_agree(name):
 
 @pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
 def test_block_invariant_is_the_dark_test(name):
-    # every block's c**2 + u*w is the e_{-delta} coordinate mod p, so the
-    # code's luminosity digit is _DARK exactly where that coordinate is
-    # nonzero
+    # every block's c**2 + u*w is the e_{-delta} coordinate of the reference
+    # lift mod p, so the code's luminosity digit is _DARK exactly where that
+    # coordinate is nonzero
     t = get_table(name)
     rs = t.rs
     kernel = orbitlab._lift_kernel(t)
     bottom, _, _, blocks = orbitlab._kernel_plan(t)
     for p in (3, 5, 7, 1009):
+        K = get_field(p)
         place = (p + 2) ** len(blocks)
-        clf = orbitlab._classifier(t, get_field(p))
+        clf = orbitlab._classifier(t, K)
         rng = random.Random(p * 17 + rs.rank)
         vectors = half_sparse(rng, rs, p, 100) + [
-            clf.canonical_vector(d) for d in clf.descriptors()]
+            clf.canonical_vector(d) for d in clf.descriptors(skip="V")] + [
+            clf.canonical_vector(OrbitDescriptor("D", rs.rank, p, "V",
+                                                 (("k", k),)))
+            for k in (1, 2, p - 1)]
         lum = set()
         for x in vectors:
-            y = kernel.lift(p, *x)
+            y = associated_root_element(t, K, x).coeffs
             for c, u, w in blocks:
                 assert (y[c] * y[c] + y[u] * y[w] - y[bottom]) % p == 0, (p, x)
             dark = kernel.code(p, *x) // place == orbitlab._DARK
-            assert dark == (y[bottom] % p != 0), (p, x)
+            assert dark == (y[bottom] != 0), (p, x)
             lum.add(dark)
         assert lum == {False, True}, p
 
@@ -330,37 +313,45 @@ def test_lift_kernel_refuses_a_plan_whose_bottom_is_not_the_block_invariant(
         orbitlab._lift_kernel(t)
 
 
-@pytest.mark.parametrize("name", ["D4", "D6"])
-def test_only_lift_spells_the_bottom_coordinate(name, monkeypatch):
-    # code and lanes take dark from the blocks; lift keeps e_{-delta}, the
-    # degree-4 coordinate, for the tests against the reference lift
-    sources = {}
+def test_lift_kernel_refuses_a_lift_whose_block_is_not_the_invariant(
+        monkeypatch):
+    real = orbitlab.associated_root_element
+    t = build_table_oracle(get_system("D4"))  # no kernel compiled yet
+    c = orbitlab._kernel_plan(t)[-1][-1][0]  # c of the last block
 
-    def spy(source, filename, mode):
-        sources[source.split("(", 1)[0].removeprefix("def ")] = source
-        return compile(source, filename, mode)
+    def moved(table, P, x):
+        y = real(table, P, x)
+        y.coeffs[c] = P.add(y.coeffs[c], P.one)
+        return y
 
-    monkeypatch.setattr(orbitlab, "compile", spy, raising=False)
-    t = build_table_oracle(get_system(name))  # no spelling compiled yet
+    monkeypatch.setattr(orbitlab, "associated_root_element", moved)
+    with pytest.raises(ClassificationError, match="c\\*\\*2 \\+ u\\*w"):
+        orbitlab._lift_kernel(t)
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
+def test_kernel_sums_only_levels_minus_one_and_zero(name):
+    # code and lanes take dark from the blocks, so the kernel never sums
+    # e_{-delta}, the degree-4 coordinate, and its bound prices only the
+    # coordinates of degree at most 3 that they compute
+    t = get_table(name)
+    _, lev_m1, lev0, _ = orbitlab._kernel_plan(t)
     kernel = orbitlab._lift_kernel(t)
-    for kind in ("code", "lanes", "lift"):
-        getattr(kernel, kind)
-    bottom = orbitlab._kernel_plan(t)[0]
-    entry = next(line for line in sources["lift"].splitlines()
-                 if line.strip().startswith(f"{bottom}: "))
-    # the entry is ((sum) % p * q4) % p, sum being 4 * y[e_{-delta}]
-    poly = entry.split(": ((", 1)[1].rsplit(") % p * q", 1)[0]
-    assert poly.count("*") > 10
-    assert poly not in sources["code"] and poly not in sources["lanes"]
+    assert len(kernel.weights) == len(lev_m1) + len(lev0)
+    assert all(degree <= 3 for ws in kernel.weights for degree in ws)
+    assert not hasattr(kernel, "lift")
+    with pytest.raises(KeyError):
+        kernel.spell("lift")
 
 
 @pytest.mark.parametrize("name,p", [
     ("A3", 3), ("D4", 3), ("D8", 5), ("A3", 1009),  # int32 lanes
-    ("D4", 1009), ("D8", 1009), ("A3", 1_300_021),  # int64
+    ("D4", 709), ("D8", 461),  # the largest primes with int32 lanes
+    ("D4", 1009), ("D8", 1009), ("A3", 1_300_021), ("D4", 65521),  # int64
     # the largest primes with int64 lanes
-    ("A5", 1_358_187_913), ("A8", 1_147_878_283), ("D4", 24889),
-    ("D8", 13669),
-    ("D4", 65521),  # no lanes: batches run the scalar code
+    ("A5", 1_358_187_913), ("A8", 1_147_878_283), ("D4", 1_154_051),
+    ("D8", 748_387),
+    ("D4", 1_154_119),  # no lanes: batches run the scalar code
 ])
 def test_lane_reduction_equals_python_mod(name, p):
     t = get_table(name)
@@ -581,23 +572,33 @@ def test_sl2_invariant_partition_is_the_conjugacy_partition(p):
 
 @pytest.mark.parametrize(
     "name,p",
-    [("D4", 3), ("D4", 5), ("D5", 3), ("D6", 3), ("D4", 1009), ("D5", 1009)],
+    [("D4", 3), ("D4", 5), ("D5", 3), ("D6", 3), ("D7", 3), ("D8", 3),
+     ("D4", 1009), ("D5", 1009),
+     # int64 lanes, then none past D4's int64 bound
+     ("D4", 65521), ("D8", 65521), ("D4", 1_300_021)],
 )
 def test_invariant_code_matches_reference_invariants(name, p):
     t = get_table(name)
     K = get_field(p)
     rs = t.rs
+    m = len(rs.phi1)
     if (name, p) == ("D4", 3):
-        vectors = list(itertools.product(range(p), repeat=len(rs.phi1)))
+        vectors = list(itertools.product(range(p), repeat=m))
     else:
         rng = random.Random(31 * p + rs.rank)
-        # half uniform (mostly dark) and half sparse, so that every
-        # luminosity and both nilpotent square classes occur at large p too
-        vectors = [random_v1(rng, rs, p) for _ in range(1000)]
+        # half uniform (mostly dark) and half sparse, fewer on D7, D8 and
+        # past F_1009; with the canonical vectors, every luminosity and both
+        # nilpotent square classes occur at large p too, and (p - 1, ...)
+        # drives the unreduced sums towards the lane bound
+        n = 100 if rs.rank > 6 or p > 1009 else 1000
+        vectors = [random_v1(rng, rs, p) for _ in range(n)]
         vectors += [
             tuple(c if rng.random() < 0.3 else 0 for c in random_v1(rng, rs, p))
-            for _ in range(1000)
+            for _ in range(n)
         ]
+        clf = orbitlab._classifier(t, K)
+        vectors += [clf.canonical_vector(d) for d in clf.descriptors(skip="V")]
+        vectors.append((p - 1,) * m)
     want = []
     for x in vectors:
         y = associated_root_element(t, K, x)
@@ -605,8 +606,9 @@ def test_invariant_code_matches_reference_invariants(name, p):
         want.append(pack_profile(p, luminosity(rs, y), invs))
     kernel = orbitlab._lift_kernel(t)
     assert [kernel.code(p, *x) for x in vectors] == want
-    columns = np.array(vectors, dtype=lane_of(t, p)).T
-    assert kernel.lanes(p, *columns).tolist() == want
+    if lane_of(t, p) is not None:
+        columns = np.array(vectors, dtype=lane_of(t, p)).T
+        assert kernel.lanes(p, *columns).tolist() == want
     blocks = len(block_gammas(rs))
     assert {c // (p + 2) ** blocks for c in want} == {0, 1, 2, 3, 4}
     # block digits 1 and 2: nilpotent blocks of both square classes
@@ -775,7 +777,7 @@ def test_classify_many_confirms_new_dark_codes_in_one_batch(monkeypatch):
 @pytest.mark.parametrize("name", ["D4", "A3"])
 def test_classify_many_runs_the_scalar_code_past_int64(name):
     # past a family's int64 bound int64 lanes could wrap, so batches run
-    # the scalar code: D4's lane code passes 2**63 from p = 24,907 on, and
+    # the scalar code: D4's lane code passes 2**63 from p = 1,154,119 on, and
     # A3's from 1,358,187,923
     p = {"D4": 1_300_021, "A3": 10**12 + 39}[name]
     t = get_table(name)
@@ -822,6 +824,12 @@ def test_classify_many_matches_classify_across_lane_thresholds(name):
         below = next(q for q in range(above - 1, 2, -1) if is_prime(q))
         assert (width(below), width(above)) == (w - 1, w)
         primes += [below, above]
+    # family D's largest primes with int32 lanes and with int64 lanes, from
+    # its bound on the sums of levels -1 and 0 and the block arithmetic
+    largest = {"D4": (709, 1_154_051), "D5": (599, 973_411),
+               "D6": (523, 870_137), "D7": (491, 800_213),
+               "D8": (461, 748_387)}
+    assert name not in largest or tuple(primes[::2]) == largest[name]
     primes += [65521, 1_321_213, 2**63 + 29, 2**64 + 13]
     for p in primes:
         K = get_field(p)
@@ -898,22 +906,21 @@ def test_v_code_identity_holds_for_every_d_rank(rank):
     assert orbitlab._v_code_checked(t, entries) is None
 
 
-def test_v_code_identity_checks_the_bottom_and_every_block(monkeypatch):
+def test_v_code_identity_checks_the_bottom(monkeypatch):
+    # the blocks' half of the identity is _lift_kernel's, tested with it
     real = orbitlab.associated_root_element
-    K = get_field(3)
-    bottom, _, _, blocks = orbitlab._kernel_plan(get_table("D4"))
-    for key in (bottom, blocks[-1][0]):  # e_{-delta}; c of the last block
-        t = build_table_oracle(get_system("D4"))  # unchecked
+    t = build_table_oracle(get_system("D4"))  # unchecked
+    bottom = orbitlab._kernel_plan(t)[0]
 
-        def moved(table, P, x, key=key):
-            y = real(table, P, x)
-            y.coeffs[key] = P.add(y.coeffs[key], P.one)
-            return y
+    def moved(table, P, x):
+        y = real(table, P, x)
+        y.coeffs[bottom] = P.add(y.coeffs[bottom], P.one)
+        return y
 
-        monkeypatch.setattr(orbitlab, "associated_root_element", moved)
-        _, entries = orbitlab._orbit_types(t, K)["V"]
-        with pytest.raises(ClassificationError, match="closed-form dark code"):
-            orbitlab._v_code_checked(t, entries)
+    monkeypatch.setattr(orbitlab, "associated_root_element", moved)
+    _, entries = orbitlab._orbit_types(t, get_field(3))["V"]
+    with pytest.raises(ClassificationError, match="closed-form dark code"):
+        orbitlab._v_code_checked(t, entries)
 
 
 @pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
