@@ -32,12 +32,13 @@ truth partition:
   every pair of representatives is classified apart,
 * canonical forms land back in the orbit they were computed from,
 * same_orbit agrees with the partition on a random sample of pairs: the
-  2 * pairs states are drawn in one call, as little-endian 64-bit words of
-  random.Random(seed).randbytes reduced mod the state count (pair i is
-  words 2i and 2i + 1); they go through the batch classifier
-  (orbitlab.classify_many), which must give the two states of a pair equal
-  descriptors exactly when they share an orbit, and the first 500 pairs
-  also through the scalar same_orbit, and
+  2 * pairs states are the little-endian 64-bit words of one
+  random.Random(seed) stream reduced mod the state count (pair i is words
+  2i and 2i + 1), drawn and checked 10,000 pairs at a time, so the
+  sample's size costs time, not memory: each chunk goes through the batch
+  classifier (orbitlab.classify_many), which must give the two states of
+  a pair equal descriptors exactly when they share an orbit, and the first
+  500 pairs also through the scalar same_orbit, and
 * the predicted descriptor list matches the enumerated one as a set.
 """
 
@@ -56,6 +57,7 @@ from .chevalley import StructureConstantTable
 from .gfield import PrimeField, _mod
 from .liemod import _v1_moves
 from .orbitlab import (
+    InvalidDescriptor,
     OrbitDescriptor,
     _classifier,
     all_descriptors,
@@ -70,10 +72,9 @@ DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV = "CHEVORBIT_BUDGET"
 # sampled crosscheck pairs that also go through the scalar same_orbit
 _SCALAR_PAIRS = 500
-# check_pairs refuses this many pairs; below it, a pair holds about
-# 40 + 32 |phi1| bytes at the crosscheck's peak (94 to 417 traced on A2 to
-# A7 over F_3)
-_MAX_PAIRS = 2**24
+# sampled crosscheck pairs drawn and classified at a time: the default
+# sample is one chunk, so a larger one holds no more memory than it
+_PAIR_CHUNK = 10_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -176,20 +177,6 @@ def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
         + _BLOCK_BYTES * _BLOCK_STATES,
         f"enumerating {rs.name} over F_{p}")
     return total
-
-
-def check_pairs(rs: RootSystem, p: int, pairs: int) -> None:
-    """Refuse a crosscheck sample of pairs before anything is built:
-    ValueError when negative, BudgetExceeded from 2**24 pairs on (the sample
-    is one Random.randbytes call, which takes fewer than 2**31 bits) or when
-    the sample would not fit in physical memory."""
-    if pairs < 0:
-        raise ValueError(f"pairs must be >= 0, got {pairs}")
-    if pairs >= _MAX_PAIRS:
-        raise BudgetExceeded(f"{pairs} sampled pairs are too many; the "
-                             f"crosscheck samples fewer than {_MAX_PAIRS}")
-    _check_memory((40 + 32 * len(rs.phi1)) * pairs,
-                  f"sampling {pairs} pairs of {rs.name} over F_{p}")
 
 
 def _generator_moves(table: StructureConstantTable):
@@ -439,13 +426,14 @@ def crosscheck(table: StructureConstantTable, p: int,
                census: OrbitCensus | None = None) -> dict:
     """Verify the classifier against brute-force enumeration; raise on
     mismatch.  ValueError, before any work, for a census of another system
-    or prime than (table, p)."""
+    or prime than (table, p) or for a negative number of pairs."""
     rs = table.rs
     if census is not None and (census.family, census.rank, census.p) != (
             rs.family, rs.rank, p):
         raise ValueError(f"the census is of {census.family}{census.rank} "
                          f"over F_{census.p}, not {rs.name} over F_{p}")
-    check_pairs(rs, p, pairs)
+    if pairs < 0:
+        raise ValueError(f"pairs must be >= 0, got {pairs}")
     K = PrimeField(p)
     if census is None:
         census = enumerate_orbits(table, p, budget=budget)
@@ -548,11 +536,15 @@ def crosscheck(table: StructureConstantTable, p: int,
         seen[o.descriptor] = o.representative
     checks["descriptors_distinct"] = "ok"
 
-    # (c) canonical forms land in the orbit they describe
+    # (c) canonical forms land in the orbit they describe; one that does not
+    # classify back to its descriptor lands in another
     for oid, o in enumerate(census.orbits):
-        vec = canonical_form(table, K, o.descriptor)
-        st = state_of_vector(rs, p, vec)
-        if int(orbit_id[st]) != oid:
+        try:
+            vec = canonical_form(table, K, o.descriptor)
+            moved = int(orbit_id[state_of_vector(rs, p, vec)]) != oid
+        except InvalidDescriptor:
+            vec, moved = clf.canonical_vector(o.descriptor), True
+        if moved:
             raise MismatchReport(
                 "canonical form lies in a different orbit",
                 {"descriptor": o.descriptor.to_json(),
@@ -562,32 +554,38 @@ def crosscheck(table: StructureConstantTable, p: int,
     checks["canonical_forms_in_orbit"] = "ok"
 
     # (d) same_orbit against ground truth on a sample of pairs, classified
-    # as one batch and compared pair by pair; same_orbit itself also runs on
-    # the first _SCALAR_PAIRS (every pair of representatives is covered by (b))
-    words = np.frombuffer(random.Random(seed).randbytes(16 * pairs),
-                          dtype="<u8")
-    sampled = _mod(words, total).astype(np.int64).reshape(pairs, 2)
-    want = orbit_id[sampled[:, 0]] == orbit_id[sampled[:, 1]]
+    # _PAIR_CHUNK pairs at a time and compared pair by pair; same_orbit
+    # itself also runs on the first _SCALAR_PAIRS (every pair of
+    # representatives is covered by (b)).  The chunks read one stream, and
+    # randbytes(a) then randbytes(b) gives the bytes of randbytes(a + b)
+    def check_chunk(lo, n):
+        # pairs lo to lo + n - 1, rows 2i and 2i + 1 of digits; the chunk's
+        # arrays are freed on return
+        states = _mod(np.frombuffer(rng.randbytes(16 * n), dtype="<u8"),
+                      total).astype(np.int64)
+        want = orbit_id[states[::2]] == orbit_id[states[1::2]]
+        digits = _digits(states, p, m)
 
-    def disagree(i, got):
-        s1, s2 = sampled[i].tolist()
-        return MismatchReport(
-            "same_orbit disagrees with the enumeration",
-            {"x1": vector_of_state(rs, p, s1),
-             "x2": vector_of_state(rs, p, s2),
-             "got": got, "want": bool(want[i])},
-        )
+        def disagree(i):
+            x1, x2 = map(tuple, digits[2 * i:2 * i + 2].tolist())
+            return MismatchReport("same_orbit disagrees with the enumeration",
+                                  {"x1": x1, "x2": x2, "got": not want[i],
+                                   "want": bool(want[i])})
 
-    digits = _digits(sampled, p, m)
-    vectors = list(map(tuple, digits[:2 * _SCALAR_PAIRS].tolist()))
-    for i, (x1, x2) in enumerate(zip(vectors[::2], vectors[1::2])):
-        if same_orbit(table, K, x1, x2) != want[i]:
-            raise disagree(i, not want[i])
-    ds = classify_many(table, K, digits)
-    same = np.fromiter(map(operator.eq, ds[::2], ds[1::2]), bool, count=pairs)
-    bad = np.flatnonzero(same != want)
-    if bad.size:
-        raise disagree(int(bad[0]), not want[bad[0]])
+        # zip and map read their one iterator two rows at a time
+        head = map(tuple, digits[:2 * max(0, _SCALAR_PAIRS - lo)].tolist())
+        for i, (x1, x2) in enumerate(zip(head, head)):
+            if same_orbit(table, K, x1, x2) != want[i]:
+                raise disagree(i)
+        ds = iter(classify_many(table, K, digits))
+        same = np.fromiter(map(operator.eq, ds, ds), bool, count=n)
+        bad = np.flatnonzero(same != want)
+        if bad.size:
+            raise disagree(int(bad[0]))
+
+    rng = random.Random(seed)
+    for lo in range(0, pairs, _PAIR_CHUNK):
+        check_chunk(lo, min(_PAIR_CHUNK, pairs - lo))
     checks["same_orbit_sampled"] = "ok"
 
     # predicted orbit list == enumerated orbit list, as sets

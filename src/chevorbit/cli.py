@@ -39,6 +39,7 @@ from .gfield import ModulusTooLarge, PrimeField, UnsupportedField
 from .orbitlab import (
     CharTwo,
     ClassificationError,
+    InvalidDescriptor,
     UnsupportedFamily,
     canonical_form,
     check_domain,
@@ -202,6 +203,15 @@ def cmd_constants(args) -> str:
 # -- classify ------------------------------------------------------------------
 
 
+def _canonical(table: StructureConstantTable, K, d) -> tuple[int, ...]:
+    """canonical_form of the classifier's own descriptor d: one that names
+    no orbit is an internal inconsistency, ClassificationError."""
+    try:
+        return canonical_form(table, K, d)
+    except InvalidDescriptor as e:
+        raise ClassificationError(str(e)) from None
+
+
 def _parse_vector(text: str, p: int) -> list[int]:
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
@@ -262,7 +272,7 @@ def cmd_classify(args) -> str:
 
     def entry(d):
         return {"descriptor": d.to_json(),
-                "canonical_representative": list(canonical_form(table, K, d))}
+                "canonical_representative": list(_canonical(table, K, d))}
 
     if args.batch is None:
         return _dump(entry(classify(table, K, rows[0][1])))
@@ -280,11 +290,12 @@ def cmd_classify(args) -> str:
 
 
 def _census_csv(rows) -> str:
+    """One line per (descriptor, size or None, representative) row."""
     lines = ["label,params,size,representative"]
-    for label, params, size, rep in rows:
-        ptxt = ";".join(f"{k}={v}" for k, v in sorted(params.items()))
+    for d, size, rep in rows:
+        ptxt = ";".join(f"{k}={v}" for k, v in d.params)
         stxt = "" if size is None else str(size)
-        lines.append(f"{label},{ptxt},{stxt},{_root_str(rep)}")
+        lines.append(f"{d.label},{ptxt},{stxt},{_root_str(rep)}")
     return "\n".join(lines)
 
 
@@ -312,12 +323,8 @@ def cmd_orbits(args) -> str:
     if args.brute_force:
         census = enumerate_orbits(table, args.p, budget=args.budget)
         if args.format == "csv":
-            rows = [
-                (o.descriptor.label, o.descriptor.to_json()["params"],
-                 o.size, o.representative)
-                for o in census.orbits
-            ]
-            return _census_csv(rows)
+            return _census_csv((o.descriptor, o.size, o.representative)
+                               for o in census.orbits)
         body = census.to_json()
         body["mode"] = "brute-force"
         return _dump(body)
@@ -326,25 +333,17 @@ def cmd_orbits(args) -> str:
     # 3,411 and 5,460 bytes in json, 1,231 and 1,510 in csv
     base, per_entry = {"json": (3300, 95), "csv": (1250, 13)}[args.format]
     descs = predicted_census(table, args.p, base + per_entry * len(rs.phi1))
-    entries = []
-    for d in descs:
-        rep = canonical_form(table, K, d)
-        entries.append({"descriptor": d.to_json(),
-                        "representative": list(rep)})
+    rows = [(d, None, _canonical(table, K, d)) for d in descs]
     if args.format == "csv":
-        rows = [
-            (e["descriptor"]["label"], e["descriptor"]["params"],
-             None, e["representative"])
-            for e in entries
-        ]
         return _census_csv(rows)
     return _dump({
         "family": rs.family,
         "rank": rs.rank,
         "p": args.p,
         "mode": "predicted",
-        "orbit_count": len(entries),
-        "orbits": entries,
+        "orbit_count": len(rows),
+        "orbits": [{"descriptor": d.to_json(), "representative": list(rep)}
+                   for d, _, rep in rows],
     })
 
 
@@ -416,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate and cross-check the classifier")
     p_orb.add_argument("--budget", type=int, default=None,
                        help="state budget override (also CHEVORBIT_BUDGET)")
-    p_orb.add_argument("--format", choices=("json", "csv"), default="json")
+    p_orb.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="the census as json or csv; --compare always "
+                       "writes its json report")
     p_orb.add_argument("--seed", type=int, default=0)
     p_orb.add_argument("--out", default=None)
     p_orb.set_defaults(func=cmd_orbits)

@@ -437,15 +437,16 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
     the torus correction).  It is computed once per table by running the
     unchanged associated_root_element over _Polynomials; the lift's three
     postconditions are then polynomial identities, checked by that run, so
-    a failure raises ClassificationError here.  The coordinates the code
-    reads are kept: levels -1 and 0 with the Cartan part (level 1 is x
-    itself), of degree at most 3.  Each is written as d * y_k, an integer
-    polynomial with d the least common denominator of y_k's coefficients,
-    summed without reduction.  A coordinate that is only
-    tested for zero is reduced as it is; one whose value is read, a block's
-    c, u or w, is then multiplied by d**-1 mod p.  So the function serves
-    every odd p, and its only literals are the integers of the table.
-    Monomial prefixes shared across coordinates are computed once.
+    a failure raises ClassificationError here.  A coordinate of level q is
+    homogeneous of degree 2 - q in x.  The code reads those of levels -1
+    and 0 with the Cartan part (level 1 is x itself), so each of its terms
+    is x_a or a prefix x_a * x_b, times one more x_c.  Each coordinate is
+    written as d * y_k, an integer polynomial with d the least common
+    denominator of y_k's coefficients, summed without reduction.  One that
+    is only tested for zero is reduced as it is; one whose value is read, a
+    block's c, u or w, is then multiplied by d**-1 mod p.  So the function
+    serves every odd p, and its only literals are the integers of the
+    table.  Prefixes shared across coordinates are computed once.
 
     Neither spelling computes e_{-delta}, the degree-4 coordinate, and
     bound(p) does not price it: every block (c, u, w) of the lift satisfies
@@ -543,14 +544,12 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
 
         def residue(key):
             """d * y_key mod p, zero exactly where y_key is, after the lines
-            that compute its prefixes."""
+            that compute its prefixes, each a product of two coordinates."""
             expr, _, prefixes = sums[key]
-            for mono in prefixes:
-                for j in range(2, len(mono) + 1):
-                    if mono[:j] not in done:
-                        done.add(mono[:j])
-                        body.append(f"    {name(mono[:j])} = "
-                                    f"{name(mono[:j - 1])} * x{mono[j - 1]}")
+            for a, b in prefixes:
+                if (a, b) not in done:
+                    done.add((a, b))
+                    body.append(f"    {name((a, b))} = x{a} * x{b}")
             return mod(expr) if expr else "0"
 
         def value(key):

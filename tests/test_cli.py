@@ -23,6 +23,7 @@ import chevorbit
 from chevorbit import ClassificationError, InconsistentTable, MismatchReport
 from chevorbit import census as census_mod
 from chevorbit import cli as cli_mod
+from chevorbit import orbitlab
 from chevorbit.cli import main
 
 
@@ -214,6 +215,43 @@ def test_classification_error_exits_one(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "verification failed: invariant code 7" in err
+
+
+@pytest.mark.parametrize("mode", ["compare", "predicted", "classify"])
+def test_a_descriptor_that_names_no_orbit_exits_one(capsys, monkeypatch,
+                                                     mode):
+    # A3's IIa canonical vector broken to zeros: the classifier's own
+    # descriptor fails canonical_form's round trip, an internal
+    # inconsistency rather than bad input
+    K = chevorbit.PrimeField(3)
+    table = chevorbit.build_table_oracle(chevorbit.build_root_system("A", 3))
+    iia = next(d for d in chevorbit.all_descriptors(table, K)
+               if d.label == "IIa")
+    vector = ",".join(map(str, chevorbit.canonical_form(table, K, iia)))
+    real = orbitlab._Classifier.canonical_vector
+
+    def broken(self, d):
+        vec = real(self, d)
+        return (0,) * len(vec) if d == iia else vec
+
+    monkeypatch.setattr(orbitlab._Classifier, "canonical_vector", broken)
+    argv = {"compare": ["orbits", "A3", "-p", "3", "--compare"],
+            "predicted": ["orbits", "A3", "-p", "3"],
+            "classify": ["classify", "A3", "-p", "3", "--vector", vector]}
+    code, out, err = run_cli(capsys, *argv[mode])
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    if mode == "compare":
+        assert lines[0] == ("verification failed: canonical form lies in a "
+                            "different orbit")
+        details = json.loads(lines[1])
+        assert set(details) == {"descriptor", "canonical",
+                                "expected_representative"}
+        assert details["canonical"] == [0, 0, 0, 0]
+    else:
+        assert lines == [lines[0]]
+        assert lines[0].startswith("verification failed: IIa with params {} "
+                                   "does not name an orbit")
 
 
 # -- classify ---------------------------------------------------------------------
