@@ -5,15 +5,16 @@ Runs each pinned invocation in-process through chevorbit.cli.main and prints
 one line per invocation: the sha256 of its stdout, its exit code and its
 argv, or, where an exception escapes main, its type name in place of the
 exit code.  The classify --batch invocations read files of seeded random
-vectors that the script writes itself (shown as @FILE): D5/F3, and
-D4/F65521, D8/F1009, D4/F1321213 and A3 at 2**64 + 13, whose vectors are
-mostly dark (family D) or of label VI (A3); D4/F1321213 and A3 run the
-scalar code of a batch, past the int64 lane bound, and D4/F65521 and
-D8/F1009 int64 lanes.  Six more batches run the lane code of family D:
-D4/F5, D4/F101, D6/F3 and D7/F3 on int32 lanes and D4/F719 and D8/F65521
-on int64 lanes.  The roots invocations dump root
-systems in every format, and A31 and D22, the two largest, in one format
-each; constants A31 and D22 with --check theorem1 run the closed form on
+vectors that the script writes itself (shown as @FILE): D5/F3, on int8
+lanes, and D4/F65521, D8/F1009, D4/F1321213 and A3 at 2**64 + 13, whose
+vectors are mostly dark (family D) or of label VI (A3); D4/F1321213 and
+A3 run the scalar code of a batch, past the int64 lane bound, and
+D4/F65521 and D8/F1009 int64 lanes.  Eight more batches run the lane
+code: D6/F3 on int8 lanes; D4/F5, D7/F3, and D4/F13 and A3/F79, the
+largest primes with int16 lanes of D4 and A3, on int16 lanes; D4/F101
+on int32 lanes; and D4/F719 and D8/F65521 on int64 lanes.  The roots
+invocations dump root systems in every format, and A31 and D22, the two
+largest, in one format each; constants A31 and D22 with --check theorem1 run the closed form on
 every pair of the two largest systems and with --check n3pp count every
 associativity instance of them, classify D22 lifts one vector
 through the largest family-D table, classify A2 at a 17-digit prime
@@ -54,9 +55,9 @@ PINNED_CASES = (
 BATCH_SIZE = 500
 BATCHES = (("D5", 3), ("D4", 65521), ("D8", 1009), ("D4", 1321213),
            ("A3", 18446744073709551629),
-           # the lane code: int32 lanes, except int64 at D4/F719 and D8/F65521
+           # the lane code, on the lanes the module docstring lists
            ("D4", 5), ("D4", 101), ("D6", 3), ("D7", 3), ("D4", 719),
-           ("D8", 65521))
+           ("D8", 65521), ("D4", 13), ("A3", 79))
 
 
 def invocations(batches: dict) -> list[list[str]]:

@@ -473,7 +473,7 @@ def crosscheck(table: StructureConstantTable, p: int,
     # ids past k are orbits the census does not list
     sizes = np.zeros(max(k, int(orbit_id.max()) + 1), dtype=np.int64)
     top = -1  # the largest orbit id of the chunks so far
-    for lo, chunk in clf.chunk_codes(total, rows, reduced=True):
+    for lo, chunk in clf.chunk_codes(total, rows):
         ids = orbit_id[lo:lo + len(chunk)]
         running = np.maximum.accumulate(ids)
         new = np.arange(top + 1, min(int(running[-1]), k - 1) + 1)
@@ -577,8 +577,10 @@ def crosscheck(table: StructureConstantTable, p: int,
         for i, (x1, x2) in enumerate(zip(head, head)):
             if same_orbit(table, K, x1, x2) != want[i]:
                 raise disagree(i)
+        # classify_many interns its result, so equal descriptors are one
+        # object and identity is equality
         ds = iter(classify_many(table, K, digits))
-        same = np.fromiter(map(operator.eq, ds, ds), bool, count=n)
+        same = np.fromiter(map(operator.is_, ds, ds), bool, count=n)
         bad = np.flatnonzero(same != want)
         if bad.size:
             raise disagree(int(bad[0]))

@@ -70,6 +70,9 @@ class PrimeField:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p
+        # once, since fields key every table_cached lookup; an int's hash,
+        # unlike a str's, is the same in every process, so it survives pickle
+        self._hash = hash(p)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.p})"
@@ -78,7 +81,7 @@ class PrimeField:
         return type(other) is type(self) and other.p == self.p
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.p))
+        return self._hash
 
     @property
     def zero(self) -> int:
@@ -182,7 +185,7 @@ def integral(n):
 def _mod(a, p: int):
     """a mod p, for ints and integer arrays.
 
-    Fixed-width lanes (int32, int64, uint64) are reduced as a - a // p * p:
+    Fixed-width lanes (int8 to int64, uint64) are reduced as a - a // p * p:
     numpy divides by a scalar through a multiply by a precomputed reciprocal
     (Granlund & Montgomery, PLDI 1994), several times faster than its
     remainder ufunc, which divides every element.  The result is exact even

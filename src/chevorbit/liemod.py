@@ -29,6 +29,8 @@ _scale_plan groups root ids by gamma's column of rs.ids.pairing.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .chevalley import StructureConstantTable, table_cached
@@ -67,10 +69,9 @@ class LieVector:
     @classmethod
     def from_v1(cls, table: StructureConstantTable, domain, x) -> "LieVector":
         """Embed a coefficient tuple over the level-1 roots (phi1 order)."""
-        rs = table.rs
         v = cls.zero(table, domain)
-        for root, c in zip(rs.phi1, rs.check_v1(x)):
-            v.coeffs[rs.root_id(root)] = domain.of(c)
+        for key, c in zip(_phi1_keys(table)[0], table.rs.check_v1(x)):
+            v.coeffs[key] = domain.of(c)
         return v
 
     def copy(self) -> "LieVector":
@@ -90,8 +91,7 @@ class LieVector:
         return tuple(self.coeffs[n:])
 
     def v1_part(self) -> tuple:
-        rs = self.table.rs
-        return tuple(self.coeffs[rs.root_id(r)] for r in rs.phi1)
+        return _phi1_keys(self.table)[1](self.coeffs)
 
     def nonzero_items(self):
         """(key, coeff) pairs whose coefficient the domain calls nonzero."""
@@ -157,6 +157,16 @@ class LieVector:
         return f"LieVector({self.table.rs.name}: {items or '0'})"
 
 
+@table_cached
+def _phi1_keys(table: StructureConstantTable) -> tuple:
+    """The basis keys of the level-1 roots, in phi1 order, and the getter of
+    their coefficients, as a tuple, from a coefficient list."""
+    keys = tuple(map(table.e_key, table.rs.phi1))
+    # itemgetter returns a tuple from two keys on; A1 has no level-1 root
+    return keys, (operator.itemgetter(*keys) if len(keys) > 1
+                  else lambda c: tuple([c[k] for k in keys]))
+
+
 # -- root-element action ------------------------------------------------------
 
 
@@ -177,7 +187,7 @@ def _action_plan(table: StructureConstantTable, gamma: Root):
 def _v1_moves(table: StructureConstantTable, gamma: Root):
     """The moves of _action_plan whose source has level 1, as (src, dst,
     sgn) phi1 indices: for a level-0 gamma, its whole action on V1."""
-    at = {table.e_key(r): i for i, r in enumerate(table.rs.phi1)}
+    at = {key: i for i, key in enumerate(_phi1_keys(table)[0])}
     return tuple((at[src], at[dst], sgn)
                  for src, dst, sgn in _action_plan(table, gamma)[2]
                  if src in at)

@@ -37,9 +37,12 @@ its canonical vectors, and the decode below reads it too.
 For either family the invariants are packed into one integer code, owned
 by one classifier per table and prime field (_classifier), once
 check_domain admits them: the code of a single vector (classify) or of a
-batch (classify_many), on int32 or int64 lanes while the family's bound
-on the values of its lane code allows (for family D, sums of degree at
-most 3) and by the scalar code over Python ints past it, and the decode.  A
+batch (classify_many), on the narrowest of int8, int16, int32 and int64
+lanes whose range holds the family's bound on the values of its lane code
+(for family D, sums of degree at most 3; on D4 int16 up to p = 13, int32
+up to 709 and int64 up to 1,154,051, and int8 only at p = 3 on D5 and
+D6; on A3 int8 up to p = 5 and int16 up to 79) and by the scalar code
+over Python ints past it, and the decode.  A
 family-A code decodes directly into its descriptor.  A dark family-D code
 names V(k) in closed form, an identity checked once per table; any other
 family-D code is looked up in a map built from the codes of the
@@ -396,8 +399,11 @@ class _LiftKernel:
     """The family-D invariant code of a table, as one generated function.
 
     code(p, *x) is the invariant code of a level-1 vector x of Python ints
-    in range(p), and lanes(p, *x) the codes of a batch, x being one int32
-    or int64 lane array per phi1 root.  spell(name) compiles the function
+    in range(p), and lanes(p, *x) the codes of a batch, x being one lane
+    array per phi1 root, of the narrowest of int8, int16, int32 and int64
+    that holds bound(p) and the packed code (_Classifier; on D4 int16 up
+    to p = 13, int32 up to 709, int64 up to 1,154,051, and int8 only at
+    p = 3 on D5 and D6).  spell(name) compiles the function
     of that name, "code" or "lanes", from the one generated source, each on
     first use, so a process that classifies only single vectors compiles
     one.  weights holds, per coordinate of levels -1 and 0 that the code
@@ -478,14 +484,18 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
       Otherwise an or chain stops at the first nonzero coordinate of level
       -1, then the same for level 0; a level's prefixes are computed just
       before its chain.
-    * lanes, for lane arrays, reduces through gfield._mod (numpy's
-      remainder would be most of its time on int32 and int64 lanes) and
-      combines through _select.  It branches where code does, through two
+    * lanes, for lane arrays of int8 to int64, reduces through gfield._mod
+      (numpy's remainder would be most of its time) and combines through
+      _select.  It branches where code does, through two
       gathers (np.flatnonzero): Euler's criterion (_pow_mod) runs only on a
       block's nilpotent lanes, and levels -1 and 0, with their prefixes,
       only on the lanes that are not dark.  Its values are the unreduced
       sums and the block arithmetic, within bound(p), and the code, below
-      5 * (p + 2)**blocks.
+      5 * (p + 2)**blocks.  Its Python ints (the table's coefficients,
+      each within its coordinate's weight, the inverses q_d, p, the digits
+      and (p + 2)**blocks) are within those two bounds too, so a lane that
+      holds them holds every int it meets (numpy raises OverflowError on
+      a Python int outside an array's dtype).
     """
     rs = table.rs
     m = len(rs.phi1)
@@ -800,6 +810,8 @@ def _descriptors_of_type(rs: RootSystem, p: int, label: str, params):
 # vectors per batch; bounds the memory of a batch code pass, which holds a
 # lane array for every prefix and block coordinate of the compiled code
 _CHUNK = 1 << 14
+# lane dtypes, narrowest first
+_LANES = (np.int8, np.int16, np.int32, np.int64)
 
 
 class _Classifier:
@@ -807,17 +819,18 @@ class _Classifier:
 
     Each family implements code(x), the code of one vector of ints in
     range(p); lanes(xs), the codes of a batch, one lane array per phi1
-    coordinate; and decode(code), the descriptor a code names.  lane is
-    int32 while the family's bound on |every value of lanes| is below 2**31
-    (it covers gfield._mod, exact even where a // p * p wraps), int64 below
-    2**63, and None past that, where batches run code over Python ints.
+    coordinate; and decode(code), the descriptor a code names.  lane is the
+    narrowest of int8, int16, int32 and int64 whose range holds the
+    family's bound on |every value of lanes|, that is bound < 2**(bits - 1)
+    (it covers gfield._mod, exact even where a // p * p wraps, and every
+    integer literal of the lane code, each at most the bound), and None
+    past 2**63, where batches run code over Python ints.
     """
 
     def __init__(self, table: StructureConstantTable, K, bound: int):
         self.rs, self.p, self.types = table.rs, K.p, _orbit_types(table, K)
         self.m = len(self.rs.phi1)
-        self.lane = (np.int32 if bound < 2**31
-                     else np.int64 if bound < 2**63 else None)
+        self.lane = next((t for t in _LANES if bound <= np.iinfo(t).max), None)
 
     def classify(self, x) -> OrbitDescriptor:
         p = self.p
@@ -835,24 +848,29 @@ class _Classifier:
             self.rs.check_v1(x)  # raises, with the system's message
         return self.decode(self.code(x))
 
-    def chunk_codes(self, n: int, rows, reduced: bool = False):
+    def chunk_codes(self, n: int, rows):
         """Yield (lo, codes) for the chunks of _CHUNK out of n vectors.
 
         rows(lo, hi) gives vectors lo..hi-1 as an (hi - lo, |phi1|) integer
-        array or a list of lists of ints, reduced mod p here unless reduced
-        says that they are in range(p).  codes is a lane array, or, past
-        the lane bound or for a list, a list from code over Python ints.
+        array or a list of lists of ints, reduced mod p here.  codes is a
+        lane array, or, past the lane bound or for a list, a list from code
+        over Python ints.  A chunk's rows and lanes are freed before the
+        next chunk is read.
         """
-        p, lane = self.p, self.lane
         for lo in range(0, n, _CHUNK):
-            chunk = rows(lo, min(lo + _CHUNK, n))
-            if lane is None or isinstance(chunk, list):
-                xs = chunk if isinstance(chunk, list) else chunk.tolist()
-                yield lo, [self.code([c % p for c in x]) for x in xs]
-            else:
-                xs = [c.astype(lane) for c in
-                      (chunk if reduced else _mod(chunk, p)).T]
-                yield lo, np.broadcast_to(self.lanes(xs), (len(chunk),))
+            yield lo, self._codes(rows(lo, min(lo + _CHUNK, n)))
+
+    def _codes(self, chunk):
+        p, lane = self.p, self.lane
+        if lane is None or isinstance(chunk, list):
+            xs = chunk if isinstance(chunk, list) else chunk.tolist()
+            return [self.code([c % p for c in x]) for x in xs]
+        # read as unsigned, an entry outside range(p), negative or not, is
+        # at least p: one pass spares most chunks a reduced copy
+        if chunk.view(f"u{chunk.itemsize}").max(initial=0) >= p:
+            chunk = _mod(chunk, p)
+        xs = [c.astype(lane) for c in chunk.T]
+        return np.broadcast_to(self.lanes(xs), (len(chunk),))
 
     def orbit_count(self) -> int:
         """How many descriptors descriptors() lists, without listing them:
@@ -1047,24 +1065,31 @@ def classify_many(table: StructureConstantTable, K,
     X is a sequence of integer vectors in phi1 order, or an (n, |phi1|)
     integer array.  The result equals [classify(table, K, x) for x in X]:
     the codes come from the same classifier (its chunk_codes), and each
-    distinct code is decoded once; bool entries count as 0 and 1.  A row of
-    the wrong length, or entries that are not integers, raise ValueError.
+    distinct code is decoded once; bool entries count as 0 and 1.  The
+    result is interned by value, at one dict setdefault per distinct code:
+    equal descriptors of one call are one object, so `is` compares them.  A
+    row of the wrong length, or entries that are not integers, raise
+    ValueError.
     """
     clf = _classifier(table, K)
     rows = _batch_rows(clf.rs, clf.p, X)
     out: list = [None] * len(rows)
-    seen: dict = {}
+    seen: dict = {}  # code -> descriptor
+    interned: dict = {}  # descriptor -> the one object of its value
     for lo, codes in clf.chunk_codes(len(rows), lambda lo, hi: rows[lo:hi]):
         keys = codes if isinstance(codes, list) else codes.tolist()
         for c in set(keys).difference(seen):
-            seen[c] = clf.decode(c)
+            d = clf.decode(c)
+            seen[c] = interned.setdefault(d, d)
         out[lo:lo + len(keys)] = map(seen.__getitem__, keys)
+        del keys, codes  # before chunk_codes builds the next chunk
     return out
 
 
 def same_orbit(table: StructureConstantTable, K, x1, x2) -> bool:
     """Are two level-1 vectors in the same orbit of the level-0 subgroup?"""
-    return classify(table, K, x1) == classify(table, K, x2)
+    clf = _classifier(table, K)
+    return clf.classify(x1) == clf.classify(x2)
 
 
 def act_on_v1(table: StructureConstantTable, K, word, x) -> tuple:

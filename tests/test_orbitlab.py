@@ -345,7 +345,11 @@ def test_kernel_sums_only_levels_minus_one_and_zero(name):
 
 
 @pytest.mark.parametrize("name,p", [
-    ("A3", 3), ("D4", 3), ("D8", 5), ("A3", 1009),  # int32 lanes
+    ("A3", 3), ("D4", 3), ("D8", 5),  # int8, int16 and int16 lanes
+    # the largest primes with int8 lanes, then with int16 lanes
+    ("A3", 5), ("D5", 3), ("A8", 3),
+    ("A3", 79), ("A8", 67), ("D4", 13), ("D8", 11),
+    ("A3", 1009),  # int32 lanes
     ("D4", 709), ("D8", 461),  # the largest primes with int32 lanes
     ("D4", 1009), ("D8", 1009), ("A3", 1_300_021), ("D4", 65521),  # int64
     # the largest primes with int64 lanes
@@ -364,8 +368,9 @@ def test_lane_reduction_equals_python_mod(name, p):
     else:
         bound = max(5 * (p + 2) ** len(block_gammas(rs)),
                     orbitlab._lift_kernel(t).bound(p))
-    assert lane == (np.int32 if bound < 2**31 else
-                    np.int64 if bound < 2**63 else None)
+    # the narrowest lane whose range holds the bound
+    assert lane == next((w for w in (np.int8, np.int16, np.int32, np.int64)
+                         if bound < 2 ** (8 * np.dtype(w).itemsize - 1)), None)
     rng = random.Random(p)
     values = [0, 1, -1, p - 1, p, p + 1, -p, -p - 1]
     values += [s * (bound - i) for s in (1, -1) for i in (1, 2, p, p + 1)]
@@ -850,6 +855,103 @@ def test_classify_many_matches_classify_across_lane_thresholds(name):
             classify(t, K, x) for x in vectors], (p, lanes[width(p)])
 
 
+# the largest primes with int8 and with int16 lanes; D4, D7 and D8 have no
+# int8 lanes
+NARROW_LANES = {
+    **{f"A{l}": (5, 79) for l in range(2, 7)},
+    "A7": (3, 73), "A8": (3, 67),
+    "D4": (None, 13), "D5": (3, 13), "D6": (3, 13), "D7": (None, 13),
+    "D8": (None, 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NARROW_LANES))
+def test_classify_many_matches_classify_across_narrow_lane_thresholds(name):
+    # at small p the lane code's values fit 8 or 16 bits: the tiers are
+    # bisected as in the test above, and classify_many is compared with
+    # the scalar loop on both sides of each threshold
+    t = get_table(name)
+    m = len(t.rs.phi1)
+    lanes = [np.int8, np.int16, np.int32]
+
+    def next_prime(n):
+        return next(q for q in itertools.count(n) if is_prime(q))
+
+    def width(n):  # of the least prime >= n, so monotone in n
+        return lanes.index(lane_of(t, next_prime(n)))
+
+    largest, primes = [], [3]
+    for w in (1, 2):
+        if width(3) >= w:  # no prime has lanes narrower than lanes[w]
+            largest.append(None)
+            continue
+        lo, hi = 3, 2**8  # width(lo) < w <= width(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if width(mid) >= w else (mid, hi)
+        above = next_prime(hi)
+        below = next(q for q in range(above - 1, 2, -1) if is_prime(q))
+        assert (width(below), width(above)) == (w - 1, w)
+        largest.append(below)
+        primes += [below, above]
+    assert tuple(largest) == NARROW_LANES[name]
+    for p in sorted(set(primes)):
+        K = get_field(p)
+        rng = random.Random(p)
+        sparse = half_sparse(rng, t.rs, p, 60)
+        by_label = {classify(t, K, x).label: x for x in sparse}
+        vectors = sparse + [
+            tuple(p - 1 - rng.randrange(3) for _ in range(m))
+            for _ in range(20)
+        ] + [(p - 1,) * m] + [
+            act_on_v1(t, K, random_level0_word(rng, t.rs, p, 8), x)
+            for x in by_label.values() for _ in range(4)
+        ]
+        assert classify_many(t, K, vectors) == [
+            classify(t, K, x) for x in vectors], (p, lanes[width(p)])
+
+
+@pytest.mark.parametrize("name,p", [("D4", 5), ("D5", 3), ("A3", 5)])
+def test_classify_many_interns_its_result(name, p, monkeypatch):
+    # equal descriptors of one call are one object, across chunks too, so
+    # crosscheck's sampled pairs compare by identity; family A and V(k)
+    # build a fresh descriptor at every decode
+    t = get_table(name)
+    K = get_field(p)
+    m = len(t.rs.phi1)
+    n = 2 * orbitlab._CHUNK + 100
+    rows = np.random.default_rng(p + m).integers(0, p, (n, m), dtype=np.int64)
+    rows[n - 50:] = rows[:50]  # the first chunk's vectors in the last
+    got = classify_many(t, K, rows)
+    assert any(d.label == "V" for d in got) or name[0] == "A"
+    assert len({id(d) for d in got}) == len(set(got))
+    assert all(a is b for a, b in zip(got[:50], got[n - 50:]))
+    # descriptors that are equal though their codes differ: interned by
+    # value, not only by code
+    clf = orbitlab._classifier(t, K)
+    decode = clf.decode
+    monkeypatch.setattr(clf, "decode", lambda code: dataclasses.replace(
+        decode(code), params=()))
+    codes = len(set(got))
+    got = classify_many(t, K, rows)
+    assert len({id(d) for d in got}) == len(set(got)) < codes
+
+
+@pytest.mark.parametrize("name,p", [("D5", 3), ("D4", 5), ("A3", 5)])
+def test_classify_many_reduces_entries_before_narrow_lanes(name, p):
+    # entries outside range(p) are reduced in 64 bits before their chunk is
+    # cast to int8 or int16 lanes: negative ones, beside entries that are
+    # all in range, as well as ones past p (a cast would keep them mod 2**8
+    # or 2**16, not mod p)
+    t = get_table(name)
+    K = get_field(p)
+    vectors = half_sparse(random.Random(p), t.rs, p, 40)
+    want = [classify(t, K, x) for x in vectors]
+    for shift in (-p * 3**30, -p, p * 3**30):
+        assert classify_many(t, K, [(x[0] + shift,) + x[1:]
+                                    for x in vectors]) == want, shift
+
+
 def test_dark_decode_leaves_the_non_v_code_map_unbuilt():
     rs = get_system("D4")
     K = get_field(1009)
@@ -1065,6 +1167,30 @@ def test_classify_many_memory_does_not_grow_with_the_batch():
         assert len(got) == n
         extra[n] = peak - 8 * n  # the returned list holds 8 B per entry
     assert extra[2**17] <= extra[2**15] + 16 * 1024
+
+
+def test_classify_many_frees_each_chunk_before_the_next():
+    # a chunk's codes, as an array and as a list of ints, are dropped
+    # before the next chunk is built: the traced peak above the result list
+    # is the same for one chunk as for four (it grew by about 0.8 MB, one
+    # chunk's list and array, on D5/F3)
+    t = get_table("D5")
+    K = get_field(3)
+    rng = np.random.default_rng(6)
+    classify_many(t, K, rng.integers(0, 3, (100, 12)))  # fill the code maps
+    extra = {}
+    for n in (2**14, 2**15, 2**16):
+        rows = rng.integers(0, 3, (n, 12), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            got = classify_many(t, K, rows)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == n
+        extra[n] = peak - held
+        del got
+    assert max(extra.values()) - min(extra.values()) <= 100 * 1024, extra
 
 
 # -- classification ---------------------------------------------------------------
