@@ -246,7 +246,13 @@ def _orbit_partition(moves, p: int, m: int):
     label, a state of the component no larger than any of its states: its
     least state.  A round that finds an edge with two labels lowers some
     label, there or at an earlier hook that changed what it read; labels
-    only fall, so the rounds end.
+    only fall, so the rounds end.  The first round hooks every edge
+    without first picking out those whose labels differ: at its start every
+    label is the identity, so nearly all of them do (2.33M of 2.34M on
+    D4/F5).  An edge whose two labels agree, at l, writes label[l] =
+    min(label[l], l), which is label[l], since a label never exceeds its
+    state; so such a hook changes nothing, and the round counts as one that
+    hooked, which at worst adds a round that hooks nothing.
 
     The work runs over blocks: the p**n <= _BLOCK_STATES states that share
     their first m - n digits (the fixed digits).  A move adds sgn * x_src to
@@ -317,8 +323,9 @@ def _orbit_partition(moves, p: int, m: int):
     plans = [split(move) for move in moves]
     label = np.arange(total, dtype=dtype)
     img = np.empty(size, dtype=np.intp)
+    first = True
     while True:
-        hooked = False
+        hooked = first
         for inner, both, rows in plans:
             inner = inner_image(inner)
             for q, xs in enumerate(blocks):
@@ -329,13 +336,16 @@ def _orbit_partition(moves, p: int, m: int):
                     img.reshape(p ** i, p, -1)[...] += t[xs[f], :, None]
                 a = label[lo:lo + size]
                 b = label[img]
-                cross = np.flatnonzero(a != b)
-                if cross.size:
+                if not first:
+                    cross = np.flatnonzero(a != b)
+                    if not cross.size:
+                        continue
                     a, b = a[cross], b[cross]
-                    np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
                     hooked = True
+                np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
         if not hooked:
             break
+        first = False
         for lo in range(0, total, size):
             view = label[lo:lo + size]
             while True:
@@ -369,7 +379,7 @@ _BLOCK_STATES = 2**16
 # _orbit_partition holds one array of p**m index-sized entries, whatever the
 # number of moves, and at most _BLOCK_BYTES bytes per state of a block
 # besides: 4.06 to 4.13 bytes per state in all, traced on D4/F7 and D6/F3,
-# and 41 to 46 bytes per block state on D4/F5 and D5/F3
+# and 40 to 43 bytes per block state on D4/F5 and D5/F3
 _BLOCK_BYTES = 56
 
 

@@ -3,12 +3,13 @@
 Vectors live in the Chevalley basis {e_beta : beta a root} + {h_1..h_l},
 indexed by the basis keys of a StructureConstantTable.  Coefficients come
 from a pluggable coefficient domain (a prime field, exact integers, or
-polynomials, over which orbitlab compiles the lift); every arithmetic step
-and every zero test goes through the domain, so the same code serves any
-domain with that protocol, including one whose coefficients are arrays of
-lanes.  A term is skipped when the domain calls its coefficient zero, so
-is_zero must be exact: for polynomials the zero polynomial, for lanes zero
-in every lane.
+polynomials, over which orbitlab compiles the lift); in the generic
+spelling every arithmetic step and every zero test goes through the domain,
+so the same code serves any domain with that protocol, including one whose
+coefficients are arrays of lanes (an exact prime field takes the int
+spelling below).  A term is skipped when the domain calls its coefficient
+zero, so is_zero must be exact: for polynomials the zero polynomial, for
+lanes zero in every lane.
 
 The action of the root element x_gamma(a) on a basis vector:
 
@@ -25,6 +26,17 @@ _action_plan holds these moves per gamma, read from gamma's rows of
 rs.ids.sums and rs.simple_pairs; _v1_moves keeps those from level 1,
 re-indexed to phi1: for level-0 gamma they are the whole action on V1.
 _scale_plan groups root ids by gamma's column of rs.ids.pairing.
+
+The action has two spellings over the same plan.  The generic one, which
+calls the domain for every step, serves _Polynomials, ExactIntegers, lane
+domains, and any PrimeField subclass, such as one holding lane arrays.  A
+domain that is exactly a PrimeField, whose elements are ints, takes a
+plain-int spelling instead: from_v1, apply_root_element and apply_word run
+int arithmetic with one % p per written coefficient, over _int_plan's moves
+split by sign, and apply_word threads one coefficient list through the
+whole word.  Both spellings give the same coefficient list: each writes,
+and so reduces, the same coefficients, those whose term the domain calls
+nonzero, and leaves every other one as it was.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ import operator
 import numpy as np
 
 from .chevalley import StructureConstantTable, table_cached
+from .gfield import PrimeField, integral
 from .rootsys import Root
 
 
@@ -69,8 +82,15 @@ class LieVector:
     @classmethod
     def from_v1(cls, table: StructureConstantTable, domain, x) -> "LieVector":
         """Embed a coefficient tuple over the level-1 roots (phi1 order)."""
+        pairs = zip(_phi1_keys(table)[0], table.rs.check_v1(x))
+        if type(domain) is PrimeField:
+            p = domain.p
+            coeffs = [0] * table.n_basis
+            for key, c in pairs:
+                coeffs[key] = (c if type(c) is int else integral(c)) % p
+            return cls(table, domain, coeffs)
         v = cls.zero(table, domain)
-        for key, c in zip(_phi1_keys(table)[0], table.rs.check_v1(x)):
+        for key, c in pairs:
             v.coeffs[key] = domain.of(c)
         return v
 
@@ -184,6 +204,17 @@ def _action_plan(table: StructureConstantTable, gamma: Root):
 
 
 @table_cached
+def _int_plan(table: StructureConstantTable, gamma: Root):
+    """_action_plan for the int spelling, its moves split by sign into
+    (src, dst) pairs.  Built from the uncached plan, so a table holds one
+    plan per root whichever spelling acts by it."""
+    gid, mid, moves, h_coords, h_feed = _action_plan.__wrapped__(table, gamma)
+    pos = tuple((src, dst) for src, dst, sg in moves if sg > 0)
+    neg = tuple((src, dst) for src, dst, sg in moves if sg < 0)
+    return gid, mid, pos, neg, h_coords, h_feed
+
+
+@table_cached
 def _v1_moves(table: StructureConstantTable, gamma: Root):
     """The moves of _action_plan whose source has level 1, as (src, dst,
     sgn) phi1 indices: for a level-0 gamma, its whole action on V1."""
@@ -196,6 +227,8 @@ def _v1_moves(table: StructureConstantTable, gamma: Root):
 def apply_root_element(table: StructureConstantTable, gamma, a,
                        v: LieVector) -> LieVector:
     """x_gamma(a) . v for a root gamma and a scalar a in the domain."""
+    if type(v.domain) is PrimeField:
+        return apply_word(table, [(gamma, a)], v)
     gamma = tuple(gamma)
     gid, mid, moves, h_coords, h_feed = _action_plan(table, gamma)
     dom = v.domain
@@ -233,10 +266,51 @@ def apply_root_element(table: StructureConstantTable, gamma, a,
 
 def apply_word(table: StructureConstantTable, word, v: LieVector) -> LieVector:
     """Apply a group word (list of (root, scalar)), rightmost factor first."""
-    out = v
+    dom = v.domain
+    if type(dom) is not PrimeField:
+        out = v
+        for gamma, a in reversed(word):
+            out = apply_root_element(table, gamma, a, out)
+        return out
+    p = dom.p
+    x = list(v.coeffs)
     for gamma, a in reversed(word):
-        out = apply_root_element(table, gamma, a, out)
-    return out
+        _act_on_ints(_int_plan(table, tuple(gamma)), integral(a) % p, p, x)
+    return LieVector(table, dom, x)
+
+
+def _act_on_ints(plan, a: int, p: int, x: list) -> None:
+    """x_gamma(a) on the coefficient list x of a PrimeField vector, in place.
+
+    The moves' sources and targets are disjoint: a root string of a
+    simply-laced system has at most two roots, so no target beta + gamma is
+    the source of another move.  The moves touch neither e_{+-gamma} nor
+    the Cartan part, which is read before it is written.  So every read
+    sees the coefficient that apply_root_element reads from the old list.
+    """
+    if not a:
+        return
+    gid, mid, pos, neg, h_coords, h_feed = plan
+    # most sources are 0: the truth test spares them the % p
+    for src, dst in pos:
+        c = x[src]
+        if c and c % p:
+            x[dst] = (x[dst] + a * c) % p
+    for src, dst in neg:
+        c = x[src]
+        if c and c % p:
+            x[dst] = (x[dst] - a * c) % p
+    acc = 0
+    for hk, w in h_feed:
+        acc += w * x[hk]
+    c = x[mid]
+    if c % p:
+        ac = a * c % p
+        for hk, ct in h_coords:
+            x[hk] = (x[hk] + ct * ac) % p
+        x[gid] = (x[gid] - a * ac) % p
+    if acc % p:
+        x[gid] = (x[gid] - a * acc) % p
 
 
 # -- torus and Weyl representatives -------------------------------------------

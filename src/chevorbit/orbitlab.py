@@ -169,12 +169,21 @@ class OrbitDescriptor:
         )
 
 
+def _descriptor(family: str, rank: int, p: int, label: str,
+                params: tuple) -> OrbitDescriptor:
+    """OrbitDescriptor(family, rank, p, label, params), its fields written
+    straight into the instance dict: the frozen dataclass's __init__ writes
+    each through object.__setattr__, which cost a scalar classify about a
+    microsecond of its 4 to 6."""
+    d = object.__new__(OrbitDescriptor)
+    d.__dict__.update(family=family, rank=rank, p=p, label=label,
+                      params=params)
+    return d
+
+
 def _mkdesc(rs: RootSystem, p: int, label: str, params=()) -> OrbitDescriptor:
     """The descriptor with these (name, value) parameter pairs."""
-    return OrbitDescriptor(
-        family=rs.family, rank=rs.rank, p=p, label=label,
-        params=tuple(sorted(params)),
-    )
+    return _descriptor(rs.family, rs.rank, p, label, tuple(sorted(params)))
 
 
 def _require_odd(K) -> None:
@@ -851,11 +860,11 @@ class _Classifier:
     def chunk_codes(self, n: int, rows):
         """Yield (lo, codes) for the chunks of _CHUNK out of n vectors.
 
-        rows(lo, hi) gives vectors lo..hi-1 as an (hi - lo, |phi1|) integer
-        array or a list of lists of ints, reduced mod p here.  codes is a
-        lane array, or, past the lane bound or for a list, a list from code
-        over Python ints.  A chunk's rows and lanes are freed before the
-        next chunk is read.
+        rows(lo, hi) gives vectors lo..hi-1 as an (hi - lo, |phi1|)
+        integer or bool array or a list of lists of ints, reduced mod p
+        here.  codes is a lane array, or, past the lane bound or for a list,
+        a list from code over Python ints.  A chunk's rows and lanes are
+        freed before the next chunk is read.
         """
         for lo in range(0, n, _CHUNK):
             yield lo, self._codes(rows(lo, min(lo + _CHUNK, n)))
@@ -866,9 +875,11 @@ class _Classifier:
             xs = chunk if isinstance(chunk, list) else chunk.tolist()
             return [self.code([c % p for c in x]) for x in xs]
         # read as unsigned, an entry outside range(p), negative or not, is
-        # at least p: one pass spares most chunks a reduced copy
+        # at least p: one pass spares most chunks a reduced copy, which a
+        # narrower chunk takes in 64 bits, where numpy divides by any p
         if chunk.view(f"u{chunk.itemsize}").max(initial=0) >= p:
-            chunk = _mod(chunk, p)
+            chunk = _mod(chunk if chunk.itemsize == 8
+                         else chunk.astype(np.int64), p)
         xs = [c.astype(lane) for c in chunk.T]
         return np.broadcast_to(self.lanes(xs), (len(chunk),))
 
@@ -932,8 +943,8 @@ class _AClassifier(_Classifier):
         p = self.p
         label, names = self.labels[code // (p * p)]
         ab = (code // p % p, code % p)
-        return OrbitDescriptor("A", self.rs.rank, p, label,
-                               tuple([(n, ab[j]) for n, j in names]))
+        return _descriptor("A", self.rs.rank, p, label,
+                           tuple([(n, ab[j]) for n, j in names]))
 
 
 class _DClassifier(_Classifier):
@@ -973,8 +984,8 @@ class _DClassifier(_Classifier):
         elif (k := code % (p + 2) - 2) > 0 and code == (
                 _DARK * place + (2 + k) * (place - 1) // (p + 1)):
             # as _mkdesc builds it: "k" sorts first
-            return OrbitDescriptor("D", self.rs.rank, p, "V",
-                                   (("k", k),) + self.v_params)
+            return _descriptor("D", self.rs.rank, p, "V",
+                               (("k", k),) + self.v_params)
         raise ClassificationError(
             f"invariant code {code} matches no canonical representative "
             f"of {self.rs.name} over F_{p}"
@@ -995,11 +1006,22 @@ class _DClassifier(_Classifier):
         return codes
 
 
-@table_cached
 def _classifier(table: StructureConstantTable, K) -> _Classifier:
-    """The classifier of table over K, once check_domain passes."""
-    check_domain(table.rs, K)
-    return (_AClassifier if table.rs.family == "A" else _DClassifier)(table, K)
+    """The classifier of table over K, once check_domain passes.
+
+    Kept in table.memo under K's type and p, which name a prime field as
+    its __eq__ does; unlike K, whose __hash__ is Python code, they hash in
+    C, and classify looks the classifier up on every call.  check_domain
+    admits only domains with a p.
+    """
+    key = (_classifier, type(K), getattr(K, "p", None))
+    try:
+        return table.memo[key]
+    except KeyError:
+        check_domain(table.rs, K)
+        clf = table.memo[key] = (
+            _AClassifier if table.rs.family == "A" else _DClassifier)(table, K)
+        return clf
 
 
 @table_cached
@@ -1034,12 +1056,12 @@ def classify(table: StructureConstantTable, K, x) -> OrbitDescriptor:
 
 
 def _batch_rows(rs: RootSystem, p: int, X):
-    """X as an (n, |phi1|) array of 64-bit integers (a narrower dtype,
-    which need not hold p, or bool, widened to int64), or, for an object
-    array or a sequence that numpy reads as no integer dtype (entries of
-    2**64 or more, or of 2**63 or more beside smaller ones), as a list of
-    lists of ints; ValueError for rows of the wrong length or entries that
-    are not integers."""
+    """X as an (n, |phi1|) array of integers or bools, as it comes (a
+    narrow dtype, which need not hold p, is widened chunk by chunk where
+    _Classifier reduces it), or, for an object array or a sequence that
+    numpy reads as no integer dtype (entries of 2**64 or more, or of 2**63
+    or more beside smaller ones), as a list of lists of ints; ValueError for
+    rows of the wrong length or entries that are not integers."""
     m = len(rs.phi1)
     try:
         rows = np.asarray(X)
@@ -1052,7 +1074,7 @@ def _batch_rows(rs: RootSystem, p: int, X):
             f"level-1 vectors for {rs.name} need {m} coefficients each"
         )
     if rows.dtype.kind in "biu":
-        return rows if rows.dtype.itemsize == 8 else rows.astype(np.int64)
+        return rows
     with contextlib.suppress(TypeError):
         return [[operator.index(c) for c in x] for x in X]
     raise ValueError(f"level-1 vector entries over F_{p} must be integers")

@@ -896,7 +896,7 @@ def test_orbit_partition_memory_does_not_grow_with_the_moves(system, p,
     finally:
         tracemalloc.stop()
     # one int32 index array over the states, and a working set per block
-    # (measured 41 and 46 bytes per block state)
+    # (measured 42.5 and 40 bytes per block state)
     block = p ** (m - 2)  # the blocks fix two digits here
     assert block <= census_mod._BLOCK_STATES < p * block
     assert peak < p ** m * np.dtype(np.int32).itemsize + 56 * block

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +15,13 @@ from chevorbit import (
     INTEGERS,
     LieVector,
     NotARoot,
+    PrimeField,
     ZeroScalar,
     act_on_v1,
     apply_root_element,
     apply_word,
     bracket,
+    build_table_oracle,
     inverse_word,
     reflect,
     w_apply_fast,
@@ -26,6 +30,7 @@ from chevorbit import (
 )
 from chevorbit import liemod
 from helpers import (
+    ALL_SYSTEMS,
     get_field,
     get_system,
     get_table,
@@ -387,3 +392,100 @@ def test_action_and_scale_plans_match_tuple_arithmetic(name):
             q: tuple(i for i, beta in enumerate(rs.roots)
                      if form(beta, gamma) == q)
             for q in (-2, -1, 1, 2)}
+
+
+class GenericField(PrimeField):
+    """F_p as a PrimeField subclass: liemod's generic, domain-protocol
+    spelling of the action, which an exact PrimeField does not take."""
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_int_spelling_matches_the_generic_one(name):
+    """Over an exact PrimeField, from_v1, apply_root_element and apply_word
+    give exactly the generic spelling's coefficient lists, on every root and
+    on words, with scalars 0, p, p + 1 and -1 and unreduced entries: zero
+    ones (0, p, -p), which both leave as they are, and nonzero ones."""
+    t = get_table(name)
+    rs = t.rs
+    for p in (3, 5, 1009, 2**31 + 11):
+        K, G = PrimeField(p), GenericField(p)
+        rng = random.Random(f"{name}/{p}")
+
+        def vector():
+            # two in five entries are 0, p or -p, the rest in range(-3p, 3p)
+            return [rng.choice((0, p, -p)) if rng.random() < 0.4
+                    else rng.randrange(-3 * p, 3 * p)
+                    for _ in range(t.n_basis)]
+
+        x = [rng.randrange(-3 * p, 3 * p) for _ in rs.phi1]
+        x[:3] = (p, np.int64(p + 1), True)[:len(x)]
+        u, w = LieVector.from_v1(t, K, x), LieVector.from_v1(t, G, x)
+        assert type(u.domain) is PrimeField and type(w.domain) is GenericField
+        assert u.coeffs == w.coeffs
+        for gamma in rs.roots:
+            coeffs = vector()
+            for a in (0, p, p + 1, -1, rng.randrange(p)):
+                got = apply_root_element(t, gamma, a, LieVector(t, K, coeffs))
+                assert got.coeffs == apply_root_element(
+                    t, gamma, a, LieVector(t, G, coeffs)).coeffs
+        for _ in range(20):
+            word = [(rng.choice(rs.roots), rng.choice((0, p, p + 1, -1, 2)))
+                    for _ in range(rng.randrange(6))]
+            coeffs = vector()
+            got = apply_word(t, word, LieVector(t, K, coeffs)).coeffs
+            assert got == apply_word(t, word, LieVector(t, G, coeffs)).coeffs
+
+
+def test_int_spelling_raises_as_the_generic_one():
+    t = get_table("D4")
+    gamma = t.rs.phi0[0]
+    for K in (get_field(5), GenericField(5)):
+        v = LieVector.from_v1(t, K, (1, 0, 2, 0, 1, 0, 0, 2))
+        for act in (lambda g, a: apply_root_element(t, g, a, v),
+                    lambda g, a: apply_word(t, [(gamma, 1), (g, a)], v)):
+            for g in ((0, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 0)):
+                with pytest.raises(NotARoot):
+                    act(g, 1)
+            for a in (2.5, 2.0, "2"):
+                with pytest.raises(TypeError):
+                    act(gamma, a)
+            # the factor acting first raises first
+            with pytest.raises(NotARoot):
+                apply_word(t, [(gamma, 2.5), ((2, 0, 0, 0), 1)], v)
+        for x in ((1.0,) * 8, (np.float64(1),) + (0,) * 7, ("1",) * 8):
+            with pytest.raises(TypeError):
+                LieVector.from_v1(t, K, x)
+
+
+def test_acting_holds_no_memory_per_vector():
+    # distinct D4/F5 vectors through from_v1, a four-factor level-0 word and
+    # v1_part, after warm-up, as classify is checked in test_orbitlab; the
+    # warm-up adds one plan per root, and the vectors none
+    t = build_table_oracle(get_system("D4"))
+    K = get_field(5)
+    rs = t.rs
+    n = 3000
+    rng = random.Random(3005)
+    vectors = list(dict.fromkeys(random_v1(rng, rs, 5)
+                                 for _ in range(n + 100)))[:n]
+    assert len(vectors) == n
+    words = [random_level0_word(rng, rs, 5, 4, min_len=4) for _ in range(n)]
+    v = LieVector.from_v1(t, K, vectors[0])
+    v.v1_part()
+    memo = len(t.memo)
+    apply_word(t, [(g, 1) for g in rs.phi0], v)
+    assert len(t.memo) == memo + len(rs.phi0)
+    held = {}
+    tracemalloc.start()
+    try:
+        for i in range(0, n, 100):
+            for x, word in zip(vectors[i:i + 100], words[i:i + 100]):
+                apply_word(t, word, LieVector.from_v1(t, K, x)).v1_part()
+            if i + 100 in (1000, n):
+                gc.collect()  # also empties the free lists
+                held[i + 100] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held[n] < 16 * 1024, held
+    assert held[n] - held[1000] < 4 * 1024, held
+    assert len(t.memo) == memo + len(rs.phi0)

@@ -1114,6 +1114,26 @@ def test_classify_many_accepts_every_integer_dtype(name, p):
         assert classify_many(t, K, rows.tolist()) == want, dtype
 
 
+def test_classify_many_widens_narrow_rows_chunk_by_chunk():
+    # int8 rows are read a chunk at a time, as int64 rows are, not widened
+    # to int64 as a whole first (2**16 rows of D5: 6.3 MB in int64)
+    t = get_table("D5")
+    K = get_field(3)
+    wide = np.random.default_rng(8).integers(
+        0, 3, (1 << 16, len(t.rs.phi1)), dtype=np.int64)
+    narrow = wide.astype(np.int8)
+    want = classify_many(t, K, wide)
+    peak = {}
+    for rows in (wide, narrow):
+        tracemalloc.start()
+        try:
+            assert classify_many(t, K, rows) == want
+            peak[rows.dtype.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak["int8"] < 2 * peak["int64"], peak
+
+
 @pytest.mark.parametrize("name", ["D4", "A3"])
 def test_classify_many_reads_bool_and_object_arrays(name):
     t = get_table(name)
