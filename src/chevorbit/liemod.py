@@ -32,11 +32,11 @@ calls the domain for every step, serves _Polynomials, ExactIntegers, lane
 domains, and any PrimeField subclass, such as one holding lane arrays.  A
 domain that is exactly a PrimeField, whose elements are ints, takes a
 plain-int spelling instead: from_v1, apply_root_element and apply_word run
-int arithmetic with one % p per written coefficient, over _int_plan's moves
-split by sign, and apply_word threads one coefficient list through the
-whole word.  Both spellings give the same coefficient list: each writes,
-and so reduces, the same coefficients, those whose term the domain calls
-nonzero, and leaves every other one as it was.
+int arithmetic with one % p per written coefficient, and apply_word
+threads one coefficient list through the whole word.  Both spellings give
+the same coefficient list: each writes, and so reduces, the same
+coefficients, those whose term the domain calls nonzero, and leaves every
+other one as it was.
 """
 
 from __future__ import annotations
@@ -204,17 +204,6 @@ def _action_plan(table: StructureConstantTable, gamma: Root):
 
 
 @table_cached
-def _int_plan(table: StructureConstantTable, gamma: Root):
-    """_action_plan for the int spelling, its moves split by sign into
-    (src, dst) pairs.  Built from the uncached plan, so a table holds one
-    plan per root whichever spelling acts by it."""
-    gid, mid, moves, h_coords, h_feed = _action_plan.__wrapped__(table, gamma)
-    pos = tuple((src, dst) for src, dst, sg in moves if sg > 0)
-    neg = tuple((src, dst) for src, dst, sg in moves if sg < 0)
-    return gid, mid, pos, neg, h_coords, h_feed
-
-
-@table_cached
 def _v1_moves(table: StructureConstantTable, gamma: Root):
     """The moves of _action_plan whose source has level 1, as (src, dst,
     sgn) phi1 indices: for a level-0 gamma, its whole action on V1."""
@@ -275,7 +264,8 @@ def apply_word(table: StructureConstantTable, word, v: LieVector) -> LieVector:
     p = dom.p
     x = list(v.coeffs)
     for gamma, a in reversed(word):
-        _act_on_ints(_int_plan(table, tuple(gamma)), integral(a) % p, p, x)
+        plan = _action_plan(table, tuple(gamma))
+        _act_on_ints(plan, integral(a) % p, p, x)
     return LieVector(table, dom, x)
 
 
@@ -290,16 +280,12 @@ def _act_on_ints(plan, a: int, p: int, x: list) -> None:
     """
     if not a:
         return
-    gid, mid, pos, neg, h_coords, h_feed = plan
+    gid, mid, moves, h_coords, h_feed = plan
     # most sources are 0: the truth test spares them the % p
-    for src, dst in pos:
+    for src, dst, sg in moves:
         c = x[src]
         if c and c % p:
-            x[dst] = (x[dst] + a * c) % p
-    for src, dst in neg:
-        c = x[src]
-        if c and c % p:
-            x[dst] = (x[dst] - a * c) % p
+            x[dst] = (x[dst] + sg * a * c) % p
     acc = 0
     for hk, w in h_feed:
         acc += w * x[hk]

@@ -168,22 +168,26 @@ class OrbitDescriptor:
             params=tuple(sorted(d.get("params", {}).items())),
         )
 
-
-def _descriptor(family: str, rank: int, p: int, label: str,
-                params: tuple) -> OrbitDescriptor:
-    """OrbitDescriptor(family, rank, p, label, params), its fields written
-    straight into the instance dict: the frozen dataclass's __init__ writes
-    each through object.__setattr__, which cost a scalar classify about a
-    microsecond of its 4 to 6."""
-    d = object.__new__(OrbitDescriptor)
-    d.__dict__.update(family=family, rank=rank, p=p, label=label,
-                      params=params)
-    return d
+    @classmethod
+    def _decoded(cls, family: str, rank: int, p: int, label: str,
+                 params: tuple) -> "OrbitDescriptor":
+        """cls(family, rank, p, label, params) for a classifier's per-call
+        decode, its fields written straight into the instance dict: the
+        frozen dataclass's __init__ writes each through object.__setattr__,
+        which cost a scalar classify about a microsecond of its 4 to 6.
+        params must already be sorted by name."""
+        d = object.__new__(cls)
+        d.__dict__.update(family=family, rank=rank, p=p, label=label,
+                          params=params)
+        return d
 
 
 def _mkdesc(rs: RootSystem, p: int, label: str, params=()) -> OrbitDescriptor:
     """The descriptor with these (name, value) parameter pairs."""
-    return _descriptor(rs.family, rs.rank, p, label, tuple(sorted(params)))
+    return OrbitDescriptor(
+        family=rs.family, rank=rs.rank, p=p, label=label,
+        params=tuple(sorted(params)),
+    )
 
 
 def _require_odd(K) -> None:
@@ -874,10 +878,15 @@ class _Classifier:
         if lane is None or isinstance(chunk, list):
             xs = chunk if isinstance(chunk, list) else chunk.tolist()
             return [self.code([c % p for c in x]) for x in xs]
-        # read as unsigned, an entry outside range(p), negative or not, is
-        # at least p: one pass spares most chunks a reduced copy, which a
-        # narrower chunk takes in 64 bits, where numpy divides by any p
-        if chunk.view(f"u{chunk.itemsize}").max(initial=0) >= p:
+        # read as unsigned, a 64-bit entry outside range(p), negative or
+        # not, is at least p: one pass spares most chunks a reduced copy.  A
+        # narrower negative entry reads as at most 2**(8 * itemsize) - 1,
+        # which can be below p, so a narrower signed chunk is also tested
+        # for one.  The copy of a narrower chunk is made in 64 bits, where
+        # numpy divides by any p
+        if (chunk.view(f"u{chunk.itemsize}").max(initial=0) >= p
+                or chunk.dtype.kind == "i" and chunk.itemsize < 8
+                and chunk.min(initial=0) < 0):
             chunk = _mod(chunk if chunk.itemsize == 8
                          else chunk.astype(np.int64), p)
         xs = [c.astype(lane) for c in chunk.T]
@@ -943,8 +952,8 @@ class _AClassifier(_Classifier):
         p = self.p
         label, names = self.labels[code // (p * p)]
         ab = (code // p % p, code % p)
-        return _descriptor("A", self.rs.rank, p, label,
-                           tuple([(n, ab[j]) for n, j in names]))
+        return OrbitDescriptor._decoded(
+            "A", self.rs.rank, p, label, tuple([(n, ab[j]) for n, j in names]))
 
 
 class _DClassifier(_Classifier):
@@ -984,8 +993,8 @@ class _DClassifier(_Classifier):
         elif (k := code % (p + 2) - 2) > 0 and code == (
                 _DARK * place + (2 + k) * (place - 1) // (p + 1)):
             # as _mkdesc builds it: "k" sorts first
-            return _descriptor("D", self.rs.rank, p, "V",
-                               (("k", k),) + self.v_params)
+            return OrbitDescriptor._decoded("D", self.rs.rank, p, "V",
+                                            (("k", k),) + self.v_params)
         raise ClassificationError(
             f"invariant code {code} matches no canonical representative "
             f"of {self.rs.name} over F_{p}"
@@ -1006,22 +1015,11 @@ class _DClassifier(_Classifier):
         return codes
 
 
+@table_cached
 def _classifier(table: StructureConstantTable, K) -> _Classifier:
-    """The classifier of table over K, once check_domain passes.
-
-    Kept in table.memo under K's type and p, which name a prime field as
-    its __eq__ does; unlike K, whose __hash__ is Python code, they hash in
-    C, and classify looks the classifier up on every call.  check_domain
-    admits only domains with a p.
-    """
-    key = (_classifier, type(K), getattr(K, "p", None))
-    try:
-        return table.memo[key]
-    except KeyError:
-        check_domain(table.rs, K)
-        clf = table.memo[key] = (
-            _AClassifier if table.rs.family == "A" else _DClassifier)(table, K)
-        return clf
+    """The classifier of table over K, once check_domain passes."""
+    check_domain(table.rs, K)
+    return (_AClassifier if table.rs.family == "A" else _DClassifier)(table, K)
 
 
 @table_cached
