@@ -42,6 +42,7 @@ from .gfield import (
 from .liemod import (
     LieVector,
     ZeroScalar,
+    act_on_v1,
     apply_root_element,
     apply_word,
     bracket,
@@ -60,7 +61,6 @@ from .orbitlab import (
     Sl2Invariant,
     UnsupportedFamily,
     ZBlock,
-    act_on_v1,
     al_pair,
     all_descriptors,
     associated_root_element,

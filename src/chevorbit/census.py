@@ -431,12 +431,12 @@ def predicted_census(table: StructureConstantTable, p: int,
 
 
 def crosscheck(table: StructureConstantTable, p: int,
-               budget: int | None = None, pairs: int = 10_000,
-               seed: int = 0,
+               pairs: int = 10_000, seed: int = 0,
                census: OrbitCensus | None = None) -> dict:
-    """Verify the classifier against brute-force enumeration; raise on
-    mismatch.  ValueError, before any work, for a census of another system
-    or prime than (table, p) or for a negative number of pairs."""
+    """Verify the classifier against brute-force enumeration, on the census
+    given or one enumerated under the default budget; raise on mismatch.
+    ValueError, before any work, for a census of another system or prime
+    than (table, p) or for a negative number of pairs."""
     rs = table.rs
     if census is not None and (census.family, census.rank, census.p) != (
             rs.family, rs.rank, p):
@@ -446,7 +446,7 @@ def crosscheck(table: StructureConstantTable, p: int,
         raise ValueError(f"pairs must be >= 0, got {pairs}")
     K = PrimeField(p)
     if census is None:
-        census = enumerate_orbits(table, p, budget=budget)
+        census = enumerate_orbits(table, p)
     total = census.total_states
     clf = _classifier(table, K)
     if clf.lane is None:  # A2 alone, from 1.8e18 states on

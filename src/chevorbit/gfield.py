@@ -92,7 +92,16 @@ class PrimeField:
         return 1
 
     def of(self, n: int) -> int:
-        return integral(n) % self.p
+        """n mod p; an integer lane array is reduced into lanes that hold
+        the product of two elements: int64 while (p - 1)**2 < 2**63,
+        Python ints beyond, as classify_many falls back past its lanes."""
+        n = integral(n)
+        if isinstance(n, np.ndarray):
+            wide = np.int64 if (self.p - 1) ** 2 < 2**63 else object
+            if n.dtype == np.uint64:  # past int64: reduce it as Python ints
+                return (n.astype(object) % self.p).astype(wide)
+            return n.astype(wide, copy=False) % self.p
+        return n % self.p
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -174,12 +183,18 @@ INTEGERS = ExactIntegers()
 
 
 def integral(n):
-    """n, once it is an integer or an integer lane array; TypeError for
-    anything else, as operator.index raises for a float or a str."""
-    if type(n) is not int and not (isinstance(n, np.ndarray)
-                                   and n.dtype.kind in "iu"):
-        operator.index(n)
-    return n
+    """n as a Python int, or an integer lane array (fixed-width, or Python
+    ints as PrimeField.of makes them past int64) as it is; TypeError for
+    anything else, as operator.index raises for a float or a str.  numpy
+    scalars become Python ints, so nothing wraps at their width."""
+    if type(n) is int:
+        return n
+    if not isinstance(n, np.ndarray):
+        return operator.index(n)
+    if n.dtype.kind in "iu" or (n.dtype == object
+                                and all(type(c) is int for c in n.flat)):
+        return n
+    raise TypeError(f"lanes of {n.dtype} are not integers")
 
 
 def _mod(a, p: int):

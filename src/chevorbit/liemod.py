@@ -3,13 +3,12 @@
 Vectors live in the Chevalley basis {e_beta : beta a root} + {h_1..h_l},
 indexed by the basis keys of a StructureConstantTable.  Coefficients come
 from a pluggable coefficient domain (a prime field, exact integers, or
-polynomials, over which orbitlab compiles the lift); in the generic
-spelling every arithmetic step and every zero test goes through the domain,
-so the same code serves any domain with that protocol, including one whose
-coefficients are arrays of lanes (an exact prime field takes the int
-spelling below).  A term is skipped when the domain calls its coefficient
-zero, so is_zero must be exact: for polynomials the zero polynomial, for
-lanes zero in every lane.
+polynomials, over which orbitlab compiles the lift); outside an exact
+prime field every arithmetic step and every zero test goes through the
+domain, so the same code serves any domain with that protocol, including
+one whose coefficients are arrays of lanes.  A term is skipped when the
+domain calls its coefficient zero, so is_zero must be exact: for
+polynomials the zero polynomial, for lanes zero in every lane.
 
 The action of the root element x_gamma(a) on a basis vector:
 
@@ -24,19 +23,18 @@ with h_gamma = sum_t gamma_t h_t (all roots here have the same length).
 Group words are lists of (root, scalar) factors and act right-to-left.
 _action_plan holds these moves per gamma, read from gamma's rows of
 rs.ids.sums and rs.simple_pairs; _v1_moves keeps those from level 1,
-re-indexed to phi1: for level-0 gamma they are the whole action on V1.
+re-indexed to phi1: for level-0 gamma they are the whole action on V1,
+which act_on_v1 applies to level-1 coefficient tuples and lanes.
 _scale_plan groups root ids by gamma's column of rs.ids.pairing.
 
-The action has two spellings over the same plan.  The generic one, which
-calls the domain for every step, serves _Polynomials, ExactIntegers, lane
-domains, and any PrimeField subclass, such as one holding lane arrays.  A
-domain that is exactly a PrimeField, whose elements are ints, takes a
-plain-int spelling instead: from_v1, apply_root_element and apply_word run
-int arithmetic with one % p per written coefficient, and apply_word
-threads one coefficient list through the whole word.  Both spellings give
-the same coefficient list: each writes, and so reduces, the same
-coefficients, those whose term the domain calls nonzero, and leaves every
-other one as it was.
+apply_word is the one driver of the action; apply_root_element is its
+one-factor word.  It copies the coefficient list once and runs one step
+per factor on it, in place: _act_on_ints, one % p per written coefficient,
+when the domain is exactly a PrimeField, whose elements are ints (from_v1
+then fills the list with ints too); _act_in_domain, through the domain
+protocol, for every other domain (_Polynomials, ExactIntegers, lanes, any
+PrimeField subclass).  Both write the same coefficients in the same order,
+those whose term the domain calls nonzero, so they give the same list.
 """
 
 from __future__ import annotations
@@ -87,15 +85,12 @@ class LieVector:
             p = domain.p
             coeffs = [0] * table.n_basis
             for key, c in pairs:
-                coeffs[key] = (c if type(c) is int else integral(c)) % p
+                coeffs[key] = c % p if type(c) is int else domain.of(c)
             return cls(table, domain, coeffs)
         v = cls.zero(table, domain)
         for key, c in pairs:
             v.coeffs[key] = domain.of(c)
         return v
-
-    def copy(self) -> "LieVector":
-        return LieVector(self.table, self.domain, list(self.coeffs))
 
     # -- accessors -----------------------------------------------------------
 
@@ -213,71 +208,58 @@ def _v1_moves(table: StructureConstantTable, gamma: Root):
                  if src in at)
 
 
+def act_on_v1(table: StructureConstantTable, K, word, x) -> tuple:
+    """Apply a word of level-0 root elements to a level-1 coefficient vector.
+
+    On V1, x_gamma(t) is x -> x + t sum N(gamma, beta) x_beta e_{beta+gamma}
+    over the beta in phi1 with <beta, gamma> = -1 (no t^2, no Cartan term),
+    so each factor, rightmost first, is one gather-add along _v1_moves,
+    whose targets are never sources.  Entries and scalars are ints or lane
+    arrays of K; the result is in phi1 order.  A factor that is not a root
+    raises NotARoot, one of another level ValueError.
+    """
+    rs = table.rs
+    x = [K.of(c) for c in rs.check_v1(x)]
+    for g, t in reversed(word):
+        g = tuple(g)
+        if rs.level(g) != 0:
+            raise ValueError(f"{g} has level {rs.level(g)}; the V1 action "
+                             f"needs level-0 factors")
+        t = K.of(t)
+        for src, dst, sgn in _v1_moves(table, g):
+            tx = K.mul(t, x[src])
+            x[dst] = K.add(x[dst], tx) if sgn > 0 else K.sub(x[dst], tx)
+    return tuple(x)
+
+
 def apply_root_element(table: StructureConstantTable, gamma, a,
                        v: LieVector) -> LieVector:
     """x_gamma(a) . v for a root gamma and a scalar a in the domain."""
-    if type(v.domain) is PrimeField:
-        return apply_word(table, [(gamma, a)], v)
-    gamma = tuple(gamma)
-    gid, mid, moves, h_coords, h_feed = _action_plan(table, gamma)
-    dom = v.domain
-    a = dom.of(a)
-    if dom.is_zero(a):
-        return v.copy()
-    old = v.coeffs
-    new = list(old)
-
-    for src, dst, sg in moves:
-        c = old[src]
-        if dom.is_zero(c):
-            continue
-        t = dom.mul(a, c)
-        new[dst] = dom.add(new[dst], t if sg > 0 else dom.neg(t))
-
-    c = old[mid]
-    if not dom.is_zero(c):
-        ac = dom.mul(a, c)
-        for hk, ct in h_coords:
-            new[hk] = dom.add(new[hk], dom.mul(dom.of(ct), ac))
-        new[gid] = dom.sub(new[gid], dom.mul(a, ac))
-
-    acc = dom.zero
-    for hk, w in h_feed:
-        ch = old[hk]
-        if dom.is_zero(ch):
-            continue
-        acc = dom.add(acc, dom.mul(dom.of(w), ch))
-    if not dom.is_zero(acc):
-        new[gid] = dom.sub(new[gid], dom.mul(a, acc))
-
-    return LieVector(table, dom, new)
+    return apply_word(table, [(gamma, a)], v)
 
 
 def apply_word(table: StructureConstantTable, word, v: LieVector) -> LieVector:
     """Apply a group word (list of (root, scalar)), rightmost factor first."""
     dom = v.domain
-    if type(dom) is not PrimeField:
-        out = v
-        for gamma, a in reversed(word):
-            out = apply_root_element(table, gamma, a, out)
-        return out
-    p = dom.p
+    step, arith = ((_act_on_ints, dom.p) if type(dom) is PrimeField
+                   else (_act_in_domain, dom))
     x = list(v.coeffs)
     for gamma, a in reversed(word):
-        plan = _action_plan(table, tuple(gamma))
-        _act_on_ints(plan, integral(a) % p, p, x)
+        step(_action_plan(table, tuple(gamma)), a, arith, x)
     return LieVector(table, dom, x)
 
 
-def _act_on_ints(plan, a: int, p: int, x: list) -> None:
+def _act_on_ints(plan, a, p: int, x: list) -> None:
     """x_gamma(a) on the coefficient list x of a PrimeField vector, in place.
 
     The moves' sources and targets are disjoint: a root string of a
     simply-laced system has at most two roots, so no target beta + gamma is
     the source of another move.  The moves touch neither e_{+-gamma} nor
     the Cartan part, which is read before it is written.  So every read
-    sees the coefficient that apply_root_element reads from the old list.
+    sees the coefficient of the vector the factor acts on, here and in
+    _act_in_domain, which writes the same coefficients in the same order.
     """
+    a = integral(a) % p
     if not a:
         return
     gid, mid, moves, h_coords, h_feed = plan
@@ -297,6 +279,30 @@ def _act_on_ints(plan, a: int, p: int, x: list) -> None:
         x[gid] = (x[gid] - a * ac) % p
     if acc % p:
         x[gid] = (x[gid] - a * acc) % p
+
+
+def _act_in_domain(plan, a, dom, x: list) -> None:
+    """_act_on_ints through the domain protocol, for any other domain."""
+    a = dom.of(a)
+    if dom.is_zero(a):
+        return
+    gid, mid, moves, h_coords, h_feed = plan
+    for src, dst, sg in moves:
+        if not dom.is_zero(c := x[src]):
+            t = dom.mul(a, c)
+            x[dst] = dom.add(x[dst], t) if sg > 0 else dom.sub(x[dst], t)
+    acc = dom.zero
+    for hk, w in h_feed:
+        if not dom.is_zero(ch := x[hk]):
+            acc = dom.add(acc, dom.mul(dom.of(w), ch))
+    c = x[mid]
+    if not dom.is_zero(c):
+        ac = dom.mul(a, c)
+        for hk, ct in h_coords:
+            x[hk] = dom.add(x[hk], dom.mul(dom.of(ct), ac))
+        x[gid] = dom.sub(x[gid], dom.mul(a, ac))
+    if not dom.is_zero(acc):
+        x[gid] = dom.sub(x[gid], dom.mul(a, acc))
 
 
 # -- torus and Weyl representatives -------------------------------------------

@@ -66,7 +66,7 @@ import numpy as np
 
 from .chevalley import StructureConstantTable, table_cached
 from .gfield import SquareClass, _mod, _pow_mod, integral, square_class
-from .liemod import LieVector, _v1_moves, apply_root_element
+from .liemod import LieVector, apply_root_element
 from .rootsys import Root, RootSystem, simple_index, standard_quadruple
 
 
@@ -1110,30 +1110,6 @@ def same_orbit(table: StructureConstantTable, K, x1, x2) -> bool:
     """Are two level-1 vectors in the same orbit of the level-0 subgroup?"""
     clf = _classifier(table, K)
     return clf.classify(x1) == clf.classify(x2)
-
-
-def act_on_v1(table: StructureConstantTable, K, word, x) -> tuple:
-    """Apply a word of level-0 root elements to a level-1 coefficient vector.
-
-    On V1, x_gamma(t) is x -> x + t sum N(gamma, beta) x_beta e_{beta+gamma}
-    over the beta in phi1 with <beta, gamma> = -1 (no t^2, no Cartan term),
-    so each factor, rightmost first, is one gather-add along
-    liemod._v1_moves, whose targets are never sources.  Entries and scalars
-    are ints or lane arrays of K; the result is in phi1 order.  A factor
-    that is not a root raises NotARoot, one of another level ValueError.
-    """
-    rs = table.rs
-    x = [K.of(c) for c in rs.check_v1(x)]
-    for g, t in reversed(word):
-        g = tuple(g)
-        if rs.level(g) != 0:
-            raise ValueError(f"{g} has level {rs.level(g)}; the V1 action "
-                             f"needs level-0 factors")
-        t = K.of(t)
-        for src, dst, sgn in _v1_moves(table, g):
-            tx = K.mul(t, x[src])
-            x[dst] = K.add(x[dst], tx) if sgn > 0 else K.sub(x[dst], tx)
-    return tuple(x)
 
 
 # -- canonical forms -----------------------------------------------------------------

@@ -16,21 +16,26 @@ from chevorbit import (
     LieVector,
     NotARoot,
     PrimeField,
+    ZBlock,
     ZeroScalar,
     act_on_v1,
     apply_root_element,
     apply_word,
+    associated_root_element,
     bracket,
     build_table_oracle,
     inverse_word,
     reflect,
     w_apply_fast,
+    sl2_invariant,
     w_word,
     weyl_word,
 )
 from chevorbit import liemod
+from chevorbit.orbitlab import _Polynomials
 from helpers import (
     ALL_SYSTEMS,
+    ArrayField,
     get_field,
     get_system,
     get_table,
@@ -436,6 +441,63 @@ def test_int_spelling_matches_the_generic_one(name):
             assert got == apply_word(t, word, LieVector(t, G, coeffs)).coeffs
 
 
+def test_root_elements_act_as_the_exponential_of_ad():
+    """x_gamma(a) v = v + a [e_gamma, v] + (a^2 / 2) [e_gamma, [e_gamma, v]]
+    for every root gamma of every system, on random full vectors (root and
+    Cartan parts) and a random unit a, through both steps of apply_word: an
+    exact PrimeField and a subclass.  On D4 also over ExactIntegers,
+    polynomials and lanes.  No domain's action writes to the vector it acts
+    on, as apply_root_element or as apply_word."""
+    for name in ALL_SYSTEMS:
+        t = get_table(name)
+        for p in (3, 1009):
+            K, G = PrimeField(p), GenericField(p)
+            half = K.inv(2)
+            rng = random.Random(f"exp/{name}/{p}")
+            for gamma in t.rs.roots:
+                a = rng.randrange(1, p)
+                coeffs = [rng.randrange(p) for _ in range(t.n_basis)]
+                v = LieVector(t, K, coeffs)
+                e = LieVector.basis(t, K, t.e_key(gamma))
+                ad = bracket(t, e, v)
+                want = v.add(ad.scale(a)).add(
+                    bracket(t, e, ad).scale(K.mul(K.mul(a, a), half)))
+                for dom in (K, G):
+                    u = LieVector(t, dom, list(coeffs))
+                    assert apply_root_element(t, gamma, a, u) == want, (
+                        name, p, gamma, dom)
+                    assert u.coeffs == coeffs
+    t = get_table("D4")
+    rng = random.Random(5)
+    P = _Polynomials()
+    draws = {
+        INTEGERS: lambda: rng.randrange(-9, 10),
+        P: lambda: P.mul(P.of(rng.randrange(-3, 4)),
+                         {(rng.randrange(3),): 1}),
+        ArrayField(13): lambda: np.array([rng.randrange(13)
+                                          for _ in range(4)]),
+        PrimeField(13): lambda: rng.randrange(13),
+        GenericField(13): lambda: rng.randrange(13),
+    }
+    for dom, draw in draws.items():
+        for gamma in t.rs.roots[::3]:
+            v = LieVector(t, dom, [draw() for _ in range(t.n_basis)])
+            before = LieVector(t, dom, [
+                dict(c) if isinstance(c, dict)
+                else c.copy() if isinstance(c, np.ndarray) else c
+                for c in v.coeffs])
+            a = draw()
+            # doubled, so that rings without 1/2 can check it too
+            e = LieVector.basis(t, dom, t.e_key(gamma))
+            ad = bracket(t, e, v)
+            twice = (v.scale(2).add(ad.scale(dom.mul(dom.of(2), a)))
+                     .add(bracket(t, e, ad).scale(dom.mul(a, a))))
+            got = apply_root_element(t, gamma, a, v)
+            assert got.scale(2) == twice, (dom, gamma)
+            apply_word(t, [(gamma, a), (t.rs.neg(gamma), draw())], v)
+            assert v == before, (dom, gamma)
+
+
 def test_int_spelling_raises_as_the_generic_one():
     t = get_table("D4")
     gamma = t.rs.phi0[0]
@@ -455,6 +517,82 @@ def test_int_spelling_raises_as_the_generic_one():
         for x in ((1.0,) * 8, (np.float64(1),) + (0,) * 7, ("1",) * 8):
             with pytest.raises(TypeError):
                 LieVector.from_v1(t, K, x)
+
+
+BIG_P = 4294967311  # the least prime past 2**32: products pass 2**64
+
+
+def _numpy_draw(rng, dtype):
+    info = np.iinfo(dtype)
+    return rng.choice((info.min, info.max, 0, rng.randint(info.min, info.max),
+                       rng.randint(info.min, info.max)))
+
+
+@pytest.mark.parametrize("p", [13, BIG_P])
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.int64,
+                                   np.uint64])
+def test_numpy_integer_scalars_act_as_python_ints(dtype, p):
+    """numpy scalars of every width, in entries and in scalars, give what
+    the same values give as Python ints: no arithmetic wraps at their
+    width, in either step of the action, in the V1 action, the lift or the
+    sl2 invariant."""
+    t = get_table("D4")
+    rs = t.rs
+    K, G = PrimeField(p), GenericField(p)
+    rng = random.Random(f"{dtype.__name__}/{p}")
+    for _ in range(40):
+        x = [_numpy_draw(rng, dtype) for _ in rs.phi1]
+        word = [(rng.choice(rs.phi0), _numpy_draw(rng, dtype))
+                for _ in range(4)]
+        nx = [dtype(c) for c in x]
+        nword = [(g, dtype(a)) for g, a in word]
+        v = LieVector.from_v1(t, K, x)
+        assert LieVector.from_v1(t, K, nx).coeffs == v.coeffs
+        for dom in (K, G):
+            nv = LieVector.from_v1(t, dom, nx)
+            assert apply_word(t, nword, nv) == apply_word(t, word, v)
+            (g, a), (_, na) = word[0], nword[0]
+            assert (apply_root_element(t, g, na, nv)
+                    == apply_root_element(t, g, a, v))
+        assert act_on_v1(t, K, nword, nx) == act_on_v1(t, K, word, x)
+        assert (associated_root_element(t, K, nx)
+                == associated_root_element(t, K, x))
+        z = ZBlock(*(_numpy_draw(rng, dtype) for _ in range(3)))
+        nz = ZBlock(*map(dtype, (z.c, z.u, z.w)))
+        assert sl2_invariant(K, nz) == sl2_invariant(K, z)
+
+
+@pytest.mark.parametrize("p", [13, BIG_P])
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.int64])
+def test_numpy_integer_lanes_act_as_python_ints(dtype, p):
+    """Lane arrays of every width give, lane by lane, what each lane's
+    values give as Python ints: entries and scalars in act_on_v1, and in
+    from_v1, apply_word and the lift over lanes."""
+    t = get_table("D4")
+    rs = t.rs
+    K, A = PrimeField(p), ArrayField(p)
+    rng = random.Random(f"lanes/{dtype.__name__}/{p}")
+    n = 24
+    xs = [[_numpy_draw(rng, dtype) for _ in rs.phi1] for _ in range(n)]
+    roots = [rng.choice(rs.phi0) for _ in range(4)]
+    scalars = [[_numpy_draw(rng, dtype) for _ in roots] for _ in range(n)]
+    lane_x = list(np.array(xs, dtype=dtype).T)
+    lane_word = list(zip(roots, np.array(scalars, dtype=dtype).T))
+
+    def lane(c, j):
+        return int(c[j]) if isinstance(c, np.ndarray) else c
+
+    got = act_on_v1(t, K, lane_word, lane_x)
+    lifted = associated_root_element(t, A, lane_x)
+    acted = apply_word(t, lane_word, LieVector.from_v1(t, A, lane_x))
+    for j, (x, s) in enumerate(zip(xs, scalars)):
+        word = list(zip(roots, s))
+        assert [lane(c, j) for c in got] == list(act_on_v1(t, K, word, x))
+        v = LieVector.from_v1(t, K, x)
+        assert ([lane(c, j) for c in acted.coeffs]
+                == apply_word(t, word, v).coeffs)
+        assert ([lane(c, j) for c in lifted.coeffs]
+                == associated_root_element(t, K, x).coeffs)
 
 
 def test_acting_holds_no_memory_per_vector():

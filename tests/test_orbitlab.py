@@ -3,6 +3,7 @@ descriptors, canonical forms, and validation errors."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import gc
 import itertools
@@ -177,6 +178,21 @@ def test_lift_postconditions_survive_optimized_mode():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised"] * 4
+
+
+def test_no_module_checks_with_assert():
+    # python -O strips assert statements, so no check in the package may be
+    # one: every module's syntax tree must be free of them
+    pkg = os.path.dirname(os.path.abspath(chevorbit.__file__))
+    found = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read(), filename=name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert os.path.exists(os.path.join(pkg, "orbitlab.py"))
+    assert not found, f"assert statements in chevorbit: {found}"
 
 
 def test_lift_level_support_is_bounded():
