@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chevalley import StructureConstantTable
-from .gfield import PrimeField, _mod
+from .gfield import PrimeField, _mod, integral
 from .liemod import _v1_moves
 from .orbitlab import (
     InvalidDescriptor,
@@ -191,11 +191,12 @@ def _generator_moves(table: StructureConstantTable):
 
 def state_of_vector(rs: RootSystem, p: int, x) -> int:
     """Base-p encoding of a level-1 vector, first coordinate most
-    significant, each entry reduced mod p; ValueError for a vector of the
-    wrong length, TypeError for entries that are not integers."""
+    significant, each entry reduced mod p, numpy bools counting as 0 and 1;
+    ValueError for a vector of the wrong length, TypeError for entries that
+    are not integers."""
     s = 0
     for c in rs.check_v1(x):
-        s = s * p + operator.index(c) % p
+        s = s * p + operator.index(integral(c)) % p
     return s
 
 
@@ -436,12 +437,16 @@ def crosscheck(table: StructureConstantTable, p: int,
     """Verify the classifier against brute-force enumeration, on the census
     given or one enumerated under the default budget; raise on mismatch.
     ValueError, before any work, for a census of another system or prime
-    than (table, p) or for a negative number of pairs."""
+    than (table, p), for one whose state count is not p**|phi1|, or for a
+    negative number of pairs."""
     rs = table.rs
     if census is not None and (census.family, census.rank, census.p) != (
             rs.family, rs.rank, p):
         raise ValueError(f"the census is of {census.family}{census.rank} "
                          f"over F_{census.p}, not {rs.name} over F_{p}")
+    if census is not None and census.total_states != p ** len(rs.phi1):
+        raise ValueError(f"the census counts {census.total_states} states, "
+                         f"not the {p}**{len(rs.phi1)} of {rs.name} over F_{p}")
     if pairs < 0:
         raise ValueError(f"pairs must be >= 0, got {pairs}")
     K = PrimeField(p)
@@ -460,6 +465,7 @@ def crosscheck(table: StructureConstantTable, p: int,
     )
     m, k, orbit_id = len(rs.phi1), census.orbit_count, census.orbit_id
     if orbit_id is None:
+        check_budget(rs, p)
         orbit_id = _orbit_partition(_generator_moves(table), p, m)[0]
 
     def not_least(i):
@@ -587,10 +593,8 @@ def crosscheck(table: StructureConstantTable, p: int,
         for i, (x1, x2) in enumerate(zip(head, head)):
             if same_orbit(table, K, x1, x2) != want[i]:
                 raise disagree(i)
-        # classify_many interns its result, so equal descriptors are one
-        # object and identity is equality
         ds = iter(classify_many(table, K, digits))
-        same = np.fromiter(map(operator.is_, ds, ds), bool, count=n)
+        same = np.fromiter(map(operator.eq, ds, ds), bool, count=n)
         bad = np.flatnonzero(same != want)
         if bad.size:
             raise disagree(int(bad[0]))

@@ -4,8 +4,9 @@ Field elements are plain Python ints in ``range(p)``; the :class:`PrimeField`
 object carries the arithmetic.  Coefficient domains share one protocol:
 ``zero``, ``one``, ``of``, ``add``, ``sub``, ``mul``, ``neg``, ``inv`` and
 ``is_zero``.  :class:`ExactIntegers` implements it over the integers.
-``of`` takes the integers a caller passes in (Python or numpy ints, and for
-PrimeField integer lane arrays) and raises TypeError for anything else.
+``of`` takes the integers a caller passes in (Python or numpy ints; for
+PrimeField also numpy bools, as 0 and 1, and integer or bool lane arrays)
+and raises TypeError for anything else.
 
 Square classes of units are represented by a canonical representative:
 1 for squares and the least quadratic nonresidue otherwise.
@@ -116,7 +117,8 @@ class PrimeField:
         return (-a) % self.p
 
     def inv(self, a: int) -> int:
-        if a % self.p == 0:
+        a = self.of(a)
+        if a == 0:
             raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
         return pow(a, self.p - 2, self.p)
 
@@ -138,7 +140,7 @@ class PrimeField:
     def is_square(self, a: int) -> bool:
         """True for 0 and for unit squares; needs odd p."""
         self.require_odd()
-        a %= self.p
+        a = self.of(a)
         return a == 0 or pow(a, (self.p - 1) // 2, self.p) == 1
 
     def least_nonresidue(self) -> int:
@@ -186,11 +188,16 @@ def integral(n):
     """n as a Python int, or an integer lane array (fixed-width, or Python
     ints as PrimeField.of makes them past int64) as it is; TypeError for
     anything else, as operator.index raises for a float or a str.  numpy
-    scalars become Python ints, so nothing wraps at their width."""
+    scalars become Python ints, so nothing wraps at their width.  A numpy
+    bool counts as the int 0 or 1, and bool lanes as uint8 lanes."""
     if type(n) is int:
         return n
+    if isinstance(n, np.bool_):
+        return int(n)
     if not isinstance(n, np.ndarray):
         return operator.index(n)
+    if n.dtype.kind == "b":
+        return n.astype(np.uint8)
     if n.dtype.kind in "iu" or (n.dtype == object
                                 and all(type(c) is int for c in n.flat)):
         return n
@@ -256,7 +263,7 @@ class SquareClass:
 def square_class(field: PrimeField, a: int) -> SquareClass:
     """Square class of a unit a (raises on 0)."""
     field.require_odd()
-    a %= field.p
+    a = field.of(a)
     if a == 0:
         raise ZeroDivisionError("0 has no square class")
     rep = 1 if field.is_square(a) else field.least_nonresidue()

@@ -61,6 +61,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,11 +132,11 @@ class Sl2Invariant:
     k: int | None = None
 
 
-@dataclass(frozen=True)
-class OrbitDescriptor:
+class OrbitDescriptor(NamedTuple):
     """Canonical name of a G0-orbit on V1: the system, the prime, the orbit
-    type's label and its (name, value) parameters, sorted by name.  A plain
-    value, equal and hashed by its fields."""
+    type's label and its (name, value) parameters, sorted by name.  A named
+    tuple of those fields: it unpacks, and it equals, and hashes as, the
+    plain tuple of the same fields."""
 
     family: str
     rank: int
@@ -167,19 +168,6 @@ class OrbitDescriptor:
             label=d["label"],
             params=tuple(sorted(d.get("params", {}).items())),
         )
-
-    @classmethod
-    def _decoded(cls, family: str, rank: int, p: int, label: str,
-                 params: tuple) -> "OrbitDescriptor":
-        """cls(family, rank, p, label, params) for a classifier's per-call
-        decode, its fields written straight into the instance dict: the
-        frozen dataclass's __init__ writes each through object.__setattr__,
-        which cost a scalar classify about a microsecond of its 4 to 6.
-        params must already be sorted by name."""
-        d = object.__new__(cls)
-        d.__dict__.update(family=family, rank=rank, p=p, label=label,
-                          params=params)
-        return d
 
 
 def _mkdesc(rs: RootSystem, p: int, label: str, params=()) -> OrbitDescriptor:
@@ -684,8 +672,9 @@ def al_pair(rs: RootSystem, x) -> tuple[tuple, tuple]:
     v_j the coefficient at alpha_{j+1} + ... + alpha_l, for j = 1..l-1.
     Under the level-0 subgroup, u transforms as a covector and v as a
     vector of a GL(l-1) action, so the contraction sum(u_j * v_j) is an
-    orbit invariant.  Entries are integers or integer lane arrays;
-    anything else raises TypeError.
+    orbit invariant.  Entries are integers or integer lane arrays, numpy
+    bools and bool lanes counting as 0 and 1; anything else raises
+    TypeError.
     """
     if rs.family != "A":
         raise UnsupportedFamily(
@@ -853,10 +842,9 @@ class _Classifier:
         except TypeError:
             if iter(x) is x:  # an iterator, already partly read
                 raise
-            # numpy bools have no __index__; as in classify_many, they count
-            # as 0 and 1
-            x = [(int(c) if isinstance(c, np.bool_) else operator.index(c)) % p
-                 for c in x]
+            # numpy bools have no __index__; integral counts them as 0 and
+            # 1, and operator.index still refuses lanes
+            x = [operator.index(integral(c)) % p for c in x]
         if len(x) != self.m:
             self.rs.check_v1(x)  # raises, with the system's message
         return self.decode(self.code(x))
@@ -952,7 +940,7 @@ class _AClassifier(_Classifier):
         p = self.p
         label, names = self.labels[code // (p * p)]
         ab = (code // p % p, code % p)
-        return OrbitDescriptor._decoded(
+        return OrbitDescriptor(
             "A", self.rs.rank, p, label, tuple([(n, ab[j]) for n, j in names]))
 
 
@@ -993,8 +981,8 @@ class _DClassifier(_Classifier):
         elif (k := code % (p + 2) - 2) > 0 and code == (
                 _DARK * place + (2 + k) * (place - 1) // (p + 1)):
             # as _mkdesc builds it: "k" sorts first
-            return OrbitDescriptor._decoded("D", self.rs.rank, p, "V",
-                                            (("k", k),) + self.v_params)
+            return OrbitDescriptor("D", self.rs.rank, p, "V",
+                                   (("k", k),) + self.v_params)
         raise ClassificationError(
             f"invariant code {code} matches no canonical representative "
             f"of {self.rs.name} over F_{p}"
@@ -1085,22 +1073,17 @@ def classify_many(table: StructureConstantTable, K,
     X is a sequence of integer vectors in phi1 order, or an (n, |phi1|)
     integer array.  The result equals [classify(table, K, x) for x in X]:
     the codes come from the same classifier (its chunk_codes), and each
-    distinct code is decoded once; bool entries count as 0 and 1.  The
-    result is interned by value, at one dict setdefault per distinct code:
-    equal descriptors of one call are one object, so `is` compares them.  A
-    row of the wrong length, or entries that are not integers, raise
-    ValueError.
+    distinct code is decoded once; bool entries count as 0 and 1.  A row of
+    the wrong length, or entries that are not integers, raise ValueError.
     """
     clf = _classifier(table, K)
     rows = _batch_rows(clf.rs, clf.p, X)
     out: list = [None] * len(rows)
     seen: dict = {}  # code -> descriptor
-    interned: dict = {}  # descriptor -> the one object of its value
     for lo, codes in clf.chunk_codes(len(rows), lambda lo, hi: rows[lo:hi]):
         keys = codes if isinstance(codes, list) else codes.tolist()
         for c in set(keys).difference(seen):
-            d = clf.decode(c)
-            seen[c] = interned.setdefault(d, d)
+            seen[c] = clf.decode(c)
         out[lo:lo + len(keys)] = map(seen.__getitem__, keys)
         del keys, codes  # before chunk_codes builds the next chunk
     return out

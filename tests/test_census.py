@@ -566,6 +566,34 @@ def test_crosscheck_refuses_a_census_of_another_system_or_prime(
     assert capsys.readouterr().err == f"invalid input: {e.value}\n"
 
 
+@pytest.mark.parametrize("total", [3**8 + 5, 2 * 3**8])
+def test_crosscheck_refuses_a_census_of_another_state_count(
+        monkeypatch, total):
+    def never(*args):
+        raise AssertionError("started the crosscheck")
+
+    census = dataclasses.replace(get_census("D4", 3), total_states=total)
+    monkeypatch.setattr(census_mod, "PrimeField", never)
+    monkeypatch.setattr(census_mod, "_classifier", never)
+    with pytest.raises(ValueError, match=(
+            rf"^the census counts {total} states, not the 3\*\*8 of D4 "
+            rf"over F_3$")):
+        crosscheck(get_table("D4"), 3, census=census)
+
+
+def test_crosscheck_budgets_the_partition_of_a_census_without_orbit_id(
+        monkeypatch):
+    # 101**8 states: the partition must be refused before it starts
+    def never(*args):
+        raise AssertionError("partitioned without a budget check")
+
+    monkeypatch.delenv(census_mod.BUDGET_ENV, raising=False)
+    monkeypatch.setattr(census_mod, "_orbit_partition", never)
+    census = census_mod.OrbitCensus("D", 4, 101, 101**8, ())
+    with pytest.raises(BudgetExceeded, match="more than the budget"):
+        crosscheck(get_table("D4"), 101, census=census)
+
+
 def test_crosscheck_rejects_negative_pairs(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("started the crosscheck")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,3 +161,24 @@ def test_field_equality_and_hash():
     assert PrimeField(5) == PrimeField(5)
     assert PrimeField(5) != PrimeField(7)
     assert hash(PrimeField(5)) == hash(PrimeField(5))
+
+
+@pytest.mark.parametrize("p", [13, 4294967311])
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, np.uint64])
+def test_numpy_integer_scalars_invert_and_square_as_python_ints(dtype, p):
+    # 4294967311 is the least prime past 2**32; each value is taken at the
+    # width of dtype, and must give what the same Python int gives
+    K = PrimeField(p)
+    info = np.iinfo(dtype)
+    values = [0, 1, 3, 12, 13, 26, 127, 255, -1, -3, -128, 2**32 + 1,
+              -(2**40), 2**63 - 1, 2**63 + 5, 2**64 - 1]
+    for a in (v for v in values if info.min <= v <= info.max):
+        n = dtype(a)
+        assert K.is_square(n) == K.is_square(a), a
+        if a % p == 0:
+            for f in (K.inv, lambda b: square_class(K, b)):
+                with pytest.raises(ZeroDivisionError):
+                    f(n)
+        else:
+            assert type(K.inv(n)) is int and K.inv(n) == K.inv(a), a
+            assert square_class(K, n) == square_class(K, a), a

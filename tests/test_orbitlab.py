@@ -4,7 +4,6 @@ descriptors, canonical forms, and validation errors."""
 from __future__ import annotations
 
 import ast
-import dataclasses
 import gc
 import itertools
 import json
@@ -56,7 +55,8 @@ from chevorbit import (
     ZBlock,
 )
 from chevorbit import orbitlab
-from chevorbit.gfield import _mod, _pow_mod
+from chevorbit.census import state_of_vector
+from chevorbit.gfield import _mod, _pow_mod, integral
 from helpers import (
     ArrayField,
     CENSUS_CASES,
@@ -204,6 +204,54 @@ def test_lift_level_support_is_bounded():
         y = associated_root_element(t, K, x)
         assert y.level_support() <= {-2, -1, 0, 1, 2}
         assert y.e_coeff(t.rs.delta) == 1
+
+
+def generic_polynomials(table):
+    """_Polynomials, the generic level-1 vector x_0, ..., x_{m-1} in it, one
+    more variable t (index m), and the generators x_gamma(t) of G0: gamma =
+    +-alpha for the simple level-0 roots alpha, each paired with gamma . x
+    on V1 by the full adjoint action."""
+    rs, P = table.rs, orbitlab._Polynomials()
+    m = len(rs.phi1)
+    x = tuple({(i,): 1} for i in range(m))
+    t = {(m,): 1}
+    simple0 = [a for a in map(rs.simple, range(1, rs.rank + 1))
+               if rs.level(a) == 0]
+    moved = {g: apply_root_element(table, g, t, LieVector.from_v1(
+        table, P, x)).v1_part() for g in simple0 + [rs.neg(a) for a in simple0]}
+    assert all(gx != x for gx in moved.values())
+    return P, x, t, moved
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
+def test_lift_commutes_with_every_generator_over_polynomials(name):
+    # lift(x_gamma(t) . x) = x_gamma(t) . lift(x) over Q[t, x], whose
+    # denominators divide 4, so it holds mod every odd p
+    table = get_table(name)
+    P, x, t, moved = generic_polynomials(table)
+    y = associated_root_element(table, P, x)
+    for g, gx in moved.items():
+        assert (associated_root_element(table, P, gx).coeffs
+                == apply_root_element(table, g, t, y).coeffs), g
+
+
+@pytest.mark.parametrize("name", [f"A{n}" for n in range(3, 9)])
+def test_contraction_is_invariant_under_every_generator_over_polynomials(
+        name):
+    # sum u_j v_j of al_pair's (u, v) is the same polynomial after x_gamma(t)
+    table = get_table(name)
+    P, x, _, moved = generic_polynomials(table)
+    iu, iv = orbitlab._al_indices(table.rs)
+
+    def contraction(v):
+        s = P.zero
+        for i, j in zip(iu, iv):
+            s = P.add(s, P.mul(v[i], v[j]))
+        return s
+
+    assert contraction(x)
+    for g, gx in moved.items():
+        assert contraction(gx) == contraction(x), g
 
 
 @pytest.mark.parametrize("name,p", [("D4", 5), ("D5", 3), ("D4", 1009)])
@@ -928,10 +976,10 @@ def test_classify_many_matches_classify_across_narrow_lane_thresholds(name):
 
 
 @pytest.mark.parametrize("name,p", [("D4", 5), ("D5", 3), ("A3", 5)])
-def test_classify_many_interns_its_result(name, p, monkeypatch):
-    # equal descriptors of one call are one object, across chunks too, so
-    # crosscheck's sampled pairs compare by identity; family A and V(k)
-    # build a fresh descriptor at every decode
+def test_classify_many_interns_its_result(name, p):
+    # each distinct code of one call is decoded once, so its vectors share
+    # one descriptor object, across chunks too; family A and V(k) build a
+    # fresh descriptor at every decode
     t = get_table(name)
     K = get_field(p)
     m = len(t.rs.phi1)
@@ -942,15 +990,6 @@ def test_classify_many_interns_its_result(name, p, monkeypatch):
     assert any(d.label == "V" for d in got) or name[0] == "A"
     assert len({id(d) for d in got}) == len(set(got))
     assert all(a is b for a, b in zip(got[:50], got[n - 50:]))
-    # descriptors that are equal though their codes differ: interned by
-    # value, not only by code
-    clf = orbitlab._classifier(t, K)
-    decode = clf.decode
-    monkeypatch.setattr(clf, "decode", lambda code: dataclasses.replace(
-        decode(code), params=()))
-    codes = len(set(got))
-    got = classify_many(t, K, rows)
-    assert len({id(d) for d in got}) == len(set(got)) < codes
 
 
 @pytest.mark.parametrize("name,p", [("D5", 3), ("D4", 5), ("A3", 5)])
@@ -1187,6 +1226,44 @@ def test_classify_reads_numpy_bools_as_classify_many_does(name):
     for x in (np.full(m, 0.5), ["1"] * m, [np.True_] * (m - 1) + [1.0]):
         with pytest.raises(TypeError):
             classify(t, K, x)
+
+
+@pytest.mark.parametrize("name", ["D4", "A4"])
+def test_numpy_bools_count_as_0_and_1_at_every_entry_point(name):
+    # np.bool_ entries, and bool lanes where lanes are accepted, give
+    # exactly what the Python ints 0 and 1 give
+    t = get_table(name)
+    rs = t.rs
+    K = get_field(5)
+    m = len(rs.phi1)
+    rng = np.random.default_rng(m)
+    flags = rng.integers(0, 2, (6, m)).astype(bool)
+    flags[0], flags[1] = False, True
+    assert integral(np.True_) == 1 and type(integral(np.False_)) is int
+    word = random_level0_word(random.Random(m), rs, 5, 4, min_len=4)
+    for row in flags:
+        x, ints = list(row), row.astype(int).tolist()
+        assert type(x[0]) is np.bool_
+        assert classify(t, K, x) == classify(t, K, ints)
+        assert classify_many(t, K, [x]) == classify_many(t, K, [ints])
+        assert (LieVector.from_v1(t, K, x).coeffs
+                == LieVector.from_v1(t, K, ints).coeffs)
+        assert act_on_v1(t, K, word, x) == act_on_v1(t, K, word, ints)
+        assert state_of_vector(rs, 5, x) == state_of_vector(rs, 5, ints)
+        if name[0] == "A":
+            assert al_pair(rs, x) == al_pair(rs, ints)
+        else:
+            assert (associated_root_element(t, K, x).coeffs
+                    == associated_root_element(t, K, ints).coeffs)
+    lanes, int_lanes = list(flags.T), list(flags.T.astype(np.int64))
+    assert np.array_equal(integral(lanes[0]), int_lanes[0])
+    for got, want in zip(act_on_v1(t, K, word, lanes),
+                         act_on_v1(t, K, word, int_lanes)):
+        assert np.array_equal(got, want)
+    if name[0] == "A":
+        got, want = al_pair(rs, lanes), al_pair(rs, int_lanes)
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            assert np.array_equal(g, w)
 
 
 def test_classify_many_memory_does_not_grow_with_the_batch():
@@ -1537,12 +1614,13 @@ def test_descriptor_json_round_trip():
 def test_descriptor_hash_is_the_generated_one_in_every_process():
     d = OrbitDescriptor("D", 4, 5, "V", (("k", 2),))
     assert hash(d) == hash(("D", 4, 5, "V", (("k", 2),)))
-    moved = dataclasses.replace(d, p=7)
+    assert d == ("D", 4, 5, "V", (("k", 2),))  # a named tuple
+    moved = d._replace(p=7)
     assert moved != d and hash(moved) == hash(("D", 4, 7, "V", (("k", 2),)))
     assert repr(d) == ("OrbitDescriptor(family='D', rank=4, p=5, label='V', "
                        "params=(('k', 2),))")
-    assert dataclasses.asdict(d) == {"family": "D", "rank": 4, "p": 5,
-                                     "label": "V", "params": (("k", 2),)}
+    assert d._asdict() == {"family": "D", "rank": 4, "p": 5,
+                           "label": "V", "params": (("k", 2),)}
     # string hashes differ between processes, so an unpickled descriptor
     # must hash by its fields there, not carry this process's hash along
     script = ("import pickle, sys; d = pickle.loads(sys.stdin.buffer.read()); "
