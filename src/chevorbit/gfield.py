@@ -4,8 +4,8 @@ Field elements are plain Python ints in ``range(p)``; the :class:`PrimeField`
 object carries the arithmetic.  Coefficient domains share one protocol:
 ``zero``, ``one``, ``of``, ``add``, ``sub``, ``mul``, ``neg``, ``inv`` and
 ``is_zero``.  :class:`ExactIntegers` implements it over the integers.
-``of`` takes the integers a caller passes in (Python or numpy ints; for
-PrimeField also numpy bools, as 0 and 1, and integer or bool lane arrays)
+``of`` takes the integers a caller passes in (Python or numpy ints, and
+numpy bools as 0 and 1; for PrimeField also integer or bool lane arrays)
 and raises TypeError for anything else.
 
 Square classes of units are represented by a canonical representative:
@@ -158,6 +158,10 @@ class ExactIntegers:
         return "ExactIntegers()"
 
     def of(self, n: int) -> int:
+        """n as a Python int, a numpy bool counting as 0 or 1; TypeError
+        for anything else that is not an integer, lane arrays included."""
+        if isinstance(n, np.bool_):
+            return int(n)
         return operator.index(n)
 
     def add(self, a: int, b: int) -> int:

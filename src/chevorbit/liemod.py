@@ -22,9 +22,11 @@ The action of the root element x_gamma(a) on a basis vector:
 with h_gamma = sum_t gamma_t h_t (all roots here have the same length).
 Group words are lists of (root, scalar) factors and act right-to-left.
 _action_plan holds these moves per gamma, read from gamma's rows of
-rs.ids.sums and rs.simple_pairs; _v1_moves keeps those from level 1,
-re-indexed to phi1: for level-0 gamma they are the whole action on V1,
-which act_on_v1 applies to level-1 coefficient tuples and lanes.
+rs.ids.sums and rs.simple_pairs and kept in one per-table dict keyed by
+the root (_plans), which apply_word reads once per factor; _v1_moves
+keeps those from level 1, re-indexed to phi1: for level-0 gamma they are
+the whole action on V1, which act_on_v1 applies to level-1 coefficient
+tuples and lanes.
 _scale_plan groups root ids by gamma's column of rs.ids.pairing.
 
 apply_word is the one driver of the action; apply_root_element is its
@@ -186,8 +188,17 @@ def _phi1_keys(table: StructureConstantTable) -> tuple:
 
 
 @table_cached
+def _plans(table: StructureConstantTable) -> dict:
+    """Root tuple -> its _action_plan, for the roots used so far."""
+    return {}
+
+
 def _action_plan(table: StructureConstantTable, gamma: Root):
-    """Per-(table, gamma) index plan for the x_gamma(a) action."""
+    """Per-(table, gamma) index plan for the x_gamma(a) action, kept in the
+    table's _plans from its first use."""
+    plans = _plans(table)
+    if (plan := plans.get(gamma)) is not None:
+        return plan
     rs = table.rs
     gid = rs.root_id(gamma)
     n = table.n_roots
@@ -195,7 +206,8 @@ def _action_plan(table: StructureConstantTable, gamma: Root):
                   for src, dst in enumerate(rs.ids.sums[gid]) if dst >= 0)
     h_coords = tuple((n + t, c) for t, c in enumerate(gamma) if c)
     h_feed = tuple((n + t, w) for t, w in enumerate(rs.simple_pairs[gid]) if w)
-    return gid, rs.ids.negs[gid], moves, h_coords, h_feed
+    plan = plans[gamma] = gid, rs.ids.negs[gid], moves, h_coords, h_feed
+    return plan
 
 
 @table_cached
@@ -239,13 +251,21 @@ def apply_root_element(table: StructureConstantTable, gamma, a,
 
 
 def apply_word(table: StructureConstantTable, word, v: LieVector) -> LieVector:
-    """Apply a group word (list of (root, scalar)), rightmost factor first."""
+    """Apply a group word (list of (root, scalar)), rightmost factor first.
+
+    Each factor's plan costs one read of the table's _plans; a root not
+    used yet, or one given as a list, goes through _action_plan."""
     dom = v.domain
     step, arith = ((_act_on_ints, dom.p) if type(dom) is PrimeField
                    else (_act_in_domain, dom))
+    plans = _plans(table)
     x = list(v.coeffs)
     for gamma, a in reversed(word):
-        step(_action_plan(table, tuple(gamma)), a, arith, x)
+        try:
+            plan = plans[gamma]
+        except (KeyError, TypeError):  # a new root, or an unhashable one
+            plan = _action_plan(table, tuple(gamma))
+        step(plan, a, arith, x)
     return LieVector(table, dom, x)
 
 

@@ -399,25 +399,30 @@ class _Polynomials:
 class _LiftKernel:
     """The family-D invariant code of a table, as one generated function.
 
-    code(p, *x) is the invariant code of a level-1 vector x of Python ints
-    in range(p), and lanes(p, *x) the codes of a batch, x being one lane
-    array per phi1 root, of the narrowest of int8, int16, int32 and int64
-    that holds bound(p) and the packed code (_Classifier; on D4 int16 up
-    to p = 13, int32 up to 709, int64 up to 1,154,051, and int8 only at
-    p = 3 on D5 and D6).  spell(name) compiles the function
-    of that name, "code" or "lanes", from the one generated source, each on
-    first use, so a process that classifies only single vectors compiles
-    one.  weights holds, per coordinate of levels -1 and 0 that the code
-    sums, {degree: sum of the absolute integer coefficients of its terms of
-    that degree}.
+    unit(p, decode, refused, rank, v_params) returns the scalar closure of
+    F_p, classify(x, code_only=False): the descriptor of one level-1
+    vector x (integers, in any spelling classify takes), or with code_only
+    its invariant code.  It reduces x's entries, so it takes unreduced ints
+    too, and hands any input it cannot unpack or reduce, with code_only, to
+    refused.  lanes(p, *x) is the codes of a batch, x being one lane array
+    per phi1 root, of the narrowest of int8, int16, int32 and int64 that
+    holds bound(p) and the packed code (_Classifier; on D4 int16 up to p =
+    13, int32 up to 709, int64 up to 1,154,051, and int8 only at p = 3 on
+    D5 and D6).  spell(name) compiles the function of that name, "unit" or
+    "lanes", from the one generated source, each once per table on first
+    use: one compiled unit per table and one closure per prime, so a
+    process that classifies only single vectors compiles one function per
+    table, whatever the number of primes.  weights holds, per coordinate of
+    levels -1 and 0 that the code sums, {degree: sum of the absolute
+    integer coefficients of its terms of that degree}.
     """
 
     spell: Callable[[str], Callable]
     weights: tuple
 
     @functools.cached_property
-    def code(self) -> Callable[..., int]:
-        return self.spell("code")
+    def unit(self) -> Callable[..., Callable]:
+        return self.spell("unit")
 
     @functools.cached_property
     def lanes(self) -> Callable:
@@ -437,7 +442,8 @@ class _LiftKernel:
 @table_cached
 def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
     """associated_root_element and the invariants of its result, as one
-    generated function: the invariant code of a vector.
+    generated source: the invariant code of a vector, in a scalar and a
+    lane spelling, each compiled once per table.
 
     The lift is a fixed polynomial map of x, of degree at most 4, whose
     coefficients have denominators dividing 4 (they come from the halving in
@@ -479,12 +485,18 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
     alone names its class).  Both spellings of the one source compute the
     blocks first and take dark from the last block's k:
 
-    * code, for Python ints, reduces by % and pow.  It computes each
-      block's digit by if/elif on k, u and w; a dark vector returns after
-      the blocks, and no coordinate of levels -1 and 0 is ever computed.
-      Otherwise an or chain stops at the first nonzero coordinate of level
-      -1, then the same for level 0; a level's prefixes are computed just
-      before its chain.
+    * unit, for Python ints, is called once per prime: it binds p, the
+      inverses q_d, (p - 1) // 2 and the digit places, and returns the
+      closure that classifies one vector in one frame.  That unpacks x
+      into locals, reduces each by operator.index(x_i) % p, and reduces by
+      % and pow.  It computes each block's digit by if/elif on k, u and w;
+      a dark vector returns after the blocks, and no coordinate of levels
+      -1 and 0 is ever computed.  Its code is _DARK, then 2 + k in every
+      block, exactly when it names V(k), which the closure builds in
+      closed form; any other code goes through decode, which raises for
+      it.  Otherwise an or chain stops at the first nonzero coordinate of
+      level -1, then the same for level 0; a level's prefixes are computed
+      just before its chain, and its code goes through decode.
     * lanes, for lane arrays of int8 to int64, reduces through gfield._mod
       (numpy's remainder would be most of its time) and combines through
       _select.  It branches where code does, through two
@@ -547,7 +559,7 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
 
     def spell(kind):
         # a KeyError for any other kind
-        mod = {"code": lambda e: f"({e}) % p",
+        mod = {"unit": lambda e: f"({e}) % p",
                "lanes": lambda e: f"_mod({e}, p)"}[kind]
         body: list = []
         done: set = set()
@@ -577,34 +589,44 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
                               for block in blocks)
             return f"    for c, u, w in ({triples}):"
 
-        if kind == "code":
+        if kind == "unit":
+            def leave(e):
+                # a return with the code e, or with the descriptor it names
+                return f"        return {e} if code_only else decode({e})"
+
             body.extend([
                 "    code = 0",
                 blocks_loop(),
                 "        k = (c * c + u * w) % p",
                 "        if k:", "            digit = 2 + k",
                 "        elif u:",
-                "            digit = 1 + (pow(u, (p - 1) // 2, p) == 1)",
+                "            digit = 1 + (pow(u, half, p) == 1)",
                 "        elif w:",
-                "            digit = 1 + (pow(p - w, (p - 1) // 2, p) == 1)",
+                "            digit = 1 + (pow(p - w, half, p) == 1)",
                 "        else:", "            digit = 0",
-                "        code = code * (p + 2) + digit",
-                "    if k:", f"        return code + {_DARK} * {place}",
+                "        code = code * radix + digit",
+                "    if k:",
+                "        if code_only:", "            return code + dark",
+                # 2 + k in every block: V(k), as _DClassifier.decode names it
+                "        if code == (2 + k) * repunit:",
+                '            return new(Desc, ("D", rank, p, "V", '
+                '(("k", k),) + v_params))',
+                "        return decode(code + dark)",
             ])
 
             def first_nonzero(lum, keys):
                 tests = [residue(key) for key in keys if sums[key][0]]
                 if tests:
                     body.extend([f"    if {' or '.join(tests)}:",
-                                 f"        return code + {lum} * {place}"])
+                                 leave(f"code + {lum} * place")])
 
             first_nonzero(3, lev_m1)
             # a nonzero block is a nonzero level-0 coordinate
-            body.extend(["    if code:", f"        return code + 2 * {place}"])
+            body.extend(["    if code:", leave("code + 2 * place")])
             first_nonzero(2, others)
             body.extend([f"    if {' or '.join(f'x{i}' for i in range(m))}:",
-                         f"        return {place}",
-                         "    return 0"])
+                         leave("place"),
+                         "    return 0 if code_only else decode(0)"])
         else:
             body.extend([
                 "    code = 0",
@@ -641,13 +663,34 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
                 "_select((code[keep] != 0) | brilliant, 2, singular))",
                 f"    return lum * {place} + code",
             ])
-        source = "\n".join(
-            [f"def {kind}(p, {xs}):"]
-            + [f"    q{d} = pow({d}, -1, p)" for d in sorted(inverses)]
-            + body
-        )
+        head = [f"    q{d} = pow({d}, -1, p)" for d in sorted(inverses)]
+        if kind == "lanes":
+            source = "\n".join([f"def lanes(p, {xs}):", *head, *body])
+        else:
+            source = "\n".join([
+                "def unit(p, decode, refused, rank, v_params):", *head,
+                "    half = (p - 1) // 2",
+                "    radix = p + 2",
+                f"    place = radix ** {len(blocks)}",
+                f"    dark = {_DARK} * place",
+                "    repunit = (place - 1) // (p + 1)",
+                "    def classify(x, code_only=False):",
+                # an iterator is read once, so a refused one is still there
+                "        if type(x) is not tuple and type(x) is not list:",
+                "            x = tuple(x)",
+                "        try:",
+                f"            {xs} = x",
+                *(f"            x{i} = index(x{i}) % p" for i in range(m)),
+                "        except (TypeError, ValueError):",
+                "            return refused(x, code_only)",
+                *("    " + line for line in body),
+                "    return classify",
+            ])
+        # new(Desc, fields) builds a descriptor without the named tuple's
+        # Python-level __new__
         namespace = {"_mod": _mod, "_pow_mod": _pow_mod, "_select": _select,
-                     "np": np}
+                     "np": np, "index": operator.index,
+                     "Desc": OrbitDescriptor, "new": tuple.__new__}
         exec(compile(source, f"<{kind} of {rs.name}>", "exec"), namespace)
         return namespace[kind]
 
@@ -835,19 +878,28 @@ class _Classifier:
         self.lane = next((t for t in _LANES if bound <= np.iinfo(t).max), None)
 
     def classify(self, x) -> OrbitDescriptor:
+        """The descriptor of one vector: decode(code(reduced(x))).  Family
+        D replaces it with its kernel's scalar closure, which does the
+        three in one frame and sends what it refuses here."""
+        return self.decode(self.code(self.reduced(x)))
+
+    def reduced(self, x) -> list:
+        """x as a list of Python ints in range(p): the compiled lift sums
+        its terms before reducing them.  TypeError for an entry that is not
+        an integer, ValueError, with the system's message, for a vector of
+        the wrong length."""
         p = self.p
-        # Python ints: the compiled lift sums its terms before reducing them
+        if type(x) is not tuple and type(x) is not list:
+            x = tuple(x)  # an iterator is read once
         try:
             x = [operator.index(c) % p for c in x]
         except TypeError:
-            if iter(x) is x:  # an iterator, already partly read
-                raise
             # numpy bools have no __index__; integral counts them as 0 and
             # 1, and operator.index still refuses lanes
             x = [operator.index(integral(c)) % p for c in x]
         if len(x) != self.m:
             self.rs.check_v1(x)  # raises, with the system's message
-        return self.decode(self.code(x))
+        return x
 
     def chunk_codes(self, n: int, rows):
         """Yield (lo, codes) for the chunks of _CHUNK out of n vectors.
@@ -953,7 +1005,8 @@ class _DClassifier(_Classifier):
     batch as for a single vector.  A dark code names V(k) in closed form,
     its digits _DARK and then 2 + k in every block, as _v_code_checked
     proves once per table; any other is looked up in canonical_codes,
-    which the first such decode builds."""
+    which the first such decode builds.  classify names V(k) itself, and
+    sends every other code here."""
 
     def __init__(self, table: StructureConstantTable, K):
         kernel = self.kernel = _lift_kernel(table)
@@ -965,8 +1018,20 @@ class _DClassifier(_Classifier):
         # V's parameters after k take one value each, in sorted order
         self.v_params = tuple((n, v) for n, (v,) in params[1:])
 
+    @functools.cached_property
+    def classify(self) -> Callable:
+        """The kernel's scalar unit at this p, built on the first scalar
+        call: classify(x) in one frame, and the code alone with
+        code_only=True.  Input the unit refuses goes through reduced."""
+        return self.kernel.unit(self.p, self.decode, self._refused,
+                                self.rs.rank, self.v_params)
+
+    def _refused(self, x, code_only: bool):
+        code = self.code(self.reduced(x))
+        return code if code_only else self.decode(code)
+
     def code(self, x) -> int:
-        return self.kernel.code(self.p, *x)
+        return self.classify(x, True)
 
     def lanes(self, xs):
         return self.kernel.lanes(self.p, *xs)

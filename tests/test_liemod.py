@@ -612,7 +612,8 @@ def test_acting_holds_no_memory_per_vector():
     v.v1_part()
     memo = len(t.memo)
     apply_word(t, [(g, 1) for g in rs.phi0], v)
-    assert len(t.memo) == memo + len(rs.phi0)
+    # the plans live in one per-table dict, one memo entry
+    assert len(t.memo) == memo + 1 and len(liemod._plans(t)) == len(rs.phi0)
     held = {}
     tracemalloc.start()
     try:
@@ -626,4 +627,37 @@ def test_acting_holds_no_memory_per_vector():
         tracemalloc.stop()
     assert held[n] < 16 * 1024, held
     assert held[n] - held[1000] < 4 * 1024, held
-    assert len(t.memo) == memo + len(rs.phi0)
+    assert len(t.memo) == memo + 1 and len(liemod._plans(t)) == len(rs.phi0)
+
+
+@pytest.mark.parametrize("name", ["D4", "A4"])
+def test_numpy_bools_count_as_0_and_1_over_the_integers(name):
+    # np.bool_ entries and scalars give exactly what the Python ints 0 and
+    # 1 give, over ExactIntegers as over a prime field; lanes stay refused
+    t = get_table(name)
+    rs = t.rs
+    m = len(rs.phi1)
+    rng = np.random.default_rng(m)
+    flags = rng.integers(0, 2, (4, m)).astype(bool)
+    flags[0], flags[1] = False, True
+    for row in flags:
+        x, ints = list(row), row.astype(int).tolist()
+        v = LieVector.from_v1(t, INTEGERS, x)
+        vi = LieVector.from_v1(t, INTEGERS, ints)
+        assert v.coeffs == vi.coeffs
+        assert all(type(c) is int for c in v.coeffs)
+        for g in rs.phi0:
+            for a in (np.True_, np.False_):
+                got = apply_root_element(t, g, a, v)
+                assert got.coeffs == apply_root_element(t, g, int(a), vi).coeffs
+                assert all(type(c) is int for c in got.coeffs)
+        word = [(g, np.bool_(i % 2 == 0)) for i, g in enumerate(rs.phi0)]
+        assert (apply_word(t, word, v).coeffs
+                == apply_word(t, [(g, int(a)) for g, a in word], vi).coeffs)
+    lane = np.array([True, False])
+    with pytest.raises(TypeError):
+        LieVector.from_v1(t, INTEGERS, [lane] + [0] * (m - 1))
+    with pytest.raises(TypeError):
+        apply_root_element(t, rs.phi0[0], lane, vi)
+    with pytest.raises(TypeError):
+        apply_word(t, [(rs.phi0[0], lane)], vi)

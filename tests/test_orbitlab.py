@@ -44,8 +44,10 @@ from chevorbit import (
     canonical_form,
     classify,
     classify_many,
+    crosscheck,
     is_prime,
     luminosity,
+    predicted_census,
     same_orbit,
     sl2_invariant,
     sl2_invariant_matrix,
@@ -293,11 +295,11 @@ def branch_batches(t, p, rng):
         for x in canonical for _ in range(3)]
     blocks = len(block_gammas(rs))
     place = (p + 2) ** blocks
-    scalar = orbitlab._lift_kernel(t).code
+    scalar = clf.code
     dark, light = [], []
     digits: dict = {0: [], 1: [], 2: []}  # block digit -> light vectors
     for x in pool:
-        code = scalar(p, *x)
+        code = scalar(x)
         if code // place == orbitlab._DARK:
             dark.append(x)
             continue
@@ -330,7 +332,8 @@ def test_compiled_lift_spellings_agree(name):
         if p in branch_primes:
             batches.update(branch_batches(t, p, rng))
         for label, batch in batches.items():
-            want = [kernel.code(p, *x) for x in batch]
+            want = [orbitlab._classifier(t, get_field(p)).code(x)
+                    for x in batch]
             assert all(isinstance(c, int) for c in want)
             for lane in {lane_of(t, p), np.int64}:
                 got = kernel.lanes(p, *np.array(batch, dtype=lane).T)
@@ -344,7 +347,6 @@ def test_block_invariant_is_the_dark_test(name):
     # coordinate is nonzero
     t = get_table(name)
     rs = t.rs
-    kernel = orbitlab._lift_kernel(t)
     bottom, _, _, blocks = orbitlab._kernel_plan(t)
     for p in (3, 5, 7, 1009):
         K = get_field(p)
@@ -361,7 +363,7 @@ def test_block_invariant_is_the_dark_test(name):
             y = associated_root_element(t, K, x).coeffs
             for c, u, w in blocks:
                 assert (y[c] * y[c] + y[u] * y[w] - y[bottom]) % p == 0, (p, x)
-            dark = kernel.code(p, *x) // place == orbitlab._DARK
+            dark = clf.code(x) // place == orbitlab._DARK
             assert dark == (y[bottom] != 0), (p, x)
             lum.add(dark)
         assert lum == {False, True}, p
@@ -674,7 +676,7 @@ def test_invariant_code_matches_reference_invariants(name, p):
         invs = tuple(sl2_invariant(K, z) for z in z_blocks(t, K, y))
         want.append(pack_profile(p, luminosity(rs, y), invs))
     kernel = orbitlab._lift_kernel(t)
-    assert [kernel.code(p, *x) for x in vectors] == want
+    assert [orbitlab._classifier(t, K).code(x) for x in vectors] == want
     if lane_of(t, p) is not None:
         columns = np.array(vectors, dtype=lane_of(t, p)).T
         assert kernel.lanes(p, *columns).tolist() == want
@@ -1755,3 +1757,167 @@ def test_al_pair_scalar_is_action_invariant():
         assert sum(a * b for a, b in zip(u1, v1)) % 5 == sum(
             a * b for a, b in zip(u2, v2)
         ) % 5
+
+
+# -- the scalar unit: values, errors and compiles ---------------------------------
+
+PARITY_PRIMES = (3, 5, 1009, 4294967311)  # the last past 2**32, without lanes
+SPECIALS = (np.True_, np.uint64(2**64 - 1), -1, 2**100)
+
+
+def parity_vectors(clf, rng, n=200, per_type=64):
+    """n uniform vectors, the canonical vectors of the first per_type
+    descriptors of each orbit type (all of them at p = 3 and 5), vectors
+    with SPECIALS entries or entries off by multiples of p, and the zero
+    vector with one entry a nonzero multiple of p, as entry lists."""
+    p, m = clf.p, clf.m
+    vectors = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+    for label, (params, _) in clf.types.items():
+        vectors += [list(clf.canonical_vector(d)) for d in itertools.islice(
+            orbitlab._descriptors_of_type(clf.rs, p, label, params), per_type)]
+    shifts = (p, -p, p << 70)
+    for _ in range(20):
+        x, y = ([rng.randrange(p) for _ in range(m)] for _ in range(2))
+        for i in rng.sample(range(m), min(m, 3)):
+            x[i] = rng.choice(SPECIALS)
+            y[i] += rng.choice(shifts)
+        vectors += [x, y]
+    vectors += [[0] * i + [rng.choice(shifts)] + [0] * (m - 1 - i)
+                for i in range(m)]
+    return vectors
+
+
+def spellings(x):
+    """x as a tuple, a list, a generator, and 1-D int8, uint64 and bool
+    arrays, each beside the Python ints its entries stand for."""
+    ints = [int(c) for c in x]
+    yield "tuple", tuple(x), ints
+    yield "list", list(x), ints
+    yield "generator", (c for c in x), ints
+    wide = np.array([c % 2**64 for c in ints], dtype=np.uint64)
+    for form in (wide.astype(np.int8), wide, wide.astype(bool)):
+        yield str(form.dtype), form, [int(c) for c in form]
+
+
+@pytest.mark.parametrize("p", PARITY_PRIMES)
+@pytest.mark.parametrize("name", [f"D{r}" for r in range(4, 9)]
+                         + [f"A{r}" for r in range(2, 9)])
+def test_scalar_classify_equals_the_decoded_code_in_every_spelling(name, p):
+    # the value of classify on any spelling of a vector is the decode of the
+    # code of its reduced Python ints; classify_many, on lanes wherever the
+    # prime has them, gives the same descriptors from a separate spelling
+    t = get_table(name)
+    K = get_field(p)
+    clf = orbitlab._classifier(t, K)
+    rng = random.Random(f"{name}/{p}")
+    cases = [(form, x, [c % p for c in ints])
+             for v in parity_vectors(clf, rng) for form, x, ints in spellings(v)]
+    reduced = list(dict.fromkeys(tuple(r) for _, _, r in cases))
+    want = dict(zip(reduced, classify_many(t, K, reduced)))
+    assert all(clf.decode(clf.code(list(r))) == d for r, d in want.items())
+    for form, x, r in cases:
+        assert classify(t, K, x) == want[tuple(r)], (form, r)
+    if t.rs.family == "D":
+        assert {d.label for d in want.values()} >= {"I", "II", "IV", "V"}
+
+
+# the parent's messages, for every spelling of each bad vector
+PARENT_ERRORS = [
+    ("short", ValueError, "level-1 vector for {name} needs {m} coefficients, "
+                          "got {short}"),
+    ("long", ValueError, "level-1 vector for {name} needs {m} coefficients, "
+                         "got {long}"),
+    (1.5, TypeError, "'float' object cannot be interpreted as an integer"),
+    (np.float64(2.0), TypeError,
+     "'numpy.float64' object cannot be interpreted as an integer"),
+    ("3", TypeError, "'str' object cannot be interpreted as an integer"),
+    (None, TypeError, "'NoneType' object cannot be interpreted as an integer"),
+    (np.array([1, 2]), TypeError,
+     "only integer scalar arrays can be converted to a scalar index"),
+    (np.array([True, False]), TypeError,
+     "only integer scalar arrays can be converted to a scalar index"),
+]
+
+
+@pytest.mark.parametrize("p", [3, 4294967311])
+@pytest.mark.parametrize("name", ["D4", "D6", "A2", "A5"])
+def test_scalar_classify_refuses_bad_vectors_with_the_same_messages(name, p):
+    t = get_table(name)
+    K = get_field(p)
+    m = len(t.rs.phi1)
+    for bad, exc, message in PARENT_ERRORS:
+        if isinstance(bad, str) and bad in ("short", "long"):
+            x = [1] * (m - 1 if bad == "short" else m + 1)
+        else:
+            x = [2] * (m - 1) + [bad]
+        text = message.format(name=name, m=m, short=m - 1, long=m + 1)
+        for x in (x, tuple(x), iter(x)):
+            with pytest.raises(exc) as info:
+                classify(t, K, x)
+            assert str(info.value) == text, (bad, type(x))
+
+
+def test_kernel_compiles_one_unit_and_one_lane_code_per_table(monkeypatch):
+    # one compile per spelling a table uses, whatever the number of primes:
+    # compiling per prime or per root once took large_p's pass from 32 to
+    # 42 ms, and that workload compiles D4 and D5 cold in every pass
+    made = []
+
+    def counted(source, filename, *args, **kwargs):
+        made.append(filename)
+        return compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(orbitlab, "compile", counted, raising=False)
+    for name in ("D4", "D5"):
+        t = build_table_oracle(get_system(name))  # nothing compiled yet
+        rng = random.Random(name)
+        for p in (3, 5, 1009, 4294967311):
+            K = get_field(p)
+            x, y = random_v1(rng, t.rs, p), random_v1(rng, t.rs, p)
+            d = classify(t, K, x)
+            assert classify(t, K, canonical_form(t, K, d)) == d
+            assert same_orbit(t, K, x, y) == (classify(t, K, y) == d)
+        assert made == [f"<unit of {name}>"]
+        assert predicted_census(t, 3)
+        assert crosscheck(t, 3, pairs=1000)
+        assert made == [f"<unit of {name}>", f"<lanes of {name}>"]
+        made.clear()
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
+def test_lift_blocks_move_by_sl2_conjugation_over_polynomials(name):
+    # link 2: each block [[c, u], [w, -c]] of lift(x_gamma(t) . x) is the
+    # block of lift(x) conjugated by 1, [[1, s t], [0, 1]] or
+    # [[1, 0], [s t, 1]] for a small integer s, over Q[t, x], so mod every
+    # odd p; such a conjugation keeps the block's sl2 invariant
+    table = get_table(name)
+    P, x, t, moved = generic_polynomials(table)
+    blocks = orbitlab._kernel_plan(table)[-1]
+    y = associated_root_element(table, P, x).coeffs
+
+    def conjugates(c, u, w):
+        """(kind, s) -> the conjugated (c, u, w)."""
+        out = {("1", 0): (c, u, w)}
+        for s in (-2, -1, 1, 2):
+            a = P.mul(P.of(s), t)
+            aa = P.mul(a, a)
+            two_a = P.mul(P.of(2), a)
+            out["upper", s] = (P.add(c, P.mul(a, w)),
+                               P.sub(P.sub(u, P.mul(two_a, c)), P.mul(aa, w)),
+                               w)
+            out["lower", s] = (P.sub(c, P.mul(a, u)), u,
+                               P.sub(P.add(w, P.mul(two_a, c)), P.mul(aa, u)))
+        return out
+
+    kinds = Counter()
+    for g, gx in moved.items():
+        y2 = associated_root_element(table, P, gx).coeffs
+        for keys in blocks:
+            got = tuple(y2[k] for k in keys)
+            hits = [kind for kind, cuw in conjugates(*(y[k] for k in keys))
+                    .items() if cuw == got]
+            assert hits, (g, keys)
+            kinds[hits[0][0]] += 1
+    # every block is moved, by an upper and by a lower conjugation
+    assert kinds["upper"] >= len(blocks) and kinds["lower"] >= len(blocks)
+    assert sum(kinds.values()) == len(blocks) * len(moved)
