@@ -158,7 +158,10 @@ def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
     state budget (budget, else CHEVORBIT_BUDGET, else DEFAULT_BUDGET),
     below 2**62, and partitioned within physical memory; BudgetExceeded
     otherwise, ValueError for a nonpositive budget.  Needs only the root
-    system, so a census can be refused before its table is built."""
+    system, so a census can be refused before its table is built.  p goes
+    through operator.index, so a numpy integer cannot wrap p**|phi1| and a
+    float raises TypeError."""
+    p = operator.index(p)
     total = p ** len(rs.phi1)
     limit = _resolve_budget(budget)
     if total > limit:
@@ -396,7 +399,7 @@ def enumerate_orbits(table: StructureConstantTable, p: int,
     its least state.  The census lists them in ascending order of that
     state and carries the state -> orbit index array as orbit_id.
     """
-    rs = table.rs
+    rs, p = table.rs, operator.index(p)
     K = PrimeField(p)
     m = len(rs.phi1)
     total = check_budget(rs, p, budget)
@@ -414,8 +417,10 @@ def predicted_census(table: StructureConstantTable, p: int,
 
     Its length is counted first, in closed form: BudgetExceeded when it
     reaches 2**62, the bound check_budget puts on states, or when that many
-    orbits at bytes_per_orbit each (by default the list's own: 288 to 327
-    traced on A2 and D8) would not fit in physical memory."""
+    orbits at bytes_per_orbit each (by default the list's own: 287 traced
+    on A2 from p = 401 to 601, 295 on D8/F100003) would not fit in
+    physical memory."""
+    p = operator.index(p)
     K = PrimeField(p)
     count = _classifier(table, K).orbit_count()
     if count >= 2**62:
@@ -439,7 +444,7 @@ def crosscheck(table: StructureConstantTable, p: int,
     ValueError, before any work, for a census of another system or prime
     than (table, p), for one whose state count is not p**|phi1|, or for a
     negative number of pairs."""
-    rs = table.rs
+    rs, p = table.rs, operator.index(p)
     if census is not None and (census.family, census.rank, census.p) != (
             rs.family, rs.rank, p):
         raise ValueError(f"the census is of {census.family}{census.rank} "

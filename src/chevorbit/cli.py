@@ -329,9 +329,10 @@ def cmd_orbits(args) -> str:
         body["mode"] = "brute-force"
         return _dump(body)
 
-    # peak RSS per orbit, base + per_entry * |phi1|: A2 and D8 measured
-    # 3,411 and 5,460 bytes in json, 1,231 and 1,510 in csv
-    base, per_entry = {"json": (3300, 95), "csv": (1250, 13)}[args.format]
+    # peak RSS per orbit, base + per_entry * |phi1|: A2 (p = 211 to 601)
+    # and D8 (p = 100,003 to 200,003) measured 3,535 and 5,731 bytes in
+    # json, 598 and 856 in csv
+    base, per_entry = {"json": (3400, 100), "csv": (1250, 13)}[args.format]
     descs = predicted_census(table, args.p, base + per_entry * len(rs.phi1))
     rows = [(d, None, _canonical(table, K, d)) for d in descs]
     if args.format == "csv":

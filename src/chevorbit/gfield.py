@@ -17,6 +17,7 @@ lane per vector of a batch) mod p, each in the spelling that is fast for it.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,38 +37,77 @@ class ModulusTooLarge(ValueError):
     """The modulus is at least MAX_MODULUS, past which is_prime is not exact."""
 
 
-# Miller-Rabin to the first 13 prime bases is exact below MAX_MODULUS, the
-# least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
-# 86 (2017)).
+# Miller-Rabin to the first k prime bases is exact below psi_k, the least
+# strong pseudoprime to all of them; psi_13 is MAX_MODULUS.  is_prime's
+# docstring lists the prefixes and their sources.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PRODUCT = math.prod(_MR_BASES)  # gcd(n, it) > 1 iff a base divides n
 MAX_MODULUS = 3_317_044_064_679_887_385_961_981
+# (psi_k, the first k bases), for each k where psi_k grows
+_MR_PREFIXES = tuple((psi, _MR_BASES[:k]) for psi, k in (
+    (2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+    (2_152_302_898_747, 5), (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7), (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12), (MAX_MODULUS, 13),
+))
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime, by deterministic Miller-Rabin; raises
-    ModulusTooLarge for n >= MAX_MODULUS."""
+    """Whether n is prime, by trial division by _MR_BASES (one gcd with
+    their product) and then deterministic Miller-Rabin; raises
+    ModulusTooLarge for n >= MAX_MODULUS.
+
+    Miller-Rabin runs on the shortest prefix of _MR_BASES that is exact
+    below n: the first k bases are exact below psi_k, the least strong
+    pseudoprime to all of them.
+
+        n below psi_k                        bases
+        2,047                                2
+        1,373,653                            2, 3
+        25,326,001                           2 .. 5
+        3,215,031,751                        2 .. 7
+        2,152,302,898,747                    2 .. 11
+        3,474,749,660,383                    2 .. 13
+        341,550,071,728,321 (= psi_8)        2 .. 17
+        3,825,123,056,546,413,051 (= psi_11) 2 .. 23
+        318,665,857,834,031,151,167,461      2 .. 37
+        MAX_MODULUS                          2 .. 41
+
+    psi_1 to psi_8 are as Jaeschke tabulates them (Math. Comp. 61 (1993)),
+    psi_9 = psi_10 = psi_11 is Jiang and Deng's (Math. Comp. 83 (2014)), and
+    psi_12 and psi_13 are Sorenson and Webster's (Math. Comp. 86 (2017)).
+    So a modulus near 1000 takes one base, not 13."""
     if n >= MAX_MODULUS:
         raise ModulusTooLarge(
             f"{n} is past the largest supported modulus {MAX_MODULUS - 1}"
         )
-    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+    if n < 2 or math.gcd(n, _MR_PRODUCT) != 1:
         return n in _MR_BASES
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
     # a witnesses that n is composite unless a^d == 1 or a^(d 2^r) == -1
     # for some r < s
-    return not any(
-        pow(a, d, n) != 1
-        and all(pow(a, d << r, n) != n - 1 for r in range(s))
-        for a in _MR_BASES
-    )
+    for a in next(b for psi, b in _MR_PREFIXES if n < psi):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class PrimeField:
     """Arithmetic of F_p with elements as ints in range(p)."""
 
     def __init__(self, p: int):
+        # a numpy integer becomes a Python int, so p**k cannot wrap at its
+        # width; a float or a str raises TypeError here
+        p = operator.index(p)
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p

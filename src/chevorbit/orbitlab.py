@@ -32,7 +32,11 @@ parameters.  The orbit types of each family and rank are written once, in
 the catalogue _orbit_types: per label, its parameters with their ranges and
 its canonical vector with entries that are constants or parameters.
 all_descriptors lists the catalogue's descriptors, canonical_form fills in
-its canonical vectors, and the decode below reads it too.
+its canonical vectors, and the decode below reads it too.  Both read plans
+made before their first descriptor, so no descriptor pays for them: each
+orbit type's parameter names are sorted once per (table, p) and every
+descriptor is built as one tuple, and each label's canonical vector is a
+list of (phi1 index, int or parameter name) pairs, once per table.
 
 For either family the invariants are packed into one integer code, owned
 by one classifier per table and prime field (_classifier), once
@@ -168,14 +172,6 @@ class OrbitDescriptor(NamedTuple):
             label=d["label"],
             params=tuple(sorted(d.get("params", {}).items())),
         )
-
-
-def _mkdesc(rs: RootSystem, p: int, label: str, params=()) -> OrbitDescriptor:
-    """The descriptor with these (name, value) parameter pairs."""
-    return OrbitDescriptor(
-        family=rs.family, rank=rs.rank, p=p, label=label,
-        params=tuple(sorted(params)),
-    )
 
 
 def _require_odd(K) -> None:
@@ -428,6 +424,12 @@ class _LiftKernel:
     def lanes(self) -> Callable:
         return self.spell("lanes")
 
+    @functools.cached_property
+    def distinct_weights(self) -> tuple:
+        """The distinct weights, as ((degree, sum), ...) tuples, once per
+        table: many coordinates share one."""
+        return tuple({tuple(sorted(ws.items())) for ws in self.weights})
+
     def bound(self, p: int) -> int:
         """An upper bound on |every intermediate value| of lanes over F_p
         but the packed code, which _DClassifier bounds: each unreduced sum
@@ -435,8 +437,8 @@ class _LiftKernel:
         y_k; a reduced sum times d**-1 mod p, and the squares and products
         of Euler's criterion, below p**2; each block's c*c + u*w, below
         2 * p**2."""
-        return max([2 * p * p] + [sum(w * (p - 1) ** d for d, w in ws.items())
-                                  for ws in self.weights])
+        return max([2 * p * p] + [sum(w * (p - 1) ** d for d, w in ws)
+                                  for ws in self.distinct_weights])
 
 
 @table_cached
@@ -844,10 +846,20 @@ def _product(ranges):
 
 
 def _descriptors_of_type(rs: RootSystem, p: int, label: str, params):
-    """The descriptors of one orbit type, in all_descriptors order."""
-    names = [n for n, _ in params]
+    """The descriptors of one orbit type, in all_descriptors order.
+
+    The parameter names are sorted once per type, and each descriptor is
+    built as one tuple: the head (family, rank, p, label) and its
+    parameters, without the named tuple's Python-level __new__."""
+    head = (rs.family, rs.rank, p, label)
+    # the positions of the values in name order; a type's names are distinct
+    order = sorted(range(len(params)), key=lambda j: params[j][0])
+    names = [params[j][0] for j in order]
+    # itemgetter returns a tuple from two positions on
+    pick = operator.itemgetter(*order) if len(order) > 1 else tuple
+    new = tuple.__new__
     for values in _product([r for _, r in params]):
-        yield _mkdesc(rs, p, label, zip(names, values))
+        yield new(OrbitDescriptor, head + (tuple(zip(names, pick(values))),))
 
 
 # -- the classifier ------------------------------------------------------------------
@@ -855,8 +867,20 @@ def _descriptors_of_type(rs: RootSystem, p: int, label: str, params):
 # vectors per batch; bounds the memory of a batch code pass, which holds a
 # lane array for every prefix and block coordinate of the compiled code
 _CHUNK = 1 << 14
-# lane dtypes, narrowest first
-_LANES = (np.int8, np.int16, np.int32, np.int64)
+# lane dtypes, narrowest first, with the largest value each holds
+_LANES = tuple((t, int(np.iinfo(t).max))
+               for t in (np.int8, np.int16, np.int32, np.int64))
+
+
+@table_cached
+def _vector_plan(table: StructureConstantTable, entries) -> dict:
+    """The canonical-vector plan of _orbit_types's entries, given as
+    ((label, entries), ...): label -> ((phi1 index, int or parameter
+    name), ...).  Those entries do not depend on p, so the primes of a
+    table share one plan."""
+    at = table.rs.phi1_index
+    return {label: tuple([(at(root), v) for root, v in label_entries])
+            for label, label_entries in entries}
 
 
 class _Classifier:
@@ -870,12 +894,20 @@ class _Classifier:
     (it covers gfield._mod, exact even where a // p * p wraps, and every
     integer literal of the lane code, each at most the bound), and None
     past 2**63, where batches run code over Python ints.
+
+    It also holds the catalogue of its (table, p), types (_orbit_types),
+    and the plans read from it: descriptors builds each orbit type's
+    descriptors from its parameter names, sorted once per type, and
+    canonical_vector reads vector_plan (_vector_plan), which every prime
+    of the table shares.
     """
 
     def __init__(self, table: StructureConstantTable, K, bound: int):
         self.rs, self.p, self.types = table.rs, K.p, _orbit_types(table, K)
         self.m = len(self.rs.phi1)
-        self.lane = next((t for t in _LANES if bound <= np.iinfo(t).max), None)
+        self.lane = next((t for t, top in _LANES if bound <= top), None)
+        self.vector_plan = _vector_plan(table, tuple(
+            [(label, entries) for label, (_, entries) in self.types.items()]))
 
     def classify(self, x) -> OrbitDescriptor:
         """The descriptor of one vector: decode(code(reduced(x))).  Family
@@ -952,15 +984,14 @@ class _Classifier:
         """The entries of d's orbit type filled with d's parameters (phi1
         order); whether the vector classifies back to d is canonical_form's
         check."""
-        rs = self.rs
         try:
-            _, entries = self.types[d.label]
+            entries = self.vector_plan[d.label]
         except (KeyError, TypeError):
-            raise InvalidDescriptor(f"no label {d.label} for {rs.name}") from None
+            raise InvalidDescriptor(
+                f"no label {d.label} for {self.rs.name}") from None
         out = [0] * self.m
-        for root, v in entries:
-            out[rs.phi1_index(root)] = (v if isinstance(v, int)
-                                        else _int_param(d, v))
+        for i, v in entries:
+            out[i] = v if isinstance(v, int) else _int_param(d, v)
         return tuple(out)
 
 
@@ -1045,7 +1076,7 @@ class _DClassifier(_Classifier):
         # 2 + k in every block: 2 + k times the repunit 1 + (p + 2) + ...
         elif (k := code % (p + 2) - 2) > 0 and code == (
                 _DARK * place + (2 + k) * (place - 1) // (p + 1)):
-            # as _mkdesc builds it: "k" sorts first
+            # as _descriptors_of_type builds it: "k" sorts first
             return OrbitDescriptor("D", self.rs.rank, p, "V",
                                    (("k", k),) + self.v_params)
         raise ClassificationError(

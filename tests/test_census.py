@@ -962,3 +962,29 @@ def test_array_field_matches_scalar_field():
         lanes[3] = 1
         assert not killer.is_zero(lanes)
     assert killer != K and K != killer
+
+
+def test_census_entry_points_take_p_as_an_integer():
+    # p goes through operator.index: a numpy integer is read as the Python
+    # int, so p**|phi1| cannot wrap at its width (5**4 and 3**8 exceed
+    # uint8), and a float or a str is refused at the call
+    a3, d4 = get_table("A3"), get_table("D4")
+    assert census_mod.check_budget(a3.rs, np.uint8(5)) == 5**4
+    assert census_mod.check_budget(d4.rs, np.int8(3)) == 3**8
+    census = enumerate_orbits(a3, np.uint8(5))
+    assert census == get_census("A3", 5)
+    assert type(census.p) is int
+    assert enumerate_orbits(d4, np.uint8(3)) == get_census("D4", 3)
+    report = crosscheck(d4, np.uint8(3), pairs=50,
+                        census=get_census("D4", 3))
+    assert report == crosscheck(d4, 3, pairs=50, census=get_census("D4", 3))
+    predicted = predicted_census(a3, np.uint8(5))
+    assert predicted == predicted_census(a3, 5)
+    assert all(type(d.p) is int for d in predicted)
+    for bad in (3.0, "3"):
+        for call in (lambda: census_mod.check_budget(a3.rs, bad),
+                     lambda: enumerate_orbits(a3, bad),
+                     lambda: crosscheck(d4, bad, census=get_census("D4", 3)),
+                     lambda: predicted_census(a3, bad)):
+            with pytest.raises(TypeError):
+                call()

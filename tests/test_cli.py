@@ -802,3 +802,26 @@ def test_pinned_outputs_file_lists_the_pinned_invocations():
     rows = [line.split(" ", 2) for line in lines]
     assert all(len(digest) == 64 for digest, _, _ in rows)
     assert [argv for _, _, argv in rows] == want
+
+
+def test_predicted_orbits_invocations_keep_their_pinned_digests():
+    # the catalogue path: every pinned `orbits` invocation that lists the
+    # predicted census (neither --compare nor --brute-force) reruns
+    # in-process and must print the stdout, by sha256, and exit with the
+    # code that scripts/pinned_outputs.txt records
+    scripts = Path(__file__).parents[1] / "scripts"
+    script = runpy.run_path(str(scripts / "pinned_outputs.py"),
+                            run_name="pinned_outputs")
+    pinned = {}
+    for line in (scripts / "pinned_outputs.txt").read_text(
+            encoding="utf-8").splitlines():
+        digest, code, argv = line.split(" ", 2)
+        pinned[argv] = (digest, code)
+    batches = {case: "@FILE" for case in script["BATCHES"]}
+    predicted = [argv for argv in script["invocations"](batches)
+                 if argv[0] == "orbits"
+                 and not {"--compare", "--brute-force"} & set(argv)]
+    assert len(predicted) == 16
+    for argv in predicted:
+        digest, code = script["run"](argv)
+        assert (digest, str(code)) == pinned[" ".join(argv)], argv

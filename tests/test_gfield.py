@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -182,3 +183,77 @@ def test_numpy_integer_scalars_invert_and_square_as_python_ints(dtype, p):
         else:
             assert type(K.inv(n)) is int and K.inv(n) == K.inv(a), a
             assert square_class(K, n) == square_class(K, a), a
+
+
+def test_prime_field_takes_p_as_an_integer():
+    # a numpy integer is read as the Python int: nothing wraps at its width
+    K = PrimeField(np.uint8(7))
+    assert type(K.p) is int and K == PrimeField(7)
+    assert K.p ** 8 == 7**8
+    assert K.of(1000) == 1000 % 7
+    assert K.inv(3) == 5
+    for bad in (7.0, "7", None):
+        with pytest.raises(TypeError):
+            PrimeField(bad)
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases, at each k
+# where it grows; the last is MAX_MODULUS
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 3825123056546413051, 318665857834031151167461,
+       3317044064679887385961981)
+ALL_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _all_bases(n: int) -> bool:
+    """Trial division by the 13 bases, then Miller-Rabin to all of them, in
+    another spelling than is_prime's: the primality of n below
+    MAX_MODULUS, independent of is_prime's prefixes."""
+    if n < 2 or any(n % q == 0 for q in ALL_BASES):
+        return n in ALL_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return not any(pow(a, d, n) != 1
+                   and all(pow(a, d << r, n) != n - 1 for r in range(s))
+                   for a in ALL_BASES)
+
+
+def test_pseudoprime_thresholds_are_the_pinned_composites():
+    from chevorbit.gfield import MAX_MODULUS
+    assert PSI[-1] == MAX_MODULUS
+    assert all(psi in COMPOSITES for psi in PSI[:-1])
+    assert all(not _all_bases(psi) for psi in PSI[:-1])
+
+
+@pytest.mark.parametrize("psi", PSI)
+def test_is_prime_at_each_base_prefix_boundary(psi):
+    # the largest prime below psi and the least prime above it are accepted,
+    # and every n between them, psi itself included, is refused
+    below = next(n for n in range(psi - 1, 0, -1) if _all_bases(n))
+    assert is_prime(below)
+    assert not any(map(is_prime, range(below + 1, psi)))
+    if psi == PSI[-1]:
+        return  # past it is_prime refuses to decide
+    above = next(n for n in range(psi + 1, 2 * psi) if _all_bases(n))
+    assert is_prime(above)
+    assert not any(map(is_prime, range(psi, above)))
+    if psi < 10**8:
+        assert _trial_division(below) and _trial_division(above)
+
+
+def test_is_prime_matches_all_thirteen_bases_below_3e6():
+    # every n < 3e6, through the prefixes of one, two and three bases and
+    # the thresholds 2,047 and 1,373,653 between them.  Below MAX_MODULUS
+    # the answer of all 13 bases is primality itself, so a sieve gives it
+    # for every n at once; _all_bases agrees on a sample
+    top = 3 * 10**6
+    sieve = np.ones(top, bool)
+    sieve[:2] = False
+    for q in range(2, math.isqrt(top) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = False
+    assert [n for n in range(top) if is_prime(n)] == \
+        np.flatnonzero(sieve).tolist()
+    sample = random.Random(3).sample(range(top), 20_000)
+    assert [_all_bases(m) for m in sample] == sieve[sample].tolist()
