@@ -75,6 +75,7 @@ from .orbitlab import (
     z_blocks,
 )
 from .rootsys import (
+    InternalError,
     NotAPositiveRoot,
     NotARoot,
     RootSystem,

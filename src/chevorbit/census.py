@@ -133,6 +133,7 @@ def _resolve_budget(budget: int | None) -> int:
     if budget is None:
         env = os.environ.get(BUDGET_ENV)
         budget = int(env) if env else DEFAULT_BUDGET
+    budget = operator.index(budget)
     if budget <= 0:
         raise ValueError(f"the state budget must be positive, got {budget}")
     return budget
@@ -158,9 +159,9 @@ def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
     state budget (budget, else CHEVORBIT_BUDGET, else DEFAULT_BUDGET),
     below 2**62, and partitioned within physical memory; BudgetExceeded
     otherwise, ValueError for a nonpositive budget.  Needs only the root
-    system, so a census can be refused before its table is built.  p goes
-    through operator.index, so a numpy integer cannot wrap p**|phi1| and a
-    float raises TypeError."""
+    system, so a census can be refused before its table is built.  p and
+    budget go through operator.index, so a numpy integer cannot wrap
+    p**|phi1| and a float raises TypeError."""
     p = operator.index(p)
     total = p ** len(rs.phi1)
     limit = _resolve_budget(budget)
@@ -443,8 +444,10 @@ def crosscheck(table: StructureConstantTable, p: int,
     given or one enumerated under the default budget; raise on mismatch.
     ValueError, before any work, for a census of another system or prime
     than (table, p), for one whose state count is not p**|phi1|, or for a
-    negative number of pairs."""
+    negative number of pairs.  p, pairs and seed go through operator.index,
+    so the report holds Python ints and a float raises TypeError."""
     rs, p = table.rs, operator.index(p)
+    pairs, seed = operator.index(pairs), operator.index(seed)
     if census is not None and (census.family, census.rank, census.p) != (
             rs.family, rs.rank, p):
         raise ValueError(f"the census is of {census.family}{census.rank} "

@@ -3,7 +3,10 @@
 For a simply-laced system every constant N(alpha, beta) with alpha + beta a
 root is +-1.  This module computes the whole table by constraint propagation
 from a small set of normalization seeds, and separately by a closed-form sign
-rule plus a recursive peeling reduction.  Both run on root ids and share
+rule plus a recursive peeling reduction, evaluated once per root system as
+a table filled by increasing height of the first root (closed_form_table;
+structure_constant_fast reads it, kept in the caller's memo after the first
+call).  Both run on root ids and share
 only facts about the root system, the tables of rs.ids: the sum id of every
 pair (which sums are roots, checked against the coefficient vectors when
 the tables are built), negation, the simple roots, and per positive root its
@@ -35,7 +38,8 @@ group of the cycle's rotations, reversal and negation acts freely on the
 instances and keeps the relation, so the oracle solves it to a fixpoint with
 vectorized rounds over one instance per class, and re-checks those rows to
 guard against scatter conflicts.  verify_table re-checks every instance,
-regenerated from the defined-pair mask in bounded chunks.
+regenerated from the defined-pair mask in bounded chunks.  Every sweep of
+an n x n root mask goes through rootsys.mask_pairs, one flat search.
 
 jacobi_check evaluates basis triples with array gathers: every bracket of
 two basis elements is tabulated once per check, in flat int16 slot and int8
@@ -50,15 +54,18 @@ scalar reference the tests compare it against.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 
 import numpy as np
 
 from .rootsys import (
+    InternalError,
     NotAPositiveRoot,
     RootIds,
     RootSystem,
     SystemTooLarge,
+    mask_pairs,
 )
 
 
@@ -97,14 +104,14 @@ def sign_rule(rs: RootSystem, i: int, beta) -> int:
 
 
 def structure_constant_fast(rs: RootSystem, alpha, beta, memo: dict | None = None) -> int:
-    """N(alpha, beta) by sign rule plus recursive peeling; no table needed.
+    """N(alpha, beta) by sign rule plus recursive peeling, no oracle table.
 
-    Mixed-sign pairs are first rewritten into pairs of positive roots using
-    the antisymmetry and zero-sum identities; a positive non-simple first
-    argument is then peeled at its smallest subtractable index, which lowers
-    its height until the sign rule applies directly.  The work runs on root
-    ids, and memo, shared by calls on the same root system, is keyed by
-    them.
+    The value is read from closed_form_table, which fills every defined
+    pair of the root system at once.  memo, shared by calls on the same root
+    system, holds that table after the first call, so each later call is
+    one read; memo=None builds the table for this call alone, which takes
+    about 1.5 ms on E8.  NotARoot and UndefinedPair are raised before any
+    table is built.
     """
     alpha = tuple(alpha)
     beta = tuple(beta)
@@ -114,62 +121,85 @@ def structure_constant_fast(rs: RootSystem, alpha, beta, memo: dict | None = Non
         raise UndefinedPair(f"{alpha} + {beta} is not a root of {rs.name}")
     if memo is None:
         memo = {}
-    return _fast(rs.ids, a, b, memo)
+    table = memo.get(closed_form_table)
+    if table is None:
+        table = memo[closed_form_table] = closed_form_table(rs).tolist()
+    return table[a][b]
 
 
-def _fast(ids: RootIds, a: int, b: int, memo: dict) -> int:
-    """N(roots[a], roots[b]) for a defined pair of root ids.
+def closed_form_table(rs: RootSystem) -> np.ndarray:
+    """N over root ids by sign rule plus recursive peeling: an (n, n) int8
+    array, 0 on the pairs that sum to no root.
 
-    Each step rewrites N(a, b) as sign * N(a', b'), so the recursion is a
-    chain; it runs as a loop, and every pair on the chain is memoized on the
-    way back, under the key a * n + b.
+    Read from rs.ids alone, in three steps, with t(x) the greatest index in
+    the support of a positive root x:
+
+    1. a pair of positive roots whose first root alpha_i is simple takes
+       the sign rule, N(alpha_i, b) = -1 exactly when i > t(b);
+    2. a positive non-simple first root a is peeled at its least
+       subtractable index j, a = alpha_j + a', and with s(x) = -1 when
+       j > t(x), else +1, the associativity instances (alpha_j, a', b) and
+       (a', alpha_j, b) give
+
+           N(a, b) = s(a') s(a' + b) N(a', b)            if a' + b is a root,
+           N(a, b) = -s(a') s(b) N(a', alpha_j + b)      otherwise,
+
+       where alpha_j + b is then a root (InternalError if it is not).  a'
+       has one height less than a, so the pairs of positive roots are
+       filled in rounds, one height of a per round;
+    3. every other pair reduces to a pair of positive roots: N(a, b) =
+       -N(b, a) for a positive and b negative, then N(a, b) = -N(-a, -b)
+       when both are negative, N(a, b) = N(-a, a + b) when a + b is
+       positive (the rotation of (-a, a + b, -b)), and N(a, b) =
+       N(b, -a - b) otherwise (that of (b, -a - b, -a)).
     """
-    sums, negs, top = ids.sums, ids.negs, ids.top
-    n, h = len(negs), len(top)
-    chain = []
-    while True:
-        key = a * n + b
-        r = memo.get(key)
-        if r is not None:
-            break
-        if a >= h:
-            s = sums[a][b]
-            if b >= h:
-                sign, a, b = -1, negs[a], negs[b]
-            elif s < h:
-                # N(a,b) = N(-a, a+b) via the zero-sum rotation of (-a, s, -b)
-                sign, a, b = 1, negs[a], s
-            else:
-                # N(a,b) = N(b, -a-b) via the rotation of (b, -s, -a)
-                sign, a, b = 1, b, negs[s]
-        elif b >= h:
-            sign, a, b = -1, b, a
-        elif ids.simple_of[a]:
-            # the sign rule
-            r = memo[key] = -1 if ids.simple_of[a] > top[b] else 1
-            break
-        else:
-            j = ids.least_sub[a]
-            aj = ids.simple_ids[j - 1]
-            ap = sums[a][negs[aj]]
-            apb = sums[ap][b]
-            if apb >= 0:
-                # associativity instance (alpha_j, ap, b)
-                sign = (-1 if j > top[ap] else 1) * (-1 if j > top[apb] else 1)
-                a = ap
-            else:
-                ajb = sums[aj][b]
-                if ajb < 0:
-                    raise AssertionError(
-                        "peeling dichotomy failed: neither ap+b nor alpha_j+b is a root"
-                    )
-                # associativity instance (ap, alpha_j, b)
-                sign = -(-1 if j > top[ap] else 1) * (-1 if j > top[b] else 1)
-                a, b = ap, ajb
-        chain.append((key, sign))
-    for key, sign in reversed(chain):
-        r = memo[key] = sign * r
-    return r
+    ids = rs.ids
+    sum_id, neg = ids.sum_id, ids.neg_id
+    n, h = len(neg), len(ids.top)
+    top = np.array(ids.top)
+    j = np.array(ids.least_sub)
+    aj = np.array(ids.simple_ids)[j - 1]
+    peel = sum_id[np.arange(h), neg[aj]]  # a - alpha_j, or -1 for simple a
+    positive = sum_id[:h, :h] >= 0
+    nt = np.zeros((n, n), dtype=np.int8)
+
+    # the sign rule: the least subtractable index of alpha_i is i
+    done = peel < 0
+    rows = np.flatnonzero(done)
+    i, b = mask_pairs(positive[rows])
+    a = rows[i]
+    nt[a, b] = np.where(j[a] > top[b], -1, 1)
+    while not done.all():
+        # the roots a whose a' is filled, one height up (a simple root's
+        # peel -1 reads done[-1], but simple roots are filled already)
+        rows = np.flatnonzero(~done & done[peel])
+        if rows.size == 0:
+            raise InternalError("peeling reaches no simple root")
+        done[rows] = True
+        i, b = mask_pairs(positive[rows])
+        a = rows[i]
+        ja, ap = j[a], peel[a]
+        apb = sum_id[ap, b]
+        first = apb >= 0
+        c = np.where(first, b, sum_id[aj[a], b])  # N(a', c) gives N(a, b)
+        if np.any(c < 0):
+            raise InternalError(
+                "peeling dichotomy failed: neither ap+b nor alpha_j+b is a root"
+            )
+        flip = ~first ^ (ja > top[ap]) ^ (ja > top[np.where(first, apb, b)])
+        nt[a, b] = np.where(flip, -1, 1) * nt[ap, c]
+
+    a0, b0 = mask_pairs(sum_id >= 0)
+    s = sum_id[a0, b0]
+    turn = (a0 < h) & (b0 >= h)
+    a, b = np.where(turn, b0, a0), np.where(turn, a0, b0)
+    both = b >= h
+    up = (a >= h) & ~both & (s < h)
+    down = (a >= h) & ~both & ~up
+    x = np.select([both | up, down], [neg[a], b], a)
+    y = np.select([both, up, down], [neg[b], s, neg[s]], b)
+    nt[a0, b0] = np.where(turn | both, -1, 1) * nt[x, y]
+    return nt
 
 
 # -- propagation oracle ----------------------------------------------------
@@ -196,7 +226,7 @@ def _instances(sum_id: np.ndarray, a: np.ndarray, b: np.ndarray):
     step = max(1, _INSTANCE_CHUNK // len(sum_id))
     for lo in range(0, a.size, step):
         x, y = a[lo:lo + step], b[lo:lo + step]
-        i, c = np.nonzero(defined[y] & defined[sum_id[x, y]])
+        i, c = mask_pairs(defined[y] & defined[sum_id[x, y]])
         yield x[i], y[i], c
 
 
@@ -204,19 +234,21 @@ def _rows(sum_id: np.ndarray, a: np.ndarray, b: np.ndarray,
           c: np.ndarray) -> np.ndarray:
     """The flat pair indices (4, m) of instances (a, b, c): the pairs
     (b, c), (a, b+c), (a+b, c), (a, b), whose constants N0..N3 satisfy
-    N0 N1 == N2 N3.  Sum ids are widened to int64 before they multiply."""
+    N0 N1 == N2 N3, each read from the flat sum table at the flat index of
+    its pair.  Sum ids are widened to int64 before they multiply."""
     n = len(sum_id)
-    ab = sum_id[a, b].astype(np.int64)
-    bc = sum_id[b, c].astype(np.int64)
-    return np.stack([b * n + c, a * n + bc, ab * n + c, a * n + b])
+    flat = sum_id.reshape(-1)
+    ab, bc = a * n + b, b * n + c
+    return np.stack([bc, a * n + flat[bc], flat[ab].astype(np.int64) * n + c,
+                     ab])
 
 
 def _representatives(ids: RootIds) -> np.ndarray:
     """One associativity instance (a, b, c) per class of 16, as a (3, I / 16)
     int64 array (see build_table_oracle): a the least id of the cycle's
     eight roots, so positive, and b < d."""
-    sum_id, neg_id, h = ids.sum_id, ids.neg_id, len(ids.top)
-    a, b = np.nonzero(sum_id >= 0)
+    sum_id, neg_id, h = ids.sum_id, ids.neg_id, len(ids.simple_of)
+    a, b = mask_pairs(sum_id >= 0)
     lead = (a < h) & (b % h > a)
     reps = [np.zeros((3, 0), dtype=np.int64)]
     for x, y, z in _instances(sum_id, a[lead], b[lead]):
@@ -285,7 +317,7 @@ class StructureConstantTable:
 
     def defined_pairs(self) -> np.ndarray:
         """(P, 2) array of root-id pairs with alpha + beta a root."""
-        return np.argwhere(self._sum >= 0)
+        return np.stack(mask_pairs(self._sum >= 0), axis=1)
 
     # -- bracket on basis keys ----------------------------------------------
 
@@ -396,7 +428,7 @@ def build_table_oracle(rs: RootSystem) -> StructureConstantTable:
 
     # quotient of defined pairs by the antisymmetry + rotation group;
     # stored sign means value(pair) == sign * value(canonical pair)
-    a, b = np.nonzero(sum_id >= 0)
+    a, b = mask_pairs(sum_id >= 0)
     c = neg_id[sum_id[a, b]]
     x = np.stack([a, b, c, neg_id[b], neg_id[a], neg_id[c]])
     y = np.stack([b, c, a, neg_id[a], neg_id[c], neg_id[b]])
@@ -478,10 +510,10 @@ def verify_table(table: StructureConstantTable) -> dict:
 
     if not np.array_equal(defined, defined.T):
         raise InconsistentTable("defined-pair mask is not symmetric")
-    if np.any(nt[~defined] != 0) or np.any(nt[defined] == 0):
+    if not np.array_equal(nt != 0, defined):
         raise InconsistentTable("support of the table does not match defined pairs")
 
-    aa, bb = np.nonzero(defined)
+    aa, bb = mask_pairs(defined)
     ss = sum_id[aa, bb]
     v = nt[aa, bb].astype(np.int16)
     checks = {
@@ -492,9 +524,9 @@ def verify_table(table: StructureConstantTable) -> dict:
         "rotation_2": np.array_equal(v, nt[neg[ss], aa]),
     }
     # every instance, regenerated from the mask in bounded chunks
-    nt_flat, instances, holds = nt.reshape(-1), 0, True
+    nt_flat, instances, holds = nt.reshape(-1).astype(np.int16), 0, True
     for a, b, c in _instances(sum_id, aa, bb):
-        w = nt_flat[_rows(sum_id, a, b, c)].astype(np.int16)
+        w = nt_flat[_rows(sum_id, a, b, c)]
         holds &= bool(np.all(w[0] * w[1] == w[2] * w[3]))
         instances += a.size
     checks["associativity"] = holds
@@ -560,7 +592,7 @@ def _bracket_arrays(table: StructureConstantTable) -> tuple:
     simple = np.array(rs.ids.simple_ids)
     out = np.full((n + rank, zero + 1), zero, dtype=_SLOT)
     coef = np.zeros((n + rank, zero + 1), dtype=_COEF)
-    a, b = np.nonzero(table._sum >= 0)
+    a, b = mask_pairs(table._sum >= 0)
     out[a, b] = table._sum[a, b]  # [e_a, e_b] = N(a, b) e_{a+b}
     coef[a, b] = table._nt[a, b]
     out[ids, table._neg] = n + ids  # [e_a, e_-a] = h_a
@@ -602,16 +634,21 @@ def _jacobi_fails(brackets: tuple, x: np.ndarray, y: np.ndarray,
 
 def _all_triples(m: int):
     """Chunks of 2**14 triples x < y < z in lexicographic order (the last
-    chunk may be shorter).  Triple t of the order is pair k of the y < z
-    pairs with y > x, for the x whose block of the order holds t."""
+    chunk may be shorter).  The triples of one x are x with the slice of
+    the y < z pairs that starts at y = x + 1; slices are gathered until
+    they fill a chunk."""
     ys, zs = np.triu_indices(m, 1)  # y < z, ordered by y then z
-    first = np.searchsorted(ys, np.arange(1, m - 1))  # first pair past x
-    offsets = np.concatenate([[0], np.cumsum(ys.size - first)])
-    for lo in range(0, int(offsets[-1]), _JACOBI_CHUNK):
-        t = np.arange(lo, min(lo + _JACOBI_CHUNK, int(offsets[-1])))
-        x = np.searchsorted(offsets, t, side="right") - 1
-        k = first[x] + (t - offsets[x])
-        yield x, ys[k], zs[k]
+    held, size = [], 0
+    for x, f in enumerate(np.searchsorted(ys, np.arange(1, m - 1)).tolist()):
+        held.append((np.full(ys.size - f, x), ys[f:], zs[f:]))
+        size += ys.size - f
+        while size >= _JACOBI_CHUNK:
+            joined = [np.concatenate(c) for c in zip(*held)]
+            yield tuple(c[:_JACOBI_CHUNK] for c in joined)
+            held = [tuple(c[_JACOBI_CHUNK:] for c in joined)]
+            size -= _JACOBI_CHUNK
+    if size:
+        yield tuple(np.concatenate(c) for c in zip(*held))
 
 
 def _sampled_triples(m: int, samples: int, seed: int):
@@ -646,7 +683,11 @@ def jacobi_check(table: StructureConstantTable, exhaustive_limit: int = 80,
     coefficient tables of _bracket_arrays, at most 2**14 at a time, so
     memory does not grow with `samples`.  Raises JacobiViolation on the
     first failing triple in draw order, ValueError when samples is negative.
+    The integer arguments go through operator.index, so a numpy integer
+    cannot wrap and a float raises TypeError.
     """
+    exhaustive_limit = operator.index(exhaustive_limit)
+    samples, seed = operator.index(samples), operator.index(seed)
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     m = table.n_basis

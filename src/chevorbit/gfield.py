@@ -24,6 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .rootsys import InternalError
+
 
 class NotPrime(ValueError):
     """The requested modulus is not a prime number."""
@@ -286,7 +288,7 @@ def _least_nonresidue(p: int) -> int:
     for n in range(2, p):
         if pow(n, (p - 1) // 2, p) == p - 1:
             return n
-    raise AssertionError(f"no quadratic nonresidue in F_{p}")
+    raise InternalError(f"no quadratic nonresidue in F_{p}")
 
 
 @dataclass(frozen=True, order=True)

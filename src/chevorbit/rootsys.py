@@ -53,6 +53,11 @@ class NotAPositiveRoot(ValueError):
     """The operation requires a positive root."""
 
 
+class InternalError(RuntimeError):
+    """An internal invariant of chevorbit failed: a fault in the program,
+    not in its input."""
+
+
 # The closure of a root system, and every table built on it, grows with the
 # root count, which is known in advance; larger systems are refused before
 # any work.  1000 admits A_l up to l = 31, D_l up to l = 22 and all of E.
@@ -130,10 +135,14 @@ class RootIds(NamedTuple):
     top: list  # greatest i with a nonzero coefficient in roots[g]
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row as one byte string, for sorting and searching."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+def mask_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column indices of the true entries of a 2-D mask, in
+    row-major order as np.nonzero gives them, from one flat search and a
+    divmod: about three times faster than np.nonzero on a 2-D mask."""
+    flat, n = np.flatnonzero(mask), mask.shape[1]
+    rows = flat // n
+    flat -= rows * n
+    return rows, flat
 
 
 def _sum_ids(coeffs: np.ndarray, defined: np.ndarray) -> np.ndarray:
@@ -141,17 +150,26 @@ def _sum_ids(coeffs: np.ndarray, defined: np.ndarray) -> np.ndarray:
     where defined[i, j], and -1 elsewhere, as int32 since ids stay below
     MAX_ROOTS; readers widen to int64 before forming id * n + id.
 
-    Each sum is found by a binary search over the rows as byte strings, then
-    compared with the row found; a sum that is no row raises AssertionError.
+    A row's key is its digits coeffs - min in base max - min + 1, which
+    fits int64 for every system under MAX_ROOTS (at most 3**31 on A31,
+    5**22 on D22, 13**8 on E8), and the key of a sum is the sum of two keys
+    less the key of the zero row.  Each sum is found by a binary search over
+    the row keys, then compared with the row found; a sum that is no row
+    raises InternalError.
     """
-    n = len(coeffs)
-    keys = _row_keys(coeffs)
-    order = np.argsort(keys)
-    i, j = np.nonzero(defined)
+    n, rank = coeffs.shape
+    lo = int(coeffs.min())
+    base = int(coeffs.max()) - lo + 1
+    keys = (coeffs - lo) @ base ** np.arange(rank, dtype=np.int64)
+    # numpy's default int64 sort pages in about 0.4 MB of its own code
+    order = np.argsort(keys, kind="stable")
+    i, j = mask_pairs(defined)
     s = coeffs[i] + coeffs[j]
-    found = order[np.searchsorted(keys[order], _row_keys(s)).clip(max=n - 1)]
+    zero = -lo * (base**rank - 1) // (base - 1)
+    found = order[np.searchsorted(keys[order], keys[i] + keys[j] - zero)
+                  .clip(max=n - 1)]
     if not np.array_equal(coeffs[found], s):
-        raise AssertionError("a pair marked as summing to a root does not")
+        raise InternalError("a pair marked as summing to a root does not")
     sum_id = np.full((n, n), -1, dtype=np.int32)
     sum_id[i, j] = found
     return sum_id
@@ -172,7 +190,7 @@ def _root_ids(rs: "RootSystem") -> RootIds:
     sub = sum_id[:h, neg_id[list(simple_ids)]] >= 0
     sub[simple_ids, range(rank)] = True
     if not sub.any(axis=1).all():
-        raise AssertionError("positive root with no subtractable simple root")
+        raise InternalError("positive root with no subtractable simple root")
     top = rank - (coeffs[:h, ::-1] != 0).argmax(axis=1)
     for a in (pairing, sum_id, neg_id):
         a.flags.writeable = False
@@ -215,7 +233,7 @@ class RootSystem:
             heights.append(np.unique(heights[-1][g] + eye[i], axis=0,
                                      return_index=True)[0])
         if len(heights[-2]) != 1:
-            raise AssertionError("highest root is not unique")
+            raise InternalError("highest root is not unique")
         pos = np.concatenate(heights)
         coeffs = np.concatenate([pos, -pos])
 
@@ -379,5 +397,5 @@ def standard_quadruple(rs: RootSystem) -> tuple[Root, Root, Root, Root]:
         quad = (lam, rho, sig, tau)
     for r in quad:
         if not rs.is_root(r):
-            raise AssertionError(f"quadruple member {r} is not a root")
+            raise InternalError(f"quadruple member {r} is not a root")
     return quad

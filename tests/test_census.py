@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import random
 import runpy
 import tracemalloc
@@ -22,6 +23,7 @@ from chevorbit import (
     act_on_v1,
     crosscheck,
     enumerate_orbits,
+    jacobi_check,
     predicted_census,
 )
 from chevorbit import census as census_mod
@@ -988,3 +990,41 @@ def test_census_entry_points_take_p_as_an_integer():
                      lambda: predicted_census(a3, bad)):
             with pytest.raises(TypeError):
                 call()
+
+
+def test_crosscheck_reports_pairs_as_a_python_int():
+    # pairs goes through operator.index: before, a numpy pairs reached the
+    # report, which json.dumps could then not write
+    d4, census = get_table("D4"), get_census("D4", 3)
+    want = crosscheck(d4, 3, pairs=10, census=census)
+    report = crosscheck(d4, 3, pairs=np.int64(10), census=census)
+    assert report == want and type(report["pairs_sampled"]) is int
+    assert json.loads(json.dumps(report)) == want
+    with pytest.raises(TypeError):
+        crosscheck(d4, 3, pairs=10.0, census=census)
+
+
+def test_a_numpy_seed_is_read_as_its_int():
+    # seed goes through operator.index in crosscheck and jacobi_check: a
+    # numpy seed failed inside random before, and a float is refused now
+    d4, census = get_table("D4"), get_census("D4", 3)
+    want = crosscheck(d4, 3, pairs=10, seed=3, census=census)
+    assert crosscheck(d4, 3, pairs=10, seed=np.int64(3), census=census) == want
+    want = jacobi_check(d4, exhaustive_limit=0, samples=300, seed=3)
+    assert jacobi_check(d4, exhaustive_limit=0, samples=300,
+                        seed=np.int64(3)) == want
+    for call in (lambda: crosscheck(d4, 3, seed=3.0, census=census),
+                 lambda: jacobi_check(d4, seed=3.0)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_enumerate_orbits_takes_the_budget_as_an_integer():
+    # budget goes through operator.index: a float was accepted before
+    a3 = get_table("A3")
+    with pytest.raises(TypeError):
+        enumerate_orbits(a3, 3, budget=1e9)
+    assert enumerate_orbits(a3, 3, budget=np.int64(10**9)) == get_census("A3",
+                                                                         3)
+    with pytest.raises(BudgetExceeded):
+        enumerate_orbits(a3, 3, budget=np.int8(80))  # 3**4 = 81 states

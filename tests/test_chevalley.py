@@ -3,6 +3,7 @@ computation, and corruption detection."""
 
 from __future__ import annotations
 
+import ast
 import itertools
 import os
 import random
@@ -18,6 +19,7 @@ import pytest
 import chevorbit
 from chevorbit import (
     InconsistentTable,
+    InternalError,
     JacobiViolation,
     NotAPositiveRoot,
     NotARoot,
@@ -33,6 +35,7 @@ from chevorbit import (
     structure_constant_fast,
     verify_table,
 )
+from chevorbit import chevalley
 from chevorbit.chevalley import (
     _COEF,
     _SLOT,
@@ -44,6 +47,7 @@ from chevorbit.chevalley import (
     _representatives,
     _sampled_triples,
     _seeds,
+    closed_form_table,
 )
 from chevorbit.rootsys import MAX_ROOTS
 from helpers import ALL_SYSTEMS, get_system, get_table
@@ -104,6 +108,161 @@ def test_closed_form_matches_oracle_on_every_defined_pair():
             ), (name, a, b)
 
 
+def _peeled(ids, a: int, b: int, memo: dict) -> int:
+    """N(roots[a], roots[b]) for a defined pair, by the scalar chain of
+    rewrites the closed form once ran per pair: the reference that
+    closed_form_table must equal.  Every pair on the chain is memoized
+    under a * n + b."""
+    sums, negs, top = ids.sums, ids.negs, ids.top
+    n, h = len(negs), len(top)
+    chain = []
+    while True:
+        key = a * n + b
+        r = memo.get(key)
+        if r is not None:
+            break
+        if a >= h:
+            s = sums[a][b]
+            if b >= h:
+                sign, a, b = -1, negs[a], negs[b]
+            elif s < h:
+                sign, a, b = 1, negs[a], s
+            else:
+                sign, a, b = 1, b, negs[s]
+        elif b >= h:
+            sign, a, b = -1, b, a
+        elif ids.simple_of[a]:
+            r = memo[key] = -1 if ids.simple_of[a] > top[b] else 1
+            break
+        else:
+            j = ids.least_sub[a]
+            aj = ids.simple_ids[j - 1]
+            ap = sums[a][negs[aj]]
+            apb = sums[ap][b]
+            if apb >= 0:
+                sign = (-1 if j > top[ap] else 1) * (-1 if j > top[apb] else 1)
+                a = ap
+            else:
+                ajb = sums[aj][b]
+                assert ajb >= 0, "peeling dichotomy"
+                sign = -(-1 if j > top[ap] else 1) * (-1 if j > top[b] else 1)
+                a, b = ap, ajb
+        chain.append((key, sign))
+    for key, sign in reversed(chain):
+        r = memo[key] = sign * r
+    return r
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS + ("D22", "A31"))
+def test_closed_form_table_is_the_scalar_peeling_chain(name):
+    rs = get_system(name)
+    table = closed_form_table(rs)
+    assert table.dtype == np.int8 and table.shape == (len(rs.roots),) * 2
+    memo: dict = {}
+    a, b = np.nonzero(rs.ids.sum_id >= 0)
+    want = np.zeros_like(table)
+    want[a, b] = [_peeled(rs.ids, i, j, memo)
+                  for i, j in zip(a.tolist(), b.tolist())]
+    assert np.array_equal(table, want)
+
+
+def test_closed_form_memo_holds_one_table(monkeypatch):
+    rs = build_root_system("E", 6)
+    t = get_table("E6")
+    builds = []
+
+    def counted(rs):
+        builds.append(rs)
+        return closed_form_table(rs)
+
+    monkeypatch.setattr(chevalley, "closed_form_table", counted)
+    a, b = rs.simple(3), rs.simple(4)
+    # errors come before any table is built
+    memo: dict = {}
+    with pytest.raises(UndefinedPair, match=r"^\(0, 0, 1, 0, 0, 0\) \+ "
+                       r"\(0, 0, -1, 0, 0, 0\) is not a root of E6$"):
+        structure_constant_fast(rs, a, rs.neg(a), memo)
+    with pytest.raises(NotARoot, match=r"^\(0, 0, 7, 0, 0, 0\) is not a root "
+                       r"of E6$"):
+        structure_constant_fast(rs, a, (0, 0, 7, 0, 0, 0), memo)
+    assert memo == {} and builds == []
+    for i, j in t.defined_pairs().tolist():
+        assert structure_constant_fast(rs, rs.roots[i], rs.roots[j],
+                                       memo) == t.nv(i, j)
+    assert len(builds) == len(memo) == 1
+    assert list(memo.values()) == [closed_form_table(rs).tolist()]
+    # memo=None builds a table for the call alone
+    assert structure_constant_fast(rs, a, b) == t.structure_constant(a, b)
+    assert structure_constant_fast(rs, rs.neg(a), rs.neg(b)) == -t.nv(
+        rs.root_id(a), rs.root_id(b))
+    assert len(builds) == 3 and len(memo) == 1
+
+
+def test_closed_form_refuses_a_broken_peel():
+    # remove a' + b and alpha_j + b from a copy of the sum table, for one
+    # pair (a, b) of positive roots whose first root is peeled
+    rs = get_system("D4")
+    ids = rs.ids
+    h = rs.n_positive
+    a, b = next((a, b) for a in range(h) for b in range(h)
+                if not ids.simple_of[a] and ids.sums[a][b] >= 0)
+    aj = ids.simple_ids[ids.least_sub[a] - 1]
+    ap = ids.sums[a][ids.negs[aj]]
+    sum_id = ids.sum_id.copy()
+    sum_id[ap, b] = sum_id[b, ap] = sum_id[aj, b] = sum_id[b, aj] = -1
+    broken = SimpleNamespace(ids=ids._replace(sum_id=sum_id))
+    with pytest.raises(InternalError, match="peeling dichotomy failed"):
+        closed_form_table(broken)
+    # a root that peels to itself is never filled
+    sum_id = ids.sum_id.copy()
+    sum_id[a, ids.negs[aj]] = a
+    broken = SimpleNamespace(ids=ids._replace(sum_id=sum_id))
+    with pytest.raises(InternalError, match="peeling reaches no simple root"):
+        closed_form_table(broken)
+
+
+def _reached(tree: ast.Module, start: str) -> set[str]:
+    """Every name and attribute that the module-level function or class
+    start uses, and, transitively, those of the module's functions and
+    classes that it names."""
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    names, todo = set(), [start]
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Name):
+                found = node.id
+            elif isinstance(node, ast.Attribute):
+                found = node.attr
+            else:
+                continue
+            if found not in names:
+                names.add(found)
+                if found in defs:
+                    todo.append(found)
+    return names
+
+
+def test_the_oracle_and_the_closed_form_reach_nothing_of_each_other():
+    # the two computations of the constants check each other only while
+    # neither reads the other: the closed form may read the root system's
+    # tables (rs.ids) but no oracle table, and the oracle nothing of the
+    # closed form, not even the support tops it alone needs
+    with open(chevalley.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    oracle = {"_nt", "_nt_list", "nv", "structure_constant",
+              "StructureConstantTable", "build_table_oracle"}
+    closed = {"closed_form_table", "structure_constant_fast", "sign_rule",
+              "top"}
+    for start in ("structure_constant_fast", "closed_form_table", "sign_rule"):
+        reached = _reached(tree, start)
+        assert "ids" in reached
+        assert not reached & oracle, (start, reached & oracle)
+    reached = _reached(tree, "build_table_oracle")
+    assert {"_seeds", "_representatives", "_instances", "_nt"} <= reached
+    assert not reached & closed, reached & closed
+
+
 def test_sign_rule_direction():
     # The rule itself: -1 exactly when the simple index exceeds every index
     # in the support of beta.
@@ -117,6 +276,39 @@ def test_sign_rule_direction():
             expected = -1 if i > max(support) else 1
             assert sign_rule(rs, i, beta) == expected
             assert t.structure_constant(rs.simple(i), beta) == expected
+
+
+def _instances_2d(sum_id, a, b):
+    """_instances in its earlier spelling: np.nonzero on each chunk's 2-D
+    mask."""
+    defined = sum_id >= 0
+    step = max(1, chevalley._INSTANCE_CHUNK // len(sum_id))
+    for lo in range(0, a.size, step):
+        x, y = a[lo:lo + step], b[lo:lo + step]
+        i, c = np.nonzero(defined[y] & defined[sum_id[x, y]])
+        yield x[i], y[i], c
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_instances_are_the_2d_sweep_in_order(name, monkeypatch):
+    sum_id = get_system(name).ids.sum_id
+    a, b = np.nonzero(sum_id >= 0)
+    for chunk in (chevalley._INSTANCE_CHUNK, 1):  # 1: a pair per chunk
+        monkeypatch.setattr(chevalley, "_INSTANCE_CHUNK", chunk)
+        got = list(_instances(sum_id, a, b))
+        want = list(_instances_2d(sum_id, a, b))
+        assert len(got) == len(want)
+        assert chunk > 1 or len(got) == a.size
+        for g, w in zip(got, want):
+            assert all(np.array_equal(u, v) and u.dtype == v.dtype
+                       for u, v in zip(g, w))
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_defined_pairs_are_the_argwhere_of_the_mask(name):
+    t = get_table(name)
+    got, want = t.defined_pairs(), np.argwhere(t.rs.ids.sum_id >= 0)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_verify_table_counts():
@@ -293,6 +485,28 @@ def test_jacobi_rejects_negative_samples():
         jacobi_check(get_table("E7"), samples=-5)
     assert jacobi_check(get_table("E7"), samples=0) == {"mode": "sampled",
                                                         "triples": 0}
+
+
+def test_jacobi_check_reads_a_numpy_samples_without_wrapping():
+    # samples goes through operator.index: an int16 3000 wrapped inside
+    # random before (12 * 3000 does not fit int16)
+    t = get_table("D4")
+    want = jacobi_check(t, exhaustive_limit=0, samples=3000, seed=3)
+    assert want == {"mode": "sampled", "triples": 3000}
+    assert jacobi_check(t, exhaustive_limit=np.int8(0),
+                        samples=np.int16(3000), seed=3) == want
+    for bad in ({"samples": 3000.0}, {"exhaustive_limit": 80.0}):
+        with pytest.raises(TypeError):
+            jacobi_check(t, **bad)
+
+
+def test_jacobi_check_reports_samples_as_a_python_int():
+    # before, a numpy samples or True reached the report as given
+    t = get_table("D4")
+    for samples, count in ((np.int64(3000), 3000), (True, 1)):
+        report = jacobi_check(t, exhaustive_limit=0, samples=samples)
+        assert report == {"mode": "sampled", "triples": count}
+        assert type(report["triples"]) is int
 
 
 def _negated_pair(name: str) -> tuple[StructureConstantTable, int, int]:

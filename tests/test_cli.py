@@ -14,16 +14,24 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import chevorbit
-from chevorbit import ClassificationError, InconsistentTable, MismatchReport
+from chevorbit import (
+    ClassificationError,
+    InconsistentTable,
+    MismatchReport,
+    build_root_system,
+    build_table_oracle,
+)
 from chevorbit import census as census_mod
 from chevorbit import cli as cli_mod
-from chevorbit import orbitlab
+from chevorbit import orbitlab, rootsys
 from chevorbit.cli import main
 
 
@@ -154,6 +162,45 @@ def test_constants_failure_exits_one(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "constants", "A2")
     assert code == 1
     assert "corruption" in err or "Inconsistent" in err
+
+
+def test_constants_names_a_closed_form_that_disagrees(capsys, monkeypatch):
+    # the closed form reads a copy of rs.ids with one support top flipped
+    # (alpha_4's, 4 -> 0); the sign rule check reads the real one
+    real = cli_mod.closed_form_table
+
+    def flipped(rs):
+        top = list(rs.ids.top)
+        top[rs.root_id(rs.simple(4))] = 0
+        return real(SimpleNamespace(ids=rs.ids._replace(top=top)))
+
+    monkeypatch.setattr(cli_mod, "closed_form_table", flipped)
+    code, out, err = run_cli(capsys, "constants", "D4")
+    assert code == 1 and out == ""
+    t = build_table_oracle(build_root_system("D", 4))
+    closed = flipped(t.rs)
+    i, j = next((i, j) for i, j in t.defined_pairs().tolist()
+                if closed[i, j] != t.nv(i, j))
+    first, report = err.split("\n", 1)
+    assert first == (f"verification failed: D4: peeled closed form disagrees "
+                     f"with the table at ({t.rs.roots[i]}, {t.rs.roots[j]})")
+    assert [k for k, c in json.loads(report)["checks"].items()
+            if c["status"] == "fail"] == ["theorem1"]
+
+
+def test_an_internal_error_exits_one_without_a_traceback(capsys, monkeypatch):
+    # a sum table that marks 2a as a root breaks an internal invariant,
+    # checked where the root ids are built, inside constants
+    real = rootsys._sum_ids
+
+    def marks_doubles(coeffs, defined):
+        return real(coeffs, defined | np.eye(len(defined), dtype=bool))
+
+    monkeypatch.setattr(rootsys, "_sum_ids", marks_doubles)
+    code, out, err = run_cli(capsys, "constants", "D4")
+    assert (code, out) == (1, "")
+    assert err == ("verification failed: a pair marked as summing to a root "
+                   "does not\n")
 
 
 def _constants_report_main():

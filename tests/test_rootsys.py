@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevorbit import (
+    InternalError,
     NotARoot,
     SystemTooLarge,
     UnsupportedSystem,
@@ -265,11 +266,11 @@ def test_root_id_tables_are_checked_and_read_only():
     assert np.array_equal(rootsys._sum_ids(coeffs, defined), rs.ids.sum_id)
     bad = defined.copy()
     bad[0, 0] = True  # 2 * roots[0] is not a root
-    with pytest.raises(AssertionError, match="does not"):
+    with pytest.raises(InternalError, match="does not"):
         rootsys._sum_ids(coeffs, bad)
     moved = coeffs.copy()
     moved[rs.n_positive - 1] = 0  # no row is delta now, so its sums miss
-    with pytest.raises(AssertionError, match="does not"):
+    with pytest.raises(InternalError, match="does not"):
         rootsys._sum_ids(moved, defined)
     for shared in (rs.ids.pairing, rs.ids.sum_id, rs.ids.neg_id):
         with pytest.raises(ValueError, match="read-only"):
