@@ -19,9 +19,9 @@ modulus, refuses it.  Exit codes and stderr lines come from the CLI's
 table, chevorbit.cli.EXIT_CODES: 0 success, 1 a failed crosscheck (its
 reason and a line of details on stderr), 2 malformed input, 3 unsupported
 request (family E, characteristic 2 for family D), 4 a case past the state
-budget, physical memory, 1000 roots or gfield.MAX_MODULUS, 130
-interrupted.  A refused case prints one line on stderr and nothing on
-stdout.
+budget, physical memory or the process's memory limit, 1000 roots or
+gfield.MAX_MODULUS, 130 interrupted.  A refused case prints one line on
+stderr and nothing on stdout.
 """
 
 from __future__ import annotations

@@ -53,8 +53,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+try:  # at import: a first import inside a census call costs 0.2 ms
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 from .chevalley import StructureConstantTable
-from .gfield import PrimeField, _mod, integral
+from .gfield import PrimeField, _mod, as_int, integral
 from .liemod import _v1_moves
 from .orbitlab import (
     InvalidDescriptor,
@@ -147,22 +152,35 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _memory_limit() -> int | None:
+    """The least finite soft RLIMIT_AS or RLIMIT_DATA of this process in
+    bytes; None where neither is set, or without the resource module."""
+    if resource is None:
+        return None
+    soft = [resource.getrlimit(r)[0]
+            for r in (resource.RLIMIT_AS, resource.RLIMIT_DATA)]
+    return min((x for x in soft if x != resource.RLIM_INFINITY), default=None)
+
+
 def _check_memory(need: int, what: str) -> None:
-    memory = _physical_memory()
-    if memory is not None and need > memory:
-        raise BudgetExceeded(f"{what} needs about {need} bytes, more than "
-                             f"the {memory} bytes of physical memory")
+    """BudgetExceeded, before any allocation, when need bytes exceed
+    physical memory or the process's own limit."""
+    for memory, of in ((_physical_memory(), "physical memory"),
+                       (_memory_limit(), "this process's memory limit")):
+        if memory is not None and need > memory:
+            raise BudgetExceeded(f"{what} needs about {need} bytes, more "
+                                 f"than the {memory} bytes of {of}")
 
 
 def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
     """The number p**|phi1| of states of V1(F_p), once it is within the
     state budget (budget, else CHEVORBIT_BUDGET, else DEFAULT_BUDGET),
-    below 2**62, and partitioned within physical memory; BudgetExceeded
-    otherwise, ValueError for a nonpositive budget.  Needs only the root
-    system, so a census can be refused before its table is built.  p and
-    budget go through operator.index, so a numpy integer cannot wrap
-    p**|phi1| and a float raises TypeError."""
-    p = operator.index(p)
+    below 2**62, and partitioned within memory (_check_memory);
+    BudgetExceeded otherwise, ValueError for a nonpositive budget.  Needs
+    only the root system, so a census can be refused before its table is
+    built.  p goes through gfield.as_int and budget through operator.index,
+    so a numpy integer cannot wrap p**|phi1| and a float raises TypeError."""
+    p = as_int(p)
     total = p ** len(rs.phi1)
     limit = _resolve_budget(budget)
     if total > limit:
@@ -400,7 +418,7 @@ def enumerate_orbits(table: StructureConstantTable, p: int,
     its least state.  The census lists them in ascending order of that
     state and carries the state -> orbit index array as orbit_id.
     """
-    rs, p = table.rs, operator.index(p)
+    rs, p = table.rs, as_int(p)
     K = PrimeField(p)
     m = len(rs.phi1)
     total = check_budget(rs, p, budget)
@@ -420,8 +438,8 @@ def predicted_census(table: StructureConstantTable, p: int,
     reaches 2**62, the bound check_budget puts on states, or when that many
     orbits at bytes_per_orbit each (by default the list's own: 287 traced
     on A2 from p = 401 to 601, 295 on D8/F100003) would not fit in
-    physical memory."""
-    p = operator.index(p)
+    memory (_check_memory)."""
+    p = as_int(p)
     K = PrimeField(p)
     count = _classifier(table, K).orbit_count()
     if count >= 2**62:
@@ -444,9 +462,10 @@ def crosscheck(table: StructureConstantTable, p: int,
     given or one enumerated under the default budget; raise on mismatch.
     ValueError, before any work, for a census of another system or prime
     than (table, p), for one whose state count is not p**|phi1|, or for a
-    negative number of pairs.  p, pairs and seed go through operator.index,
-    so the report holds Python ints and a float raises TypeError."""
-    rs, p = table.rs, operator.index(p)
+    negative number of pairs.  p goes through gfield.as_int, pairs and seed
+    through operator.index, so the report holds Python ints and a float
+    raises TypeError."""
+    rs, p = table.rs, as_int(p)
     pairs, seed = operator.index(pairs), operator.index(seed)
     if census is not None and (census.family, census.rank, census.p) != (
             rs.family, rs.rank, p):

@@ -42,10 +42,10 @@ regenerated from the defined-pair mask in bounded chunks.  Every sweep of
 an n x n root mask goes through rootsys.mask_pairs, one flat search.
 
 jacobi_check evaluates basis triples with array gathers: every bracket of
-two basis elements is tabulated once per check, in flat int16 slot and int8
-coefficient tables, so each double bracket [a, [b, c]] is two gathers, in
-batches of 2**14 triples.  It checks every x < y < z when the basis has at
-most 80 elements (A1-A8, D4-D6, E6) and 10**5 triples of distinct keys,
+two basis elements is tabulated once per check, in flat int16 tables that
+pack a slot and its coefficient in one entry, so each double bracket
+[a, [b, c]] is two gathers, in batches of 2**14 triples.  It checks every
+x < y < z when the basis has at most 80 elements (A1-A8, D4-D6, E6) and 10**5 triples of distinct keys,
 drawn as 32-bit words from random.Random(seed), otherwise;
 the tests run it exhaustively on all 16 systems.  _jacobi_defect is the
 scalar reference the tests compare it against.
@@ -109,14 +109,19 @@ def structure_constant_fast(rs: RootSystem, alpha, beta, memo: dict | None = Non
     The value is read from closed_form_table, which fills every defined
     pair of the root system at once.  memo, shared by calls on the same root
     system, holds that table after the first call, so each later call is
-    one read; memo=None builds the table for this call alone, which takes
-    about 1.5 ms on E8.  NotARoot and UndefinedPair are raised before any
-    table is built.
+    one id read per root and one entry read (0: no defined pair);
+    memo=None builds the table for this call alone, which takes about
+    1.5 ms on E8.  NotARoot and UndefinedPair are raised before any table
+    is built.
     """
-    alpha = tuple(alpha)
-    beta = tuple(beta)
-    a = rs.root_id(alpha)
-    b = rs.root_id(beta)
+    try:
+        v = memo[closed_form_table][rs._index[alpha]][rs._index[beta]]
+        if v:
+            return v
+    except (KeyError, TypeError):  # no table yet, a non-root, or a list
+        pass
+    alpha, beta = tuple(alpha), tuple(beta)
+    a, b = rs.root_id(alpha), rs.root_id(beta)
     if rs.ids.sums[a][b] < 0:
         raise UndefinedPair(f"{alpha} + {beta} is not a root of {rs.name}")
     if memo is None:
@@ -560,71 +565,70 @@ def _jacobi_defect(table: StructureConstantTable, x: int, y: int, z: int) -> dic
 
 _JACOBI_CHUNK = 1 << 14  # triples per gather batch: bounds the check's memory
 
-# gather-table dtypes: slot ids run to 2n, which fits int16 up to 16,383 roots
-# (rootsys.MAX_ROOTS is 1,000); a coefficient is a constant (+-1) or a
-# pairing (-2..2), so products of two and the e-slot sums of three fit int8
-_SLOT = np.int16
-_COEF = np.int8
+# a gather-table entry packs a slot and its coefficient as slot * 8 +
+# coefficient + 4: a coefficient is a constant (+-1) or a pairing (-2..2),
+# so it takes the low 3 bits, and slot ids run to 2n, so the entry fits
+# int16 up to 2,047 roots (rootsys.MAX_ROOTS is 1,000)
+_PACKED = np.int16
 
 
 def _bracket_arrays(table: StructureConstantTable) -> tuple:
-    """The bracket as flat gather tables over slots, for _jacobi_fails.
+    """The bracket as flat packed gather tables over slots, for
+    _jacobi_fails.
 
     Every bracket of two basis elements, and of a basis element with such a
     bracket, is one multiple of a slot: e_r (slot r), the coroot
     h_r = sum_t r_t h_t of a root r (slot n + r), or zero (slot 2n).
-    Returns (out, coef, w, inner, inner_c, wi, hroot, n), the tables
-    raveled row by row, with row widths w = 2n + 1 and wi = n + rank:
-    [basis_a, slot s] = coef[a*w + s] * slot out[a*w + s];
-    [basis_b, basis_c] = inner_c[b*wi + c] * slot inner[b*wi + c];
-    hroot[s] is the root of an h slot and 0 for the others.  Slot tables
-    are int16 and coefficient tables int8, so each gather moves few bytes;
-    SystemTooLarge when slot 2n does not fit int16.
+    Returns (out, w, inner, wi, hroot, n), the int16 tables raveled row by
+    row, with row widths w = 2n + 1 and wi = n + rank, each entry the
+    slot * 8 + coefficient + 4 of one bracket:
+    [basis_a, slot s] is the entry out[a*w + s];
+    [basis_b, basis_c] is the entry inner[b*wi + c];
+    hroot[s] is the root of an h slot and 0 for the others.  So a bracket
+    is one gather of two bytes; SystemTooLarge when slot 2n does not pack
+    into int16.
     """
     rs = table.rs
     n, rank = table.n_roots, rs.rank
     zero = 2 * n
-    if zero > np.iinfo(_SLOT).max:
+    if 8 * zero + 7 > np.iinfo(_PACKED).max:
         raise SystemTooLarge(f"{rs.name}: {zero + 1} bracket slots do not fit "
-                             f"the {np.dtype(_SLOT).name} gather tables")
+                             f"the {np.dtype(_PACKED).name} gather tables")
     pairing = rs.ids.pairing
     ids = np.arange(n)
     simple = np.array(rs.ids.simple_ids)
-    out = np.full((n + rank, zero + 1), zero, dtype=_SLOT)
-    coef = np.zeros((n + rank, zero + 1), dtype=_COEF)
+    out = np.full((n + rank, zero + 1), 8 * zero + 4, dtype=_PACKED)
     a, b = mask_pairs(table._sum >= 0)
-    out[a, b] = table._sum[a, b]  # [e_a, e_b] = N(a, b) e_{a+b}
-    coef[a, b] = table._nt[a, b]
-    out[ids, table._neg] = n + ids  # [e_a, e_-a] = h_a
-    coef[ids, table._neg] = 1
-    out[:n, n:zero] = ids[:, None]  # [e_a, h_r] = -<a, r> e_a
-    coef[:n, n:zero] = -pairing
-    out[n:, :n] = ids  # [h_t, e_b] = <alpha_t, b> e_b; [h, h] = 0
-    coef[n:, :n] = pairing[simple]
+    # [e_a, e_b] = N(a, b) e_{a+b}
+    out[a, b] = 8 * table._sum[a, b] + table._nt[a, b] + 4
+    out[ids, table._neg] = 8 * (n + ids) + 5  # [e_a, e_-a] = h_a
+    out[:n, n:zero] = 8 * ids[:, None] + 4 - pairing  # [e_a, h_r] = -<a, r> e_a
+    # [h_t, e_b] = <alpha_t, b> e_b; [h, h] = 0
+    out[n:, :n] = 8 * ids + 4 + pairing[simple]
     slot = np.concatenate([ids, n + simple])  # h_t is the coroot of alpha_t
     hroot = np.zeros((zero + 1, rank), dtype=np.int64)
     hroot[n:zero] = rs.roots
-    return (out.ravel(), coef.ravel(), zero + 1,
-            out[:, slot].ravel(), coef[:, slot].ravel(), n + rank, hroot, n)
+    return out.ravel(), zero + 1, out[:, slot].ravel(), n + rank, hroot, n
 
 
 def _jacobi_fails(brackets: tuple, x: np.ndarray, y: np.ndarray,
                   z: np.ndarray) -> np.ndarray:
     """Per triple of basis keys, whether [x,[y,z]] + [y,[z,x]] + [z,[x,y]]
-    is nonzero: each double bracket is one multiple of a slot, the e-slots
-    must cancel slot by slot and the h-slots must sum to the zero coroot."""
-    out, coef, w, inner, inner_c, wi, hroot, n = brackets
+    is nonzero: each double bracket is one multiple of a slot, read by one
+    gather per bracket level and unpacked with a shift (the slot) and a
+    mask (the coefficient + 4); the e-slots must cancel slot by slot and
+    the h-slots must sum to the zero coroot."""
+    out, w, inner, wi, hroot, n = brackets
     terms = []
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        bc = b * wi + c
-        ac = a * w + inner[bc]
-        terms.append((out[ac], inner_c[bc] * coef[ac]))
+        bc = inner.take(b * wi + c)
+        abc = out.take(a * w + (bc >> 3))
+        terms.append((abc >> 3, ((bc & 7) - 4) * ((abc & 7) - 4)))
     (s0, c0), (s1, c1), (s2, c2) = terms
-    e0, e1, e2 = (np.where(s < n, c, 0) for s, c in terms)
+    e0, e1, e2 = (c * (s < n) for s, c in terms)
     eq01, eq02, eq12 = s0 == s1, s0 == s2, s1 == s2
-    bad = ((e0 + eq01 * e1 + eq02 * e2 != 0)
-           | (e1 + eq01 * e0 + eq12 * e2 != 0)
-           | (e2 + eq02 * e0 + eq12 * e1 != 0))
+    bad = ((e0 + eq01 * e1 + eq02 * e2) | (e1 + eq01 * e0 + eq12 * e2)
+           | (e2 + eq02 * e0 + eq12 * e1)) != 0
     # only the few triples with a nonzero h-term need the coroot sum, in int64
     rows = np.flatnonzero((c0 != e0) | (c1 != e1) | (c2 != e2))
     h = sum(hroot[s[rows]] * c[rows, None] for s, c in terms)
@@ -679,9 +683,9 @@ def jacobi_check(table: StructureConstantTable, exhaustive_limit: int = 80,
     exhaustive_limit basis elements every x < y < z is checked; otherwise
     `samples` triples of distinct keys drawn from random.Random(seed), three
     32-bit words per triple (see _sampled_triples).
-    Triples are evaluated as array gathers on the flat int16 slot and int8
-    coefficient tables of _bracket_arrays, at most 2**14 at a time, so
-    memory does not grow with `samples`.  Raises JacobiViolation on the
+    Triples are evaluated as array gathers on the packed int16 tables of
+    _bracket_arrays, at most 2**14 at a time, so memory does not grow with
+    `samples`.  Raises JacobiViolation on the
     first failing triple in draw order, ValueError when samples is negative.
     The integer arguments go through operator.index, so a numpy integer
     cannot wrap and a float raises TypeError.

@@ -4,9 +4,9 @@ Exit codes: 0 success, else the code EXIT_CODES gives the exception: 1
 failed verification, crosscheck or classification (an internal
 inconsistency), or a broken internal invariant (InternalError), 2
 malformed input, 3 unsupported request, 4 a request past the state budget,
-physical memory, rootsys.MAX_ROOTS (1000 roots) or gfield.MAX_MODULUS, 130
-interrupted (Ctrl-C).  Output goes to stdout, or to
---out FILE; identical invocations produce byte-identical output.
+physical memory or the process's memory limit, rootsys.MAX_ROOTS (1000
+roots) or gfield.MAX_MODULUS, 130 interrupted (Ctrl-C).  Output goes to
+stdout, or to --out FILE; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations

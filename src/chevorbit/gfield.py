@@ -54,6 +54,14 @@ _MR_PREFIXES = tuple((psi, _MR_BASES[:k]) for psi, k in (
 ))
 
 
+def as_int(n) -> int:
+    """n as a Python int, a numpy bool counting as 0 or 1 as a bool does;
+    TypeError, from operator.index, for a float, a str or a lane array."""
+    if isinstance(n, np.bool_):
+        return int(n)
+    return operator.index(n)
+
+
 def is_prime(n: int) -> bool:
     """Whether n is prime, by trial division by _MR_BASES (one gcd with
     their product) and then deterministic Miller-Rabin; raises
@@ -78,7 +86,9 @@ def is_prime(n: int) -> bool:
     psi_1 to psi_8 are as Jaeschke tabulates them (Math. Comp. 61 (1993)),
     psi_9 = psi_10 = psi_11 is Jiang and Deng's (Math. Comp. 83 (2014)), and
     psi_12 and psi_13 are Sorenson and Webster's (Math. Comp. 86 (2017)).
-    So a modulus near 1000 takes one base, not 13."""
+    So a modulus near 1000 takes one base, not 13.  n goes through as_int:
+    a numpy bool is the int 0 or 1, and a numpy integer cannot overflow."""
+    n = as_int(n)
     if n >= MAX_MODULUS:
         raise ModulusTooLarge(
             f"{n} is past the largest supported modulus {MAX_MODULUS - 1}"
@@ -107,9 +117,7 @@ class PrimeField:
     """Arithmetic of F_p with elements as ints in range(p)."""
 
     def __init__(self, p: int):
-        # a numpy integer becomes a Python int, so p**k cannot wrap at its
-        # width; a float or a str raises TypeError here
-        p = operator.index(p)
+        p = as_int(p)  # a Python int: p**k cannot wrap at a numpy width
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p
@@ -199,12 +207,7 @@ class ExactIntegers:
     def __repr__(self) -> str:
         return "ExactIntegers()"
 
-    def of(self, n: int) -> int:
-        """n as a Python int, a numpy bool counting as 0 or 1; TypeError
-        for anything else that is not an integer, lane arrays included."""
-        if isinstance(n, np.bool_):
-            return int(n)
-        return operator.index(n)
+    of = staticmethod(as_int)  # n as a Python int
 
     def add(self, a: int, b: int) -> int:
         return a + b
@@ -238,10 +241,8 @@ def integral(n):
     bool counts as the int 0 or 1, and bool lanes as uint8 lanes."""
     if type(n) is int:
         return n
-    if isinstance(n, np.bool_):
-        return int(n)
     if not isinstance(n, np.ndarray):
-        return operator.index(n)
+        return as_int(n)
     if n.dtype.kind == "b":
         return n.astype(np.uint8)
     if n.dtype.kind in "iu" or (n.dtype == object

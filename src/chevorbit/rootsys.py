@@ -222,16 +222,21 @@ class RootSystem:
 
         # closure one height at a time: the roots of height h + 1 are the
         # g + alpha_i over the roots g of height h with <g, alpha_i> == -1
-        # (Humphreys, Introduction to Lie Algebras, 10.2); np.unique sorts
-        # each height lexicographically, starting from the simple roots.
-        # Asking it for indices keeps it from importing numpy.ma (about
-        # 14 ms and 1.7 MB) to test for a masked array.
+        # (Humphreys, Introduction to Lie Algebras, 10.2), sorted
+        # lexicographically without repeats by one int64 key per candidate:
+        # its digits in base B = 1 + the largest coefficient, the first most
+        # significant.  Keys stay below B**rank (2**31 on A31, 3**22 on D22,
+        # 7**8 on E8), so they fit int64 for every system under MAX_ROOTS.
+        # Asking np.unique for indices keeps it from importing numpy.ma
+        # (about 14 ms and 1.7 MB) to test for a masked array.
         eye = np.eye(rank, dtype=np.int64)
         heights = [eye[::-1]]
         while len(heights[-1]):
-            g, i = np.nonzero(heights[-1] @ cartan == -1)
-            heights.append(np.unique(heights[-1][g] + eye[i], axis=0,
-                                     return_index=True)[0])
+            g, i = mask_pairs(heights[-1] @ cartan == -1)
+            new = heights[-1][g] + eye[i]
+            base = int(new.max(initial=0)) + 1
+            keys = new @ base ** np.arange(rank - 1, -1, -1)
+            heights.append(new[np.unique(keys, return_index=True)[1]])
         if len(heights[-2]) != 1:
             raise InternalError("highest root is not unique")
         pos = np.concatenate(heights)

@@ -9,6 +9,8 @@ lanes, for reference computations.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from chevorbit import (
@@ -24,6 +26,7 @@ from chevorbit import (
     enumerate_orbits,
     parse_system_name,
 )
+from chevorbit.chevalley import _jacobi_defect
 from chevorbit.gfield import _pow_mod
 
 ALL_SYSTEMS: tuple[str, ...] = (
@@ -92,6 +95,28 @@ def get_table(name: str) -> StructureConstantTable:
     if name not in _tables:
         _tables[name] = build_table_oracle(get_system(name))
     return _tables[name]
+
+
+def negated_pair(name: str) -> tuple[StructureConstantTable, int, int]:
+    """A copy of name's table with a seeded pair N[i, j], N[j, i] negated:
+    antisymmetric still, but no longer a Lie bracket."""
+    t = get_table(name)
+    pairs = t.defined_pairs()
+    i, j = map(int, pairs[random.Random(name).randrange(len(pairs))])
+    nt = t._nt.copy()
+    nt[i, j] = -nt[i, j]
+    nt[j, i] = -nt[j, i]
+    return StructureConstantTable(t.rs, nt, t.stats), i, j
+
+
+def first_jacobi_failure(t: StructureConstantTable, triples) -> str:
+    """The JacobiViolation message of the first triple, in the given order,
+    on which the scalar reference _jacobi_defect is nonzero."""
+    for k in triples:
+        defect = _jacobi_defect(t, *k)
+        if defect:
+            return f"{t.rs.name}: Jacobi fails on basis triple {k}: {defect}"
+    raise AssertionError("no failing triple")
 
 
 def get_field(p: int) -> PrimeField:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from chevorbit import (
     BudgetExceeded,
     MismatchReport,
+    NotPrime,
     OrbitDescriptor,
     act_on_v1,
     crosscheck,
@@ -990,6 +991,19 @@ def test_census_entry_points_take_p_as_an_integer():
                      lambda: predicted_census(a3, bad)):
             with pytest.raises(TypeError):
                 call()
+
+
+def test_census_entry_points_read_a_numpy_bool_p_as_a_bool():
+    # p goes through gfield.as_int, as in PrimeField: np.True_ is the int 1,
+    # not prime, as True is; before, operator.index raised TypeError
+    a3, d4 = get_table("A3"), get_table("D4")
+    for p in (True, np.True_):
+        for call in (lambda: enumerate_orbits(a3, p),
+                     lambda: crosscheck(d4, p, pairs=5),
+                     lambda: predicted_census(a3, p)):
+            with pytest.raises(NotPrime, match="^1 is not prime$"):
+                call()
+        assert census_mod.check_budget(a3.rs, p) == 1
 
 
 def test_crosscheck_reports_pairs_as_a_python_int():

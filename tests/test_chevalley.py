@@ -37,8 +37,7 @@ from chevorbit import (
 )
 from chevorbit import chevalley
 from chevorbit.chevalley import (
-    _COEF,
-    _SLOT,
+    _PACKED,
     _all_triples,
     _bracket_arrays,
     _instances,
@@ -50,7 +49,13 @@ from chevorbit.chevalley import (
     closed_form_table,
 )
 from chevorbit.rootsys import MAX_ROOTS
-from helpers import ALL_SYSTEMS, get_system, get_table
+from helpers import (
+    ALL_SYSTEMS,
+    first_jacobi_failure,
+    get_system,
+    get_table,
+    negated_pair,
+)
 
 
 def test_a2_hand_computed_values():
@@ -191,6 +196,22 @@ def test_closed_form_memo_holds_one_table(monkeypatch):
                                        memo) == t.nv(i, j)
     assert len(builds) == len(memo) == 1
     assert list(memo.values()) == [closed_form_table(rs).tolist()]
+    # with the table in the memo, a call reads the ids of hashable roots
+    # directly; lists, arrays, non-roots and undefined pairs still give the
+    # same values and messages
+    for i, j in t.defined_pairs().tolist()[::7]:
+        x, y = rs.roots[i], rs.roots[j]
+        for u, v in ((list(x), y), (x, np.array(y)),
+                     (tuple(map(np.int64, x)), list(y))):
+            assert structure_constant_fast(rs, u, v, memo) == t.nv(i, j)
+    for spell in (tuple, list):
+        with pytest.raises(UndefinedPair, match=r"^\(0, 0, 1, 0, 0, 0\) \+ "
+                           r"\(0, 0, -1, 0, 0, 0\) is not a root of E6$"):
+            structure_constant_fast(rs, spell(a), rs.neg(a), memo)
+        with pytest.raises(NotARoot, match=r"^\(0, 0, 7, 0, 0, 0\) is not a "
+                           r"root of E6$"):
+            structure_constant_fast(rs, a, spell((0, 0, 7, 0, 0, 0)), memo)
+    assert len(builds) == len(memo) == 1
     # memo=None builds a table for the call alone
     assert structure_constant_fast(rs, a, b) == t.structure_constant(a, b)
     assert structure_constant_fast(rs, rs.neg(a), rs.neg(b)) == -t.nv(
@@ -509,21 +530,9 @@ def test_jacobi_check_reports_samples_as_a_python_int():
         assert type(report["triples"]) is int
 
 
-def _negated_pair(name: str) -> tuple[StructureConstantTable, int, int]:
-    """A copy of name's table with a seeded pair N[i, j], N[j, i] negated:
-    antisymmetric still, but no longer a Lie bracket."""
-    t = get_table(name)
-    pairs = t.defined_pairs()
-    i, j = map(int, pairs[random.Random(name).randrange(len(pairs))])
-    nt = t._nt.copy()
-    nt[i, j] = -nt[i, j]
-    nt[j, i] = -nt[j, i]
-    return StructureConstantTable(t.rs, nt, t.stats), i, j
-
-
 @pytest.mark.parametrize("name", ALL_SYSTEMS[1:])
 def test_jacobi_catches_a_negated_antisymmetric_pair(name):
-    t, _, _ = _negated_pair(name)
+    t, _, _ = negated_pair(name)
     with pytest.raises(JacobiViolation):
         jacobi_check(t, exhaustive_limit=t.n_basis)
 
@@ -532,7 +541,7 @@ def test_jacobi_catches_a_negated_antisymmetric_pair(name):
 def test_jacobi_verdict_matches_scalar_defect(name):
     # Half the keys come from around the negated pair, so the corrupted
     # table fails on many probes: e-terms, coroot sums and Cartan keys.
-    bad, i, j = _negated_pair(name)
+    bad, i, j = negated_pair(name)
     n, m = bad.n_roots, bad.n_basis
     s = int(bad._sum[i, j])
     near = [i, j, s, *(int(bad._neg[k]) for k in (i, j, s)), *range(n, m)]
@@ -546,25 +555,17 @@ def test_jacobi_verdict_matches_scalar_defect(name):
     assert any(want)
 
 
-def _first_failure(t, triples) -> str:
-    for k in triples:
-        defect = _jacobi_defect(t, *k)
-        if defect:
-            return f"{t.rs.name}: Jacobi fails on basis triple {k}: {defect}"
-    raise AssertionError("no failing triple")
-
-
 def test_jacobi_violation_names_the_first_failing_triple():
-    t, _, _ = _negated_pair("D4")
-    want = _first_failure(t, itertools.combinations(range(t.n_basis), 3))
+    t, _, _ = negated_pair("D4")
+    want = first_jacobi_failure(t, itertools.combinations(range(t.n_basis), 3))
     with pytest.raises(JacobiViolation) as exc:
         jacobi_check(t)
     assert str(exc.value) == want
 
-    t, _, _ = _negated_pair("A4")
+    t, _, _ = negated_pair("A4")
     drawn = (tuple(map(int, k)) for chunk in _sampled_triples(t.n_basis, 5000, 11)
              for k in zip(*chunk))
-    want = _first_failure(t, drawn)
+    want = first_jacobi_failure(t, drawn)
     with pytest.raises(JacobiViolation) as exc:
         jacobi_check(t, exhaustive_limit=0, samples=5000, seed=11)
     assert str(exc.value) == want
@@ -580,19 +581,21 @@ def test_sampled_triples_cover_every_ordered_triple_of_distinct_keys(m):
 
 @pytest.mark.parametrize("name", ["D22", "A31"])
 def test_jacobi_verdict_matches_scalar_defect_at_the_root_cap(name):
-    # the largest admitted systems: slot ids up to 2n = 1,984 in int16
+    # the largest admitted systems: slot ids up to 2n = 1,984, packed with
+    # their coefficients as slot * 8 + coefficient + 4 in int16
     t = get_table(name)
-    out, coef, w, inner, inner_c, wi, _, n = _bracket_arrays(t)
-    assert (out.dtype, inner.dtype, coef.dtype, inner_c.dtype) == (
-        np.dtype(_SLOT), np.dtype(_SLOT), np.dtype(_COEF), np.dtype(_COEF))
+    out, w, inner, wi, _, n = _bracket_arrays(t)
+    assert out.dtype == inner.dtype == np.dtype(_PACKED) == np.dtype(np.int16)
     assert (w, wi) == (2 * n + 1, t.n_basis)
     assert out.size == t.n_basis * w and inner.size == t.n_basis * wi
-    assert int(out.max()) == int(inner.max()) == 2 * n
-    assert -2 <= int(coef.min()) and int(coef.max()) <= 2
+    assert int((out >> 3).max()) == int((inner >> 3).max()) == 2 * n
+    assert int(out.max()) == 8 * 2 * n + 4  # the zero slot, coefficient 0
+    for table in (out, inner):
+        assert 2 <= int((table & 7).min()) and int((table & 7).max()) <= 6
     # with a thousand keys, random probes seldom meet the negated pair, so
     # every ordered triple of keys around it is probed as well, beside the
     # largest keys of each kind: the last root and the last Cartan key
-    bad, i, j = _negated_pair(name)
+    bad, i, j = negated_pair(name)
     s = int(bad._sum[i, j])
     near = [i, j, s, *(int(bad._neg[k]) for k in (i, j, s)), n - 1, n, wi - 1]
     rng = random.Random(7)
@@ -607,24 +610,35 @@ def test_jacobi_verdict_matches_scalar_defect_at_the_root_cap(name):
 
 
 def test_slot_dtype_holds_every_slot_under_the_root_cap():
-    # slot ids run to 2n, so int16 holds them up to n = 16,383 roots; a cap
-    # raised past that must fail here, and a table past it is refused
-    assert 2 * MAX_ROOTS <= np.iinfo(_SLOT).max
-    big = SimpleNamespace(n_roots=16_384, rs=SimpleNamespace(rank=2, name="X"))
-    with pytest.raises(SystemTooLarge, match="32769 bracket slots"):
+    # slot ids run to 2n and pack as slot * 8 + coefficient + 4, so int16
+    # holds them up to n = 2,047 roots; a cap raised past that must fail
+    # here, and a table past it is refused
+    assert 8 * 2 * MAX_ROOTS + 7 <= np.iinfo(_PACKED).max
+    assert 8 * 2 * 2047 + 7 <= np.iinfo(_PACKED).max < 8 * 2 * 2048
+    big = SimpleNamespace(n_roots=2048, rs=SimpleNamespace(rank=2, name="X"))
+    with pytest.raises(SystemTooLarge, match="4097 bracket slots do not fit "
+                                             "the int16 gather tables"):
         _bracket_arrays(big)
 
 
 def test_jacobi_check_does_not_import_numpy_random():
-    script = ("import sys; from chevorbit import build_root_system, "
-              "build_table_oracle, jacobi_check; "
-              "jacobi_check(build_table_oracle(build_root_system('E', 8))); "
-              "print('numpy' in sys.modules, 'numpy.random' in sys.modules)")
+    # a fresh interpreter builds and checks all 16 systems as the constants
+    # command does; numpy.random (6 MB of RSS) and numpy.ma (about 14 ms
+    # and 1.7 MB, which np.unique imports unless asked for indices) stay out
+    script = (
+        "import sys; from chevorbit import *\n"
+        f"for name in {ALL_SYSTEMS!r}:\n"
+        "    rs = build_root_system(*parse_system_name(name))\n"
+        "    t = build_table_oracle(rs); verify_table(t); jacobi_check(t)\n"
+        "    for i, j in t.defined_pairs()[:1].tolist():\n"
+        "        structure_constant_fast(rs, rs.roots[i], rs.roots[j], {})\n"
+        "print(*(m in sys.modules for m in "
+        "('numpy', 'numpy.random', 'numpy.ma')))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(chevorbit.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [b"True", b"False"]
+    assert proc.stdout.split() == [b"True", b"False", b"False"]
 
 
 @pytest.mark.parametrize("m, seed", [(91, 1729), (248, 1729), (248, 5)])

@@ -6,8 +6,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
+import os
 import random
+import resource
 import runpy
 import subprocess
 import sys
@@ -30,9 +33,11 @@ from chevorbit import (
     build_table_oracle,
 )
 from chevorbit import census as census_mod
+from chevorbit import chevalley
 from chevorbit import cli as cli_mod
 from chevorbit import orbitlab, rootsys
 from chevorbit.cli import main
+from helpers import first_jacobi_failure, negated_pair
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +167,32 @@ def test_constants_failure_exits_one(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "constants", "A2")
     assert code == 1
     assert "corruption" in err or "Inconsistent" in err
+
+
+@pytest.mark.parametrize("system, mode", [("D4", "exhaustive"),
+                                          ("D7", "sampled")])
+def test_constants_names_the_first_triple_that_fails_jacobi(capsys,
+                                                           monkeypatch,
+                                                           system, mode):
+    # the table with a negated antisymmetric pair: the Jacobi branch of
+    # constants reports "fail" and names, on stderr, the triple the scalar
+    # reference meets first, in the check's own order of triples
+    bad, _, _ = negated_pair(system)
+    monkeypatch.setattr(cli_mod, "build_table_oracle", lambda rs: bad)
+    m = bad.n_basis
+    if mode == "exhaustive":
+        triples = itertools.combinations(range(m), 3)
+    else:
+        triples = (tuple(map(int, k)) for chunk in
+                   chevalley._sampled_triples(m, 10**5, 1729)
+                   for k in zip(*chunk))
+    want = first_jacobi_failure(bad, triples)
+    code, out, err = run_cli(capsys, "constants", system, "--check", "jacobi")
+    assert (code, out) == (1, "")
+    first, report = err.split("\n", 1)
+    assert first == f"verification failed: {want}"
+    assert "Traceback" not in err
+    assert json.loads(report)["checks"] == {"jacobi": {"status": "fail"}}
 
 
 def test_constants_names_a_closed_form_that_disagrees(capsys, monkeypatch):
@@ -585,6 +616,43 @@ def test_predicted_census_past_physical_memory_exits_four(capsys,
     assert "listing the 1000000018 orbits of D4" in err
 
 
+def test_census_past_the_process_memory_limit_exits_four_before_enumerating():
+    # a child that sets its own RLIMIT_AS of 400 MB: D5/F5 is within the
+    # state budget, but its partition index (5**12 int32 states, 931 MiB)
+    # is not within the limit, so it is refused before any allocation
+    # instead of at numpy's "Unable to allocate"
+    def limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, hard))
+
+    src = str(Path(chevorbit.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "chevorbit", "orbits", "D5", "-p", "5",
+         "--compare", "--budget", "300000000"],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == (
+        "budget exceeded: enumerating D5 over F_5 needs about 980232516 "
+        f"bytes, more than the {400 * 2**20} bytes of this process's "
+        "memory limit\n")
+
+
+def test_memory_limit_reads_the_least_finite_soft_limit(monkeypatch):
+    unset = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+    limits = {resource.RLIMIT_AS: unset,
+              resource.RLIMIT_DATA: (5 * 2**30, resource.RLIM_INFINITY)}
+    monkeypatch.setattr(resource, "getrlimit", limits.__getitem__)
+    assert census_mod._memory_limit() == 5 * 2**30
+    limits[resource.RLIMIT_AS] = (3 * 2**30, 6 * 2**30)
+    assert census_mod._memory_limit() == 3 * 2**30
+    limits[resource.RLIMIT_DATA] = limits[resource.RLIMIT_AS] = unset
+    assert census_mod._memory_limit() is None
+    monkeypatch.setattr(census_mod, "_physical_memory", lambda: None)
+    assert census_mod.check_budget(build_root_system("D", 5), 5,
+                                   300_000_000) == 5**12
+
+
 def test_orbits_memory_error_exits_four(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("out of memory")
@@ -851,11 +919,10 @@ def test_pinned_outputs_file_lists_the_pinned_invocations():
     assert [argv for _, _, argv in rows] == want
 
 
-def test_predicted_orbits_invocations_keep_their_pinned_digests():
-    # the catalogue path: every pinned `orbits` invocation that lists the
-    # predicted census (neither --compare nor --brute-force) reruns
-    # in-process and must print the stdout, by sha256, and exit with the
-    # code that scripts/pinned_outputs.txt records
+def _rerun_pinned(select) -> int:
+    """Rerun in-process the pinned invocations for which select(argv) is
+    true; each must print the stdout, by sha256, and exit with the code
+    that scripts/pinned_outputs.txt records.  Returns how many ran."""
     scripts = Path(__file__).parents[1] / "scripts"
     script = runpy.run_path(str(scripts / "pinned_outputs.py"),
                             run_name="pinned_outputs")
@@ -865,10 +932,22 @@ def test_predicted_orbits_invocations_keep_their_pinned_digests():
         digest, code, argv = line.split(" ", 2)
         pinned[argv] = (digest, code)
     batches = {case: "@FILE" for case in script["BATCHES"]}
-    predicted = [argv for argv in script["invocations"](batches)
-                 if argv[0] == "orbits"
-                 and not {"--compare", "--brute-force"} & set(argv)]
-    assert len(predicted) == 16
-    for argv in predicted:
+    chosen = [argv for argv in script["invocations"](batches) if select(argv)]
+    for argv in chosen:
         digest, code = script["run"](argv)
         assert (digest, str(code)) == pinned[" ".join(argv)], argv
+    return len(chosen)
+
+
+def test_predicted_orbits_invocations_keep_their_pinned_digests():
+    # the catalogue path: every pinned `orbits` invocation that lists the
+    # predicted census (neither --compare nor --brute-force)
+    assert _rerun_pinned(lambda argv: argv[0] == "orbits" and not
+                         {"--compare", "--brute-force"} & set(argv)) == 16
+
+
+def test_constants_invocations_keep_their_pinned_digests():
+    # the structure path: every pinned `constants` invocation, the 16
+    # systems in JSON and CSV and the largest systems' single checks, so
+    # any change to a constant, a count or a check's report shows here
+    assert _rerun_pinned(lambda argv: argv[0] == "constants") == 40

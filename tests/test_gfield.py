@@ -197,6 +197,20 @@ def test_prime_field_takes_p_as_an_integer():
             PrimeField(bad)
 
 
+def test_a_numpy_bool_modulus_counts_as_0_or_1():
+    # as a Python bool does, and as numpy bools do as field elements and
+    # vector entries: neither 0 nor 1 is prime.  Before, PrimeField(np.True_)
+    # raised TypeError and is_prime(np.True_) OverflowError
+    for b in (True, False, np.True_, np.False_):
+        assert is_prime(b) is False
+        with pytest.raises(NotPrime, match=f"^{int(b)} is not prime$"):
+            PrimeField(b)
+    assert is_prime(np.int64(7)) is True and is_prime(np.uint64(9)) is False
+    for bad in (7.0, "7", np.array([7])):
+        with pytest.raises(TypeError):
+            is_prime(bad)
+
+
 # psi_k, the least strong pseudoprime to the first k prime bases, at each k
 # where it grows; the last is MAX_MODULUS
 PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
