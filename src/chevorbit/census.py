@@ -59,7 +59,7 @@ except ImportError:  # not on every platform
     resource = None
 
 from .chevalley import StructureConstantTable
-from .gfield import PrimeField, _mod, as_int, integral
+from .gfield import PrimeField, _mod
 from .liemod import _v1_moves
 from .orbitlab import (
     InvalidDescriptor,
@@ -71,7 +71,7 @@ from .orbitlab import (
     classify_many,
     same_orbit,
 )
-from .rootsys import RootSystem
+from .rootsys import RootSystem, as_int
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV = "CHEVORBIT_BUDGET"
@@ -138,10 +138,7 @@ def _resolve_budget(budget: int | None) -> int:
     if budget is None:
         env = os.environ.get(BUDGET_ENV)
         budget = int(env) if env else DEFAULT_BUDGET
-    budget = operator.index(budget)
-    if budget <= 0:
-        raise ValueError(f"the state budget must be positive, got {budget}")
-    return budget
+    return as_int(budget, "the state budget", 1)
 
 
 def _physical_memory() -> int | None:
@@ -162,14 +159,41 @@ def _memory_limit() -> int | None:
     return min((x for x in soft if x != resource.RLIM_INFINITY), default=None)
 
 
+def _memory_left() -> int | None:
+    """The least of what a finite soft RLIMIT_AS leaves beside the bytes
+    this process maps and what a finite soft RLIMIT_DATA leaves beside its
+    data bytes, read from /proc/self/statm; None without such a limit or
+    where that file does not exist."""
+    if resource is None:
+        return None
+    limits = [(soft, field) for r, field in ((resource.RLIMIT_AS, 0),
+                                             (resource.RLIMIT_DATA, 5))
+              if (soft := resource.getrlimit(r)[0]) != resource.RLIM_INFINITY]
+    if not limits:
+        return None
+    try:
+        with open("/proc/self/statm", encoding="ascii") as f:
+            pages = f.read().split()
+    except OSError:
+        return None
+    size = os.sysconf("SC_PAGE_SIZE")
+    return min(soft - int(pages[field]) * size for soft, field in limits)
+
+
 def _check_memory(need: int, what: str) -> None:
     """BudgetExceeded, before any allocation, when need bytes exceed
-    physical memory or the process's own limit."""
+    physical memory, the process's own limit, or what that limit leaves
+    beside what the process holds already (_memory_left)."""
     for memory, of in ((_physical_memory(), "physical memory"),
                        (_memory_limit(), "this process's memory limit")):
         if memory is not None and need > memory:
             raise BudgetExceeded(f"{what} needs about {need} bytes, more "
                                  f"than the {memory} bytes of {of}")
+    left = _memory_left()
+    if left is not None and need > left:
+        raise BudgetExceeded(f"{what} needs about {need} bytes, more than "
+                             f"the {left} bytes left under this process's "
+                             f"memory limit")
 
 
 def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
@@ -178,8 +202,7 @@ def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
     below 2**62, and partitioned within memory (_check_memory);
     BudgetExceeded otherwise, ValueError for a nonpositive budget.  Needs
     only the root system, so a census can be refused before its table is
-    built.  p goes through gfield.as_int and budget through operator.index,
-    so a numpy integer cannot wrap p**|phi1| and a float raises TypeError."""
+    built."""
     p = as_int(p)
     total = p ** len(rs.phi1)
     limit = _resolve_budget(budget)
@@ -213,19 +236,18 @@ def _generator_moves(table: StructureConstantTable):
 
 def state_of_vector(rs: RootSystem, p: int, x) -> int:
     """Base-p encoding of a level-1 vector, first coordinate most
-    significant, each entry reduced mod p, numpy bools counting as 0 and 1;
-    ValueError for a vector of the wrong length, TypeError for entries that
-    are not integers."""
-    s = 0
+    significant, each entry reduced mod p; ValueError for a vector of the
+    wrong length."""
+    p, s = as_int(p, "p", 2), 0
     for c in rs.check_v1(x):
-        s = s * p + operator.index(integral(c)) % p
+        s = s * p + as_int(c) % p
     return s
 
 
 def vector_of_state(rs: RootSystem, p: int, s: int) -> tuple[int, ...]:
     """The level-1 vector of a state in range(p**|phi1|); ValueError for
     any other integer."""
-    m, s = len(rs.phi1), operator.index(s)
+    m, p, s = len(rs.phi1), as_int(p, "p", 2), as_int(s)
     if s not in range(p ** m):
         raise ValueError(f"{s} is not a state of {rs.name} over F_{p}, "
                          f"which are range({p}**{m})")
@@ -440,6 +462,7 @@ def predicted_census(table: StructureConstantTable, p: int,
     on A2 from p = 401 to 601, 295 on D8/F100003) would not fit in
     memory (_check_memory)."""
     p = as_int(p)
+    bytes_per_orbit = as_int(bytes_per_orbit, "bytes_per_orbit", 1)
     K = PrimeField(p)
     count = _classifier(table, K).orbit_count()
     if count >= 2**62:
@@ -462,11 +485,9 @@ def crosscheck(table: StructureConstantTable, p: int,
     given or one enumerated under the default budget; raise on mismatch.
     ValueError, before any work, for a census of another system or prime
     than (table, p), for one whose state count is not p**|phi1|, or for a
-    negative number of pairs.  p goes through gfield.as_int, pairs and seed
-    through operator.index, so the report holds Python ints and a float
-    raises TypeError."""
+    negative number of pairs."""
     rs, p = table.rs, as_int(p)
-    pairs, seed = operator.index(pairs), operator.index(seed)
+    pairs, seed = as_int(pairs, "pairs", 0), as_int(seed)
     if census is not None and (census.family, census.rank, census.p) != (
             rs.family, rs.rank, p):
         raise ValueError(f"the census is of {census.family}{census.rank} "
@@ -474,8 +495,6 @@ def crosscheck(table: StructureConstantTable, p: int,
     if census is not None and census.total_states != p ** len(rs.phi1):
         raise ValueError(f"the census counts {census.total_states} states, "
                          f"not the {p}**{len(rs.phi1)} of {rs.name} over F_{p}")
-    if pairs < 0:
-        raise ValueError(f"pairs must be >= 0, got {pairs}")
     K = PrimeField(p)
     if census is None:
         census = enumerate_orbits(table, p)

@@ -44,17 +44,17 @@ an n x n root mask goes through rootsys.mask_pairs, one flat search.
 jacobi_check evaluates basis triples with array gathers: every bracket of
 two basis elements is tabulated once per check, in flat int16 tables that
 pack a slot and its coefficient in one entry, so each double bracket
-[a, [b, c]] is two gathers, in batches of 2**14 triples.  It checks every
-x < y < z when the basis has at most 80 elements (A1-A8, D4-D6, E6) and 10**5 triples of distinct keys,
-drawn as 32-bit words from random.Random(seed), otherwise;
-the tests run it exhaustively on all 16 systems.  _jacobi_defect is the
-scalar reference the tests compare it against.
+[a, [b, c]] is two gathers, in batches of 2**14 triples.  By default it
+checks every x < y < z when the basis has at most 80 elements (A1-A8,
+D4-D6, E6), and otherwise 10**5 triples of distinct keys, drawn as 32-bit
+words from random.Random(seed); the tests run it exhaustively on all 16
+systems.  _jacobi_defect is the scalar reference the tests compare it
+against.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 import random
 
 import numpy as np
@@ -65,6 +65,7 @@ from .rootsys import (
     RootIds,
     RootSystem,
     SystemTooLarge,
+    as_int,
     mask_pairs,
 )
 
@@ -94,7 +95,7 @@ def sign_rule(rs: RootSystem, i: int, beta) -> int:
     The constant is -1 exactly when i exceeds every index in the support
     of beta, and +1 otherwise.
     """
-    beta = tuple(beta)
+    i, beta = as_int(i), tuple(beta)
     if not rs.is_positive(beta):
         raise NotAPositiveRoot(f"{beta} is not a positive root of {rs.name}")
     b = rs.root_id(beta)
@@ -300,9 +301,7 @@ class StructureConstantTable:
 
     def h_key(self, t: int) -> int:
         """Key of h_t, 1-based t."""
-        if not 1 <= t <= self.rs.rank:
-            raise ValueError(f"no Cartan generator h_{t} in rank {self.rs.rank}")
-        return self._n + t - 1
+        return self._n + as_int(t, "t", 1, self.rs.rank + 1) - 1
 
     # -- constants ---------------------------------------------------------
 
@@ -687,13 +686,9 @@ def jacobi_check(table: StructureConstantTable, exhaustive_limit: int = 80,
     _bracket_arrays, at most 2**14 at a time, so memory does not grow with
     `samples`.  Raises JacobiViolation on the
     first failing triple in draw order, ValueError when samples is negative.
-    The integer arguments go through operator.index, so a numpy integer
-    cannot wrap and a float raises TypeError.
     """
-    exhaustive_limit = operator.index(exhaustive_limit)
-    samples, seed = operator.index(samples), operator.index(seed)
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+    exhaustive_limit, seed = as_int(exhaustive_limit), as_int(seed)
+    samples = as_int(samples, "samples", 0)
     m = table.n_basis
     if m <= exhaustive_limit:
         chunks = _all_triples(m)

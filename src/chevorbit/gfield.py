@@ -4,9 +4,8 @@ Field elements are plain Python ints in ``range(p)``; the :class:`PrimeField`
 object carries the arithmetic.  Coefficient domains share one protocol:
 ``zero``, ``one``, ``of``, ``add``, ``sub``, ``mul``, ``neg``, ``inv`` and
 ``is_zero``.  :class:`ExactIntegers` implements it over the integers.
-``of`` takes the integers a caller passes in (Python or numpy ints, and
-numpy bools as 0 and 1; for PrimeField also integer or bool lane arrays)
-and raises TypeError for anything else.
+``of`` reads its argument by the integer rule of rootsys, and
+PrimeField's also takes lane arrays.
 
 Square classes of units are represented by a canonical representative:
 1 for squares and the least quadratic nonresidue otherwise.
@@ -18,13 +17,12 @@ lane per vector of a batch) mod p, each in the spelling that is fast for it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .rootsys import InternalError
+from .rootsys import InternalError, as_int, integral
 
 
 class NotPrime(ValueError):
@@ -54,14 +52,6 @@ _MR_PREFIXES = tuple((psi, _MR_BASES[:k]) for psi, k in (
 ))
 
 
-def as_int(n) -> int:
-    """n as a Python int, a numpy bool counting as 0 or 1 as a bool does;
-    TypeError, from operator.index, for a float, a str or a lane array."""
-    if isinstance(n, np.bool_):
-        return int(n)
-    return operator.index(n)
-
-
 def is_prime(n: int) -> bool:
     """Whether n is prime, by trial division by _MR_BASES (one gcd with
     their product) and then deterministic Miller-Rabin; raises
@@ -86,8 +76,7 @@ def is_prime(n: int) -> bool:
     psi_1 to psi_8 are as Jaeschke tabulates them (Math. Comp. 61 (1993)),
     psi_9 = psi_10 = psi_11 is Jiang and Deng's (Math. Comp. 83 (2014)), and
     psi_12 and psi_13 are Sorenson and Webster's (Math. Comp. 86 (2017)).
-    So a modulus near 1000 takes one base, not 13.  n goes through as_int:
-    a numpy bool is the int 0 or 1, and a numpy integer cannot overflow."""
+    So a modulus near 1000 takes one base, not 13."""
     n = as_int(n)
     if n >= MAX_MODULUS:
         raise ModulusTooLarge(
@@ -117,7 +106,7 @@ class PrimeField:
     """Arithmetic of F_p with elements as ints in range(p)."""
 
     def __init__(self, p: int):
-        p = as_int(p)  # a Python int: p**k cannot wrap at a numpy width
+        p = as_int(p)
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p
@@ -149,7 +138,7 @@ class PrimeField:
         n = integral(n)
         if isinstance(n, np.ndarray):
             wide = np.int64 if (self.p - 1) ** 2 < 2**63 else object
-            if n.dtype == np.uint64:  # past int64: reduce it as Python ints
+            if n.dtype in (np.uint64, object):  # reduce as Python ints
                 return (n.astype(object) % self.p).astype(wide)
             return n.astype(wide, copy=False) % self.p
         return n % self.p
@@ -231,24 +220,6 @@ class ExactIntegers:
 
 
 INTEGERS = ExactIntegers()
-
-
-def integral(n):
-    """n as a Python int, or an integer lane array (fixed-width, or Python
-    ints as PrimeField.of makes them past int64) as it is; TypeError for
-    anything else, as operator.index raises for a float or a str.  numpy
-    scalars become Python ints, so nothing wraps at their width.  A numpy
-    bool counts as the int 0 or 1, and bool lanes as uint8 lanes."""
-    if type(n) is int:
-        return n
-    if not isinstance(n, np.ndarray):
-        return as_int(n)
-    if n.dtype.kind == "b":
-        return n.astype(np.uint8)
-    if n.dtype.kind in "iu" or (n.dtype == object
-                                and all(type(c) is int for c in n.flat)):
-        return n
-    raise TypeError(f"lanes of {n.dtype} are not integers")
 
 
 def _mod(a, p: int):

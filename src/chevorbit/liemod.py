@@ -46,8 +46,8 @@ import operator
 import numpy as np
 
 from .chevalley import StructureConstantTable, table_cached
-from .gfield import PrimeField, integral
-from .rootsys import Root
+from .gfield import PrimeField
+from .rootsys import Root, as_int, integral
 
 
 class ZeroScalar(ValueError):
@@ -76,7 +76,7 @@ class LieVector:
     @classmethod
     def basis(cls, table: StructureConstantTable, domain, key: int) -> "LieVector":
         v = cls.zero(table, domain)
-        v.coeffs[key] = domain.one
+        v.coeffs[as_int(key, "key", 0, table.n_basis)] = domain.one
         return v
 
     @classmethod

@@ -70,9 +70,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .chevalley import StructureConstantTable, table_cached
-from .gfield import SquareClass, _mod, _pow_mod, integral, square_class
+from .gfield import SquareClass, _mod, _pow_mod, square_class
 from .liemod import LieVector, apply_root_element
-from .rootsys import Root, RootSystem, simple_index, standard_quadruple
+from .rootsys import (Root, RootSystem, as_int, integral, simple_index,
+                      standard_quadruple)
 
 
 class UnsupportedFamily(ValueError):
@@ -234,7 +235,7 @@ def associated_root_element(table: StructureConstantTable, K, x,
         raise CharTwo("the construction divides by 2")
     m = len(rs.phi1)
     xs = [K.of(c) for c in rs.check_v1(x)]
-    idxs = range(m) if order is None else list(order)
+    idxs = range(m) if order is None else [as_int(i) for i in order]
     if order is not None and sorted(idxs) != list(range(m)):
         raise ValueError("order must be a permutation of the phi1 indices")
 
@@ -717,9 +718,7 @@ def al_pair(rs: RootSystem, x) -> tuple[tuple, tuple]:
     v_j the coefficient at alpha_{j+1} + ... + alpha_l, for j = 1..l-1.
     Under the level-0 subgroup, u transforms as a covector and v as a
     vector of a GL(l-1) action, so the contraction sum(u_j * v_j) is an
-    orbit invariant.  Entries are integers or integer lane arrays, numpy
-    bools and bool lanes counting as 0 and 1; anything else raises
-    TypeError.
+    orbit invariant.  Entries are integers or integer lane arrays.
     """
     if rs.family != "A":
         raise UnsupportedFamily(
@@ -925,10 +924,8 @@ class _Classifier:
             x = tuple(x)  # an iterator is read once
         try:
             x = [operator.index(c) % p for c in x]
-        except TypeError:
-            # numpy bools have no __index__; integral counts them as 0 and
-            # 1, and operator.index still refuses lanes
-            x = [operator.index(integral(c)) % p for c in x]
+        except TypeError:  # numpy bools have no __index__
+            x = [as_int(c) % p for c in x]
         if len(x) != self.m:
             self.rs.check_v1(x)  # raises, with the system's message
         return x
@@ -1129,8 +1126,7 @@ def _v_code_checked(table: StructureConstantTable, entries) -> None:
 
 def classify(table: StructureConstantTable, K, x) -> OrbitDescriptor:
     """Orbit descriptor of a level-1 coefficient vector (phi1 order) of
-    integers, numpy bools counting as 0 and 1; TypeError for entries that
-    are not integers."""
+    integers."""
     return _classifier(table, K).classify(x)
 
 
@@ -1158,7 +1154,7 @@ def _batch_rows(rs: RootSystem, p: int, X):
     if rows.dtype.kind in "biu":
         return rows
     with contextlib.suppress(TypeError):
-        return [[operator.index(c) for c in x] for x in X]
+        return [[as_int(c) for c in x] for x in X]
     raise ValueError(f"level-1 vector entries over F_{p} must be integers")
 
 
@@ -1169,8 +1165,8 @@ def classify_many(table: StructureConstantTable, K,
     X is a sequence of integer vectors in phi1 order, or an (n, |phi1|)
     integer array.  The result equals [classify(table, K, x) for x in X]:
     the codes come from the same classifier (its chunk_codes), and each
-    distinct code is decoded once; bool entries count as 0 and 1.  A row of
-    the wrong length, or entries that are not integers, raise ValueError.
+    distinct code is decoded once.  A row of the wrong length, or entries
+    that are not integers, raise ValueError.
     """
     clf = _classifier(table, K)
     rows = _batch_rows(clf.rs, clf.p, X)

@@ -25,11 +25,20 @@ Root ids are positions in that list.  RootSystem.ids holds the tables over
 root ids (see RootIds), the n x n pairing and sum ids among them; they are
 built once per root system, on first use, so the CLI's `roots` never
 builds them.
+
+The integer rule of the public boundary is stated here, in the module
+every other one imports: a numpy integer counts as the Python int it
+holds, so nothing wraps at its width, and a Python or numpy bool as 0 or
+1; anything else raises TypeError, or ValueError outside the parameter's
+range.  Each public entry reads each integer argument once, at entry: a
+scalar through as_int, with its range, and a field element, which may be
+a lane array, through integral.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +67,34 @@ class InternalError(RuntimeError):
     not in its input."""
 
 
+def as_int(n, name: str = "n", least: int | None = None,
+           below: int | None = None) -> int:
+    """n as a Python int; ValueError, naming the parameter, unless
+    least <= n < below (each bound where given)."""
+    n = int(n) if isinstance(n, np.bool_) else operator.index(n)
+    if least is not None and n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    if below is not None and n >= below:
+        raise ValueError(f"{name} must be < {below}, got {n}")
+    return n
+
+
+def integral(n):
+    """n as a Python int, or an integer lane array (fixed-width, or Python
+    ints as PrimeField.of makes them past int64) as it is, bool lanes as
+    uint8 lanes."""
+    if type(n) is int:
+        return n
+    if not isinstance(n, np.ndarray):
+        return as_int(n)
+    if n.dtype.kind == "b":
+        return n.astype(np.uint8)
+    if n.dtype.kind in "iu" or (n.dtype == object
+                                and all(type(c) is int for c in n.flat)):
+        return n
+    raise TypeError(f"lanes of {n.dtype} are not integers")
+
+
 # The closure of a root system, and every table built on it, grows with the
 # root count, which is known in advance; larger systems are refused before
 # any work.  1000 admits A_l up to l = 31, D_l up to l = 22 and all of E.
@@ -70,6 +107,7 @@ def root_count(family: str, rank: int) -> int:
     Raises UnsupportedSystem for any other (family, rank), and SystemTooLarge
     past MAX_ROOTS.
     """
+    rank = as_int(rank)
     if family == "A" and rank >= 1:
         n = rank * (rank + 1)
     elif family == "D" and rank >= 4:
@@ -214,6 +252,7 @@ class RootSystem:
     """
 
     def __init__(self, family: str, rank: int):
+        rank = as_int(rank)
         root_count(family, rank)
         self.family = family
         self.rank = rank
@@ -289,6 +328,7 @@ class RootSystem:
 
     def simple(self, i: int) -> Root:
         """The simple root alpha_i, 1-based."""
+        i = as_int(i)
         if not 1 <= i <= self.rank:
             raise NotARoot(f"no simple root alpha_{i} in rank {self.rank}")
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))

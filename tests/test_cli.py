@@ -638,6 +638,48 @@ def test_census_past_the_process_memory_limit_exits_four_before_enumerating():
         "memory limit\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="what a process maps is read from /proc")
+def test_census_past_what_the_memory_limit_leaves_exits_four_at_once():
+    # under the same 400 MB limit, A3/F97's partition (88,529,281 int32
+    # states, priced at 357,787,140 bytes) is below the limit but not below
+    # what the interpreter, numpy and chevorbit leave of it: refused before
+    # any allocation, not at numpy's "Unable to allocate" once work started
+    def limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, hard))
+
+    src = str(Path(chevorbit.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "chevorbit", "orbits", "A3", "-p", "97",
+         "--brute-force", "--format", "csv", "--budget", "100000000"],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith(
+        "budget exceeded: enumerating A3 over F_97 needs about 357787140 "
+        "bytes, more than the ")
+    assert proc.stderr.endswith(" bytes left under this process's memory "
+                                "limit\n")
+    assert "Unable to allocate" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="what a process maps is read from /proc")
+def test_memory_left_subtracts_what_each_limit_counts(monkeypatch):
+    # RLIMIT_AS counts every mapped byte, RLIMIT_DATA the data bytes alone,
+    # which are fewer; without a finite limit nothing is read
+    unset = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+    limits = {resource.RLIMIT_AS: unset, resource.RLIMIT_DATA: unset}
+    monkeypatch.setattr(resource, "getrlimit", limits.__getitem__)
+    assert census_mod._memory_left() is None
+    limits[resource.RLIMIT_DATA] = (2**40, resource.RLIM_INFINITY)
+    data = 2**40 - census_mod._memory_left()
+    limits[resource.RLIMIT_AS] = (2**40, resource.RLIM_INFINITY)
+    mapped = 2**40 - census_mod._memory_left()
+    assert 0 < data < mapped < 2**40
+
+
 def test_memory_limit_reads_the_least_finite_soft_limit(monkeypatch):
     unset = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
     limits = {resource.RLIMIT_AS: unset,
