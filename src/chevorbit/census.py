@@ -11,11 +11,13 @@ them onto a simple one (Steinberg, Lectures on Chevalley Groups, 1967).
 Each generator shifts coefficients along the disjoint source/target pairs
 of liemod's plan (_v1_moves) and permutes the states; the orbits are the
 connected components of those permutations, each labelled by its least
-(lexicographically first) state.  They are found by hooking and pointer
-jumping in place on one array indexed by state, worked through in blocks of
-states that share their leading digits: each permutation is rebuilt from its
-shift tables block by block when it is needed, so enumeration holds that one
-array and a working set of one block, whatever the number of generators.
+(lexicographically first) state.  They are found in two reads of every
+edge: a round of hooking in place on one array indexed by state, then a
+union-find over the few trees that round leaves.  The work runs through
+blocks of states that share their leading digits: each permutation is
+rebuilt from its shift tables block by block when it is needed, so
+enumeration holds that one array and a working set of one block, whatever
+the number of generators.
 
 The crosscheck compares the invariant-based classifier against the ground
 truth partition:
@@ -271,160 +273,236 @@ def _index_dtype(total: int):
     return np.int32 if total < 2**31 else np.int64
 
 
+def _images(move, p: int, m: int, n: int):
+    """The image of every state under one move, block by block in ascending
+    order: (first state of the block, image of its p**n states), the image
+    one array reused for every block.
+
+    A block is the p**n states that share their first m - n digits (the
+    fixed digits).  A move adds sgn * x_src to x_dst for each of its pairs,
+    and no target is also a source, so each pair shifts the state by a
+    p x p table indexed by its two digits.  The pairs with both digits free
+    give the in-block image, built once with a broadcast add; each block
+    adds to it its first state, the shifts of the pairs with both digits
+    fixed, and one row of the table for each pair with one digit fixed.  A
+    fixed target sends the image to another block."""
+    fixed, size = m - n, p ** n
+    digit = np.arange(p)
+    # each pair's state shift as a table [x_src, x_dst], sorted by the pair's
+    # fixed digits: none, both, or one (the table then indexed by the fixed
+    # digit first)
+    inner, both, rows = [], [], []
+    for s, d, g in move:
+        t = ((digit + g * digit[:, None]) % p - digit) * p ** (m - 1 - d)
+        if s < fixed and d < fixed:
+            both.append((s, d, t))
+        elif s < fixed:
+            rows.append((s, d - fixed, t))
+        elif d < fixed:
+            rows.append((d, s - fixed, t.T))
+        else:
+            inner.append((s - fixed, d - fixed, t))
+    # the in-block image of the pairs with both digits free, through a 5-D
+    # view of the block
+    base = np.arange(size)
+    for s, d, shift in inner:
+        lo, hi = sorted((s, d))
+        shape = (p ** lo, p, p ** (hi - lo - 1), p, p ** (n - 1 - hi))
+        table = (shift if s < d else shift.T)[:, None, :, None]
+        if lo:
+            # numpy's inner loop runs over the last axis, which is short when
+            # hi is a late digit: spell the table out over every digit after
+            # x_lo, at most size / p entries, and add it over the leading
+            # digits instead
+            table = np.broadcast_to(table, shape[1:]).reshape(-1)
+            shape = (shape[0], -1)
+        view = base.reshape(shape)
+        view += table
+    img = np.empty(size, dtype=np.intp)
+    for q, xs in enumerate(itertools.product(range(p), repeat=fixed)):
+        np.add(base, q * size + sum(int(t[xs[s], xs[d]]) for s, d, t in both),
+               out=img)
+        for f, i, t in rows:  # add row x_f of t over free digit x_i
+            img.reshape(p ** i, p, -1)[...] += t[xs[f], :, None]
+        yield q * size, img
+
+
+def _join(tree, a, b):
+    """One hook of a union-find over trees: tree is compressed (tree[t] is
+    the root of t's set) and a, b are the roots of pairs of sets to join.
+    Hooks the larger root of each pair onto the smaller, compresses tree
+    again, and returns it with the roots of the pairs still apart."""
+    hi = np.maximum(a, b)
+    np.minimum.at(tree, hi, np.minimum(a, b))
+    # a hooked root may have been hooked onto one hooked in the same call:
+    # chase the hooked roots to theirs, and then every entry is at most one
+    # step from its root
+    while True:
+        top = tree.take(hi)
+        up = tree.take(top)
+        if np.array_equal(up, top):
+            break
+        tree[hi] = up
+    tree = tree.take(tree)
+    a, b = tree.take(a), tree.take(b)
+    apart = np.flatnonzero(a != b)
+    return tree, a[apart], b[apart]
+
+
 def _orbit_partition(moves, p: int, m: int):
     """Orbit index of every state, and the orbits' least states and sizes.
 
     The orbits are the connected components of the graph joining each state
     to its image under each move.  One index array, label, starts as the
-    identity.  Each round hooks the larger label across every edge onto the
-    smaller, in place (the asynchronous form of Shiloach & Vishkin, 1982),
-    then pointer jumps until every label is a root.  Orbits are indexed by
-    ascending least state.
+    identity, and the work runs over blocks of p**n <= _BLOCK_STATES states
+    (_images), so the kernel holds that one array and a working set per
+    block, whatever the number of moves.
 
-    A label only ever moves to a smaller state of its own component: both
-    ends of an edge lie in one component, so do their labels, and hooking
-    lowers the larger label to the smaller one.  That holds even when a
-    label was read after an earlier hook of the same round changed it.
-    Each round starts with every label a root.  A round that hooks nothing
-    changes no label, so it also ends with every label a root, and the two
-    ends of every edge share a label.  Each component then carries one
-    label, a state of the component no larger than any of its states: its
-    least state.  A round that finds an edge with two labels lowers some
-    label, there or at an earlier hook that changed what it read; labels
-    only fall, so the rounds end.  The first round hooks every edge
-    without first picking out those whose labels differ: at its start every
-    label is the identity, so nearly all of them do (2.33M of 2.34M on
-    D4/F5).  An edge whose two labels agree, at l, writes label[l] =
-    min(label[l], l), which is label[l], since a label never exceeds its
-    state; so such a hook changes nothing, and the round counts as one that
-    hooked, which at worst adds a round that hooks nothing.
+    A round hooks the larger label across every edge onto the smaller, in
+    place (the asynchronous form of Shiloach & Vishkin, 1982).  A label only
+    ever moves to a smaller state of its own component: both ends of an
+    edge lie in one component, so do their labels, and hooking lowers the
+    larger label to the smaller one, even where a label was read after an
+    earlier hook of the same round changed it.  So the labels form a forest
+    inside each component, each tree rooted at its least state.  The first
+    round hooks every edge without first picking out those whose labels
+    differ: at its start every label is the identity, so nearly all of them
+    do (2.33M of 2.34M on D4/F5).
 
-    The work runs over blocks: the p**n <= _BLOCK_STATES states that share
-    their first m - n digits (the fixed digits).  A move adds sgn * x_src to
-    x_dst for each of its pairs, and no target is also a source, so each
-    pair shifts the state by a p x p table indexed by its two digits.  The
-    pairs with both digits free give the move's in-block image, built once
-    per move and round with a broadcast add; a block adds to it its first
-    state, the shifts of the pairs with both digits fixed, and one row of
-    the table for each pair with one digit fixed.  A fixed target sends the
-    image to another block.  Hooking gathers label at the image and runs
-    minimum.at on copies of the crossing pairs alone.  Pointer jumping runs
-    in place, block by block in ascending order: a label only ever moves to
-    a smaller state, so the blocks before the current one are already done.
-    Orbit indices are written over label block by block: the block's roots
-    take theirs, then every state of the block the index of its root,
-    gathered through a copy of the block's labels.  The root lies in this
-    block or an earlier one, so it holds its index by then, and an orbit's
-    index never exceeds its least state, so it fits the index dtype.
-    Least states and sizes (counted over each block's own range of indices)
-    come block by block too.  So the kernel holds the one index array and a
-    working set per block, whatever the number of moves.
+    One sweep then jumps every label to its tree's root and numbers the
+    trees 0, 1, ... by ascending root, writing each state's tree number
+    over its label.  It runs block by block in ascending order: a label only
+    points to a smaller state, so a block's labels chase their pointers
+    inside the block, to a root of the block or a state of an earlier block,
+    which already holds its tree number.  A tree's number never exceeds its
+    root, so it fits the index dtype.
+
+    The first round leaves a few trees (76 on D4/F5, 4,321 on A3/F31).
+    While there are at most _BLOCK_STATES of them, one sweep over every edge
+    joins them exactly, in a union-find over tree numbers (_join): each edge
+    whose ends lie in different trees gives a pair of roots, found by one
+    gather in the compressed array.  minimum.at writes at the larger root of
+    each pair the least smaller root paired with it, so a write lands only
+    on a current root and lowers it: it joins two sets and undoes no join.
+    Where one root is paired with several, all but the least stay apart;
+    _join hands them back, and they are found and hooked again until every
+    pair of the block shares a root (each call hooks at least one root, so
+    the calls end).  After the sweep the two ends of every edge share a set,
+    and only ends of edges were joined, so the sets are the orbits.  A set's
+    root is its least tree number, the tree of its least state, and an
+    orbit's index is the rank of that root among the roots.  One gather per
+    block writes it over the tree numbers.
+
+    Past _BLOCK_STATES trees, the sweep takes its numbers back, writing
+    each numbered state's root over its number, and one more round hooks
+    the edges whose two labels differ, in the same way.  Labels only fall,
+    so some round hooks nothing; then the two ends of every edge share a
+    label, the trees are the orbits, and the sweep after that round numbers
+    them all, however many there are (every state of A2 is an orbit).
+    Sizes are counted over each block's own range of orbit indices.
     """
     total = p ** m
     dtype = _index_dtype(total)
     n = 0
     while n < m and p ** (n + 1) <= _BLOCK_STATES:
         n += 1
-    fixed, size = m - n, p ** n
-    blocks = list(itertools.product(range(p), repeat=fixed))
-    digit = np.arange(p)
+    size = p ** n
 
-    def split(move):
-        # each pair's state shift as a table [x_src, x_dst], sorted by the
-        # pair's fixed digits: none, both, or one (the table then indexed
-        # by the fixed digit first)
-        inner, both, rows = [], [], []
-        for s, d, g in move:
-            t = ((digit + g * digit[:, None]) % p - digit) * p ** (m - 1 - d)
-            if s < fixed and d < fixed:
-                both.append((s, d, t))
-            elif s < fixed:
-                rows.append((s, d - fixed, t))
-            elif d < fixed:
-                rows.append((d, s - fixed, t.T))
-            else:
-                inner.append((s - fixed, d - fixed, t))
-        return inner, both, rows
+    def edges():
+        for move in moves:
+            yield from _images(move, p, m, n)
 
-    def inner_image(inner):
-        # the in-block image of the pairs with both digits free, through a
-        # 5-D view of the block
-        img = np.arange(size)
-        for s, d, shift in inner:
-            lo, hi = sorted((s, d))
-            shape = (p ** lo, p, p ** (hi - lo - 1), p, p ** (n - 1 - hi))
-            table = (shift if s < d else shift.T)[:, None, :, None]
-            if lo:
-                # numpy's inner loop runs over the last axis, which is short
-                # when hi is a late digit: spell the table out over every
-                # digit after x_lo, at most size / p entries, and add it
-                # over the leading digits instead
-                table = np.broadcast_to(table, shape[1:]).reshape(-1)
-                shape = (shape[0], -1)
-            view = img.reshape(shape)
-            view += table
-        return img
-
-    plans = [split(move) for move in moves]
     label = np.arange(total, dtype=dtype)
-    img = np.empty(size, dtype=np.intp)
-    first = True
-    while True:
+
+    def hook(first):
+        # one round; False when it hooked nothing
         hooked = first
-        for inner, both, rows in plans:
-            inner = inner_image(inner)
-            for q, xs in enumerate(blocks):
-                lo = q * size
-                np.add(inner, lo + sum(int(t[xs[s], xs[d]])
-                                       for s, d, t in both), out=img)
-                for f, i, t in rows:  # add row x_f of t over free digit x_i
-                    img.reshape(p ** i, p, -1)[...] += t[xs[f], :, None]
-                a = label[lo:lo + size]
-                b = label[img]
-                if not first:
-                    cross = np.flatnonzero(a != b)
-                    if not cross.size:
-                        continue
-                    a, b = a[cross], b[cross]
-                    hooked = True
-                np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-        if not hooked:
-            break
-        first = False
+        for lo, img in edges():
+            a = label[lo:lo + size]
+            b = label.take(img)
+            if not first:
+                cross = np.flatnonzero(a != b)
+                if not cross.size:
+                    continue
+                a, b = a[cross], b[cross]
+                hooked = True
+            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        return hooked
+
+    def number(limit):
+        # jump and number the trees; None, with every label its root, past
+        # limit trees
+        local = np.arange(size, dtype=dtype)
+        roots, k = [], 0
         for lo in range(0, total, size):
             view = label[lo:lo + size]
+            ptr = np.where(view >= lo, view - lo, local)
             while True:
-                up = label[view]
-                if np.array_equal(up, view):
+                up = ptr.take(ptr)
+                if np.array_equal(up, ptr):
                     break
-                view[...] = up
+                ptr = up
+            # each state's pointer at the end of its chain in the block: a
+            # root of the block, or a state of an earlier block
+            end = view.take(ptr)
+            new = lo + np.flatnonzero(view == lo + local)
+            if roots is not None and k + new.size > limit:
+                # state 0 is a root, so roots is not empty past block 0
+                back = np.concatenate(roots)
+                for q in range(0, lo, size):
+                    done = label[q:q + size]
+                    done[...] = back.take(done)
+                roots = None
+            if roots is not None:
+                label[new] = np.arange(k, k + new.size)
+                roots.append(new)
+            k += new.size
+            view[...] = label.take(end)
+        return None if roots is None else np.concatenate(roots)
 
-    # orbit indices overwrite the labels: each state takes the index of its
-    # label, a least state in this block or an earlier one
-    least = []
-    k = 0
-    for lo in range(0, total, size):
-        view = label[lo:lo + size].copy()
-        new = lo + np.flatnonzero(view == np.arange(lo, lo + size))
-        label[new] = np.arange(k, k + new.size)
-        label[lo:lo + size] = label[view]
-        least.append(new)
-        k += new.size
-    sizes = np.zeros(k, dtype=np.intp)
+    def join(trees):
+        # the exact sweep: the orbit index of every tree, and which trees
+        # hold their orbit's least state
+        tree = np.arange(trees, dtype=dtype)
+        for lo, img in edges():
+            a = label[lo:lo + size]
+            b = label.take(img)
+            cross = np.flatnonzero(a != b)
+            if not cross.size:
+                continue
+            a, b = tree.take(a[cross]), tree.take(b[cross])
+            apart = np.flatnonzero(a != b)
+            a, b = a[apart], b[apart]
+            while a.size:
+                tree, a, b = _join(tree, a, b)
+        top = tree == np.arange(tree.size)
+        return (np.cumsum(top, dtype=dtype) - 1).take(tree), top
+
+    hooked = hook(first=True)
+    while (least := number(_BLOCK_STATES if hooked else total)) is None:
+        hooked = hook(first=False)
+    index = None
+    if hooked:
+        index, top = join(least.size)
+        least = least[top]
+    sizes = np.zeros(least.size, dtype=np.intp)
     for lo in range(0, total, size):
         ids = label[lo:lo + size]
+        if index is not None:
+            ids[...] = index.take(ids)
         low = int(ids.min())
         counts = np.bincount(ids - low)
         sizes[low:low + counts.size] += counts
-    return label, np.concatenate(least), sizes
+    return label, least, sizes
 
 
 # states per block of _orbit_partition
 _BLOCK_STATES = 2**16
 # _orbit_partition holds one array of p**m index-sized entries, whatever the
 # number of moves, and at most _BLOCK_BYTES bytes per state of a block
-# besides: 4.06 to 4.13 bytes per state in all, traced on D4/F7 and D6/F3,
-# and 40 to 43 bytes per block state on D4/F5 and D5/F3
+# besides, the union-find's array of at most _BLOCK_STATES trees included:
+# 4.04 to 4.10 bytes per state in all, traced on D6/F3 and D4/F7, and 29 to
+# 34 bytes per block state on D5/F3 and D4/F5
 _BLOCK_BYTES = 56
 
 

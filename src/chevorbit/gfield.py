@@ -211,6 +211,7 @@ class ExactIntegers:
         return -a
 
     def inv(self, a: int) -> int:
+        a = self.of(a)
         if a in (1, -1):
             return a
         raise ZeroDivisionError(f"{a} is not invertible over the integers")

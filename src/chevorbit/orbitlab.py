@@ -168,8 +168,8 @@ class OrbitDescriptor(NamedTuple):
     def from_json(cls, d: dict) -> "OrbitDescriptor":
         return cls(
             family=d["family"],
-            rank=int(d["rank"]),
-            p=int(d["p"]),
+            rank=as_int(d["rank"], "rank"),
+            p=as_int(d["p"], "p"),
             label=d["label"],
             params=tuple(sorted(d.get("params", {}).items())),
         )

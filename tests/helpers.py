@@ -9,6 +9,9 @@ lanes, for reference computations.
 
 from __future__ import annotations
 
+import ast
+import importlib
+import importlib.util
 import random
 
 import numpy as np
@@ -238,3 +241,59 @@ def classify_a_reference(rs: RootSystem, K: PrimeField, x) -> OrbitDescriptor:
     else:
         w = (K.neg(K.inv(u2)), K.zero)
     return desc("III", c=K.add(K.mul(w[0], v[0]), K.mul(w[1], v[1])))
+
+
+def reached_names(module, start: str) -> set[str]:
+    """Every name and attribute that the module-level function, class or
+    assignment start of a chevorbit module uses, and, transitively, those
+    of the module-level definitions that it names: the module's own, and
+    those it imports from another chevorbit module, read in that module."""
+    trees: dict = {}
+
+    def defs_of(name):
+        # (module-level defs, names imported from chevorbit modules)
+        if name not in trees:
+            mod = importlib.import_module(name)
+            with open(mod.__file__, encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            defs = {node.name: node for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            defs.update((target.id, node) for node in tree.body
+                        if isinstance(node, (ast.Assign, ast.AnnAssign))
+                        for target in (node.targets
+                                       if isinstance(node, ast.Assign)
+                                       else [node.target])
+                        if isinstance(target, ast.Name))
+            imports = {alias.asname or alias.name:
+                       (importlib.util.resolve_name(
+                           "." * node.level + (node.module or ""),
+                           mod.__package__), alias.name)
+                       for node in tree.body
+                       if isinstance(node, ast.ImportFrom) and node.level
+                       for alias in node.names}
+            trees[name] = defs, imports
+        return trees[name]
+
+    names, seen, todo = set(), set(), [(module.__name__, start)]
+    while todo:
+        where, what = todo.pop()
+        if (where, what) in seen:
+            continue
+        seen.add((where, what))
+        defs, imports = defs_of(where)
+        if what not in defs:  # a name imported again, from a third module
+            todo.append(imports[what])
+            continue
+        for node in ast.walk(defs[what]):
+            if isinstance(node, ast.Name):
+                found = node.id
+            elif isinstance(node, ast.Attribute):
+                found = node.attr
+            else:
+                continue
+            names.add(found)
+            if found in defs:
+                todo.append((where, found))
+            elif found in imports:
+                todo.append(imports[found])
+    return names

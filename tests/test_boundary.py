@@ -39,6 +39,7 @@ import chevorbit
 from chevorbit import (
     INTEGERS,
     LieVector,
+    OrbitDescriptor,
     PrimeField,
     RootSystem,
     SystemTooLarge,
@@ -166,6 +167,12 @@ def classify_built(family, v):
     return [rs_view(rs), d.to_json()]
 
 
+def descriptor_json(**fields):
+    """A D4/F5 descriptor read back from JSON with some fields replaced."""
+    d = {"family": "D", "rank": 4, "p": 5, "label": "I", **fields}
+    return OrbitDescriptor.from_json(d).to_json()
+
+
 ROWS = [
     # -- scalars: primes, ranks, indices, keys ----------------------------------------
     Row("PrimeField.p", lambda v: PrimeField(v).p, 7),
@@ -192,6 +199,9 @@ ROWS = [
         lambda v: associated_root_element(d4(), get_field(5), x_d4(3),
                                           order=[v, *range(1, 8)]).coeffs,
         0),
+    Row("OrbitDescriptor.from_json.rank",
+        lambda v: descriptor_json(rank=v), 4),
+    Row("OrbitDescriptor.from_json.p", lambda v: descriptor_json(p=v), 5),
     # -- counts, seeds, budgets, states -----------------------------------------------
     Row("jacobi_check.exhaustive_limit",
         lambda v: jacobi_check(d4(), exhaustive_limit=v, samples=50, seed=3),
@@ -237,6 +247,7 @@ ROWS = [
     Row("PrimeField.is_square.a", lambda v: get_field(5).is_square(v), 3,
         field=True),
     Row("ExactIntegers.of.n", INTEGERS.of, 3, field=True),
+    Row("ExactIntegers.inv.a", INTEGERS.inv, 1, field=True),
     Row("square_class.a",
         lambda v: dataclasses.astuple(square_class(get_field(5), v)), 3,
         field=True),

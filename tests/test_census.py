@@ -35,6 +35,7 @@ from helpers import (
     get_census,
     get_field,
     get_table,
+    reached_names,
 )
 
 
@@ -156,6 +157,28 @@ def random_moves(draw):
     return p, m, moves
 
 
+def count_partition_work(patch) -> dict:
+    """Counters, for the partitions run under patch, of the calls of the
+    per-move image builder (one per move in every sweep over the edges), of
+    the union-find hooks, and of the hooks that left pairs apart."""
+    seen = {"images": 0, "joins": 0, "retries": 0}
+    images, join = census_mod._images, census_mod._join
+
+    def counted_images(*args):
+        seen["images"] += 1
+        return images(*args)
+
+    def counted_join(*args):
+        tree, a, b = join(*args)
+        seen["joins"] += 1
+        seen["retries"] += bool(a.size)
+        return tree, a, b
+
+    patch.setattr(census_mod, "_images", counted_images)
+    patch.setattr(census_mod, "_join", counted_join)
+    return seen
+
+
 @settings(max_examples=15, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(random_moves())
@@ -163,14 +186,88 @@ def test_orbit_partition_matches_union_find_on_random_moves(case):
     """Hooking in place reads labels that earlier hooks of the same round
     have lowered, so its order of work differs with the graph and the
     blocks; on random graphs, with blocks of p, p**2 and the default
-    number of states, it must still give the reference partition."""
+    number of states, it must still give the reference partition.  Both
+    exits run: with more orbits than _BLOCK_STATES the trees never fit the
+    union-find, so hooking rounds go on until one hooks nothing; with
+    fewer, the exact sweep ends the work, and when every state fits under
+    the default it follows the first round, so every edge is read twice."""
     p, m, moves = case
     want = union_find_partition(moves, p, m)
     for block in (p, p * p, census_mod._BLOCK_STATES):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(census_mod, "_BLOCK_STATES", block)
+            seen = count_partition_work(patch)
             got = census_mod._orbit_partition(moves, p, m)
         assert [a.tolist() for a in got] == list(want), block
+        if len(want[1]) > block:
+            assert seen["joins"] == 0, block
+            assert seen["images"] >= 2 * len(moves), block
+        if block >= p ** m:
+            assert seen["images"] == 2 * len(moves)
+
+
+@pytest.mark.parametrize("name,p", [("D4", 5), ("D5", 3)])
+def test_orbit_partition_reads_every_edge_twice(monkeypatch, name, p):
+    """The first hooking round leaves 76 trees on D4/F5 and 59 on D5/F3,
+    and the exact sweep joins them: two sweeps over the edges in all."""
+    table = get_table(name)
+    moves = census_mod._generator_moves(table)
+    seen = count_partition_work(monkeypatch)
+    _, least, _ = census_mod._orbit_partition(moves, p, len(table.rs.phi1))
+    assert seen["images"] == 2 * len(moves)
+    assert least.size == EXPECTED_ORBITS[(name, p)]
+
+
+@pytest.mark.parametrize("name,p,block,orbits", [("D4", 3, 9, 14),
+                                                 ("A3", 5, 25, 11)])
+def test_orbit_partition_hooks_again_past_block_states_trees(
+        monkeypatch, name, p, block, orbits):
+    """With _BLOCK_STATES lowered below the first round's trees, a second
+    round hooks.  D4/F3 has more orbits than the bound, so its trees never
+    fit the union-find, and a third round, which hooks nothing, ends the
+    work; A3/F5 has fewer, so the trees the second round leaves fit, and
+    the exact sweep ends it."""
+    table = get_table(name)
+    moves = census_mod._generator_moves(table)
+    m = len(table.rs.phi1)
+    monkeypatch.setattr(census_mod, "_BLOCK_STATES", block)
+    seen = count_partition_work(monkeypatch)
+    got = census_mod._orbit_partition(moves, p, m)
+    assert seen["images"] == 3 * len(moves)
+    assert len(got[1]) == orbits
+    assert [a.tolist() for a in got] == list(union_find_partition(moves, p,
+                                                                  m))
+
+
+def test_orbit_partition_rehooks_pairs_that_a_conflicting_write_left_apart(
+        monkeypatch):
+    """minimum.at keeps the least of the writes to one root, so a pair of
+    the same block step whose write lost is still apart: the exact sweep
+    finds and hooks it again.  These three moves on 81 states need that."""
+    p, m = 3, 4
+    moves = [[(2, 3, -1)], [(0, 2, 1)], [(1, 0, -1)]]
+    seen = count_partition_work(monkeypatch)
+    got = census_mod._orbit_partition(moves, p, m)
+    assert seen["images"] == 2 * len(moves) and seen["retries"]
+    assert [a.tolist() for a in got] == list(union_find_partition(moves, p,
+                                                                  m))
+
+
+def test_the_partition_reaches_no_classifier_name():
+    # the census is the classifier's ground truth only while the partition
+    # reads nothing of it: follow every name that the partition and the
+    # moves of its generators use, into the chevorbit modules they import
+    # from, and find none of the classifier's
+    classifier = {"classify", "_classifier", "classify_many", "chunk_codes",
+                  "lanes", "code", "decode", "_lift_kernel"}
+    for start, needs in (("_orbit_partition", {"_images", "_join"}),
+                         ("_generator_moves", {"_v1_moves", "_action_plan"})):
+        reached = reached_names(census_mod, start)
+        assert needs <= reached, (start, needs - reached)
+        assert not reached & classifier, (start, reached & classifier)
+    # the walk sees the classifier where it is reached
+    assert {"classify", "_classifier", "_lift_kernel"} <= reached_names(
+        census_mod, "enumerate_orbits")
 
 
 @pytest.mark.parametrize("name,p", CENSUS_CASES)
@@ -925,7 +1022,7 @@ def test_orbit_partition_memory_does_not_grow_with_the_moves(system, p,
     finally:
         tracemalloc.stop()
     # one int32 index array over the states, and a working set per block
-    # (measured 42.5 and 40 bytes per block state)
+    # (measured 33.3 and 29.4 bytes per block state)
     block = p ** (m - 2)  # the blocks fix two digits here
     assert block <= census_mod._BLOCK_STATES < p * block
     assert peak < p ** m * np.dtype(np.int32).itemsize + 56 * block
