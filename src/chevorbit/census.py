@@ -69,6 +69,7 @@ from .orbitlab import (
     _classifier,
     all_descriptors,
     canonical_form,
+    check_domain,
     classify,
     classify_many,
     same_orbit,
@@ -151,21 +152,11 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _memory_limit() -> int | None:
-    """The least finite soft RLIMIT_AS or RLIMIT_DATA of this process in
-    bytes; None where neither is set, or without the resource module."""
-    if resource is None:
-        return None
-    soft = [resource.getrlimit(r)[0]
-            for r in (resource.RLIMIT_AS, resource.RLIMIT_DATA)]
-    return min((x for x in soft if x != resource.RLIM_INFINITY), default=None)
-
-
 def _memory_left() -> int | None:
     """The least of what a finite soft RLIMIT_AS leaves beside the bytes
     this process maps and what a finite soft RLIMIT_DATA leaves beside its
-    data bytes, read from /proc/self/statm; None without such a limit or
-    where that file does not exist."""
+    data bytes, read from /proc/self/statm (0 bytes where that file cannot
+    be read); None without such a limit."""
     if resource is None:
         return None
     limits = [(soft, field) for r, field in ((resource.RLIMIT_AS, 0),
@@ -177,25 +168,21 @@ def _memory_left() -> int | None:
         with open("/proc/self/statm", encoding="ascii") as f:
             pages = f.read().split()
     except OSError:
-        return None
+        pages = [0] * 6
     size = os.sysconf("SC_PAGE_SIZE")
     return min(soft - int(pages[field]) * size for soft, field in limits)
 
 
 def _check_memory(need: int, what: str) -> None:
     """BudgetExceeded, before any allocation, when need bytes exceed
-    physical memory, the process's own limit, or what that limit leaves
-    beside what the process holds already (_memory_left)."""
-    for memory, of in ((_physical_memory(), "physical memory"),
-                       (_memory_limit(), "this process's memory limit")):
+    physical memory or what the process's own limit leaves beside what it
+    holds already (_memory_left)."""
+    for memory, of in ((_physical_memory(), "of physical memory"),
+                       (_memory_left(),
+                        "left under this process's memory limit")):
         if memory is not None and need > memory:
             raise BudgetExceeded(f"{what} needs about {need} bytes, more "
-                                 f"than the {memory} bytes of {of}")
-    left = _memory_left()
-    if left is not None and need > left:
-        raise BudgetExceeded(f"{what} needs about {need} bytes, more than "
-                             f"the {left} bytes left under this process's "
-                             f"memory limit")
+                                 f"than the {memory} bytes {of}")
 
 
 def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
@@ -398,7 +385,8 @@ def _orbit_partition(moves, p: int, m: int):
     the edges whose two labels differ, in the same way.  Labels only fall,
     so some round hooks nothing; then the two ends of every edge share a
     label, the trees are the orbits, and the sweep after that round numbers
-    them all, however many there are (every state of A2 is an orbit).
+    them all, however many there are (a round that reads no edge, as on A2,
+    hooks nothing, so its sweep numbers every state an orbit at once).
     Sizes are counted over each block's own range of orbit indices.
     """
     total = p ** m
@@ -415,8 +403,8 @@ def _orbit_partition(moves, p: int, m: int):
     label = np.arange(total, dtype=dtype)
 
     def hook(first):
-        # one round; False when it hooked nothing
-        hooked = first
+        # one round; False when it hooked nothing, or read no edge
+        hooked = False
         for lo, img in edges():
             a = label[lo:lo + size]
             b = label.take(img)
@@ -425,8 +413,8 @@ def _orbit_partition(moves, p: int, m: int):
                 if not cross.size:
                     continue
                 a, b = a[cross], b[cross]
-                hooked = True
             np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+            hooked = True
         return hooked
 
     def number(limit):
@@ -516,10 +504,13 @@ def enumerate_orbits(table: StructureConstantTable, p: int,
     Chevalley Groups, 1967).  The orbits are therefore the connected
     components of those 2 r0 permutations of the states, each labelled by
     its least state.  The census lists them in ascending order of that
-    state and carries the state -> orbit index array as orbit_id.
+    state and carries the state -> orbit index array as orbit_id.  A
+    system or prime the classification does not cover (check_domain) is
+    refused before the budget is priced.
     """
     rs, p = table.rs, as_int(p)
     K = PrimeField(p)
+    check_domain(rs, K)
     m = len(rs.phi1)
     total = check_budget(rs, p, budget)
     moves = _generator_moves(table)

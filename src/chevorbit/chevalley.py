@@ -75,7 +75,13 @@ class UndefinedPair(ValueError):
 
 
 class InconsistentTable(RuntimeError):
-    """The propagated constants violate one of the defining identities."""
+    """The propagated constants violate one of the defining identities; from
+    verify_table, failed names them and counts holds its counts (both None
+    for a table refused as a whole, by its mask or its support)."""
+
+    def __init__(self, message: str, failed=None, counts=None):
+        super().__init__(message)
+        self.failed, self.counts = failed, counts
 
 
 class UnderdeterminedTable(RuntimeError):
@@ -538,14 +544,13 @@ def verify_table(table: StructureConstantTable) -> dict:
     sa, sb = _seeds(rs.ids)
     checks["seeds"] = bool(np.all(nt[sa, sb] == 1))
 
+    counts = {"defined_pairs": int(aa.size), "instances": instances,
+              "seeds": int(sa.size)}
     bad = [name for name, ok in checks.items() if not ok]
     if bad:
-        raise InconsistentTable(f"{rs.name}: identity checks failed: {bad}")
-    return {
-        "defined_pairs": int(aa.size),
-        "instances": instances,
-        "seeds": int(sa.size),
-    }
+        raise InconsistentTable(f"{rs.name}: identity checks failed: {bad}",
+                                tuple(bad), counts)
+    return counts
 
 
 def _jacobi_defect(table: StructureConstantTable, x: int, y: int, z: int) -> dict:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .chevalley import StructureConstantTable, table_cached
 from .gfield import PrimeField
-from .rootsys import Root, as_int, integral
+from .rootsys import Root, as_int
 
 
 class ZeroScalar(ValueError):
@@ -279,7 +279,8 @@ def _act_on_ints(plan, a, p: int, x: list) -> None:
     sees the coefficient of the vector the factor acts on, here and in
     _act_in_domain, which writes the same coefficients in the same order.
     """
-    a = integral(a) % p
+    # an int skips the call; a lane array is refused (TypeError)
+    a = (a if type(a) is int else as_int(a)) % p
     if not a:
         return
     gid, mid, moves, h_coords, h_feed = plan

@@ -29,7 +29,7 @@ from chevorbit import (
     enumerate_orbits,
     parse_system_name,
 )
-from chevorbit.chevalley import _jacobi_defect
+from chevorbit.chevalley import _jacobi_defect, _seeds
 from chevorbit.gfield import _pow_mod
 
 ALL_SYSTEMS: tuple[str, ...] = (
@@ -110,6 +110,23 @@ def negated_pair(name: str) -> tuple[StructureConstantTable, int, int]:
     nt[i, j] = -nt[i, j]
     nt[j, i] = -nt[j, i]
     return StructureConstantTable(t.rs, nt, t.stats), i, j
+
+
+def unseeded_orbits(rs) -> list[list[tuple[int, int]]]:
+    """The pair orbits (see build_table_oracle) that hold no seed, each as
+    its 12 pairs sorted, in order: (x, y), (y, x), (-x, -y), (-y, -x) for
+    the pairs (x, y) of a zero-sum triple in cyclic order."""
+    sums, negs = rs.ids.sums, rs.ids.negs
+    seeds = set(zip(*(s.tolist() for s in _seeds(rs.ids))))
+    orbits = set()
+    for a, b in zip(*np.nonzero(rs.ids.sum_id >= 0)):
+        a, b = int(a), int(b)
+        c = negs[sums[a][b]]
+        orbits.add(frozenset(
+            q for x, y in ((a, b), (b, c), (c, a))
+            for q in ((x, y), (y, x), (negs[x], negs[y]), (negs[y], negs[x]))
+        ))
+    return sorted(sorted(o) for o in orbits if not o & seeds)
 
 
 def first_jacobi_failure(t: StructureConstantTable, triples) -> str:

@@ -294,6 +294,19 @@ ROWS = [
             d4(), [(level0_root(), v), (level0_root(), 1)],
             LieVector.from_v1(d4(), get_field(5), x_d4(3))).coeffs, 2,
         field=True),
+    # over an exact PrimeField the vector holds ints, so a scalar is one
+    # int: a one-lane array is refused like any lane array, never written
+    # into the coefficients
+    Row("apply_root_element.a",
+        lambda v: apply_root_element(
+            d4(), level0_root(), np.array([v]),
+            LieVector.from_v1(d4(), get_field(5), x_d4(3))).coeffs, 2,
+        label="one lane"),
+    Row("apply_word.word",
+        lambda v: apply_word(
+            d4(), [(level0_root(), np.array([v]))],
+            LieVector.from_v1(d4(), get_field(5), x_d4(3))).coeffs, 2,
+        label="one lane"),
     Row("w_word.a", lambda v: word_view(w_word(get_field(5),
                                                level0_root(), v)), 2,
         field=True),

@@ -253,6 +253,48 @@ def test_orbit_partition_rehooks_pairs_that_a_conflicting_write_left_apart(
                                                                   m))
 
 
+def test_orbit_partition_without_moves_numbers_every_state_at_once(
+        monkeypatch):
+    """A2 has no level-0 simple root, so its partition reads no edge: over
+    F_257 its 66,049 states, more than _BLOCK_STATES, are each an orbit,
+    numbered in one sweep, and no image is built."""
+    p, m = 257, 2
+    assert census_mod._generator_moves(get_table("A2")) == []
+    assert p ** m > census_mod._BLOCK_STATES
+    seen = count_partition_work(monkeypatch)
+    label, least, sizes = census_mod._orbit_partition([], p, m)
+    assert seen == {"images": 0, "joins": 0, "retries": 0}
+    states = np.arange(p ** m)
+    assert np.array_equal(label, states) and np.array_equal(least, states)
+    assert np.array_equal(sizes, np.ones(p ** m))
+
+
+@pytest.mark.parametrize("name,p,error", [
+    ("E6", 3, orbitlab.UnsupportedFamily),
+    ("E7", 3, orbitlab.UnsupportedFamily),
+    ("E8", 3, orbitlab.UnsupportedFamily),
+    ("D4", 2, orbitlab.CharTwo),
+])
+def test_census_entry_points_refuse_an_unsupported_domain_first(
+        monkeypatch, name, p, error):
+    """enumerate_orbits, and crosscheck through it, refuse a system or
+    prime the classification does not cover before the budget is priced or
+    any partition runs, with the default budget and with a huge one."""
+    def partition(*args):
+        raise AssertionError("the partition ran")
+
+    monkeypatch.setattr(census_mod, "_orbit_partition", partition)
+    monkeypatch.delenv(census_mod.BUDGET_ENV, raising=False)
+    table = get_table(name)
+    for budget in (None, 10**30):
+        with pytest.raises(error):
+            enumerate_orbits(table, p, budget=budget)
+        if budget is not None:
+            monkeypatch.setenv(census_mod.BUDGET_ENV, str(budget))
+        with pytest.raises(error):
+            crosscheck(table, p)
+
+
 def test_the_partition_reaches_no_classifier_name():
     # the census is the classifier's ground truth only while the partition
     # reads nothing of it: follow every name that the partition and the

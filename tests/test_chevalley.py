@@ -45,7 +45,6 @@ from chevorbit.chevalley import (
     _jacobi_fails,
     _representatives,
     _sampled_triples,
-    _seeds,
     closed_form_table,
 )
 from chevorbit.rootsys import MAX_ROOTS
@@ -55,6 +54,7 @@ from helpers import (
     get_system,
     get_table,
     negated_pair,
+    unseeded_orbits,
 )
 
 
@@ -402,23 +402,6 @@ def test_verify_table_detects_flipped_seeds():
         verify_table(_tampered("D4", nt=-t._nt))
 
 
-def _unseeded_orbits(rs) -> list[list[tuple[int, int]]]:
-    """The pair orbits (see build_table_oracle) that hold no seed, each as
-    its 12 pairs sorted, in order: (x, y), (y, x), (-x, -y), (-y, -x) for
-    the pairs (x, y) of a zero-sum triple in cyclic order."""
-    sums, negs = rs.ids.sums, rs.ids.negs
-    seeds = set(zip(*(s.tolist() for s in _seeds(rs.ids))))
-    orbits = set()
-    for a, b in zip(*np.nonzero(rs.ids.sum_id >= 0)):
-        a, b = int(a), int(b)
-        c = negs[sums[a][b]]
-        orbits.add(frozenset(
-            q for x, y in ((a, b), (b, c), (c, a))
-            for q in ((x, y), (y, x), (negs[x], negs[y]), (negs[y], negs[x]))
-        ))
-    return sorted(sorted(o) for o in orbits if not o & seeds)
-
-
 @pytest.mark.parametrize("name,k", [("D4", k) for k in range(8)]
                          + [("A5", None), ("E6", None), ("E8", None)])
 def test_verify_table_catches_a_flipped_unseeded_orbit_by_associativity(name,
@@ -427,7 +410,7 @@ def test_verify_table_catches_a_flipped_unseeded_orbit_by_associativity(name,
     # an orbit without a seed keeps the seeds: associativity alone, which
     # pins every value from the seeds, must fail
     t = get_table(name)
-    orbits = _unseeded_orbits(t.rs)
+    orbits = unseeded_orbits(t.rs)
     assert len(orbits) == t.stats["pair_orbits"] - t.stats["seeds"]
     orbit = orbits[k] if k is not None else random.Random(name).choice(orbits)
     assert len(orbit) == 12

@@ -17,7 +17,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -196,14 +195,15 @@ def test_constants_names_the_first_triple_that_fails_jacobi(capsys,
 
 
 def test_constants_names_a_closed_form_that_disagrees(capsys, monkeypatch):
-    # the closed form reads a copy of rs.ids with one support top flipped
-    # (alpha_4's, 4 -> 0); the sign rule check reads the real one
+    # the closed form with the row of a non-simple positive root negated,
+    # a row the peel fills, not the sign rule
     real = cli_mod.closed_form_table
 
     def flipped(rs):
-        top = list(rs.ids.top)
-        top[rs.root_id(rs.simple(4))] = 0
-        return real(SimpleNamespace(ids=rs.ids._replace(top=top)))
+        nt = real(rs)
+        a = next(r for r in rs.positive_roots if sum(r) == 2)
+        nt[rs.root_id(a)] *= -1
+        return nt
 
     monkeypatch.setattr(cli_mod, "closed_form_table", flipped)
     code, out, err = run_cli(capsys, "constants", "D4")
@@ -261,8 +261,10 @@ def test_constants_report_script_refuses_a_name_before_building_a_table(
 
 def test_constants_report_script_reports_a_closed_form_mismatch(
         monkeypatch, capsys):
-    monkeypatch.setattr(chevorbit, "structure_constant_fast",
-                        lambda *args: 0)
+    # a closed form of zeros agrees with A1's table, which has no defined
+    # pair, and not with A2's
+    monkeypatch.setattr(chevalley, "closed_form_table",
+                        lambda rs: np.zeros((len(rs.roots),) * 2, np.int8))
     assert _constants_report_main()(["--systems", "A1", "A2"]) == 1
     out, err = capsys.readouterr()
     assert [line.split()[6] for line in out.splitlines()[2:]] == ["agree",
@@ -632,10 +634,11 @@ def test_census_past_the_process_memory_limit_exits_four_before_enumerating():
         capture_output=True, text=True, preexec_fn=limit, timeout=120,
         env=dict(os.environ, PYTHONPATH=src))
     assert (proc.returncode, proc.stdout) == (4, "")
-    assert proc.stderr == (
+    assert proc.stderr.startswith(
         "budget exceeded: enumerating D5 over F_5 needs about 980232516 "
-        f"bytes, more than the {400 * 2**20} bytes of this process's "
-        "memory limit\n")
+        "bytes, more than the ")
+    assert proc.stderr.endswith(" bytes left under this process's memory "
+                                "limit\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
@@ -681,15 +684,21 @@ def test_memory_left_subtracts_what_each_limit_counts(monkeypatch):
 
 
 def test_memory_limit_reads_the_least_finite_soft_limit(monkeypatch):
+    # where /proc/self/statm cannot be read, the process counts as holding
+    # nothing, and what a limit leaves is the whole limit
+    def unreadable(*args, **kwargs):
+        raise OSError("no statm")
+
+    monkeypatch.setattr(census_mod, "open", unreadable, raising=False)
     unset = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
     limits = {resource.RLIMIT_AS: unset,
               resource.RLIMIT_DATA: (5 * 2**30, resource.RLIM_INFINITY)}
     monkeypatch.setattr(resource, "getrlimit", limits.__getitem__)
-    assert census_mod._memory_limit() == 5 * 2**30
+    assert census_mod._memory_left() == 5 * 2**30
     limits[resource.RLIMIT_AS] = (3 * 2**30, 6 * 2**30)
-    assert census_mod._memory_limit() == 3 * 2**30
+    assert census_mod._memory_left() == 3 * 2**30
     limits[resource.RLIMIT_DATA] = limits[resource.RLIMIT_AS] = unset
-    assert census_mod._memory_limit() is None
+    assert census_mod._memory_left() is None
     monkeypatch.setattr(census_mod, "_physical_memory", lambda: None)
     assert census_mod.check_budget(build_root_system("D", 5), 5,
                                    300_000_000) == 5**12

@@ -33,7 +33,7 @@ from chevorbit import chevalley, orbitlab
 from chevorbit import cli as cli_mod
 from chevorbit.census import vector_of_state
 from chevorbit.cli import main
-from helpers import get_census, get_field, get_table
+from helpers import get_census, get_field, get_table, unseeded_orbits
 
 CLASSIFY_D4 = ["classify", "D4", "-p", "5", "--vector", "1,0,0,0,0,0,0,0"]
 
@@ -101,12 +101,48 @@ def test_verify_table_refuses_a_table_whose_support_is_not_the_pairs(
 
 
 def test_constants_reports_a_sign_rule_that_disagrees(capsys, monkeypatch):
-    rule = cli_mod.sign_rule
-    monkeypatch.setattr(cli_mod, "sign_rule",
-                        lambda rs, i, beta: -rule(rs, i, beta))
+    # one entry negated in a simple root's row, which the sign rule fills
+    real = cli_mod.closed_form_table
+
+    def tampered(rs):
+        nt = real(rs)
+        nt[rs.root_id((1, 0, 0, 0)), rs.root_id((0, 0, 1, 0))] *= -1
+        return nt
+
+    monkeypatch.setattr(cli_mod, "closed_form_table", tampered)
     failed(capsys, ["constants", "D4", "--check", "theorem1"],
            "D4: sign rule disagrees with the table at ((1, 0, 0, 0), "
            "(0, 0, 1, 0))\n")
+
+
+def test_constants_fails_only_the_checks_whose_identities_fail(
+        capsys, monkeypatch):
+    # one pair orbit without a seed negated keeps antisymmetry, the
+    # rotations and the seeds, and fails associativity alone: n3pp fails,
+    # and n1, n2p and n4 pass with their own counts
+    t = get_table("D4")
+    nt = t._nt.copy()
+    for i, j in unseeded_orbits(t.rs)[0]:
+        nt[i, j] = -nt[i, j]
+    monkeypatch.setattr(cli_mod, "build_table_oracle",
+                        lambda rs: StructureConstantTable(rs, nt, t.stats))
+    counts = verify_table(t)
+    for check, key in (("n1", "defined_pairs"), ("n2p", "defined_pairs"),
+                       ("n4", "seeds")):
+        assert main(["constants", "D4", "--check", check]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["checks"] == {
+            check: {"status": "pass", "checked": counts[key]}}
+    message = "D4: identity checks failed: ['associativity']"
+    err = failed(capsys, ["constants", "D4", "--check", "n3pp"],
+                 message + "\n")
+    assert json.loads(err.split("\n", 1)[1])["checks"] == {
+        "n3pp": {"status": "fail", "checked": counts["instances"]}}
+    err = failed(capsys, ["constants", "D4"], message)
+    checks = json.loads(err.split("\n", 1)[1])["checks"]
+    assert {k: checks[k]["status"] for k in ("n1", "n2p", "n3pp", "n4")} == {
+        "n1": "pass", "n2p": "pass", "n3pp": "fail", "n4": "pass"}
 
 
 def test_constants_reports_a_quadruple_sign_product_that_is_not_one(
