@@ -364,9 +364,19 @@ def _orbit_partition(moves, p: int, m: int):
     which already holds its tree number.  A tree's number never exceeds its
     root, so it fits the index dtype.
 
+    A round starts with every label its root, so minimum.at lowers a label
+    only by hooking a root onto a smaller state, outside its tree, or by
+    moving a subtree hooked earlier in the round: a round merged trees
+    exactly when it left fewer of them.  One that merged none leaves the two
+    ends of every edge one label, so its trees are the orbits (a round that
+    reads no edge, as on A2, numbers every state an orbit at once).  While
+    a round leaves more than _BLOCK_STATES trees and merged some, each
+    state's root is written back over its tree number, and the next round
+    hooks the edges whose two labels differ.
+
     The first round leaves a few trees (76 on D4/F5, 4,321 on A3/F31).
-    While there are at most _BLOCK_STATES of them, one sweep over every edge
-    joins them exactly, in a union-find over tree numbers (_join): each edge
+    Once at most _BLOCK_STATES are left, one sweep over every edge joins
+    them exactly, in a union-find over tree numbers (_join): each edge
     whose ends lie in different trees gives a pair of roots, found by one
     gather in the compressed array.  minimum.at writes at the larger root of
     each pair the least smaller root paired with it, so a write lands only
@@ -378,16 +388,8 @@ def _orbit_partition(moves, p: int, m: int):
     and only ends of edges were joined, so the sets are the orbits.  A set's
     root is its least tree number, the tree of its least state, and an
     orbit's index is the rank of that root among the roots.  One gather per
-    block writes it over the tree numbers.
-
-    Past _BLOCK_STATES trees, the sweep takes its numbers back, writing
-    each numbered state's root over its number, and one more round hooks
-    the edges whose two labels differ, in the same way.  Labels only fall,
-    so some round hooks nothing; then the two ends of every edge share a
-    label, the trees are the orbits, and the sweep after that round numbers
-    them all, however many there are (a round that reads no edge, as on A2,
-    hooks nothing, so its sweep numbers every state an orbit at once).
-    Sizes are counted over each block's own range of orbit indices.
+    block writes it over the tree numbers.  Sizes are counted over each
+    block's own range of orbit indices.
     """
     total = p ** m
     dtype = _index_dtype(total)
@@ -396,30 +398,22 @@ def _orbit_partition(moves, p: int, m: int):
         n += 1
     size = p ** n
 
-    def edges():
+    def crossing(every):
+        # the labels at the two ends of each block's edges: every pair, or
+        # only the pairs that differ
         for move in moves:
-            yield from _images(move, p, m, n)
+            for lo, img in _images(move, p, m, n):
+                a = label[lo:lo + size]
+                b = label.take(img)
+                if not every:
+                    cross = np.flatnonzero(a != b)
+                    if not cross.size:
+                        continue
+                    a, b = a[cross], b[cross]
+                yield a, b
 
-    label = np.arange(total, dtype=dtype)
-
-    def hook(first):
-        # one round; False when it hooked nothing, or read no edge
-        hooked = False
-        for lo, img in edges():
-            a = label[lo:lo + size]
-            b = label.take(img)
-            if not first:
-                cross = np.flatnonzero(a != b)
-                if not cross.size:
-                    continue
-                a, b = a[cross], b[cross]
-            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-            hooked = True
-        return hooked
-
-    def number(limit):
-        # jump and number the trees; None, with every label its root, past
-        # limit trees
+    def number():
+        # jump every label to its root and number the trees; returns the roots
         local = np.arange(size, dtype=dtype)
         roots, k = [], 0
         for lo in range(0, total, size):
@@ -434,44 +428,38 @@ def _orbit_partition(moves, p: int, m: int):
             # root of the block, or a state of an earlier block
             end = view.take(ptr)
             new = lo + np.flatnonzero(view == lo + local)
-            if roots is not None and k + new.size > limit:
-                # state 0 is a root, so roots is not empty past block 0
-                back = np.concatenate(roots)
-                for q in range(0, lo, size):
-                    done = label[q:q + size]
-                    done[...] = back.take(done)
-                roots = None
-            if roots is not None:
-                label[new] = np.arange(k, k + new.size)
-                roots.append(new)
+            label[new] = np.arange(k, k + new.size)
+            roots.append(new)
             k += new.size
             view[...] = label.take(end)
-        return None if roots is None else np.concatenate(roots)
+        return np.concatenate(roots)
 
-    def join(trees):
+    label = np.arange(total, dtype=dtype)
+    trees, every = total, True
+    while True:
+        for a, b in crossing(every):
+            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        a = b = None  # free the last block's labels before the numbering
+        least = number()
+        if least.size == trees or least.size <= _BLOCK_STATES:
+            break
+        trees, every = least.size, False
+        for lo in range(0, total, size):
+            ids = label[lo:lo + size]
+            ids[...] = least.take(ids)
+    index = None
+    if least.size < trees:
         # the exact sweep: the orbit index of every tree, and which trees
         # hold their orbit's least state
-        tree = np.arange(trees, dtype=dtype)
-        for lo, img in edges():
-            a = label[lo:lo + size]
-            b = label.take(img)
-            cross = np.flatnonzero(a != b)
-            if not cross.size:
-                continue
-            a, b = tree.take(a[cross]), tree.take(b[cross])
+        tree = np.arange(least.size, dtype=dtype)
+        for a, b in crossing(every=False):
+            a, b = tree.take(a), tree.take(b)
             apart = np.flatnonzero(a != b)
             a, b = a[apart], b[apart]
             while a.size:
                 tree, a, b = _join(tree, a, b)
         top = tree == np.arange(tree.size)
-        return (np.cumsum(top, dtype=dtype) - 1).take(tree), top
-
-    hooked = hook(first=True)
-    while (least := number(_BLOCK_STATES if hooked else total)) is None:
-        hooked = hook(first=False)
-    index = None
-    if hooked:
-        index, top = join(least.size)
+        index = (np.cumsum(top, dtype=dtype) - 1).take(tree)
         least = least[top]
     sizes = np.zeros(least.size, dtype=np.intp)
     for lo in range(0, total, size):
@@ -490,7 +478,9 @@ _BLOCK_STATES = 2**16
 # number of moves, and at most _BLOCK_BYTES bytes per state of a block
 # besides, the union-find's array of at most _BLOCK_STATES trees included:
 # 4.04 to 4.10 bytes per state in all, traced on D6/F3 and D4/F7, and 29 to
-# 34 bytes per block state on D5/F3 and D4/F5
+# 34 bytes per block state on D5/F3 and D4/F5.  A round that leaves more
+# than _BLOCK_STATES trees holds 8 bytes per tree for their roots, 1.3 MB
+# for A3/F127's 159,161: inside the margin, as its peak RSS shows
 _BLOCK_BYTES = 56
 
 
@@ -553,8 +543,9 @@ def crosscheck(table: StructureConstantTable, p: int,
     """Verify the classifier against brute-force enumeration, on the census
     given or one enumerated under the default budget; raise on mismatch.
     ValueError, before any work, for a census of another system or prime
-    than (table, p), for one whose state count is not p**|phi1|, or for a
-    negative number of pairs."""
+    than (table, p), for one whose state count is not p**|phi1|, for an
+    orbit_id other than one integer per state (None partitions again), or
+    for a negative number of pairs."""
     rs, p = table.rs, as_int(p)
     pairs, seed = as_int(pairs, "pairs", 0), as_int(seed)
     if census is not None and (census.family, census.rank, census.p) != (
@@ -564,6 +555,12 @@ def crosscheck(table: StructureConstantTable, p: int,
     if census is not None and census.total_states != p ** len(rs.phi1):
         raise ValueError(f"the census counts {census.total_states} states, "
                          f"not the {p}**{len(rs.phi1)} of {rs.name} over F_{p}")
+    if census is not None and (given := census.orbit_id) is not None and (
+            given.shape != (census.total_states,)
+            or given.dtype.kind not in "iu"):
+        raise ValueError(f"the census's orbit_id is {given.dtype} of shape "
+                         f"{given.shape}, not one integer for each of its "
+                         f"{census.total_states} states")
     K = PrimeField(p)
     if census is None:
         census = enumerate_orbits(table, p)
@@ -619,7 +616,7 @@ def crosscheck(table: StructureConstantTable, p: int,
         sizes[low:low + len(counts)] += counts
         if top >= k:
             continue  # the size check below reports the unlisted orbits
-        bad = np.flatnonzero(chunk != rep_codes[ids])
+        bad = np.flatnonzero(chunk != rep_codes.take(ids))
         if bad.size:
             raise MismatchReport(
                 "invariant code varies inside a brute-force orbit",

@@ -239,6 +239,33 @@ def test_orbit_partition_hooks_again_past_block_states_trees(
                                                                   m))
 
 
+def test_orbit_partition_ends_on_a_filtered_round_that_merges_nothing(
+        monkeypatch):
+    """x_1 += x_0 on 9 states: the first round hooks each 3-cycle into one
+    tree, which leaves 5 trees, the orbits, more than _BLOCK_STATES = 3.
+    The second round reads only edges whose labels differ, finds none, and
+    leaves as many trees, so the work ends there, with no exact sweep."""
+    p, m, moves = 3, 2, [[(0, 1, 1)]]
+    monkeypatch.setattr(census_mod, "_BLOCK_STATES", p)
+    seen = count_partition_work(monkeypatch)
+    got = census_mod._orbit_partition(moves, p, m)
+    assert seen == {"images": 2, "joins": 0, "retries": 0}
+    assert [a.tolist() for a in got] == list(union_find_partition(moves, p,
+                                                                  m))
+
+
+def test_orbit_partition_of_self_loops_ends_after_one_sweep(monkeypatch):
+    """A pair with sign 0 maps every state to itself: the first round merges
+    no tree, so every state is an orbit at once, with no exact sweep."""
+    p, m = 3, 4
+    seen = count_partition_work(monkeypatch)
+    label, least, sizes = census_mod._orbit_partition([[(0, 1, 0)]], p, m)
+    assert seen == {"images": 1, "joins": 0, "retries": 0}
+    states = np.arange(p ** m)
+    assert np.array_equal(label, states) and np.array_equal(least, states)
+    assert np.array_equal(sizes, np.ones(p ** m))
+
+
 def test_orbit_partition_rehooks_pairs_that_a_conflicting_write_left_apart(
         monkeypatch):
     """minimum.at keeps the least of the writes to one root, so a pair of
@@ -719,6 +746,31 @@ def test_crosscheck_refuses_a_census_of_another_state_count(
             rf"^the census counts {total} states, not the 3\*\*8 of D4 "
             rf"over F_3$")):
         crosscheck(get_table("D4"), 3, census=census)
+
+
+@pytest.mark.parametrize("orbit_id", [
+    lambda ids: ids[:-5],  # 5 entries short
+    lambda ids: ids.astype(np.float64),
+    lambda ids: ids.reshape(3**4, 3**4),
+    lambda ids: ids != 0,
+], ids=["short", "float64", "2-D", "bool"])
+def test_crosscheck_refuses_an_orbit_id_that_is_not_one_integer_per_state(
+        monkeypatch, capsys, orbit_id):
+    def never(*args):
+        raise AssertionError("started the crosscheck")
+
+    census = get_census("D4", 3)
+    bad = dataclasses.replace(census, orbit_id=orbit_id(census.orbit_id))
+    monkeypatch.setattr(census_mod, "PrimeField", never)
+    monkeypatch.setattr(census_mod, "_classifier", never)
+    with pytest.raises(ValueError) as e:
+        crosscheck(get_table("D4"), 3, census=bad)
+    assert str(e.value) == (
+        f"the census's orbit_id is {bad.orbit_id.dtype} of shape "
+        f"{bad.orbit_id.shape}, not one integer for each of its 6561 states")
+    assert cli.exit_status(
+        lambda: crosscheck(get_table("D4"), 3, census=bad)) == 2
+    assert capsys.readouterr().err == f"invalid input: {e.value}\n"
 
 
 def test_crosscheck_budgets_the_partition_of_a_census_without_orbit_id(

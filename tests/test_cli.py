@@ -997,6 +997,14 @@ def test_predicted_orbits_invocations_keep_their_pinned_digests():
                          {"--compare", "--brute-force"} & set(argv)) == 16
 
 
+def test_census_invocations_keep_their_pinned_digests():
+    # the partition's path: every pinned invocation that enumerates the
+    # orbits (--brute-force) or checks them against the classifier
+    # (--compare), so a changed representative, size or report shows here
+    assert _rerun_pinned(lambda argv: bool(
+        {"--compare", "--brute-force"} & set(argv))) == 35
+
+
 def test_constants_invocations_keep_their_pinned_digests():
     # the structure path: every pinned `constants` invocation, the 16
     # systems in JSON and CSV and the largest systems' single checks, so
