@@ -105,7 +105,7 @@ def sign_rule(rs: RootSystem, i: int, beta) -> int:
     if not rs.is_positive(beta):
         raise NotAPositiveRoot(f"{beta} is not a positive root of {rs.name}")
     b = rs.root_id(beta)
-    if rs.ids.sums[rs.root_id(rs.simple(i))][b] < 0:
+    if rs.ids.sum_id[rs.root_id(rs.simple(i)), b] < 0:
         raise UndefinedPair(f"alpha_{i} + {beta} is not a root of {rs.name}")
     return -1 if i > rs.ids.top[b] else 1
 
@@ -129,7 +129,7 @@ def structure_constant_fast(rs: RootSystem, alpha, beta, memo: dict | None = Non
         pass
     alpha, beta = tuple(alpha), tuple(beta)
     a, b = rs.root_id(alpha), rs.root_id(beta)
-    if rs.ids.sums[a][b] < 0:
+    if rs.ids.sum_id[a, b] < 0:
         raise UndefinedPair(f"{alpha} + {beta} is not a root of {rs.name}")
     if memo is None:
         memo = {}
@@ -168,9 +168,8 @@ def closed_form_table(rs: RootSystem) -> np.ndarray:
     ids = rs.ids
     sum_id, neg = ids.sum_id, ids.neg_id
     n, h = len(neg), len(ids.top)
-    top = np.array(ids.top)
-    j = np.array(ids.least_sub)
-    aj = np.array(ids.simple_ids)[j - 1]
+    top, j = ids.top, ids.least_sub
+    aj = ids.simple_ids[j - 1]
     peel = sum_id[np.arange(h), neg[aj]]  # a - alpha_j, or -1 for simple a
     positive = sum_id[:h, :h] >= 0
     nt = np.zeros((n, n), dtype=np.int8)
@@ -220,8 +219,8 @@ def closed_form_table(rs: RootSystem) -> np.ndarray:
 def _seeds(ids: RootIds) -> tuple[np.ndarray, np.ndarray]:
     """Root ids (alpha_j, g - alpha_j) of the normalization seeds: one per
     positive non-simple root g, with j its least subtractable index."""
-    g = np.flatnonzero(np.array(ids.simple_of) == 0)
-    aj = np.array(ids.simple_ids)[np.array(ids.least_sub)[g] - 1]
+    g = np.flatnonzero(ids.simple_of == 0)
+    aj = ids.simple_ids[ids.least_sub[g] - 1]
     return aj, ids.sum_id[g, ids.neg_id[aj]]
 
 
@@ -275,22 +274,19 @@ class StructureConstantTable:
 
     Basis keys: ints 0..n-1 are the root vectors e_{roots[i]} in the global
     root order, keys n..n+rank-1 are the Cartan generators h_1..h_rank.
-    The sum and negation tables are the root system's own (rs.ids), not
-    copies.
+    The constants are one (n, n) int8 array, and the sum and negation
+    tables are the root system's own (rs.ids), not copies; the scalar
+    readers return Python ints.
     """
 
     def __init__(self, rs: RootSystem, nt: np.ndarray, stats: dict):
         self.rs = rs
         self._nt = nt
-        self._sum, self._sums = rs.ids.sum_id, rs.ids.sums
-        self._neg, self._negs = rs.ids.neg_id, rs.ids.negs
+        self._sum, self._neg = rs.ids.sum_id, rs.ids.neg_id
         self.stats = stats
         # derived per-table data (see table_cached); freed with the table
         self.memo: dict = {}
         self._n = len(rs.roots)
-        # plain-list mirror: scalar indexing of ndarrays is slow in the
-        # per-key loops of bracket_keys and liemod
-        self._nt_list = nt.tolist()
 
     # -- sizes and keys ----------------------------------------------------
 
@@ -313,14 +309,14 @@ class StructureConstantTable:
 
     def nv(self, i: int, j: int) -> int:
         """N over root ids; 0 when undefined."""
-        return self._nt_list[i][j]
+        return self._nt.item(i, j)
 
     def structure_constant(self, alpha, beta) -> int:
         alpha = tuple(alpha)
         beta = tuple(beta)
         i = self.rs.root_id(alpha)
         j = self.rs.root_id(beta)
-        v = self._nt_list[i][j]
+        v = self._nt.item(i, j)
         if v == 0:
             raise UndefinedPair(f"{alpha} + {beta} is not a root of {self.rs.name}")
         return v
@@ -342,10 +338,10 @@ class StructureConstantTable:
         if j >= n:
             c = self.rs.simple_pairs[i][j - n]
             return ((i, -c),) if c else ()
-        s = self._sums[i][j]
+        s = self._sum.item(i, j)
         if s >= 0:
-            return ((s, self._nt_list[i][j]),)
-        if self._negs[i] == j:
+            return ((s, self._nt.item(i, j)),)
+        if self._neg[i] == j:
             # [e_a, e_{-a}] = h_a expanded over the Cartan generators
             r = self.rs.roots[i]
             return tuple((n + t, c) for t, c in enumerate(r) if c)
@@ -600,7 +596,7 @@ def _bracket_arrays(table: StructureConstantTable) -> tuple:
                              f"the {np.dtype(_PACKED).name} gather tables")
     pairing = rs.ids.pairing
     ids = np.arange(n)
-    simple = np.array(rs.ids.simple_ids)
+    simple = rs.ids.simple_ids
     out = np.full((n + rank, zero + 1), 8 * zero + 4, dtype=_PACKED)
     a, b = mask_pairs(table._sum >= 0)
     # [e_a, e_b] = N(a, b) e_{a+b}

@@ -129,7 +129,7 @@ def _sign_rule_agreement(table: StructureConstantTable) -> dict:
                 else "peeled closed form")
         raise CheckFailed(f"{rs.name}: {what} disagrees with the table "
                           f"at ({rs.roots[a]}, {rs.roots[b]})")
-    simple = rs.ids.sum_id[list(rs.ids.simple_ids), :h]
+    simple = rs.ids.sum_id[rs.ids.simple_ids, :h]
     return {"sign_rule_pairs": int(np.count_nonzero(simple >= 0)),
             "all_pairs": int(np.count_nonzero(rs.ids.sum_id >= 0))}
 
@@ -265,14 +265,12 @@ def cmd_classify(args) -> str:
     else:
         rows = _parse_batch(args.batch, args.p)
     check_domain(rs, K)
-    m = len(rs.phi1)
     for n, x in rows:
-        if len(x) != m:
+        try:
+            rs.check_v1(x)
+        except ValueError as e:
             where = "" if n is None else f"line {n}: "
-            raise ValueError(
-                f"{where}level-1 vector for {rs.name} needs {m} "
-                f"coefficients, got {len(x)}"
-            )
+            raise ValueError(f"{where}{e}") from None
     table = build_table_oracle(rs)
 
     def entry(d):

@@ -22,11 +22,11 @@ The action of the root element x_gamma(a) on a basis vector:
 with h_gamma = sum_t gamma_t h_t (all roots here have the same length).
 Group words are lists of (root, scalar) factors and act right-to-left.
 _action_plan holds these moves per gamma, read from gamma's rows of
-rs.ids.sums and rs.simple_pairs and kept in one per-table dict keyed by
-the root (_plans), which apply_word reads once per factor; _v1_moves
-keeps those from level 1, re-indexed to phi1: for level-0 gamma they are
-the whole action on V1, which act_on_v1 applies to level-1 coefficient
-tuples and lanes.
+rs.ids.sum_id, the constants and rs.simple_pairs, and kept in one
+per-table dict keyed by the root (_plans), which apply_word reads once per
+factor; _v1_moves keeps those from level 1, re-indexed to phi1: for
+level-0 gamma they are the whole action on V1, which act_on_v1 applies to
+level-1 coefficient tuples and lanes.
 _scale_plan groups root ids by gamma's column of rs.ids.pairing.
 
 apply_word is the one driver of the action; apply_root_element is its
@@ -202,11 +202,12 @@ def _action_plan(table: StructureConstantTable, gamma: Root):
     rs = table.rs
     gid = rs.root_id(gamma)
     n = table.n_roots
-    moves = tuple((src, dst, table.nv(gid, src))
-                  for src, dst in enumerate(rs.ids.sums[gid]) if dst >= 0)
+    row, nts = rs.ids.sum_id[gid].tolist(), table._nt[gid].tolist()
+    moves = tuple((src, dst, nts[src])
+                  for src, dst in enumerate(row) if dst >= 0)
     h_coords = tuple((n + t, c) for t, c in enumerate(gamma) if c)
     h_feed = tuple((n + t, w) for t, w in enumerate(rs.simple_pairs[gid]) if w)
-    plan = plans[gamma] = gid, rs.ids.negs[gid], moves, h_coords, h_feed
+    plan = plans[gamma] = gid, rs.ids.neg_id.item(gid), moves, h_coords, h_feed
     return plan
 
 

@@ -30,13 +30,11 @@ Orbits are named by OrbitDescriptor values: a label from
 {I, IIa, IIb, II, IIIa, IIIb, IIIc, III, IV, V, VI} plus canonical
 parameters.  The orbit types of each family and rank are written once, in
 the catalogue _orbit_types: per label, its parameters with their ranges and
-its canonical vector with entries that are constants or parameters.
-all_descriptors lists the catalogue's descriptors, canonical_form fills in
-its canonical vectors, and the decode below reads it too.  Both read plans
-made before their first descriptor, so no descriptor pays for them: each
-orbit type's parameter names are sorted once per (table, p) and every
-descriptor is built as one tuple, and each label's canonical vector is a
-list of (phi1 index, int or parameter name) pairs, once per table.
+its canonical vector as (phi1 index, value) pairs, each value a constant or
+a parameter.  all_descriptors lists the catalogue's descriptors,
+canonical_form fills in its canonical vectors, and the decode below reads
+it too.  Each orbit type's parameter names are sorted once per (table, p),
+before its first descriptor, and every descriptor is built as one tuple.
 
 For either family the invariants are packed into one integer code, owned
 by one classifier per table and prime field (_classifier), once
@@ -61,7 +59,7 @@ import functools
 import gc
 import math
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -166,13 +164,17 @@ class OrbitDescriptor(NamedTuple):
 
     @classmethod
     def from_json(cls, d: dict) -> "OrbitDescriptor":
-        return cls(
-            family=d["family"],
-            rank=as_int(d["rank"], "rank"),
-            p=as_int(d["p"], "p"),
-            label=d["label"],
-            params=tuple(sorted(d.get("params", {}).items())),
-        )
+        """The descriptor of a to_json dict; InvalidDescriptor names a
+        missing field, or params that is not a mapping."""
+        try:
+            family, rank, p, label = (d[k] for k in cls._fields[:4])
+        except KeyError as e:
+            raise InvalidDescriptor(f"descriptor has no field {e}") from None
+        params = d.get("params", {})
+        if not isinstance(params, Mapping):
+            raise InvalidDescriptor("descriptor params is not a mapping")
+        return cls(family, as_int(rank, "rank"), as_int(p, "p"), label,
+                   tuple(sorted(params.items())))
 
 
 def _require_odd(K) -> None:
@@ -780,17 +782,18 @@ def _orbit_types(table: StructureConstantTable, K) -> dict:
     order: label -> (params, entries).
 
     params lists (name, values) per parameter, the first varying slowest;
-    entries lists (root, value) per nonzero coefficient of the canonical
-    vector, the value an int or the name of an int parameter.  Needs
-    check_domain to have passed.
+    entries lists (phi1 index, value) per nonzero coefficient of the
+    canonical vector, the value an int or the name of an int parameter.
+    Needs check_domain to have passed.
     """
     rs = table.rs
+    at = rs.phi1_index
     units = K.units()
     if rs.family == "A":
         if rs.rank == 1:
             return {"I": ((), ())}
-        rho, sig = rs.simple(1), rs.simple(rs.rank)
-        dmr = rs.sub(rs.delta, rho)
+        rho, sig = at(rs.simple(1)), at(rs.simple(rs.rank))
+        dmr = at(rs.sub(rs.delta, rs.simple(1)))
         if rs.rank == 2:
             a, b = ("rho", units), ("delta_minus_rho", units)
             return {
@@ -808,7 +811,7 @@ def _orbit_types(table: StructureConstantTable, K) -> dict:
             "III": ((c,) * three, ((rho, 1), (sig, "c" if three else 1))),
             "VI": ((c,), ((rho, 1), (dmr, "c"))),
         }
-    lam, rho, sig, tau = standard_quadruple(rs)
+    lam, rho, sig, tau = map(at, standard_quadruple(rs))
     classes = ("1", str(K.least_nonresidue()))
     # D4 has three blocks, so sigma carries a class and IIIc exists; from
     # D5 on sigma's coefficient is 1.  k != 0 has the single norm class 1,
@@ -871,17 +874,6 @@ _LANES = tuple((t, int(np.iinfo(t).max))
                for t in (np.int8, np.int16, np.int32, np.int64))
 
 
-@table_cached
-def _vector_plan(table: StructureConstantTable, entries) -> dict:
-    """The canonical-vector plan of _orbit_types's entries, given as
-    ((label, entries), ...): label -> ((phi1 index, int or parameter
-    name), ...).  Those entries do not depend on p, so the primes of a
-    table share one plan."""
-    at = table.rs.phi1_index
-    return {label: tuple([(at(root), v) for root, v in label_entries])
-            for label, label_entries in entries}
-
-
 class _Classifier:
     """The invariant code of one table over one prime field, and its decode.
 
@@ -894,19 +886,16 @@ class _Classifier:
     integer literal of the lane code, each at most the bound), and None
     past 2**63, where batches run code over Python ints.
 
-    It also holds the catalogue of its (table, p), types (_orbit_types),
-    and the plans read from it: descriptors builds each orbit type's
-    descriptors from its parameter names, sorted once per type, and
-    canonical_vector reads vector_plan (_vector_plan), which every prime
-    of the table shares.
+    It also holds the catalogue of its (table, p), types (_orbit_types):
+    descriptors builds each orbit type's descriptors from its parameter
+    names, sorted once per type, and canonical_vector fills in the type's
+    (phi1 index, value) entries.
     """
 
     def __init__(self, table: StructureConstantTable, K, bound: int):
         self.rs, self.p, self.types = table.rs, K.p, _orbit_types(table, K)
         self.m = len(self.rs.phi1)
         self.lane = next((t for t, top in _LANES if bound <= top), None)
-        self.vector_plan = _vector_plan(table, tuple(
-            [(label, entries) for label, (_, entries) in self.types.items()]))
 
     def classify(self, x) -> OrbitDescriptor:
         """The descriptor of one vector: decode(code(reduced(x))).  Family
@@ -982,7 +971,7 @@ class _Classifier:
         order); whether the vector classifies back to d is canonical_form's
         check."""
         try:
-            entries = self.vector_plan[d.label]
+            entries = self.types[d.label][1]
         except (KeyError, TypeError):
             raise InvalidDescriptor(
                 f"no label {d.label} for {self.rs.name}") from None
@@ -1114,10 +1103,10 @@ def _v_code_checked(table: StructureConstantTable, entries) -> None:
     ClassificationError if it fails or an entry is neither int nor k."""
     rs, P, k = table.rs, _Polynomials(), {(0,): 1}
     x = [P.zero] * len(rs.phi1)
-    for root, v in entries:
+    for i, v in entries:
         if v != "k" and not isinstance(v, int):
             raise ClassificationError(f"V's entry {v!r} is neither k nor an int")
-        x[rs.phi1_index(root)] = k if v == "k" else P.of(v)
+        x[i] = k if v == "k" else P.of(v)
     y = associated_root_element(table, P, x).coeffs
     if y[_kernel_plan(table)[0]] != k:
         raise ClassificationError(f"V(k)'s canonical vector of {rs.name} does "
@@ -1141,6 +1130,8 @@ def _batch_rows(rs: RootSystem, p: int, X):
     or more beside smaller ones), as a list of lists of ints; ValueError for
     rows of the wrong length or entries that are not integers."""
     m = len(rs.phi1)
+    if not isinstance(X, (np.ndarray, list, tuple)):
+        X = list(X)  # an iterator is read once
     try:
         rows = np.asarray(X)
         if rows.size == 0:  # no vectors, or vectors without entries (A1)
@@ -1162,11 +1153,11 @@ def classify_many(table: StructureConstantTable, K,
                   X) -> list[OrbitDescriptor]:
     """Orbit descriptors of a batch of level-1 vectors, in input order.
 
-    X is a sequence of integer vectors in phi1 order, or an (n, |phi1|)
-    integer array.  The result equals [classify(table, K, x) for x in X]:
-    the codes come from the same classifier (its chunk_codes), and each
-    distinct code is decoded once.  A row of the wrong length, or entries
-    that are not integers, raise ValueError.
+    X is an iterable of integer vectors in phi1 order, read once, or an
+    (n, |phi1|) integer array.  The result equals [classify(table, K, x)
+    for x in X]: the codes come from the same classifier (its
+    chunk_codes), and each distinct code is decoded once.  A row of the
+    wrong length, or entries that are not integers, raise ValueError.
     """
     clf = _classifier(table, K)
     rows = _batch_rows(clf.rs, clf.p, X)

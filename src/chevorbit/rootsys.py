@@ -157,20 +157,19 @@ class RootIds(NamedTuple):
 
     The sum ids are read by both structure-constant paths and liemod's
     root-element action, the pairing by the Jacobi check and liemod's torus
-    action.  The arrays are read-only and shared by everything built on the
-    root system; copy one before editing it.
+    action.  Every field is a read-only array, shared by everything built
+    on the root system; copy one before editing it.  A scalar read gives a
+    numpy integer, so a reader that returns it converts it to an int.
     """
 
     pairing: np.ndarray  # (n, n) int8: <roots[i], roots[j]>
     sum_id: np.ndarray  # (n, n) int32: id of roots[i] + roots[j], or -1
-    sums: list  # sum_id as nested lists, for scalar reads
     neg_id: np.ndarray  # (n,): id of -roots[i]
-    negs: list
-    simple_ids: tuple  # id of alpha_i at position i - 1
+    simple_ids: np.ndarray  # (rank,): id of alpha_i at position i - 1
     # over positive ids g < n_positive, indices 1-based:
-    simple_of: list  # i if roots[g] is alpha_i, else 0
-    least_sub: list  # least i with roots[g] - alpha_i a root or zero
-    top: list  # greatest i with a nonzero coefficient in roots[g]
+    simple_of: np.ndarray  # i if roots[g] is alpha_i, else 0
+    least_sub: np.ndarray  # least i with roots[g] - alpha_i a root or zero
+    top: np.ndarray  # greatest i with a nonzero coefficient in roots[g]
 
 
 def mask_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,19 +221,19 @@ def _root_ids(rs: "RootSystem") -> RootIds:
     sum_id = _sum_ids(coeffs, pairing == -1)
     neg_id = (np.arange(n) + h) % n  # negatives follow positives in order
     # the closure puts height 1 first as alpha_l, ..., alpha_1
-    simple_ids = tuple(range(rank - 1, -1, -1))
-    simple_of = [rank - g if g < rank else 0 for g in range(h)]
+    simple_ids = np.arange(rank - 1, -1, -1)
+    simple_of = np.maximum(rank - np.arange(h), 0)
     # sub[g, i - 1]: roots[g] - alpha_i is a root, or zero
-    sub = sum_id[:h, neg_id[list(simple_ids)]] >= 0
+    sub = sum_id[:h, neg_id[simple_ids]] >= 0
     sub[simple_ids, range(rank)] = True
     if not sub.any(axis=1).all():
         raise InternalError("positive root with no subtractable simple root")
     top = rank - (coeffs[:h, ::-1] != 0).argmax(axis=1)
-    for a in (pairing, sum_id, neg_id):
+    ids = RootIds(pairing, sum_id, neg_id, simple_ids, simple_of,
+                  sub.argmax(axis=1) + 1, top)
+    for a in ids:
         a.flags.writeable = False
-    return RootIds(pairing, sum_id, sum_id.tolist(), neg_id, neg_id.tolist(),
-                   simple_ids, simple_of, (sub.argmax(axis=1) + 1).tolist(),
-                   top.tolist())
+    return ids
 
 
 class RootSystem:
@@ -413,7 +412,7 @@ def min_subtractable_index(rs: RootSystem, gamma) -> int:
     gamma = tuple(gamma)
     if not rs.is_positive(gamma):
         raise NotAPositiveRoot(f"{gamma} is not a positive root of {rs.name}")
-    return rs.ids.least_sub[rs.root_id(gamma)]
+    return rs.ids.least_sub.item(rs.root_id(gamma))
 
 
 def standard_quadruple(rs: RootSystem) -> tuple[Root, Root, Root, Root]:

@@ -116,7 +116,7 @@ def unseeded_orbits(rs) -> list[list[tuple[int, int]]]:
     """The pair orbits (see build_table_oracle) that hold no seed, each as
     its 12 pairs sorted, in order: (x, y), (y, x), (-x, -y), (-y, -x) for
     the pairs (x, y) of a zero-sum triple in cyclic order."""
-    sums, negs = rs.ids.sums, rs.ids.negs
+    sums, negs = rs.ids.sum_id.tolist(), rs.ids.neg_id.tolist()
     seeds = set(zip(*(s.tolist() for s in _seeds(rs.ids))))
     orbits = set()
     for a, b in zip(*np.nonzero(rs.ids.sum_id >= 0)):

@@ -10,6 +10,7 @@ import pytest
 
 from chevorbit import InvalidDescriptor, OrbitDescriptor, all_descriptors
 from chevorbit import orbitlab
+from chevorbit.rootsys import standard_quadruple
 from helpers import get_field, get_table
 
 SYSTEMS = [f"A{r}" for r in range(1, 9)] + [f"D{r}" for r in range(4, 9)]
@@ -27,17 +28,34 @@ def reference_descriptors(rs, p, types):
                                   params=tuple(sorted(zip(names, values))))
 
 
+def named_roots(rs, label):
+    """The roots that label's canonical vector is written on, in entry
+    order: on family A of rho = alpha_1, sigma = alpha_l and delta - rho,
+    on family D of the standard quadruple (lam, rho, sig, tau)."""
+    if rs.family == "A":
+        rho = rs.simple(1)
+        roots = {"r": rho, "s": rs.simple(rs.rank), "m": rs.sub(rs.delta, rho)}
+        # A2's IIb is written on delta - rho, which is sigma there
+        on = {"IIa": "r", "IIb": "s", "III": "rs", "VI": "rm"}
+    else:
+        roots = dict(zip("lrst", standard_quadruple(rs)))
+        on = {"II": "l", "IIIa": "lr", "IIIb": "ls", "IIIc": "lt",
+              "IV": "lrs", "V": "lrst"}
+    return [roots[c] for c in on.get(label, "")]
+
+
 def reference_vector(clf, d):
-    """d's canonical vector, each entry's phi1 index looked up per call."""
+    """d's canonical vector, filled per call, each entry's phi1 index
+    checked through rs.phi1 to name the root the catalogue means."""
     rs = clf.rs
     try:
         _, entries = clf.types[d.label]
     except (KeyError, TypeError):
         raise InvalidDescriptor(f"no label {d.label} for {rs.name}") from None
     out = [0] * len(rs.phi1)
-    for root, v in entries:
-        out[rs.phi1_index(root)] = (v if isinstance(v, int)
-                                    else orbitlab._int_param(d, v))
+    for (i, v), root in zip(entries, named_roots(rs, d.label), strict=True):
+        assert rs.phi1[i] == root, (d.label, i, root)
+        out[i] = v if isinstance(v, int) else orbitlab._int_param(d, v)
     return tuple(out)
 
 

@@ -35,7 +35,7 @@ from chevorbit import (
     structure_constant_fast,
     verify_table,
 )
-from chevorbit import chevalley
+from chevorbit import chevalley, orbitlab
 from chevorbit.chevalley import (
     _PACKED,
     _all_triples,
@@ -47,10 +47,11 @@ from chevorbit.chevalley import (
     _sampled_triples,
     closed_form_table,
 )
-from chevorbit.rootsys import MAX_ROOTS
+from chevorbit.rootsys import MAX_ROOTS, RootIds
 from helpers import (
     ALL_SYSTEMS,
     first_jacobi_failure,
+    get_field,
     get_system,
     get_table,
     negated_pair,
@@ -116,9 +117,9 @@ def test_closed_form_matches_oracle_on_every_defined_pair():
 def _peeled(ids, a: int, b: int, memo: dict) -> int:
     """N(roots[a], roots[b]) for a defined pair, by the scalar chain of
     rewrites the closed form once ran per pair: the reference that
-    closed_form_table must equal.  Every pair on the chain is memoized
-    under a * n + b."""
-    sums, negs, top = ids.sums, ids.negs, ids.top
+    closed_form_table must equal.  ids holds the tables of rs.ids as
+    nested lists.  Every pair on the chain is memoized under a * n + b."""
+    sums, negs, top = ids.sum_id, ids.neg_id, ids.top
     n, h = len(negs), len(top)
     chain = []
     while True:
@@ -164,9 +165,10 @@ def test_closed_form_table_is_the_scalar_peeling_chain(name):
     table = closed_form_table(rs)
     assert table.dtype == np.int8 and table.shape == (len(rs.roots),) * 2
     memo: dict = {}
+    lists = RootIds(*(f.tolist() for f in rs.ids))
     a, b = np.nonzero(rs.ids.sum_id >= 0)
     want = np.zeros_like(table)
-    want[a, b] = [_peeled(rs.ids, i, j, memo)
+    want[a, b] = [_peeled(lists, i, j, memo)
                   for i, j in zip(a.tolist(), b.tolist())]
     assert np.array_equal(table, want)
 
@@ -226,9 +228,9 @@ def test_closed_form_refuses_a_broken_peel():
     ids = rs.ids
     h = rs.n_positive
     a, b = next((a, b) for a in range(h) for b in range(h)
-                if not ids.simple_of[a] and ids.sums[a][b] >= 0)
+                if not ids.simple_of[a] and ids.sum_id[a, b] >= 0)
     aj = ids.simple_ids[ids.least_sub[a] - 1]
-    ap = ids.sums[a][ids.negs[aj]]
+    ap = ids.sum_id[a, ids.neg_id[aj]]
     sum_id = ids.sum_id.copy()
     sum_id[ap, b] = sum_id[b, ap] = sum_id[aj, b] = sum_id[b, aj] = -1
     broken = SimpleNamespace(ids=ids._replace(sum_id=sum_id))
@@ -236,7 +238,7 @@ def test_closed_form_refuses_a_broken_peel():
         closed_form_table(broken)
     # a root that peels to itself is never filled
     sum_id = ids.sum_id.copy()
-    sum_id[a, ids.negs[aj]] = a
+    sum_id[a, ids.neg_id[aj]] = a
     broken = SimpleNamespace(ids=ids._replace(sum_id=sum_id))
     with pytest.raises(InternalError, match="peeling reaches no simple root"):
         closed_form_table(broken)
@@ -271,7 +273,7 @@ def test_the_oracle_and_the_closed_form_reach_nothing_of_each_other():
     # closed form, not even the support tops it alone needs
     with open(chevalley.__file__, encoding="utf-8") as f:
         tree = ast.parse(f.read())
-    oracle = {"_nt", "_nt_list", "nv", "structure_constant",
+    oracle = {"_nt", "nv", "structure_constant",
               "StructureConstantTable", "build_table_oracle"}
     closed = {"closed_form_table", "structure_constant_fast", "sign_rule",
               "top"}
@@ -728,11 +730,43 @@ def test_sum_table_matches_brute_force(name):
     rs = get_system(name)
     index = {r: i for i, r in enumerate(rs.roots)}
     want = [[index.get(rs.add(a, b), -1) for b in rs.roots] for a in rs.roots]
-    assert rs.ids.sums == want
-    assert np.array_equal(rs.ids.sum_id, want)
+    assert rs.ids.sum_id.tolist() == want
     if name in ALL_SYSTEMS:  # the table reads the root system's tables
         t = get_table(name)
-        assert t._sum is rs.ids.sum_id and t._sums is rs.ids.sums
+        assert t._sum is rs.ids.sum_id and t._neg is rs.ids.neg_id
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS + ("D22",))
+def test_each_table_is_kept_in_one_form(name):
+    # the root-id tables are read-only arrays, the constants are not kept
+    # again as lists, and a catalogue entry names its root by phi1 index;
+    # every scalar reader returns a Python int, never a numpy scalar
+    rs, t = get_system(name), get_table(name)
+    assert len(rs.ids) == 7
+    assert all(type(f) is np.ndarray and not f.flags.writeable
+               for f in rs.ids)
+    assert not [k for k, v in vars(t).items()
+                if type(v) is list and any(type(r) is list for r in v)]
+    n = len(rs.roots)
+    pairs = t.defined_pairs().tolist()  # none on A1
+    i, j = pairs[0] if pairs else (0, 1)
+    got = [t.nv(i, j), t.nv(i, i)] + [
+        t.structure_constant(rs.roots[a], rs.roots[b]) for a, b in pairs[:3]]
+    for a, b in ((i, j), (i, rs.root_id(rs.neg(rs.roots[i]))), (n, j), (i, n)):
+        got += [x for term in t.bracket_keys(a, b) for x in term]
+    got += [min_subtractable_index(rs, g) for g in rs.positive_roots[:3]]
+    got += [sign_rule(rs, k, g) for k in range(1, rs.rank + 1)
+            for g in rs.positive_roots[:3]
+            if rs.is_root(rs.add(rs.simple(k), g))]
+    if rs.family in "AD":
+        for p in (3, 5):
+            clf = orbitlab._classifier(t, get_field(p))
+            for _, entries in clf.types.values():
+                assert all(type(k) is int and 0 <= k < len(rs.phi1)
+                           for k, _ in entries)
+            for d in clf.descriptors():
+                got += clf.canonical_vector(d)
+    assert len(got) > 6 and all(type(x) is int for x in got)
 
 
 def test_closed_form_needs_no_table_and_keeps_its_messages():

@@ -970,10 +970,12 @@ def test_pinned_outputs_file_lists_the_pinned_invocations():
     assert [argv for _, _, argv in rows] == want
 
 
-def _rerun_pinned(select) -> int:
+def _rerun_pinned(select, tmp_path) -> int:
     """Rerun in-process the pinned invocations for which select(argv) is
     true; each must print the stdout, by sha256, and exit with the code
-    that scripts/pinned_outputs.txt records.  Returns how many ran."""
+    that scripts/pinned_outputs.txt records.  The batch files are written
+    into tmp_path by the script's own write_batch, as its main does.
+    Returns how many ran."""
     scripts = Path(__file__).parents[1] / "scripts"
     script = runpy.run_path(str(scripts / "pinned_outputs.py"),
                             run_name="pinned_outputs")
@@ -982,31 +984,47 @@ def _rerun_pinned(select) -> int:
             encoding="utf-8").splitlines():
         digest, code, argv = line.split(" ", 2)
         pinned[argv] = (digest, code)
-    batches = {case: "@FILE" for case in script["BATCHES"]}
+    batches = {}
+    for system, p in script["BATCHES"]:
+        path = tmp_path / f"{system}_{p}.txt"
+        script["write_batch"](path, system, p)
+        batches[system, p] = f"@{path}"
+    specs = set(batches.values())
     chosen = [argv for argv in script["invocations"](batches) if select(argv)]
     for argv in chosen:
         digest, code = script["run"](argv)
-        assert (digest, str(code)) == pinned[" ".join(argv)], argv
+        shown = " ".join("@FILE" if a in specs else a for a in argv)
+        assert (digest, str(code)) == pinned[shown], argv
     return len(chosen)
 
 
-def test_predicted_orbits_invocations_keep_their_pinned_digests():
+def test_predicted_orbits_invocations_keep_their_pinned_digests(tmp_path):
     # the catalogue path: every pinned `orbits` invocation that lists the
     # predicted census (neither --compare nor --brute-force)
     assert _rerun_pinned(lambda argv: argv[0] == "orbits" and not
-                         {"--compare", "--brute-force"} & set(argv)) == 16
+                         {"--compare", "--brute-force"} & set(argv),
+                         tmp_path) == 16
 
 
-def test_census_invocations_keep_their_pinned_digests():
+def test_census_invocations_keep_their_pinned_digests(tmp_path):
     # the partition's path: every pinned invocation that enumerates the
     # orbits (--brute-force) or checks them against the classifier
     # (--compare), so a changed representative, size or report shows here
     assert _rerun_pinned(lambda argv: bool(
-        {"--compare", "--brute-force"} & set(argv))) == 35
+        {"--compare", "--brute-force"} & set(argv)), tmp_path) == 35
 
 
-def test_constants_invocations_keep_their_pinned_digests():
+def test_constants_invocations_keep_their_pinned_digests(tmp_path):
     # the structure path: every pinned `constants` invocation, the 16
     # systems in JSON and CSV and the largest systems' single checks, so
     # any change to a constant, a count or a check's report shows here
-    assert _rerun_pinned(lambda argv: argv[0] == "constants") == 40
+    assert _rerun_pinned(lambda argv: argv[0] == "constants", tmp_path) == 40
+
+
+def test_classify_and_roots_invocations_keep_their_pinned_digests(tmp_path):
+    # the root tables and the catalogue: every pinned `roots` dump and every
+    # `classify`, which prints the canonical representative of each orbit
+    # it names, its batches read from the script's own seeded files, and
+    # its refusals; with the three tests above, all pinned invocations
+    assert _rerun_pinned(lambda argv: argv[0] in ("classify", "roots"),
+                         tmp_path) == 42

@@ -16,6 +16,7 @@ import textwrap
 import tracemalloc
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,11 +145,11 @@ def test_lift_postconditions_survive_optimized_mode():
         table = build_table_oracle(build_root_system("D", 4))
         types = ol._orbit_types(table, PrimeField(5))
         params, entries = types["V"]
-        types["V"] = (params, tuple((r, 2 if v == 1 else v)
-                                    for r, v in entries))
+        types["V"] = (params, tuple((i, 2 if v == 1 else v)
+                                    for i, v in entries))
         x = [0] * 8  # V(1)
-        for r, _ in entries:
-            x[table.rs.phi1_index(r)] = 1
+        for i, _ in entries:
+            x[i] = 1
         try:
             ol.classify(table, PrimeField(5), x)
         except ClassificationError:
@@ -784,8 +785,8 @@ def test_classify_raises_when_no_canonical_code_matches():
     t = build_table_oracle(rs)
     types = orbitlab._orbit_types(t, K)
     params, entries = types["V"]
-    rho = standard_quadruple(rs)[1]
-    types["V"] = (params, tuple((r, 2 if r == rho else v) for r, v in entries))
+    rho = rs.phi1_index(standard_quadruple(rs)[1])
+    types["V"] = (params, tuple((i, 2 if i == rho else v) for i, v in entries))
     with pytest.raises(ClassificationError, match="V.k.'s canonical vector"):
         classify(t, K, quad_vector(rs, (1, 1, 1, 1)))
 
@@ -1150,6 +1151,25 @@ def test_classify_many_validates_like_classify():
         classify(t, K, (0.5,) * 8)
     with pytest.raises(UnsupportedFamily):
         classify_many(get_table("E6"), K, [(0,) * 20])
+
+
+@pytest.mark.parametrize("name", ["D4", "A3"])
+def test_classify_many_reads_any_iterable_once(name):
+    # a generator or a map of rows gives the list's descriptors, and a row
+    # of the wrong length inside one gives the list's message
+    t, K = get_table(name), get_field(5)
+    rows = half_sparse(random.Random(44), t.rs, 5, 40)
+    want = classify_many(t, K, rows)
+    assert classify_many(t, K, (x for x in rows)) == want
+    assert classify_many(t, K, map(list, rows)) == want
+    m = len(t.rs.phi1)
+    bad = rows[:3] + [[0] * (m - 1)]
+    with pytest.raises(ValueError) as listed:
+        classify_many(t, K, bad)
+    with pytest.raises(ValueError) as generated:
+        classify_many(t, K, iter(bad))
+    assert str(generated.value) == str(listed.value) == (
+        f"level-1 vectors for {name} need {m} coefficients each")
 
 
 @pytest.mark.parametrize("name", ["D4", "A2", "A3"])
@@ -1611,6 +1631,22 @@ def test_descriptor_json_round_trip():
     K = get_field(3)
     for d in all_descriptors(t, K):
         assert OrbitDescriptor.from_json(d.to_json()) == d
+
+
+@pytest.mark.parametrize("d,message", [
+    ({"family": "D"}, "descriptor has no field 'rank'"),
+    ({"rank": 4, "p": 5, "label": "I"}, "descriptor has no field 'family'"),
+    ({"family": "D", "rank": 4, "label": "I"}, "descriptor has no field 'p'"),
+    ({"family": "D", "rank": 4, "p": 5}, "descriptor has no field 'label'"),
+    ({"family": "D", "rank": 4, "p": 5, "label": "V", "params": [["k", 1]]},
+     "descriptor params is not a mapping"),
+])
+def test_descriptor_from_json_refuses_a_malformed_dict(d, message):
+    with pytest.raises(InvalidDescriptor) as e:
+        OrbitDescriptor.from_json(d)
+    assert str(e.value) == message
+    # raised by chevorbit itself, not by a dict or list method
+    assert Path(e.traceback[-1].path).parent == Path(chevorbit.__file__).parent
 
 
 def test_descriptor_hash_is_the_generated_one_in_every_process():

@@ -231,10 +231,9 @@ def test_root_ids_match_tuple_arithmetic(name):
     rs = get_system(name)
     ids = rs.ids
     zero = (0,) * rs.rank
-    assert ids.negs == [rs.root_id(rs.neg(r)) for r in rs.roots]
-    assert np.array_equal(ids.neg_id, ids.negs)
-    assert ids.simple_ids == tuple(rs.root_id(rs.simple(i))
-                                   for i in range(1, rs.rank + 1))
+    assert ids.neg_id.tolist() == [rs.root_id(rs.neg(r)) for r in rs.roots]
+    assert ids.simple_ids.tolist() == [rs.root_id(rs.simple(i))
+                                       for i in range(1, rs.rank + 1)]
     assert len(ids.simple_of) == len(ids.least_sub) == len(ids.top) \
         == rs.n_positive
     for g, r in enumerate(rs.positive_roots):
