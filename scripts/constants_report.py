@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,26 +44,19 @@ DEFAULT_SYSTEMS = (
 )
 
 
-@dataclass
-class ReportConfig:
-    systems: tuple[str, ...] = DEFAULT_SYSTEMS
-    samples: int = 100_000
-    seed: int = 1729
-
-    @classmethod
-    def from_args(cls, argv=None) -> "ReportConfig":
-        ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-        ap.add_argument("--systems", nargs="+", default=list(DEFAULT_SYSTEMS))
-        ap.add_argument("--samples", type=int, default=100_000,
-                        help="sampled Jacobi triples for the large systems")
-        ap.add_argument("--seed", type=int, default=1729)
-        args = ap.parse_args(argv)
-        if args.samples < 0:
-            ap.error("--samples must be >= 0")
-        return cls(systems=tuple(args.systems), samples=args.samples, seed=args.seed)
+def parse_args(argv=None) -> argparse.Namespace:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--systems", nargs="+", default=list(DEFAULT_SYSTEMS))
+    ap.add_argument("--samples", type=int, default=100_000,
+                    help="sampled Jacobi triples for the large systems")
+    ap.add_argument("--seed", type=int, default=1729)
+    args = ap.parse_args(argv)
+    if args.samples < 0:
+        ap.error("--samples must be >= 0")
+    return args
 
 
-def run_system(cfg: ReportConfig, name: str) -> dict:
+def run_system(args: argparse.Namespace, name: str) -> dict:
     family, rank = parse_system_name(name)
     t0 = time.perf_counter()
     rs = build_root_system(family, rank)
@@ -73,7 +65,7 @@ def run_system(cfg: ReportConfig, name: str) -> dict:
     build = time.perf_counter() - t1
     stats = verify_table(table)
     t2 = time.perf_counter()
-    jac = jacobi_check(table, samples=cfg.samples, seed=cfg.seed)
+    jac = jacobi_check(table, samples=args.samples, seed=args.seed)
     jacobi = time.perf_counter() - t2
     agree = np.array_equal(closed_form_table(rs), table._nt)
     return {
@@ -90,8 +82,8 @@ def run_system(cfg: ReportConfig, name: str) -> dict:
     }
 
 
-def run(cfg: ReportConfig) -> None:
-    for name in cfg.systems:  # refuse a bad name before any table or line
+def run(args: argparse.Namespace) -> None:
+    for name in args.systems:  # refuse a bad name before any table or line
         root_count(*parse_system_name(name))
     header = (
         f"{'system':<8}{'roots':>6}{'pairs':>8}{'seeds':>7}{'orbits':>8}"
@@ -101,8 +93,8 @@ def run(cfg: ReportConfig) -> None:
     print(header)
     print("-" * len(header))
     mismatched = []
-    for name in cfg.systems:
-        row = run_system(cfg, name)
+    for name in args.systems:
+        row = run_system(args, name)
         if row["closed_form"] != "agree":
             mismatched.append(name)
         print(
@@ -118,8 +110,8 @@ def run(cfg: ReportConfig) -> None:
 
 
 def main(argv=None) -> int:
-    cfg = ReportConfig.from_args(argv)
-    return exit_status(lambda: run(cfg))
+    args = parse_args(argv)
+    return exit_status(lambda: run(args))
 
 
 if __name__ == "__main__":

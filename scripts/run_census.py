@@ -31,7 +31,6 @@ import json
 import resource
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from chevorbit import (
@@ -53,58 +52,44 @@ PINNED_CASES = (
 )
 
 
-@dataclass
-class CensusConfig:
-    cases: tuple[tuple[str, int], ...] = PINNED_CASES
-    budget: int | None = None
-    pairs: int = 10_000
-    seed: int = 0
-    json_dir: Path | None = None
-    skip_crosscheck: bool = False
-
-    @classmethod
-    def from_args(cls, argv=None) -> "CensusConfig":
-        ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-        ap.add_argument("--system", help="run one system instead of the sweep")
-        ap.add_argument("-p", type=int, help="odd prime modulus (with --system)")
-        ap.add_argument("--budget", type=int, default=None,
-                        help="enumeration budget in states (default 10^7)")
-        ap.add_argument("--pairs", type=int, default=10_000,
-                        help="sampled pairs for the same-orbit crosscheck")
-        ap.add_argument("--seed", type=int, default=0)
-        ap.add_argument("--json-dir", type=Path, default=None,
-                        help="write <system>_F<p>.json per case here")
-        ap.add_argument("--skip-crosscheck", action="store_true")
-        args = ap.parse_args(argv)
-        if (args.system is None) != (args.p is None):
-            ap.error("--system and -p must be given together")
-        if args.pairs < 0:
-            ap.error(f"--pairs must be >= 0, got {args.pairs}")
-        cases = PINNED_CASES if args.system is None else ((args.system, args.p),)
-        return cls(
-            cases=cases,
-            budget=args.budget,
-            pairs=args.pairs,
-            seed=args.seed,
-            json_dir=args.json_dir,
-            skip_crosscheck=args.skip_crosscheck,
-        )
+def parse_args(argv=None) -> argparse.Namespace:
+    """The options, with cases: the pinned pairs, or the one --system/-p
+    case."""
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--system", help="run one system instead of the sweep")
+    ap.add_argument("-p", type=int, help="odd prime modulus (with --system)")
+    ap.add_argument("--budget", type=int, default=None,
+                    help="enumeration budget in states (default 10^7)")
+    ap.add_argument("--pairs", type=int, default=10_000,
+                    help="sampled pairs for the same-orbit crosscheck")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--json-dir", type=Path, default=None,
+                    help="write <system>_F<p>.json per case here")
+    ap.add_argument("--skip-crosscheck", action="store_true")
+    args = ap.parse_args(argv)
+    if (args.system is None) != (args.p is None):
+        ap.error("--system and -p must be given together")
+    if args.pairs < 0:
+        ap.error(f"--pairs must be >= 0, got {args.pairs}")
+    args.cases = (PINNED_CASES if args.system is None
+                  else ((args.system, args.p),))
+    return args
 
 
-def admit(cfg: CensusConfig, name: str, p: int) -> RootSystem:
+def admit(args: argparse.Namespace, name: str, p: int) -> RootSystem:
     """The root system of one case, once the case can run; raises the
     exception of the first reason it cannot, before any table is built."""
     rs = build_root_system(*parse_system_name(name))
     check_domain(rs, PrimeField(p))
-    check_budget(rs, p, cfg.budget)
+    check_budget(rs, p, args.budget)
     return rs
 
 
-def run_case(cfg: CensusConfig, rs: RootSystem, p: int) -> dict:
+def run_case(args: argparse.Namespace, rs: RootSystem, p: int) -> dict:
     name = rs.name
     table = build_table_oracle(rs)
     t0 = time.perf_counter()
-    census = enumerate_orbits(table, p, budget=cfg.budget)
+    census = enumerate_orbits(table, p, budget=args.budget)
     enumerate_time = time.perf_counter() - t0
     row = {
         "system": name,
@@ -113,28 +98,28 @@ def run_case(cfg: CensusConfig, rs: RootSystem, p: int) -> dict:
         "orbits": census.orbit_count,
         "enumerate_seconds": round(enumerate_time, 2),
     }
-    if not cfg.skip_crosscheck:
+    if not args.skip_crosscheck:
         t0 = time.perf_counter()
         # raises MismatchReport on the first disagreement
-        crosscheck(table, p, pairs=cfg.pairs, seed=cfg.seed, census=census)
+        crosscheck(table, p, pairs=args.pairs, seed=args.seed, census=census)
         row["crosscheck"] = "ok"
         row["crosscheck_seconds"] = round(time.perf_counter() - t0, 2)
-    if cfg.json_dir is not None:
-        cfg.json_dir.mkdir(parents=True, exist_ok=True)
-        path = cfg.json_dir / f"{name}_F{p}.json"
+    if args.json_dir is not None:
+        args.json_dir.mkdir(parents=True, exist_ok=True)
+        path = args.json_dir / f"{name}_F{p}.json"
         path.write_text(json.dumps(census.to_json(), indent=2) + "\n")
         row["json"] = str(path)
     return row
 
 
-def run(cfg: CensusConfig) -> None:
-    cases = [(admit(cfg, name, p), p) for name, p in cfg.cases]
+def run(args: argparse.Namespace) -> None:
+    cases = [(admit(args, name, p), p) for name, p in args.cases]
     header = (f"{'system':<8}{'p':>3}{'states':>12}{'orbits':>8}{'enum[s]':>9}"
               f"{'check[s]':>10}{'peak[MB]':>10}  check")
     print(header)
     print("-" * len(header))
     for rs, p in cases:
-        row = run_case(cfg, rs, p)
+        row = run_case(args, rs, p)
         seconds = row.get("crosscheck_seconds")
         check_s = "-" if seconds is None else f"{seconds:.2f}"
         print(
@@ -152,8 +137,8 @@ def peak_mb() -> float:
 
 
 def main(argv=None) -> int:
-    cfg = CensusConfig.from_args(argv)
-    return exit_status(lambda: run(cfg))
+    args = parse_args(argv)
+    return exit_status(lambda: run(args))
 
 
 if __name__ == "__main__":

@@ -9,6 +9,12 @@ line per case gives the number of vectors whose descriptor changed (0 when
 the classifier is invariant) and the wall time of the case, table build
 included.  The exit code is 1 if any case had a disagreement.
 
+That the invariant code is invariant is proved over polynomials by tier-1
+tests (the chain is in orbitlab.classify's docstring).  What this sweep
+still adds is the code those proofs do not run: act_on_v1, the batch action
+that moves the vectors, and the lane spelling of the code at scale, on the
+int32 lanes of family A and the int64 lanes of family D at these primes.
+
     PYTHONPATH=src python3 scripts/v1_invariance.py --seed 0
 """
 

@@ -140,7 +140,11 @@ class OrbitCensus:
 def _resolve_budget(budget: int | None) -> int:
     if budget is None:
         env = os.environ.get(BUDGET_ENV)
-        budget = int(env) if env else DEFAULT_BUDGET
+        try:
+            budget = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV} must be an integer, "
+                             f"got {env!r}") from None
     return as_int(budget, "the state budget", 1)
 
 
@@ -189,10 +193,10 @@ def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
     """The number p**|phi1| of states of V1(F_p), once it is within the
     state budget (budget, else CHEVORBIT_BUDGET, else DEFAULT_BUDGET),
     below 2**62, and partitioned within memory (_check_memory);
-    BudgetExceeded otherwise, ValueError for a nonpositive budget.  Needs
-    only the root system, so a census can be refused before its table is
-    built."""
-    p = as_int(p)
+    BudgetExceeded otherwise, ValueError for a nonpositive budget or a p
+    below 2.  Needs only the root system, so a census can be refused before
+    its table is built."""
+    p = as_int(p, "p", 2)
     total = p ** len(rs.phi1)
     limit = _resolve_budget(budget)
     if total > limit:

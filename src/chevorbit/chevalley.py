@@ -286,24 +286,17 @@ class StructureConstantTable:
         self.stats = stats
         # derived per-table data (see table_cached); freed with the table
         self.memo: dict = {}
-        self._n = len(rs.roots)
+        self.n_roots = len(rs.roots)
+        self.n_basis = self.n_roots + rs.rank
 
-    # -- sizes and keys ----------------------------------------------------
-
-    @property
-    def n_roots(self) -> int:
-        return self._n
-
-    @property
-    def n_basis(self) -> int:
-        return self._n + self.rs.rank
+    # -- keys --------------------------------------------------------------
 
     def e_key(self, root) -> int:
         return self.rs.root_id(tuple(root))
 
     def h_key(self, t: int) -> int:
         """Key of h_t, 1-based t."""
-        return self._n + as_int(t, "t", 1, self.rs.rank + 1) - 1
+        return self.n_roots + as_int(t, "t", 1, self.rs.rank + 1) - 1
 
     # -- constants ---------------------------------------------------------
 
@@ -329,7 +322,7 @@ class StructureConstantTable:
 
     def bracket_keys(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """[basis_i, basis_j] as a tuple of (key, integer coefficient)."""
-        n = self._n
+        n = self.n_roots
         if i >= n:
             if j >= n:
                 return ()

@@ -105,6 +105,9 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """Arithmetic of F_p with elements as ints in range(p)."""
 
+    zero = 0
+    one = 1
+
     def __init__(self, p: int):
         p = as_int(p)
         if not is_prime(p):
@@ -122,14 +125,6 @@ class PrimeField:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def of(self, n: int) -> int:
         """n mod p; an integer lane array is reduced into lanes that hold

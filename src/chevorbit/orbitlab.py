@@ -398,22 +398,23 @@ class _Polynomials:
 class _LiftKernel:
     """The family-D invariant code of a table, as one generated function.
 
-    unit(p, decode, refused, rank, v_params) returns the scalar closure of
+    unit(p, decode, reduced, rank, v_params) returns the scalar closure of
     F_p, classify(x, code_only=False): the descriptor of one level-1
     vector x (integers, in any spelling classify takes), or with code_only
     its invariant code.  It reduces x's entries, so it takes unreduced ints
-    too, and hands any input it cannot unpack or reduce, with code_only, to
-    refused.  lanes(p, *x) is the codes of a batch, x being one lane array
-    per phi1 root, of the narrowest of int8, int16, int32 and int64 that
-    holds bound(p) and the packed code (_Classifier; on D4 int16 up to p =
-    13, int32 up to 709, int64 up to 1,154,051, and int8 only at p = 3 on
-    D5 and D6).  spell(name) compiles the function of that name, "unit" or
-    "lanes", from the one generated source, each once per table on first
-    use: one compiled unit per table and one closure per prime, so a
-    process that classifies only single vectors compiles one function per
-    table, whatever the number of primes.  weights holds, per coordinate of
-    levels -1 and 0 that the code sums, {degree: sum of the absolute
-    integer coefficients of its terms of that degree}.
+    too, and reads any input it cannot unpack or reduce through reduced,
+    which returns its entries in range(p) or raises.  lanes(p, *x) is the
+    codes of a batch, x being one lane array per phi1 root, of the
+    narrowest of int8, int16, int32 and int64 that holds bound(p) and the
+    packed code (_Classifier; on D4 int16 up to p = 13, int32 up to 709,
+    int64 up to 1,154,051, and int8 only at p = 3 on D5 and D6).
+    spell(name) compiles the function of that name, "unit" or "lanes",
+    from the one generated source, each once per table on first use: one
+    compiled unit per table and one closure per prime, so a process that
+    classifies only single vectors compiles one function per table,
+    whatever the number of primes.  weights holds, per coordinate of levels
+    -1 and 0 that the code sums, {degree: sum of the absolute integer
+    coefficients of its terms of that degree}.
     """
 
     spell: Callable[[str], Callable]
@@ -673,7 +674,7 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
             source = "\n".join([f"def lanes(p, {xs}):", *head, *body])
         else:
             source = "\n".join([
-                "def unit(p, decode, refused, rank, v_params):", *head,
+                "def unit(p, decode, reduced, rank, v_params):", *head,
                 "    half = (p - 1) // 2",
                 "    radix = p + 2",
                 f"    place = radix ** {len(blocks)}",
@@ -687,7 +688,7 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
                 f"            {xs} = x",
                 *(f"            x{i} = index(x{i}) % p" for i in range(m)),
                 "        except (TypeError, ValueError):",
-                "            return refused(x, code_only)",
+                f"            {xs} = reduced(x)",
                 *("    " + line for line in body),
                 "    return classify",
             ])
@@ -900,7 +901,8 @@ class _Classifier:
     def classify(self, x) -> OrbitDescriptor:
         """The descriptor of one vector: decode(code(reduced(x))).  Family
         D replaces it with its kernel's scalar closure, which does the
-        three in one frame and sends what it refuses here."""
+        three in one frame and calls reduced only for what it cannot
+        unpack."""
         return self.decode(self.code(self.reduced(x)))
 
     def reduced(self, x) -> list:
@@ -1016,14 +1018,11 @@ class _AClassifier(_Classifier):
 class _DClassifier(_Classifier):
     """Family D: the compiled lift's code (_lift_kernel).  Its lane values
     are the packed code, below 5 * (p + 2)**blocks, and the sums and block
-    arithmetic within kernel.bound(p).  Both spellings stop at the dark
-    test, the block invariant k that _lift_kernel proves equal to the
-    e_{-delta} coordinate, so a dark vector costs its blocks alone, in a
-    batch as for a single vector.  A dark code names V(k) in closed form,
-    its digits _DARK and then 2 + k in every block, as _v_code_checked
-    proves once per table; any other is looked up in canonical_codes,
-    which the first such decode builds.  classify names V(k) itself, and
-    sends every other code here."""
+    arithmetic within kernel.bound(p).  A dark code names V(k) in closed
+    form, its digits _DARK and then 2 + k in every block, as
+    _v_code_checked proves once per table; any other is looked up in
+    canonical_codes, which the first such decode builds.  classify names
+    V(k) itself, and sends every other code here."""
 
     def __init__(self, table: StructureConstantTable, K):
         kernel = self.kernel = _lift_kernel(table)
@@ -1039,13 +1038,10 @@ class _DClassifier(_Classifier):
     def classify(self) -> Callable:
         """The kernel's scalar unit at this p, built on the first scalar
         call: classify(x) in one frame, and the code alone with
-        code_only=True.  Input the unit refuses goes through reduced."""
-        return self.kernel.unit(self.p, self.decode, self._refused,
+        code_only=True.  Input the unit cannot unpack is read, or refused,
+        by reduced."""
+        return self.kernel.unit(self.p, self.decode, self.reduced,
                                 self.rs.rank, self.v_params)
-
-    def _refused(self, x, code_only: bool):
-        code = self.code(self.reduced(x))
-        return code if code_only else self.decode(code)
 
     def code(self, x) -> int:
         return self.classify(x, True)
@@ -1115,7 +1111,20 @@ def _v_code_checked(table: StructureConstantTable, entries) -> None:
 
 def classify(table: StructureConstantTable, K, x) -> OrbitDescriptor:
     """Orbit descriptor of a level-1 coefficient vector (phi1 order) of
-    integers."""
+    integers.
+
+    The code, and so the descriptor, is constant on G0-orbits.  G0 is
+    generated by the x_gamma(t), gamma = +-alpha for the simple level-0
+    roots alpha, and tier-1 tests prove that each keeps the code, through
+    identities over Q[t, x] whose denominators divide 4, so they hold mod
+    every odd p.  Family D: the lift commutes with each generator, which
+    keeps each level of the lift, so its luminosity, and conjugates each
+    block in SL2, which keeps the block's digit (sl2_invariant).  Family A:
+    u and v of al_pair move linearly and their contraction s is invariant,
+    so the label and VI's s are; on s = 0 so is A3's III parameter c; A2
+    has no level-0 simple root.  That distinct orbits get distinct codes is
+    crosscheck's test against the census.
+    """
     return _classifier(table, K).classify(x)
 
 

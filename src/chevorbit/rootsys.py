@@ -255,6 +255,7 @@ class RootSystem:
         root_count(family, rank)
         self.family = family
         self.rank = rank
+        self.name = f"{family}{rank}"
         self.cartan = cartan_matrix(family, rank)
         cartan = np.array(self.cartan, dtype=np.int64)
 
@@ -304,10 +305,6 @@ class RootSystem:
         return _root_ids(self)
 
     # -- basic queries ----------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return f"{self.family}{self.rank}"
 
     def __repr__(self) -> str:
         return f"RootSystem({self.name}, {len(self.roots)} roots)"

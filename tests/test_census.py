@@ -516,6 +516,14 @@ def test_budget_guard():
         enumerate_orbits(table, 5, budget=100)
 
 
+@pytest.mark.parametrize("p", [0, -3, 1])
+def test_check_budget_refuses_a_p_below_two(p):
+    # read as a state base, as state_of_vector and vector_of_state read it:
+    # 0**8, (-3)**8 and 1**8 are no counts of states
+    with pytest.raises(ValueError, match=f"p must be >= 2, got {p}"):
+        census_mod.check_budget(get_table("D4").rs, p)
+
+
 def test_budget_refuses_a_partition_past_physical_memory(monkeypatch):
     rs = get_table("D4").rs  # 11**8 = 214,358,881 states: 857 MB of index
     for megabytes, admitted in ((8192, True), (512, False)):
@@ -888,12 +896,12 @@ def test_crosscheck_sample_memory_does_not_grow_with_pairs():
 
 def test_run_census_script_rejects_negative_pairs(capsys):
     path = Path(__file__).parents[1] / "scripts" / "run_census.py"
-    config = runpy.run_path(str(path), run_name="run_census")["CensusConfig"]
+    parse_args = runpy.run_path(str(path), run_name="run_census")["parse_args"]
     with pytest.raises(SystemExit) as e:
-        config.from_args(["--pairs", "-1"])
+        parse_args(["--pairs", "-1"])
     assert e.value.code == 2
     assert "--pairs must be >= 0" in capsys.readouterr().err
-    assert config.from_args(["--pairs", "0"]).pairs == 0
+    assert parse_args(["--pairs", "0"]).pairs == 0
 
 
 @pytest.mark.parametrize("argv,code,prefix", [

@@ -781,6 +781,15 @@ def test_orbits_zero_budget_from_environment_exits_two(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_orbits_budget_variable_that_is_no_integer_names_it(capsys,
+                                                           monkeypatch):
+    monkeypatch.setenv("CHEVORBIT_BUDGET", "1e7")
+    code, out, err = run_cli(capsys, "orbits", "D4", "-p", "3", "--brute-force")
+    assert (code, out) == (2, "")
+    assert err == ("invalid input: CHEVORBIT_BUDGET must be an integer, "
+                   "got '1e7'\n")
+
+
 def test_orbits_char_two_unsupported(capsys):
     code, _, _ = run_cli(capsys, "orbits", "A3", "-p", "2")
     assert code == 3

@@ -10,6 +10,7 @@ import json
 import os
 import pickle
 import random
+import runpy
 import subprocess
 import sys
 import textwrap
@@ -209,14 +210,15 @@ def test_lift_level_support_is_bounded():
         assert y.e_coeff(t.rs.delta) == 1
 
 
-def generic_polynomials(table):
-    """_Polynomials, the generic level-1 vector x_0, ..., x_{m-1} in it, one
-    more variable t (index m), and the generators x_gamma(t) of G0: gamma =
-    +-alpha for the simple level-0 roots alpha, each paired with gamma . x
-    on V1 by the full adjoint action."""
+def generic_polynomials(table, x=None):
+    """_Polynomials, the level-1 vector x (by default the generic one, x_0,
+    ..., x_{m-1}) in it, one more variable t (index m), and the generators
+    x_gamma(t) of G0: gamma = +-alpha for the simple level-0 roots alpha,
+    each paired with gamma . x on V1 by the full adjoint action."""
     rs, P = table.rs, orbitlab._Polynomials()
     m = len(rs.phi1)
-    x = tuple({(i,): 1} for i in range(m))
+    if x is None:
+        x = tuple({(i,): 1} for i in range(m))
     t = {(m,): 1}
     simple0 = [a for a in map(rs.simple, range(1, rs.rank + 1))
                if rs.level(a) == 0]
@@ -255,6 +257,47 @@ def test_contraction_is_invariant_under_every_generator_over_polynomials(
     assert contraction(x)
     for g, gx in moved.items():
         assert contraction(gx) == contraction(x), g
+
+
+def test_a3_iii_parameter_is_invariant_over_polynomials():
+    # on the locus s = u1 v1 + u2 v2 = 0 put v = w (u2, -u1), over Q[u1, u2,
+    # w, t]; III's parameter c, the contraction of v with the completion of
+    # u, is v2 / u1 = -v1 / u2 = -w there (_a_code reads one or the other).
+    # Each spelling n / d of c, its denominator cleared, must give the same
+    # c after every generator: n(gx) d(x) == n(x) d(gx), with d(gx) != 0
+    table = get_table("A3")
+    iu, iv = orbitlab._al_indices(table.rs)
+    P = orbitlab._Polynomials()
+    u1, u2, w = ({(i,): 1} for i in range(3))
+    x = [P.zero] * 4
+    x[iu[0]], x[iu[1]] = u1, u2
+    x[iv[0]], x[iv[1]] = P.mul(w, u2), P.neg(P.mul(w, u1))
+    _, x, _, moved = generic_polynomials(table, tuple(x))
+
+    def spellings(v):
+        """c as (numerator, denominator) pairs."""
+        (a1, a2), (b1, b2) = ([v[i] for i in idx] for idx in (iu, iv))
+        return (b2, a1), (P.neg(b1), a2)
+
+    assert all(P.mul(P.neg(w), d) == n for n, d in spellings(x))
+    for g, gx in moved.items():
+        for (n, d), (gn, gd) in zip(spellings(x), spellings(gx)):
+            assert gd and P.mul(gn, d) == P.mul(n, gd), g
+
+
+def test_v1_invariance_script_finds_no_change_on_two_small_chunks(capsys):
+    # the identities above prove the code invariant; the script runs what
+    # they do not, act_on_v1 and the lane code, here on 2 chunks of 64
+    path = Path(__file__).parents[1] / "scripts" / "v1_invariance.py"
+    main = runpy.run_path(str(path), run_name="v1_invariance")["main"]
+    # run_path returns a copy of the script's globals; main reads its own
+    main.__globals__.update(CHUNK=64, CHUNKS=2,
+                            CASES=(("A3", 1009), ("D4", 1009)))
+    assert main(["--seed", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["system", "p", "vectors", "changed", "wall[s]"]
+    assert [line.split()[:4] for line in out[1:]] == [
+        ["A3", "1009", "128", "0"], ["D4", "1009", "128", "0"]]
 
 
 @pytest.mark.parametrize("name,p", [("D4", 5), ("D5", 3), ("D4", 1009)])
