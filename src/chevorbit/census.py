@@ -9,7 +9,7 @@ x_{+-alpha}(1) for the simple level-0 roots alpha: over F_p, x_gamma(t) =
 x_gamma(1)^t, and the Weyl group of the level-0 roots conjugates each of
 them onto a simple one (Steinberg, Lectures on Chevalley Groups, 1967).
 Each generator shifts coefficients along the disjoint source/target pairs
-of liemod's plan (_v1_moves) and permutes the states; the orbits are the
+of liemod's plan (its v1 moves) and permutes the states; the orbits are the
 connected components of those permutations, each labelled by its least
 (lexicographically first) state.  They are found in two reads of every
 edge: a round of hooking in place on one array indexed by state, then a
@@ -62,7 +62,7 @@ except ImportError:  # not on every platform
 
 from .chevalley import StructureConstantTable
 from .gfield import PrimeField, _mod
-from .liemod import _v1_moves
+from .liemod import _action_plan
 from .orbitlab import (
     InvalidDescriptor,
     OrbitDescriptor,
@@ -218,13 +218,12 @@ def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
 
 
 def _generator_moves(table: StructureConstantTable):
-    """The non-empty liemod._v1_moves plans of x_{+-alpha}(1), alpha a
-    simple level-0 root: (source, target, sign) triples on phi1."""
+    """The non-empty liemod._action_plan v1 moves of x_{+-alpha}(1), alpha
+    simple (None off level 0): (source, target, sign) triples on phi1."""
     rs = table.rs
-    simple0 = [a for a in map(rs.simple, range(1, rs.rank + 1))
-               if rs.level(a) == 0]
-    return [moves for g in simple0 + [rs.neg(a) for a in simple0]
-            if (moves := _v1_moves(table, g))]
+    simple = list(map(rs.simple, range(1, rs.rank + 1)))
+    return [moves for g in simple + [rs.neg(a) for a in simple]
+            if (moves := _action_plan(table, g)[5])]
 
 
 def state_of_vector(rs: RootSystem, p: int, x) -> int:

@@ -23,10 +23,10 @@ with h_gamma = sum_t gamma_t h_t (all roots here have the same length).
 Group words are lists of (root, scalar) factors and act right-to-left.
 _action_plan holds these moves per gamma, read from gamma's rows of
 rs.ids.sum_id, the constants and rs.simple_pairs, and kept in one
-per-table dict keyed by the root (_plans), which apply_word reads once per
-factor; _v1_moves keeps those from level 1, re-indexed to phi1: for
-level-0 gamma they are the whole action on V1, which act_on_v1 applies to
-level-1 coefficient tuples and lanes.
+per-table dict keyed by the root (_plans), which apply_word and act_on_v1
+read once per factor; for a level-0 gamma it also keeps the moves from
+level 1 as phi1 indices, the whole action on V1, which act_on_v1 applies
+to level-1 tuples and lanes over a prime field, and the census to states.
 _scale_plan groups root ids by gamma's column of rs.ids.pairing.
 
 apply_word is the one driver of the action; apply_root_element is its
@@ -86,8 +86,8 @@ class LieVector:
         if type(domain) is PrimeField:
             p = domain.p
             coeffs = [0] * table.n_basis
-            for key, c in pairs:
-                coeffs[key] = c % p if type(c) is int else domain.of(c)
+            for key, c in pairs:  # ints only: a lane raises TypeError
+                coeffs[key] = (c if type(c) is int else as_int(c)) % p
             return cls(table, domain, coeffs)
         v = cls.zero(table, domain)
         for key, c in pairs:
@@ -148,7 +148,7 @@ class LieVector:
 
     def scale(self, a) -> "LieVector":
         dom = self.domain
-        a = dom.of(a)
+        a = as_int(a) % dom.p if type(dom) is PrimeField else dom.of(a)
         return LieVector(
             self.table, dom, [dom.mul(a, c) for c in self.coeffs]
         )
@@ -176,12 +176,13 @@ class LieVector:
 
 @table_cached
 def _phi1_keys(table: StructureConstantTable) -> tuple:
-    """The basis keys of the level-1 roots, in phi1 order, and the getter of
-    their coefficients, as a tuple, from a coefficient list."""
+    """The basis keys of the level-1 roots in phi1 order, the getter of their
+    coefficients, as a tuple, from a coefficient list, and key -> index."""
     keys = tuple(map(table.e_key, table.rs.phi1))
+    at = {key: i for i, key in enumerate(keys)}
     # itemgetter returns a tuple from two keys on; A1 has no level-1 root
     return keys, (operator.itemgetter(*keys) if len(keys) > 1
-                  else lambda c: tuple([c[k] for k in keys]))
+                  else lambda c: tuple([c[k] for k in keys])), at
 
 
 # -- root-element action ------------------------------------------------------
@@ -195,7 +196,8 @@ def _plans(table: StructureConstantTable) -> dict:
 
 def _action_plan(table: StructureConstantTable, gamma: Root):
     """Per-(table, gamma) index plan for the x_gamma(a) action, kept in the
-    table's _plans from its first use."""
+    table's _plans from its first use; its last field, v1, is the moves from
+    level 1 as phi1 indices (gamma's V1 action) at level 0, else None."""
     plans = _plans(table)
     if (plan := plans.get(gamma)) is not None:
         return plan
@@ -207,41 +209,40 @@ def _action_plan(table: StructureConstantTable, gamma: Root):
                   for src, dst in enumerate(row) if dst >= 0)
     h_coords = tuple((n + t, c) for t, c in enumerate(gamma) if c)
     h_feed = tuple((n + t, w) for t, w in enumerate(rs.simple_pairs[gid]) if w)
-    plan = plans[gamma] = gid, rs.ids.neg_id.item(gid), moves, h_coords, h_feed
+    at = _phi1_keys(table)[2]
+    v1 = None if rs.levels[gid] else tuple(
+        (at[src], at[dst], sgn) for src, dst, sgn in moves if src in at)
+    plan = plans[gamma] = (gid, rs.ids.neg_id.item(gid), moves, h_coords,
+                           h_feed, v1)
     return plan
 
 
-@table_cached
-def _v1_moves(table: StructureConstantTable, gamma: Root):
-    """The moves of _action_plan whose source has level 1, as (src, dst,
-    sgn) phi1 indices: for a level-0 gamma, its whole action on V1."""
-    at = {key: i for i, key in enumerate(_phi1_keys(table)[0])}
-    return tuple((at[src], at[dst], sgn)
-                 for src, dst, sgn in _action_plan(table, gamma)[2]
-                 if src in at)
-
-
 def act_on_v1(table: StructureConstantTable, K, word, x) -> tuple:
-    """Apply a word of level-0 root elements to a level-1 coefficient vector.
+    """Apply a level-0 word to a level-1 coefficient vector over K = F_p.
 
     On V1, x_gamma(t) is x -> x + t sum N(gamma, beta) x_beta e_{beta+gamma}
     over the beta in phi1 with <beta, gamma> = -1 (no t^2, no Cartan term),
-    so each factor, rightmost first, is one gather-add along _v1_moves,
+    so each factor, rightmost first, is one gather-add along its plan's v1,
     whose targets are never sources.  Entries and scalars are ints or lane
-    arrays of K; the result is in phi1 order.  A factor that is not a root
-    raises NotARoot, one of another level ValueError.
+    arrays of K; K.of's int64 lanes hold x + t x' < p(p - 1) < 2**63.  The
+    result is in phi1 order.  A factor that is not a root raises NotARoot,
+    one of another level ValueError, and a K without p TypeError.
     """
-    rs = table.rs
-    x = [K.of(c) for c in rs.check_v1(x)]
+    if (p := getattr(K, "p", None)) is None:
+        raise TypeError(f"act_on_v1 needs a prime field, got {K!r}")
+    plans = _plans(table)
+    x = [c % p if type(c) is int else K.of(c) for c in table.rs.check_v1(x)]
     for g, t in reversed(word):
-        g = tuple(g)
-        if rs.level(g) != 0:
-            raise ValueError(f"{g} has level {rs.level(g)}; the V1 action "
-                             f"needs level-0 factors")
-        t = K.of(t)
-        for src, dst, sgn in _v1_moves(table, g):
-            tx = K.mul(t, x[src])
-            x[dst] = K.add(x[dst], tx) if sgn > 0 else K.sub(x[dst], tx)
+        try:
+            v1 = plans[g][5]
+        except (KeyError, TypeError):  # a new root, or an unhashable one
+            v1 = _action_plan(table, tuple(g))[5]
+        if v1 is None:
+            raise ValueError(f"{tuple(g)} has level {table.rs.level(tuple(g))}"
+                             f"; the V1 action needs level-0 factors")
+        t = t % p if type(t) is int else K.of(t)
+        for src, dst, sgn in v1:
+            x[dst] = (x[dst] + sgn * t * x[src]) % p
     return tuple(x)
 
 
@@ -284,7 +285,7 @@ def _act_on_ints(plan, a, p: int, x: list) -> None:
     a = (a if type(a) is int else as_int(a)) % p
     if not a:
         return
-    gid, mid, moves, h_coords, h_feed = plan
+    gid, mid, moves, h_coords, h_feed, _ = plan
     # most sources are 0: the truth test spares them the % p
     for src, dst, sg in moves:
         c = x[src]
@@ -308,7 +309,7 @@ def _act_in_domain(plan, a, dom, x: list) -> None:
     a = dom.of(a)
     if dom.is_zero(a):
         return
-    gid, mid, moves, h_coords, h_feed = plan
+    gid, mid, moves, h_coords, h_feed, _ = plan
     for src, dst, sg in moves:
         if not dom.is_zero(c := x[src]):
             t = dom.mul(a, c)

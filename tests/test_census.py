@@ -330,7 +330,7 @@ def test_the_partition_reaches_no_classifier_name():
     classifier = {"classify", "_classifier", "classify_many", "chunk_codes",
                   "lanes", "code", "decode", "_lift_kernel"}
     for start, needs in (("_orbit_partition", {"_images", "_join"}),
-                         ("_generator_moves", {"_v1_moves", "_action_plan"})):
+                         ("_generator_moves", {"_action_plan"})):
         reached = reached_names(census_mod, start)
         assert needs <= reached, (start, needs - reached)
         assert not reached & classifier, (start, reached & classifier)

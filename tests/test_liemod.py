@@ -319,26 +319,40 @@ def test_weyl_word_squares_to_the_minus_one_torus_element():
         assert v == expect
 
 
-@pytest.mark.parametrize("p", [3, 1009, 65521])
-@pytest.mark.parametrize("name", V1_SYSTEMS)
+# the largest prime whose products of two elements fit int64 lanes, and
+# the next prime, whose lanes PrimeField.of makes Python ints
+INT64_LANES_P, OBJECT_LANES_P = 3_037_000_493, 3_037_000_507
+
+
+@pytest.mark.parametrize("p", [3, 1009, 65521, INT64_LANES_P, OBJECT_LANES_P])
+@pytest.mark.parametrize("name", ["A2"] + V1_SYSTEMS)
 def test_act_on_v1_matches_full_module_action(name, p):
     """The V1 gather-adds equal the whole-module action restricted to V1,
-    on single vectors and on int64 lanes with a separate scalar per lane."""
+    on single vectors, on one word of one factor per level-0 root, and on
+    lanes with a separate scalar per lane.  The all-(p - 1) vector and word
+    give a first factor the largest sum its one % p reduces, p(p - 1),
+    which stays below 2**63 at the last prime of int64 lanes."""
     t = get_table(name)
     K = get_field(p)
     rs = t.rs
     rng = random.Random(31 * p + rs.rank)
-    xs = [random_v1(rng, rs, p) for _ in range(20)]
-    for x in xs:
-        word = random_level0_word(rng, rs, p, 12, min_len=8)
+    xs = [random_v1(rng, rs, p) for _ in range(20)] + [(p - 1,) * len(rs.phi1)]
+    words = [random_level0_word(rng, rs, p, 12, min_len=8) for _ in xs]
+    words[-1] = [(g, p - 1) for g, _ in words[-1]]
+    words += [[(g, rng.randrange(p))] for g in rs.phi0]
+    for i, word in enumerate(words):
+        x = xs[i % len(xs)]
         full = apply_word(t, word, LieVector.from_v1(t, K, x))
         assert act_on_v1(t, K, word, x) == full.v1_part()
         assert full.level_support() <= {1}
     roots = [g for g, _ in random_level0_word(rng, rs, p, 8, min_len=8)]
     scalars = np.array([[rng.randrange(p) for _ in roots] for _ in xs],
                        dtype=np.int64)
+    scalars[-1] = p - 1
     lanes = act_on_v1(t, K, list(zip(roots, scalars.T)),
                       np.array(xs, dtype=np.int64).T)
+    wide = np.int64 if p <= INT64_LANES_P else object
+    assert all(c.dtype == wide for c in lanes)
     assert np.array_equal(np.stack(lanes, axis=1), [
         act_on_v1(t, K, list(zip(roots, s.tolist())), x)
         for x, s in zip(xs, scalars)
@@ -391,8 +405,14 @@ def test_action_and_scale_plans_match_tuple_arithmetic(name):
         h_coords = tuple((n + i, c) for i, c in enumerate(gamma) if c)
         h_feed = tuple((n + i, w) for i in range(rs.rank)
                        if (w := form(rs.simple(i + 1), gamma)))
+        # on V1, a level-0 gamma moves beta in phi1 to beta + gamma
+        phi1 = [beta for beta in rs.roots if form(beta, rs.delta) == 1]
+        v1 = None if form(gamma, rs.delta) else tuple(
+            (phi1.index(beta), phi1.index(rs.add(beta, gamma)),
+             t.nv(gid, rs.root_id(beta)))
+            for beta in phi1 if form(beta, gamma) == -1)
         assert liemod._action_plan(t, gamma) == (
-            gid, rs.root_id(rs.neg(gamma)), moves, h_coords, h_feed)
+            gid, rs.root_id(rs.neg(gamma)), moves, h_coords, h_feed, v1)
         assert liemod._scale_plan(t, gamma) == {
             q: tuple(i for i, beta in enumerate(rs.roots)
                      if form(beta, gamma) == q)
@@ -628,6 +648,16 @@ def test_acting_holds_no_memory_per_vector():
     assert held[n] < 16 * 1024, held
     assert held[n] - held[1000] < 4 * 1024, held
     assert len(t.memo) == memo + 1 and len(liemod._plans(t)) == len(rs.phi0)
+    # the V1 action reads the same plans, and keeps nothing of its own
+    for x, word in zip(vectors, words):
+        act_on_v1(t, K, word, x)
+    assert len(t.memo) == memo + 1 and len(liemod._plans(t)) == len(rs.phi0)
+
+
+def test_act_on_v1_refuses_a_domain_without_p():
+    t = get_table("D4")
+    with pytest.raises(TypeError, match=r"ExactIntegers\(\)"):
+        act_on_v1(t, INTEGERS, [(t.rs.phi0[0], 1)], (1,) * 8)
 
 
 @pytest.mark.parametrize("name", ["D4", "A4"])
@@ -657,6 +687,12 @@ def test_numpy_bools_count_as_0_and_1_over_the_integers(name):
     lane = np.array([True, False])
     with pytest.raises(TypeError):
         LieVector.from_v1(t, INTEGERS, [lane] + [0] * (m - 1))
+    # over an exact PrimeField too, whose vectors hold ints
+    K = get_field(5)
+    with pytest.raises(TypeError):
+        LieVector.from_v1(t, K, [lane] + [0] * (m - 1))
+    with pytest.raises(TypeError):
+        LieVector.from_v1(t, K, [0] * m).scale(lane)
     with pytest.raises(TypeError):
         apply_root_element(t, rs.phi0[0], lane, vi)
     with pytest.raises(TypeError):
