@@ -191,6 +191,13 @@ class ExactIntegers:
     def __repr__(self) -> str:
         return "ExactIntegers()"
 
+    # every instance is the one ring, as vector equality reads it
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self)
+
+    def __hash__(self) -> int:
+        return hash(ExactIntegers)
+
     of = staticmethod(as_int)  # n as a Python int
 
     def add(self, a: int, b: int) -> int:

@@ -154,9 +154,12 @@ class LieVector:
         )
 
     def __eq__(self, other) -> bool:
+        """Same system, equal domains and equal coefficients: the same
+        coefficients over F_5 and F_7 are different vectors."""
         if not isinstance(other, LieVector):
             return NotImplemented
-        if self.table.rs.name != other.table.rs.name:
+        if (self.table.rs.name != other.table.rs.name
+                or self.domain != other.domain):
             return False
         try:
             return self.coeffs == other.coeffs
@@ -167,7 +170,7 @@ class LieVector:
                        for a, b in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash((self.table.rs.name, tuple(self.coeffs)))
+        return hash((self.table.rs.name, self.domain, tuple(self.coeffs)))
 
     def __repr__(self) -> str:
         items = ", ".join(f"[{k}]={c}" for k, c in self.nonzero_items())

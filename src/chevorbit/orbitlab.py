@@ -13,18 +13,18 @@ conjugacy invariants of small trace-zero 2x2 blocks cut out of the level-0
 part — pin down the orbit.  associated_root_element builds y step by step,
 applying m + 1 root elements to e_delta; it is the reference.  y is a
 polynomial map of x of degree at most 4, so classification runs a compiled
-form of it instead (_lift_kernel): the step-by-step lift is run once per
-table over polynomials, its postconditions checked as identities, and the
-coordinates the invariants read, with the invariants themselves, become
-one generated function of x that returns the invariant code and serves
-every p.  Every block's c**2 + u*w equals the e_{-delta} coefficient, an
-identity checked there too, so the blocks decide darkness and that
-degree-4 coordinate is never computed: the scalar spelling for single
-vectors and the lane spelling for batches both stop at a dark vector's
-blocks, the lanes through a gather of the vectors that are not dark.  For
-family A the invariants are read off the covector/vector pair (u, v) of
-prefix/suffix root coefficients: which of u and v vanish, and their
-contraction.  Family E is out of scope here.
+form of it instead (_lift_kernel): the step-by-step lift of 2x is run once
+per table over integer polynomials, its postconditions checked as
+identities, and the coordinates the invariants read, with the invariants
+themselves, become one generated function of x that returns the invariant
+code and serves every p.  Every block's c**2 + u*w equals the e_{-delta}
+coefficient, an identity checked there too, so the blocks decide darkness
+and that degree-4 coordinate is never computed: the scalar spelling for
+single vectors and the lane spelling for batches both stop at a dark
+vector's blocks, the lanes through a gather of the vectors that are not
+dark.  For family A the invariants are read off the covector/vector pair
+(u, v) of prefix/suffix root coefficients: which of u and v vanish, and
+their contraction.  Family E is out of scope here.
 
 Orbits are named by OrbitDescriptor values: a label from
 {I, IIa, IIb, II, IIIa, IIIb, IIIc, III, IV, V, VI} plus canonical
@@ -37,7 +37,7 @@ it too.  Each orbit type's parameter names are sorted once per (table, p),
 before its first descriptor, and every descriptor is built as one tuple.
 
 For either family the invariants are packed into one integer code, owned
-by one classifier per table and prime field (_classifier), once
+by one classifier per table and prime (_classifier), once
 check_domain admits them: the code of a single vector (classify) or of a
 batch (classify_many), on the narrowest of int8, int16, int32 and int64
 lanes whose range holds the family's bound on the values of its lane code
@@ -352,7 +352,11 @@ class _Polynomials:
 
     A polynomial is a dict {monomial: nonzero coefficient}, a monomial being
     the sorted tuple of its variables' indices; the zero polynomial is {},
-    so is_zero is exact.  Operations never mutate their arguments.
+    so is_zero is exact.  Operations never mutate their arguments.  A
+    Fraction enters only through inv, and mul returns an integral
+    coefficient as an int; so in the lift of 2x (_doubled_lift), where the
+    torus correction's 1/2 meets only even coefficients, every coefficient
+    is an int.
     """
 
     zero: dict = {}
@@ -383,7 +387,8 @@ class _Polynomials:
             for mb, cb in b.items():
                 mono = tuple(sorted(ma + mb))
                 out[mono] = out.get(mono, 0) + ca * cb
-        return {mono: c for mono, c in out.items() if c}
+        return {mono: c.numerator if c.denominator == 1 else c
+                for mono, c in out.items() if c}
 
     def inv(self, a):
         if set(a) != {()}:
@@ -408,8 +413,9 @@ class _LiftKernel:
     narrowest of int8, int16, int32 and int64 that holds bound(p) and the
     packed code (_Classifier; on D4 int16 up to p = 13, int32 up to 709,
     int64 up to 1,154,051, and int8 only at p = 3 on D5 and D6).
-    spell(name) compiles the function of that name, "unit" or "lanes",
-    from the one generated source, each once per table on first use: one
+    source(name) is the generated text of the function of that name, "unit"
+    or "lanes", and spell(name) compiles it, each once per table on first
+    use (unit and lanes below): one
     compiled unit per table and one closure per prime, so a process that
     classifies only single vectors compiles one function per table,
     whatever the number of primes.  weights holds, per coordinate of levels
@@ -417,6 +423,7 @@ class _LiftKernel:
     coefficients of its terms of that degree}.
     """
 
+    source: Callable[[str], str]
     spell: Callable[[str], Callable]
     weights: tuple
 
@@ -445,27 +452,65 @@ class _LiftKernel:
                                   for ws in self.distinct_weights])
 
 
+def _doubled_lift(table: StructureConstantTable, x=None) -> list:
+    """The coefficients of associated_root_element at 2x over _Polynomials,
+    x a level-1 vector of polynomials, by default the generic one (x_0,
+    x_1, ...).  Every coefficient is an int.
+
+    Before the torus correction every coefficient is an integer
+    polynomial.  The torus coordinate is quadratic in x, so at 2x it is 4
+    times its value at x and the halving divides it exactly.  A coordinate
+    homogeneous of degree n in x is 2**n times the lift of x's; for the
+    generic x, the coefficient of each monomial is 2**deg(monomial) times
+    the rational lift's."""
+    P = _Polynomials()
+    if x is None:
+        x = [{(i,): 1} for i in range(len(table.rs.phi1))]
+    return associated_root_element(table, P, [P.add(c, c) for c in x]).coeffs
+
+
+def _check_blocks(table: StructureConstantTable, y: list) -> None:
+    """Raise ClassificationError unless every block's c**2 + u*w is the
+    e_{-delta} coefficient of the lift y, as polynomials (_lift_kernel).
+    Every term is homogeneous of degree 4, so the lift of 2x satisfies it
+    exactly when the lift of x does."""
+    P = _Polynomials()
+    bottom, _, _, blocks = _kernel_plan(table)
+    if any(P.add(P.mul(y[c], y[c]), P.mul(y[u], y[w])) != y[bottom]
+           for c, u, w in blocks):
+        raise ClassificationError(f"the lift of {table.rs.name} has a block "
+                                  f"whose c**2 + u*w is not its e_(-delta) "
+                                  f"coefficient")
+
+
 @table_cached
 def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
     """associated_root_element and the invariants of its result, as one
     generated source: the invariant code of a vector, in a scalar and a
-    lane spelling, each compiled once per table.
+    lane spelling, each compiled once per table.  Built in four steps, each
+    timed by scripts/kernel_digests.py: the lift (_doubled_lift), the block
+    identity (_check_blocks), the codegen (_kernel_of and its source) and
+    the compile (its spell).
 
     The lift is a fixed polynomial map of x, of degree at most 4, whose
     coefficients have denominators dividing 4 (they come from the halving in
     the torus correction).  It is computed once per table by running the
-    unchanged associated_root_element over _Polynomials; the lift's three
-    postconditions are then polynomial identities, checked by that run, so
-    a failure raises ClassificationError here.  A coordinate of level q is
-    homogeneous of degree 2 - q in x.  The code reads those of levels -1
-    and 0 with the Cartan part (level 1 is x itself), so each of its terms
-    is x_a or a prefix x_a * x_b, times one more x_c.  Each coordinate is
-    written as d * y_k, an integer polynomial with d the least common
-    denominator of y_k's coefficients, summed without reduction.  One that
-    is only tested for zero is reduced as it is; one whose value is read, a
-    block's c, u or w, is then multiplied by d**-1 mod p.  So the function
-    serves every odd p, and its only literals are the integers of the
-    table.  Prefixes shared across coordinates are computed once.
+    unchanged associated_root_element over _Polynomials on 2x, whose
+    coefficients are ints: Y_k[mono] = 2**deg(mono) * y_k[mono] for each
+    coordinate y_k of the lift of x.  The lift's three postconditions are
+    then polynomial identities, checked by that run, so a failure raises
+    ClassificationError here, as does a coefficient of Y_k that is not an
+    int.  A coordinate of level q is homogeneous of degree 2 - q in x.  The
+    code reads those of levels -1 and 0 with the Cartan part (level 1 is x
+    itself), so each of its terms is x_a or a prefix x_a * x_b, times one
+    more x_c.  Each coordinate is written as d * y_k, an integer polynomial
+    with d the least common denominator of y_k's coefficients, each term
+    Y_k[mono] * d / 2**deg(mono) in exact integers, summed without
+    reduction.  One that is only tested for zero is reduced as it is; one
+    whose value is read, a block's c, u or w, is then multiplied by d**-1
+    mod p.  So the function serves every odd p, and its only literals are
+    the integers of the table.  Prefixes shared across coordinates are
+    computed once.
 
     Neither spelling computes e_{-delta}, the degree-4 coordinate, and
     bound(p) does not price it: every block (c, u, w) of the lift satisfies
@@ -516,16 +561,17 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
       holds them holds every int it meets (numpy raises OverflowError on
       a Python int outside an array's dtype).
     """
+    y = _doubled_lift(table)
+    _check_blocks(table, y)
+    return _kernel_of(table, y)
+
+
+def _kernel_of(table: StructureConstantTable, y: list) -> _LiftKernel:
+    """_lift_kernel's code from y, the checked lift of 2x: source(kind) is
+    the generated text of "unit" or "lanes", and spell(kind) compiles it."""
     rs = table.rs
     m = len(rs.phi1)
-    P = _Polynomials()
-    y = associated_root_element(table, P, [{(i,): 1} for i in range(m)]).coeffs
-    bottom, lev_m1, lev0, blocks = _kernel_plan(table)
-    if any(P.add(P.mul(y[c], y[c]), P.mul(y[u], y[w])) != y[bottom]
-           for c, u, w in blocks):
-        raise ClassificationError(f"the lift of {rs.name} has a block whose "
-                                  f"c**2 + u*w is not its e_(-delta) "
-                                  f"coefficient")
+    _, lev_m1, lev0, blocks = _kernel_plan(table)
     names: dict = {}  # monomial of degree >= 2 -> the name of its product
 
     def name(mono):
@@ -538,11 +584,17 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
     weights = []
     for key in [*lev_m1, *lev0]:
         poly = y[key]
-        d = math.lcm(*(c.denominator for c in poly.values()))
+        if any(type(c) is not int for c in poly.values()):
+            raise ClassificationError(f"the lift of {rs.name} has a "
+                                      f"coefficient that is not an int at "
+                                      f"basis key {key}")
+        # the lift of x has the coefficient c / 2**len(mono), reduced
+        d = math.lcm(*(2 ** len(mono) // math.gcd(c, 2 ** len(mono))
+                       for mono, c in poly.items()))
         groups: dict = {}
         ws: dict = {}
         for mono, c in sorted(poly.items()):
-            c = int(c * d)
+            c = c * d // 2 ** len(mono)
             groups.setdefault(c, []).append(
                 name(mono) if len(mono) == 1
                 else f"{name(mono[:-1])} * x{mono[-1]}")
@@ -563,7 +615,7 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
     place = f"(p + 2) ** {len(blocks)}"  # of the luminosity digit
     xs = ", ".join(f"x{i}" for i in range(m))
 
-    def spell(kind):
+    def source(kind):
         # a KeyError for any other kind
         mod = {"unit": lambda e: f"({e}) % p",
                "lanes": lambda e: f"_mod({e}, p)"}[kind]
@@ -671,36 +723,38 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
             ])
         head = [f"    q{d} = pow({d}, -1, p)" for d in sorted(inverses)]
         if kind == "lanes":
-            source = "\n".join([f"def lanes(p, {xs}):", *head, *body])
-        else:
-            source = "\n".join([
-                "def unit(p, decode, reduced, rank, v_params):", *head,
-                "    half = (p - 1) // 2",
-                "    radix = p + 2",
-                f"    place = radix ** {len(blocks)}",
-                f"    dark = {_DARK} * place",
-                "    repunit = (place - 1) // (p + 1)",
-                "    def classify(x, code_only=False):",
-                # an iterator is read once, so a refused one is still there
-                "        if type(x) is not tuple and type(x) is not list:",
-                "            x = tuple(x)",
-                "        try:",
-                f"            {xs} = x",
-                *(f"            x{i} = index(x{i}) % p" for i in range(m)),
-                "        except (TypeError, ValueError):",
-                f"            {xs} = reduced(x)",
-                *("    " + line for line in body),
-                "    return classify",
-            ])
+            return "\n".join([f"def lanes(p, {xs}):", *head, *body])
+        return "\n".join([
+            "def unit(p, decode, reduced, rank, v_params):", *head,
+            "    half = (p - 1) // 2",
+            "    radix = p + 2",
+            f"    place = radix ** {len(blocks)}",
+            f"    dark = {_DARK} * place",
+            "    repunit = (place - 1) // (p + 1)",
+            "    def classify(x, code_only=False):",
+            # an iterator is read once, so a refused one is still there
+            "        if type(x) is not tuple and type(x) is not list:",
+            "            x = tuple(x)",
+            "        try:",
+            f"            {xs} = x",
+            *(f"            x{i} = index(x{i}) % p" for i in range(m)),
+            "        except (TypeError, ValueError):",
+            f"            {xs} = reduced(x)",
+            *("    " + line for line in body),
+            "    return classify",
+        ])
+
+    def spell(kind):
         # new(Desc, fields) builds a descriptor without the named tuple's
         # Python-level __new__
         namespace = {"_mod": _mod, "_pow_mod": _pow_mod, "_select": _select,
                      "np": np, "index": operator.index,
                      "Desc": OrbitDescriptor, "new": tuple.__new__}
-        exec(compile(source, f"<{kind} of {rs.name}>", "exec"), namespace)
+        exec(compile(source(kind), f"<{kind} of {rs.name}>", "exec"),
+             namespace)
         return namespace[kind]
 
-    return _LiftKernel(spell, tuple(weights))
+    return _LiftKernel(source, spell, tuple(weights))
 
 
 # -- family A: covector/vector pair ---------------------------------------------
@@ -1081,11 +1135,23 @@ class _DClassifier(_Classifier):
         return codes
 
 
-@table_cached
 def _classifier(table: StructureConstantTable, K) -> _Classifier:
-    """The classifier of table over K, once check_domain passes."""
-    check_domain(table.rs, K)
-    return (_AClassifier if table.rs.family == "A" else _DClassifier)(table, K)
+    """The classifier of table over K, built once check_domain passes.
+
+    One per (table, p), found by one read of a dict keyed by the int p,
+    held in table.memo under _classifier itself, so it dies with its
+    table.  A classifier reads only p from K, and its catalogue K's units
+    and least nonresidue, which are p's in every PrimeField subclass; so
+    a subclass with the same p gets the classifier PrimeField(p) gets,
+    whichever of them came first.  A domain without p, and p = 2 on family
+    D, raise before anything is cached."""
+    try:
+        return table.memo[_classifier][K.p]
+    except (KeyError, AttributeError):
+        check_domain(table.rs, K)
+    clf = table.memo.setdefault(_classifier, {})[K.p] = (
+        _AClassifier if table.rs.family == "A" else _DClassifier)(table, K)
+    return clf
 
 
 @table_cached
@@ -1095,16 +1161,17 @@ def _v_code_checked(table: StructureConstantTable, entries) -> None:
     odd p and unit k: run over _Polynomials in k, its lift has e_{-delta}
     coefficient k, an identity that survives reduction mod an odd p (the
     lift's denominators divide 4); c**2 + u*w = k in every block then
-    follows from the identity _lift_kernel proves for the table.  Raises
-    ClassificationError if it fails or an entry is neither int nor k."""
+    follows from the identity _lift_kernel proves for the table.  It runs
+    the lift of 2x, all ints (_doubled_lift), whose e_{-delta} coefficient,
+    quartic in x, is then 16k.  Raises ClassificationError if it fails or
+    an entry is neither int nor k."""
     rs, P, k = table.rs, _Polynomials(), {(0,): 1}
     x = [P.zero] * len(rs.phi1)
     for i, v in entries:
         if v != "k" and not isinstance(v, int):
             raise ClassificationError(f"V's entry {v!r} is neither k nor an int")
         x[i] = k if v == "k" else P.of(v)
-    y = associated_root_element(table, P, x).coeffs
-    if y[_kernel_plan(table)[0]] != k:
+    if _doubled_lift(table, x)[_kernel_plan(table)[0]] != {(0,): 16}:
         raise ClassificationError(f"V(k)'s canonical vector of {rs.name} does "
                                   f"not have the closed-form dark code")
 

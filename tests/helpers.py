@@ -81,6 +81,11 @@ class ArrayField(PrimeField):
         return not np.any(a)
 
 
+class GenericField(PrimeField):
+    """F_p as a PrimeField subclass: liemod's generic, domain-protocol
+    spelling of the action, which an exact PrimeField does not take."""
+
+
 _systems: dict[str, RootSystem] = {}
 _tables: dict[str, StructureConstantTable] = {}
 _fields: dict[int, PrimeField] = {}

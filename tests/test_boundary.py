@@ -560,7 +560,7 @@ def test_every_integer_parameter_has_a_row():
 # index(x_i) % p, _Classifier.reduced's first pass, classify_many's array
 # path)
 ALLOWED = {("rootsys.py", "as_int"), ("rootsys.py", "integral"),
-           ("orbitlab.py", "_lift_kernel.spell"),
+           ("orbitlab.py", "_kernel_of.spell"),
            ("orbitlab.py", "_Classifier.reduced"),
            ("orbitlab.py", "_batch_rows")}
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from chevorbit import (
     INTEGERS,
+    ExactIntegers,
     LieVector,
     NotARoot,
     PrimeField,
@@ -36,6 +37,7 @@ from chevorbit.orbitlab import _Polynomials
 from helpers import (
     ALL_SYSTEMS,
     ArrayField,
+    GenericField,
     get_field,
     get_system,
     get_table,
@@ -419,11 +421,6 @@ def test_action_and_scale_plans_match_tuple_arithmetic(name):
             for q in (-2, -1, 1, 2)}
 
 
-class GenericField(PrimeField):
-    """F_p as a PrimeField subclass: liemod's generic, domain-protocol
-    spelling of the action, which an exact PrimeField does not take."""
-
-
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
 def test_int_spelling_matches_the_generic_one(name):
     """Over an exact PrimeField, from_v1, apply_root_element and apply_word
@@ -484,8 +481,9 @@ def test_root_elements_act_as_the_exponential_of_ad():
                     bracket(t, e, ad).scale(K.mul(K.mul(a, a), half)))
                 for dom in (K, G):
                     u = LieVector(t, dom, list(coeffs))
-                    assert apply_root_element(t, gamma, a, u) == want, (
-                        name, p, gamma, dom)
+                    # the coefficients: a vector over G is not one over K
+                    assert (apply_root_element(t, gamma, a, u).coeffs
+                            == want.coeffs), (name, p, gamma, dom)
                     assert u.coeffs == coeffs
     t = get_table("D4")
     rng = random.Random(5)
@@ -570,10 +568,11 @@ def test_numpy_integer_scalars_act_as_python_ints(dtype, p):
         assert LieVector.from_v1(t, K, nx).coeffs == v.coeffs
         for dom in (K, G):
             nv = LieVector.from_v1(t, dom, nx)
-            assert apply_word(t, nword, nv) == apply_word(t, word, v)
+            assert (apply_word(t, nword, nv).coeffs
+                    == apply_word(t, word, v).coeffs)
             (g, a), (_, na) = word[0], nword[0]
-            assert (apply_root_element(t, g, na, nv)
-                    == apply_root_element(t, g, a, v))
+            assert (apply_root_element(t, g, na, nv).coeffs
+                    == apply_root_element(t, g, a, v).coeffs)
         assert act_on_v1(t, K, nword, nx) == act_on_v1(t, K, word, x)
         assert (associated_root_element(t, K, nx)
                 == associated_root_element(t, K, x))
@@ -697,3 +696,33 @@ def test_numpy_bools_count_as_0_and_1_over_the_integers(name):
         apply_root_element(t, rs.phi0[0], lane, vi)
     with pytest.raises(TypeError):
         apply_word(t, [(rs.phi0[0], lane)], vi)
+
+
+def test_the_same_coefficients_over_other_domains_are_other_vectors():
+    # over F_5, F_7 and the integers, [1] * 8 is three vectors, and so are
+    # their images under x_gamma(3); a dict keyed by one finds only it
+    t = get_table("D4")
+    g = t.rs.phi0[0]
+    domains = (PrimeField(5), PrimeField(7), INTEGERS)
+    vs = [LieVector.from_v1(t, K, [1] * 8) for K in domains]
+    moved = [apply_root_element(t, g, 3, v) for v in vs]
+    for i in range(3):
+        for j in range(3):
+            assert (vs[i] == vs[j]) == (i == j), (i, j)
+            assert (moved[i] == moved[j]) == (i == j), (i, j)
+    keyed = {vs[0]: "F5"}
+    assert vs[1] not in keyed and vs[2] not in keyed
+    keyed.update({vs[1]: "F7", vs[2]: "Z"})
+    assert [keyed[v] for v in vs] == ["F5", "F7", "Z"]
+    # an equal domain, not the same object, gives an equal vector
+    for i, K in ((0, PrimeField(5)), (2, ExactIntegers())):
+        again = LieVector.from_v1(t, K, [1] * 8)
+        assert again == vs[i] and hash(again) == hash(vs[i])
+        assert keyed[again] == ["F5", "F7", "Z"][i]
+    # lane vectors compare lane by lane, and over their own field
+    lanes = [np.arange(3)] * 8
+    u = LieVector.from_v1(t, ArrayField(5), lanes)
+    assert u == LieVector.from_v1(t, ArrayField(5), [np.arange(3)] * 8)
+    assert u != LieVector.from_v1(t, ArrayField(5), [np.arange(1, 4)] * 8)
+    assert u != LieVector.from_v1(t, ArrayField(7), lanes)
+    assert u != LieVector.from_v1(t, PrimeField(5), [1] * 8)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import hashlib
 import itertools
 import json
 import os
@@ -17,6 +18,7 @@ import textwrap
 import tracemalloc
 import weakref
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +66,7 @@ from chevorbit.gfield import _mod, _pow_mod, integral
 from helpers import (
     ArrayField,
     CENSUS_CASES,
+    GenericField,
     EXPECTED_ORBITS,
     classify_a_reference,
     get_field,
@@ -285,6 +288,25 @@ def test_a3_iii_parameter_is_invariant_over_polynomials():
             assert gd and P.mul(gn, d) == P.mul(n, gd), g
 
 
+def test_kernel_digests_script_prints_d4s_sources_and_steps(capsys):
+    path = Path(__file__).parents[1] / "scripts" / "kernel_digests.py"
+    main = runpy.run_path(str(path), run_name="kernel_digests")["main"]
+    assert main(["D4", "--repeat", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    kernel = orbitlab._lift_kernel(get_table("D4"))
+    assert out[0].split() == ["system", "kind", "chars", "sha256"]
+    assert [line.split() for line in out[1:3]] == [
+        ["D4", kind, str(len(kernel.source(kind))),
+         hashlib.sha256(kernel.source(kind).encode()).hexdigest()]
+        for kind in ("unit", "lanes")]
+    assert out[3] == ""
+    assert out[4].split() == ["system", "lift[ms]", "identity[ms]",
+                              "codegen[ms]", "compile[ms]"]
+    row = out[5].split()
+    assert len(out) == 6 and row[0] == "D4"
+    assert all(float(ms) > 0 for ms in row[1:])
+
+
 def test_v1_invariance_script_finds_no_change_on_two_small_chunks(capsys):
     # the identities above prove the code invariant; the script runs what
     # they do not, act_on_v1 and the lane code, here on 2 chunks of 64
@@ -436,6 +458,40 @@ def test_lift_kernel_refuses_a_lift_whose_block_is_not_the_invariant(
 
     monkeypatch.setattr(orbitlab, "associated_root_element", moved)
     with pytest.raises(ClassificationError, match="c\\*\\*2 \\+ u\\*w"):
+        orbitlab._lift_kernel(t)
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
+def test_the_integral_lift_is_the_rational_lift_scaled(name):
+    # the kernel lifts 2x, and every coefficient of that lift is an int:
+    # 2**deg(mono) times the rational lift of x, run here as the oracle
+    t = get_table(name)
+    m = len(t.rs.phi1)
+    lift = orbitlab._doubled_lift(t)
+    oracle = associated_root_element(t, orbitlab._Polynomials(),
+                                     [{(i,): 1} for i in range(m)]).coeffs
+    assert any(type(c) is Fraction for y in oracle for c in y.values())
+    assert all(type(c) is int for y in lift for c in y.values())
+    assert lift == [{mono: 2 ** len(mono) * c for mono, c in y.items()}
+                    for y in oracle]
+
+
+def test_lift_kernel_refuses_a_coefficient_that_is_not_an_int(monkeypatch):
+    real = orbitlab.associated_root_element
+    t = build_table_oracle(get_system("D4"))  # no kernel compiled yet
+    _, lev_m1, _, _ = orbitlab._kernel_plan(t)
+    lift = orbitlab._doubled_lift(t)
+    key = next(k for k in lev_m1 if lift[k])  # in no block
+
+    def halved(table, P, x):
+        y = real(table, P, x)
+        y.coeffs[key] = {mono: Fraction(c, 2)
+                         for mono, c in y.coeffs[key].items()}
+        return y
+
+    monkeypatch.setattr(orbitlab, "associated_root_element", halved)
+    with pytest.raises(ClassificationError,
+                       match=f"not an int at basis key {key}$"):
         orbitlab._lift_kernel(t)
 
 
@@ -761,6 +817,52 @@ def test_classify_a_matches_reference(name, p):
         u1_zero = {al_pair(rs, x)[0][0] == 0
                    for x, d in zip(vectors, want) if d.label == "III"}
         assert u1_zero == {True, False}
+
+
+def test_one_classifier_per_table_and_prime():
+    # classify, same_orbit, canonical_form, classify_many and
+    # predicted_census all find one classifier per (table, p), held in a
+    # dict keyed by p that grows by one entry per new prime; a refused
+    # domain caches nothing
+    t = build_table_oracle(get_system("D4"))  # no classifier yet
+    x = quad_vector(t.rs, (1, 1, 1, 1))
+    for K, error in ((chevorbit.INTEGERS, UnsupportedFamily),
+                     (PrimeField(2), CharTwo)):
+        for call in (lambda: classify(t, K, x),
+                     lambda: classify_many(t, K, [x]),
+                     lambda: canonical_form(t, K, classify(t, K, x))):
+            with pytest.raises(error):
+                call()
+    with pytest.raises(CharTwo):
+        predicted_census(t, 2)
+    assert t.memo == {}
+    by_p = {}
+    for p in (5, 7, 11):
+        K = PrimeField(p)
+        d = classify(t, K, x)
+        by_p[p] = t.memo[orbitlab._classifier][p]
+        assert same_orbit(t, K, x, canonical_form(t, K, d))
+        assert classify_many(t, K, [x]) == [d]
+        assert d in predicted_census(t, p)
+        assert t.memo[orbitlab._classifier] == by_p
+        assert all(orbitlab._classifier(t, PrimeField(q)) is by_p[q]
+                   for q in by_p)
+    # a PrimeField subclass of the same p gets the same classifier, which
+    # reads only p; on a table where it comes first, PrimeField(p) gets its
+    for K in (ArrayField(5), GenericField(5)):
+        assert orbitlab._classifier(t, K) is by_p[5]
+        fresh = build_table_oracle(get_system("D4"))
+        assert (orbitlab._classifier(fresh, K)
+                is orbitlab._classifier(fresh, PrimeField(5)))
+        assert classify(fresh, K, x) == classify(t, PrimeField(5), x)
+    assert len(t.memo[orbitlab._classifier]) == 3
+    # family A takes p = 2, and refuses a domain without p
+    a3 = build_table_oracle(get_system("A3"))
+    with pytest.raises(UnsupportedFamily):
+        classify(a3, chevorbit.INTEGERS, (0,) * len(a3.rs.phi1))
+    assert a3.memo == {}
+    classify(a3, PrimeField(2), (1,) * len(a3.rs.phi1))
+    assert list(a3.memo[orbitlab._classifier]) == [2]
 
 
 def test_classify_holds_no_memory_per_vector():
