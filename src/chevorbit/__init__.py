@@ -29,8 +29,6 @@ from .chevalley import (
     verify_table,
 )
 from .gfield import (
-    INTEGERS,
-    ExactIntegers,
     ModulusTooLarge,
     NotPrime,
     PrimeField,
@@ -45,11 +43,8 @@ from .liemod import (
     act_on_v1,
     apply_root_element,
     apply_word,
-    bracket,
-    inverse_word,
     w_apply_fast,
     w_word,
-    weyl_word,
 )
 from .orbitlab import (
     CharTwo,
@@ -84,7 +79,6 @@ from .rootsys import (
     build_root_system,
     min_subtractable_index,
     parse_system_name,
-    reflect,
     root_count,
     simple_index,
     standard_quadruple,

@@ -3,9 +3,12 @@
 Field elements are plain Python ints in ``range(p)``; the :class:`PrimeField`
 object carries the arithmetic.  Coefficient domains share one protocol:
 ``zero``, ``one``, ``of``, ``add``, ``sub``, ``mul``, ``neg``, ``inv`` and
-``is_zero``.  :class:`ExactIntegers` implements it over the integers.
-``of`` reads its argument by the integer rule of rootsys, and
-PrimeField's also takes lane arrays.
+``is_zero``.  PrimeField implements it over F_p, and orbitlab's
+_Polynomials over the polynomials the lift is compiled from; the exact
+integers and the lane fields the tests run the action on are in
+tests/helpers.py.  PrimeField's ``of`` reads its argument by the integer
+rule of rootsys, lane arrays included; ``inv``, ``is_zero`` and
+``is_square`` read one int, so a lane raises TypeError.
 
 Square classes of units are represented by a canonical representative:
 1 for squares and the least quadratic nonresidue otherwise.
@@ -151,16 +154,13 @@ class PrimeField:
         return (-a) % self.p
 
     def inv(self, a: int) -> int:
-        a = self.of(a)
+        a = as_int(a) % self.p
         if a == 0:
             raise ZeroDivisionError(f"0 is not invertible in F_{self.p}")
         return pow(a, self.p - 2, self.p)
 
     def is_zero(self, a: int) -> bool:
-        return a % self.p == 0
-
-    def elements(self) -> range:
-        return range(self.p)
+        return as_int(a) % self.p == 0
 
     def units(self) -> range:
         return range(1, self.p)
@@ -174,55 +174,12 @@ class PrimeField:
     def is_square(self, a: int) -> bool:
         """True for 0 and for unit squares; needs odd p."""
         self.require_odd()
-        a = self.of(a)
+        a = as_int(a) % self.p
         return a == 0 or pow(a, (self.p - 1) // 2, self.p) == 1
 
     def least_nonresidue(self) -> int:
         self.require_odd()
         return _least_nonresidue(self.p)
-
-
-class ExactIntegers:
-    """The ring of integers under the same operation protocol."""
-
-    zero = 0
-    one = 1
-
-    def __repr__(self) -> str:
-        return "ExactIntegers()"
-
-    # every instance is the one ring, as vector equality reads it
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self)
-
-    def __hash__(self) -> int:
-        return hash(ExactIntegers)
-
-    of = staticmethod(as_int)  # n as a Python int
-
-    def add(self, a: int, b: int) -> int:
-        return a + b
-
-    def sub(self, a: int, b: int) -> int:
-        return a - b
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b
-
-    def neg(self, a: int) -> int:
-        return -a
-
-    def inv(self, a: int) -> int:
-        a = self.of(a)
-        if a in (1, -1):
-            return a
-        raise ZeroDivisionError(f"{a} is not invertible over the integers")
-
-    def is_zero(self, a: int) -> bool:
-        return a == 0
-
-
-INTEGERS = ExactIntegers()
 
 
 def _mod(a, p: int):
@@ -284,8 +241,7 @@ class SquareClass:
 def square_class(field: PrimeField, a: int) -> SquareClass:
     """Square class of a unit a (raises on 0)."""
     field.require_odd()
-    a = field.of(a)
-    if a == 0:
+    if field.is_zero(a):
         raise ZeroDivisionError("0 has no square class")
     rep = 1 if field.is_square(a) else field.least_nonresidue()
     return SquareClass(field.p, rep)

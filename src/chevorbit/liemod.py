@@ -2,11 +2,11 @@
 
 Vectors live in the Chevalley basis {e_beta : beta a root} + {h_1..h_l},
 indexed by the basis keys of a StructureConstantTable.  Coefficients come
-from a pluggable coefficient domain (a prime field, exact integers, or
-polynomials, over which orbitlab compiles the lift); outside an exact
-prime field every arithmetic step and every zero test goes through the
-domain, so the same code serves any domain with that protocol, including
-one whose coefficients are arrays of lanes.  A term is skipped when the
+from a pluggable coefficient domain (a prime field, or the polynomials
+over which orbitlab compiles the lift); outside an exact prime field
+every arithmetic step and every zero test goes through the domain, so
+the same code serves any domain with that protocol, including one whose
+coefficients are arrays of lanes.  A term is skipped when the
 domain calls its coefficient zero, so is_zero must be exact: for
 polynomials the zero polynomial, for lanes zero in every lane.
 
@@ -34,8 +34,8 @@ one-factor word.  It copies the coefficient list once and runs one step
 per factor on it, in place: _act_on_ints, one % p per written coefficient,
 when the domain is exactly a PrimeField, whose elements are ints (from_v1
 then fills the list with ints too); _act_in_domain, through the domain
-protocol, for every other domain (_Polynomials, ExactIntegers, lanes, any
-PrimeField subclass).  Both write the same coefficients in the same order,
+protocol, for every other domain (_Polynomials, and the tests' exact
+integers, lanes and PrimeField subclasses).  Both write the same coefficients in the same order,
 those whose term the domain calls nonzero, so they give the same list.
 """
 
@@ -103,10 +103,6 @@ class LieVector:
         """Coefficient of h_t, 1-based t."""
         return self.coeffs[self.table.h_key(t)]
 
-    def h_part(self) -> tuple:
-        n = self.table.n_roots
-        return tuple(self.coeffs[n:])
-
     def v1_part(self) -> tuple:
         return _phi1_keys(self.table)[1](self.coeffs)
 
@@ -125,33 +121,6 @@ class LieVector:
         if any(not dom.is_zero(c) for c in self.coeffs[len(rs.roots):]):
             out.add(0)
         return out
-
-    def is_zero(self) -> bool:
-        dom = self.domain
-        return all(dom.is_zero(c) for c in self.coeffs)
-
-    # -- linear structure ------------------------------------------------------
-
-    def add(self, other: "LieVector") -> "LieVector":
-        dom = self.domain
-        return LieVector(
-            self.table, dom,
-            [dom.add(a, b) for a, b in zip(self.coeffs, other.coeffs)],
-        )
-
-    def sub(self, other: "LieVector") -> "LieVector":
-        dom = self.domain
-        return LieVector(
-            self.table, dom,
-            [dom.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)],
-        )
-
-    def scale(self, a) -> "LieVector":
-        dom = self.domain
-        a = as_int(a) % dom.p if type(dom) is PrimeField else dom.of(a)
-        return LieVector(
-            self.table, dom, [dom.mul(a, c) for c in self.coeffs]
-        )
 
     def __eq__(self, other) -> bool:
         """Same system, equal domains and equal coefficients: the same
@@ -331,7 +300,7 @@ def _act_in_domain(plan, a, dom, x: list) -> None:
         x[gid] = dom.sub(x[gid], dom.mul(a, acc))
 
 
-# -- torus and Weyl representatives -------------------------------------------
+# -- torus elements ------------------------------------------------------------
 
 
 def w_word(domain, gamma, a) -> GroupWord:
@@ -383,36 +352,3 @@ def w_apply_fast(table: StructureConstantTable, gamma, a,
         for i in ids:
             new[i] = dom.mul(f, new[i])
     return LieVector(table, dom, new)
-
-
-def weyl_word(gamma) -> GroupWord:
-    """Word for the Weyl-group representative attached to gamma."""
-    gamma = tuple(gamma)
-    ngam = tuple(-c for c in gamma)
-    return [(gamma, 1), (ngam, -1), (gamma, 1)]
-
-
-def inverse_word(domain, word) -> GroupWord:
-    """Word for the inverse product: reverse order, negate scalars."""
-    return [(g, domain.neg(domain.of(a))) for g, a in reversed(word)]
-
-
-# -- bracket -------------------------------------------------------------------
-
-
-def bracket(table: StructureConstantTable, u: LieVector,
-            v: LieVector) -> LieVector:
-    """[u, v] in the adjoint algebra."""
-    dom = u.domain
-    out = LieVector.zero(table, dom)
-    co = out.coeffs
-    for i, ci in enumerate(u.coeffs):
-        if dom.is_zero(ci):
-            continue
-        for j, cj in enumerate(v.coeffs):
-            if dom.is_zero(cj):
-                continue
-            cij = dom.mul(ci, cj)
-            for k, w in table.bracket_keys(i, j):
-                co[k] = dom.add(co[k], dom.mul(dom.of(w), cij))
-    return out

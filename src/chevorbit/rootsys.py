@@ -385,21 +385,6 @@ def parse_system_name(name: str) -> tuple[str, int]:
     return name[0].upper(), int(name[1:])
 
 
-def _check_root(rs: RootSystem, v) -> Root:
-    v = tuple(v)
-    if not rs.is_root(v):
-        raise NotARoot(f"{v} is not a root of {rs.name}")
-    return v
-
-
-def reflect(rs: RootSystem, alpha, beta) -> Root:
-    """The reflection s_alpha(beta) = beta - <beta, alpha> alpha."""
-    alpha = _check_root(rs, alpha)
-    beta = _check_root(rs, beta)
-    c = rs.pair(beta, alpha)
-    return tuple(b - c * a for a, b in zip(alpha, beta))
-
-
 def min_subtractable_index(rs: RootSystem, gamma) -> int:
     """Smallest i (1-based) with gamma - alpha_i a root or zero.
 

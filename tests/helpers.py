@@ -4,7 +4,9 @@ Root systems and structure-constant tables are immutable once built, so the
 whole suite shares one instance per system.  The memos are plain dicts so a
 test that has just built (and timed) a fresh object can seed them for everyone
 else.  ArrayField runs the library's coefficient-domain code on batches of
-lanes, for reference computations.
+lanes, for reference computations, and ExactIntegers on the integers.  The
+oracles the library has no use for live here too: the bracket of two
+vectors, linear combinations, word helpers and the reflection of roots.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import random
 import numpy as np
 
 from chevorbit import (
+    LieVector,
     Luminosity,
+    NotARoot,
     OrbitCensus,
     OrbitDescriptor,
     PrimeField,
@@ -31,6 +35,7 @@ from chevorbit import (
 )
 from chevorbit.chevalley import _jacobi_defect, _seeds
 from chevorbit.gfield import _pow_mod
+from chevorbit.rootsys import as_int
 
 ALL_SYSTEMS: tuple[str, ...] = (
     "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8",
@@ -84,6 +89,103 @@ class ArrayField(PrimeField):
 class GenericField(PrimeField):
     """F_p as a PrimeField subclass: liemod's generic, domain-protocol
     spelling of the action, which an exact PrimeField does not take."""
+
+
+class ExactIntegers:
+    """The ring of integers under the coefficient-domain protocol: the
+    action's generic step run without any reduction mod p."""
+
+    zero = 0
+    one = 1
+
+    def __repr__(self) -> str:
+        return "ExactIntegers()"
+
+    # every instance is the one ring, as vector equality reads it
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self)
+
+    def __hash__(self) -> int:
+        return hash(ExactIntegers)
+
+    of = staticmethod(as_int)  # n as a Python int
+
+    def add(self, a: int, b: int) -> int:
+        return a + b
+
+    def sub(self, a: int, b: int) -> int:
+        return a - b
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b
+
+    def neg(self, a: int) -> int:
+        return -a
+
+    def inv(self, a: int) -> int:
+        a = self.of(a)
+        if a in (1, -1):
+            return a
+        raise ZeroDivisionError(f"{a} is not invertible over the integers")
+
+    def is_zero(self, a: int) -> bool:
+        return a == 0
+
+
+INTEGERS = ExactIntegers()
+
+
+def bracket(table: StructureConstantTable, u: LieVector,
+            v: LieVector) -> LieVector:
+    """[u, v] in the adjoint algebra, from the table's basis brackets alone:
+    the oracle for x.[u, v] = [x.u, x.v], independent of liemod's action."""
+    dom = u.domain
+    out = LieVector.zero(table, dom)
+    co = out.coeffs
+    for i, ci in enumerate(u.coeffs):
+        if dom.is_zero(ci):
+            continue
+        for j, cj in enumerate(v.coeffs):
+            if dom.is_zero(cj):
+                continue
+            cij = dom.mul(ci, cj)
+            for k, w in table.bracket_keys(i, j):
+                co[k] = dom.add(co[k], dom.mul(dom.of(w), cij))
+    return out
+
+
+def combine(*terms) -> LieVector:
+    """The linear combination of the (scalar, vector) terms, over the first
+    vector's domain, each scalar read by the domain's of."""
+    table, dom = terms[0][1].table, terms[0][1].domain
+    out = [dom.zero] * table.n_basis
+    for a, v in terms:
+        a = dom.of(a)
+        out = [dom.add(o, dom.mul(a, c)) for o, c in zip(out, v.coeffs)]
+    return LieVector(table, dom, out)
+
+
+def weyl_word(gamma) -> list:
+    """Word for the Weyl-group representative attached to gamma."""
+    gamma = tuple(gamma)
+    ngam = tuple(-c for c in gamma)
+    return [(gamma, 1), (ngam, -1), (gamma, 1)]
+
+
+def inverse_word(domain, word) -> list:
+    """Word for the inverse product: reverse order, negate scalars."""
+    return [(g, domain.neg(domain.of(a))) for g, a in reversed(word)]
+
+
+def reflect(rs: RootSystem, alpha, beta) -> tuple:
+    """The reflection s_alpha(beta) = beta - <beta, alpha> alpha of roots
+    (NotARoot otherwise)."""
+    alpha, beta = tuple(alpha), tuple(beta)
+    for v in (alpha, beta):
+        if not rs.is_root(v):
+            raise NotARoot(f"{v} is not a root of {rs.name}")
+    c = rs.pair(beta, alpha)
+    return tuple(b - c * a for a, b in zip(alpha, beta))
 
 
 _systems: dict[str, RootSystem] = {}
@@ -265,11 +367,31 @@ def classify_a_reference(rs: RootSystem, K: PrimeField, x) -> OrbitDescriptor:
     return desc("III", c=K.add(K.mul(w[0], v[0]), K.mul(w[1], v[1])))
 
 
+def run_time_names(node) -> set[str]:
+    """Every name and attribute under an AST node, annotations left out:
+    under postponed evaluation they are strings at run time, and name a
+    class without using any of it."""
+    out, todo = set(), [node]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        for field, value in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                todo += [c for c in (value if isinstance(value, list)
+                                     else [value]) if isinstance(c, ast.AST)]
+    return out
+
+
 def reached_names(module, start: str) -> set[str]:
     """Every name and attribute that the module-level function, class or
-    assignment start of a chevorbit module uses, and, transitively, those
-    of the module-level definitions that it names: the module's own, and
-    those it imports from another chevorbit module, read in that module."""
+    assignment start of a module uses, and, transitively, those of the
+    module-level definitions that it names: the module's own, and those it
+    imports from a chevorbit module (relatively, inside the package, or
+    from chevorbit by name, as the tests do), read in that module; all
+    read by run_time_names, so an annotation reaches nothing."""
     trees: dict = {}
 
     def defs_of(name):
@@ -291,7 +413,9 @@ def reached_names(module, start: str) -> set[str]:
                            "." * node.level + (node.module or ""),
                            mod.__package__), alias.name)
                        for node in tree.body
-                       if isinstance(node, ast.ImportFrom) and node.level
+                       if isinstance(node, ast.ImportFrom) and (
+                           node.level or node.module.partition(".")[0]
+                           == "chevorbit")
                        for alias in node.names}
             trees[name] = defs, imports
         return trees[name]
@@ -306,13 +430,7 @@ def reached_names(module, start: str) -> set[str]:
         if what not in defs:  # a name imported again, from a third module
             todo.append(imports[what])
             continue
-        for node in ast.walk(defs[what]):
-            if isinstance(node, ast.Name):
-                found = node.id
-            elif isinstance(node, ast.Attribute):
-                found = node.attr
-            else:
-                continue
+        for found in run_time_names(defs[what]):
             names.add(found)
             if found in defs:
                 todo.append((where, found))

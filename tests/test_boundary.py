@@ -1,4 +1,5 @@
-"""The integer rule at the public boundary, held by one table.
+"""The integer rule at the public boundary, held by one table, and the
+reason each public name is public, held by another.
 
 The rule (stated once, in rootsys): a numpy integer counts as the Python
 int it holds and a Python or numpy bool as 0 or 1; anything else raises
@@ -21,23 +22,29 @@ included.  A cell passes when
 
 Counts that drive work (crosscheck's pairs, jacobi_check's sampled draw)
 get only the values below their row's cap, so every cell stays bounded.
+
+REASONS gives every name chevorbit exports, and every public method of an
+exported class, one reason to be public, and each reason is checked
+against the code, the acceptance suite or the README.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
+import importlib
 import inspect
 import json
 import os
 import traceback
+import types
 
 import numpy as np
 import pytest
 
 import chevorbit
 from chevorbit import (
-    INTEGERS,
     LieVector,
     OrbitDescriptor,
     PrimeField,
@@ -55,7 +62,6 @@ from chevorbit import (
     classify_many,
     crosscheck,
     enumerate_orbits,
-    inverse_word,
     is_prime,
     jacobi_check,
     predicted_census,
@@ -70,7 +76,16 @@ from chevorbit import (
 )
 from chevorbit.census import check_budget, state_of_vector, vector_of_state
 from chevorbit.cli import EXIT_CODES, main
-from helpers import get_census, get_field, get_system, get_table
+from helpers import (
+    INTEGERS,
+    get_census,
+    get_field,
+    get_system,
+    get_table,
+    inverse_word,
+    reached_names,
+    run_time_names,
+)
 
 SRC = os.path.dirname(os.path.abspath(chevorbit.__file__))
 DTYPES = (np.int8, np.int16, np.int32, np.int64,
@@ -246,8 +261,8 @@ ROWS = [
     Row("PrimeField.inv.a", lambda v: get_field(5).inv(v), 3, field=True),
     Row("PrimeField.is_square.a", lambda v: get_field(5).is_square(v), 3,
         field=True),
-    Row("ExactIntegers.of.n", INTEGERS.of, 3, field=True),
-    Row("ExactIntegers.inv.a", INTEGERS.inv, 1, field=True),
+    Row("PrimeField.is_zero.a", lambda v: get_field(5).is_zero(v), 3,
+        field=True),
     Row("square_class.a",
         lambda v: dataclasses.astuple(square_class(get_field(5), v)), 3,
         field=True),
@@ -273,9 +288,6 @@ ROWS = [
     Row("LieVector.from_v1.x",
         lambda v: LieVector.from_v1(d4(), get_field(5), x_d4(v)).coeffs, 2,
         field=True),
-    Row("LieVector.scale.a",
-        lambda v: LieVector.from_v1(d4(), get_field(5),
-                                    x_d4(1)).scale(v).coeffs, 2, field=True),
     Row("act_on_v1.x",
         lambda v: list(act_on_v1(d4(), get_field(5),
                                  [(level0_root(), 2)], x_d4(v))), 2,
@@ -315,10 +327,6 @@ ROWS = [
             d4(), level0_root(), v,
             LieVector.from_v1(d4(), get_field(5), x_d4(3))).coeffs, 2,
         field=True),
-    Row("inverse_word.word",
-        lambda v: word_view(inverse_word(get_field(5),
-                                         [(level0_root(), v)])), 2,
-        field=True),
     Row("al_pair.x", lambda v: [list(h) for h in al_pair(get_system("A3"),
                                                          [v, 1, 0, 2])], 2,
         field=True),
@@ -331,6 +339,13 @@ ROWS = [
     Row("sl2_invariant_matrix.mat",
         lambda v: inv_view(sl2_invariant_matrix(get_field(5),
                                                 ((1, v), (2, -1)))), 3,
+        field=True),
+    # -- the tests' integer domain and inverse word (tests/helpers.py), which
+    # other tests feed every spelling: they read it by the same rule --------
+    Row("ExactIntegers.of.n", INTEGERS.of, 3, field=True),
+    Row("inverse_word.word",
+        lambda v: word_view(inverse_word(get_field(5),
+                                         [(level0_root(), v)])), 2,
         field=True),
 ]
 
@@ -523,6 +538,33 @@ def test_probed_defect_is_gone(name):
     assert DEFECTS[name]()
 
 
+# Over an exact PrimeField a field element is one int (lanes run over a
+# PrimeField subclass such as helpers.ArrayField): inv, is_zero and
+# is_square read theirs by as_int, so a lane is refused with TypeError
+# here as in from_v1, apply_word and classify, not truth-tested by numpy.
+LANE_CALLS = {
+    "w_word": lambda lane: w_word(get_field(5), level0_root(), lane),
+    "w_apply_fast": lambda lane: w_apply_fast(
+        d4(), level0_root(), lane,
+        LieVector.from_v1(d4(), get_field(5), x_d4(3))),
+    "associated_root_element": lambda lane: associated_root_element(
+        d4(), get_field(5), [lane, *x_d4(3)[1:]]),
+    "sl2_invariant": lambda lane: sl2_invariant(get_field(5),
+                                                ZBlock(1, lane, 2)),
+    "sl2_invariant_matrix": lambda lane: sl2_invariant_matrix(
+        get_field(5), ((lane, 1), (2, -lane))),
+    "square_class": lambda lane: square_class(get_field(5), lane),
+    "PrimeField.inv": lambda lane: get_field(5).inv(lane),
+}
+
+
+@pytest.mark.parametrize("name", list(LANE_CALLS))
+def test_a_lane_over_an_exact_prime_field_raises_type_error(name):
+    with pytest.raises(TypeError) as e:
+        LANE_CALLS[name](np.arange(1, 4))
+    assert last_frame(e.value).startswith(SRC)
+
+
 # -- tooling: the table covers the surface, and the rule lives in one place -------
 
 # records whose fields the library fills with ints it has already read
@@ -553,6 +595,244 @@ def test_every_integer_parameter_has_a_row():
     params = integer_parameters()
     assert params, "no integer parameter found"
     assert not params - keys, f"no row for {sorted(params - keys)}"
+
+
+# Why each public name is public: every name chevorbit exports, and every
+# public method, property and class or static method of an exported
+# class, with one (reason, where) entry:
+#   caller      a function under src/ that names it, where cli.main's code
+#               reaches that function by name;
+#   failure     the same, for an exception or a method on a failure path:
+#               the function that raises it or reports through it;
+#   acceptance  the test of tests/test_acceptance.py that reaches it, by
+#               name or through the chevorbit functions it calls;
+#   readme      the README section that documents it, in backticks;
+#   protocol    the coefficient-domain protocol, which gfield's docstring
+#               lists.
+# A name without one is moved to tests/helpers.py, if a test uses it as an
+# oracle, or deleted; REASONS reads the real surface, so there is no
+# __all__ to keep beside the imports.
+REASONS = {
+    # census
+    "BudgetExceeded": ("failure", "census.check_budget"),
+    "MismatchReport": ("failure", "census.crosscheck"),
+    "OrbitCensus": ("caller", "census.enumerate_orbits"),
+    "OrbitCensus.orbit_count": ("caller", "census.OrbitCensus.to_json"),
+    "OrbitCensus.to_json": ("caller", "cli.cmd_orbits"),
+    "OrbitEntry": ("caller", "census.enumerate_orbits"),
+    "OrbitEntry.to_json": ("caller", "census.OrbitCensus.to_json"),
+    "crosscheck": ("caller", "cli.cmd_orbits"),
+    "enumerate_orbits": ("caller", "cli.cmd_orbits"),
+    "predicted_census": ("caller", "cli.cmd_orbits"),
+    # chevalley
+    "InconsistentTable": ("failure", "chevalley.verify_table"),
+    "JacobiViolation": ("failure", "chevalley.jacobi_check"),
+    "StructureConstantTable": ("caller", "chevalley.build_table_oracle"),
+    "StructureConstantTable.e_key": ("caller", "liemod._phi1_keys"),
+    "StructureConstantTable.h_key": ("caller", "orbitlab._kernel_plan"),
+    "StructureConstantTable.nv": ("caller", "cli.cmd_constants"),
+    "StructureConstantTable.structure_constant": (
+        "caller", "orbitlab.associated_root_element"),
+    "StructureConstantTable.defined_pairs": ("caller", "cli.cmd_constants"),
+    "StructureConstantTable.bracket_keys": ("failure",
+                                            "chevalley._jacobi_defect"),
+    "UndefinedPair": ("failure",
+                      "chevalley.StructureConstantTable.structure_constant"),
+    "UnderdeterminedTable": ("failure", "chevalley.build_table_oracle"),
+    "build_table_oracle": ("caller", "cli.cmd_constants"),
+    "jacobi_check": ("caller", "cli.cmd_constants"),
+    "sign_rule": ("acceptance",
+                  "test_criterion_02_closed_form_sign_rule_matches_table"),
+    "structure_constant_fast": ("readme", "What it does"),
+    "verify_table": ("caller", "cli.cmd_constants"),
+    # gfield
+    "ModulusTooLarge": ("failure", "gfield.is_prime"),
+    "NotPrime": ("failure", "gfield.PrimeField.__init__"),
+    "PrimeField": ("caller", "cli.cmd_classify"),
+    "PrimeField.of": ("protocol", "gfield"),
+    "PrimeField.add": ("protocol", "gfield"),
+    "PrimeField.sub": ("protocol", "gfield"),
+    "PrimeField.mul": ("protocol", "gfield"),
+    "PrimeField.neg": ("protocol", "gfield"),
+    "PrimeField.inv": ("protocol", "gfield"),
+    "PrimeField.is_zero": ("protocol", "gfield"),
+    "PrimeField.units": ("caller", "orbitlab._orbit_types"),
+    "PrimeField.require_odd": ("caller", "cli.cmd_classify"),
+    "PrimeField.is_square": ("acceptance",
+                             "test_criterion_07_sl2_invariants_match_conjugacy"),
+    "PrimeField.least_nonresidue": ("caller", "orbitlab._orbit_types"),
+    "SquareClass": ("acceptance",
+                    "test_criterion_07_sl2_invariants_match_conjugacy"),
+    "UnsupportedField": ("failure", "gfield.PrimeField.require_odd"),
+    "is_prime": ("caller", "gfield.PrimeField.__init__"),
+    "square_class": ("acceptance",
+                     "test_criterion_07_sl2_invariants_match_conjugacy"),
+    # liemod
+    "LieVector": ("caller", "liemod.apply_word"),
+    "LieVector.zero": ("caller", "liemod.LieVector.basis"),
+    "LieVector.basis": ("caller", "orbitlab.associated_root_element"),
+    "LieVector.from_v1": ("readme", "Python API"),
+    "LieVector.e_coeff": ("caller", "orbitlab.associated_root_element"),
+    "LieVector.h_coeff": ("caller", "orbitlab.associated_root_element"),
+    "LieVector.v1_part": ("caller", "orbitlab.associated_root_element"),
+    "LieVector.nonzero_items": ("caller", "liemod.LieVector.__repr__"),
+    "LieVector.level_support": (
+        "acceptance", "test_criterion_10_invariants_unchanged_under_action"),
+    "ZeroScalar": ("acceptance",
+                   "test_criterion_05_torus_word_fast_action_agreement"),
+    "act_on_v1": ("acceptance",
+                  "test_criterion_10_invariants_unchanged_under_action"),
+    "apply_root_element": ("caller", "orbitlab.associated_root_element"),
+    "apply_word": ("caller", "liemod.apply_root_element"),
+    "w_apply_fast": ("acceptance",
+                     "test_criterion_05_torus_word_fast_action_agreement"),
+    "w_word": ("acceptance",
+               "test_criterion_05_torus_word_fast_action_agreement"),
+    # orbitlab
+    "CharTwo": ("failure", "orbitlab._require_odd"),
+    "ClassificationError": ("failure", "orbitlab._check_blocks"),
+    "InvalidDescriptor": ("failure", "orbitlab.canonical_form"),
+    "Luminosity": ("acceptance",
+                   "test_criterion_10_invariants_unchanged_under_action"),
+    "NotTraceZero": ("acceptance",
+                     "test_criterion_07_sl2_invariants_match_conjugacy"),
+    "OrbitDescriptor": ("caller", "orbitlab._AClassifier.decode"),
+    "OrbitDescriptor.param": ("caller", "orbitlab._int_param"),
+    "OrbitDescriptor.to_json": ("caller", "cli.cmd_classify"),
+    "OrbitDescriptor.from_json": ("readme", "Python API"),
+    "Sl2Invariant": ("acceptance",
+                     "test_criterion_07_sl2_invariants_match_conjugacy"),
+    "UnsupportedFamily": ("failure", "orbitlab.check_domain"),
+    "ZBlock": ("acceptance",
+               "test_criterion_07_sl2_invariants_match_conjugacy"),
+    "al_pair": ("acceptance",
+                "test_criterion_10_invariants_unchanged_under_action"),
+    "all_descriptors": ("caller", "census.predicted_census"),
+    "associated_root_element": ("caller", "orbitlab._doubled_lift"),
+    "block_gammas": ("caller", "orbitlab._kernel_plan"),
+    "canonical_form": ("caller", "cli._canonical"),
+    "classify": ("caller", "cli.cmd_classify"),
+    "classify_many": ("caller", "cli.cmd_classify"),
+    "luminosity": ("acceptance",
+                   "test_criterion_10_invariants_unchanged_under_action"),
+    "same_orbit": ("caller", "census.crosscheck"),
+    "sl2_invariant": ("acceptance",
+                      "test_criterion_10_invariants_unchanged_under_action"),
+    "sl2_invariant_matrix": (
+        "acceptance", "test_criterion_07_sl2_invariants_match_conjugacy"),
+    "z_blocks": ("acceptance",
+                 "test_criterion_10_invariants_unchanged_under_action"),
+    # rootsys
+    "InternalError": ("failure", "rootsys.standard_quadruple"),
+    "NotAPositiveRoot": (
+        "acceptance", "test_criterion_04_minimal_subtraction_dichotomy"),
+    "NotARoot": ("failure", "rootsys.RootSystem.root_id"),
+    "RootSystem": ("caller", "rootsys.build_root_system"),
+    "RootSystem.ids": ("caller", "liemod._action_plan"),
+    "RootSystem.is_root": ("caller", "rootsys.standard_quadruple"),
+    "RootSystem.is_positive": (
+        "acceptance", "test_criterion_04_minimal_subtraction_dichotomy"),
+    "RootSystem.root_id": ("caller", "liemod._action_plan"),
+    "RootSystem.simple": ("caller", "rootsys.standard_quadruple"),
+    "RootSystem.neg": ("caller", "orbitlab.associated_root_element"),
+    "RootSystem.add": ("caller", "orbitlab.block_gammas"),
+    "RootSystem.sub": ("caller", "orbitlab.block_gammas"),
+    "RootSystem.pair": ("readme", "What it does"),
+    "RootSystem.level": ("caller", "cli.cmd_roots"),
+    "RootSystem.phi1_index": ("caller", "orbitlab._orbit_types"),
+    "RootSystem.check_v1": ("caller", "cli.cmd_classify"),
+    "RootSystem.to_json": ("caller", "cli.cmd_roots"),
+    "SystemTooLarge": ("failure", "rootsys.root_count"),
+    "UnsupportedSystem": ("failure", "rootsys.parse_system_name"),
+    "build_root_system": ("caller", "cli.cmd_roots"),
+    "min_subtractable_index": (
+        "acceptance", "test_criterion_04_minimal_subtraction_dichotomy"),
+    "parse_system_name": ("caller", "cli.cmd_roots"),
+    "root_count": ("caller", "rootsys.RootSystem.__init__"),
+    "simple_index": ("caller", "orbitlab._kernel_plan"),
+    "standard_quadruple": ("caller", "orbitlab.block_gammas"),
+}
+
+
+def public_members(package) -> set:
+    """Every name the package exports (its submodules aside), and every
+    public method, property and class or static method that an exported
+    class defines, as Class.name."""
+    out = set()
+    for name, obj in vars(package).items():
+        if name.startswith("_") or isinstance(obj, types.ModuleType):
+            continue
+        out.add(name)
+        if isinstance(obj, type):
+            out.update(f"{name}.{k}" for k, v in vars(obj).items()
+                       if not k.startswith("_") and (callable(v) or isinstance(
+                           v, (classmethod, staticmethod, property,
+                               functools.cached_property))))
+    return out
+
+
+def definition(path: str, dotted: str):
+    """The def or class node of a dotted module-level path in a source."""
+    with open(path, encoding="utf-8") as f:
+        body = ast.parse(f.read()).body
+    for name in dotted.split("."):
+        node = next(n for n in body if isinstance(
+            n, (ast.FunctionDef, ast.ClassDef)) and n.name == name)
+        body = node.body
+    return node
+
+
+@functools.cache
+def reached_from_main() -> set:
+    import chevorbit.cli
+    return reached_names(chevorbit.cli, "main") | {"main"}
+
+
+def reason_holds(member: str, reason: str, where: str) -> bool:
+    name = member.rsplit(".", 1)[-1]
+    if reason in ("caller", "failure"):
+        module, dotted = where.split(".", 1)
+        return (name in run_time_names(definition(
+                    os.path.join(SRC, module + ".py"), dotted))
+                and dotted.split(".")[0] in reached_from_main())
+    if reason == "acceptance":
+        return name in reached_names(
+            importlib.import_module("test_acceptance"), where)
+    if reason == "readme":
+        with open(os.path.join(SRC, "..", "..", "README.md"),
+                  encoding="utf-8") as f:
+            section = f.read().partition(f"\n## {where}\n")[2]
+        section = section.partition("\n## ")[0]
+        return f"`{member}`" in section or f"`{name}`" in section
+    if reason == "protocol":
+        return f"``{name}``" in importlib.import_module(
+            f"chevorbit.{where}").__doc__
+    return False
+
+
+def test_every_exported_name_has_a_reason():
+    members = public_members(chevorbit)
+    assert len(members) > 64, "no method found"
+    assert not members - set(REASONS), \
+        f"no reason for {sorted(members - set(REASONS))}"
+    assert not set(REASONS) - members, \
+        f"reasons for names not exported: {sorted(set(REASONS) - members)}"
+
+
+@pytest.mark.parametrize("member", sorted(REASONS))
+def test_each_reason_holds(member):
+    assert reason_holds(member, *REASONS[member]), (member, REASONS[member])
+
+
+def test_a_reason_that_does_not_hold_is_refused():
+    assert not reason_holds("classify", "caller", "cli.cmd_roots")
+    assert not reason_holds("w_word", "caller", "liemod.w_apply_fast")
+    assert not reason_holds("luminosity", "acceptance",
+                            "test_criterion_07_sl2_invariants_match_conjugacy")
+    assert not reason_holds("RootSystem.pair", "readme", "Python API")
+    assert not reason_holds("PrimeField.units", "protocol", "gfield")
+    # sign_rule is named in cli, but only on a path main does not reach
+    assert not reason_holds("sign_rule", "caller", "chevalley.sign_rule")
 
 
 # where a numpy bool or operator.index may appear: the two boundary helpers,

@@ -26,8 +26,9 @@ from chevorbit import (
     predicted_census,
 )
 from chevorbit import census as census_mod
-from chevorbit import cli, orbitlab
+from chevorbit import cli, liemod, orbitlab
 from chevorbit.census import state_of_vector, vector_of_state
+import helpers
 from helpers import (
     ArrayField,
     CENSUS_CASES,
@@ -337,6 +338,23 @@ def test_the_partition_reaches_no_classifier_name():
     # the walk sees the classifier where it is reached
     assert {"classify", "_classifier", "_lift_kernel"} <= reached_names(
         census_mod, "enumerate_orbits")
+
+
+def test_the_bracket_oracle_reaches_no_action_code():
+    # helpers.bracket checks x.[u, v] = [x.u, x.v] only while it reads
+    # nothing of the action: follow every name it uses into chevorbit and
+    # find none of liemod's action code, and no structure constants but
+    # the basis brackets of StructureConstantTable.bracket_keys
+    action = {"_action_plan", "_plans", "_act_on_ints", "_act_in_domain",
+              "apply_word", "apply_root_element"}
+    constants = {"_nt", "nv", "structure_constant", "structure_constant_fast",
+                 "closed_form_table", "_bracket_arrays"}
+    reached = reached_names(helpers, "bracket")
+    assert {"bracket_keys", "LieVector", "_phi1_keys"} <= reached
+    assert not reached & (action | constants), reached & (action | constants)
+    # the walk sees the action where it is reached
+    assert action - {"apply_root_element"} <= reached_names(
+        liemod, "apply_root_element")
 
 
 @pytest.mark.parametrize("name,p", CENSUS_CASES)

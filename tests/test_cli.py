@@ -1037,3 +1037,18 @@ def test_classify_and_roots_invocations_keep_their_pinned_digests(tmp_path):
     # its refusals; with the three tests above, all pinned invocations
     assert _rerun_pinned(lambda argv: argv[0] in ("classify", "roots"),
                          tmp_path) == 42
+
+
+def test_reached_script_records_one_classify_invocation(capsys):
+    # scripts/reached.py's recorder, on one classify invocation: the
+    # command and the classifier are called, the predicted census is not
+    path = Path(__file__).parents[1] / "scripts" / "reached.py"
+    script = runpy.run_path(str(path), run_name="reached")
+    defs = script["functions"]()
+    called = script["record"](lambda: main(
+        ["classify", "D4", "-p", "5", "--vector", "1,0,0,0,2,0,0,0"]))
+    assert capsys.readouterr().out.startswith("{")
+    names = {defs[key][0] for key in called if key in defs}
+    assert {"cli.cmd_classify", "orbitlab.classify"} <= names
+    assert "census.predicted_census" not in names
+    assert "census.predicted_census" in {q for q, _, _ in defs.values()}

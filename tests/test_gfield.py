@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chevorbit import (
-    INTEGERS,
     ModulusTooLarge,
     NotPrime,
     PrimeField,
@@ -19,6 +18,7 @@ from chevorbit import (
     is_prime,
     square_class,
 )
+from helpers import INTEGERS
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -118,7 +118,6 @@ def test_inverse_of_zero_rejected():
 
 def test_elements_and_units():
     K = PrimeField(7)
-    assert list(K.elements()) == list(range(7))
     assert list(K.units()) == list(range(1, 7))
 
 

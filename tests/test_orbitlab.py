@@ -64,6 +64,7 @@ from chevorbit import orbitlab
 from chevorbit.census import state_of_vector
 from chevorbit.gfield import _mod, _pow_mod, integral
 from helpers import (
+    INTEGERS,
     ArrayField,
     CENSUS_CASES,
     GenericField,
@@ -826,7 +827,7 @@ def test_one_classifier_per_table_and_prime():
     # domain caches nothing
     t = build_table_oracle(get_system("D4"))  # no classifier yet
     x = quad_vector(t.rs, (1, 1, 1, 1))
-    for K, error in ((chevorbit.INTEGERS, UnsupportedFamily),
+    for K, error in ((INTEGERS, UnsupportedFamily),
                      (PrimeField(2), CharTwo)):
         for call in (lambda: classify(t, K, x),
                      lambda: classify_many(t, K, [x]),
@@ -859,7 +860,7 @@ def test_one_classifier_per_table_and_prime():
     # family A takes p = 2, and refuses a domain without p
     a3 = build_table_oracle(get_system("A3"))
     with pytest.raises(UnsupportedFamily):
-        classify(a3, chevorbit.INTEGERS, (0,) * len(a3.rs.phi1))
+        classify(a3, INTEGERS, (0,) * len(a3.rs.phi1))
     assert a3.memo == {}
     classify(a3, PrimeField(2), (1,) * len(a3.rs.phi1))
     assert list(a3.memo[orbitlab._classifier]) == [2]

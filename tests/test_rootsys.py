@@ -17,14 +17,13 @@ from chevorbit import (
     build_root_system,
     min_subtractable_index,
     parse_system_name,
-    reflect,
     root_count,
     simple_index,
     standard_quadruple,
 )
 from chevorbit import rootsys
 from chevorbit.rootsys import cartan_matrix, dynkin_edges
-from helpers import ALL_SYSTEMS, ROOT_COUNTS, get_system
+from helpers import ALL_SYSTEMS, ROOT_COUNTS, get_system, reflect
 
 
 @pytest.mark.parametrize("name", ALL_SYSTEMS)
