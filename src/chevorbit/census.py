@@ -27,8 +27,9 @@ truth partition:
 * the classifier's invariant code is constant on every orbit, checked for
   every single state by classify's own classifier on batches of
   fixed-size chunks of states, streamed in ascending order so that no
-  array of codes of every state is held, and equal to the code of the
-  scalar path at every representative,
+  array of codes of every state is held, their rows copied from a table
+  of the last digits of the states (_state_rows), and equal to the code
+  of the scalar spelling at every representative,
 * each census descriptor is the one the classifier decodes from its
   representative's code, and the descriptors are pairwise distinct, so
   every pair of representatives is classified apart,
@@ -37,17 +38,17 @@ truth partition:
   2 * pairs states are the little-endian 64-bit words of one
   random.Random(seed) stream reduced mod the state count (pair i is words
   2i and 2i + 1), drawn and checked 10,000 pairs at a time, so the
-  sample's size costs time, not memory: each chunk goes through the batch
-  classifier (orbitlab.classify_many), which must give the two states of
-  a pair equal descriptors exactly when they share an orbit, and the first
-  500 pairs also through the scalar same_orbit, and
+  sample's size costs time, not memory: each chunk goes through the
+  classifier's batch code (_sample_classes), whose descriptors, each
+  distinct code decoded once, must be equal for the two states of a pair
+  exactly when they share an orbit, and the first 500 pairs also through
+  the scalar same_orbit, and
 * the predicted descriptor list matches the enumerated one as a set.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import os
 import random
 from collections import Counter
@@ -66,12 +67,12 @@ from .liemod import _action_plan
 from .orbitlab import (
     InvalidDescriptor,
     OrbitDescriptor,
+    _CHUNK,
     _classifier,
     all_descriptors,
     canonical_form,
     check_domain,
     classify,
-    classify_many,
     same_orbit,
 )
 from .rootsys import RootSystem, as_int
@@ -257,6 +258,35 @@ def _digits(states, p: int, m: int) -> np.ndarray:
         np.subtract(q, r * p, out=digits[j])
         q = r
     return digits.T
+
+
+def _state_rows(p: int, m: int):
+    """rows(lo, hi), the digits of states lo..hi-1 as _digits gives them,
+    in the narrowest signed dtype that holds p - 1, for chunk_codes: copied
+    from a table of the last k digits of the states 0..p**k - 1, k the
+    largest with p**k <= _CHUNK, which _digits builds once.  The states
+    of each run of p**k that share their first m - k digits take those from
+    one _digits row of the run's index."""
+    k = 0
+    while k < m and p ** (k + 1) <= _CHUNK:
+        k += 1
+    size, dtype = p ** k, np.min_scalar_type(1 - p)
+    tail = _digits(np.arange(size), p, k).T.astype(dtype)
+
+    def rows(lo, hi):
+        out = np.empty((m, hi - lo), dtype=dtype)
+        runs = np.arange(lo // size, (hi - 1) // size + 1)
+        # where each run starts and ends inside the chunk
+        ends = np.minimum(runs * size + size, hi) - lo
+        starts = np.maximum(runs * size, lo) - lo
+        out[:m - k] = _digits(runs, p, m - k).T.repeat(ends - starts, axis=1)
+        if k:
+            for a, b in zip(starts.tolist(), ends.tolist()):
+                t = (lo + a) % size
+                out[m - k:, a:b] = tail[:, t:t + b - a]
+        return out.T
+
+    return rows
 
 
 def _index_dtype(total: int):
@@ -540,6 +570,33 @@ def predicted_census(table: StructureConstantTable, p: int,
 # -- the crosscheck ---------------------------------------------------------------
 
 
+def _sample_classes(clf, rows, classes: dict) -> np.ndarray:
+    """The batch step of crosscheck's sampled pairs: one class value per row
+    of rows, an (n, |phi1|) integer array, equal for two rows exactly when
+    the classifier gives them equal descriptors, as classify_many would.
+    The codes come from clf.chunk_codes, and each distinct code is decoded
+    once: classes maps each code (an int) and each descriptor (a tuple)
+    met in the calls of one crosscheck to an index, equal descriptors to
+    one.  Where the rows' distinct codes have distinct indices the codes
+    are the classes; otherwise each row's class is its code's index."""
+    codes = np.concatenate([c for _, c in clf.chunk_codes(
+        len(rows), lambda lo, hi: rows[lo:hi])], dtype=np.int64)
+    # np.unique would hash (1.3 MB more peak RSS), or sort narrow lanes
+    # slowly (0.6 ms for 20,000 int8 codes against 0.06 ms in int64)
+    ordered = np.sort(codes)
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    index = []
+    for code in distinct.tolist():
+        if code not in classes:
+            d = clf.decode(code)
+            classes[code] = classes.setdefault(d, len(classes))
+        index.append(classes[code])
+    if len(set(index)) == len(index):
+        return codes
+    return np.array(index, dtype=np.intp).take(np.searchsorted(distinct,
+                                                               codes))
+
+
 def crosscheck(table: StructureConstantTable, p: int,
                pairs: int = 10_000, seed: int = 0,
                census: OrbitCensus | None = None) -> dict:
@@ -597,30 +654,30 @@ def crosscheck(table: StructureConstantTable, p: int,
     # orbit i first appears where the running maximum of the ids reaches i;
     # each chunk's new orbits are checked, and their codes recorded, before
     # its other states are compared with them.
-    def rows(lo, hi):
-        return _digits(np.arange(lo, hi, dtype=_index_dtype(total)), p, m)
-
-    rep_codes = np.empty(k, dtype=np.int64)
+    rep_codes = np.empty(k, dtype=clf.lane)
     # ids past k are orbits the census does not list
     sizes = np.zeros(max(k, int(orbit_id.max()) + 1), dtype=np.int64)
     top = -1  # the largest orbit id of the chunks so far
-    for lo, chunk in clf.chunk_codes(total, rows):
+    for lo, chunk in clf.chunk_codes(total, _state_rows(p, m)):
         ids = orbit_id[lo:lo + len(chunk)]
-        running = np.maximum.accumulate(ids)
-        new = np.arange(top + 1, min(int(running[-1]), k - 1) + 1)
-        least = np.searchsorted(running, new)
-        bad = (lo + least != rep_states[new]) | (ids[least] != new)
-        if bad.any():
-            raise not_least(int(new[np.argmax(bad)]))
-        rep_codes[new] = chunk[least]
-        top = max(top, int(running[-1]))
+        high = int(ids.max())
+        if high > top:  # the chunk holds orbits met first in it
+            running = np.maximum.accumulate(ids)
+            new = np.arange(top + 1, min(high, k - 1) + 1)
+            least = np.searchsorted(running, new)
+            bad = (lo + least != rep_states[new]) | (ids[least] != new)
+            if bad.any():
+                raise not_least(int(new[np.argmax(bad)]))
+            rep_codes[new] = chunk[least]
+            top = high
         low = int(ids.min())
         counts = np.bincount(ids - low)
         sizes[low:low + len(counts)] += counts
         if top >= k:
             continue  # the size check below reports the unlisted orbits
-        bad = np.flatnonzero(chunk != rep_codes.take(ids))
-        if bad.size:
+        differ = chunk != rep_codes.take(ids)
+        if differ.any():
+            bad = np.flatnonzero(differ)
             raise MismatchReport(
                 "invariant code varies inside a brute-force orbit",
                 {
@@ -685,10 +742,11 @@ def crosscheck(table: StructureConstantTable, p: int,
     checks["canonical_forms_in_orbit"] = "ok"
 
     # (d) same_orbit against ground truth on a sample of pairs, classified
-    # _PAIR_CHUNK pairs at a time and compared pair by pair; same_orbit
-    # itself also runs on the first _SCALAR_PAIRS (every pair of
-    # representatives is covered by (b)).  The chunks read one stream, and
-    # randbytes(a) then randbytes(b) gives the bytes of randbytes(a + b)
+    # _PAIR_CHUNK pairs at a time by their codes (_sample_classes) and
+    # compared pair by pair; same_orbit itself also runs on the first
+    # _SCALAR_PAIRS (every pair of representatives is covered by (b)).  The
+    # chunks read one stream, and randbytes(a) then randbytes(b) gives the
+    # bytes of randbytes(a + b)
     def check_chunk(lo, n):
         # pairs lo to lo + n - 1, rows 2i and 2i + 1 of digits; the chunk's
         # arrays are freed on return
@@ -704,16 +762,18 @@ def crosscheck(table: StructureConstantTable, p: int,
                                    "want": bool(want[i])})
 
         # zip and map read their one iterator two rows at a time
-        head = map(tuple, digits[:2 * max(0, _SCALAR_PAIRS - lo)].tolist())
-        for i, (x1, x2) in enumerate(zip(head, head)):
-            if same_orbit(table, K, x1, x2) != want[i]:
+        scalar = max(0, _SCALAR_PAIRS - lo)
+        head = map(tuple, digits[:2 * scalar].tolist())
+        for i, (x1, x2, same) in enumerate(zip(head, head,
+                                               want[:scalar].tolist())):
+            if same_orbit(table, K, x1, x2) != same:
                 raise disagree(i)
-        ds = iter(classify_many(table, K, digits))
-        same = np.fromiter(map(operator.eq, ds, ds), bool, count=n)
-        bad = np.flatnonzero(same != want)
+        ids = _sample_classes(clf, digits, classes)
+        bad = np.flatnonzero((ids[::2] == ids[1::2]) != want)
         if bad.size:
             raise disagree(int(bad[0]))
 
+    classes: dict = {}
     rng = random.Random(seed)
     for lo in range(0, pairs, _PAIR_CHUNK):
         check_chunk(lo, min(_PAIR_CHUNK, pairs - lo))

@@ -37,19 +37,22 @@ it too.  Each orbit type's parameter names are sorted once per (table, p),
 before its first descriptor, and every descriptor is built as one tuple.
 
 For either family the invariants are packed into one integer code, owned
-by one classifier per table and prime (_classifier), once
-check_domain admits them: the code of a single vector (classify) or of a
-batch (classify_many), on the narrowest of int8, int16, int32 and int64
-lanes whose range holds the family's bound on the values of its lane code
-(for family D, sums of degree at most 3; on D4 int16 up to p = 13, int32
-up to 709 and int64 up to 1,154,051, and int8 only at p = 3 on D5 and
-D6; on A3 int8 up to p = 5 and int16 up to 79) and by the scalar code
-over Python ints past it, and the decode.  A
-family-A code decodes directly into its descriptor.  A dark family-D code
-names V(k) in closed form, an identity checked once per table; any other
-family-D code is looked up in a map built from the codes of the
-catalogue's other canonical vectors.  So descriptor equality is exactly
-orbit equality and never depends on basis-level sign conventions.
+by one classifier per table and prime (_classifier), once check_domain
+admits them: the code of a single vector (classify, for either family a
+unit generated and compiled once per table, whose closure per prime
+reduces the vector, packs its code and names its descriptor in one frame)
+or of a batch (classify_many), on the narrowest of int8, int16, int32 and
+int64 lanes whose range holds the family's bound on the values of its
+lane code (for family D, sums of degree at most 3; on D4 int16 up to
+p = 13, int32 up to 709 and int64 up to 1,154,051, and int8 only at p = 3
+on D5 and D6; on A3 int8 up to p = 5 and int16 up to 79) and by the
+scalar code over Python ints past it, and the decode.  A family-A code
+decodes directly into its descriptor, which the family-A unit builds in
+closed form as well.  A dark family-D code names V(k) in closed form, an
+identity checked once per table; any other family-D code is looked up in
+a map built from the codes of the catalogue's other canonical vectors.
+So descriptor equality is exactly orbit equality and never depends on
+basis-level sign conventions.
 """
 
 from __future__ import annotations
@@ -400,32 +403,35 @@ class _Polynomials:
 
 
 @dataclass(frozen=True)
-class _LiftKernel:
-    """The family-D invariant code of a table, as one generated function.
+class _Kernel:
+    """The generated code of a table, compiled by _kernel_of.
 
-    unit(p, decode, reduced, rank, v_params) returns the scalar closure of
-    F_p, classify(x, code_only=False): the descriptor of one level-1
-    vector x (integers, in any spelling classify takes), or with code_only
-    its invariant code.  It reduces x's entries, so it takes unreduced ints
-    too, and reads any input it cannot unpack or reduce through reduced,
-    which returns its entries in range(p) or raises.  lanes(p, *x) is the
-    codes of a batch, x being one lane array per phi1 root, of the
+    unit compiles the scalar unit, a factory called once per prime that
+    returns the closure classify(x, code_only=False) of F_p: the descriptor
+    of one level-1 vector x (integers, in any spelling classify takes), or
+    with code_only its invariant code, in one frame.  It reduces x's
+    entries, so it takes unreduced ints too, and reads any input it cannot
+    unpack or reduce through the reduced it is given, which returns its
+    entries in range(p) or raises.  Family D's unit is
+    unit(p, decode, reduced, rank, v_params) (_lift_kernel), family A's
+    unit(p, reduced, rank) (_a_kernel).  Family D also has lanes(p, *x),
+    the codes of a batch, x being one lane array per phi1 root, of the
     narrowest of int8, int16, int32 and int64 that holds bound(p) and the
     packed code (_Classifier; on D4 int16 up to p = 13, int32 up to 709,
-    int64 up to 1,154,051, and int8 only at p = 3 on D5 and D6).
-    source(name) is the generated text of the function of that name, "unit"
-    or "lanes", and spell(name) compiles it, each once per table on first
-    use (unit and lanes below): one
-    compiled unit per table and one closure per prime, so a process that
-    classifies only single vectors compiles one function per table,
-    whatever the number of primes.  weights holds, per coordinate of levels
-    -1 and 0 that the code sums, {degree: sum of the absolute integer
-    coefficients of its terms of that degree}.
+    int64 up to 1,154,051, and int8 only at p = 3 on D5 and D6); family A's
+    lanes are _a_code.  source(name) is the generated text of the function
+    of that name, and spell(name) compiles it, each once per table on first
+    use (unit and lanes below): one compiled unit per table and one closure
+    per prime, so a process that classifies only single vectors compiles
+    one function per table, whatever the number of primes.  For family D,
+    weights holds, per coordinate of levels -1 and 0 that the code sums,
+    {degree: sum of the absolute integer coefficients of its terms of that
+    degree}; it is empty for family A.
     """
 
     source: Callable[[str], str]
     spell: Callable[[str], Callable]
-    weights: tuple
+    weights: tuple = ()
 
     @functools.cached_property
     def unit(self) -> Callable[..., Callable]:
@@ -484,13 +490,13 @@ def _check_blocks(table: StructureConstantTable, y: list) -> None:
 
 
 @table_cached
-def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
+def _lift_kernel(table: StructureConstantTable) -> _Kernel:
     """associated_root_element and the invariants of its result, as one
     generated source: the invariant code of a vector, in a scalar and a
     lane spelling, each compiled once per table.  Built in four steps, each
     timed by scripts/kernel_digests.py: the lift (_doubled_lift), the block
-    identity (_check_blocks), the codegen (_kernel_of and its source) and
-    the compile (its spell).
+    identity (_check_blocks), the codegen (_d_source) and the compile
+    (_kernel_of's spell).
 
     The lift is a fixed polynomial map of x, of degree at most 4, whose
     coefficients have denominators dividing 4 (they come from the halving in
@@ -563,12 +569,48 @@ def _lift_kernel(table: StructureConstantTable) -> _LiftKernel:
     """
     y = _doubled_lift(table)
     _check_blocks(table, y)
-    return _kernel_of(table, y)
+    return _kernel_of(table, *_d_source(table, y))
 
 
-def _kernel_of(table: StructureConstantTable, y: list) -> _LiftKernel:
-    """_lift_kernel's code from y, the checked lift of 2x: source(kind) is
-    the generated text of "unit" or "lanes", and spell(kind) compiles it."""
+def _kernel_of(table: StructureConstantTable, source: Callable[[str], str],
+               weights: tuple = ()) -> _Kernel:
+    """The _Kernel of a table's generated source: spell(kind) compiles
+    source(kind) in the one namespace that the code of both families
+    reads."""
+    name = table.rs.name
+
+    def spell(kind):
+        # new(Desc, fields) builds a descriptor without the named tuple's
+        # Python-level __new__
+        namespace = {"_mod": _mod, "_pow_mod": _pow_mod, "_select": _select,
+                     "np": np, "index": operator.index,
+                     "Desc": OrbitDescriptor, "new": tuple.__new__}
+        exec(compile(source(kind), f"<{kind} of {name}>", "exec"), namespace)
+        return namespace[kind]
+
+    return _Kernel(source, spell, weights)
+
+
+def _unpacked(m: int) -> list:
+    """The first lines of a unit's classify: x into the locals x0, x1,
+    ..., each reduced by index(x_i) % p, or through reduced where it does
+    not unpack into m integers."""
+    xs = ", ".join(f"x{i}" for i in range(m)) or "()"
+    return [
+        # an iterator is read once, so a refused one is still there
+        "        if type(x) is not tuple and type(x) is not list:",
+        "            x = tuple(x)",
+        "        try:",
+        f"            {xs} = x",
+        *(f"            x{i} = index(x{i}) % p" for i in range(m)),
+        "        except (TypeError, ValueError):",
+        f"            {xs} = reduced(x)",
+    ]
+
+
+def _d_source(table: StructureConstantTable, y: list) -> tuple:
+    """_lift_kernel's code from y, the checked lift of 2x: source(kind),
+    the generated text of "unit" or "lanes", and the weights."""
     rs = table.rs
     m = len(rs.phi1)
     _, lev_m1, lev0, blocks = _kernel_plan(table)
@@ -732,29 +774,12 @@ def _kernel_of(table: StructureConstantTable, y: list) -> _LiftKernel:
             f"    dark = {_DARK} * place",
             "    repunit = (place - 1) // (p + 1)",
             "    def classify(x, code_only=False):",
-            # an iterator is read once, so a refused one is still there
-            "        if type(x) is not tuple and type(x) is not list:",
-            "            x = tuple(x)",
-            "        try:",
-            f"            {xs} = x",
-            *(f"            x{i} = index(x{i}) % p" for i in range(m)),
-            "        except (TypeError, ValueError):",
-            f"            {xs} = reduced(x)",
+            *_unpacked(m),
             *("    " + line for line in body),
             "    return classify",
         ])
 
-    def spell(kind):
-        # new(Desc, fields) builds a descriptor without the named tuple's
-        # Python-level __new__
-        namespace = {"_mod": _mod, "_pow_mod": _pow_mod, "_select": _select,
-                     "np": np, "index": operator.index,
-                     "Desc": OrbitDescriptor, "new": tuple.__new__}
-        exec(compile(source(kind), f"<{kind} of {rs.name}>", "exec"),
-             namespace)
-        return namespace[kind]
-
-    return _LiftKernel(source, spell, tuple(weights))
+    return source, tuple(weights)
 
 
 # -- family A: covector/vector pair ---------------------------------------------
@@ -826,6 +851,76 @@ def _a_code(p: int, u, v):
                          -_pow_mod(u2, p - 2, p) * v1), p)
         a = _select(label == 3, c, s)
     return (label * p + a) * p
+
+
+def _a_source(table: StructureConstantTable, labels: dict) -> Callable:
+    """The generated text of family A's scalar unit: source("unit").
+
+    labels is _AClassifier.labels: label digit -> (label, its parameters as
+    (name, index into the code's (a, b)) in name order).  The closure
+    classify, returned by unit(p, reduced, rank), reduces x's entries,
+    takes the contraction s of al_pair's (u, v) and branches on s, then on
+    u and v, to the label, as _a_code's second spelling: VI where s != 0,
+    else III where u and v are both nonzero, IIa, IIb or I.  Each branch
+    returns the code (label * p + a) * p + b of _a_code, or with the
+    descriptor that decode names for it, built as one tuple, the
+    descriptor of a type without parameters built once per prime."""
+    rs = table.rs
+    iu, iv = _al_indices(rs)
+    u, v = [f"x{i}" for i in iu], [f"x{i}" for i in iv]
+    # (a, b) as expressions, for each label digit (_a_code's docstring)
+    ab = dict.fromkeys(range(5), ("0", "0"))
+    ab[4] = ("s", "0")
+    if len(u) == 1:  # A2
+        ab.update({1: (u[0], "0"), 2: (v[0], "0"), 4: (u[0], v[0])})
+    elif len(u) == 2:  # A3
+        ab[3] = ("c", "0")
+
+    def leave(digit):
+        label, names = labels[digit]
+        a, b = ab[digit]
+        code = " + ".join(t for t in (digit and f"c{digit}",
+                                      a != "0" and f"{a} * p",
+                                      b != "0" and b) if t) or "0"
+        params = "".join(f'("{n}", {(a, b)[j]}),' for n, j in names)
+        desc = (f'new(Desc, ("A", rank, p, "{label}", ({params})))' if names
+                else f"d{digit}")
+        return f"return {code} if code_only else {desc}"
+
+    body = []
+    if u:
+        body += [f"s = ({' + '.join(map('{} * {}'.format, u, v))}) % p",
+                 "if s:", "    " + leave(4), f"if {' or '.join(u)}:"]
+        if 3 in labels:  # A2 has no III: u and v nonzero make s nonzero
+            body.append(f"    if {' or '.join(v)}:")
+            if len(u) == 2:
+                body.append(f"        c = {v[1]} * pow({u[0]}, -1, p) % p "
+                            f"if {u[0]} else -{v[0]} * pow({u[1]}, -1, p) % p")
+            body.append("        " + leave(3))
+        body += ["    " + leave(1), f"if {' or '.join(v)}:", "    " + leave(2)]
+    body.append(leave(0))
+    head = [f"    c{digit} = {digit} * p * p" for digit in labels if digit]
+    head += [f'    d{digit} = new(Desc, ("A", rank, p, "{label}", ()))'
+             for digit, (label, names) in labels.items() if not names]
+
+    def source(kind):
+        if kind != "unit":
+            raise KeyError(kind)
+        return "\n".join(["def unit(p, reduced, rank):", *head,
+                          "    def classify(x, code_only=False):",
+                          *_unpacked(len(rs.phi1)),
+                          *("        " + line for line in body),
+                          "    return classify"])
+
+    return source
+
+
+@table_cached
+def _a_kernel(table: StructureConstantTable, labels: tuple) -> _Kernel:
+    """Family A's scalar unit (_a_source), compiled once per table on its
+    first scalar call; labels is _AClassifier.labels as a tuple of its
+    items."""
+    return _kernel_of(table, _a_source(table, dict(labels)))
 
 
 # -- the orbit catalogue ----------------------------------------------------------
@@ -932,9 +1027,11 @@ _LANES = tuple((t, int(np.iinfo(t).max))
 class _Classifier:
     """The invariant code of one table over one prime field, and its decode.
 
-    Each family implements code(x), the code of one vector of ints in
-    range(p); lanes(xs), the codes of a batch, one lane array per phi1
-    coordinate; and decode(code), the descriptor a code names.  lane is the
+    Each family implements classify(x, code_only=False), its kernel's
+    scalar unit at p, which reduces one vector and returns its descriptor,
+    or its code; lanes(xs), the codes of a batch, one lane array per phi1
+    coordinate, a second spelling of the code; and decode(code), the
+    descriptor a code names.  lane is the
     narrowest of int8, int16, int32 and int64 whose range holds the
     family's bound on |every value of lanes|, that is bound < 2**(bits - 1)
     (it covers gfield._mod, exact even where a // p * p wraps, and every
@@ -952,18 +1049,15 @@ class _Classifier:
         self.m = len(self.rs.phi1)
         self.lane = next((t for t, top in _LANES if bound <= top), None)
 
-    def classify(self, x) -> OrbitDescriptor:
-        """The descriptor of one vector: decode(code(reduced(x))).  Family
-        D replaces it with its kernel's scalar closure, which does the
-        three in one frame and calls reduced only for what it cannot
-        unpack."""
-        return self.decode(self.code(self.reduced(x)))
+    def code(self, x) -> int:
+        """The code of one vector, by the scalar unit."""
+        return self.classify(x, True)
 
     def reduced(self, x) -> list:
-        """x as a list of Python ints in range(p): the compiled lift sums
-        its terms before reducing them.  TypeError for an entry that is not
-        an integer, ValueError, with the system's message, for a vector of
-        the wrong length."""
+        """x as a list of Python ints in range(p), for a unit that cannot
+        unpack it: the compiled lift sums its terms before reducing them.
+        TypeError for an entry that is not an integer, ValueError, with the
+        system's message, for a vector of the wrong length."""
         p = self.p
         if type(x) is not tuple and type(x) is not list:
             x = tuple(x)  # an iterator is read once
@@ -990,8 +1084,8 @@ class _Classifier:
     def _codes(self, chunk):
         p, lane = self.p, self.lane
         if lane is None or isinstance(chunk, list):
-            xs = chunk if isinstance(chunk, list) else chunk.tolist()
-            return [self.code([c % p for c in x]) for x in xs]
+            return list(map(self.code, chunk if isinstance(chunk, list)
+                            else chunk.tolist()))
         # read as unsigned, a 64-bit entry outside range(p), negative or
         # not, is at least p: one pass spares most chunks a reduced copy.  A
         # narrower negative entry reads as at most 2**(8 * itemsize) - 1,
@@ -1038,8 +1132,8 @@ class _Classifier:
 
 
 class _AClassifier(_Classifier):
-    """Family A: _a_code, on ints and lanes alike; a code names its label
-    and parameters directly."""
+    """Family A: the table's compiled unit (_a_kernel) for one vector, and
+    _a_code on lanes; a code names its label and parameters directly."""
 
     def __init__(self, table: StructureConstantTable, K):
         super().__init__(table, K, max(5, table.rs.rank - 1) * K.p ** 2)
@@ -1052,14 +1146,21 @@ class _AClassifier(_Classifier):
         # label digit -> the label, and its parameters as (name, index into
         # the code's (a, b)) in name order, the order of descriptor params
         self.labels = {
-            digit: (label, sorted((n, j) for j, (n, _) in
-                                  enumerate(self.types[label][0])))
+            digit: (label, tuple(sorted((n, j) for j, (n, _) in
+                                        enumerate(self.types[label][0]))))
             for digit, label in enumerate(_A_LABELS) if label in self.types}
+        self.kernel = _a_kernel(table, tuple(self.labels.items()))
 
-    def code(self, x):
-        return _a_code(self.p, self.iu(x), self.iv(x))
+    @functools.cached_property
+    def classify(self) -> Callable:
+        """The kernel's scalar unit at this p, built on the first scalar
+        call: classify(x) in one frame, and the code alone with
+        code_only=True.  Input the unit cannot unpack is read, or refused,
+        by reduced."""
+        return self.kernel.unit(self.p, self.reduced, self.rs.rank)
 
-    lanes = code
+    def lanes(self, xs):
+        return _a_code(self.p, self.iu(xs), self.iv(xs))
 
     def decode(self, code: int) -> OrbitDescriptor:
         p = self.p
@@ -1096,9 +1197,6 @@ class _DClassifier(_Classifier):
         by reduced."""
         return self.kernel.unit(self.p, self.decode, self.reduced,
                                 self.rs.rank, self.v_params)
-
-    def code(self, x) -> int:
-        return self.classify(x, True)
 
     def lanes(self, xs):
         return self.kernel.lanes(self.p, *xs)
@@ -1231,9 +1329,10 @@ def classify_many(table: StructureConstantTable, K,
 
     X is an iterable of integer vectors in phi1 order, read once, or an
     (n, |phi1|) integer array.  The result equals [classify(table, K, x)
-    for x in X]: the codes come from the same classifier (its
-    chunk_codes), and each distinct code is decoded once.  A row of the
-    wrong length, or entries that are not integers, raise ValueError.
+    for x in X]: the codes come from the same classifier, by its lane
+    spelling (chunk_codes), a second spelling of the scalar unit's, and
+    each distinct code is decoded once.  A row of the wrong length, or
+    entries that are not integers, raise ValueError.
     """
     clf = _classifier(table, K)
     rows = _batch_rows(clf.rs, clf.p, X)

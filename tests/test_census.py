@@ -8,6 +8,7 @@ import itertools
 import random
 import runpy
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from chevorbit import (
     NotPrime,
     OrbitDescriptor,
     act_on_v1,
+    build_table_oracle,
     crosscheck,
     enumerate_orbits,
     predicted_census,
@@ -483,6 +485,31 @@ def test_state_codec_round_trips_through_the_one_decoder(name, p, dtype):
     assert vector_of_state(rs, p, p ** m - 1) == (p - 1,) * m
 
 
+@pytest.mark.parametrize("p,m", [
+    (3, 8),  # one table of every state: k = m
+    (3, 12), (5, 8), (7, 6),  # runs of p**k states under m - k head digits
+    (131, 3),  # int16 rows, and a run of 131 states
+    (5, 0), (2, 0),  # A1: one state without digits
+    (16411, 2),  # p past _CHUNK: no table, k = 0
+])
+def test_state_rows_equal_the_digits_of_every_chunk(p, m):
+    # check (a)'s rows, copied from the table of the last k digits, equal
+    # _digits of the chunk's states: on every chunk of chunk_codes, and on
+    # chunks of 1,000 states, which cross a run's head digits inside them
+    rows = census_mod._state_rows(p, m)
+    total = p ** m
+    for step in (orbitlab._CHUNK, 1000):
+        los = range(0, total, step)
+        if len(los) > 300:
+            los = [*los[:100], *los[-100:], *random.Random(p).sample(los, 100)]
+        for lo in los:
+            hi = min(lo + step, total)
+            got = rows(lo, hi)
+            assert got.dtype == (np.int8 if p <= 128 else np.int16)
+            assert np.array_equal(got, census_mod._digits(np.arange(lo, hi),
+                                                          p, m)), (lo, hi)
+
+
 def test_state_codec_refuses_what_is_not_a_state_or_a_vector():
     rs = get_table("D4").rs
     with pytest.raises(ValueError, match="8 coefficients"):
@@ -609,16 +636,17 @@ def sampled_states(seed: int, pairs: int, total: int) -> list[int]:
 
 def test_crosscheck_batch_pairs_catch_one_wrong_descriptor(monkeypatch):
     # state 2i and 2i + 1 of the batch are s1 and s2 of pair i, in the
-    # order of the draw
+    # order of the draw; the batch step gives each row its class, and one
+    # wrong class is caught
     table = get_table("D4")
     census = get_census("D4", 3)
-    real = census_mod.classify_many
+    real = census_mod._sample_classes
     pair = 700  # past the scalar prefix, so only the batch can see it
     batches = []
 
-    def one_wrong(t, K, X):
-        out = real(t, K, X)
-        batches.append(np.array(X))
+    def one_wrong(clf, rows, classes):
+        out = real(clf, rows, classes)
+        batches.append(np.array(rows))
         a, b = 2 * pair, 2 * pair + 1
         if out[a] == out[b]:
             out[a] = next(d for d in out if d != out[b])
@@ -626,7 +654,7 @@ def test_crosscheck_batch_pairs_catch_one_wrong_descriptor(monkeypatch):
             out[a] = out[b]
         return out
 
-    monkeypatch.setattr(census_mod, "classify_many", one_wrong)
+    monkeypatch.setattr(census_mod, "_sample_classes", one_wrong)
     with pytest.raises(MismatchReport,
                        match="same_orbit disagrees with the enumeration") as e:
         crosscheck(table, 3, census=census, seed=5)
@@ -828,15 +856,15 @@ def test_crosscheck_rejects_negative_pairs(monkeypatch):
 
 def test_crosscheck_draws_a_sample_of_any_size(monkeypatch):
     # 2**24 pairs, past what one randbytes call can draw, are drawn chunk by
-    # chunk: the first chunk reaches the batch classifier
+    # chunk: the first chunk reaches the batch step
     class Reached(Exception):
         pass
 
-    def first_batch(t, K, X):
-        assert len(X) == 2 * census_mod._PAIR_CHUNK
+    def first_batch(clf, rows, classes):
+        assert len(rows) == 2 * census_mod._PAIR_CHUNK
         raise Reached
 
-    monkeypatch.setattr(census_mod, "classify_many", first_batch)
+    monkeypatch.setattr(census_mod, "_sample_classes", first_batch)
     with pytest.raises(Reached):
         crosscheck(get_table("A2"), 3, census=get_census("A2", 3),
                    pairs=2**24)
@@ -849,21 +877,21 @@ def test_crosscheck_reports_a_later_chunk_pair_as_the_one_call_draw(
     table = get_table("D4")
     census = get_census("D4", 3)
     monkeypatch.setattr(census_mod, "_PAIR_CHUNK", 512)
-    real = census_mod.classify_many
+    real = census_mod._sample_classes
     pair, pairs, seed = 1300, 2000, 7
     batches = []
 
-    def one_wrong(t, K, X):
-        out = real(t, K, X)
+    def one_wrong(clf, rows, classes):
+        out = real(clf, rows, classes)
         i = pair - sum(map(len, batches)) // 2
-        batches.append(np.array(X))
+        batches.append(np.array(rows))
         if 0 <= i < len(out) // 2:
             a, b = 2 * i, 2 * i + 1
             out[a] = out[b] if out[a] != out[b] else next(
                 d for d in out if d != out[b])
         return out
 
-    monkeypatch.setattr(census_mod, "classify_many", one_wrong)
+    monkeypatch.setattr(census_mod, "_sample_classes", one_wrong)
     with pytest.raises(MismatchReport,
                        match="same_orbit disagrees with the enumeration") as e:
         crosscheck(table, 3, census=census, pairs=pairs, seed=seed)
@@ -876,6 +904,91 @@ def test_crosscheck_reports_a_later_chunk_pair_as_the_one_call_draw(
     assert e.value.details == {"x1": vector_of_state(table.rs, 3, s1),
                                "x2": vector_of_state(table.rs, 3, s2),
                                "got": not want, "want": want}
+
+
+def test_crosscheck_fails_a_census_built_with_a_tampered_decode(monkeypatch):
+    # decode names one orbit's descriptor for another orbit's code, on a new
+    # table, so the census and the crosscheck both read the tampered decode:
+    # the two orbits share a descriptor, and crosscheck says so
+    t = build_table_oracle(get_table("D4").rs)
+    K = get_field(3)
+    codes = orbitlab._classifier(get_table("D4"), K).canonical_codes
+    (c1, d1), (c2, d2) = [(c, d) for c, d in codes.items()
+                          if d.label == "IIIa"]
+    real = orbitlab._DClassifier.decode
+
+    def tampered(self, code):
+        return real(self, c2 if code == c1 else code)
+
+    monkeypatch.setattr(orbitlab._DClassifier, "decode", tampered)
+    census = enumerate_orbits(t, 3)
+    assert [o.descriptor for o in census.orbits].count(d2) == 2
+    assert d1 not in {o.descriptor for o in census.orbits}
+    with pytest.raises(MismatchReport,
+                       match="two distinct orbits share a descriptor") as e:
+        crosscheck(t, 3, census=census)
+    assert e.value.details["descriptor"] == d2.to_json()
+    # the untampered classifier names both orbits apart
+    monkeypatch.undo()
+    assert all(v == "ok" for v in crosscheck(
+        get_table("D4"), 3, census=get_census("D4", 3))["checks"].values())
+
+
+@pytest.mark.parametrize("pairs", [10_000, 25_000])
+def test_crosscheck_decodes_each_sampled_code_once(monkeypatch, pairs):
+    # the batch step decodes each distinct code of the sample once per
+    # crosscheck, whatever the number of chunks, and the scalar same_orbit
+    # runs on exactly the first _SCALAR_PAIRS pairs
+    table = get_table("D4")
+    rs, K = table.rs, get_field(3)
+    clf = orbitlab._classifier(table, K)
+    clf.classify  # the unit binds decode before it is counted
+    real_decode, real_step = clf.decode, census_mod._sample_classes
+    decoded, batch, scalar = [], [], []
+
+    def counted_decode(code):
+        if batch:
+            decoded.append(code)
+        return real_decode(code)
+
+    def step(*args):
+        batch.append(True)
+        try:
+            return real_step(*args)
+        finally:
+            batch.pop()
+
+    def counted_same_orbit(*args):
+        scalar.append(args[2:])
+        return orbitlab.same_orbit(*args)
+
+    monkeypatch.setattr(clf, "decode", counted_decode)
+    monkeypatch.setattr(census_mod, "_sample_classes", step)
+    monkeypatch.setattr(census_mod, "same_orbit", counted_same_orbit)
+    crosscheck(table, 3, census=get_census("D4", 3), pairs=pairs, seed=3)
+    assert len(scalar) == census_mod._SCALAR_PAIRS
+    sample = {clf.code(vector_of_state(rs, 3, st))
+              for st in sampled_states(3, pairs, 3**8)}
+    assert len(decoded) == len(set(decoded)) and set(decoded) == sample
+
+
+def test_sample_classes_partition_rows_as_their_descriptors_do():
+    # rows share a class exactly when they share a descriptor: with the
+    # classifier's decode, where distinct codes name distinct descriptors,
+    # and with one that names one descriptor for two codes
+    t, K = get_table("D4"), get_field(3)
+    clf = orbitlab._classifier(t, K)
+    rows = census_mod._digits(np.arange(3**8), 3, 8)
+    (c1, _), (c2, _) = [(c, d) for c, d in clf.canonical_codes.items()
+                        if d.label == "IIIa"]
+    merged = types.SimpleNamespace(
+        chunk_codes=clf.chunk_codes,
+        decode=lambda c: clf.decode(c2 if c == c1 else c))
+    for classifier in (clf, merged):
+        descs = [classifier.decode(clf.code(x)) for x in rows.tolist()]
+        got = census_mod._sample_classes(classifier, rows, {}).tolist()
+        assert len(set(zip(descs, got))) == len(set(descs)) == len(set(got))
+    assert len(set(descs)) == census_mod.enumerate_orbits(t, 3).orbit_count - 1
 
 
 def test_crosscheck_scalar_prefix_runs_across_chunks(monkeypatch):

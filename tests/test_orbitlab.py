@@ -308,6 +308,25 @@ def test_kernel_digests_script_prints_d4s_sources_and_steps(capsys):
     assert all(float(ms) > 0 for ms in row[1:])
 
 
+def test_kernel_digests_script_prints_the_family_a_unit(capsys):
+    # family A's unit has a digest and a codegen and compile time, and no
+    # lift or block identity
+    path = Path(__file__).parents[1] / "scripts" / "kernel_digests.py"
+    main = runpy.run_path(str(path), run_name="kernel_digests")["main"]
+    assert main(["A3", "A5", "--repeat", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    for line, name in zip(out[1:3], ("A3", "A5")):
+        source = orbitlab._classifier(get_table(name),
+                                      get_field(7)).kernel.source("unit")
+        assert line.split() == [name, "unit", str(len(source)),
+                                hashlib.sha256(source.encode()).hexdigest()]
+    assert out[3] == "" and len(out) == 7
+    for line, name in zip(out[5:], ("A3", "A5")):
+        row = line.split()
+        assert row[:3] == [name, "-", "-"]
+        assert all(float(ms) > 0 for ms in row[3:])
+
+
 def test_v1_invariance_script_finds_no_change_on_two_small_chunks(capsys):
     # the identities above prove the code invariant; the script runs what
     # they do not, act_on_v1 and the lane code, here on 2 chunks of 64
@@ -2064,6 +2083,119 @@ def test_kernel_compiles_one_unit_and_one_lane_code_per_table(monkeypatch):
         assert crosscheck(t, 3, pairs=1000)
         assert made == [f"<unit of {name}>", f"<lanes of {name}>"]
         made.clear()
+
+
+def a_reference(clf, x):
+    """Family A's second spelling: decode of _a_code (the lane code) on the
+    entries reduced, or the error reduced raises for them."""
+    r = clf.reduced(x)
+    return clf.decode(orbitlab._a_code(clf.p, clf.iu(r), clf.iv(r)))
+
+
+def outcome(f):
+    """f()'s value, or the type and message of what it raises."""
+    try:
+        return f()
+    except Exception as e:  # compared, not swallowed
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4"])
+def test_family_a_unit_equals_the_decoded_code_on_every_state(name, p):
+    # A1 has no level-1 pair, and family A is classified over F_2 too
+    t = get_table(name)
+    K = get_field(p)
+    clf = orbitlab._classifier(t, K)
+    labels = set()
+    for x in itertools.product(range(p), repeat=len(t.rs.phi1)):
+        d = a_reference(clf, x)
+        assert classify(t, K, x) == d, x
+        assert clf.code(x) == orbitlab._a_code(p, clf.iu(x), clf.iv(x)), x
+        labels.add(d.label)
+    assert labels == {label for label, _ in clf.labels.values()}
+
+
+@pytest.mark.parametrize("p", [3, 1009, 2**31 - 1])
+@pytest.mark.parametrize("name", ["A5", "A6", "A7", "A8"])
+def test_family_a_unit_equals_the_decoded_code_on_seeded_vectors(name, p):
+    # 10**4 vectors, sparse and dense, a third of them moved onto s = 0 so
+    # that III is reached at every p
+    t = get_table(name)
+    K = get_field(p)
+    clf = orbitlab._classifier(t, K)
+    iu, iv = orbitlab._al_indices(t.rs)
+    rng = random.Random(f"{name}/{p}")
+    labels = Counter()
+    for _ in range(10**4):
+        density = rng.choice((0.1, 0.5, 1.0))
+        x = [rng.randrange(p) if rng.random() < density else 0
+             for _ in t.rs.phi1]
+        if rng.random() < 1 / 3 and x[iu[-1]]:
+            s = sum(x[i] * x[j] for i, j in zip(iu[:-1], iv[:-1]))
+            x[iv[-1]] = -s * pow(x[iu[-1]], -1, p) % p
+        d = a_reference(clf, x)
+        assert classify(t, K, x) == d, x
+        assert clf.code(x) == orbitlab._a_code(p, clf.iu(x), clf.iv(x)), x
+        labels[d.label] += 1
+    assert set(labels) == {"I", "IIa", "IIb", "III", "VI"}, labels
+
+
+@pytest.mark.parametrize("p", [3, 2**31 - 1])
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A5"])
+def test_family_a_unit_reads_and_refuses_what_the_reduced_path_does(name, p):
+    # numpy ints and bools, negative and unreduced ints, iterators, wrong
+    # lengths and entries that are not integers: the unit's value, or the
+    # type and message of its error, is that of decode(_a_code(reduced(x)))
+    t = get_table(name)
+    K = get_field(p)
+    clf = orbitlab._classifier(t, K)
+    m = len(t.rs.phi1)
+    rng = random.Random(name)
+    forms = []
+    for _ in range(20):
+        x = [rng.choice((0, 1, rng.randrange(p))) for _ in range(m)]
+        forms += [
+            [np.int64(c) for c in x], [np.uint64(c) for c in x],
+            [np.bool_(c % 2) for c in x], np.array(x) % 2 == 1,
+            np.array(x, dtype=np.int64), [c - p for c in x],
+            [c + 5 * p for c in x], [c + 2**70 * p for c in x],
+        ]
+    for bad in (1.5, "3", None, np.float64(2.0), np.array([1, 2])):
+        forms += [[bad] + [1] * (m - 1), [1] * (m - 1) + [bad]][:m or 1]
+    forms += [[1] * (m - 1), [1] * (m + 1), [0.5] * (m + 1), []]
+    for x in forms:
+        for spell in (list, tuple, iter):
+            want = outcome(lambda: a_reference(clf, spell(x)))
+            assert outcome(lambda: classify(t, K, spell(x))) == want, x
+            if isinstance(want, OrbitDescriptor):
+                r = clf.reduced(x)
+                assert clf.code(spell(x)) == orbitlab._a_code(
+                    p, clf.iu(r), clf.iv(r)), x
+
+
+def test_family_a_compiles_one_unit_per_table(monkeypatch):
+    # one compile of the unit across 16 primes of one table, and one closure
+    # per prime
+    made = []
+
+    def counted(source, filename, *args, **kwargs):
+        made.append(filename)
+        return compile(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(orbitlab, "compile", counted, raising=False)
+    t = build_table_oracle(get_system("A5"))  # nothing compiled yet
+    rng = random.Random(5)
+    primes = [p for p in range(1009, 1200) if is_prime(p)][:16]
+    for p in primes:
+        K = get_field(p)
+        x = random_v1(rng, t.rs, p)
+        d = classify(t, K, x)
+        assert classify(t, K, canonical_form(t, K, d)) == d
+    assert made == ["<unit of A5>"]
+    clfs = [orbitlab._classifier(t, get_field(p)) for p in primes]
+    assert len({id(c.kernel) for c in clfs}) == 1
+    assert len({id(c.classify) for c in clfs}) == 16
 
 
 @pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "D8"])
