@@ -262,28 +262,29 @@ def _digits(states, p: int, m: int) -> np.ndarray:
 
 def _state_rows(p: int, m: int):
     """rows(lo, hi), the digits of states lo..hi-1 as _digits gives them,
-    in the narrowest signed dtype that holds p - 1, for chunk_codes: copied
-    from a table of the last k digits of the states 0..p**k - 1, k the
-    largest with p**k <= _CHUNK, which _digits builds once.  The states
-    of each run of p**k that share their first m - k digits take those from
-    one _digits row of the run's index."""
+    in the narrowest signed dtype that holds p - 1, for chunk_codes.  The
+    last k digits, k the largest with p**k <= _CHUNK, repeat with period
+    p**k: they are one slice of a table of the last k digits of the states
+    0, 1, 2, ... up to what a chunk can reach, which _digits builds once.
+    The states of each run of p**k that share their first m - k digits take
+    those from one _digits row of the run's index."""
     k = 0
     while k < m and p ** (k + 1) <= _CHUNK:
         k += 1
-    size, dtype = p ** k, np.min_scalar_type(1 - p)
-    tail = _digits(np.arange(size), p, k).T.astype(dtype)
+    size, dtype = p ** k, np.min_scalar_type(-p)
+    # a chunk starts at most size - 1 into the period and ends by p**m
+    reach = min(size + _CHUNK - 1, p ** m)
+    tail = np.tile(_digits(np.arange(size), p, k).T.astype(dtype),
+                   -(-reach // size))[:, :reach]
 
     def rows(lo, hi):
         out = np.empty((m, hi - lo), dtype=dtype)
         runs = np.arange(lo // size, (hi - 1) // size + 1)
-        # where each run starts and ends inside the chunk
-        ends = np.minimum(runs * size + size, hi) - lo
-        starts = np.maximum(runs * size, lo) - lo
-        out[:m - k] = _digits(runs, p, m - k).T.repeat(ends - starts, axis=1)
-        if k:
-            for a, b in zip(starts.tolist(), ends.tolist()):
-                t = (lo + a) % size
-                out[m - k:, a:b] = tail[:, t:t + b - a]
+        # how many of the chunk's states each run holds
+        counts = np.minimum(runs * size + size, hi) - np.maximum(runs * size,
+                                                                  lo)
+        out[:m - k] = _digits(runs, p, m - k).T.repeat(counts, axis=1)
+        out[m - k:] = tail[:, lo % size:lo % size + hi - lo]
         return out.T
 
     return rows
@@ -571,30 +572,30 @@ def predicted_census(table: StructureConstantTable, p: int,
 
 
 def _sample_classes(clf, rows, classes: dict) -> np.ndarray:
-    """The batch step of crosscheck's sampled pairs: one class value per row
-    of rows, an (n, |phi1|) integer array, equal for two rows exactly when
-    the classifier gives them equal descriptors, as classify_many would.
-    The codes come from clf.chunk_codes, and each distinct code is decoded
-    once: classes maps each code (an int) and each descriptor (a tuple)
-    met in the calls of one crosscheck to an index, equal descriptors to
-    one.  Where the rows' distinct codes have distinct indices the codes
-    are the classes; otherwise each row's class is its code's index."""
+    """The batch step of crosscheck's sampled pairs: one index per row of
+    rows, an (n, |phi1|) integer array, equal for two rows exactly when the
+    classifier gives them equal descriptors, as classify_many would.  The
+    codes come from clf.chunk_codes, and each distinct code is decoded
+    once: classes maps each code (an int) and each descriptor (a tuple) met
+    in the calls of one crosscheck to an index, equal descriptors to one."""
     codes = np.concatenate([c for _, c in clf.chunk_codes(
         len(rows), lambda lo, hi: rows[lo:hi])], dtype=np.int64)
     # np.unique would hash (1.3 MB more peak RSS), or sort narrow lanes
-    # slowly (0.6 ms for 20,000 int8 codes against 0.06 ms in int64)
-    ordered = np.sort(codes)
-    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    # slowly (0.6 ms for 20,000 int8 codes against 0.06 ms in int64); an
+    # argsort gives each row its distinct code's rank at half the cost of
+    # np.searchsorted into the distinct codes
+    order = np.argsort(codes)
+    ordered = codes.take(order)
+    new = np.append(True, ordered[1:] != ordered[:-1])
     index = []
-    for code in distinct.tolist():
+    for code in ordered[new].tolist():
         if code not in classes:
             d = clf.decode(code)
             classes[code] = classes.setdefault(d, len(classes))
         index.append(classes[code])
-    if len(set(index)) == len(index):
-        return codes
-    return np.array(index, dtype=np.intp).take(np.searchsorted(distinct,
-                                                               codes))
+    ids = np.empty(len(codes), dtype=np.intp)
+    ids[order] = np.array(index, dtype=np.intp).take(np.cumsum(new) - 1)
+    return ids
 
 
 def crosscheck(table: StructureConstantTable, p: int,

@@ -488,6 +488,8 @@ def test_state_codec_round_trips_through_the_one_decoder(name, p, dtype):
 @pytest.mark.parametrize("p,m", [
     (3, 8),  # one table of every state: k = m
     (3, 12), (5, 8), (7, 6),  # runs of p**k states under m - k head digits
+    (128, 2),  # the widest int8 rows: digit 127, k = m
+    (129, 2),  # the narrowest int16 rows: digit 128, runs of 129 states
     (131, 3),  # int16 rows, and a run of 131 states
     (5, 0), (2, 0),  # A1: one state without digits
     (16411, 2),  # p past _CHUNK: no table, k = 0
