@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Time two revisions of chevorbit against each other in one process.
+
+Each side is the src/ tree of a git revision (git archive REV src),
+unpacked into a temporary directory and imported as a package of its own,
+ab_base or ab_head, so both sides run in one interpreter, on the same numpy
+and under the same load.  Without --head, the head side is this checkout's
+working tree.  Each side builds its tables and runs the case once before
+timing.  Then the rounds run interleaved: each round times one run of the
+case on each side, and the side that runs first alternates from round to
+round.  The script prints each side's best and median time, the ratio of
+the medians (head / base), and the number of rounds that head won.
+
+    python3 scripts/ab.py --base HEAD~1 --case census
+    python3 scripts/ab.py --base HEAD~1 --head HEAD --case partition
+
+Cases:
+
+census     enumerate_orbits and crosscheck (seed 0) on the seven pinned
+           cases, as the census benchmark runs them
+partition  enumerate_orbits alone, whose time is nearly all the orbit
+           partition, on D4/F5, D5/F3 and D4/F7
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import io
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CASES = {
+    "census": (("A2", 3), ("A3", 3), ("A3", 5), ("A4", 3),
+               ("D4", 3), ("D4", 5), ("D5", 3)),
+    "partition": (("D4", 5), ("D5", 3), ("D4", 7)),
+}
+
+
+def load(alias: str, rev: str | None, into: Path):
+    """The chevorbit package of rev (None: this working tree) imported as
+    alias."""
+    if rev is None:
+        src = ROOT / "src"
+    else:
+        data = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                              check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+            tar.extractall(into / alias, filter="data")
+        src = into / alias / "src"
+    package = src / "chevorbit"
+    spec = importlib.util.spec_from_file_location(
+        alias, package / "__init__.py",
+        submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[alias] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def runner(cv, case: str):
+    """A function that runs the case once on package cv, its tables built
+    here."""
+    cases = [(cv.build_table_oracle(cv.build_root_system(
+        *cv.parse_system_name(name))), p) for name, p in CASES[case]]
+
+    def run():
+        for table, p in cases:
+            census = cv.enumerate_orbits(table, p)
+            if case == "census":
+                cv.crosscheck(table, p, seed=0, census=census)
+
+    return run
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, help="the base revision")
+    ap.add_argument("--head", help="the head revision (default: the "
+                    "working tree)")
+    ap.add_argument("--case", choices=sorted(CASES), required=True)
+    ap.add_argument("--rounds", type=int, default=11)
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {}
+        for alias, rev in (("ab_base", args.base), ("ab_head", args.head)):
+            run = sides[alias] = runner(load(alias, rev, Path(tmp)),
+                                        args.case)
+            run()  # caches filled and lazy set-up done before timing
+        times = {alias: [] for alias in sides}
+        for r in range(args.rounds):
+            for alias in (sides if r % 2 == 0 else reversed(sides)):
+                t0 = time.perf_counter()
+                sides[alias]()
+                times[alias].append(time.perf_counter() - t0)
+    base, head = times["ab_base"], times["ab_head"]
+    for name, ts in (("base", base), ("head", head)):
+        print(f"{name}  best {1e3 * min(ts):9.2f} ms  "
+              f"median {1e3 * statistics.median(ts):9.2f} ms")
+    ratio = statistics.median(head) / statistics.median(base)
+    wins = sum(h < b for h, b in zip(head, base))
+    print(f"ratio (head / base, medians) {ratio:.3f}; head won {wins} of "
+          f"{args.rounds} rounds")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

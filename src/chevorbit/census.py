@@ -4,20 +4,25 @@ States are level-1 coefficient vectors encoded as base-p integers with the
 first phi1 coordinate most significant, so numeric order is lexicographic
 order.  state_of_vector encodes one vector, and one vectorized decoder,
 _digits, serves the census representatives, the crosscheck's states and
-sample, and vector_of_state.  The acting group is generated by
-x_{+-alpha}(1) for the simple level-0 roots alpha: over F_p, x_gamma(t) =
-x_gamma(1)^t, and the Weyl group of the level-0 roots conjugates each of
-them onto a simple one (Steinberg, Lectures on Chevalley Groups, 1967).
-Each generator shifts coefficients along the disjoint source/target pairs
-of liemod's plan (its v1 moves) and permutes the states; the orbits are the
-connected components of those permutations, each labelled by its least
-(lexicographically first) state.  They are found in two reads of every
-edge: a round of hooking in place on one array indexed by state, then a
-union-find over the few trees that round leaves.  The work runs through
-blocks of states that share their leading digits: each permutation is
-rebuilt from its shift tables block by block when it is needed, so
-enumeration holds that one array and a working set of one block, whatever
-the number of generators.
+sample, and vector_of_state.  The acting group G0 is generated by the 2 r0
+elements x_{+-alpha}(1) for the simple level-0 roots alpha: over F_p,
+x_gamma(t) = x_gamma(1)^t, and the Weyl group of the level-0 roots
+conjugates each of them onto a simple one (Steinberg, Lectures on
+Chevalley Groups, 1967).  From r0 = 2 on, r0 + 1 elements generate it too:
+the x_alpha(1) and n_0, a lift of the longest level-0 Weyl element, which
+conjugates U+ onto U- (_sweep_maps).  Each generator permutes the states
+through a digit map: a root element's move adds multiples of coefficients
+along the disjoint source/target pairs of liemod's plan (its v1 moves),
+and n_0 permutes the coordinates with signs.  The orbits are the connected
+components of those permutations, each labelled by its least
+(lexicographically first) state.  They are found in two sweeps over edges:
+a round of hooking in place over the 2 r0 moves, on one array indexed by
+state, then a union-find over the few trees that round leaves, which reads
+the r0 + 1 maps where there are fewer.  The work runs through blocks of
+states that share their leading digits: each permutation is rebuilt from
+its shift tables block by block when it is needed, so enumeration holds
+that one array and a working set of one block, whatever the number of
+generators.
 
 The crosscheck compares the invariant-based classifier against the ground
 truth partition:
@@ -61,13 +66,12 @@ try:  # at import: a first import inside a census call costs 0.2 ms
 except ImportError:  # not on every platform
     resource = None
 
-from .chevalley import StructureConstantTable
+from .chevalley import StructureConstantTable, table_cached
 from .gfield import PrimeField, _mod
 from .liemod import _action_plan
 from .orbitlab import (
     InvalidDescriptor,
     OrbitDescriptor,
-    _CHUNK,
     _classifier,
     all_descriptors,
     canonical_form,
@@ -75,7 +79,7 @@ from .orbitlab import (
     classify,
     same_orbit,
 )
-from .rootsys import RootSystem, as_int
+from .rootsys import InternalError, RootSystem, as_int
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV = "CHEVORBIT_BUDGET"
@@ -84,6 +88,11 @@ _SCALAR_PAIRS = 500
 # sampled crosscheck pairs drawn and classified at a time: the default
 # sample is one chunk, so a larger one holds no more memory than it
 _PAIR_CHUNK = 10_000
+# rows per lane call of crosscheck's state pass and sample, twice
+# classify_many's orbitlab._CHUNK: its rows and sample digits are int8 up to
+# p = 127, where a call of 2**14 rows spends about half its time in numpy's
+# fixed cost per call
+_CHECK_CHUNK = 1 << 15
 
 
 class BudgetExceeded(RuntimeError):
@@ -227,6 +236,58 @@ def _generator_moves(table: StructureConstantTable):
             if (moves := _action_plan(table, g)[5])]
 
 
+@table_cached
+def _sweep_maps(table: StructureConstantTable):
+    """The digit maps that _orbit_partition's exact sweep reads, as
+    (pairs, keep) for _images: the moves of x_alpha(1) for the simple
+    level-0 roots alpha (keep 1), and n_0's signed permutation of phi1
+    (keep 0); None below two such roots, where that is no fewer maps than
+    the 2 r0 moves.
+
+    n_0 = n_{a_1}(1) ... n_{a_N}(1), n_a(1) = x_a(1) x_{-a}(-1) x_a(1),
+    along a reduced word of w_0, the longest element of the level-0 Weyl
+    group, lifts w_0 to G0, so n_0 x_beta(t) n_0**-1 = x_{w_0 beta}(+-t)
+    (Steinberg, Lectures on Chevalley Groups, 1967).  w_0 sends the positive
+    level-0 roots onto the negative ones, so n_0 conjugates U+, which the
+    x_alpha(1) generate over F_p, onto U-, and <U+, U-> = G0.  n_a(1) sends
+    each e_beta to +-e_{s_a beta}, and s_a keeps levels, so n_0 acts on V1
+    as new x_j = sign_j * x_src(j), checked here as one +-1 in each row of
+    its matrix (a matrix of determinant 1 with that shape is a signed
+    permutation); InternalError otherwise."""
+    rs = table.rs
+    simple = [a for a in map(rs.simple, range(1, rs.rank + 1))
+              if not rs.level(a)]
+    if len(simple) < 2:
+        return None
+    # a reduced word of w_0: w s_a is longer than w exactly when w(a) > 0,
+    # and w_0 is the one element that sends every simple root below 0
+    word: list = []
+
+    def w(beta):
+        for a in reversed(word):
+            beta = rs.sub(beta, tuple(rs.pair(beta, a) * c for c in a))
+        return beta
+
+    while (a := next((a for a in simple if rs.is_positive(w(a))), None)):
+        word.append(a)
+    # n_0's matrix on phi1, rightmost factor first: each factor's moves are
+    # row operations, and none of its targets is a source
+    m = len(rs.phi1)
+    n0 = np.eye(m, dtype=np.int64)
+    for a in reversed(word):
+        for g, t in ((a, 1), (rs.neg(a), -1), (a, 1)):
+            for s, d, sgn in _action_plan(table, g)[5]:
+                n0[d] += sgn * t * n0[s]
+    src = np.abs(n0).argmax(axis=1)
+    sign = n0[np.arange(m), src]
+    if (np.count_nonzero(n0, axis=1) != 1).any() or (abs(sign) != 1).any():
+        raise InternalError(f"n_0 of {rs.name} is not a signed permutation "
+                            f"of its level-1 roots")
+    turn = tuple((s, d, g) for d, (s, g) in enumerate(zip(src.tolist(),
+                                                         sign.tolist())))
+    return [(_action_plan(table, a)[5], 1) for a in simple] + [(turn, 0)]
+
+
 def state_of_vector(rs: RootSystem, p: int, x) -> int:
     """Base-p encoding of a level-1 vector, first coordinate most
     significant, each entry reduced mod p; ValueError for a vector of the
@@ -247,12 +308,13 @@ def vector_of_state(rs: RootSystem, p: int, s: int) -> tuple[int, ...]:
     return tuple(_digits(np.array([s]), p, m)[0].tolist())
 
 
-def _digits(states, p: int, m: int) -> np.ndarray:
+def _digits(states, p: int, m: int, dtype=None) -> np.ndarray:
     """The base-p digits of an integer array of states, first digit most
-    significant, as an (n, m) array of its dtype: floor division, as
-    gfield._mod reduces, into columns, so each coordinate is contiguous."""
+    significant, as an (n, m) array of dtype, by default the states': floor
+    division, as gfield._mod reduces, into columns, so each coordinate is
+    contiguous."""
     q = np.asarray(states).reshape(-1)
-    digits = np.empty((m, q.size), dtype=q.dtype)
+    digits = np.empty((m, q.size), dtype=dtype or q.dtype)
     for j in range(m - 1, -1, -1):
         r = q // p
         np.subtract(q, r * p, out=digits[j])
@@ -262,18 +324,19 @@ def _digits(states, p: int, m: int) -> np.ndarray:
 
 def _state_rows(p: int, m: int):
     """rows(lo, hi), the digits of states lo..hi-1 as _digits gives them,
-    in the narrowest signed dtype that holds p - 1, for chunk_codes.  The
-    last k digits, k the largest with p**k <= _CHUNK, repeat with period
-    p**k: they are one slice of a table of the last k digits of the states
-    0, 1, 2, ... up to what a chunk can reach, which _digits builds once.
+    in the narrowest signed dtype that holds p - 1, for chunk_codes in
+    chunks of at most _CHECK_CHUNK.  The last k digits, k the largest with
+    p**k <= _CHECK_CHUNK, repeat with period p**k: they are one slice of a
+    table of the last k digits of the states 0, 1, 2, ... up to what a
+    chunk can reach, which _digits builds once.
     The states of each run of p**k that share their first m - k digits take
     those from one _digits row of the run's index."""
     k = 0
-    while k < m and p ** (k + 1) <= _CHUNK:
+    while k < m and p ** (k + 1) <= _CHECK_CHUNK:
         k += 1
     size, dtype = p ** k, np.min_scalar_type(-p)
     # a chunk starts at most size - 1 into the period and ends by p**m
-    reach = min(size + _CHUNK - 1, p ** m)
+    reach = min(size + _CHECK_CHUNK - 1, p ** m)
     tail = np.tile(_digits(np.arange(size), p, k).T.astype(dtype),
                    -(-reach // size))[:, :reach]
 
@@ -294,19 +357,25 @@ def _index_dtype(total: int):
     return np.int32 if total < 2**31 else np.int64
 
 
-def _images(move, p: int, m: int, n: int):
-    """The image of every state under one move, block by block in ascending
-    order: (first state of the block, image of its p**n states), the image
-    one array reused for every block.
+def _images(move, p: int, m: int, n: int, keep: int = 1):
+    """The image of every state under one digit map, block by block in
+    ascending order: (first state of the block, image of its p**n states),
+    the image one array reused for every block.
 
-    A block is the p**n states that share their first m - n digits (the
-    fixed digits).  A move adds sgn * x_src to x_dst for each of its pairs,
-    and no target is also a source, so each pair shifts the state by a
-    p x p table indexed by its two digits.  The pairs with both digits free
-    give the in-block image, built once with a broadcast add; each block
-    adds to it its first state, the shifts of the pairs with both digits
-    fixed, and one row of the table for each pair with one digit fixed.  A
-    fixed target sends the image to another block."""
+    A digit map sets new x_dst = keep * x_dst + sgn * x_src for each of its
+    (src, dst, sgn) pairs, every other digit kept, and reads only the old
+    digits: a root element's move (keep 1), whose targets are never
+    sources, or n_0's signed permutation (keep 0), which lists every digit
+    as a target once.  So the image is keep times the state plus one shift
+    per pair: for a move a p x p table indexed by the pair's two digits,
+    for keep 0 a table of x_src alone, the new x_dst at its place, which is
+    read as a pair of x_src with itself.  A block is the p**n states that
+    share their first m - n digits (the fixed digits).  The pairs with both
+    digits free give the in-block image, built once with a broadcast add;
+    each block adds to it keep times its first state, the shifts of the
+    pairs with both digits fixed, and one row of the table for each pair
+    with one digit fixed (a move's alone).  A fixed target, or for keep 0
+    a fixed source, sends the image to another block."""
     fixed, size = m - n, p ** n
     digit = np.arange(p)
     # each pair's state shift as a table [x_src, x_dst], sorted by the pair's
@@ -314,7 +383,10 @@ def _images(move, p: int, m: int, n: int):
     # digit first)
     inner, both, rows = [], [], []
     for s, d, g in move:
-        t = ((digit + g * digit[:, None]) % p - digit) * p ** (m - 1 - d)
+        if keep:
+            t = ((digit + g * digit[:, None]) % p - digit) * p ** (m - 1 - d)
+        else:
+            t, d = np.diag(g * digit % p * p ** (m - 1 - d)), s
         if s < fixed and d < fixed:
             both.append((s, d, t))
         elif s < fixed:
@@ -324,12 +396,16 @@ def _images(move, p: int, m: int, n: int):
         else:
             inner.append((s - fixed, d - fixed, t))
     # the in-block image of the pairs with both digits free, through a 5-D
-    # view of the block
-    base = np.arange(size)
+    # view of the block, or a 3-D one for a pair of a digit with itself
+    base = keep * np.arange(size)
     for s, d, shift in inner:
         lo, hi = sorted((s, d))
-        shape = (p ** lo, p, p ** (hi - lo - 1), p, p ** (n - 1 - hi))
-        table = (shift if s < d else shift.T)[:, None, :, None]
+        if s == d:
+            shape = (p ** lo, p, p ** (n - 1 - lo))
+            table = shift.diagonal()[:, None]
+        else:
+            shape = (p ** lo, p, p ** (hi - lo - 1), p, p ** (n - 1 - hi))
+            table = (shift if s < d else shift.T)[:, None, :, None]
         if lo:
             # numpy's inner loop runs over the last axis, which is short when
             # hi is a late digit: spell the table out over every digit after
@@ -341,8 +417,8 @@ def _images(move, p: int, m: int, n: int):
         view += table
     img = np.empty(size, dtype=np.intp)
     for q, xs in enumerate(itertools.product(range(p), repeat=fixed)):
-        np.add(base, q * size + sum(int(t[xs[s], xs[d]]) for s, d, t in both),
-               out=img)
+        np.add(base, keep * q * size
+               + sum(int(t[xs[s], xs[d]]) for s, d, t in both), out=img)
         for f, i, t in rows:  # add row x_f of t over free digit x_i
             img.reshape(p ** i, p, -1)[...] += t[xs[f], :, None]
         yield q * size, img
@@ -370,14 +446,19 @@ def _join(tree, a, b):
     return tree, a[apart], b[apart]
 
 
-def _orbit_partition(moves, p: int, m: int):
+def _orbit_partition(moves, p: int, m: int, sweep=None):
     """Orbit index of every state, and the orbits' least states and sizes.
 
     The orbits are the connected components of the graph joining each state
     to its image under each move.  One index array, label, starts as the
     identity, and the work runs over blocks of p**n <= _BLOCK_STATES states
     (_images), so the kernel holds that one array and a working set per
-    block, whatever the number of moves.
+    block, whatever the number of moves.  The hooking rounds read the moves;
+    the exact sweep reads the digit maps of sweep, (pairs, keep) for
+    _images, by default the moves.  Any maps serve it whose permutations
+    generate the group the moves generate (_sweep_maps): each set the sweep
+    leaves is then closed under that group, and each tree of the rounds
+    lies inside an orbit.
 
     A round hooks the larger label across every edge onto the smaller, in
     place (the asynchronous form of Shiloach & Vishkin, 1982).  A label only
@@ -409,17 +490,19 @@ def _orbit_partition(moves, p: int, m: int):
     hooks the edges whose two labels differ.
 
     The first round leaves a few trees (76 on D4/F5, 4,321 on A3/F31).
-    Once at most _BLOCK_STATES are left, one sweep over every edge joins
-    them exactly, in a union-find over tree numbers (_join): each edge
-    whose ends lie in different trees gives a pair of roots, found by one
-    gather in the compressed array.  minimum.at writes at the larger root of
+    Once at most _BLOCK_STATES are left, one sweep over the edges of the
+    sweep's maps joins them exactly, in a union-find over tree numbers
+    (_join): each edge whose ends lie in different trees gives a pair of
+    roots, found by one gather in the compressed array.  minimum.at writes at the larger root of
     each pair the least smaller root paired with it, so a write lands only
     on a current root and lowers it: it joins two sets and undoes no join.
     Where one root is paired with several, all but the least stay apart;
     _join hands them back, and they are found and hooked again until every
     pair of the block shares a root (each call hooks at least one root, so
-    the calls end).  After the sweep the two ends of every edge share a set,
-    and only ends of edges were joined, so the sets are the orbits.  A set's
+    the calls end).  After the sweep the two ends of every edge of the maps
+    share a set, so each set is a union of orbits of the group they
+    generate, and only trees and ends of those edges were joined, all
+    inside orbits, so the sets are the orbits.  A set's
     root is its least tree number, the tree of its least state, and an
     orbit's index is the rank of that root among the roots.  One gather per
     block writes it over the tree numbers.  Sizes are counted over each
@@ -432,11 +515,11 @@ def _orbit_partition(moves, p: int, m: int):
         n += 1
     size = p ** n
 
-    def crossing(every):
+    def crossing(every, maps):
         # the labels at the two ends of each block's edges: every pair, or
         # only the pairs that differ
-        for move in moves:
-            for lo, img in _images(move, p, m, n):
+        for move, keep in maps:
+            for lo, img in _images(move, p, m, n, keep):
                 a = label[lo:lo + size]
                 b = label.take(img)
                 if not every:
@@ -468,10 +551,11 @@ def _orbit_partition(moves, p: int, m: int):
             view[...] = label.take(end)
         return np.concatenate(roots)
 
+    hooks = [(move, 1) for move in moves]
     label = np.arange(total, dtype=dtype)
     trees, every = total, True
     while True:
-        for a, b in crossing(every):
+        for a, b in crossing(every, hooks):
             np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
         a = b = None  # free the last block's labels before the numbering
         least = number()
@@ -486,7 +570,7 @@ def _orbit_partition(moves, p: int, m: int):
         # the exact sweep: the orbit index of every tree, and which trees
         # hold their orbit's least state
         tree = np.arange(least.size, dtype=dtype)
-        for a, b in crossing(every=False):
+        for a, b in crossing(False, hooks if sweep is None else sweep):
             a, b = tree.take(a), tree.take(b)
             apart = np.flatnonzero(a != b)
             a, b = a[apart], b[apart]
@@ -527,18 +611,20 @@ def enumerate_orbits(table: StructureConstantTable, p: int,
     conjugates every level-0 root onto a simple one (Steinberg, Lectures on
     Chevalley Groups, 1967).  The orbits are therefore the connected
     components of those 2 r0 permutations of the states, each labelled by
-    its least state.  The census lists them in ascending order of that
-    state and carries the state -> orbit index array as orbit_id.  A
-    system or prime the classification does not cover (check_domain) is
-    refused before the budget is priced.
+    its least state.  _orbit_partition hooks along all 2 r0 and joins what
+    is left along the r0 + 1 of _sweep_maps, x_alpha(1) and n_0, which
+    generate the same group.  The census lists the orbits in ascending
+    order of that state and carries the state -> orbit index array as
+    orbit_id.  A system or prime the classification does not cover
+    (check_domain) is refused before the budget is priced.
     """
     rs, p = table.rs, as_int(p)
     K = PrimeField(p)
     check_domain(rs, K)
     m = len(rs.phi1)
     total = check_budget(rs, p, budget)
-    moves = _generator_moves(table)
-    orbit_id, least, sizes = _orbit_partition(moves, p, m)
+    orbit_id, least, sizes = _orbit_partition(_generator_moves(table), p, m,
+                                              _sweep_maps(table))
     reps = map(tuple, _digits(least, p, m).tolist())
     orbits = [OrbitEntry(rep, size, classify(table, K, rep))
               for rep, size in zip(reps, sizes.tolist())]
@@ -579,7 +665,8 @@ def _sample_classes(clf, rows, classes: dict) -> np.ndarray:
     once: classes maps each code (an int) and each descriptor (a tuple) met
     in the calls of one crosscheck to an index, equal descriptors to one."""
     codes = np.concatenate([c for _, c in clf.chunk_codes(
-        len(rows), lambda lo, hi: rows[lo:hi])], dtype=np.int64)
+        len(rows), lambda lo, hi: rows[lo:hi], size=_CHECK_CHUNK)],
+        dtype=np.int64)
     # np.unique would hash (1.3 MB more peak RSS), or sort narrow lanes
     # slowly (0.6 ms for 20,000 int8 codes against 0.06 ms in int64); an
     # argsort gives each row its distinct code's rank at half the cost of
@@ -639,7 +726,8 @@ def crosscheck(table: StructureConstantTable, p: int,
     m, k, orbit_id = len(rs.phi1), census.orbit_count, census.orbit_id
     if orbit_id is None:
         check_budget(rs, p)
-        orbit_id = _orbit_partition(_generator_moves(table), p, m)[0]
+        orbit_id = _orbit_partition(_generator_moves(table), p, m,
+                                    _sweep_maps(table))[0]
 
     def not_least(i):
         return MismatchReport(
@@ -659,7 +747,8 @@ def crosscheck(table: StructureConstantTable, p: int,
     # ids past k are orbits the census does not list
     sizes = np.zeros(max(k, int(orbit_id.max()) + 1), dtype=np.int64)
     top = -1  # the largest orbit id of the chunks so far
-    for lo, chunk in clf.chunk_codes(total, _state_rows(p, m)):
+    for lo, chunk in clf.chunk_codes(total, _state_rows(p, m),
+                                     size=_CHECK_CHUNK):
         ids = orbit_id[lo:lo + len(chunk)]
         high = int(ids.max())
         if high > top:  # the chunk holds orbits met first in it
@@ -752,9 +841,9 @@ def crosscheck(table: StructureConstantTable, p: int,
         # pairs lo to lo + n - 1, rows 2i and 2i + 1 of digits; the chunk's
         # arrays are freed on return
         states = _mod(np.frombuffer(rng.randbytes(16 * n), dtype="<u8"),
-                      total).astype(np.int64)
+                      total).astype(_index_dtype(total))
         want = orbit_id[states[::2]] == orbit_id[states[1::2]]
-        digits = _digits(states, p, m)
+        digits = _digits(states, p, m, np.min_scalar_type(-p))
 
         def disagree(i):
             x1, x2 = map(tuple, digits[2 * i:2 * i + 2].tolist())

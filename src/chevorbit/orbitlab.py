@@ -63,7 +63,7 @@ import gc
 import math
 import operator
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -426,12 +426,15 @@ class _Kernel:
     one function per table, whatever the number of primes.  For family D,
     weights holds, per coordinate of levels -1 and 0 that the code sums,
     {degree: sum of the absolute integer coefficients of its terms of that
-    degree}; it is empty for family A.
+    degree}, and bottom the e_{-delta} coefficient of the lift of 2x, the
+    quartic polynomial that no spelling computes (_v_code_checked reads
+    it); weights is empty and bottom None for family A.
     """
 
     source: Callable[[str], str]
     spell: Callable[[str], Callable]
     weights: tuple = ()
+    bottom: dict | None = field(default=None, compare=False)
 
     @functools.cached_property
     def unit(self) -> Callable[..., Callable]:
@@ -458,21 +461,19 @@ class _Kernel:
                                   for ws in self.distinct_weights])
 
 
-def _doubled_lift(table: StructureConstantTable, x=None) -> list:
-    """The coefficients of associated_root_element at 2x over _Polynomials,
-    x a level-1 vector of polynomials, by default the generic one (x_0,
-    x_1, ...).  Every coefficient is an int.
+def _doubled_lift(table: StructureConstantTable) -> list:
+    """The coefficients of associated_root_element over _Polynomials at 2x,
+    x the generic level-1 vector (x_0, x_1, ...).  Every coefficient is an
+    int.
 
     Before the torus correction every coefficient is an integer
     polynomial.  The torus coordinate is quadratic in x, so at 2x it is 4
     times its value at x and the halving divides it exactly.  A coordinate
-    homogeneous of degree n in x is 2**n times the lift of x's; for the
-    generic x, the coefficient of each monomial is 2**deg(monomial) times
-    the rational lift's."""
-    P = _Polynomials()
-    if x is None:
-        x = [{(i,): 1} for i in range(len(table.rs.phi1))]
-    return associated_root_element(table, P, [P.add(c, c) for c in x]).coeffs
+    homogeneous of degree n in x is 2**n times the lift of x's, so the
+    coefficient of each monomial is 2**deg(monomial) times the rational
+    lift's."""
+    x = [{(i,): 2} for i in range(len(table.rs.phi1))]
+    return associated_root_element(table, _Polynomials(), x).coeffs
 
 
 def _check_blocks(table: StructureConstantTable, y: list) -> None:
@@ -569,11 +570,11 @@ def _lift_kernel(table: StructureConstantTable) -> _Kernel:
     """
     y = _doubled_lift(table)
     _check_blocks(table, y)
-    return _kernel_of(table, *_d_source(table, y))
+    return _kernel_of(table, *_d_source(table, y), y[_kernel_plan(table)[0]])
 
 
 def _kernel_of(table: StructureConstantTable, source: Callable[[str], str],
-               weights: tuple = ()) -> _Kernel:
+               weights: tuple = (), bottom: dict | None = None) -> _Kernel:
     """The _Kernel of a table's generated source: spell(kind) compiles
     source(kind) in the one namespace that the code of both families
     reads."""
@@ -588,7 +589,7 @@ def _kernel_of(table: StructureConstantTable, source: Callable[[str], str],
         exec(compile(source(kind), f"<{kind} of {name}>", "exec"), namespace)
         return namespace[kind]
 
-    return _Kernel(source, spell, weights)
+    return _Kernel(source, spell, weights, bottom)
 
 
 def _unpacked(m: int) -> list:
@@ -732,7 +733,7 @@ def _d_source(table: StructureConstantTable, y: list) -> tuple:
                 "    code = 0",
                 blocks_loop(),
                 "        k = _mod(c * c + u * w, p)",
-                "        nonzero = (c != 0) | (u != 0) | (w != 0)",
+                "        nonzero = (c | u | w) != 0",
                 "        digit = _select(k == 0, nonzero, 2 + k)",
                 "        nil = np.flatnonzero((k == 0) & nonzero)",
                 "        u, w = u[nil], w[nil]",
@@ -748,14 +749,15 @@ def _d_source(table: StructureConstantTable, y: list) -> tuple:
             ])
 
             def populated(keys):
-                return " | ".join(f"({residue(key)} != 0)" for key in keys
-                                  if sums[key][0]) or "False"
+                # one zero test of the or of the chain: exact for integers
+                tests = [residue(key) for key in keys if sums[key][0]]
+                return f"({' | '.join(tests)}) != 0" if tests else "False"
 
             for var, keys in (("shining", lev_m1), ("brilliant", others)):
                 body.append(f"    {var} = {populated(keys)}")
             body.extend([
-                "    singular = "
-                + " | ".join(f"(x{i} != 0)" for i in range(m)),
+                "    singular = ("
+                + " | ".join(f"x{i}" for i in range(m)) + ") != 0",
                 f"    lum = {_DARK} * dark",
                 # a lane that is not dark has block digits 0, 1 and 2, so
                 # its code is nonzero exactly where a block is
@@ -1016,8 +1018,10 @@ def _descriptors_of_type(rs: RootSystem, p: int, label: str, params):
 
 # -- the classifier ------------------------------------------------------------------
 
-# vectors per batch; bounds the memory of a batch code pass, which holds a
-# lane array for every prefix and block coordinate of the compiled code
+# vectors per batch of classify_many; bounds the memory of a batch code
+# pass, which holds a lane array for every prefix and block coordinate of
+# the compiled code.  2**15 traced 22.6 -> 35.2 MB on D8/F2,000,003 (int64
+# lanes); crosscheck's narrow lanes take chunks of census._CHECK_CHUNK
 _CHUNK = 1 << 14
 # lane dtypes, narrowest first, with the largest value each holds
 _LANES = tuple((t, int(np.iinfo(t).max))
@@ -1069,8 +1073,9 @@ class _Classifier:
             self.rs.check_v1(x)  # raises, with the system's message
         return x
 
-    def chunk_codes(self, n: int, rows):
-        """Yield (lo, codes) for the chunks of _CHUNK out of n vectors.
+    def chunk_codes(self, n: int, rows, size: int | None = None):
+        """Yield (lo, codes) for the chunks of size (by default _CHUNK) out
+        of n vectors.
 
         rows(lo, hi) gives vectors lo..hi-1 as an (hi - lo, |phi1|)
         integer or bool array or a list of lists of ints, reduced mod p
@@ -1078,8 +1083,9 @@ class _Classifier:
         a list from code over Python ints.  A chunk's rows and lanes are
         freed before the next chunk is read.
         """
-        for lo in range(0, n, _CHUNK):
-            yield lo, self._codes(rows(lo, min(lo + _CHUNK, n)))
+        size = size or _CHUNK
+        for lo in range(0, n, size):
+            yield lo, self._codes(rows(lo, min(lo + size, n)))
 
     def _codes(self, chunk):
         p, lane = self.p, self.lane
@@ -1259,17 +1265,24 @@ def _v_code_checked(table: StructureConstantTable, entries) -> None:
     odd p and unit k: run over _Polynomials in k, its lift has e_{-delta}
     coefficient k, an identity that survives reduction mod an odd p (the
     lift's denominators divide 4); c**2 + u*w = k in every block then
-    follows from the identity _lift_kernel proves for the table.  It runs
-    the lift of 2x, all ints (_doubled_lift), whose e_{-delta} coefficient,
-    quartic in x, is then 16k.  Raises ClassificationError if it fails or
-    an entry is neither int nor k."""
+    follows from the identity _lift_kernel proves for the table.  It
+    evaluates at the entries the e_{-delta} coefficient of the lift of 2x
+    that _lift_kernel computed (its kernel's bottom), quartic in x, so 16k
+    there.  That polynomial is the lift's value at every x: the lift's one
+    branch skips x_g(0), the identity, which does not change the value.
+    Raises ClassificationError if it fails or an entry is neither int nor
+    k."""
     rs, P, k = table.rs, _Polynomials(), {(0,): 1}
     x = [P.zero] * len(rs.phi1)
     for i, v in entries:
         if v != "k" and not isinstance(v, int):
             raise ClassificationError(f"V's entry {v!r} is neither k nor an int")
         x[i] = k if v == "k" else P.of(v)
-    if _doubled_lift(table, x)[_kernel_plan(table)[0]] != {(0,): 16}:
+    value = P.zero
+    for mono, c in _lift_kernel(table).bottom.items():
+        value = P.add(value, functools.reduce(P.mul, (x[i] for i in mono),
+                                              P.of(c)))
+    if value != {(0,): 16}:
         raise ClassificationError(f"V(k)'s canonical vector of {rs.name} does "
                                   f"not have the closed-form dark code")
 

@@ -82,22 +82,27 @@ def test_enumeration_matches_independent_bfs(name, p):
 
 
 def test_orbit_partition_over_blocks_of_p_squared_states(monkeypatch):
-    """Blocks of p**2 states fix all but the last two digits, so the moves'
-    pairs reach all four cases: neither digit fixed, the source fixed, the
-    target fixed, and both fixed."""
+    """Blocks of p**2 states fix all but the last two digits, so the pairs
+    of the moves and of n_0's signed permutation reach all four cases:
+    neither digit fixed, the source fixed, the target fixed, and both
+    fixed; n_0 of A4 also maps two digits to their negatives, one case of
+    a pair whose source is its target."""
     kinds = set()
     for name, p in (("A3", 5), ("A4", 3), ("D4", 3)):
         table = get_table(name)
         moves = census_mod._generator_moves(table)
+        sweep = census_mod._sweep_maps(table)
         m = len(table.rs.phi1)
-        kinds |= {(s < m - 2, d < m - 2) for move in moves for s, d, _ in move}
-        default = census_mod._orbit_partition(moves, p, m)
+        kinds |= {(s < m - 2, d < m - 2) for move in
+                  moves + [move for move, _ in sweep or ()]
+                  for s, d, _ in move}
+        default = census_mod._orbit_partition(moves, p, m, sweep)
         with monkeypatch.context() as patch:
             patch.setattr(census_mod, "_BLOCK_STATES", p * p)
-            blocked = census_mod._orbit_partition(moves, p, m)
+            blocked = census_mod._orbit_partition(moves, p, m, sweep)
             # the int64 index arrays of 2**31 states and more
             patch.setattr(census_mod, "_index_dtype", lambda total: np.int64)
-            wide = census_mod._orbit_partition(moves, p, m)
+            wide = census_mod._orbit_partition(moves, p, m, sweep)
         for got, want in zip(blocked, default):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert wide[0].dtype == np.int64
@@ -115,8 +120,9 @@ def test_orbit_partition_over_blocks_of_p_squared_states(monkeypatch):
 
 
 def union_find_partition(moves, p, m):
-    """Reference partition in plain Python: union-find over every state and
-    its image under every move, each set rooted at its least state."""
+    """Reference partition: union-find in plain Python over every state and
+    its image under every move (the images from each state's digits, in
+    numpy), each set rooted at its least state."""
     total = p ** m
     parent = list(range(total))
 
@@ -126,14 +132,16 @@ def union_find_partition(moves, p, m):
             x = parent[x]
         return x
 
+    # each move's images, from the digits of every state
     weight = [p ** (m - 1 - i) for i in range(m)]
-    for state in range(total):
-        x = [state // w % p for w in weight]
-        for move in moves:
-            image = state
-            for s, d, g in move:
-                image += ((x[d] + g * x[s]) % p - x[d]) * weight[d]
-            a, b = find(state), find(image)
+    states = np.arange(total)
+    x = [states // w % p for w in weight]
+    for move in moves:
+        image = states.copy()
+        for s, d, g in move:
+            image += ((x[d] + g * x[s]) % p - x[d]) * weight[d]
+        for state, im in enumerate(image.tolist()):
+            a, b = find(state), find(im)
             parent[max(a, b)] = min(a, b)
     roots = [find(x) for x in range(total)]
     least = sorted(set(roots))
@@ -211,14 +219,76 @@ def test_orbit_partition_matches_union_find_on_random_moves(case):
 
 @pytest.mark.parametrize("name,p", [("D4", 5), ("D5", 3)])
 def test_orbit_partition_reads_every_edge_twice(monkeypatch, name, p):
-    """The first hooking round leaves 76 trees on D4/F5 and 59 on D5/F3,
-    and the exact sweep joins them: two sweeps over the edges in all."""
+    """The first hooking round reads the 2 r0 moves of x_{+-alpha}(1) and
+    leaves 76 trees on D4/F5 and 59 on D5/F3; the exact sweep joins them,
+    reading the r0 + 1 maps of x_alpha(1) and n_0: two sweeps over the
+    edges of a generating set, the second over a smaller one."""
     table = get_table(name)
     moves = census_mod._generator_moves(table)
+    sweep = census_mod._sweep_maps(table)
+    r0 = len(moves) // 2
+    assert [keep for _, keep in sweep] == [1] * r0 + [0]
     seen = count_partition_work(monkeypatch)
-    _, least, _ = census_mod._orbit_partition(moves, p, len(table.rs.phi1))
-    assert seen["images"] == 2 * len(moves)
+    _, least, _ = census_mod._orbit_partition(moves, p, len(table.rs.phi1),
+                                              sweep)
+    assert seen["images"] == 2 * r0 + r0 + 1
     assert least.size == EXPECTED_ORBITS[(name, p)]
+
+
+@pytest.mark.parametrize("name", [f"A{r}" for r in range(4, 9)]
+                         + [f"D{r}" for r in range(4, 9)])
+def test_n0_conjugates_each_simple_root_element_onto_a_negative_one(name):
+    """_sweep_maps reads x_alpha(1) for the simple level-0 roots alpha, and
+    n_0 as a signed permutation of phi1, which over F_101 conjugates each
+    x_alpha(1) to x_beta(+-1) for one negative level-0 root beta = w_0
+    alpha, the negative of a simple root: so the maps generate U- beside
+    U+.  Maps of V1 are linear, so the basis vectors decide equality."""
+    table, K, p = get_table(name), get_field(101), 101
+    rs, m = table.rs, len(table.rs.phi1)
+    simple = [a for a in map(rs.simple, range(1, rs.rank + 1))
+              if rs.level(a) == 0]
+    *shears, (turn, keep) = census_mod._sweep_maps(table)
+    assert shears == [(liemod._action_plan(table, a)[5], 1) for a in simple]
+    assert keep == 0
+    # new x_d = sign_d * x_src(d); the digits turn does not list keep theirs
+    src, sign = list(range(m)), [1] * m
+    for s, d, g in turn:
+        src[d], sign[d] = s, g
+    assert sorted(src) == list(range(m)) and set(sign) <= {1, -1}
+
+    def n0(x):
+        return tuple(sign[d] * x[src[d]] % p for d in range(m))
+
+    def n0_inverse(y):
+        x = [0] * m
+        for d in range(m):
+            x[src[d]] = sign[d] * y[d] % p
+        return tuple(x)
+
+    basis = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    negative = [g for g in rs.phi0 if not rs.is_positive(g)]
+    images = []
+    for a in simple:
+        want = [n0(act_on_v1(table, K, [(a, 1)], n0_inverse(e)))
+                for e in basis]
+        hits = [g for g in negative for c in (1, -1)
+                if [act_on_v1(table, K, [(g, c)], e) for e in basis] == want]
+        assert len(hits) == 1 and rs.neg(hits[0]) in simple, (name, a)
+        images += hits
+    assert len(set(images)) == len(simple)
+
+
+@pytest.mark.parametrize("name,p", [*CENSUS_CASES, ("A4", 7), ("A5", 5)])
+def test_orbit_partition_with_n0_matches_union_find_over_all_moves(name, p):
+    """The hooking rounds read the 2 r0 moves, and from r0 = 2 on the
+    exact sweep reads x_alpha(1) and n_0 instead (_sweep_maps); the
+    partition is the reference's over all 2 r0 moves."""
+    table = get_table(name)
+    moves, m = census_mod._generator_moves(table), len(table.rs.phi1)
+    got = census_mod._orbit_partition(moves, p, m,
+                                      census_mod._sweep_maps(table))
+    assert [a.tolist() for a in got] == list(union_find_partition(moves, p,
+                                                                  m))
 
 
 @pytest.mark.parametrize("name,p,block,orbits", [("D4", 3, 9, 14),
@@ -226,16 +296,18 @@ def test_orbit_partition_reads_every_edge_twice(monkeypatch, name, p):
 def test_orbit_partition_hooks_again_past_block_states_trees(
         monkeypatch, name, p, block, orbits):
     """With _BLOCK_STATES lowered below the first round's trees, a second
-    round hooks.  D4/F3 has more orbits than the bound, so its trees never
-    fit the union-find, and a third round, which hooks nothing, ends the
-    work; A3/F5 has fewer, so the trees the second round leaves fit, and
-    the exact sweep ends it."""
+    round hooks, over the 2 r0 moves like the first.  D4/F3 has more orbits
+    than the bound, so its trees never fit the union-find, and a third
+    round, which hooks nothing, ends the work, with no read of n_0; A3/F5
+    has fewer, so the trees the second round leaves fit, and the exact
+    sweep ends it (r0 = 1 there, so it reads the moves)."""
     table = get_table(name)
     moves = census_mod._generator_moves(table)
     m = len(table.rs.phi1)
     monkeypatch.setattr(census_mod, "_BLOCK_STATES", block)
     seen = count_partition_work(monkeypatch)
-    got = census_mod._orbit_partition(moves, p, m)
+    got = census_mod._orbit_partition(moves, p, m,
+                                      census_mod._sweep_maps(table))
     assert seen["images"] == 3 * len(moves)
     assert len(got[1]) == orbits
     assert [a.tolist() for a in got] == list(union_find_partition(moves, p,
@@ -333,7 +405,8 @@ def test_the_partition_reaches_no_classifier_name():
     classifier = {"classify", "_classifier", "classify_many", "chunk_codes",
                   "lanes", "code", "decode", "_lift_kernel"}
     for start, needs in (("_orbit_partition", {"_images", "_join"}),
-                         ("_generator_moves", {"_action_plan"})):
+                         ("_generator_moves", {"_action_plan"}),
+                         ("_sweep_maps", {"_action_plan"})):
         reached = reached_names(census_mod, start)
         assert needs <= reached, (start, needs - reached)
         assert not reached & classifier, (start, reached & classifier)
@@ -489,10 +562,12 @@ def test_state_codec_round_trips_through_the_one_decoder(name, p, dtype):
     (3, 8),  # one table of every state: k = m
     (3, 12), (5, 8), (7, 6),  # runs of p**k states under m - k head digits
     (128, 2),  # the widest int8 rows: digit 127, k = m
-    (129, 2),  # the narrowest int16 rows: digit 128, runs of 129 states
-    (131, 3),  # int16 rows, and a run of 131 states
+    (129, 2),  # the narrowest int16 rows: digit 128, k = m
+    (131, 3),  # int16 rows, and runs of 131**2 states
+    (191, 3),  # runs of 191 states: 191**2 > _CHECK_CHUNK
     (5, 0), (2, 0),  # A1: one state without digits
-    (16411, 2),  # p past _CHUNK: no table, k = 0
+    (16411, 2),  # runs of 16411 states, k = 1
+    (32771, 2),  # p past _CHECK_CHUNK: no table, k = 0, int32 rows
 ])
 def test_state_rows_equal_the_digits_of_every_chunk(p, m):
     # check (a)'s rows, copied from the table of the last k digits, equal
@@ -500,14 +575,15 @@ def test_state_rows_equal_the_digits_of_every_chunk(p, m):
     # chunks of 1,000 states, which cross a run's head digits inside them
     rows = census_mod._state_rows(p, m)
     total = p ** m
-    for step in (orbitlab._CHUNK, 1000):
+    for step in (census_mod._CHECK_CHUNK, 1000):
         los = range(0, total, step)
         if len(los) > 300:
             los = [*los[:100], *los[-100:], *random.Random(p).sample(los, 100)]
         for lo in los:
             hi = min(lo + step, total)
             got = rows(lo, hi)
-            assert got.dtype == (np.int8 if p <= 128 else np.int16)
+            assert got.dtype == (np.int8 if p <= 128 else np.int16
+                                 if p <= 2**15 else np.int32)
             assert np.array_equal(got, census_mod._digits(np.arange(lo, hi),
                                                           p, m)), (lo, hi)
 
@@ -1110,7 +1186,7 @@ def test_crosscheck_reports_a_code_that_varies_inside_an_orbit(monkeypatch):
     real = clf.chunk_codes
     # the code pass streams chunks: with chunks of 2**10 of the 3**8 states
     # the shifted code lies past the first chunk
-    monkeypatch.setattr(orbitlab, "_CHUNK", 1 << 10)
+    monkeypatch.setattr(census_mod, "_CHECK_CHUNK", 1 << 10)
     assert state >= 1 << 10
 
     def one_off(n, rows, **kwargs):
@@ -1246,13 +1322,15 @@ def test_crosscheck_code_pass_memory_is_bounded():
 @pytest.mark.parametrize("system,p,moves", [("D4", 5, 6), ("D5", 3, 8)])
 def test_orbit_partition_memory_does_not_grow_with_the_moves(system, p,
                                                              moves):
+    # 2 r0 moves in the hooking round, r0 + 1 maps in the exact sweep
     table = get_table(system)
     gens = census_mod._generator_moves(table)
+    sweep = census_mod._sweep_maps(table)
     m = len(table.rs.phi1)
-    assert len(gens) == moves
+    assert len(gens) == moves and len(sweep) == moves // 2 + 1
     tracemalloc.start()
     try:
-        census_mod._orbit_partition(gens, p, m)
+        census_mod._orbit_partition(gens, p, m, sweep)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

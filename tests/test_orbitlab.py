@@ -4,6 +4,7 @@ descriptors, canonical forms, and validation errors."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -1232,17 +1233,12 @@ def test_v_code_identity_holds_for_every_d_rank(rank):
 
 
 def test_v_code_identity_checks_the_bottom(monkeypatch):
-    # the blocks' half of the identity is _lift_kernel's, tested with it
-    real = orbitlab.associated_root_element
+    # the blocks' half of the identity is _lift_kernel's, tested with it;
+    # the check evaluates the kernel's e_(-delta) polynomial, moved here by 1
     t = build_table_oracle(get_system("D4"))  # unchecked
-    bottom = orbitlab._kernel_plan(t)[0]
-
-    def moved(table, P, x):
-        y = real(table, P, x)
-        y.coeffs[bottom] = P.add(y.coeffs[bottom], P.one)
-        return y
-
-    monkeypatch.setattr(orbitlab, "associated_root_element", moved)
+    P, kernel = orbitlab._Polynomials(), orbitlab._lift_kernel(t)
+    moved = dataclasses.replace(kernel, bottom=P.add(kernel.bottom, P.one))
+    monkeypatch.setattr(orbitlab, "_lift_kernel", lambda table: moved)
     _, entries = orbitlab._orbit_types(t, get_field(3))["V"]
     with pytest.raises(ClassificationError, match="closed-form dark code"):
         orbitlab._v_code_checked(t, entries)
