@@ -90,8 +90,10 @@ _SCALAR_PAIRS = 500
 _PAIR_CHUNK = 10_000
 # rows per lane call of crosscheck's state pass and sample, twice
 # classify_many's orbitlab._CHUNK: its rows and sample digits are int8 up to
-# p = 127, where a call of 2**14 rows spends about half its time in numpy's
-# fixed cost per call
+# p = 127, and a call of 2**14 rows spends 30-40% of its time in costs fixed
+# per call (lanes on 64 rows take 0.18 of the 0.61 ms of 2**14 on D4/F5,
+# 0.34 of 0.88 on D5/F3).  The state pass took 17.6 -> 14.5 ms on D4/F5
+# and 23.1 -> 18.2 on D5/F3 (best of 9)
 _CHECK_CHUNK = 1 << 15
 
 
@@ -596,9 +598,11 @@ _BLOCK_STATES = 2**16
 # number of moves, and at most _BLOCK_BYTES bytes per state of a block
 # besides, the union-find's array of at most _BLOCK_STATES trees included:
 # 4.04 to 4.10 bytes per state in all, traced on D6/F3 and D4/F7, and 29 to
-# 34 bytes per block state on D5/F3 and D4/F5.  A round that leaves more
-# than _BLOCK_STATES trees holds 8 bytes per tree for their roots, 1.3 MB
-# for A3/F127's 159,161: inside the margin, as its peak RSS shows
+# 34 bytes per block state (33.3, 29.4, 33.7 and 30.2 on D4/F5, D5/F3,
+# D4/F7 and D6/F3, the same with n_0's map in the exact sweep as with the
+# 2 r0 moves).  A round that leaves more than _BLOCK_STATES trees holds 8
+# bytes per tree for their roots, 1.3 MB for A3/F127's 159,161: inside the
+# margin, as its peak RSS shows
 _BLOCK_BYTES = 56
 
 

@@ -1020,8 +1020,9 @@ def _descriptors_of_type(rs: RootSystem, p: int, label: str, params):
 
 # vectors per batch of classify_many; bounds the memory of a batch code
 # pass, which holds a lane array for every prefix and block coordinate of
-# the compiled code.  2**15 traced 22.6 -> 35.2 MB on D8/F2,000,003 (int64
-# lanes); crosscheck's narrow lanes take chunks of census._CHECK_CHUNK
+# the compiled code (2**15 traced 20.5 -> 22.2 MB for 2**16 vectors of
+# D8/F700,001, int64 lanes).  crosscheck, whose rows are narrow, calls the
+# lanes on chunks of census._CHECK_CHUNK
 _CHUNK = 1 << 14
 # lane dtypes, narrowest first, with the largest value each holds
 _LANES = tuple((t, int(np.iinfo(t).max))
@@ -1262,7 +1263,7 @@ def _classifier(table: StructureConstantTable, K) -> _Classifier:
 def _v_code_checked(table: StructureConstantTable, entries) -> None:
     """Check, once per table, that V(k)'s canonical vector (entries: ints and
     the parameter k) has the code _DARK, then 2 + k in every block, for every
-    odd p and unit k: run over _Polynomials in k, its lift has e_{-delta}
+    odd p and unit k: as a polynomial in k, its lift has e_{-delta}
     coefficient k, an identity that survives reduction mod an odd p (the
     lift's denominators divide 4); c**2 + u*w = k in every block then
     follows from the identity _lift_kernel proves for the table.  It
@@ -1272,19 +1273,24 @@ def _v_code_checked(table: StructureConstantTable, entries) -> None:
     branch skips x_g(0), the identity, which does not change the value.
     Raises ClassificationError if it fails or an entry is neither int nor
     k."""
-    rs, P, k = table.rs, _Polynomials(), {(0,): 1}
-    x = [P.zero] * len(rs.phi1)
-    for i, v in entries:
+    at = dict(entries)  # phi1 index -> its int or "k"; 0 elsewhere
+    for v in at.values():
         if v != "k" and not isinstance(v, int):
             raise ClassificationError(f"V's entry {v!r} is neither k nor an int")
-        x[i] = k if v == "k" else P.of(v)
-    value = P.zero
+    value: dict = {}  # power of k -> its coefficient
     for mono, c in _lift_kernel(table).bottom.items():
-        value = P.add(value, functools.reduce(P.mul, (x[i] for i in mono),
-                                              P.of(c)))
-    if value != {(0,): 16}:
-        raise ClassificationError(f"V(k)'s canonical vector of {rs.name} does "
-                                  f"not have the closed-form dark code")
+        power = 0
+        for i in mono:
+            v = at.get(i, 0)
+            if v == "k":
+                power += 1
+            else:
+                c *= v
+        value[power] = value.get(power, 0) + c
+    if {e: c for e, c in value.items() if c} != {1: 16}:
+        raise ClassificationError(f"V(k)'s canonical vector of "
+                                  f"{table.rs.name} does not have the "
+                                  f"closed-form dark code")
 
 
 def classify(table: StructureConstantTable, K, x) -> OrbitDescriptor:
