@@ -316,7 +316,7 @@ def _digits(states, p: int, m: int, dtype=None) -> np.ndarray:
     division, as gfield._mod reduces, into columns, so each coordinate is
     contiguous."""
     q = np.asarray(states).reshape(-1)
-    digits = np.empty((m, q.size), dtype=dtype or q.dtype)
+    digits = np.empty((m, q.size), dtype=q.dtype if dtype is None else dtype)
     for j in range(m - 1, -1, -1):
         r = q // p
         np.subtract(q, r * p, out=digits[j])
@@ -330,9 +330,9 @@ def _state_rows(p: int, m: int):
     chunks of at most _CHECK_CHUNK.  The last k digits, k the largest with
     p**k <= _CHECK_CHUNK, repeat with period p**k: they are one slice of a
     table of the last k digits of the states 0, 1, 2, ... up to what a
-    chunk can reach, which _digits builds once.
-    The states of each run of p**k that share their first m - k digits take
-    those from one _digits row of the run's index."""
+    chunk can reach, which _digits builds once.  The states of each run of
+    p**k that share their first m - k digits take those from one _digits
+    row of the run's index."""
     k = 0
     while k < m and p ** (k + 1) <= _CHECK_CHUNK:
         k += 1

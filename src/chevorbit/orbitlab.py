@@ -560,9 +560,11 @@ def _lift_kernel(table: StructureConstantTable) -> _Kernel:
       _select.  It branches where code does, through two
       gathers (np.flatnonzero): Euler's criterion (_pow_mod) runs only on a
       block's nilpotent lanes, and levels -1 and 0, with their prefixes,
-      only on the lanes that are not dark.  Its values are the unreduced
-      sums and the block arithmetic, within bound(p), and the code, below
-      5 * (p + 2)**blocks.  Its Python ints (the table's coefficients,
+      only on the lanes that are not dark.  Each chain of zero tests (a
+      block's nonzero, shining, brilliant, singular) is one test of the
+      bitwise or of its terms, zero exactly where every term is.  Its
+      values are the unreduced sums and the block arithmetic, within
+      bound(p), and the code, below 5 * (p + 2)**blocks.  Its Python ints (the table's coefficients,
       each within its coordinate's weight, the inverses q_d, p, the digits
       and (p + 2)**blocks) are within those two bounds too, so a lane that
       holds them holds every int it meets (numpy raises OverflowError on

@@ -119,6 +119,29 @@ def test_orbit_partition_over_blocks_of_p_squared_states(monkeypatch):
                      (True, True)}
 
 
+@pytest.mark.parametrize("p,m,n", [(3, 6, 6), (3, 6, 2), (5, 4, 1),
+                                   (5, 4, 3)])
+def test_images_of_a_signed_permutation_are_its_digits_moved(p, m, n):
+    """_images with keep 0 sets new x_d = sign_d * x_src(d) for every digit:
+    on random signed permutations, with fixed points of both signs, in
+    blocks of p**n states (n < m fixes the leading digits), each image is
+    the state whose digits are the old ones moved and signed."""
+    rng = random.Random(p * 100 + m * 10 + n)
+    states = np.arange(p ** m)
+    digits = census_mod._digits(states, p, m)
+    for _ in range(4):
+        # digits 0 and 1 keep their places, the others are shuffled
+        src = [0, 1] + rng.sample(range(2, m), m - 2)
+        sign = [rng.choice((1, -1)) for _ in range(m)]
+        turn = [(s, d, g) for d, (s, g) in enumerate(zip(src, sign))]
+        want = np.zeros(p ** m, dtype=np.int64)
+        for d in range(m):
+            want = want * p + sign[d] * digits[:, src[d]] % p
+        got = np.concatenate([img.copy() for _, img in
+                              census_mod._images(turn, p, m, n, keep=0)])
+        assert np.array_equal(got, want), (src, sign)
+
+
 def union_find_partition(moves, p, m):
     """Reference partition: union-find in plain Python over every state and
     its image under every move (the images from each state's digits, in
@@ -250,11 +273,10 @@ def test_n0_conjugates_each_simple_root_element_onto_a_negative_one(name):
     *shears, (turn, keep) = census_mod._sweep_maps(table)
     assert shears == [(liemod._action_plan(table, a)[5], 1) for a in simple]
     assert keep == 0
-    # new x_d = sign_d * x_src(d); the digits turn does not list keep theirs
-    src, sign = list(range(m)), [1] * m
-    for s, d, g in turn:
-        src[d], sign[d] = s, g
-    assert sorted(src) == list(range(m)) and set(sign) <= {1, -1}
+    # new x_d = sign_d * x_src(d), each digit a target once
+    src, targets, sign = map(list, zip(*turn))
+    assert targets == list(range(m)) and sorted(src) == list(range(m))
+    assert set(sign) <= {1, -1}
 
     def n0(x):
         return tuple(sign[d] * x[src[d]] % p for d in range(m))
