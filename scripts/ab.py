@@ -20,6 +20,9 @@ census     enumerate_orbits and crosscheck (seed 0) on the seven pinned
            cases, as the census benchmark runs them
 partition  enumerate_orbits alone, whose time is nearly all the orbit
            partition, on D4/F5, D5/F3 and D4/F7
+partition_wide
+           enumerate_orbits alone on the larger cases D4/F7, A5/F7 and
+           A3/F31
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ CASES = {
     "census": (("A2", 3), ("A3", 3), ("A3", 5), ("A4", 3),
                ("D4", 3), ("D4", 5), ("D5", 3)),
     "partition": (("D4", 5), ("D5", 3), ("D4", 7)),
+    "partition_wide": (("D4", 7), ("A5", 7), ("A3", 31)),
 }
 
 

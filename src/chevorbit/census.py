@@ -10,19 +10,25 @@ x_gamma(t) = x_gamma(1)^t, and the Weyl group of the level-0 roots
 conjugates each of them onto a simple one (Steinberg, Lectures on
 Chevalley Groups, 1967).  From r0 = 2 on, r0 + 1 elements generate it too:
 the x_alpha(1) and n_0, a lift of the longest level-0 Weyl element, which
-conjugates U+ onto U- (_sweep_maps).  Each generator permutes the states
+conjugates U+ onto U- (_class_maps).  Each generator permutes the states
 through a digit map: a root element's move adds multiples of coefficients
 along the disjoint source/target pairs of liemod's plan (its v1 moves),
-and n_0 permutes the coordinates with signs.  The orbits are the connected
-components of those permutations, each labelled by its least
-(lexicographically first) state.  They are found in two sweeps over edges:
-a round of hooking in place over the 2 r0 moves, on one array indexed by
-state, then a union-find over the few trees that round leaves, which reads
-the r0 + 1 maps where there are fewer.  The work runs through blocks of
-states that share their leading digits: each permutation is rebuilt from
-its shift tables block by block when it is needed, so enumeration holds
-that one array and a working set of one block, whatever the number of
-generators.
+and n_0 permutes the coordinates with signs.
+
+G0 also holds the torus T0 of the h_alpha(c), which multiplies each
+coordinate by a character of its own, so each orbit is a union of T0's
+classes.  The partition (_orbit_partition) writes each state's class, as
+the least state of the class (its normal form, _Torus) or the class's
+number, into one array indexed by state, block by block of states that
+share their leading digits.  It then joins the classes along the class
+edges x_alpha(c) . r, c in the image of alpha's character, and n_0 . r,
+read from each class's least state r alone: in one union-find when there
+are at most _TREES classes, and otherwise after rounds of hooking in place
+on that array, until at most _TREES trees are left.  The orbit index is
+written over the classes in place, so enumeration holds that one array, a
+working set of one block, and a union-find of at most _TREES trees,
+whatever the number of generators.  Each orbit is labelled by its least
+(lexicographically first) state.
 
 The crosscheck compares the invariant-based classifier against the ground
 truth partition:
@@ -229,38 +235,44 @@ def check_budget(rs: RootSystem, p: int, budget: int | None = None) -> int:
     return total
 
 
-def _generator_moves(table: StructureConstantTable):
-    """The non-empty liemod._action_plan v1 moves of x_{+-alpha}(1), alpha
-    simple (None off level 0): (source, target, sign) triples on phi1."""
-    rs = table.rs
-    simple = list(map(rs.simple, range(1, rs.rank + 1)))
-    return [moves for g in simple + [rs.neg(a) for a in simple]
-            if (moves := _action_plan(table, g)[5])]
-
-
 @table_cached
-def _sweep_maps(table: StructureConstantTable):
-    """The digit maps that _orbit_partition's exact sweep reads, as
-    (pairs, keep) for _images: the moves of x_alpha(1) for the simple
-    level-0 roots alpha (keep 1), and n_0's signed permutation of phi1
-    (keep 0); None below two such roots, where that is no fewer maps than
-    the 2 r0 moves.
+def _class_maps(table: StructureConstantTable):
+    """The characters of the level-0 torus on V1 and the digit maps of the
+    class edges, as (chars, maps) for _orbit_partition.
+
+    chars is the |phi1| x r0 array of <beta, alpha>, beta in phi1 and alpha
+    a simple level-0 root: h_alpha(c) = w_alpha(c) w_alpha(-1) multiplies
+    e_beta by c**<beta, alpha> (Steinberg, Lectures on Chevalley Groups,
+    1967), so the torus T0 = <h_alpha(c)> acts on the states digit by
+    digit.  maps lists (pairs, keep, weight), read by _changes: the
+    moves of x_alpha(1) (keep 1), with weight (<alpha, alpha_i>)_i, the
+    exponents of the character chi_alpha by which t x_alpha(c) t**-1 =
+    x_alpha(chi_alpha(t) c), and n_0's signed permutation of phi1 (keep 0,
+    weight None).  Below two such roots they are the moves of the 2 r0
+    elements x_{+-alpha}(1), no more maps than x_alpha(1) and n_0.
 
     n_0 = n_{a_1}(1) ... n_{a_N}(1), n_a(1) = x_a(1) x_{-a}(-1) x_a(1),
     along a reduced word of w_0, the longest element of the level-0 Weyl
     group, lifts w_0 to G0, so n_0 x_beta(t) n_0**-1 = x_{w_0 beta}(+-t)
-    (Steinberg, Lectures on Chevalley Groups, 1967).  w_0 sends the positive
-    level-0 roots onto the negative ones, so n_0 conjugates U+, which the
-    x_alpha(1) generate over F_p, onto U-, and <U+, U-> = G0.  n_a(1) sends
-    each e_beta to +-e_{s_a beta}, and s_a keeps levels, so n_0 acts on V1
-    as new x_j = sign_j * x_src(j), checked here as one +-1 in each row of
-    its matrix (a matrix of determinant 1 with that shape is a signed
-    permutation); InternalError otherwise."""
+    (Steinberg, 1967).  w_0 sends the positive level-0 roots onto the
+    negative ones, so n_0 conjugates U+, which the x_alpha(1) generate over
+    F_p, onto U-, and <U+, U-> = G0.  n_a(1) sends each e_beta to
+    +-e_{s_a beta}, and s_a keeps levels, so n_0 acts on V1 as new x_j =
+    sign_j * x_src(j), checked here as one +-1 in each row of its matrix (a
+    matrix of determinant 1 with that shape is a signed permutation);
+    InternalError otherwise."""
     rs = table.rs
     simple = [a for a in map(rs.simple, range(1, rs.rank + 1))
               if not rs.level(a)]
+    chars = np.array([[rs.pair(b, a) for a in simple] for b in rs.phi1],
+                     dtype=np.int64).reshape(len(rs.phi1), len(simple))
+
+    def moves(roots):
+        return [(_action_plan(table, g)[5], 1,
+                 tuple(rs.pair(g, a) for a in simple)) for g in roots]
+
     if len(simple) < 2:
-        return None
+        return chars, moves(simple + [rs.neg(a) for a in simple])
     # a reduced word of w_0: w s_a is longer than w exactly when w(a) > 0,
     # and w_0 is the one element that sends every simple root below 0
     word: list = []
@@ -287,7 +299,7 @@ def _sweep_maps(table: StructureConstantTable):
                             f"of its level-1 roots")
     turn = tuple((s, d, g) for d, (s, g) in enumerate(zip(src.tolist(),
                                                          sign.tolist())))
-    return [(_action_plan(table, a)[5], 1) for a in simple] + [(turn, 0)]
+    return chars, moves(simple) + [(turn, 0, None)]
 
 
 def state_of_vector(rs: RootSystem, p: int, x) -> int:
@@ -359,71 +371,258 @@ def _index_dtype(total: int):
     return np.int32 if total < 2**31 else np.int64
 
 
-def _images(move, p: int, m: int, n: int, keep: int = 1):
-    """The image of every state under one digit map, block by block in
-    ascending order: (first state of the block, image of its p**n states),
-    the image one array reused for every block.
+def _primitive_root(p: int) -> int:
+    """The least generator of the units of F_p."""
+    q, rest, primes, d = p - 1, p - 1, [], 2
+    while d * d <= rest:
+        if rest % d == 0:
+            primes.append(d)
+            while rest % d == 0:
+                rest //= d
+        d += 1
+    if rest > 1:
+        primes.append(rest)
+    return next(g for g in range(1, p)
+                if all(pow(g, q // r, p) != 1 for r in primes))
 
-    A digit map sets new x_dst = keep * x_dst + sgn * x_src for each of its
-    (src, dst, sgn) pairs, every other digit kept, and reads only the old
-    digits: a root element's move (keep 1), whose targets are never
-    sources, or n_0's signed permutation (keep 0), which lists every digit
-    as a target once.  So the image is keep times the state plus one shift
-    per pair: for a move a p x p table indexed by the pair's two digits,
-    for keep 0 a table of x_src alone, the new x_dst at its place, which is
-    read as a pair of x_src with itself.  A block is the p**n states that
-    share their first m - n digits (the fixed digits).  The pairs with both
-    digits free give the in-block image, built once with a broadcast add;
-    each block adds to it keep times its first state, the shifts of the
-    pairs with both digits fixed, and one row of the table for each pair
-    with one digit fixed (a move's alone).  A fixed target, or for keep 0
-    a fixed source, sends the image to another block."""
-    fixed, size = m - n, p ** n
-    digit = np.arange(p)
-    # each pair's state shift as a table [x_src, x_dst], sorted by the pair's
-    # fixed digits: none, both, or one (the table then indexed by the fixed
-    # digit first)
-    inner, both, rows = [], [], []
-    for s, d, g in move:
-        if keep:
-            t = ((digit + g * digit[:, None]) % p - digit) * p ** (m - 1 - d)
+
+class _Torus:
+    """A torus acting diagonally on the states' digits, and the normal form
+    of a state under it, for _orbit_partition.
+
+    The torus is the image of the exponent vectors e in Z**r: e multiplies
+    digit j by c**(chars[j] . e) for a generator c of F_p^*, so its elements
+    are vectors of exponents mod p - 1, one per digit (exps, the identity
+    first), and units the factors they multiply the digits by.  r = 0 gives
+    the trivial torus, under which every state is its own normal form.
+
+    The normal form of a state is the least state of its class, found from
+    the most significant digit down.  At digit j a subgroup H of the
+    elements is still free: those that fix every earlier digit, so H
+    depends only on which earlier digits are nonzero.  chi_j(H), the
+    exponents of H on digit j, are the multiples of their gcd d with p - 1,
+    so a nonzero digit y goes to the least element of its coset y <c**d>,
+    by an element of H chosen once for each y; the rest of the state is
+    multiplied by that element, and H becomes the elements of H with
+    exponent 0 on digit j.  The least state of the class takes the least
+    digit at each place, and the elements that reach it from a state are
+    the chosen one times the last H, so the chosen element only moves the
+    later digits.  Subgroups are numbered as met (groups, by their members).
+
+    reduce takes the leading digits of a block one at a time (step's
+    tables); table(h, j) is the normal form under group h of every state of
+    the digits j..m - 1 at once, built from the tables of digit j + 1: a
+    nonzero digit y takes the table of the kernel at the states of the later
+    digits multiplied by y's element (scaled), one gather each.  A block's
+    normal forms are then the table of its prefix's group at its states
+    multiplied by the prefix's element, plus the prefix's normal form.
+    Tables are built on first use, never for fewer than the last n digits,
+    so none is larger than a block."""
+
+    def __init__(self, chars, p: int, m: int, n: int, dtype):
+        self.p, self.m, self.f, self.dtype = p, m, m - n, dtype
+        q = p - 1
+        c = _primitive_root(p)
+        self.pow = np.array([pow(c, k, p) for k in range(q)], dtype=np.int64)
+        self.log = np.zeros(p, dtype=np.int64)
+        self.log[self.pow] = np.arange(q)
+        exps = np.zeros((1, m), dtype=np.int64)
+        for gen in np.asarray(chars, dtype=np.int64).T % q:
+            steps = np.arange(q // np.gcd.reduce(np.append(gen, q)))
+            exps = ((exps[:, None] + steps[:, None] * gen) % q).reshape(-1, m)
+            exps = exps[np.lexsort(exps.T[::-1])]
+            exps = exps[np.append(True, (exps[1:] != exps[:-1]).any(axis=1))]
+        self.exps, self.units = exps, self.pow[exps]
+        self.groups: list = []
+        self.ids: dict = {}
+        self.steps: dict = {}
+        self.leasts: dict = {}
+        self.tables: dict = {}
+        self.classes: dict = {}
+        self.numbered: dict = {}
+        self.group(np.ones(len(exps), dtype=bool))
+
+    def group(self, members) -> int:
+        """The number of the subgroup whose elements members marks."""
+        key = members.tobytes()
+        if key not in self.ids:
+            self.ids[key] = len(self.groups)
+            self.groups.append(np.flatnonzero(members))
+        return self.ids[key]
+
+    def least(self, d: int):
+        """least[y], the least element of y <c**d> (least[0] = 0)."""
+        if (least := self.leasts.get(d)) is None:
+            p = self.p
+            least = self.leasts[d] = np.zeros(p, dtype=np.int64)
+            coset = self.pow[::d]
+            for y in range(1, p):  # y is the least of its coset when first met
+                if not least[y]:
+                    least[coset * y % p] = y
+        return least
+
+    def step(self, h: int, j: int):
+        """Digit j under group h: (least, pick, kernel), least[y] the digit
+        y goes to, pick[y] the element of h that takes it there (0, the
+        identity, where y is its own least), and kernel the subgroup of h
+        with exponent 0 on digit j."""
+        if (step := self.steps.get((h, j))) is None:
+            p, q = self.p, self.p - 1
+            members = self.groups[h]
+            e = self.exps[members, j]
+            least = self.least(int(np.gcd.reduce(np.append(e, q))))
+            # the first element of h with each exponent on digit j
+            first = np.full(q, len(self.exps), dtype=np.int64)
+            np.minimum.at(first, e, members)
+            pick = np.zeros(p, dtype=np.int64)
+            pick[1:] = first[(self.log[least[1:]] - self.log[1:]) % q]
+            kernel = np.zeros(len(self.exps), dtype=bool)
+            kernel[members[e == 0]] = True
+            step = self.steps[h, j] = (least.tolist(), pick.tolist(),
+                                       self.group(kernel))
+        return step
+
+    def reduce(self, digits):
+        """The normal form of the leading digits, as a list; the group that
+        fixes it; and the units by which the element chosen multiplies each
+        digit (None for the identity)."""
+        p, h, units, out = self.p, 0, None, []
+        for j, y in enumerate(digits):
+            if units is not None:
+                y = y * int(units[j]) % p
+            if y:
+                least, pick, h = self.step(h, j)
+                if (t := pick[y]):
+                    units = (self.units[t] if units is None
+                             else units * self.units[t] % p)
+                y = least[y]
+            out.append(y)
+        return out, h, units
+
+    def scaled(self, units):
+        """The states of the last len(units) digits, each digit multiplied
+        by its unit, in ascending order of the states multiplied: the
+        states of each half of the digits, added in one broadcast."""
+        p, halves, units = self.p, [], units.tolist()
+        for part in units[:len(units) // 2], units[len(units) // 2:]:
+            states = np.zeros(1, dtype=np.intp)
+            for u in part:
+                states = (states[:, None] * p + np.arange(p) * u % p).ravel()
+            halves.append(states)
+        high, low = halves
+        return (high[:, None] * low.size + low).ravel()
+
+    def table(self, h: int, j: int):
+        """The normal forms under group h of the states of digits j..m - 1
+        (as states of those digits), built from the tables of digit j + 1."""
+        if (table := self.tables.get((h, j))) is None:
+            p, m, members = self.p, self.m, self.groups[h]
+            if members.size * p ** (m - j) <= _SMALL_TABLE:
+                # few states and elements: the least image of each state
+                # under every element of h
+                states = _digits(np.arange(p ** (m - j)), p, m - j)
+                images = (states * self.units[members, None, j:] % p
+                          @ p ** np.arange(m - j - 1, -1, -1))
+                table = images.min(axis=0).astype(self.dtype)
+            else:
+                table = np.empty(p ** (m - j), dtype=self.dtype)
+                least, pick, kernel = self.step(h, j)
+                size = p ** (m - j - 1)
+                table[:size] = self.table(h, j + 1)
+                below = self.table(kernel, j + 1)
+                for y in range(1, p):
+                    part = table[y * size:(y + 1) * size]
+                    if pick[y]:
+                        np.take(below, self.scaled(
+                            self.units[pick[y], j + 1:]), out=part)
+                    else:
+                        part[...] = below
+                    part += least[y] * size
+            self.tables[h, j] = table
+        return table
+
+    def numbers(self, h: int):
+        """Each state's class number in a block whose prefix has group h:
+        the rank of its normal form among the block's least states, from
+        table(h, f), which it replaces."""
+        if (numbers := self.numbered.get(h)) is None:
+            fixed = self.fixed(h)
+            rank = np.zeros(self.p ** (self.m - self.f), dtype=self.dtype)
+            rank[fixed] = np.arange(fixed.size)
+            numbers = self.numbered[h] = rank.take(
+                self.tables.pop((h, self.f)))
+        return numbers
+
+    def fixed(self, h: int):
+        """The least states of the classes in a block whose prefix is its
+        own normal form, with group h, as states of the last n digits: the
+        states that table(h, f) fixes."""
+        if (fixed := self.classes.get(h)) is None:
+            table = self.table(h, self.f)
+            fixed = self.classes[h] = np.flatnonzero(
+                table == np.arange(table.size)).astype(self.dtype)
+        return fixed
+
+    def sizes(self, h: int, digits):
+        """The size of each class of fixed(h), from its digits (a row per
+        digit): the elements of the torus over those that fix its state,
+        the elements of h that are 0 on its support."""
+        n = len(digits)
+        bits = 1 << np.arange(n)
+        support = bits @ (digits != 0)
+        moved = (self.exps[self.groups[h], self.f:] != 0) @ bits
+        # the elements of h that fix each support met, by support
+        fixing = np.ones(1 << n, dtype=np.int64)
+        masks = np.flatnonzero(np.bincount(support, minlength=1))
+        fixing[masks] = ((masks[:, None] & moved) == 0).sum(axis=1)
+        return len(self.exps) // fixing.take(support)
+
+
+def _changes(pairs, keep: int, units, p: int, m: int):
+    """A digit map's change of the state for each of its (src, dst, sgn)
+    pairs, as (src, dst, change), change[x_src, x_dst, i] the change of
+    the state where the map, for the i-th c of units, sets new x_dst =
+    keep * x_dst + c * sgn * x_src: a root element x(c)'s move (keep 1),
+    whose targets are never sources, or n_0's signed permutation (keep 0,
+    units (1,)), which lists every digit as a target once.  Every other
+    digit is kept, and the map reads only the old digits, so the image of
+    a state is the state plus one change per pair."""
+    c = np.asarray(units, dtype=np.int64)
+    src, dst = np.ogrid[:p, :p, :1][:2]
+    return [(s, d, ((keep * dst + g * c * src) % p - dst) * p ** (m - 1 - d))
+            for s, d, g in pairs]
+
+
+def _edge_images(changes, p: int, fixed, digits, blocks):
+    """The images under one digit map (_changes, sliced to some of its c)
+    of the states lo + fixed, for each (lo, prefix) of blocks: blocks of
+    the p**n states of the last n digits, whose first m - n digits are
+    prefix, fixed some of those states and digits their digits, one row per
+    digit.  Yields (lo, image), image with a row per state of fixed and a
+    column per c.  The pairs with both digits in the last n add the same
+    changes to the states of fixed in every block, found once; those with
+    both in the prefix add a constant to a block; and each of the others
+    one row of its table, indexed by the digit that is not in the
+    prefix."""
+    f = len(blocks[0][1]) if blocks else 0
+    base = fixed[:, None] + np.zeros(changes[0][2].shape[2] if changes
+                                     else 1, dtype=np.int64)
+    outer, mixed = [], []
+    for s, d, change in changes:
+        if s >= f and d >= f:
+            pair = digits[s - f].astype(np.intp) * p + digits[d - f]
+            base += change.reshape(p * p, -1).take(pair, axis=0)
+        elif s < f and d < f:
+            outer.append((s, d, change))
         else:
-            t, d = np.diag(g * digit % p * p ** (m - 1 - d)), s
-        if s < fixed and d < fixed:
-            both.append((s, d, t))
-        elif s < fixed:
-            rows.append((s, d - fixed, t))
-        elif d < fixed:
-            rows.append((d, s - fixed, t.T))
-        else:
-            inner.append((s - fixed, d - fixed, t))
-    # the in-block image of the pairs with both digits free, through a 5-D
-    # view of the block, or a 3-D one for a pair of a digit with itself
-    base = keep * np.arange(size)
-    for s, d, shift in inner:
-        lo, hi = sorted((s, d))
-        if s == d:
-            shape = (p ** lo, p, p ** (n - 1 - lo))
-            table = shift.diagonal()[:, None]
-        else:
-            shape = (p ** lo, p, p ** (hi - lo - 1), p, p ** (n - 1 - hi))
-            table = (shift if s < d else shift.T)[:, None, :, None]
-        if lo:
-            # numpy's inner loop runs over the last axis, which is short when
-            # hi is a late digit: spell the table out over every digit after
-            # x_lo, at most size / p entries, and add it over the leading
-            # digits instead
-            table = np.broadcast_to(table, shape[1:]).reshape(-1)
-            shape = (shape[0], -1)
-        view = base.reshape(shape)
-        view += table
-    img = np.empty(size, dtype=np.intp)
-    for q, xs in enumerate(itertools.product(range(p), repeat=fixed)):
-        np.add(base, keep * q * size
-               + sum(int(t[xs[s], xs[d]]) for s, d, t in both), out=img)
-        for f, i, t in rows:  # add row x_f of t over free digit x_i
-            img.reshape(p ** i, p, -1)[...] += t[xs[f], :, None]
-        yield q * size, img
+            mixed.append((s, d, change))
+    for lo, prefix in blocks:
+        image = base + (lo + sum(change[prefix[s], prefix[d]]
+                                 for s, d, change in outer))
+        for s, d, change in mixed:
+            image += (change[prefix[s]].take(digits[d - f], axis=0) if s < f
+                      else change[:, prefix[d]].take(digits[s - f], axis=0))
+        yield lo, image
 
 
 def _join(tree, a, b):
@@ -448,88 +647,178 @@ def _join(tree, a, b):
     return tree, a[apart], b[apart]
 
 
-def _orbit_partition(moves, p: int, m: int, sweep=None):
-    """Orbit index of every state, and the orbits' least states and sizes.
+def _orbit_partition(maps, p: int, m: int, chars=None):
+    """Orbit index of every state, and the orbits' least states and sizes,
+    under the group G generated by a torus T (chars, as for _Torus; None
+    for the trivial one) and the elements whose digit maps maps lists, as
+    (pairs, keep, weight) (_class_maps): a root element x(1), whose
+    character's exponents on T's generators are weight, or n_0 (weight
+    None), which normalizes T.
 
-    The orbits are the connected components of the graph joining each state
-    to its image under each move.  One index array, label, starts as the
-    identity, and the work runs over blocks of p**n <= _BLOCK_STATES states
-    (_images), so the kernel holds that one array and a working set per
-    block, whatever the number of moves.  The hooking rounds read the moves;
-    the exact sweep reads the digit maps of sweep, (pairs, keep) for
-    _images, by default the moves.  Any maps serve it whose permutations
-    generate the group the moves generate (_sweep_maps): each set the sweep
-    leaves is then closed under that group, and each tree of the rounds
-    lies inside an orbit.
+    The classes.  T lies in G, so every orbit is a union of T-classes.  One
+    index array, label, gets each state's class block by block, for blocks
+    of p**n <= _BLOCK_STATES states that share their first f = m - n
+    digits, the prefix: the class's least state, its normal form, is the
+    prefix's normal form followed by a table of the prefix's group at the
+    last n digits multiplied by the prefix's units (_Torus), so a block
+    costs one gather.  A block whose prefix is its own normal form holds
+    the least states of some classes, the states its group's table fixes;
+    no other block holds any.  They are counted first; with at most _TREES
+    classes each state gets its class's number instead (numbers), the
+    classes numbered by ascending least state.  A class's size is |T| over
+    the elements that fix its least state.
 
-    A round hooks the larger label across every edge onto the smaller, in
-    place (the asynchronous form of Shiloach & Vishkin, 1982).  A label only
-    ever moves to a smaller state of its own component: both ends of an
-    edge lie in one component, so do their labels, and hooking lowers the
-    larger label to the smaller one, even where a label was read after an
-    earlier hook of the same round changed it.  So the labels form a forest
-    inside each component, each tree rooted at its least state.  The first
-    round hooks every edge without first picking out those whose labels
-    differ: at its start every label is the identity, so nearly all of them
-    do (2.33M of 2.34M on D4/F5).
+    The class edges.  G's orbits are the connected components of the graph
+    joining each state x to t x, t in T, and to g x for each element g of
+    maps, since these generate G.  Contract each class to a point: the
+    orbits are the components of the graph on classes joining class(x) to
+    class(g x) for every state x, and x runs over t r for the class's least
+    state r and t in T.  For g = x(1), t x(c) t**-1 = x(chi(t) c), so
+    x(1) t r = t x(chi(t)**-1) r, and class(x(1) t r) = class(x(c) r) for
+    c = chi(t)**-1: as t runs over T, c runs over the image of chi, the
+    units c0**(d k) for a generator c0 of F_p^* and the gcd d of weight and
+    p - 1.  For g = n_0, n_0 t = t' n_0 for some t' in T, so class(n_0 t r)
+    = class(n_0 r).  So the edges class(r) -> class(x(c) r), c in the
+    image, and class(r) -> class(n_0 r) suffice, read from r alone
+    (_edge_images); on the trivial torus they are the state-level edges.
 
-    One sweep then jumps every label to its tree's root and numbers the
-    trees 0, 1, ... by ascending root, writing each state's tree number
-    over its label.  It runs block by block in ascending order: a label only
-    points to a smaller state, so a block's labels chase their pointers
-    inside the block, to a root of the block or a state of an earlier block,
-    which already holds its tree number.  A tree's number never exceeds its
-    root, so it fits the index dtype.
-
-    A round starts with every label its root, so minimum.at lowers a label
-    only by hooking a root onto a smaller state, outside its tree, or by
-    moving a subtree hooked earlier in the round: a round merged trees
-    exactly when it left fewer of them.  One that merged none leaves the two
-    ends of every edge one label, so its trees are the orbits (a round that
-    reads no edge, as on A2, numbers every state an orbit at once).  While
-    a round leaves more than _BLOCK_STATES trees and merged some, each
-    state's root is written back over its tree number, and the next round
-    hooks the edges whose two labels differ.
-
-    The first round leaves a few trees (76 on D4/F5, 4,321 on A3/F31).
-    Once at most _BLOCK_STATES are left, one sweep over the edges of the
-    sweep's maps joins them exactly, in a union-find over tree numbers
-    (_join): each edge whose ends lie in different trees gives a pair of
-    roots, found by one gather in the compressed array.  minimum.at writes at the larger root of
-    each pair the least smaller root paired with it, so a write lands only
-    on a current root and lowers it: it joins two sets and undoes no join.
+    Joining.  With at most _TREES classes, one union-find over the class
+    numbers joins them exactly (_join): each edge whose ends lie in
+    different sets gives a pair of roots, found by one gather in the
+    compressed array.  minimum.at writes at the larger root of each pair
+    the least smaller root paired with it, so a write lands only on a
+    current root and lowers it: it joins two sets and undoes no join.
     Where one root is paired with several, all but the least stay apart;
     _join hands them back, and they are found and hooked again until every
-    pair of the block shares a root (each call hooks at least one root, so
-    the calls end).  After the sweep the two ends of every edge of the maps
-    share a set, so each set is a union of orbits of the group they
-    generate, and only trees and ends of those edges were joined, all
-    inside orbits, so the sets are the orbits.  A set's
-    root is its least tree number, the tree of its least state, and an
-    orbit's index is the rank of that root among the roots.  One gather per
-    block writes it over the tree numbers.  Sizes are counted over each
-    block's own range of orbit indices.
+    pair shares a root (each call hooks at least one root, so the calls
+    end).  Pairs are joined at least as many as the sets at a time, so the
+    compression costs no more than the pairs.  After the sweep the two
+    ends of every edge share a set, and only ends of edges were joined, so
+    the sets are the orbits.  A set's root is its least class number, the
+    class of its least state, and an orbit's index is the rank of that
+    root among the roots.
+
+    With more classes, the label array holds normal forms, and rounds hook
+    the larger label across every class edge onto the smaller, in place
+    (the asynchronous form of Shiloach & Vishkin, 1982).  A label only ever
+    moves to a smaller state of its own component: both ends of an edge
+    lie in one component, so do their labels, and hooking lowers the
+    larger label to the smaller one, even where a label was read after an
+    earlier hook of the same round changed it.  So the labels form a forest
+    inside each component, each tree rooted at its least state, and a
+    write lands only on a class's least state, never on another state's
+    normal form.  One sweep then jumps every label to its tree's root and
+    numbers the trees 0, 1, ... by ascending root, writing each state's
+    tree number over its label.  It runs block by block in ascending
+    order: a label only points to a smaller state, so a block's labels
+    chase their pointers inside the block, to a root of the block or a
+    state of an earlier block, which already holds its tree number.  A
+    tree's number never exceeds its root, so it fits the index dtype.  A
+    round starts with every label its root, so minimum.at lowers a label
+    only by hooking a root onto a smaller state, outside its tree, or by
+    moving a subtree hooked earlier in the round: a round merged trees
+    exactly when it left fewer of them.  One that merged none leaves the
+    two ends of every edge one label, so its trees are the orbits.  While a
+    round leaves more than _TREES trees and merged some, each state's root
+    is written back over its tree number, and the next round hooks the
+    edges whose two labels differ; once at most _TREES are left, the
+    union-find above joins the trees, reading the edges whose labels
+    differ.
+
+    One gather per block writes each state's orbit index over its class
+    or tree number.  An orbit's size is the sum of its classes' sizes.
+    InternalError when the sizes do not sum to p**m, or when an orbit's
+    least state is not its own normal form (_Torus.reduce, digit by digit,
+    without the tables).
     """
     total = p ** m
     dtype = _index_dtype(total)
     n = 0
     while n < m and p ** (n + 1) <= _BLOCK_STATES:
         n += 1
-    size = p ** n
+    size, f = p ** n, m - n
+    torus = _Torus(np.zeros((m, 0)) if chars is None else chars, p, m, n,
+                   dtype)
+    # the c of each map's edges: chi_alpha's image, the units c**k for the
+    # multiples k of the gcd of its exponents with p - 1; one for n_0
+    edges = [_changes(pairs, keep, (1,) if w is None else
+                      torus.pow[::np.gcd.reduce((*w, p - 1))], p, m)
+             for pairs, keep, w in maps if pairs]
 
-    def crossing(every, maps):
-        # the labels at the two ends of each block's edges: every pair, or
+    def prefixes():
+        # each block's first state and prefix, with the prefix's normal
+        # form, group and units (_Torus.reduce)
+        for lo, prefix in zip(range(0, total, size),
+                              itertools.product(range(p), repeat=f)):
+            yield (lo, prefix, *torus.reduce(prefix))
+
+    # the blocks whose prefix is its own normal form, which hold the
+    # classes' least states: normal in ascending order, blocks by group,
+    # and first, the number of each one's first class
+    normal, blocks, first = [], {}, {}
+    trees = 0
+    for lo, prefix, head, h, _ in prefixes():
+        if head == list(prefix):
+            normal.append((lo, h))
+            blocks.setdefault(h, []).append((lo, prefix))
+            first[lo] = trees
+            trees += torus.fixed(h).size
+    # every block's group is its normal form's, so the tables of the blocks'
+    # groups are all built; those of later digits served only to build them
+    torus.tables = {key: table for key, table in torus.tables.items()
+                    if key[1] == f}
+    # each state's normal form, block by block: a table of the prefix's
+    # group at the states multiplied by the prefix's units, plus the first
+    # state of the normal form's block; with at most _TREES classes, each
+    # state's class number instead, from the group's numbers and the
+    # number of that block's first class
+    numbered = trees <= _TREES
+    label = np.empty(total, dtype=dtype)
+    for lo, prefix, head, h, unit in prefixes():
+        start = 0
+        for y in head:
+            start = start * p + y
+        start *= size
+        if numbered:
+            table, start = torus.numbers(h), first[start]
+        else:
+            table = torus.table(h, f)
+        view = label[lo:lo + size]
+        if unit is None or (unit[f:] == 1).all():
+            view[...] = table
+        else:
+            np.take(table, torus.scaled(unit[f:]), out=view)
+        if start:
+            view += start
+    torus.tables = torus.numbered = None  # read only by the normal forms
+
+    def digits(fixed):
+        # the digits of the states of fixed, a row per digit
+        return _digits(fixed, p, n, np.min_scalar_type(-p)).T
+
+    def crossing(every):
+        # the labels at the two ends of each class edge: every pair, or
         # only the pairs that differ
-        for move, keep in maps:
-            for lo, img in _images(move, p, m, n, keep):
-                a = label[lo:lo + size]
-                b = label.take(img)
-                if not every:
-                    cross = np.flatnonzero(a != b)
-                    if not cross.size:
-                        continue
-                    a, b = a[cross], b[cross]
-                yield a, b
+        for h, where in blocks.items():
+            fixed = torus.fixed(h)
+            found = digits(fixed)
+            # at most a block's edges at a time
+            step = max(1, size // max(1, fixed.size))
+            for changes in edges:
+                for at in range(0, changes[0][2].shape[2], step):
+                    part = [(s, d, change[..., at:at + step])
+                            for s, d, change in changes]
+                    for lo, image in _edge_images(part, p, fixed, found,
+                                                  where):
+                        b = label.take(image)
+                        a = label.take(lo + fixed)[:, None]
+                        if not every:
+                            cross = a != b
+                            if not cross.any():
+                                continue
+                            a = np.broadcast_to(a, b.shape)[cross]
+                            b = b[cross]
+                        yield a, b
 
     def number():
         # jump every label to its root and number the trees; returns the roots
@@ -553,57 +842,97 @@ def _orbit_partition(moves, p: int, m: int, sweep=None):
             view[...] = label.take(end)
         return np.concatenate(roots)
 
-    hooks = [(move, 1) for move in moves]
-    label = np.arange(total, dtype=dtype)
-    trees, every = total, True
-    while True:
-        for a, b in crossing(every, hooks):
-            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-        a = b = None  # free the last block's labels before the numbering
-        least = number()
-        if least.size == trees or least.size <= _BLOCK_STATES:
-            break
-        trees, every = least.size, False
-        for lo in range(0, total, size):
-            ids = label[lo:lo + size]
-            ids[...] = least.take(ids)
-    index = None
-    if least.size < trees:
+    settled = False
+    if numbered:
+        least = None  # the classes' least states, listed once joined
+    else:
+        every = True
+        while True:
+            for a, b in crossing(every):
+                np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+            a = b = None  # free the last block's labels before the numbering
+            least = number()
+            settled = least.size == trees
+            if settled or least.size <= _TREES:
+                break
+            trees, every = least.size, False
+            for lo in range(0, total, size):
+                ids = label[lo:lo + size]
+                ids[...] = least.take(ids)
+    if not settled:
         # the exact sweep: the orbit index of every tree, and which trees
         # hold their orbit's least state
-        tree = np.arange(least.size, dtype=dtype)
-        for a, b in crossing(False, hooks if sweep is None else sweep):
-            a, b = tree.take(a), tree.take(b)
-            apart = np.flatnonzero(a != b)
-            a, b = a[apart], b[apart]
+        tree = np.arange(trees if numbered else least.size, dtype=dtype)
+
+        def join(tree, held):
+            a = np.concatenate([a for a, _ in held])
+            b = np.concatenate([b for _, b in held])
             while a.size:
                 tree, a, b = _join(tree, a, b)
+            return tree
+
+        # the pairs apart are joined at least as many as the trees at a
+        # time, so compressing the trees costs no more than joining them;
+        # the roots of the pairs held stay roots until they are joined.
+        # Before the classes' first join nearly every edge crosses, so they
+        # are not filtered by label
+        held, count = [], 0
+        for a, b in crossing(numbered):
+            a, b = tree.take(a), tree.take(b)
+            apart = a != b
+            if apart.any():
+                held.append((np.broadcast_to(a, b.shape)[apart], b[apart]))
+                count += held[-1][1].size
+                if count >= tree.size // 4:
+                    tree, held, count = join(tree, held), [], 0
+        if held:
+            tree = join(tree, held)
         top = tree == np.arange(tree.size)
         index = (np.cumsum(top, dtype=dtype) - 1).take(tree)
+        if numbered:
+            least = np.concatenate([lo + torus.fixed(h).astype(np.intp)
+                                    for lo, h in normal])
         least = least[top]
-    sizes = np.zeros(least.size, dtype=np.intp)
-    for lo in range(0, total, size):
-        ids = label[lo:lo + size]
-        if index is not None:
+        for lo in range(0, total, size):
+            ids = label[lo:lo + size]
             ids[...] = index.take(ids)
-        low = int(ids.min())
-        counts = np.bincount(ids - low)
-        sizes[low:low + counts.size] += counts
+    # an orbit's size is the sum of its classes' sizes
+    sizes = np.zeros(least.size, dtype=np.intp)
+    for h, where in blocks.items():
+        fixed = torus.fixed(h)
+        weight = torus.sizes(h, digits(fixed))
+        for lo, _ in where:
+            np.add.at(sizes, label.take(lo + fixed), weight)
+    if int(sizes.sum()) != total:
+        raise InternalError(f"the classes' sizes sum to {int(sizes.sum())}, "
+                            f"not to the {total} states")
+    if len(torus.exps) > 1:
+        for i, x in enumerate(_digits(least, p, m).tolist()):
+            if torus.reduce(x)[0] != x:
+                raise InternalError(f"orbit {i}'s least state {x} is not "
+                                    f"its own normal form")
     return label, least, sizes
 
 
 # states per block of _orbit_partition
 _BLOCK_STATES = 2**16
+# trees per union-find of _orbit_partition
+_TREES = 2**17
+# elements times states of the suffix tables that _Torus.table builds as
+# the least images under every element
+_SMALL_TABLE = 2**12
 # _orbit_partition holds one array of p**m index-sized entries, whatever the
-# number of moves, and at most _BLOCK_BYTES bytes per state of a block
-# besides, the union-find's array of at most _BLOCK_STATES trees included:
-# 4.04 to 4.10 bytes per state in all, traced on D6/F3 and D4/F7, and 29 to
-# 34 bytes per block state (33.3, 29.4, 33.7 and 30.2 on D4/F5, D5/F3,
-# D4/F7 and D6/F3, the same with n_0's map in the exact sweep as with the
-# 2 r0 moves).  A round that leaves more than _BLOCK_STATES trees holds 8
-# bytes per tree for their roots, 1.3 MB for A3/F127's 159,161: inside the
-# margin, as its peak RSS shows
-_BLOCK_BYTES = 56
+# number of maps, and at most _BLOCK_BYTES bytes per state of a block
+# besides: the suffix tables and each group's least states, a block's
+# edges, and the union-find of at most _TREES trees, whose pairs are held a
+# quarter of its trees at a time.  Traced: 4.18 bytes per state in all on
+# D6/F3 (171.6 MB, against 174 MB for the state-level kernel) and 4.62 on
+# D4/F7, and 19, 57, 55 and 118 bytes per _BLOCK_STATES beyond the index on
+# D4/F5, D5/F3, D4/F7 and D6/F3 (D6/F3's 5.4 million classes take the
+# hooking rounds, with eight groups' tables of a block each; D4/F7's
+# 107,297 classes one union-find).  A round that leaves more than _TREES
+# trees holds 8 bytes per tree for their roots
+_BLOCK_BYTES = 160
 
 
 def enumerate_orbits(table: StructureConstantTable, p: int,
@@ -615,9 +944,10 @@ def enumerate_orbits(table: StructureConstantTable, p: int,
     conjugates every level-0 root onto a simple one (Steinberg, Lectures on
     Chevalley Groups, 1967).  The orbits are therefore the connected
     components of those 2 r0 permutations of the states, each labelled by
-    its least state.  _orbit_partition hooks along all 2 r0 and joins what
-    is left along the r0 + 1 of _sweep_maps, x_alpha(1) and n_0, which
-    generate the same group.  The census lists the orbits in ascending
+    its least state.  _orbit_partition joins the classes of the level-0
+    torus along the class edges of the r0 + 1 elements x_alpha(1) and n_0
+    of _class_maps, which generate the same group with the torus (of the
+    2 r0 elements below r0 = 2).  The census lists the orbits in ascending
     order of that state and carries the state -> orbit index array as
     orbit_id.  A system or prime the classification does not cover
     (check_domain) is refused before the budget is priced.
@@ -627,8 +957,8 @@ def enumerate_orbits(table: StructureConstantTable, p: int,
     check_domain(rs, K)
     m = len(rs.phi1)
     total = check_budget(rs, p, budget)
-    orbit_id, least, sizes = _orbit_partition(_generator_moves(table), p, m,
-                                              _sweep_maps(table))
+    chars, maps = _class_maps(table)
+    orbit_id, least, sizes = _orbit_partition(maps, p, m, chars)
     reps = map(tuple, _digits(least, p, m).tolist())
     orbits = [OrbitEntry(rep, size, classify(table, K, rep))
               for rep, size in zip(reps, sizes.tolist())]
@@ -730,8 +1060,8 @@ def crosscheck(table: StructureConstantTable, p: int,
     m, k, orbit_id = len(rs.phi1), census.orbit_count, census.orbit_id
     if orbit_id is None:
         check_budget(rs, p)
-        orbit_id = _orbit_partition(_generator_moves(table), p, m,
-                                    _sweep_maps(table))[0]
+        chars, maps = _class_maps(table)
+        orbit_id = _orbit_partition(maps, p, m, chars)[0]
 
     def not_least(i):
         return MismatchReport(

@@ -35,6 +35,7 @@ from chevorbit import (
 )
 from chevorbit.chevalley import _jacobi_defect, _seeds
 from chevorbit.gfield import _pow_mod
+from chevorbit.liemod import _action_plan
 from chevorbit.rootsys import as_int
 
 ALL_SYSTEMS: tuple[str, ...] = (
@@ -205,6 +206,24 @@ def get_table(name: str) -> StructureConstantTable:
     if name not in _tables:
         _tables[name] = build_table_oracle(get_system(name))
     return _tables[name]
+
+
+def generator_moves(table: StructureConstantTable) -> list:
+    """The V1 moves of the 2 r0 elements x_{+-alpha}(1), alpha a simple
+    level-0 root, which generate the level-0 group: the state-level edges
+    of the reference partitions."""
+    rs = table.rs
+    simple = [a for a in map(rs.simple, range(1, rs.rank + 1))
+              if not rs.level(a)]
+    return [_action_plan(table, g)[5]
+            for g in simple + [rs.neg(a) for a in simple]]
+
+
+def trivial_torus(moves) -> list:
+    """moves as census._orbit_partition's maps under the trivial torus:
+    each a root element x(1) whose character is trivial, so the classes
+    are the states and the class edges the moves."""
+    return [(move, 1, ()) for move in moves]
 
 
 def negated_pair(name: str) -> tuple[StructureConstantTable, int, int]:

@@ -30,15 +30,18 @@ from chevorbit import (
 from chevorbit import census as census_mod
 from chevorbit import cli, liemod, orbitlab
 from chevorbit.census import state_of_vector, vector_of_state
+from chevorbit.rootsys import InternalError
 import helpers
 from helpers import (
     ArrayField,
     CENSUS_CASES,
     EXPECTED_ORBITS,
+    generator_moves,
     get_census,
     get_field,
     get_table,
     reached_names,
+    trivial_torus,
 )
 
 
@@ -83,26 +86,26 @@ def test_enumeration_matches_independent_bfs(name, p):
 
 def test_orbit_partition_over_blocks_of_p_squared_states(monkeypatch):
     """Blocks of p**2 states fix all but the last two digits, so the pairs
-    of the moves and of n_0's signed permutation reach all four cases:
-    neither digit fixed, the source fixed, the target fixed, and both
-    fixed; n_0 of A4 also maps two digits to their negatives, one case of
-    a pair whose source is its target."""
+    of the moves and of n_0's signed permutation reach all three kinds of
+    _edge_images (both digits in the last two, both in the prefix, one in
+    each, with the source or the target in the prefix); n_0 of A4 also
+    maps two digits to their negatives, one case of a pair whose source is
+    its target.  The prefixes reach groups that fix no digit and groups
+    that fix some, and suffix tables that the torus multiplies."""
     kinds = set()
     for name, p in (("A3", 5), ("A4", 3), ("D4", 3)):
         table = get_table(name)
-        moves = census_mod._generator_moves(table)
-        sweep = census_mod._sweep_maps(table)
+        chars, maps = census_mod._class_maps(table)
         m = len(table.rs.phi1)
-        kinds |= {(s < m - 2, d < m - 2) for move in
-                  moves + [move for move, _ in sweep or ()]
-                  for s, d, _ in move}
-        default = census_mod._orbit_partition(moves, p, m, sweep)
+        kinds |= {(s < m - 2, d < m - 2) for pairs, _, _ in maps
+                  for s, d, _ in pairs}
+        default = census_mod._orbit_partition(maps, p, m, chars)
         with monkeypatch.context() as patch:
             patch.setattr(census_mod, "_BLOCK_STATES", p * p)
-            blocked = census_mod._orbit_partition(moves, p, m, sweep)
+            blocked = census_mod._orbit_partition(maps, p, m, chars)
             # the int64 index arrays of 2**31 states and more
             patch.setattr(census_mod, "_index_dtype", lambda total: np.int64)
-            wide = census_mod._orbit_partition(moves, p, m, sweep)
+            wide = census_mod._orbit_partition(maps, p, m, chars)
         for got, want in zip(blocked, default):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert wide[0].dtype == np.int64
@@ -122,13 +125,17 @@ def test_orbit_partition_over_blocks_of_p_squared_states(monkeypatch):
 @pytest.mark.parametrize("p,m,n", [(3, 6, 6), (3, 6, 2), (5, 4, 1),
                                    (5, 4, 3)])
 def test_images_of_a_signed_permutation_are_its_digits_moved(p, m, n):
-    """_images with keep 0 sets new x_d = sign_d * x_src(d) for every digit:
-    on random signed permutations, with fixed points of both signs, in
-    blocks of p**n states (n < m fixes the leading digits), each image is
-    the state whose digits are the old ones moved and signed."""
+    """_edge_images of a keep-0 map sets new x_d = sign_d * x_src(d) for
+    every digit: on random signed permutations, with fixed points of both
+    signs, over every state of blocks of p**n states (n < m fixes the
+    leading digits, the prefix), each image is the state whose digits are
+    the old ones moved and signed."""
     rng = random.Random(p * 100 + m * 10 + n)
     states = np.arange(p ** m)
     digits = census_mod._digits(states, p, m)
+    fixed = np.arange(p ** n)
+    blocks = list(zip(range(0, p ** m, p ** n),
+                      itertools.product(range(p), repeat=m - n)))
     for _ in range(4):
         # digits 0 and 1 keep their places, the others are shuffled
         src = [0, 1] + rng.sample(range(2, m), m - 2)
@@ -137,8 +144,11 @@ def test_images_of_a_signed_permutation_are_its_digits_moved(p, m, n):
         want = np.zeros(p ** m, dtype=np.int64)
         for d in range(m):
             want = want * p + sign[d] * digits[:, src[d]] % p
-        got = np.concatenate([img.copy() for _, img in
-                              census_mod._images(turn, p, m, n, keep=0)])
+        changes = census_mod._changes(turn, 0, (1,), p, m)
+        got = np.concatenate([image[:, 0] for _, image in
+                              census_mod._edge_images(
+                                  changes, p, fixed,
+                                  census_mod._digits(fixed, p, n).T, blocks)])
         assert np.array_equal(got, want), (src, sign)
 
 
@@ -193,14 +203,17 @@ def random_moves(draw):
 
 def count_partition_work(patch) -> dict:
     """Counters, for the partitions run under patch, of the calls of the
-    per-move image builder (one per move in every sweep over the edges), of
-    the union-find hooks, and of the hooks that left pairs apart."""
-    seen = {"images": 0, "joins": 0, "retries": 0}
-    images, join = census_mod._images, census_mod._join
+    image builder (one per map and per group of blocks in every sweep over
+    the edges), of the class edges it yields (edges), of the union-find
+    hooks, and of the hooks that left pairs apart."""
+    seen = {"images": 0, "edges": 0, "joins": 0, "retries": 0}
+    images, join = census_mod._edge_images, census_mod._join
 
     def counted_images(*args):
         seen["images"] += 1
-        return images(*args)
+        for lo, image in images(*args):
+            seen["edges"] += image.size
+            yield lo, image
 
     def counted_join(*args):
         tree, a, b = join(*args)
@@ -208,60 +221,83 @@ def count_partition_work(patch) -> dict:
         seen["retries"] += bool(a.size)
         return tree, a, b
 
-    patch.setattr(census_mod, "_images", counted_images)
+    patch.setattr(census_mod, "_edge_images", counted_images)
     patch.setattr(census_mod, "_join", counted_join)
     return seen
+
+
+def class_edges(name, p):
+    """The class edges of a census case: for each class, the c of each
+    root element's character image, and one for n_0."""
+    table = get_table(name)
+    chars, maps = census_mod._class_maps(table)
+    m = len(table.rs.phi1)
+    with pytest.MonkeyPatch.context() as patch:
+        seen = count_partition_work(patch)
+        # no hooking round: the union-find reads every edge once
+        patch.setattr(census_mod, "_TREES", p ** m)
+        census_mod._orbit_partition(maps, p, m, chars)
+    return seen["edges"]
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(random_moves())
 def test_orbit_partition_matches_union_find_on_random_moves(case):
-    """Hooking in place reads labels that earlier hooks of the same round
-    have lowered, so its order of work differs with the graph and the
-    blocks; on random graphs, with blocks of p, p**2 and the default
-    number of states, it must still give the reference partition.  Both
-    exits run: with more orbits than _BLOCK_STATES the trees never fit the
-    union-find, so hooking rounds go on until one hooks nothing; with
-    fewer, the exact sweep ends the work, and when every state fits under
-    the default it follows the first round, so every edge is read twice."""
+    """Through the trivial torus, every state is its own class and the
+    class edges are the moves.  Hooking in place reads labels that earlier
+    hooks of the same round have lowered, so its order of work differs
+    with the graph and the blocks; on random graphs, with blocks and a
+    union-find bound of p, p**2 and the default number of states, it must
+    still give the reference partition.  Both exits run: with more orbits
+    than _TREES the trees never fit the union-find, so hooking rounds go
+    on until one hooks nothing; with fewer, the union-find ends the work,
+    and when every state fits under the bound it reads every edge once,
+    with no hooking round."""
     p, m, moves = case
     want = union_find_partition(moves, p, m)
     for block in (p, p * p, census_mod._BLOCK_STATES):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(census_mod, "_BLOCK_STATES", block)
+            patch.setattr(census_mod, "_TREES", block)
             seen = count_partition_work(patch)
-            got = census_mod._orbit_partition(moves, p, m)
+            got = census_mod._orbit_partition(trivial_torus(moves), p, m)
         assert [a.tolist() for a in got] == list(want), block
         if len(want[1]) > block:
             assert seen["joins"] == 0, block
-            assert seen["images"] >= 2 * len(moves), block
+            assert seen["edges"] >= 2 * len(moves) * p ** m, block
         if block >= p ** m:
-            assert seen["images"] == 2 * len(moves)
+            assert seen["images"] == len(moves)
+            assert seen["edges"] == len(moves) * p ** m
 
 
 @pytest.mark.parametrize("name,p", [("D4", 5), ("D5", 3)])
 def test_orbit_partition_reads_every_edge_twice(monkeypatch, name, p):
-    """The first hooking round reads the 2 r0 moves of x_{+-alpha}(1) and
-    leaves 76 trees on D4/F5 and 59 on D5/F3; the exact sweep joins them,
-    reading the r0 + 1 maps of x_alpha(1) and n_0: two sweeps over the
-    edges of a generating set, the second over a smaller one."""
+    """D4/F5 has 24,649 classes and D5/F3 68,921, at most _TREES, so one
+    union-find reads each class edge once: for each class, 2, 2 and 2 on
+    D4/F5 (the squares of F_5 for each x_alpha) and 2, 2, 2 and 1 on D5/F3
+    (three alpha of character image F_3^*, one of the squares), and one
+    for n_0.  With fewer trees allowed, as on D6/F3, a hooking round reads
+    every class edge, and the exact sweep over the trees it leaves reads
+    them again: two sweeps over the edges."""
     table = get_table(name)
-    moves = census_mod._generator_moves(table)
-    sweep = census_mod._sweep_maps(table)
-    r0 = len(moves) // 2
-    assert [keep for _, keep in sweep] == [1] * r0 + [0]
+    chars, maps = census_mod._class_maps(table)
+    m = len(table.rs.phi1)
+    classes, per_class = {("D4", 5): (24_649, 7), ("D5", 3): (68_921, 8)}[
+        (name, p)]
+    assert class_edges(name, p) == classes * per_class
+    assert classes <= census_mod._TREES
+    monkeypatch.setattr(census_mod, "_TREES", classes - 1)
     seen = count_partition_work(monkeypatch)
-    _, least, _ = census_mod._orbit_partition(moves, p, len(table.rs.phi1),
-                                              sweep)
-    assert seen["images"] == 2 * r0 + r0 + 1
+    _, least, _ = census_mod._orbit_partition(maps, p, m, chars)
+    assert seen["edges"] == 2 * classes * per_class
     assert least.size == EXPECTED_ORBITS[(name, p)]
 
 
 @pytest.mark.parametrize("name", [f"A{r}" for r in range(4, 9)]
                          + [f"D{r}" for r in range(4, 9)])
 def test_n0_conjugates_each_simple_root_element_onto_a_negative_one(name):
-    """_sweep_maps reads x_alpha(1) for the simple level-0 roots alpha, and
+    """_class_maps reads x_alpha(1) for the simple level-0 roots alpha, and
     n_0 as a signed permutation of phi1, which over F_101 conjugates each
     x_alpha(1) to x_beta(+-1) for one negative level-0 root beta = w_0
     alpha, the negative of a simple root: so the maps generate U- beside
@@ -270,9 +306,14 @@ def test_n0_conjugates_each_simple_root_element_onto_a_negative_one(name):
     rs, m = table.rs, len(table.rs.phi1)
     simple = [a for a in map(rs.simple, range(1, rs.rank + 1))
               if rs.level(a) == 0]
-    *shears, (turn, keep) = census_mod._sweep_maps(table)
-    assert shears == [(liemod._action_plan(table, a)[5], 1) for a in simple]
-    assert keep == 0
+    chars, maps = census_mod._class_maps(table)
+    *shears, (turn, keep, weight) = maps
+    assert shears == [(liemod._action_plan(table, a)[5], 1,
+                       tuple(rs.pair(a, b) for b in simple))
+                      for a in simple]
+    assert keep == 0 and weight is None
+    assert chars.tolist() == [[rs.pair(b, a) for a in simple]
+                              for b in rs.phi1]
     # new x_d = sign_d * x_src(d), each digit a target once
     src, targets, sign = map(list, zip(*turn))
     assert targets == list(range(m)) and sorted(src) == list(range(m))
@@ -302,62 +343,71 @@ def test_n0_conjugates_each_simple_root_element_onto_a_negative_one(name):
 
 @pytest.mark.parametrize("name,p", [*CENSUS_CASES, ("A4", 7), ("A5", 5)])
 def test_orbit_partition_with_n0_matches_union_find_over_all_moves(name, p):
-    """The hooking rounds read the 2 r0 moves, and from r0 = 2 on the
-    exact sweep reads x_alpha(1) and n_0 instead (_sweep_maps); the
-    partition is the reference's over all 2 r0 moves."""
+    """The kernel joins the torus classes along the class edges of
+    x_alpha(1) and n_0 from r0 = 2 on, and of the 2 r0 moves below
+    (_class_maps); the partition is the reference's over all 2 r0 moves of
+    the states, which reads no torus."""
     table = get_table(name)
-    moves, m = census_mod._generator_moves(table), len(table.rs.phi1)
-    got = census_mod._orbit_partition(moves, p, m,
-                                      census_mod._sweep_maps(table))
-    assert [a.tolist() for a in got] == list(union_find_partition(moves, p,
-                                                                  m))
+    chars, maps = census_mod._class_maps(table)
+    m = len(table.rs.phi1)
+    got = census_mod._orbit_partition(maps, p, m, chars)
+    assert [a.tolist() for a in got] == list(union_find_partition(
+        generator_moves(table), p, m))
 
 
 @pytest.mark.parametrize("name,p,block,orbits", [("D4", 3, 9, 14),
                                                  ("A3", 5, 25, 11)])
 def test_orbit_partition_hooks_again_past_block_states_trees(
         monkeypatch, name, p, block, orbits):
-    """With _BLOCK_STATES lowered below the first round's trees, a second
-    round hooks, over the 2 r0 moves like the first.  D4/F3 has more orbits
-    than the bound, so its trees never fit the union-find, and a third
-    round, which hooks nothing, ends the work, with no read of n_0; A3/F5
-    has fewer, so the trees the second round leaves fit, and the exact
-    sweep ends it (r0 = 1 there, so it reads the moves)."""
+    """With _BLOCK_STATES lowered to block states and _TREES below the
+    trees that the first round leaves, a second round hooks, along every
+    class edge like the first.  D4/F3 has more orbits than the bound, so
+    its trees never fit the union-find, and a third round, which hooks
+    nothing, ends the work; on A3/F5 the bound is one above the orbits, so
+    the trees the second round leaves fit, and the exact sweep ends it,
+    finding every edge inside a tree: three sweeps over the class edges
+    either way, and no join."""
     table = get_table(name)
-    moves = census_mod._generator_moves(table)
+    chars, maps = census_mod._class_maps(table)
     m = len(table.rs.phi1)
+    edges = class_edges(name, p)
     monkeypatch.setattr(census_mod, "_BLOCK_STATES", block)
+    monkeypatch.setattr(census_mod, "_TREES", min(block, orbits + 1))
     seen = count_partition_work(monkeypatch)
-    got = census_mod._orbit_partition(moves, p, m,
-                                      census_mod._sweep_maps(table))
-    assert seen["images"] == 3 * len(moves)
+    got = census_mod._orbit_partition(maps, p, m, chars)
+    assert seen["edges"] == 3 * edges and seen["joins"] == 0
     assert len(got[1]) == orbits
-    assert [a.tolist() for a in got] == list(union_find_partition(moves, p,
-                                                                  m))
+    assert [a.tolist() for a in got] == list(union_find_partition(
+        generator_moves(table), p, m))
 
 
 def test_orbit_partition_ends_on_a_filtered_round_that_merges_nothing(
         monkeypatch):
-    """x_1 += x_0 on 9 states: the first round hooks each 3-cycle into one
-    tree, which leaves 5 trees, the orbits, more than _BLOCK_STATES = 3.
-    The second round reads only edges whose labels differ, finds none, and
-    leaves as many trees, so the work ends there, with no exact sweep."""
+    """x_1 += x_0 on 9 states, through the trivial torus: the first round
+    hooks each 3-cycle into one tree, which leaves 5 trees, the orbits,
+    more than _TREES = 3.  The second round reads only edges whose labels
+    differ, finds none, and leaves as many trees, so the work ends there,
+    with no exact sweep."""
     p, m, moves = 3, 2, [[(0, 1, 1)]]
     monkeypatch.setattr(census_mod, "_BLOCK_STATES", p)
+    monkeypatch.setattr(census_mod, "_TREES", p)
     seen = count_partition_work(monkeypatch)
-    got = census_mod._orbit_partition(moves, p, m)
-    assert seen == {"images": 2, "joins": 0, "retries": 0}
+    got = census_mod._orbit_partition(trivial_torus(moves), p, m)
+    assert seen == {"images": 2, "edges": 2 * p ** m, "joins": 0,
+                    "retries": 0}
     assert [a.tolist() for a in got] == list(union_find_partition(moves, p,
                                                                   m))
 
 
 def test_orbit_partition_of_self_loops_ends_after_one_sweep(monkeypatch):
-    """A pair with sign 0 maps every state to itself: the first round merges
-    no tree, so every state is an orbit at once, with no exact sweep."""
+    """A pair with sign 0 maps every state to itself: through the trivial
+    torus the union-find reads every edge once, and no pair crosses, so
+    every state is an orbit at once, with no join."""
     p, m = 3, 4
     seen = count_partition_work(monkeypatch)
-    label, least, sizes = census_mod._orbit_partition([[(0, 1, 0)]], p, m)
-    assert seen == {"images": 1, "joins": 0, "retries": 0}
+    label, least, sizes = census_mod._orbit_partition(
+        trivial_torus([[(0, 1, 0)]]), p, m)
+    assert seen == {"images": 1, "edges": p ** m, "joins": 0, "retries": 0}
     states = np.arange(p ** m)
     assert np.array_equal(label, states) and np.array_equal(least, states)
     assert np.array_equal(sizes, np.ones(p ** m))
@@ -366,31 +416,151 @@ def test_orbit_partition_of_self_loops_ends_after_one_sweep(monkeypatch):
 def test_orbit_partition_rehooks_pairs_that_a_conflicting_write_left_apart(
         monkeypatch):
     """minimum.at keeps the least of the writes to one root, so a pair of
-    the same block step whose write lost is still apart: the exact sweep
-    finds and hooks it again.  These three moves on 81 states need that."""
+    the same join whose write lost is still apart: the union-find finds and
+    hooks it again.  These three moves on 81 states, through the trivial
+    torus, need that."""
     p, m = 3, 4
     moves = [[(2, 3, -1)], [(0, 2, 1)], [(1, 0, -1)]]
     seen = count_partition_work(monkeypatch)
-    got = census_mod._orbit_partition(moves, p, m)
-    assert seen["images"] == 2 * len(moves) and seen["retries"]
+    got = census_mod._orbit_partition(trivial_torus(moves), p, m)
+    assert seen["images"] == len(moves) and seen["retries"]
     assert [a.tolist() for a in got] == list(union_find_partition(moves, p,
                                                                   m))
 
 
 def test_orbit_partition_without_moves_numbers_every_state_at_once(
         monkeypatch):
-    """A2 has no level-0 simple root, so its partition reads no edge: over
-    F_257 its 66,049 states, more than _BLOCK_STATES, are each an orbit,
-    numbered in one sweep, and no image is built."""
+    """A2 has no level-0 simple root, so its torus is trivial and its
+    partition reads no edge: over F_257 its 66,049 states, more than
+    _BLOCK_STATES, are each an orbit, numbered as the classes are, and no
+    image is built."""
     p, m = 257, 2
-    assert census_mod._generator_moves(get_table("A2")) == []
+    chars, maps = census_mod._class_maps(get_table("A2"))
+    assert maps == [] and chars.shape == (m, 0)
     assert p ** m > census_mod._BLOCK_STATES
     seen = count_partition_work(monkeypatch)
-    label, least, sizes = census_mod._orbit_partition([], p, m)
-    assert seen == {"images": 0, "joins": 0, "retries": 0}
+    label, least, sizes = census_mod._orbit_partition(maps, p, m, chars)
+    assert seen == {"images": 0, "edges": 0, "joins": 0, "retries": 0}
     states = np.arange(p ** m)
     assert np.array_equal(label, states) and np.array_equal(least, states)
     assert np.array_equal(sizes, np.ones(p ** m))
+
+
+def torus_by_words(table, p):
+    """T0 over F_p as the units by which its elements multiply the phi1
+    coordinates, generated by the level-0 torus words of liemod.w_word at a
+    generator of F_p^*, each read off act_on_v1 on the basis vectors (so
+    neither rs.pair nor the census's characters enter)."""
+    rs, K, m = table.rs, get_field(p), len(table.rs.phi1)
+    c = next(g for g in range(1, p)
+             if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+    basis = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    generators = []
+    for a in map(rs.simple, range(1, rs.rank + 1)):
+        if rs.level(a):
+            continue
+        rows = [act_on_v1(table, K, liemod.w_word(K, a, c), e)
+                for e in basis]
+        # a diagonal action: each basis vector scaled by a unit
+        assert all(row[i] and not any(row[:i] + row[i + 1:])
+                   for i, row in enumerate(rows))
+        generators.append(tuple(row[i] for i, row in enumerate(rows)))
+    elements, todo = {(1,) * m}, [(1,) * m]
+    while todo:
+        t = todo.pop()
+        for g in generators:
+            u = tuple(x * y % p for x, y in zip(t, g))
+            if u not in elements:
+                elements.add(u)
+                todo.append(u)
+    return np.array(sorted(elements), dtype=np.int64)
+
+
+@pytest.mark.parametrize("name,p", [("A3", 5), ("A4", 3), ("D4", 3),
+                                    ("D4", 5)])
+def test_normal_form_is_the_least_state_of_its_torus_class(name, p):
+    """With no maps the kernel's orbits are the torus classes: every
+    state's class is labelled by the least state of its class under all of
+    T0, found by brute force over T0's elements, and each class's size is
+    its count of states; the scalar reduce, digit by digit, gives the same
+    least state for every state."""
+    table = get_table(name)
+    chars, _ = census_mod._class_maps(table)
+    m = len(table.rs.phi1)
+    units = torus_by_words(table, p)
+    states = np.arange(p ** m)
+    digits = census_mod._digits(states, p, m)
+    weight = p ** np.arange(m - 1, -1, -1)
+    least = np.min([(digits * u % p) @ weight for u in units], axis=0)
+    label, reps, sizes = census_mod._orbit_partition([], p, m, chars)
+    assert np.array_equal(reps.take(label), least)
+    assert np.array_equal(sizes, np.bincount(label))
+    n = max(k for k in range(m + 1) if p ** k <= census_mod._BLOCK_STATES)
+    torus = census_mod._Torus(chars, p, m, n, np.int64)
+    assert len(torus.exps) == len(units)
+    assert [torus.reduce(x)[0] for x in digits.tolist()] == (
+        census_mod._digits(least, p, m).tolist())
+
+
+def tamper_table(monkeypatch, tamper):
+    """Patch _Torus.table to hand tamper(h, table) the first table it builds
+    for each group at the block's first digit, in place."""
+    build = census_mod._Torus.table
+
+    def table(self, h, j):
+        new = (h, j) not in self.tables
+        out = build(self, h, j)
+        if new and j == self.f:
+            tamper(h, out)
+        return out
+
+    monkeypatch.setattr(census_mod._Torus, "table", table)
+
+
+def test_the_partition_checks_the_class_sizes(monkeypatch):
+    """A suffix table that fixes a state it should move makes that state a
+    class of its own besides its true class: the classes' sizes then sum to
+    more than p**m, and the kernel raises InternalError."""
+    table = get_table("D4")
+    chars, maps = census_mod._class_maps(table)
+    p, m = 3, 8
+
+    def fix_one(h, out):
+        if h == 0:
+            moved = np.flatnonzero(out != np.arange(out.size))
+            out[moved[0]] = moved[0]
+
+    tamper_table(monkeypatch, fix_one)
+    with pytest.raises(InternalError, match="sizes sum to"):
+        census_mod._orbit_partition(maps, p, m, chars)
+
+
+def test_the_partition_checks_each_least_state_is_normal(monkeypatch):
+    """A suffix table that names another state of a class as its least
+    one: on D4/F3, the least state r of an orbit and the next state s of
+    its class, which lies below every other class of the orbit, so s
+    becomes the orbit's least state, which the digit-by-digit normal form
+    moves to r, and the kernel raises InternalError; the classes' sizes
+    still sum to p**m."""
+    table = get_table("D4")
+    chars, maps = census_mod._class_maps(table)
+    p, m = 3, 8
+    label, least, _ = census_mod._orbit_partition(maps, p, m, chars)
+    classes, reps, _ = census_mod._orbit_partition([], p, m, chars)
+    for r in least.tolist():
+        members = np.flatnonzero(classes == classes[r])
+        others = reps[label.take(reps) == label[r]]
+        if members.size > 1 and (others.size == 1
+                                 or members[1] < others[1]):
+            break
+
+    def rename(h, out):
+        if h == 0:
+            out[members] = members[1]
+
+    tamper_table(monkeypatch, rename)
+    with pytest.raises(InternalError, match="is not its own normal form"):
+        census_mod._orbit_partition(maps, p, m, chars)
 
 
 @pytest.mark.parametrize("name,p,error", [
@@ -426,9 +596,12 @@ def test_the_partition_reaches_no_classifier_name():
     # from, and find none of the classifier's
     classifier = {"classify", "_classifier", "classify_many", "chunk_codes",
                   "lanes", "code", "decode", "_lift_kernel"}
-    for start, needs in (("_orbit_partition", {"_images", "_join"}),
-                         ("_generator_moves", {"_action_plan"}),
-                         ("_sweep_maps", {"_action_plan"})):
+    for start, needs in (("_orbit_partition", {"_Torus", "_changes",
+                                               "_edge_images", "_join"}),
+                         ("_Torus", {"_primitive_root", "_digits"}),
+                         ("_changes", set()), ("_edge_images", set()),
+                         ("_primitive_root", set()),
+                         ("_class_maps", {"_action_plan"})):
         reached = reached_names(census_mod, start)
         assert needs <= reached, (start, needs - reached)
         assert not reached & classifier, (start, reached & classifier)
@@ -630,8 +803,9 @@ def test_state_codec_refuses_what_is_not_a_state_or_a_vector():
 def test_census_representatives_are_their_least_states(name, p):
     table = get_table(name)
     rs = table.rs
-    orbit_id, least, _ = census_mod._orbit_partition(
-        census_mod._generator_moves(table), p, len(rs.phi1))
+    chars, maps = census_mod._class_maps(table)
+    orbit_id, least, _ = census_mod._orbit_partition(maps, p, len(rs.phi1),
+                                                     chars)
     census = enumerate_orbits(table, p)
     assert [o.representative for o in census.orbits] == [
         vector_of_state(rs, p, s) for s in least.tolist()]
@@ -646,12 +820,13 @@ def test_enumeration_is_deterministic():
 def test_enumeration_is_generator_order_independent(monkeypatch):
     table = get_table("A3")
     base = enumerate_orbits(table, 3)
-    original = census_mod._generator_moves
+    original = census_mod._class_maps
 
-    def reversed_moves(t):
-        return list(reversed(original(t)))
+    def reversed_maps(t):
+        chars, maps = original(t)
+        return chars, list(reversed(maps))
 
-    monkeypatch.setattr(census_mod, "_generator_moves", reversed_moves)
+    monkeypatch.setattr(census_mod, "_class_maps", reversed_maps)
     assert enumerate_orbits(table, 3) == base
 
 
@@ -1344,23 +1519,27 @@ def test_crosscheck_code_pass_memory_is_bounded():
 @pytest.mark.parametrize("system,p,moves", [("D4", 5, 6), ("D5", 3, 8)])
 def test_orbit_partition_memory_does_not_grow_with_the_moves(system, p,
                                                              moves):
-    # 2 r0 moves in the hooking round, r0 + 1 maps in the exact sweep
+    # the 2 r0 elements x_{+-alpha}(1) give r0 + 1 maps, x_alpha(1) and n_0
     table = get_table(system)
-    gens = census_mod._generator_moves(table)
-    sweep = census_mod._sweep_maps(table)
+    chars, maps = census_mod._class_maps(table)
     m = len(table.rs.phi1)
-    assert len(gens) == moves and len(sweep) == moves // 2 + 1
-    tracemalloc.start()
-    try:
-        census_mod._orbit_partition(gens, p, m, sweep)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one int32 index array over the states, and a working set per block
-    # (measured 33.3 and 29.4 bytes per block state)
-    block = p ** (m - 2)  # the blocks fix two digits here
-    assert block <= census_mod._BLOCK_STATES < p * block
-    assert peak < p ** m * np.dtype(np.int32).itemsize + 56 * block
+    assert len(generator_moves(table)) == moves
+    assert len(maps) == moves // 2 + 1
+    peaks = []
+    for times in (1, 3):
+        tracemalloc.start()
+        try:
+            census_mod._orbit_partition(maps * times, p, m, chars)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one int32 index array over the states, a working set per block and a
+    # union-find over the classes (24,649 and 68,921 here), within the
+    # price check_budget charges, and no more with each map read three
+    # times
+    assert peaks[0] < (p ** m * np.dtype(np.int32).itemsize
+                       + census_mod._BLOCK_BYTES * census_mod._BLOCK_STATES)
+    assert peaks[1] < peaks[0] * 1.02
 
 
 def test_orbit_entry_json_schema():
