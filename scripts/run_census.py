@@ -11,10 +11,14 @@ the peak so far over all cases run, not that case's own.
     python3 scripts/run_census.py --system D4 -p 5 --json-dir out/
     CHEVORBIT_BUDGET=100000000 python3 scripts/run_census.py --system A3 -p 97
 
-The last case, 88,529,281 states, is one that reaches the partition's
-extra hooking rounds: its first round leaves 70,348 trees, more than the
-2**16 that the exact sweep takes, and the second leaves 2,198.  It holds
-about 375 MB at its peak.
+The last case, 88,529,281 states in 922,181 classes of the level-0
+torus, is one that reaches the partition's hooking rounds: its classes are
+more than the 2**17 that the union-find takes, and its one round leaves
+195 trees, the orbits, which the union-find's sweep then checks (D6/F3's
+one round leaves 1,802).  It holds about 390 MB at its peak.  A second
+round at the class level needs more than 2**17 trees after the first,
+which no case run so far leaves; the test suite runs such rounds with the
+bounds lowered (test_orbit_partition_hooks_again_past_block_states_trees).
 
 Every case is checked before any table is built or any line is printed,
 by the library's own checks (orbitlab.check_domain, census.check_budget).

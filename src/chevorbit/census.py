@@ -409,15 +409,19 @@ class _Torus:
     the chosen one times the last H, so the chosen element only moves the
     later digits.  Subgroups are numbered as met (groups, by their members).
 
-    reduce takes the leading digits of a block one at a time (step's
-    tables); table(h, j) is the normal form under group h of every state of
-    the digits j..m - 1 at once, built from the tables of digit j + 1: a
-    nonzero digit y takes the table of the kernel at the states of the later
-    digits multiplied by y's element (scaled), one gather each.  A block's
-    normal forms are then the table of its prefix's group at its states
-    multiplied by the prefix's element, plus the prefix's normal form.
-    Tables are built on first use, never for fewer than the last n digits,
-    so none is larger than a block."""
+    reduce takes the f = m - n leading digits of a block, its prefix, one
+    at a time (step's tables); table(h, j) is the normal form under group h
+    of every state of the digits j..m - 1 at once, built from the tables of
+    digit j + 1: a nonzero digit y takes the table of the kernel at the
+    states of the later digits multiplied by y's element (scaled), one
+    gather each, and a table of few states and elements is the least image
+    of each state under every element.  A block's normal forms are then
+    the table of its prefix's group at its states multiplied by the
+    prefix's units, after the prefix's normal form.  Tables are built on
+    first use, never for fewer than the last n digits, so none is larger
+    than a block; fixed(h) lists the states a block table fixes, the
+    classes' least states, numbers(h) the rank among them of each state's
+    normal form, and sizes(h, digits) the classes' sizes."""
 
     def __init__(self, chars, p: int, m: int, n: int, dtype):
         self.p, self.m, self.f, self.dtype = p, m, m - n, dtype
@@ -517,7 +521,7 @@ class _Torus:
         (as states of those digits), built from the tables of digit j + 1."""
         if (table := self.tables.get((h, j))) is None:
             p, m, members = self.p, self.m, self.groups[h]
-            if members.size * p ** (m - j) <= _SMALL_TABLE:
+            if j == m or members.size * p ** (m - j) <= _SMALL_TABLE:
                 # few states and elements: the least image of each state
                 # under every element of h
                 states = _digits(np.arange(p ** (m - j)), p, m - j)
@@ -588,7 +592,8 @@ def _changes(pairs, keep: int, units, p: int, m: int):
     digit is kept, and the map reads only the old digits, so the image of
     a state is the state plus one change per pair."""
     c = np.asarray(units, dtype=np.int64)
-    src, dst = np.ogrid[:p, :p, :1][:2]
+    src = np.arange(p)[:, None, None]
+    dst = src.reshape(1, p, 1)
     return [(s, d, ((keep * dst + g * c * src) % p - dst) * p ** (m - 1 - d))
             for s, d, g in pairs]
 
@@ -691,8 +696,9 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
     Where one root is paired with several, all but the least stay apart;
     _join hands them back, and they are found and hooked again until every
     pair shares a root (each call hooks at least one root, so the calls
-    end).  Pairs are joined at least as many as the sets at a time, so the
-    compression costs no more than the pairs.  After the sweep the two
+    end).  The pairs apart are held and joined a quarter of the sets at a
+    time, so the compressions cost at most four times the pairs.  After
+    the sweep the two
     ends of every edge share a set, and only ends of edges were joined, so
     the sets are the orbits.  A set's root is its least class number, the
     class of its least state, and an orbit's index is the rank of that
@@ -741,9 +747,9 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
                    dtype)
     # the c of each map's edges: chi_alpha's image, the units c**k for the
     # multiples k of the gcd of its exponents with p - 1; one for n_0
-    edges = [_changes(pairs, keep, (1,) if w is None else
-                      torus.pow[::np.gcd.reduce((*w, p - 1))], p, m)
-             for pairs, keep, w in maps if pairs]
+    edges = [(pairs, keep, (1,) if w is None else
+              torus.pow[::np.gcd.reduce((*w, p - 1))])
+             for pairs, keep, w in maps]
 
     def prefixes():
         # each block's first state and prefix, with the prefix's normal
@@ -753,13 +759,12 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
             yield (lo, prefix, *torus.reduce(prefix))
 
     # the blocks whose prefix is its own normal form, which hold the
-    # classes' least states: normal in ascending order, blocks by group,
-    # and first, the number of each one's first class
-    normal, blocks, first = [], {}, {}
+    # classes' least states: blocks by group, and first, the number of each
+    # one's first class
+    blocks, first = {}, {}
     trees = 0
     for lo, prefix, head, h, _ in prefixes():
         if head == list(prefix):
-            normal.append((lo, h))
             blocks.setdefault(h, []).append((lo, prefix))
             first[lo] = trees
             trees += torus.fixed(h).size
@@ -802,13 +807,13 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
         for h, where in blocks.items():
             fixed = torus.fixed(h)
             found = digits(fixed)
-            # at most a block's edges at a time
-            step = max(1, size // max(1, fixed.size))
-            for changes in edges:
-                for at in range(0, changes[0][2].shape[2], step):
-                    part = [(s, d, change[..., at:at + step])
-                            for s, d, change in changes]
-                    for lo, image in _edge_images(part, p, fixed, found,
+            # at most a block's edges, and tables of a block's entries for
+            # each pair, at a time
+            step = max(1, size // max(fixed.size, p * p))
+            for pairs, keep, c in edges:
+                for at in range(0, len(c), step):
+                    changes = _changes(pairs, keep, c[at:at + step], p, m)
+                    for lo, image in _edge_images(changes, p, fixed, found,
                                                   where):
                         b = label.take(image)
                         a = label.take(lo + fixed)[:, None]
@@ -871,11 +876,11 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
                 tree, a, b = _join(tree, a, b)
             return tree
 
-        # the pairs apart are joined at least as many as the trees at a
-        # time, so compressing the trees costs no more than joining them;
-        # the roots of the pairs held stay roots until they are joined.
-        # Before the classes' first join nearly every edge crosses, so they
-        # are not filtered by label
+        # the pairs apart are held and joined a quarter of the trees at a
+        # time, so compressing the trees costs at most four times as much
+        # as joining them; the roots of the pairs held stay roots until they
+        # are joined.  Before the classes' first join nearly every edge
+        # crosses, so they are not filtered by label
         held, count = [], 0
         for a, b in crossing(numbered):
             a, b = tree.take(a), tree.take(b)
@@ -890,8 +895,9 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
         top = tree == np.arange(tree.size)
         index = (np.cumsum(top, dtype=dtype) - 1).take(tree)
         if numbered:
-            least = np.concatenate([lo + torus.fixed(h).astype(np.intp)
-                                    for lo, h in normal])
+            least = np.concatenate([
+                lo + torus.fixed(h).astype(np.intp) for lo, h in sorted(
+                    (lo, h) for h, where in blocks.items() for lo, _ in where)])
         least = least[top]
         for lo in range(0, total, size):
             ids = label[lo:lo + size]
