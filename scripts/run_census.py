@@ -15,7 +15,7 @@ The last case, 88,529,281 states in 922,181 classes of the level-0
 torus, is one that reaches the partition's hooking rounds: its classes are
 more than the 2**17 that the union-find takes, and its one round leaves
 195 trees, the orbits, which the union-find's sweep then checks (D6/F3's
-one round leaves 1,802).  It holds about 390 MB at its peak.  A second
+one round leaves 1,802).  It holds about 375 MB at its peak.  A second
 round at the class level needs more than 2**17 trees after the first,
 which no case run so far leaves; the test suite runs such rounds with the
 bounds lowered (test_orbit_partition_hooks_again_past_block_states_trees).

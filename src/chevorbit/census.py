@@ -584,49 +584,48 @@ class _Torus:
 
 def _changes(pairs, keep: int, units, p: int, m: int):
     """A digit map's change of the state for each of its (src, dst, sgn)
-    pairs, as (src, dst, change), change[x_src, x_dst, i] the change of
+    pairs, as (src, dst, change), change[i, x_src, x_dst] the change of
     the state where the map, for the i-th c of units, sets new x_dst =
     keep * x_dst + c * sgn * x_src: a root element x(c)'s move (keep 1),
     whose targets are never sources, or n_0's signed permutation (keep 0,
     units (1,)), which lists every digit as a target once.  Every other
     digit is kept, and the map reads only the old digits, so the image of
     a state is the state plus one change per pair."""
-    c = np.asarray(units, dtype=np.int64)
-    src = np.arange(p)[:, None, None]
-    dst = src.reshape(1, p, 1)
-    return [(s, d, ((keep * dst + g * c * src) % p - dst) * p ** (m - 1 - d))
+    c = np.asarray(units, dtype=np.int64)[:, None, None]
+    src = np.arange(p)[:, None]
+    return [(s, d, ((keep * src.T + g * c * src) % p - src.T) * p ** (m - 1 - d))
             for s, d, g in pairs]
 
 
 def _edge_images(changes, p: int, fixed, digits, blocks):
-    """The images under one digit map (_changes, sliced to some of its c)
-    of the states lo + fixed, for each (lo, prefix) of blocks: blocks of
-    the p**n states of the last n digits, whose first m - n digits are
-    prefix, fixed some of those states and digits their digits, one row per
-    digit.  Yields (lo, image), image with a row per state of fixed and a
-    column per c.  The pairs with both digits in the last n add the same
-    changes to the states of fixed in every block, found once; those with
-    both in the prefix add a constant to a block; and each of the others
-    one row of its table, indexed by the digit that is not in the
-    prefix."""
+    """The images under one digit map (_changes) of the states lo + fixed,
+    for each (lo, prefix) of blocks: blocks of the p**n states of the last
+    n digits, whose first m - n digits are prefix, fixed some of those
+    states and digits their digits, one row per digit.  Yields (lo, image),
+    image with a row per c and a column per state of fixed.  The pairs with
+    both digits in the last n add the same changes to the states of fixed
+    in every block, found once; those with both in the prefix add a
+    constant to a block; and each of the others one column of its table,
+    indexed by the digit that is not in the prefix."""
     f = len(blocks[0][1]) if blocks else 0
-    base = fixed[:, None] + np.zeros(changes[0][2].shape[2] if changes
-                                     else 1, dtype=np.int64)
+    base = fixed + np.zeros((len(changes[0][2]) if changes else 1, 1),
+                            dtype=np.int64)
     outer, mixed = [], []
     for s, d, change in changes:
         if s >= f and d >= f:
             pair = digits[s - f].astype(np.intp) * p + digits[d - f]
-            base += change.reshape(p * p, -1).take(pair, axis=0)
+            base += change.reshape(len(change), -1).take(pair, axis=1)
         elif s < f and d < f:
             outer.append((s, d, change))
         else:
             mixed.append((s, d, change))
     for lo, prefix in blocks:
-        image = base + (lo + sum(change[prefix[s], prefix[d]]
+        image = base + (lo + sum(change[:, prefix[s], prefix[d], None]
                                  for s, d, change in outer))
         for s, d, change in mixed:
-            image += (change[prefix[s]].take(digits[d - f], axis=0) if s < f
-                      else change[:, prefix[d]].take(digits[s - f], axis=0))
+            image += (change[:, prefix[s]].take(digits[d - f], axis=1)
+                      if s < f else
+                      change[:, :, prefix[d]].take(digits[s - f], axis=1))
         yield lo, image
 
 
@@ -697,12 +696,11 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
     _join hands them back, and they are found and hooked again until every
     pair shares a root (each call hooks at least one root, so the calls
     end).  The pairs apart are held and joined a quarter of the sets at a
-    time, so the compressions cost at most four times the pairs.  After
-    the sweep the two
-    ends of every edge share a set, and only ends of edges were joined, so
-    the sets are the orbits.  A set's root is its least class number, the
-    class of its least state, and an orbit's index is the rank of that
-    root among the roots.
+    time, so the compressions cost at most four times the pairs.  After the
+    sweep the two ends of every edge share a set, and only ends of edges
+    were joined, so the sets are the orbits.  A set's root is its least
+    class number, the class of its least state, and an orbit's index is
+    the rank of that root among the roots.
 
     With more classes, the label array holds normal forms, and rounds hook
     the larger label across every class edge onto the smaller, in place
@@ -802,8 +800,9 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
         return _digits(fixed, p, n, np.min_scalar_type(-p)).T
 
     def crossing(every):
-        # the labels at the two ends of each class edge: every pair, or
-        # only the pairs that differ
+        # the labels at the two ends of each class edge: a, the labels of
+        # the states, and b of their images, a row per c, or only the pairs
+        # that differ
         for h, where in blocks.items():
             fixed = torus.fixed(h)
             found = digits(fixed)
@@ -816,13 +815,12 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
                     for lo, image in _edge_images(changes, p, fixed, found,
                                                   where):
                         b = label.take(image)
-                        a = label.take(lo + fixed)[:, None]
+                        a = label.take(lo + fixed)
                         if not every:
-                            cross = a != b
-                            if not cross.any():
+                            cross = np.flatnonzero(a != b)
+                            if not cross.size:
                                 continue
-                            a = np.broadcast_to(a, b.shape)[cross]
-                            b = b[cross]
+                            a, b = a.take(cross % a.size), b.take(cross)
                         yield a, b
 
     def number():
@@ -884,10 +882,10 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
         held, count = [], 0
         for a, b in crossing(numbered):
             a, b = tree.take(a), tree.take(b)
-            apart = a != b
-            if apart.any():
-                held.append((np.broadcast_to(a, b.shape)[apart], b[apart]))
-                count += held[-1][1].size
+            apart = np.flatnonzero(a != b)
+            if apart.size:
+                held.append((a.take(apart % a.size), b.take(apart)))
+                count += apart.size
                 if count >= tree.size // 4:
                     tree, held, count = join(tree, held), [], 0
         if held:
@@ -931,14 +929,14 @@ _SMALL_TABLE = 2**12
 # number of maps, and at most _BLOCK_BYTES bytes per state of a block
 # besides: the suffix tables and each group's least states, a block's
 # edges, and the union-find of at most _TREES trees, whose pairs are held a
-# quarter of its trees at a time.  Traced: 4.18 bytes per state in all on
-# D6/F3 (171.6 MB, against 174 MB for the state-level kernel) and 4.62 on
-# D4/F7, and 19, 57, 55 and 118 bytes per _BLOCK_STATES beyond the index on
-# D4/F5, D5/F3, D4/F7 and D6/F3 (D6/F3's 5.4 million classes take the
-# hooking rounds, with eight groups' tables of a block each; D4/F7's
-# 107,297 classes one union-find).  A round that leaves more than _TREES
-# trees holds 8 bytes per tree for their roots
-_BLOCK_BYTES = 160
+# quarter of its trees at a time.  Traced beyond the index: 19, 57, 55 and
+# 118 bytes per _BLOCK_STATES on D4/F5, D5/F3, D4/F7 and D6/F3 (D6/F3's 5.4
+# million classes take the hooking rounds, with eight groups' block tables;
+# D4/F7's 107,297 classes one union-find), 4.63 bytes per state in all on
+# D4/F7 and 4.18 on D6/F3 (179.9 MB; the state-level kernel traced 4.04).
+# A round that leaves more than _TREES trees holds 8 bytes per tree for
+# their roots
+_BLOCK_BYTES = 192
 
 
 def enumerate_orbits(table: StructureConstantTable, p: int,

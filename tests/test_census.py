@@ -145,7 +145,7 @@ def test_images_of_a_signed_permutation_are_its_digits_moved(p, m, n):
         for d in range(m):
             want = want * p + sign[d] * digits[:, src[d]] % p
         changes = census_mod._changes(turn, 0, (1,), p, m)
-        got = np.concatenate([image[:, 0] for _, image in
+        got = np.concatenate([image[0] for _, image in
                               census_mod._edge_images(
                                   changes, p, fixed,
                                   census_mod._digits(fixed, p, n).T, blocks)])

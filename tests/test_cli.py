@@ -635,7 +635,7 @@ def test_census_past_the_process_memory_limit_exits_four_before_enumerating():
         env=dict(os.environ, PYTHONPATH=src))
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.startswith(
-        "budget exceeded: enumerating D5 over F_5 needs about 987048260 "
+        "budget exceeded: enumerating D5 over F_5 needs about 989145412 "
         "bytes, more than the ")
     assert proc.stderr.endswith(" bytes left under this process's memory "
                                 "limit\n")
@@ -645,7 +645,7 @@ def test_census_past_the_process_memory_limit_exits_four_before_enumerating():
                     reason="what a process maps is read from /proc")
 def test_census_past_what_the_memory_limit_leaves_exits_four_at_once():
     # under the same 400 MB limit, A3/F97's partition (88,529,281 int32
-    # states, priced at 364,602,884 bytes) is below the limit but not below
+    # states, priced at 366,700,036 bytes) is below the limit but not below
     # what the interpreter, numpy and chevorbit leave of it: refused before
     # any allocation, not at numpy's "Unable to allocate" once work started
     def limit():
@@ -660,7 +660,7 @@ def test_census_past_what_the_memory_limit_leaves_exits_four_at_once():
         env=dict(os.environ, PYTHONPATH=src))
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.startswith(
-        "budget exceeded: enumerating A3 over F_97 needs about 364602884 "
+        "budget exceeded: enumerating A3 over F_97 needs about 366700036 "
         "bytes, more than the ")
     assert proc.stderr.endswith(" bytes left under this process's memory "
                                 "limit\n")
