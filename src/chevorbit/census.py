@@ -929,10 +929,10 @@ _SMALL_TABLE = 2**12
 # number of maps, and at most _BLOCK_BYTES bytes per state of a block
 # besides: the suffix tables and each group's least states, a block's
 # edges, and the union-find of at most _TREES trees, whose pairs are held a
-# quarter of its trees at a time.  Traced beyond the index: 19, 57, 55 and
+# quarter of its trees at a time.  Traced beyond the index: 20, 60, 56 and
 # 118 bytes per _BLOCK_STATES on D4/F5, D5/F3, D4/F7 and D6/F3 (D6/F3's 5.4
 # million classes take the hooking rounds, with eight groups' block tables;
-# D4/F7's 107,297 classes one union-find), 4.63 bytes per state in all on
+# D4/F7's 107,297 classes one union-find), 4.64 bytes per state in all on
 # D4/F7 and 4.18 on D6/F3 (179.9 MB; the state-level kernel traced 4.04).
 # A round that leaves more than _TREES trees holds 8 bytes per tree for
 # their roots
