@@ -703,8 +703,9 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
     the rank of that root among the roots.
 
     With more classes, the label array holds normal forms, and rounds hook
-    the larger label across every class edge onto the smaller, in place
-    (the asynchronous form of Shiloach & Vishkin, 1982).  A label only ever
+    the larger label across every class edge whose two labels differ onto
+    the smaller, in place (the asynchronous form of Shiloach & Vishkin,
+    1982).  A label only ever
     moves to a smaller state of its own component: both ends of an edge
     lie in one component, so do their labels, and hooking lowers the
     larger label to the smaller one, even where a label was read after an
@@ -724,10 +725,9 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
     exactly when it left fewer of them.  One that merged none leaves the
     two ends of every edge one label, so its trees are the orbits.  While a
     round leaves more than _TREES trees and merged some, each state's root
-    is written back over its tree number, and the next round hooks the
-    edges whose two labels differ; once at most _TREES are left, the
-    union-find above joins the trees, reading the edges whose labels
-    differ.
+    is written back over its tree number, and the next round hooks again;
+    once at most _TREES are left, the union-find above joins the trees,
+    reading the edges whose labels differ.
 
     One gather per block writes each state's orbit index over its class
     or tree number.  An orbit's size is the sum of its classes' sizes.
@@ -849,16 +849,15 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
     if numbered:
         least = None  # the classes' least states, listed once joined
     else:
-        every = True
         while True:
-            for a, b in crossing(every):
+            for a, b in crossing(False):
                 np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
             a = b = None  # free the last block's labels before the numbering
             least = number()
             settled = least.size == trees
             if settled or least.size <= _TREES:
                 break
-            trees, every = least.size, False
+            trees = least.size
             for lo in range(0, total, size):
                 ids = label[lo:lo + size]
                 ids[...] = least.take(ids)

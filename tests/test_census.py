@@ -90,8 +90,7 @@ def test_orbit_partition_over_blocks_of_p_squared_states(monkeypatch):
     _edge_images (both digits in the last two, both in the prefix, one in
     each, with the source or the target in the prefix); n_0 of A4 also
     maps two digits to their negatives, one case of a pair whose source is
-    its target.  The prefixes reach groups that fix no digit and groups
-    that fix some, and suffix tables that the torus multiplies."""
+    its target."""
     kinds = set()
     for name, p in (("A3", 5), ("A4", 3), ("D4", 3)):
         table = get_table(name)
