@@ -593,7 +593,8 @@ def _changes(pairs, keep: int, units, p: int, m: int):
     a state is the state plus one change per pair."""
     c = np.asarray(units, dtype=np.int64)[:, None, None]
     src = np.arange(p)[:, None]
-    return [(s, d, ((keep * src.T + g * c * src) % p - src.T) * p ** (m - 1 - d))
+    dst = src.T
+    return [(s, d, ((keep * dst + g * c * src) % p - dst) * p ** (m - 1 - d))
             for s, d, g in pairs]
 
 
@@ -892,9 +893,10 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
         top = tree == np.arange(tree.size)
         index = (np.cumsum(top, dtype=dtype) - 1).take(tree)
         if numbered:
-            least = np.concatenate([
-                lo + torus.fixed(h).astype(np.intp) for lo, h in sorted(
-                    (lo, h) for h, where in blocks.items() for lo, _ in where)])
+            normal = sorted((lo, h) for h, where in blocks.items()
+                            for lo, _ in where)
+            least = np.concatenate([lo + torus.fixed(h).astype(np.intp)
+                                    for lo, h in normal])
         least = least[top]
         for lo in range(0, total, size):
             ids = label[lo:lo + size]
