@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """List the functions under src/chevorbit that no command, script or
-benchmark workload calls.
+benchmark workload calls, or check each caller reason against the calls.
 
 Runs, in this one process and under a sys.setprofile call recorder, every
 pinned CLI invocation (scripts/pinned_outputs.py), scripts/run_census.py,
@@ -15,11 +15,28 @@ own definition (a failure path, say, or a method the domain protocol
 calls), and the totals.  Nested functions count on their own; lambdas and
 generated code do not.
 
+With --check-reasons it prints instead, for each ("caller", where) entry
+of REASONS in tests/test_boundary.py, whether where called the member's
+own code in those runs: the function or method itself, or a class's
+__init__.  A call counts from where's own frame, or from a comprehension,
+generator expression or lambda inside it, with only frames outside
+src/chevorbit in between (functools.cached_property's, or a generated
+classify unit's), so np.add never counts for RootSystem.add.  A member
+with no code of its own under src/chevorbit (a dataclass's generated
+__init__, say) cannot be observed, and is listed apart.  The other
+reasons (failure, acceptance, readme, protocol) are left to the tier-1
+name check in tests/test_boundary.py.
+
     PYTHONPATH=src python3 scripts/reached.py
+    PYTHONPATH=src python3 scripts/reached.py --check-reasons
+
+Either takes about a minute on 2 vCPUs.  Exit 0, or 1 when --check-reasons
+refutes a reason (each refuted reason is listed), or 2 on a bad argument.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import contextlib
 import importlib
@@ -73,22 +90,82 @@ def functions() -> dict:
 
 
 def record(run) -> set:
-    """The (file, first line) of every function under src/chevorbit that
-    run() calls, directly or not."""
-    codes = set()
+    """(caller, callee) for every call that run() makes, directly or not,
+    to a function under src/chevorbit, each a code's (file, first line):
+    the caller is the nearest frame out whose code lies under
+    src/chevorbit, or None where there is none."""
+    keys: dict = {}  # code -> its (file, first line) under src, else None
+    calls = set()
+
+    def key(code):
+        try:
+            return keys[code]
+        except KeyError:
+            path = Path(code.co_filename).resolve()
+            keys[code] = ((str(path), code.co_firstlineno)
+                          if path.parent == SRC else None)
+            return keys[code]
 
     def hook(frame, event, arg):
-        if event == "call":
-            codes.add(frame.f_code)
+        if event == "call" and (callee := key(frame.f_code)):
+            back = frame.f_back
+            while back is not None and not key(back.f_code):
+                back = back.f_back
+            calls.add((back and key(back.f_code), callee))
 
     sys.setprofile(hook)
     try:
         run()
     finally:
         sys.setprofile(None)
-    files = {f: Path(f).resolve() for f in {c.co_filename for c in codes}}
-    return {(str(files[c.co_filename]), c.co_firstlineno) for c in codes
-            if files[c.co_filename].parent == SRC}
+    return calls
+
+
+def named_calls(calls: set, defs: dict) -> set:
+    """The recorded calls as (caller, callee) qualified names.  A caller
+    that is no def (a comprehension, generator expression or lambda) is
+    the innermost def around it, and None at module level; a callee that
+    is no def is dropped."""
+    spans = [(file, first, first + lines, qual)
+             for (file, first), (qual, lines, _) in defs.items()]
+
+    def owner(key):
+        around = [s for s in spans
+                  if key and s[0] == key[0] and s[1] <= key[1] < s[2]]
+        return max(around)[3] if around else None
+
+    return {(owner(a), defs[b][0]) for a, b in calls if b in defs}
+
+
+def check_reasons(calls: set, reasons: dict, defined: set) -> tuple:
+    """(held, refuted, unobservable): the members whose ("caller", where)
+    reason the calls prove, refute or cannot show, each list sorted.
+    calls holds (caller, callee) qualified names, defined every def's.
+    A member's own code is the def module.member, or a class's
+    module.member.__init__; the reason holds only if where called it."""
+    held, refuted, unobservable = [], [], []
+    for member, (reason, where) in sorted(reasons.items()):
+        if reason != "caller":
+            continue
+        own = {q for q in defined
+               if q.partition(".")[2] in (member, f"{member}.__init__")}
+        if not own:
+            unobservable.append(member)
+        elif any((where, q) in calls for q in own):
+            held.append(member)
+        else:
+            refuted.append(member)
+    return held, refuted, unobservable
+
+
+def reasons() -> dict:
+    """REASONS, read from the source of tests/test_boundary.py."""
+    tree = ast.parse((ROOT / "tests" / "test_boundary.py").read_text(
+        encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["REASONS"])
 
 
 def run_entry_point(script: str, argv: list) -> None:
@@ -114,10 +191,7 @@ def named_elsewhere(defs: dict) -> set:
                    for other, (_, _, names) in defs.items() if other != key)}
 
 
-def main() -> int:
-    defs = functions()
-    called = record(lambda: [importlib.import_module("chevorbit")] + [
-        run_entry_point(s, a) for s, a in ENTRY_POINTS])
+def print_uncalled(defs: dict, called: set) -> None:
     missed = sorted(set(defs) - called)
     named = named_elsewhere(defs)
     print("functions under src/chevorbit that no entry point calls "
@@ -130,6 +204,36 @@ def main() -> int:
     print(f"{len(missed)} of {len(defs)} functions ({lines} lines) not "
           f"called; {len(named.intersection(missed))} of them named "
           f"elsewhere under src/")
+
+
+def print_reasons(calls: set, table: dict, defined: set) -> int:
+    held, refuted, unobservable = check_reasons(calls, table, defined)
+    for title, members in (("refuted: where never called the member's own "
+                            "code", refuted),
+                           ("not observable: no code of its own under "
+                            "src/chevorbit", unobservable)):
+        print(f"{title}:")
+        for member in members:
+            print(f"  {member} ({table[member][1]})")
+    print(f"{len(held)} held, {len(refuted)} refuted, {len(unobservable)} "
+          f"not observable, of "
+          f"{len(held) + len(refuted) + len(unobservable)} caller reasons")
+    return 1 if refuted else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check-reasons", action="store_true",
+                        help="check each caller reason of REASONS against "
+                             "the recorded calls; exit 1 if one is refuted")
+    args = parser.parse_args(argv)
+    defs = functions()
+    calls = record(lambda: [importlib.import_module("chevorbit")] + [
+        run_entry_point(s, a) for s, a in ENTRY_POINTS])
+    if args.check_reasons:
+        return print_reasons(named_calls(calls, defs), reasons(),
+                             {qual for qual, _, _ in defs.values()})
+    print_uncalled(defs, {callee for _, callee in calls})
     return 0
 
 

@@ -120,9 +120,6 @@ class PrimeField:
         # unlike a str's, is the same in every process, so it survives pickle
         self._hash = hash(p)
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.p})"
-
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and other.p == self.p
 
@@ -233,9 +230,6 @@ class SquareClass:
 
     p: int
     rep: int
-
-    def __str__(self) -> str:
-        return str(self.rep)
 
 
 def square_class(field: PrimeField, a: int) -> SquareClass:

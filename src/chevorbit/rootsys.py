@@ -306,9 +306,6 @@ class RootSystem:
 
     # -- basic queries ----------------------------------------------------
 
-    def __repr__(self) -> str:
-        return f"RootSystem({self.name}, {len(self.roots)} roots)"
-
     def is_root(self, v) -> bool:
         return v in self._index
 

@@ -6,7 +6,8 @@ test that has just built (and timed) a fresh object can seed them for everyone
 else.  ArrayField runs the library's coefficient-domain code on batches of
 lanes, for reference computations, and ExactIntegers on the integers.  The
 oracles the library has no use for live here too: the bracket of two
-vectors, linear combinations, word helpers and the reflection of roots.
+vectors, their comparison and linear combinations, word helpers and the
+reflection of roots.
 """
 
 from __future__ import annotations
@@ -164,6 +165,16 @@ def combine(*terms) -> LieVector:
         a = dom.of(a)
         out = [dom.add(o, dom.mul(a, c)) for o, c in zip(out, v.coeffs)]
     return LieVector(table, dom, out)
+
+
+def same_vector(u: LieVector, v: LieVector) -> bool:
+    """Whether u and v are one vector: the same system, the same field p
+    (none over the integers) and equal coefficients, lane by lane where a
+    coefficient is a lane array, an int standing for its value in every
+    lane.  The same coefficients over F_5 and F_7 are different vectors."""
+    return (u.table.rs.name == v.table.rs.name
+            and getattr(u.domain, "p", None) == getattr(v.domain, "p", None)
+            and all(np.all(a == b) for a, b in zip(u.coeffs, v.coeffs)))
 
 
 def weyl_word(gamma) -> list:

@@ -601,7 +601,9 @@ def test_every_integer_parameter_has_a_row():
 # public method, property and class or static method of an exported
 # class, with one (reason, where) entry:
 #   caller      a function under src/ that names it, where cli.main's code
-#               reaches that function by name;
+#               reaches that function by name; scripts/reached.py
+#               --check-reasons also checks that it calls the member's own
+#               code (the first read, for a cached property);
 #   failure     the same, for an exception or a method on a failure path:
 #               the function that raises it or reports through it;
 #   acceptance  the test of tests/test_acceptance.py that reaches it, by
@@ -675,7 +677,6 @@ REASONS = {
     "LieVector.e_coeff": ("caller", "orbitlab.associated_root_element"),
     "LieVector.h_coeff": ("caller", "orbitlab.associated_root_element"),
     "LieVector.v1_part": ("caller", "orbitlab.associated_root_element"),
-    "LieVector.nonzero_items": ("caller", "liemod.LieVector.__repr__"),
     "LieVector.level_support": (
         "acceptance", "test_criterion_10_invariants_unchanged_under_action"),
     "ZeroScalar": ("acceptance",
@@ -698,7 +699,7 @@ REASONS = {
                      "test_criterion_07_sl2_invariants_match_conjugacy"),
     "OrbitDescriptor": ("caller", "orbitlab._AClassifier.decode"),
     "OrbitDescriptor.param": ("caller", "orbitlab._int_param"),
-    "OrbitDescriptor.to_json": ("caller", "cli.cmd_classify"),
+    "OrbitDescriptor.to_json": ("caller", "cli.cmd_classify.entry"),
     "OrbitDescriptor.from_json": ("readme", "Python API"),
     "Sl2Invariant": ("acceptance",
                      "test_criterion_07_sl2_invariants_match_conjugacy"),
@@ -715,7 +716,7 @@ REASONS = {
     "classify_many": ("caller", "cli.cmd_classify"),
     "luminosity": ("acceptance",
                    "test_criterion_10_invariants_unchanged_under_action"),
-    "same_orbit": ("caller", "census.crosscheck"),
+    "same_orbit": ("caller", "census.crosscheck.check_chunk"),
     "sl2_invariant": ("acceptance",
                       "test_criterion_10_invariants_unchanged_under_action"),
     "sl2_invariant_matrix": (
@@ -728,7 +729,7 @@ REASONS = {
         "acceptance", "test_criterion_04_minimal_subtraction_dichotomy"),
     "NotARoot": ("failure", "rootsys.RootSystem.root_id"),
     "RootSystem": ("caller", "rootsys.build_root_system"),
-    "RootSystem.ids": ("caller", "liemod._action_plan"),
+    "RootSystem.ids": ("caller", "chevalley.build_table_oracle"),
     "RootSystem.is_root": ("caller", "rootsys.standard_quadruple"),
     "RootSystem.is_positive": (
         "acceptance", "test_criterion_04_minimal_subtraction_dichotomy"),

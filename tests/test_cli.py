@@ -1045,10 +1045,44 @@ def test_reached_script_records_one_classify_invocation(capsys):
     path = Path(__file__).parents[1] / "scripts" / "reached.py"
     script = runpy.run_path(str(path), run_name="reached")
     defs = script["functions"]()
-    called = script["record"](lambda: main(
+    calls = script["record"](lambda: main(
         ["classify", "D4", "-p", "5", "--vector", "1,0,0,0,2,0,0,0"]))
     assert capsys.readouterr().out.startswith("{")
-    names = {defs[key][0] for key in called if key in defs}
+    names = {defs[key][0] for _, key in calls if key in defs}
     assert {"cli.cmd_classify", "orbitlab.classify"} <= names
     assert "census.predicted_census" not in names
     assert "census.predicted_census" in {q for q, _, _ in defs.values()}
+    # each call is named by its nearest caller under src/, or by None
+    named = script["named_calls"](calls, defs)
+    assert (None, "cli.main") in named
+    assert ("cli.cmd_classify", "orbitlab.classify") in named
+
+
+def test_reached_script_checks_each_caller_reason_against_the_calls():
+    # the reason checker on synthetic calls, with no recorder run: a reason
+    # holds only on a call to the member's own code, so a call named add on
+    # another receiver refutes RootSystem.add's
+    path = Path(__file__).parents[1] / "scripts" / "reached.py"
+    script = runpy.run_path(str(path), run_name="reached")
+    defined = {"rootsys.RootSystem.__init__", "rootsys.RootSystem.add",
+               "rootsys.build_root_system", "orbitlab.block_gammas",
+               "census.crosscheck", "orbitlab._AClassifier.decode"}
+    calls = {("rootsys.build_root_system", "rootsys.RootSystem.__init__"),
+             ("orbitlab.block_gammas", "rootsys.RootSystem.add"),
+             ("census.crosscheck", "numpy.add")}
+    reasons = {
+        "RootSystem": ("caller", "rootsys.build_root_system"),
+        "RootSystem.add": ("caller", "orbitlab.block_gammas"),
+        "build_root_system": ("caller", "census.crosscheck"),
+        "OrbitDescriptor": ("caller", "orbitlab._AClassifier.decode"),
+        "NotARoot": ("failure", "rootsys.RootSystem.root_id"),
+    }
+    check = script["check_reasons"]
+    assert check(calls, reasons, defined) == (
+        ["RootSystem", "RootSystem.add"], ["build_root_system"],
+        ["OrbitDescriptor"])
+    moved = {**reasons, "RootSystem.add": ("caller", "census.crosscheck")}
+    assert check(calls, moved, defined)[1] == ["RootSystem.add",
+                                               "build_root_system"]
+    # the table it checks is test_boundary's
+    assert script["reasons"]()["RootSystem.add"] == reasons["RootSystem.add"]

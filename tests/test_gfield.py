@@ -15,10 +15,12 @@ from chevorbit import (
     NotPrime,
     PrimeField,
     UnsupportedField,
+    build_table_oracle,
     is_prime,
     square_class,
 )
-from helpers import INTEGERS
+from chevorbit.orbitlab import _orbit_types
+from helpers import INTEGERS, get_system
 
 PRIMES = (3, 5, 7, 11, 13)
 
@@ -161,6 +163,13 @@ def test_field_equality_and_hash():
     assert PrimeField(5) == PrimeField(5)
     assert PrimeField(5) != PrimeField(7)
     assert hash(PrimeField(5)) == hash(PrimeField(5))
+    # table_cached keys by the field, so two PrimeField(5) objects share one
+    # entry of a fresh table's memo
+    t = build_table_oracle(get_system("D4"))
+    before = len(t.memo)
+    types = _orbit_types(t, PrimeField(5))
+    assert _orbit_types(t, PrimeField(5)) is types
+    assert len(t.memo) == before + 1
 
 
 @pytest.mark.parametrize("p", [13, 4294967311])

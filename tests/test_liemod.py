@@ -43,6 +43,7 @@ from helpers import (
     random_level0_word,
     random_v1,
     reflect,
+    same_vector,
     weyl_word,
 )
 
@@ -62,10 +63,11 @@ def test_vector_construction_and_coefficients():
     assert v.e_coeff((1, 0, 0)) == 3
     assert v.e_coeff((0, 1, 0)) == 0
     assert v.h_coeff(2) == 0
-    assert v.nonzero_items() == [(t.e_key((1, 0, 0)), 3)]
-    assert LieVector.zero(t, K).nonzero_items() == []
+    assert {k: c for k, c in enumerate(v.coeffs) if c} == {
+        t.e_key((1, 0, 0)): 3}
+    assert not any(LieVector.zero(t, K).coeffs)
     w = combine((1, v), (-1, v))
-    assert w.nonzero_items() == [] and w == LieVector.zero(t, K)
+    assert not any(w.coeffs) and same_vector(w, LieVector.zero(t, K))
 
 
 def test_from_v1_round_trip_and_validation():
@@ -98,8 +100,8 @@ def test_apply_word_refuses_scalars_that_are_not_integers():
     for a in (2.5, 2.0, "2"):
         with pytest.raises(TypeError):
             apply_word(t, [(gamma, a)], v)
-    assert (apply_word(t, [(gamma, np.int64(2))], v)
-            == apply_word(t, [(gamma, 2)], v))
+    assert same_vector(apply_word(t, [(gamma, np.int64(2))], v),
+                       apply_word(t, [(gamma, 2)], v))
 
 
 @settings(deadline=None, max_examples=60)
@@ -117,7 +119,7 @@ def test_root_element_action_is_additive_in_the_parameter(name, a, b, seed):
     v = rand_vector(rng, t, K)
     lhs = apply_root_element(t, gamma, b, apply_root_element(t, gamma, a, v))
     rhs = apply_root_element(t, gamma, K.add(K.of(a), K.of(b)), v)
-    assert lhs == rhs
+    assert same_vector(lhs, rhs)
 
 
 def test_zero_parameter_acts_as_identity():
@@ -126,7 +128,7 @@ def test_zero_parameter_acts_as_identity():
     rng = random.Random(11)
     v = rand_vector(rng, t, K)
     for gamma in t.rs.roots[:6]:
-        assert apply_root_element(t, gamma, 0, v) == v
+        assert same_vector(apply_root_element(t, gamma, 0, v), v)
 
 
 def test_action_rejects_non_roots():
@@ -196,7 +198,7 @@ def test_inverse_word_undoes_any_word():
         ]
         v = rand_vector(rng, t, K)
         w = apply_word(t, inverse_word(K, word), apply_word(t, word, v))
-        assert w == v
+        assert same_vector(w, v)
 
 
 def test_word_action_is_a_lie_algebra_automorphism():
@@ -214,7 +216,7 @@ def test_word_action_is_a_lie_algebra_automorphism():
             v = rand_vector(rng, t, K)
             lhs = apply_word(t, word, bracket(t, u, v))
             rhs = bracket(t, apply_word(t, word, u), apply_word(t, word, v))
-            assert lhs == rhs
+            assert same_vector(lhs, rhs)
 
 
 def test_bracket_is_antisymmetric_and_bilinear():
@@ -223,14 +225,15 @@ def test_bracket_is_antisymmetric_and_bilinear():
     rng = random.Random(5)
     for _ in range(30):
         u, v, w = (rand_vector(rng, t, K) for _ in range(3))
-        assert bracket(t, u, v) == combine((-1, bracket(t, v, u)))
-        assert (bracket(t, combine((1, u), (1, v)), w)
-                == combine((1, bracket(t, u, w)), (1, bracket(t, v, w))))
+        assert same_vector(bracket(t, u, v), combine((-1, bracket(t, v, u))))
+        assert same_vector(
+            bracket(t, combine((1, u), (1, v)), w),
+            combine((1, bracket(t, u, w)), (1, bracket(t, v, w))))
         # Jacobi on random triples
         s = combine((1, bracket(t, u, bracket(t, v, w))),
                     (1, bracket(t, v, bracket(t, w, u))),
                     (1, bracket(t, w, bracket(t, u, v))))
-        assert s == LieVector.zero(t, K)
+        assert same_vector(s, LieVector.zero(t, K))
 
 
 def test_bracket_over_exact_integers():
@@ -243,7 +246,7 @@ def test_bracket_over_exact_integers():
     em = LieVector.basis(t, INTEGERS, t.e_key((-1, 0)))
     h = bracket(t, ea, em)
     assert h.coeffs[t.n_roots:] == [1, 0]
-    assert bracket(t, h, h) == LieVector.zero(t, INTEGERS)
+    assert same_vector(bracket(t, h, h), LieVector.zero(t, INTEGERS))
 
 
 def test_torus_word_requires_a_unit():
@@ -273,7 +276,7 @@ def test_fast_torus_action_scales_by_pairing_powers():
         assert v.e_coeff(beta) == K.of(scale)
     for i in range(1, rs.rank + 1):
         v = w_apply_fast(t, gamma, a, LieVector.basis(t, K, t.h_key(i)))
-        assert v == LieVector.basis(t, K, t.h_key(i))
+        assert same_vector(v, LieVector.basis(t, K, t.h_key(i)))
 
 
 def test_torus_word_agrees_with_fast_action_on_random_vectors():
@@ -284,7 +287,8 @@ def test_torus_word_agrees_with_fast_action_on_random_vectors():
         gamma = rng.choice(t.rs.roots)
         a = rng.randrange(1, 11)
         v = rand_vector(rng, t, K)
-        assert apply_word(t, w_word(K, gamma, a), v) == w_apply_fast(t, gamma, a, v)
+        assert same_vector(apply_word(t, w_word(K, gamma, a), v),
+                           w_apply_fast(t, gamma, a, v))
 
 
 def test_weyl_word_reflects_basis_lines():
@@ -295,11 +299,12 @@ def test_weyl_word_reflects_basis_lines():
         word = weyl_word(gamma)
         # e_gamma and e_{-gamma} swap with a sign flip
         v = apply_word(t, word, LieVector.basis(t, K, t.e_key(gamma)))
-        assert v == combine((-1, LieVector.basis(t, K, t.e_key(rs.neg(gamma)))))
+        assert same_vector(v, combine(
+            (-1, LieVector.basis(t, K, t.e_key(rs.neg(gamma))))))
         for beta in rs.roots[:10]:
             w = apply_word(t, word, LieVector.basis(t, K, t.e_key(beta)))
             image = reflect(rs, gamma, beta)
-            items = dict(w.nonzero_items())
+            items = {k: c for k, c in enumerate(w.coeffs) if c}
             assert set(items) == {t.e_key(image)}
             assert items[t.e_key(image)] in (1, K.of(-1))
 
@@ -314,7 +319,7 @@ def test_weyl_word_squares_to_the_minus_one_torus_element():
         v = apply_word(t, twice, LieVector.basis(t, K, t.e_key(beta)))
         expect = combine(((-1) ** abs(rs.pair(beta, gamma)),
                           LieVector.basis(t, K, t.e_key(beta))))
-        assert v == expect
+        assert same_vector(v, expect)
 
 
 # the largest prime whose products of two elements fit int64 lanes, and
@@ -507,9 +512,9 @@ def test_root_elements_act_as_the_exponential_of_ad():
             twice = combine((2, v), (dom.mul(dom.of(2), a), ad),
                             (dom.mul(a, a), bracket(t, e, ad)))
             got = apply_root_element(t, gamma, a, v)
-            assert combine((2, got)) == twice, (dom, gamma)
+            assert same_vector(combine((2, got)), twice), (dom, gamma)
             apply_word(t, [(gamma, a), (t.rs.neg(gamma), draw())], v)
-            assert v == before, (dom, gamma)
+            assert same_vector(v, before), (dom, gamma)
 
 
 def test_int_spelling_raises_as_the_generic_one():
@@ -570,8 +575,8 @@ def test_numpy_integer_scalars_act_as_python_ints(dtype, p):
             assert (apply_root_element(t, g, na, nv).coeffs
                     == apply_root_element(t, g, a, v).coeffs)
         assert act_on_v1(t, K, nword, nx) == act_on_v1(t, K, word, x)
-        assert (associated_root_element(t, K, nx)
-                == associated_root_element(t, K, x))
+        assert same_vector(associated_root_element(t, K, nx),
+                           associated_root_element(t, K, x))
         z = ZBlock(*(_numpy_draw(rng, dtype) for _ in range(3)))
         nz = ZBlock(*map(dtype, (z.c, z.u, z.w)))
         assert sl2_invariant(K, nz) == sl2_invariant(K, z)
@@ -694,7 +699,7 @@ def test_numpy_bools_count_as_0_and_1_over_the_integers(name):
 
 def test_the_same_coefficients_over_other_domains_are_other_vectors():
     # over F_5, F_7 and the integers, [1] * 8 is three vectors, and so are
-    # their images under x_gamma(3); a dict keyed by one finds only it
+    # their images under x_gamma(3); no vector is hashable
     t = get_table("D4")
     g = t.rs.phi0[0]
     domains = (PrimeField(5), PrimeField(7), INTEGERS)
@@ -702,21 +707,20 @@ def test_the_same_coefficients_over_other_domains_are_other_vectors():
     moved = [apply_root_element(t, g, 3, v) for v in vs]
     for i in range(3):
         for j in range(3):
-            assert (vs[i] == vs[j]) == (i == j), (i, j)
-            assert (moved[i] == moved[j]) == (i == j), (i, j)
-    keyed = {vs[0]: "F5"}
-    assert vs[1] not in keyed and vs[2] not in keyed
-    keyed.update({vs[1]: "F7", vs[2]: "Z"})
-    assert [keyed[v] for v in vs] == ["F5", "F7", "Z"]
+            assert same_vector(vs[i], vs[j]) == (i == j), (i, j)
+            assert same_vector(moved[i], moved[j]) == (i == j), (i, j)
+    for v in vs:
+        with pytest.raises(TypeError):
+            hash(v)
     # an equal domain, not the same object, gives an equal vector
     for i, K in ((0, PrimeField(5)), (2, ExactIntegers())):
-        again = LieVector.from_v1(t, K, [1] * 8)
-        assert again == vs[i] and hash(again) == hash(vs[i])
-        assert keyed[again] == ["F5", "F7", "Z"][i]
+        assert same_vector(LieVector.from_v1(t, K, [1] * 8), vs[i])
     # lane vectors compare lane by lane, and over their own field
     lanes = [np.arange(3)] * 8
     u = LieVector.from_v1(t, ArrayField(5), lanes)
-    assert u == LieVector.from_v1(t, ArrayField(5), [np.arange(3)] * 8)
-    assert u != LieVector.from_v1(t, ArrayField(5), [np.arange(1, 4)] * 8)
-    assert u != LieVector.from_v1(t, ArrayField(7), lanes)
-    assert u != LieVector.from_v1(t, PrimeField(5), [1] * 8)
+    assert same_vector(u, LieVector.from_v1(t, ArrayField(5),
+                                            [np.arange(3)] * 8))
+    assert not same_vector(u, LieVector.from_v1(t, ArrayField(5),
+                                                [np.arange(1, 4)] * 8))
+    assert not same_vector(u, LieVector.from_v1(t, ArrayField(7), lanes))
+    assert not same_vector(u, LieVector.from_v1(t, PrimeField(5), [1] * 8))

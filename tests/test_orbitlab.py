@@ -77,6 +77,7 @@ from helpers import (
     pack_profile,
     random_level0_word,
     random_v1,
+    same_vector,
 )
 
 
@@ -124,8 +125,8 @@ def test_lift_refuses_entries_that_are_not_integers():
         with pytest.raises(TypeError):
             associated_root_element(t, K, x)
     ints = (np.int64(1), np.int32(2), 3, 4, 0, 0, 0, 1)
-    assert (associated_root_element(t, K, ints)
-            == associated_root_element(t, K, [int(c) for c in ints]))
+    assert same_vector(associated_root_element(t, K, ints),
+                       associated_root_element(t, K, [int(c) for c in ints]))
 
 
 def test_lift_order_must_be_a_permutation():
@@ -360,11 +361,12 @@ def test_batch_lift_equals_stacked_scalar_lifts(name, p):
                      for x in X.tolist()])
     got = np.stack([np.broadcast_to(c, (n,)) for c in y.coeffs], axis=1)
     assert np.array_equal(got, want)
-    # LieVector equality compares batch vectors lane by lane
-    assert y == associated_root_element(t, ArrayField(p), lanes)
+    # same_vector compares batch vectors lane by lane
+    assert same_vector(y, associated_root_element(t, ArrayField(p), lanes))
     lanes[2] = lanes[2].copy()
     lanes[2][-1] = (lanes[2][-1] + 1) % p
-    assert y != associated_root_element(t, ArrayField(p), lanes)
+    assert not same_vector(y, associated_root_element(t, ArrayField(p),
+                                                      lanes))
 
 
 def branch_batches(t, p, rng):
