@@ -23,6 +23,10 @@ partition  enumerate_orbits alone, whose time is nearly all the orbit
 partition_wide
            enumerate_orbits alone on the larger cases D4/F7, A5/F7 and
            A3/F31
+crosscheck crosscheck alone (seed 0) on D4/F5, D5/F3 and D4/F7, each
+           side's census enumerated once before timing
+crosscheck_small
+           the same on the five small pinned cases, A2/F3 to D4/F3
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ CASES = {
                ("D4", 3), ("D4", 5), ("D5", 3)),
     "partition": (("D4", 5), ("D5", 3), ("D4", 7)),
     "partition_wide": (("D4", 7), ("A5", 7), ("A3", 31)),
+    "crosscheck": (("D4", 5), ("D5", 3), ("D4", 7)),
+    "crosscheck_small": (("A2", 3), ("A3", 3), ("A3", 5), ("A4", 3),
+                         ("D4", 3)),
 }
 
 
@@ -74,6 +81,14 @@ def runner(cv, case: str):
     here."""
     cases = [(cv.build_table_oracle(cv.build_root_system(
         *cv.parse_system_name(name))), p) for name, p in CASES[case]]
+    if case.startswith("crosscheck"):
+        censuses = [cv.enumerate_orbits(table, p) for table, p in cases]
+
+        def run():
+            for (table, p), census in zip(cases, censuses):
+                cv.crosscheck(table, p, seed=0, census=census)
+
+        return run
 
     def run():
         for table, p in cases:

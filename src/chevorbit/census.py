@@ -34,13 +34,14 @@ The crosscheck compares the invariant-based classifier against the ground
 truth partition:
 
 * each census representative is the least state of its orbit, and each
-  orbit has the listed size,
-* the classifier's invariant code is constant on every orbit, checked for
-  every single state by classify's own classifier on batches of
-  fixed-size chunks of states, streamed in ascending order so that no
-  array of codes of every state is held, their rows copied from a table
-  of the last digits of the states (_state_rows), and equal to the code
-  of the scalar spelling at every representative,
+  orbit has the listed size, in one pass over the orbit index,
+* the classifier's invariant code is constant on every orbit: the code is
+  T0-invariant, so it is computed at one state of each T0-class, its
+  least, by classify's own classifier on batches of fixed-size chunks of
+  those states, which the crosscheck lists itself from T0's characters
+  (_normal_blocks) and streams in ascending order, so that no array of
+  codes of every class is held; each class's code must equal the code of
+  its orbit's representative, and that the scalar spelling's code,
 * each census descriptor is the one the classifier decodes from its
   representative's code, and the descriptors are pairwise distinct, so
   every pair of representatives is classified apart,
@@ -53,7 +54,8 @@ truth partition:
   classifier's batch code (_sample_classes), whose descriptors, each
   distinct code decoded once, must be equal for the two states of a pair
   exactly when they share an orbit, and the first 500 pairs also through
-  the scalar same_orbit, and
+  the scalar same_orbit; each sampled state's code must also be its
+  orbit's, and
 * the predicted descriptor list matches the enumerated one as a set.
 """
 
@@ -94,12 +96,11 @@ _SCALAR_PAIRS = 500
 # sampled crosscheck pairs drawn and classified at a time: the default
 # sample is one chunk, so a larger one holds no more memory than it
 _PAIR_CHUNK = 10_000
-# rows per lane call of crosscheck's state pass and sample, twice
-# classify_many's orbitlab._CHUNK: its rows and sample digits are int8 up to
-# p = 127, and a call of 2**14 rows spends 30-40% of its time in costs fixed
-# per call (lanes on 64 rows take 0.18 of the 0.61 ms of 2**14 on D4/F5,
-# 0.34 of 0.88 on D5/F3).  The state pass took 17.6 -> 14.5 ms on D4/F5
-# and 23.1 -> 18.2 on D5/F3 (best of 9)
+# rows per lane call of crosscheck's class pass and sample, twice
+# classify_many's orbitlab._CHUNK: their digits are int8 up to p = 127, and
+# a call of 2**14 rows spends 30-40% of its time in costs fixed per call
+# (lanes on 64 rows take 0.18 of the 0.61 ms of 2**14 on D4/F5, 0.34 of
+# 0.88 on D5/F3); also states per chunk of its pass over orbit_id
 _CHECK_CHUNK = 1 << 15
 
 
@@ -336,37 +337,6 @@ def _digits(states, p: int, m: int, dtype=None) -> np.ndarray:
     return digits.T
 
 
-def _state_rows(p: int, m: int):
-    """rows(lo, hi), the digits of states lo..hi-1 as _digits gives them,
-    in the narrowest signed dtype that holds p - 1, for chunk_codes in
-    chunks of at most _CHECK_CHUNK.  The last k digits, k the largest with
-    p**k <= _CHECK_CHUNK, repeat with period p**k: they are one slice of a
-    table of the last k digits of the states 0, 1, 2, ... up to what a
-    chunk can reach, which _digits builds once.  The states of each run of
-    p**k that share their first m - k digits take those from one _digits
-    row of the run's index."""
-    k = 0
-    while k < m and p ** (k + 1) <= _CHECK_CHUNK:
-        k += 1
-    size, dtype = p ** k, np.min_scalar_type(-p)
-    # a chunk starts at most size - 1 into the period and ends by p**m
-    reach = min(size + _CHECK_CHUNK - 1, p ** m)
-    tail = np.tile(_digits(np.arange(size), p, k).T.astype(dtype),
-                   -(-reach // size))[:, :reach]
-
-    def rows(lo, hi):
-        out = np.empty((m, hi - lo), dtype=dtype)
-        runs = np.arange(lo // size, (hi - 1) // size + 1)
-        # how many of the chunk's states each run holds
-        counts = np.minimum(runs * size + size, hi) - np.maximum(runs * size,
-                                                                  lo)
-        out[:m - k] = _digits(runs, p, m - k).T.repeat(counts, axis=1)
-        out[m - k:] = tail[:, lo % size:lo % size + hi - lo]
-        return out.T
-
-    return rows
-
-
 def _index_dtype(total: int):
     return np.int32 if total < 2**31 else np.int64
 
@@ -573,13 +543,45 @@ class _Torus:
         the elements of h that are 0 on its support."""
         n = len(digits)
         bits = 1 << np.arange(n)
-        support = bits @ (digits != 0)
+        # bit j of a support is digit j nonzero: added a row at a time, as a
+        # product with bits holds n int64 entries per class (4.7 MB on a
+        # D6/F3 block)
+        support = np.zeros(digits.shape[1], dtype=np.intp)
+        for j, row in enumerate(digits):
+            support += (row != 0).astype(np.intp) << j
         moved = (self.exps[self.groups[h], self.f:] != 0) @ bits
         # the elements of h that fix each support met, by support
         fixing = np.ones(1 << n, dtype=np.int64)
         masks = np.flatnonzero(np.bincount(support, minlength=1))
         fixing[masks] = ((masks[:, None] & moved) == 0).sum(axis=1)
         return len(self.exps) // fixing.take(support)
+
+
+def _block_digits(p: int, m: int) -> int:
+    """The number n of last digits that a block's states run over: the
+    largest n <= m with p**n <= _BLOCK_STATES."""
+    return next(n for n in range(m, -1, -1) if p ** n <= _BLOCK_STATES)
+
+
+def _prefixes(torus: _Torus):
+    """Each block's first state lo and prefix, the first f digits its
+    states share, with the prefix's normal form, group and units
+    (_Torus.reduce), in ascending order."""
+    p, f = torus.p, torus.f
+    for lo, prefix in zip(itertools.count(0, p ** (torus.m - f)),
+                          itertools.product(range(p), repeat=f)):
+        yield (lo, prefix, *torus.reduce(prefix))
+
+
+def _normal_blocks(torus: _Torus):
+    """The blocks that hold the classes' least states, in ascending order:
+    (lo, prefix, h) for each block whose prefix is its own normal form,
+    with group h (_prefixes).  The block's least states are lo +
+    torus.fixed(h); a state whose prefix is not its own normal form is not
+    the least of its class."""
+    for lo, prefix, head, h, _ in _prefixes(torus):
+        if head == list(prefix):
+            yield lo, prefix, h
 
 
 def _changes(pairs, keep: int, units, p: int, m: int):
@@ -738,9 +740,7 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
     """
     total = p ** m
     dtype = _index_dtype(total)
-    n = 0
-    while n < m and p ** (n + 1) <= _BLOCK_STATES:
-        n += 1
+    n = _block_digits(p, m)
     size, f = p ** n, m - n
     torus = _Torus(np.zeros((m, 0)) if chars is None else chars, p, m, n,
                    dtype)
@@ -750,23 +750,13 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
               torus.pow[::np.gcd.reduce((*w, p - 1))])
              for pairs, keep, w in maps]
 
-    def prefixes():
-        # each block's first state and prefix, with the prefix's normal
-        # form, group and units (_Torus.reduce)
-        for lo, prefix in zip(range(0, total, size),
-                              itertools.product(range(p), repeat=f)):
-            yield (lo, prefix, *torus.reduce(prefix))
-
-    # the blocks whose prefix is its own normal form, which hold the
-    # classes' least states: blocks by group, and first, the number of each
-    # one's first class
-    blocks, first = {}, {}
-    trees = 0
-    for lo, prefix, head, h, _ in prefixes():
-        if head == list(prefix):
-            blocks.setdefault(h, []).append((lo, prefix))
-            first[lo] = trees
-            trees += torus.fixed(h).size
+    # the blocks that hold the classes' least states by group, and first,
+    # the number of each one's first class
+    blocks, first, trees = {}, {}, 0
+    for lo, prefix, h in _normal_blocks(torus):
+        blocks.setdefault(h, []).append((lo, prefix))
+        first[lo] = trees
+        trees += torus.fixed(h).size
     # every block's group is its normal form's, so the tables of the blocks'
     # groups are all built; those of later digits served only to build them
     torus.tables = {key: table for key, table in torus.tables.items()
@@ -778,7 +768,7 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
     # number of that block's first class
     numbered = trees <= _TREES
     label = np.empty(total, dtype=dtype)
-    for lo, prefix, head, h, unit in prefixes():
+    for lo, prefix, head, h, unit in _prefixes(torus):
         start = 0
         for y in head:
             start = start * p + y
@@ -996,16 +986,23 @@ def predicted_census(table: StructureConstantTable, p: int,
 # -- the crosscheck ---------------------------------------------------------------
 
 
-def _sample_classes(clf, rows, classes: dict) -> np.ndarray:
-    """The batch step of crosscheck's sampled pairs: one index per row of
-    rows, an (n, |phi1|) integer array, equal for two rows exactly when the
-    classifier gives them equal descriptors, as classify_many would.  The
-    codes come from clf.chunk_codes, and each distinct code is decoded
-    once: classes maps each code (an int) and each descriptor (a tuple) met
-    in the calls of one crosscheck to an index, equal descriptors to one."""
-    codes = np.concatenate([c for _, c in clf.chunk_codes(
+def _batch_codes(clf, rows) -> np.ndarray:
+    """clf's batch codes of the rows of an (n, |phi1|) integer array, as
+    int64, from clf.chunk_codes in chunks of _CHECK_CHUNK rows."""
+    return np.concatenate([c for _, c in clf.chunk_codes(
         len(rows), lambda lo, hi: rows[lo:hi], size=_CHECK_CHUNK)],
         dtype=np.int64)
+
+
+def _sample_classes(clf, rows, classes: dict):
+    """The batch step of crosscheck's sampled pairs: (ids, codes), one
+    index and one code per row of rows, an (n, |phi1|) integer array, the
+    indices equal for two rows exactly when the classifier gives them equal
+    descriptors, as classify_many would.  The codes come from
+    _batch_codes, and each distinct code is decoded once: classes maps each
+    code (an int) and each descriptor (a tuple) met in the calls of one
+    crosscheck to an index, equal descriptors to one."""
+    codes = _batch_codes(clf, rows)
     # np.unique would hash (1.3 MB more peak RSS), or sort narrow lanes
     # slowly (0.6 ms for 20,000 int8 codes against 0.06 ms in int64); an
     # argsort gives each row its distinct code's rank at half the cost of
@@ -1021,7 +1018,7 @@ def _sample_classes(clf, rows, classes: dict) -> np.ndarray:
         index.append(classes[code])
     ids = np.empty(len(codes), dtype=np.intp)
     ids[order] = np.array(index, dtype=np.intp).take(np.cumsum(new) - 1)
-    return ids
+    return ids, codes
 
 
 def crosscheck(table: StructureConstantTable, p: int,
@@ -1031,8 +1028,8 @@ def crosscheck(table: StructureConstantTable, p: int,
     given or one enumerated under the default budget; raise on mismatch.
     ValueError, before any work, for a census of another system or prime
     than (table, p), for one whose state count is not p**|phi1|, for an
-    orbit_id other than one integer per state (None partitions again), or
-    for a negative number of pairs."""
+    orbit_id other than one integer per state (None partitions again) or
+    with a negative entry, or for a negative number of pairs."""
     rs, p = table.rs, as_int(p)
     pairs, seed = as_int(pairs, "pairs", 0), as_int(seed)
     if census is not None and (census.family, census.rank, census.p) != (
@@ -1042,12 +1039,15 @@ def crosscheck(table: StructureConstantTable, p: int,
     if census is not None and census.total_states != p ** len(rs.phi1):
         raise ValueError(f"the census counts {census.total_states} states, "
                          f"not the {p}**{len(rs.phi1)} of {rs.name} over F_{p}")
-    if census is not None and (given := census.orbit_id) is not None and (
-            given.shape != (census.total_states,)
-            or given.dtype.kind not in "iu"):
+    given = None if census is None else census.orbit_id
+    if given is not None and (given.shape != (census.total_states,)
+                              or given.dtype.kind not in "iu"):
         raise ValueError(f"the census's orbit_id is {given.dtype} of shape "
                          f"{given.shape}, not one integer for each of its "
                          f"{census.total_states} states")
+    if given is not None and given.size and (low := int(given.min())) < 0:
+        raise ValueError(f"the census's orbit_id is {low} at state "
+                         f"{int(given.argmin())}, not the index of an orbit")
     K = PrimeField(p)
     if census is None:
         census = enumerate_orbits(table, p)
@@ -1063,9 +1063,9 @@ def crosscheck(table: StructureConstantTable, p: int,
         dtype=np.int64,
     )
     m, k, orbit_id = len(rs.phi1), census.orbit_count, census.orbit_id
+    chars, maps = _class_maps(table)
     if orbit_id is None:
         check_budget(rs, p)
-        chars, maps = _class_maps(table)
         orbit_id = _orbit_partition(maps, p, m, chars)[0]
 
     def not_least(i):
@@ -1074,48 +1074,42 @@ def crosscheck(table: StructureConstantTable, p: int,
             {"orbit": i, "representative": census.orbits[i].representative},
         )
 
-    # (a) the classifier's code is constant state-by-state on every orbit,
-    # and the batch code agrees with the scalar one at every representative.
-    # One pass over the states, in ascending chunks, also checks the census
-    # against orbit_id: representative i is the least state of orbit i, and
-    # orbit i has the listed size.  Orbits are numbered by least state, so
-    # orbit i first appears where the running maximum of the ids reaches i;
-    # each chunk's new orbits are checked, and their codes recorded, before
-    # its other states are compared with them.
-    rep_codes = np.empty(k, dtype=clf.lane)
-    # ids past k are orbits the census does not list
+    def varies(state, i):
+        return MismatchReport(
+            "invariant code varies inside a brute-force orbit",
+            {"state": vector_of_state(rs, p, state),
+             "orbit_representative": census.orbits[i].representative},
+        )
+
+    def first_met(ids, top, states):
+        # the orbits after top that ids, the orbits of ascending states
+        # (states(i) the states at positions i), meet, and where each is met
+        # first: not_least for one met after a later orbit, or first at
+        # another state than its representative
+        new = np.arange(top + 1, min(int(ids.max()), k - 1) + 1)
+        at = np.searchsorted(np.maximum.accumulate(ids), new)
+        bad = (states(at) != rep_states[new]) | (ids[at] != new)
+        if bad.any():
+            raise not_least(int(new[np.argmax(bad)]))
+        return new, at
+
+    # (a) the classifier's code is constant on every orbit, and the batch
+    # code agrees with the scalar one at every representative.  Orbits are
+    # numbered by least state, so orbit i first appears where the running
+    # maximum of the ids of ascending states reaches i.  First one pass over
+    # orbit_id, in ascending chunks, checks the census against it:
+    # representative i is the least state of orbit i, and orbit i has the
+    # listed size; ids past k are orbits the census does not list.
     sizes = np.zeros(max(k, int(orbit_id.max()) + 1), dtype=np.int64)
     top = -1  # the largest orbit id of the chunks so far
-    for lo, chunk in clf.chunk_codes(total, _state_rows(p, m),
-                                     size=_CHECK_CHUNK):
-        ids = orbit_id[lo:lo + len(chunk)]
-        high = int(ids.max())
-        if high > top:  # the chunk holds orbits met first in it
-            running = np.maximum.accumulate(ids)
-            new = np.arange(top + 1, min(high, k - 1) + 1)
-            least = np.searchsorted(running, new)
-            bad = (lo + least != rep_states[new]) | (ids[least] != new)
-            if bad.any():
-                raise not_least(int(new[np.argmax(bad)]))
-            rep_codes[new] = chunk[least]
+    for lo in range(0, total, _CHECK_CHUNK):
+        ids = orbit_id[lo:lo + _CHECK_CHUNK]
+        if (high := int(ids.max())) > top:
+            first_met(ids, top, lambda at: lo + at)
             top = high
         low = int(ids.min())
         counts = np.bincount(ids - low)
         sizes[low:low + len(counts)] += counts
-        if top >= k:
-            continue  # the size check below reports the unlisted orbits
-        differ = chunk != rep_codes.take(ids)
-        if differ.any():
-            bad = np.flatnonzero(differ)
-            raise MismatchReport(
-                "invariant code varies inside a brute-force orbit",
-                {
-                    "state": vector_of_state(rs, p, lo + int(bad[0])),
-                    "orbit_representative": census.orbits[
-                        int(ids[bad[0]])
-                    ].representative,
-                },
-            )
     if top + 1 < k:  # orbits that no state belongs to
         raise not_least(top + 1)
     want_sizes = [o.size for o in census.orbits]
@@ -1124,6 +1118,57 @@ def crosscheck(table: StructureConstantTable, p: int,
             "census orbit sizes differ from the enumeration",
             {"enumerated": sizes.tolist(), "census": want_sizes},
         )
+    # Then the codes.  The code is G0-invariant, so T0-invariant, and each
+    # orbit is a union of T0's classes: one state per class suffices, its
+    # least.  The classes are listed from the characters of T0, block by
+    # block (_normal_blocks), and their sizes must sum to p**m.  They are
+    # coded in ascending chunks of at most _CHECK_CHUNK states.  Each
+    # representative, the least state of its orbit, is the least of its
+    # class, so orbit i is met first at representative i, whose code is
+    # recorded before the later classes of orbit i are compared with it.
+    n = _block_digits(p, m)
+    torus = _Torus(chars, p, m, n, _index_dtype(total))
+    blocks = [(lo, h) for lo, _, h in _normal_blocks(torus)]
+    # the states that the classes of a block of each group hold
+    weight = {h: int(torus.sizes(h, _digits(torus.fixed(h), p, n,
+                                            np.min_scalar_type(-p)).T).sum())
+              for h in dict.fromkeys(h for _, h in blocks)}
+    torus.tables = None  # the suffix tables served only to find fixed(h)
+    if (covered := sum(weight[h] for _, h in blocks)) != total:
+        raise InternalError(f"the classes' sizes sum to {covered}, not to "
+                            f"the {total} states")
+
+    def listed():
+        # the listed least states, ascending, in chunks of _CHECK_CHUNK or
+        # fewer
+        held, count = [], 0
+        for lo, h in blocks:
+            fixed = torus.fixed(h)
+            for at in range(0, fixed.size, _CHECK_CHUNK):
+                part = lo + fixed[at:at + _CHECK_CHUNK].astype(np.int64)
+                if count + part.size > _CHECK_CHUNK:
+                    yield np.concatenate(held)
+                    held, count = [], 0
+                held.append(part)
+                count += part.size
+        if held:
+            yield np.concatenate(held)
+
+    rep_codes = np.empty(k, dtype=np.int64)
+    top = -1
+    for states in listed():
+        ids = orbit_id.take(states)
+        codes = _batch_codes(clf, _digits(states, p, m,
+                                          np.min_scalar_type(-p)))
+        if (high := int(ids.max())) > top:
+            new, at = first_met(ids, top, states.take)
+            rep_codes[new] = codes.take(at)
+            top = high
+        differ = np.flatnonzero(codes != rep_codes.take(ids))
+        if differ.size:
+            raise varies(int(states[differ[0]]), int(ids[differ[0]]))
+    if top + 1 < k:  # orbits that no listed class belongs to
+        raise not_least(top + 1)
     codes = rep_codes.tolist()
     for o, code in zip(census.orbits, codes):
         if clf.code(o.representative) != code:
@@ -1173,15 +1218,17 @@ def crosscheck(table: StructureConstantTable, p: int,
     # (d) same_orbit against ground truth on a sample of pairs, classified
     # _PAIR_CHUNK pairs at a time by their codes (_sample_classes) and
     # compared pair by pair; same_orbit itself also runs on the first
-    # _SCALAR_PAIRS (every pair of representatives is covered by (b)).  The
-    # chunks read one stream, and randbytes(a) then randbytes(b) gives the
-    # bytes of randbytes(a + b)
+    # _SCALAR_PAIRS (every pair of representatives is covered by (b)).  Then
+    # each sampled state's code must be its orbit's, which (a) read at the
+    # classes' least states alone.  The chunks read one stream, and
+    # randbytes(a) then randbytes(b) gives the bytes of randbytes(a + b)
     def check_chunk(lo, n):
         # pairs lo to lo + n - 1, rows 2i and 2i + 1 of digits; the chunk's
         # arrays are freed on return
         states = _mod(np.frombuffer(rng.randbytes(16 * n), dtype="<u8"),
                       total).astype(_index_dtype(total))
-        want = orbit_id[states[::2]] == orbit_id[states[1::2]]
+        ids = orbit_id.take(states)
+        want = ids[::2] == ids[1::2]
         digits = _digits(states, p, m, np.min_scalar_type(-p))
 
         def disagree(i):
@@ -1197,10 +1244,13 @@ def crosscheck(table: StructureConstantTable, p: int,
                                                want[:scalar].tolist())):
             if same_orbit(table, K, x1, x2) != same:
                 raise disagree(i)
-        ids = _sample_classes(clf, digits, classes)
-        bad = np.flatnonzero((ids[::2] == ids[1::2]) != want)
+        got, codes = _sample_classes(clf, digits, classes)
+        bad = np.flatnonzero((got[::2] == got[1::2]) != want)
         if bad.size:
             raise disagree(int(bad[0]))
+        bad = np.flatnonzero(codes != rep_codes.take(ids))
+        if bad.size:
+            raise varies(int(states[bad[0]]), int(ids[bad[0]]))
 
     classes: dict = {}
     rng = random.Random(seed)

@@ -482,7 +482,8 @@ def test_normal_form_is_the_least_state_of_its_torus_class(name, p):
     state's class is labelled by the least state of its class under all of
     T0, found by brute force over T0's elements, and each class's size is
     its count of states; the scalar reduce, digit by digit, gives the same
-    least state for every state."""
+    least state for every state, and the classes' listing
+    (_normal_blocks) names exactly the states that are their own."""
     table = get_table(name)
     chars, _ = census_mod._class_maps(table)
     m = len(table.rs.phi1)
@@ -499,6 +500,12 @@ def test_normal_form_is_the_least_state_of_its_torus_class(name, p):
     assert len(torus.exps) == len(units)
     assert [torus.reduce(x)[0] for x in digits.tolist()] == (
         census_mod._digits(least, p, m).tolist())
+    # the listing that crosscheck codes: the states that are their own
+    # normal form, block by block
+    listed = [lo + torus.fixed(h) for lo, _, h in
+              census_mod._normal_blocks(torus)]
+    assert np.array_equal(np.concatenate(listed), np.flatnonzero(
+        least == states))
 
 
 def tamper_table(monkeypatch, tamper):
@@ -596,8 +603,10 @@ def test_the_partition_reaches_no_classifier_name():
     classifier = {"classify", "_classifier", "classify_many", "chunk_codes",
                   "lanes", "code", "decode", "_lift_kernel"}
     for start, needs in (("_orbit_partition", {"_Torus", "_changes",
-                                               "_edge_images", "_join"}),
+                                               "_edge_images", "_join",
+                                               "_normal_blocks"}),
                          ("_Torus", {"_primitive_root", "_digits"}),
+                         ("_normal_blocks", {"_prefixes", "reduce"}),
                          ("_changes", set()), ("_edge_images", set()),
                          ("_primitive_root", set()),
                          ("_class_maps", {"_action_plan"})):
@@ -752,36 +761,6 @@ def test_state_codec_round_trips_through_the_one_decoder(name, p, dtype):
     assert vector_of_state(rs, p, p ** m - 1) == (p - 1,) * m
 
 
-@pytest.mark.parametrize("p,m", [
-    (3, 8),  # one table of every state: k = m
-    (3, 12), (5, 8), (7, 6),  # runs of p**k states under m - k head digits
-    (128, 2),  # the widest int8 rows: digit 127, k = m
-    (129, 2),  # the narrowest int16 rows: digit 128, k = m
-    (131, 3),  # int16 rows, and runs of 131**2 states
-    (191, 3),  # runs of 191 states: 191**2 > _CHECK_CHUNK
-    (5, 0), (2, 0),  # A1: one state without digits
-    (16411, 2),  # runs of 16411 states, k = 1
-    (32771, 2),  # p past _CHECK_CHUNK: no table, k = 0, int32 rows
-])
-def test_state_rows_equal_the_digits_of_every_chunk(p, m):
-    # check (a)'s rows, copied from the table of the last k digits, equal
-    # _digits of the chunk's states: on every chunk of chunk_codes, and on
-    # chunks of 1,000 states, which cross a run's head digits inside them
-    rows = census_mod._state_rows(p, m)
-    total = p ** m
-    for step in (census_mod._CHECK_CHUNK, 1000):
-        los = range(0, total, step)
-        if len(los) > 300:
-            los = [*los[:100], *los[-100:], *random.Random(p).sample(los, 100)]
-        for lo in los:
-            hi = min(lo + step, total)
-            got = rows(lo, hi)
-            assert got.dtype == (np.int8 if p <= 128 else np.int16
-                                 if p <= 2**15 else np.int32)
-            assert np.array_equal(got, census_mod._digits(np.arange(lo, hi),
-                                                          p, m)), (lo, hi)
-
-
 def test_state_codec_refuses_what_is_not_a_state_or_a_vector():
     rs = get_table("D4").rs
     with pytest.raises(ValueError, match="8 coefficients"):
@@ -919,14 +898,14 @@ def test_crosscheck_batch_pairs_catch_one_wrong_descriptor(monkeypatch):
     batches = []
 
     def one_wrong(clf, rows, classes):
-        out = real(clf, rows, classes)
+        out, codes = real(clf, rows, classes)
         batches.append(np.array(rows))
         a, b = 2 * pair, 2 * pair + 1
         if out[a] == out[b]:
             out[a] = next(d for d in out if d != out[b])
         else:
             out[a] = out[b]
-        return out
+        return out, codes
 
     monkeypatch.setattr(census_mod, "_sample_classes", one_wrong)
     with pytest.raises(MismatchReport,
@@ -1076,12 +1055,19 @@ def test_crosscheck_refuses_a_census_of_another_state_count(
         crosscheck(get_table("D4"), 3, census=census)
 
 
+def one_negative(ids):
+    ids = ids.copy()
+    ids[5] = -1
+    return ids
+
+
 @pytest.mark.parametrize("orbit_id", [
     lambda ids: ids[:-5],  # 5 entries short
     lambda ids: ids.astype(np.float64),
     lambda ids: ids.reshape(3**4, 3**4),
     lambda ids: ids != 0,
-], ids=["short", "float64", "2-D", "bool"])
+    one_negative,
+], ids=["short", "float64", "2-D", "bool", "negative"])
 def test_crosscheck_refuses_an_orbit_id_that_is_not_one_integer_per_state(
         monkeypatch, capsys, orbit_id):
     def never(*args):
@@ -1094,6 +1080,8 @@ def test_crosscheck_refuses_an_orbit_id_that_is_not_one_integer_per_state(
     with pytest.raises(ValueError) as e:
         crosscheck(get_table("D4"), 3, census=bad)
     assert str(e.value) == (
+        "the census's orbit_id is -1 at state 5, not the index of an orbit"
+        if orbit_id is one_negative else
         f"the census's orbit_id is {bad.orbit_id.dtype} of shape "
         f"{bad.orbit_id.shape}, not one integer for each of its 6561 states")
     assert cli.exit_status(
@@ -1156,14 +1144,14 @@ def test_crosscheck_reports_a_later_chunk_pair_as_the_one_call_draw(
     batches = []
 
     def one_wrong(clf, rows, classes):
-        out = real(clf, rows, classes)
+        out, codes = real(clf, rows, classes)
         i = pair - sum(map(len, batches)) // 2
         batches.append(np.array(rows))
         if 0 <= i < len(out) // 2:
             a, b = 2 * i, 2 * i + 1
             out[a] = out[b] if out[a] != out[b] else next(
                 d for d in out if d != out[b])
-        return out
+        return out, codes
 
     monkeypatch.setattr(census_mod, "_sample_classes", one_wrong)
     with pytest.raises(MismatchReport,
@@ -1249,7 +1237,8 @@ def test_crosscheck_decodes_each_sampled_code_once(monkeypatch, pairs):
 def test_sample_classes_partition_rows_as_their_descriptors_do():
     # rows share a class exactly when they share a descriptor: with the
     # classifier's decode, where distinct codes name distinct descriptors,
-    # and with one that names one descriptor for two codes
+    # and with one that names one descriptor for two codes; the codes
+    # returned are the scalar ones
     t, K = get_table("D4"), get_field(3)
     clf = orbitlab._classifier(t, K)
     rows = census_mod._digits(np.arange(3**8), 3, 8)
@@ -1258,10 +1247,13 @@ def test_sample_classes_partition_rows_as_their_descriptors_do():
     merged = types.SimpleNamespace(
         chunk_codes=clf.chunk_codes,
         decode=lambda c: clf.decode(c2 if c == c1 else c))
+    scalar = [clf.code(x) for x in rows.tolist()]
     for classifier in (clf, merged):
-        descs = [classifier.decode(clf.code(x)) for x in rows.tolist()]
-        got = census_mod._sample_classes(classifier, rows, {}).tolist()
+        descs = [classifier.decode(c) for c in scalar]
+        got, codes = census_mod._sample_classes(classifier, rows, {})
+        got = got.tolist()
         assert len(set(zip(descs, got))) == len(set(descs)) == len(set(got))
+        assert codes.tolist() == scalar
     assert len(set(descs)) == census_mod.enumerate_orbits(t, 3).orbit_count - 1
 
 
@@ -1373,32 +1365,113 @@ def _d4_crosscheck(**kwargs):
     return crosscheck(get_table("D4"), 3, pairs=50, **kwargs)
 
 
-def test_crosscheck_reports_a_code_that_varies_inside_an_orbit(monkeypatch):
-    census = get_census("D4", 3)
-    rs = get_table("D4").rs
-    i = next(i for i, o in enumerate(census.orbits) if o.size > 1)
-    state = int(np.flatnonzero(census.orbit_id == i)[-1])
-    clf = orbitlab._classifier(get_table("D4"), get_field(3))
+def shift_code(monkeypatch, clf, state, code):
+    """Patch clf's batch codes to give code(old) at every row equal to the
+    vector state."""
     real = clf.chunk_codes
-    # the code pass streams chunks: with chunks of 2**10 of the 3**8 states
-    # the shifted code lies past the first chunk
-    monkeypatch.setattr(census_mod, "_CHECK_CHUNK", 1 << 10)
-    assert state >= 1 << 10
 
-    def one_off(n, rows, **kwargs):
+    def shifted(n, rows, **kwargs):
         for lo, codes in real(n, rows, **kwargs):
-            if lo <= state < lo + len(codes):
+            hit = (np.asarray(rows(lo, lo + len(codes))) == state).all(axis=1)
+            if hit.any():
                 codes = codes.copy()
-                codes[state - lo] += 1
+                codes[hit] = code(codes[hit])
             yield lo, codes
 
-    monkeypatch.setattr(clf, "chunk_codes", one_off)
+    monkeypatch.setattr(clf, "chunk_codes", shifted)
+
+
+def batch_steps(monkeypatch) -> list:
+    """The rows of each call of crosscheck's batch step for its sampled
+    pairs, recorded as they are made."""
+    real, calls = census_mod._sample_classes, []
+
+    def step(clf, rows, classes):
+        calls.append(rows)
+        return real(clf, rows, classes)
+
+    monkeypatch.setattr(census_mod, "_sample_classes", step)
+    return calls
+
+
+def test_crosscheck_reports_a_code_that_varies_inside_an_orbit(monkeypatch):
+    # check (a) codes the least state of each torus class: a code shifted
+    # at the least state of a class that is not its orbit's least, listed
+    # past the first chunk of 2**6 classes, is caught there
+    table, census = get_table("D4"), get_census("D4", 3)
+    rs = table.rs
+    chars, _ = census_mod._class_maps(table)
+    _, least, _ = census_mod._orbit_partition([], 3, 8, chars)
+    monkeypatch.setattr(census_mod, "_CHECK_CHUNK", 1 << 6)
+    reps = {state_of_vector(rs, 3, o.representative) for o in census.orbits}
+    state = next(s for s in least[1 << 6:].tolist() if s not in reps)
+    i = int(census.orbit_id[state])
+    clf = orbitlab._classifier(table, get_field(3))
+    shift_code(monkeypatch, clf, vector_of_state(rs, 3, state),
+               lambda c: c + 1)
+    sampled = batch_steps(monkeypatch)
     with pytest.raises(MismatchReport, match="varies inside") as e:
         _d4_crosscheck(census=census)
+    assert not sampled
     assert e.value.details == {
         "state": vector_of_state(rs, 3, state),
         "orbit_representative": census.orbits[i].representative,
     }
+
+
+def test_crosscheck_checks_each_sampled_state_against_its_orbit_code(
+        monkeypatch):
+    # a sampled state that is no class's least state gets the code of a
+    # third orbit's representative: check (a) never codes it, and each of
+    # its pairs, with a state of neither orbit, still compares apart, so
+    # only the sample's per-state check can catch it
+    table, census = get_table("D4"), get_census("D4", 3)
+    rs, oid = table.rs, census.orbit_id
+    chars, _ = census_mod._class_maps(table)
+    least = set(census_mod._orbit_partition([], 3, 8, chars)[1].tolist())
+    drawn = sampled_states(0, 50, 3**8)
+
+    def partners(state):  # the orbits of the states paired with state
+        return {int(oid[drawn[b ^ 1]]) for b, s in enumerate(drawn)
+                if s == state}
+
+    state = next(s for s in drawn if s not in least
+                 and oid[s] not in partners(s))
+    i = int(oid[state])
+    j = next(j for j in range(census.orbit_count)
+             if j not in partners(state) | {i})
+    clf = orbitlab._classifier(table, get_field(3))
+    other = clf.code(census.orbits[j].representative)
+    shift_code(monkeypatch, clf, vector_of_state(rs, 3, state),
+               lambda c: other)
+    sampled = batch_steps(monkeypatch)
+    with pytest.raises(MismatchReport, match="varies inside") as e:
+        _d4_crosscheck(census=census)
+    assert sampled  # found past the sample's pair comparison
+    assert e.value.details == {
+        "state": vector_of_state(rs, 3, state),
+        "orbit_representative": census.orbits[i].representative,
+    }
+
+
+def test_crosscheck_checks_that_the_listed_classes_cover_the_states(
+        monkeypatch):
+    # the crosscheck lists the torus classes itself: one dropped, the
+    # largest, which is no representative, leaves their sizes short of p**m
+    table, census = get_table("D4"), get_census("D4", 3)
+    chars, _ = census_mod._class_maps(table)
+    _, least, _ = census_mod._orbit_partition([], 3, 8, chars)
+    assert vector_of_state(table.rs, 3, int(least[-1])) not in {
+        o.representative for o in census.orbits}
+    real = census_mod._Torus.fixed
+
+    def dropped(self, h):  # D4/F3 is one block: its last class goes
+        return real(self, h)[:-1]
+
+    monkeypatch.setattr(census_mod._Torus, "fixed", dropped)
+    with pytest.raises(InternalError, match=(
+            rf"^the classes' sizes sum to \d+, not to the {3**8} states$")):
+        _d4_crosscheck(census=census)
 
 
 def test_crosscheck_reports_scalar_and_batch_codes_that_disagree(monkeypatch):
