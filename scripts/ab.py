@@ -9,10 +9,14 @@ working tree.  Each side builds its tables and runs the case once before
 timing.  Then the rounds run interleaved: each round times one run of the
 case on each side, and the side that runs first alternates from round to
 round.  The script prints each side's best and median time, the ratio of
-the medians (head / base), and the number of rounds that head won.
+the medians (head / base), and the number of rounds that head won.  With
+--memory it then runs the case once more on each side, untimed, under
+tracemalloc, and prints each side's traced peak.
 
     python3 scripts/ab.py --base HEAD~1 --case census
     python3 scripts/ab.py --base HEAD~1 --head HEAD --case partition
+    python3 scripts/ab.py --base HEAD~1 --case partition_deep --rounds 3 \
+        --memory
 
 Cases:
 
@@ -23,6 +27,10 @@ partition  enumerate_orbits alone, whose time is nearly all the orbit
 partition_wide
            enumerate_orbits alone on the larger cases D4/F7, A5/F7 and
            A3/F31
+partition_deep
+           enumerate_orbits(table, p, budget=10**8) alone on D6/F3 and
+           A3/F97, 43 and 89 million states, 5-9 s a round per side on 2
+           vCPUs: --rounds 3 is enough
 crosscheck crosscheck alone (seed 0) on D4/F5, D5/F3 and D4/F7, each
            side's census enumerated once before timing
 crosscheck_small
@@ -40,6 +48,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +58,7 @@ CASES = {
                ("D4", 3), ("D4", 5), ("D5", 3)),
     "partition": (("D4", 5), ("D5", 3), ("D4", 7)),
     "partition_wide": (("D4", 7), ("A5", 7), ("A3", 31)),
+    "partition_deep": (("D6", 3), ("A3", 97)),
     "crosscheck": (("D4", 5), ("D5", 3), ("D4", 7)),
     "crosscheck_small": (("A2", 3), ("A3", 3), ("A3", 5), ("A4", 3),
                          ("D4", 3)),
@@ -90,9 +100,11 @@ def runner(cv, case: str):
 
         return run
 
+    budget = 10**8 if case == "partition_deep" else None
+
     def run():
         for table, p in cases:
-            census = cv.enumerate_orbits(table, p)
+            census = cv.enumerate_orbits(table, p, budget=budget)
             if case == "census":
                 cv.crosscheck(table, p, seed=0, census=census)
 
@@ -106,6 +118,8 @@ def main(argv=None) -> int:
                     "working tree)")
     ap.add_argument("--case", choices=sorted(CASES), required=True)
     ap.add_argument("--rounds", type=int, default=11)
+    ap.add_argument("--memory", action="store_true",
+                    help="also print each side's tracemalloc peak")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         sides = {}
@@ -119,6 +133,14 @@ def main(argv=None) -> int:
                 t0 = time.perf_counter()
                 sides[alias]()
                 times[alias].append(time.perf_counter() - t0)
+        peaks = {}
+        for alias in sides if args.memory else ():
+            tracemalloc.start()
+            try:
+                sides[alias]()
+                peaks[alias] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
     base, head = times["ab_base"], times["ab_head"]
     for name, ts in (("base", base), ("head", head)):
         print(f"{name}  best {1e3 * min(ts):9.2f} ms  "
@@ -127,6 +149,9 @@ def main(argv=None) -> int:
     wins = sum(h < b for h, b in zip(head, base))
     print(f"ratio (head / base, medians) {ratio:.3f}; head won {wins} of "
           f"{args.rounds} rounds")
+    for name, alias in (("base", "ab_base"), ("head", "ab_head")):
+        if alias in peaks:
+            print(f"{name}  traced peak {peaks[alias] / 2**20:9.2f} MiB")
     return 0
 
 

@@ -12,14 +12,11 @@ the peak so far over all cases run, not that case's own.
     CHEVORBIT_BUDGET=100000000 python3 scripts/run_census.py --system A3 -p 97
 
 The last case, 88,529,281 states in 922,181 classes of the level-0
-torus, is one that reaches the partition's hooking rounds: its classes are
-more than the 2**17 that the union-find takes, and its one round leaves
-195 trees, the orbits, which the union-find's sweep then checks (D6/F3's
-one round leaves 1,802).  On 2 vCPUs it enumerates in about 4.8 s and
-crosschecks in 0.45 s, and holds about 372 MB at its peak.  A second
-round at the class level needs more than 2**17 trees after the first,
-which no case run so far leaves; the test suite runs such rounds with the
-bounds lowered (test_orbit_partition_hooks_again_past_block_states_trees).
+torus, is the largest run so far: the partition joins its classes in one
+union-find over the class numbers, as it does on every case, and finds
+195 orbits.  On 2 vCPUs it enumerates in about 2.8 s and crosschecks in
+0.35 s, and holds about 384 MB at its peak (D6/F3: 2.2 s, 0.67 s and
+235 MB).
 
 Every case is checked before any table is built or any line is printed,
 by the library's own checks (orbitlab.check_domain, census.check_budget).

@@ -17,18 +17,16 @@ and n_0 permutes the coordinates with signs.
 
 G0 also holds the torus T0 of the h_alpha(c), which multiplies each
 coordinate by a character of its own, so each orbit is a union of T0's
-classes.  The partition (_orbit_partition) writes each state's class, as
-the least state of the class (its normal form, _Torus) or the class's
-number, into one array indexed by state, block by block of states that
+classes.  The partition (_orbit_partition) writes each state's class
+number, the classes numbered by their least states (normal forms,
+_Torus), into one array indexed by state, block by block of states that
 share their leading digits.  It then joins the classes along the class
 edges x_alpha(c) . r, c in the image of alpha's character, and n_0 . r,
-read from each class's least state r alone: in one union-find when there
-are at most _TREES classes, and otherwise after rounds of hooking in place
-on that array, until at most _TREES trees are left.  The orbit index is
-written over the classes in place, so enumeration holds that one array, a
-working set of one block, and a union-find of at most _TREES trees,
-whatever the number of generators.  Each orbit is labelled by its least
-(lexicographically first) state.
+read from each class's least state r alone, in one union-find over the
+class numbers.  The orbit index is written over the class numbers in
+place, so enumeration holds that one array, a working set of one block,
+and a few bytes per class, whatever the number of generators.  Each orbit
+is labelled by its least (lexicographically first) state.
 
 The crosscheck compares the invariant-based classifier against the ground
 truth partition:
@@ -78,6 +76,7 @@ from .chevalley import StructureConstantTable, table_cached
 from .gfield import PrimeField, _mod
 from .liemod import _action_plan
 from .orbitlab import (
+    ClassificationError,
     InvalidDescriptor,
     OrbitDescriptor,
     _classifier,
@@ -634,21 +633,26 @@ def _edge_images(changes, p: int, fixed, digits, blocks):
 
 def _join(tree, a, b):
     """One hook of a union-find over trees: tree is compressed (tree[t] is
-    the root of t's set) and a, b are the roots of pairs of sets to join.
-    Hooks the larger root of each pair onto the smaller, compresses tree
-    again, and returns it with the roots of the pairs still apart."""
+    the root of t's set, the set's least member) and a, b are the roots of
+    pairs of sets to join.  Hooks the larger root of each pair onto the
+    smaller, compresses tree again in place, and returns it with the roots
+    of the pairs still apart."""
     hi = np.maximum(a, b)
     np.minimum.at(tree, hi, np.minimum(a, b))
     # a hooked root may have been hooked onto one hooked in the same call:
-    # chase the hooked roots to theirs, and then every entry is at most one
-    # step from its root
+    # chase the hooked roots to theirs, and then every entry points to an
+    # entry that points to its root
     while True:
         top = tree.take(hi)
         up = tree.take(top)
         if np.array_equal(up, top):
             break
         tree[hi] = up
-    tree = tree.take(tree)
+    # so one gather compresses each entry, and an entry already compressed
+    # reads the same root: a block at a time, with no second tree
+    for lo in range(0, tree.size, _BLOCK_STATES):
+        view = tree[lo:lo + _BLOCK_STATES]
+        view[...] = tree.take(view)
     a, b = tree.take(a), tree.take(b)
     apart = np.flatnonzero(a != b)
     return tree, a[apart], b[apart]
@@ -663,17 +667,19 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
     None), which normalizes T.
 
     The classes.  T lies in G, so every orbit is a union of T-classes.  One
-    index array, label, gets each state's class block by block, for blocks
-    of p**n <= _BLOCK_STATES states that share their first f = m - n
+    index array, label, gets each state's class number block by block, for
+    blocks of p**n <= _BLOCK_STATES states that share their first f = m - n
     digits, the prefix: the class's least state, its normal form, is the
     prefix's normal form followed by a table of the prefix's group at the
     last n digits multiplied by the prefix's units (_Torus), so a block
     costs one gather.  A block whose prefix is its own normal form holds
     the least states of some classes, the states its group's table fixes;
-    no other block holds any.  They are counted first; with at most _TREES
-    classes each state gets its class's number instead (numbers), the
-    classes numbered by ascending least state.  A class's size is |T| over
-    the elements that fix its least state.
+    no other block holds any.  The classes are numbered by ascending least
+    state, so a class's number is the number of the first class of its
+    least state's block plus its rank in that block (numbers), and they
+    are counted, and their arrays priced (_check_memory), before label is
+    allocated.  A class's size is |T| over the elements that fix its least
+    state.
 
     The class edges.  G's orbits are the connected components of the graph
     joining each state x to t x, t in T, and to g x for each element g of
@@ -689,51 +695,28 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
     image, and class(r) -> class(n_0 r) suffice, read from r alone
     (_edge_images); on the trivial torus they are the state-level edges.
 
-    Joining.  With at most _TREES classes, one union-find over the class
-    numbers joins them exactly (_join): each edge whose ends lie in
-    different sets gives a pair of roots, found by one gather in the
-    compressed array.  minimum.at writes at the larger root of each pair
-    the least smaller root paired with it, so a write lands only on a
-    current root and lowers it: it joins two sets and undoes no join.
-    Where one root is paired with several, all but the least stay apart;
-    _join hands them back, and they are found and hooked again until every
-    pair shares a root (each call hooks at least one root, so the calls
-    end).  The pairs apart are held and joined a quarter of the sets at a
-    time, so the compressions cost at most four times the pairs.  After the
-    sweep the two ends of every edge share a set, and only ends of edges
-    were joined, so the sets are the orbits.  A set's root is its least
-    class number, the class of its least state, and an orbit's index is
-    the rank of that root among the roots.
-
-    With more classes, the label array holds normal forms, and rounds hook
-    the larger label across every class edge whose two labels differ onto
-    the smaller, in place (the asynchronous form of Shiloach & Vishkin,
-    1982).  A label only ever
-    moves to a smaller state of its own component: both ends of an edge
-    lie in one component, so do their labels, and hooking lowers the
-    larger label to the smaller one, even where a label was read after an
-    earlier hook of the same round changed it.  So the labels form a forest
-    inside each component, each tree rooted at its least state, and a
-    write lands only on a class's least state, never on another state's
-    normal form.  One sweep then jumps every label to its tree's root and
-    numbers the trees 0, 1, ... by ascending root, writing each state's
-    tree number over its label.  It runs block by block in ascending
-    order: a label only points to a smaller state, so a block's labels
-    chase their pointers inside the block, to a root of the block or a
-    state of an earlier block, which already holds its tree number.  A
-    tree's number never exceeds its root, so it fits the index dtype.  A
-    round starts with every label its root, so minimum.at lowers a label
-    only by hooking a root onto a smaller state, outside its tree, or by
-    moving a subtree hooked earlier in the round: a round merged trees
-    exactly when it left fewer of them.  One that merged none leaves the
-    two ends of every edge one label, so its trees are the orbits.  While a
-    round leaves more than _TREES trees and merged some, each state's root
-    is written back over its tree number, and the next round hooks again;
-    once at most _TREES are left, the union-find above joins the trees,
-    reading the edges whose labels differ.
+    Joining.  One union-find over the class numbers joins them exactly
+    (_join): each edge whose ends lie in different sets gives a pair of
+    roots, found by one gather in the compressed array.  minimum.at writes
+    at the larger root of each pair the least smaller root paired with it,
+    so a write lands only on a current root and lowers it: it joins two
+    sets and undoes no join.  Where one root is paired with several, all
+    but the least stay apart; _join hands them back, and they are found and
+    hooked again until every pair shares a root (each call hooks at least
+    one root, so the calls end).  The pairs apart are held and joined a
+    quarter of the sets, or _HELD_BYTES of pairs, at a time, so the
+    compressions cost at most four times the pairs where the sets are few,
+    and the pairs held a bounded working set where they are many.  After
+    the sweep the two ends of every edge share a set, and only ends of
+    edges were joined, so the sets are the orbits.  A set's root is its
+    least class number, the class of its least state, and an orbit's index
+    is the rank of that root among the roots, written over the tree class
+    by class in ascending order, a block's classes at a time: a class's
+    root is itself or a smaller class, whose index is written already when
+    it lies in an earlier block.  Only the roots' least states are listed.
 
     One gather per block writes each state's orbit index over its class
-    or tree number.  An orbit's size is the sum of its classes' sizes.
+    number.  An orbit's size is the sum of its classes' sizes.
     InternalError when the sizes do not sum to p**m, or when an orbit's
     least state is not its own normal form (_Torus.reduce, digit by digit,
     without the tables).
@@ -750,147 +733,96 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
               torus.pow[::np.gcd.reduce((*w, p - 1))])
              for pairs, keep, w in maps]
 
-    # the blocks that hold the classes' least states by group, and first,
-    # the number of each one's first class
-    blocks, first, trees = {}, {}, 0
+    # the blocks that hold the classes' least states, in ascending order and
+    # by group, and the number of each one's first class
+    normal, blocks, first, trees = [], {}, {}, 0
     for lo, prefix, h in _normal_blocks(torus):
+        normal.append((lo, h))
         blocks.setdefault(h, []).append((lo, prefix))
         first[lo] = trees
         trees += torus.fixed(h).size
+    itemsize = np.dtype(dtype).itemsize
+    _check_memory(total * itemsize + _BLOCK_BYTES * _BLOCK_STATES
+                  + _CLASS_BYTES * trees,
+                  f"joining the {trees} torus classes of {p}**{m} states")
     # every block's group is its normal form's, so the tables of the blocks'
     # groups are all built; those of later digits served only to build them
     torus.tables = {key: table for key, table in torus.tables.items()
                     if key[1] == f}
-    # each state's normal form, block by block: a table of the prefix's
-    # group at the states multiplied by the prefix's units, plus the first
-    # state of the normal form's block; with at most _TREES classes, each
-    # state's class number instead, from the group's numbers and the
-    # number of that block's first class
-    numbered = trees <= _TREES
+    # each state's class number, block by block: the numbers of the
+    # prefix's group at the states multiplied by the prefix's units, plus
+    # the number of the first class of the normal form's block
     label = np.empty(total, dtype=dtype)
     for lo, prefix, head, h, unit in _prefixes(torus):
         start = 0
         for y in head:
             start = start * p + y
-        start *= size
-        if numbered:
-            table, start = torus.numbers(h), first[start]
-        else:
-            table = torus.table(h, f)
-        view = label[lo:lo + size]
+        view, table = label[lo:lo + size], torus.numbers(h)
         if unit is None or (unit[f:] == 1).all():
             view[...] = table
         else:
             np.take(table, torus.scaled(unit[f:]), out=view)
-        if start:
+        if (start := first[start * size]):
             view += start
-    torus.tables = torus.numbered = None  # read only by the normal forms
+    torus.tables = torus.numbered = None  # read only by the class numbers
 
     def digits(fixed):
         # the digits of the states of fixed, a row per digit
         return _digits(fixed, p, n, np.min_scalar_type(-p)).T
 
-    def crossing(every):
-        # the labels at the two ends of each class edge: a, the labels of
-        # the states, and b of their images, a row per c, or only the pairs
-        # that differ
-        for h, where in blocks.items():
-            fixed = torus.fixed(h)
-            found = digits(fixed)
-            # at most a block's edges, and tables of a block's entries for
-            # each pair, at a time
-            step = max(1, size // max(fixed.size, p * p))
-            for pairs, keep, c in edges:
-                for at in range(0, len(c), step):
-                    changes = _changes(pairs, keep, c[at:at + step], p, m)
-                    for lo, image in _edge_images(changes, p, fixed, found,
-                                                  where):
-                        b = label.take(image)
-                        a = label.take(lo + fixed)
-                        if not every:
-                            cross = np.flatnonzero(a != b)
-                            if not cross.size:
-                                continue
-                            a, b = a.take(cross % a.size), b.take(cross)
-                        yield a, b
+    def join(tree, held):
+        a = np.concatenate([a for a, _ in held])
+        b = np.concatenate([b for _, b in held])
+        while a.size:
+            tree, a, b = _join(tree, a, b)
+        return tree
 
-    def number():
-        # jump every label to its root and number the trees; returns the roots
-        local = np.arange(size, dtype=dtype)
-        roots, k = [], 0
-        for lo in range(0, total, size):
-            view = label[lo:lo + size]
-            ptr = np.where(view >= lo, view - lo, local)
-            while True:
-                up = ptr.take(ptr)
-                if np.array_equal(up, ptr):
-                    break
-                ptr = up
-            # each state's pointer at the end of its chain in the block: a
-            # root of the block, or a state of an earlier block
-            end = view.take(ptr)
-            new = lo + np.flatnonzero(view == lo + local)
-            label[new] = np.arange(k, k + new.size)
-            roots.append(new)
-            k += new.size
-            view[...] = label.take(end)
-        return np.concatenate(roots)
-
-    settled = False
-    if numbered:
-        least = None  # the classes' least states, listed once joined
-    else:
-        while True:
-            for a, b in crossing(False):
-                np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
-            a = b = None  # free the last block's labels before the numbering
-            least = number()
-            settled = least.size == trees
-            if settled or least.size <= _TREES:
-                break
-            trees = least.size
-            for lo in range(0, total, size):
-                ids = label[lo:lo + size]
-                ids[...] = least.take(ids)
-    if not settled:
-        # the exact sweep: the orbit index of every tree, and which trees
-        # hold their orbit's least state
-        tree = np.arange(trees if numbered else least.size, dtype=dtype)
-
-        def join(tree, held):
-            a = np.concatenate([a for a, _ in held])
-            b = np.concatenate([b for _, b in held])
-            while a.size:
-                tree, a, b = _join(tree, a, b)
-            return tree
-
-        # the pairs apart are held and joined a quarter of the trees at a
-        # time, so compressing the trees costs at most four times as much
-        # as joining them; the roots of the pairs held stay roots until they
-        # are joined.  Before the classes' first join nearly every edge
-        # crosses, so they are not filtered by label
-        held, count = [], 0
-        for a, b in crossing(numbered):
-            a, b = tree.take(a), tree.take(b)
-            apart = np.flatnonzero(a != b)
-            if apart.size:
-                held.append((a.take(apart % a.size), b.take(apart)))
-                count += apart.size
-                if count >= tree.size // 4:
-                    tree, held, count = join(tree, held), [], 0
-        if held:
-            tree = join(tree, held)
-        top = tree == np.arange(tree.size)
-        index = (np.cumsum(top, dtype=dtype) - 1).take(tree)
-        if numbered:
-            normal = sorted((lo, h) for h, where in blocks.items()
-                            for lo, _ in where)
-            least = np.concatenate([lo + torus.fixed(h).astype(np.intp)
-                                    for lo, h in normal])
-        least = least[top]
-        for lo in range(0, total, size):
-            ids = label[lo:lo + size]
-            ids[...] = index.take(ids)
+    # the roots of the pairs held stay roots until they are joined
+    tree = np.arange(trees, dtype=dtype)
+    limit = max(1, min(trees // 4, _HELD_BYTES // (2 * itemsize)))
+    held, count = [], 0
+    for h, where in blocks.items():
+        fixed = torus.fixed(h)
+        found = digits(fixed)
+        # at most a block's edges, and tables of a block's entries for each
+        # pair, at a time
+        step = max(1, size // max(fixed.size, p * p))
+        for pairs, keep, c in edges:
+            for at in range(0, len(c), step):
+                changes = _changes(pairs, keep, c[at:at + step], p, m)
+                for lo, image in _edge_images(changes, p, fixed, found,
+                                              where):
+                    # the classes of lo + fixed are numbered from first[lo]
+                    a = tree[first[lo]:first[lo] + fixed.size]
+                    b = tree.take(label.take(image))
+                    apart = np.flatnonzero(a != b)
+                    if apart.size:
+                        held.append((a.take(apart % a.size), b.take(apart)))
+                        count += apart.size
+                        if count >= limit:
+                            tree, held, count = join(tree, held), [], 0
+    if held:
+        tree = join(tree, held)
+    # each class's orbit index, the rank of its root among the roots, over
+    # its root, and the roots' least states
+    roots, k = [], 0
+    for lo, h in normal:
+        fixed, start = torus.fixed(h), first[lo]
+        view = tree[start:start + fixed.size]
+        top = view == np.arange(start, start + fixed.size, dtype=dtype)
+        rank = np.cumsum(top, dtype=dtype)
+        rank += k - 1
+        view[...] = np.where(view >= start,
+                             rank.take(view - start, mode="clip"),
+                             tree.take(view))
+        roots.append(lo + fixed[top])
+        k += roots[-1].size
+    for lo in range(0, total, size):
+        ids = label[lo:lo + size]
+        ids[...] = tree.take(ids)
+    tree = view = None
+    least = np.concatenate(roots, dtype=np.intp)
+    roots = None
     # an orbit's size is the sum of its classes' sizes
     sizes = np.zeros(least.size, dtype=np.intp)
     for h, where in blocks.items():
@@ -911,23 +843,25 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
 
 # states per block of _orbit_partition
 _BLOCK_STATES = 2**16
-# trees per union-find of _orbit_partition
-_TREES = 2**17
+# bytes of pairs of roots that _orbit_partition's union-find holds between
+# joins, besides its bound of a quarter of the classes, which only past
+# 2**20 classes it lowers: D6/F3's 5,385,761 classes took 3.5, 2.1 and
+# 2.4 s at 2**19, 2**21 and 2**23 bytes, and traced 202, 210 and 245 MB
+_HELD_BYTES = 2**21
 # elements times states of the suffix tables that _Torus.table builds as
 # the least images under every element
 _SMALL_TABLE = 2**12
 # _orbit_partition holds one array of p**m index-sized entries, whatever the
-# number of maps, and at most _BLOCK_BYTES bytes per state of a block
-# besides: the suffix tables and each group's least states, a block's
-# edges, and the union-find of at most _TREES trees, whose pairs are held a
-# quarter of its trees at a time.  Traced beyond the index: 20, 60, 56 and
-# 118 bytes per _BLOCK_STATES on D4/F5, D5/F3, D4/F7 and D6/F3 (D6/F3's 5.4
-# million classes take the hooking rounds, with eight groups' block tables;
-# D4/F7's 107,297 classes one union-find), 4.64 bytes per state in all on
-# D4/F7 and 4.18 on D6/F3 (179.9 MB; the state-level kernel traced 4.04).
-# A round that leaves more than _TREES trees holds 8 bytes per tree for
-# their roots
+# number of maps, at most _BLOCK_BYTES bytes per state of a block besides
+# (the suffix tables and each group's least states, a block's edges, and
+# the pairs of roots held between joins with _join's copies of them), and
+# _CLASS_BYTES per class of the torus: the union-find's tree, and then the
+# orbits' least states and sizes, in intp, at most one orbit per class.
+# Traced beyond the index, in bytes per class: 27.8 on D4/F7 (107,297
+# classes), 7.1 on D6/F3 (5,385,761), 16.1 on A3/F97 (922,181) and 16.1 on
+# A2/F3001 (9,006,001 classes, each an orbit), each within the price
 _BLOCK_BYTES = 192
+_CLASS_BYTES = 16
 
 
 def enumerate_orbits(table: StructureConstantTable, p: int,
@@ -1001,7 +935,9 @@ def _sample_classes(clf, rows, classes: dict):
     descriptors, as classify_many would.  The codes come from
     _batch_codes, and each distinct code is decoded once: classes maps each
     code (an int) and each descriptor (a tuple) met in the calls of one
-    crosscheck to an index, equal descriptors to one."""
+    crosscheck to an index, equal descriptors to one.  MismatchReport, with
+    the first row of the code and the code, for a code that decode does
+    not know."""
     codes = _batch_codes(clf, rows)
     # np.unique would hash (1.3 MB more peak RSS), or sort narrow lanes
     # slowly (0.6 ms for 20,000 int8 codes against 0.06 ms in int64); an
@@ -1013,7 +949,13 @@ def _sample_classes(clf, rows, classes: dict):
     index = []
     for code in ordered[new].tolist():
         if code not in classes:
-            d = clf.decode(code)
+            try:
+                d = clf.decode(code)
+            except ClassificationError:
+                row = rows[int(np.argmax(codes == code))]
+                raise MismatchReport(
+                    "a sampled state's invariant code names no orbit",
+                    {"state": tuple(row.tolist()), "code": code}) from None
             classes[code] = classes.setdefault(d, len(classes))
         index.append(classes[code])
     ids = np.empty(len(codes), dtype=np.intp)

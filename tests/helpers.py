@@ -34,6 +34,7 @@ from chevorbit import (
     enumerate_orbits,
     parse_system_name,
 )
+from chevorbit import orbitlab
 from chevorbit.chevalley import _jacobi_defect, _seeds
 from chevorbit.gfield import _pow_mod
 from chevorbit.liemod import _action_plan
@@ -235,6 +236,24 @@ def trivial_torus(moves) -> list:
     each a root element x(1) whose character is trivial, so the classes
     are the states and the class edges the moves."""
     return [(move, 1, ()) for move in moves]
+
+
+def shift_top_digit_codes(monkeypatch) -> None:
+    """Patch every family-D classifier's batch codes to be one more at the
+    rows whose first digit is p - 1: no class's least state has that digit
+    on D4/F5 or D5/F3, so only crosscheck's sampled states meet the shifted
+    codes, which decode to no orbit there."""
+    real = orbitlab._DClassifier.chunk_codes
+
+    def shifted(self, n, rows, size=None):
+        for lo, codes in real(self, n, rows, size):
+            hit = np.asarray(rows(lo, lo + len(codes)))[:, 0] == self.p - 1
+            if hit.any():
+                codes = codes.copy()
+                codes[hit] += 1
+            yield lo, codes
+
+    monkeypatch.setattr(orbitlab._DClassifier, "chunk_codes", shifted)
 
 
 def negated_pair(name: str) -> tuple[StructureConstantTable, int, int]:

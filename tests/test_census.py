@@ -4,6 +4,7 @@ oracle, determinism, budget handling, and the crosscheck failure path."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
 import runpy
@@ -233,10 +234,17 @@ def class_edges(name, p):
     m = len(table.rs.phi1)
     with pytest.MonkeyPatch.context() as patch:
         seen = count_partition_work(patch)
-        # no hooking round: the union-find reads every edge once
-        patch.setattr(census_mod, "_TREES", p ** m)
         census_mod._orbit_partition(maps, p, m, chars)
     return seen["edges"]
+
+
+@functools.cache
+def reference_partition(name, p):
+    """union_find_partition over the 2 r0 moves of a census case, which
+    reads no torus."""
+    table = get_table(name)
+    return union_find_partition(generator_moves(table), p,
+                                len(table.rs.phi1))
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None,
@@ -244,53 +252,64 @@ def class_edges(name, p):
 @given(random_moves())
 def test_orbit_partition_matches_union_find_on_random_moves(case):
     """Through the trivial torus, every state is its own class and the
-    class edges are the moves.  Hooking in place reads labels that earlier
-    hooks of the same round have lowered, so its order of work differs
-    with the graph and the blocks; on random graphs, with blocks and a
-    union-find bound of p, p**2 and the default number of states, it must
-    still give the reference partition.  Both exits run: with more orbits
-    than _TREES the trees never fit the union-find, so hooking rounds go
-    on until one hooks nothing; with fewer, the union-find ends the work,
-    and when every state fits under the bound it reads every edge once,
-    with no hooking round."""
+    class edges are the moves.  The union-find compresses its tree a block
+    at a time, and the pairs it holds come from edges read a block at a
+    time; on random graphs, with blocks of p, p**2 and the default number
+    of states, it must still give the reference partition, and read every
+    edge once, in one image call per move."""
     p, m, moves = case
     want = union_find_partition(moves, p, m)
     for block in (p, p * p, census_mod._BLOCK_STATES):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(census_mod, "_BLOCK_STATES", block)
-            patch.setattr(census_mod, "_TREES", block)
             seen = count_partition_work(patch)
             got = census_mod._orbit_partition(trivial_torus(moves), p, m)
         assert [a.tolist() for a in got] == list(want), block
-        if len(want[1]) > block:
-            assert seen["joins"] == 0, block
-            assert seen["edges"] >= 2 * len(moves) * p ** m, block
-        if block >= p ** m:
-            assert seen["images"] == len(moves)
-            assert seen["edges"] == len(moves) * p ** m
+        assert seen["images"] == len(moves), block
+        assert seen["edges"] == len(moves) * p ** m, block
 
 
-@pytest.mark.parametrize("name,p", [("D4", 5), ("D5", 3)])
-def test_orbit_partition_reads_every_edge_twice(monkeypatch, name, p):
-    """D4/F5 has 24,649 classes and D5/F3 68,921, at most _TREES, so one
-    union-find reads each class edge once: for each class, 2, 2 and 2 on
-    D4/F5 (the squares of F_5 for each x_alpha) and 2, 2, 2 and 1 on D5/F3
-    (three alpha of character image F_3^*, one of the squares), and one
-    for n_0.  With fewer trees allowed, as on D6/F3, a hooking round reads
-    every class edge, and the exact sweep over the trees it leaves reads
-    them again: two sweeps over the edges."""
+@pytest.mark.parametrize("name,p,n", [("D4", 5, 3), ("D5", 3, 4)])
+def test_orbit_partition_reads_every_edge_once(monkeypatch, name, p, n):
+    """D4/F5 has 24,649 classes and D5/F3 68,921, and the union-find reads
+    each class edge once: for each class, 2, 2 and 2 on D4/F5 (the squares
+    of F_5 for each x_alpha) and 2, 2, 2 and 1 on D5/F3 (three alpha of
+    character image F_3^*, one of the squares), and one for n_0.  So it
+    does with blocks of p**n states, where the classes' least states lie in
+    hundreds of blocks, and the partition is the reference's."""
     table = get_table(name)
     chars, maps = census_mod._class_maps(table)
     m = len(table.rs.phi1)
     classes, per_class = {("D4", 5): (24_649, 7), ("D5", 3): (68_921, 8)}[
         (name, p)]
     assert class_edges(name, p) == classes * per_class
-    assert classes <= census_mod._TREES
-    monkeypatch.setattr(census_mod, "_TREES", classes - 1)
+    monkeypatch.setattr(census_mod, "_BLOCK_STATES", p ** n)
+    torus = census_mod._Torus(chars, p, m, n, np.int32)
+    assert len(list(census_mod._normal_blocks(torus))) > 200
     seen = count_partition_work(monkeypatch)
-    _, least, _ = census_mod._orbit_partition(maps, p, m, chars)
-    assert seen["edges"] == 2 * classes * per_class
-    assert least.size == EXPECTED_ORBITS[(name, p)]
+    got = census_mod._orbit_partition(maps, p, m, chars)
+    assert seen["edges"] == classes * per_class
+    assert [a.tolist() for a in got] == list(reference_partition(name, p))
+
+
+@pytest.mark.parametrize("name,p,n", [("D4", 5, 3), ("D5", 3, 4)])
+def test_orbit_partition_joins_a_few_held_pairs_at_a_time(monkeypatch, name,
+                                                          p, n):
+    """With the union-find's held pairs bounded to 2**10 bytes, 128 pairs
+    of int32 roots, far below a quarter of the classes, and blocks of p**n
+    states, each block's crossing edges are joined soon after they are
+    read: about 200 joins on D4/F5 and 700 on D5/F3, against about 20 at
+    the default bound, each compressing the tree, and still the reference
+    partition."""
+    table = get_table(name)
+    chars, maps = census_mod._class_maps(table)
+    m = len(table.rs.phi1)
+    monkeypatch.setattr(census_mod, "_BLOCK_STATES", p ** n)
+    monkeypatch.setattr(census_mod, "_HELD_BYTES", 2**10)
+    seen = count_partition_work(monkeypatch)
+    got = census_mod._orbit_partition(maps, p, m, chars)
+    assert seen["joins"] > 150
+    assert [a.tolist() for a in got] == list(reference_partition(name, p))
 
 
 @pytest.mark.parametrize("name", [f"A{r}" for r in range(4, 9)]
@@ -350,52 +369,7 @@ def test_orbit_partition_with_n0_matches_union_find_over_all_moves(name, p):
     chars, maps = census_mod._class_maps(table)
     m = len(table.rs.phi1)
     got = census_mod._orbit_partition(maps, p, m, chars)
-    assert [a.tolist() for a in got] == list(union_find_partition(
-        generator_moves(table), p, m))
-
-
-@pytest.mark.parametrize("name,p,block,orbits", [("D4", 3, 9, 14),
-                                                 ("A3", 5, 25, 11)])
-def test_orbit_partition_hooks_again_past_block_states_trees(
-        monkeypatch, name, p, block, orbits):
-    """With _BLOCK_STATES lowered to block states and _TREES below the
-    trees that the first round leaves, a second round hooks, along every
-    class edge like the first.  D4/F3 has more orbits than the bound, so
-    its trees never fit the union-find, and a third round, which hooks
-    nothing, ends the work; on A3/F5 the bound is one above the orbits, so
-    the trees the second round leaves fit, and the exact sweep ends it,
-    finding every edge inside a tree: three sweeps over the class edges
-    either way, and no join."""
-    table = get_table(name)
-    chars, maps = census_mod._class_maps(table)
-    m = len(table.rs.phi1)
-    edges = class_edges(name, p)
-    monkeypatch.setattr(census_mod, "_BLOCK_STATES", block)
-    monkeypatch.setattr(census_mod, "_TREES", min(block, orbits + 1))
-    seen = count_partition_work(monkeypatch)
-    got = census_mod._orbit_partition(maps, p, m, chars)
-    assert seen["edges"] == 3 * edges and seen["joins"] == 0
-    assert len(got[1]) == orbits
-    assert [a.tolist() for a in got] == list(union_find_partition(
-        generator_moves(table), p, m))
-
-
-def test_orbit_partition_ends_on_a_filtered_round_that_merges_nothing(
-        monkeypatch):
-    """x_1 += x_0 on 9 states, through the trivial torus: the first round
-    hooks each 3-cycle into one tree, which leaves 5 trees, the orbits,
-    more than _TREES = 3.  The second round reads only edges whose labels
-    differ, finds none, and leaves as many trees, so the work ends there,
-    with no exact sweep."""
-    p, m, moves = 3, 2, [[(0, 1, 1)]]
-    monkeypatch.setattr(census_mod, "_BLOCK_STATES", p)
-    monkeypatch.setattr(census_mod, "_TREES", p)
-    seen = count_partition_work(monkeypatch)
-    got = census_mod._orbit_partition(trivial_torus(moves), p, m)
-    assert seen == {"images": 2, "edges": 2 * p ** m, "joins": 0,
-                    "retries": 0}
-    assert [a.tolist() for a in got] == list(union_find_partition(moves, p,
-                                                                  m))
+    assert [a.tolist() for a in got] == list(reference_partition(name, p))
 
 
 def test_orbit_partition_of_self_loops_ends_after_one_sweep(monkeypatch):
@@ -834,6 +808,32 @@ def test_budget_refuses_a_partition_past_physical_memory(monkeypatch):
                 census_mod.check_budget(rs, 11, 10**9)
 
 
+def test_the_partition_prices_its_classes_before_its_label(monkeypatch):
+    """A2 has a trivial torus, so each of its 257**2 states over F_257 is a
+    class: with physical memory between check_budget's price of the states
+    and that price plus the classes', enumerate_orbits passes the budget
+    check and is refused by the partition's own, before it allocates the
+    index of the states, and the CLI's table gives that exit code 4."""
+    table, p, m = get_table("A2"), 257, 2
+    states = (p ** m * np.dtype(np.int32).itemsize
+              + census_mod._BLOCK_BYTES * census_mod._BLOCK_STATES)
+    classes = states + census_mod._CLASS_BYTES * p ** m
+    monkeypatch.setattr(census_mod, "_physical_memory",
+                        lambda: (states + classes) // 2)
+    assert census_mod.check_budget(table.rs, p) == p ** m
+    census_mod._class_maps(table)  # cached before tracing
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"joining the {p ** m} "
+                           "torus classes") as e:
+            enumerate_orbits(table, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p ** m * np.dtype(np.int32).itemsize
+    assert cli.exit_status(lambda: enumerate_orbits(table, p)) == 4
+
+
 def test_budget_env_override(monkeypatch):
     table = get_table("D4")
     monkeypatch.setenv("CHEVORBIT_BUDGET", "50")
@@ -885,6 +885,28 @@ def sampled_states(seed: int, pairs: int, total: int) -> list[int]:
     raw = random.Random(seed).randbytes(16 * pairs)
     return [int.from_bytes(raw[i:i + 8], "little") % total
             for i in range(0, len(raw), 8)]
+
+
+@pytest.mark.parametrize("name,p", [("D4", 5), ("D5", 3)])
+def test_crosscheck_names_a_sampled_state_whose_code_decodes_to_nothing(
+        monkeypatch, name, p):
+    """Codes shifted by one at the states whose first digit is p - 1 pass
+    the class pass, which codes least states alone, and reach the sample,
+    where decode knows none of them: MismatchReport, with the first
+    sampled state of the code that failed, as a vector, and the code."""
+    table = get_table(name)
+    rs, m = table.rs, len(table.rs.phi1)
+    clf = orbitlab._classifier(table, get_field(p))
+    helpers.shift_top_digit_codes(monkeypatch)
+    with pytest.raises(MismatchReport, match="names no orbit") as e:
+        crosscheck(table, p, census=get_census(name, p))
+    state, code = e.value.details["state"], e.value.details["code"]
+    assert set(e.value.details) == {"state", "code"}
+    assert state[0] == p - 1 and code == clf.code(state) + 1
+    drawn = [vector_of_state(rs, p, s)
+             for s in sampled_states(0, census_mod._PAIR_CHUNK, p ** m)]
+    assert state == next(x for x in drawn
+                         if x[0] == p - 1 and clf.code(x) + 1 == code)
 
 
 def test_crosscheck_batch_pairs_catch_one_wrong_descriptor(monkeypatch):
@@ -1606,11 +1628,12 @@ def test_orbit_partition_memory_does_not_grow_with_the_moves(system, p,
         finally:
             tracemalloc.stop()
     # one int32 index array over the states, a working set per block and a
-    # union-find over the classes (24,649 and 68,921 here), within the
-    # price check_budget charges, and no more with each map read three
-    # times
+    # few bytes per class (24,649 and 68,921 here), within the price the
+    # partition charges, and no more with each map read three times
+    classes = census_mod._orbit_partition([], p, m, chars)[1].size
     assert peaks[0] < (p ** m * np.dtype(np.int32).itemsize
-                       + census_mod._BLOCK_BYTES * census_mod._BLOCK_STATES)
+                       + census_mod._BLOCK_BYTES * census_mod._BLOCK_STATES
+                       + census_mod._CLASS_BYTES * classes)
     assert peaks[1] < peaks[0] * 1.02
 
 

@@ -36,6 +36,7 @@ from chevorbit import chevalley
 from chevorbit import cli as cli_mod
 from chevorbit import orbitlab, rootsys
 from chevorbit.cli import main
+import helpers
 from helpers import first_jacobi_failure, negated_pair
 
 
@@ -283,6 +284,17 @@ def test_mismatch_details_reach_stderr(capsys, monkeypatch):
     assert out == ""
     assert "synthetic" in err
     assert "state" in err
+
+
+def test_a_sampled_code_that_names_no_orbit_reaches_stderr(capsys,
+                                                           monkeypatch):
+    helpers.shift_top_digit_codes(monkeypatch)
+    code, out, err = run_cli(capsys, "orbits", "D4", "-p", "5", "--compare")
+    assert code == 1 and out == ""
+    reason, details = err.splitlines()
+    assert reason == ("verification failed: a sampled state's invariant "
+                      "code names no orbit")
+    assert set(json.loads(details)) == {"state", "code"}
 
 
 def test_classification_error_exits_one(capsys, monkeypatch):
