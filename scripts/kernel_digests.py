@@ -4,17 +4,16 @@ of each step of their build.
 
 For each system (D4-D8 and A2-A8 by default) the first table prints the
 sha256 and the length of each generated source: the "unit" and "lanes" of
-family D's orbitlab._lift_kernel, and the "unit" of family A's
-orbitlab._a_kernel.  Two checkouts generate the same code exactly when
-their digests match.
+family D's orbitlab._lift_kernel and of family A's orbitlab._a_kernel.
+Two checkouts generate the same code exactly when their digests match.
 
 Then each step of the build runs on its own, each on a new table so that
 no per-table cache is warm.  Family D has four: the lift of 2x over
 polynomials (_doubled_lift), the block identity (_check_blocks), the
 codegen (_d_source and the text of both sources) and Python's compile of
 both sources.  Family A has no lift, so its row shows "-" there: its
-codegen is _a_source and the text of its unit, from the labels of the
-system's classifier, and then the unit's compile.  Each step prints its
+codegen is _a_source and the text of both sources, from the labels of the
+system's classifier, and then their compile.  Each step prints its
 best time in milliseconds over --repeat builds, and each build's sources
 must equal the first table's.
 
@@ -41,14 +40,12 @@ def new_table(name: str):
 
 def generated(name: str) -> tuple:
     """kind -> the generated source of a new table of the system, and for
-    family A the labels its unit is generated from, which are the
+    family A the labels its code is generated from, which are the
     catalogue's and the same at every p."""
     table = new_table(name)
-    if table.rs.family == "A":
-        clf = orbitlab._classifier(table, PrimeField(3))
-        return {"unit": clf.kernel.source("unit")}, clf.labels
-    kernel = orbitlab._lift_kernel(table)
-    return {kind: kernel.source(kind) for kind in ("unit", "lanes")}, None
+    clf = orbitlab._classifier(table, PrimeField(3))
+    labels = clf.labels if table.rs.family == "A" else None
+    return {kind: clf.kernel.source(kind) for kind in ("unit", "lanes")}, labels
 
 
 def phase_times(name: str, want: dict, labels) -> list:

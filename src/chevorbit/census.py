@@ -8,7 +8,7 @@ sample, and vector_of_state.  The acting group G0 is generated by the 2 r0
 elements x_{+-alpha}(1) for the simple level-0 roots alpha: over F_p,
 x_gamma(t) = x_gamma(1)^t, and the Weyl group of the level-0 roots
 conjugates each of them onto a simple one (Steinberg, Lectures on
-Chevalley Groups, 1967).  From r0 = 2 on, r0 + 1 elements generate it too:
+Chevalley Groups, 1967).  From r0 = 1 on, r0 + 1 elements generate it too:
 the x_alpha(1) and n_0, a lift of the longest level-0 Weyl element, which
 conjugates U+ onto U- (_class_maps).  Each generator permutes the states
 through a digit map: a root element's move adds multiples of coefficients
@@ -248,8 +248,7 @@ def _class_maps(table: StructureConstantTable):
     moves of x_alpha(1) (keep 1), with weight (<alpha, alpha_i>)_i, the
     exponents of the character chi_alpha by which t x_alpha(c) t**-1 =
     x_alpha(chi_alpha(t) c), and n_0's signed permutation of phi1 (keep 0,
-    weight None).  Below two such roots they are the moves of the 2 r0
-    elements x_{+-alpha}(1), no more maps than x_alpha(1) and n_0.
+    weight None).  A2 has no such root, and so no map.
 
     n_0 = n_{a_1}(1) ... n_{a_N}(1), n_a(1) = x_a(1) x_{-a}(-1) x_a(1),
     along a reduced word of w_0, the longest element of the level-0 Weyl
@@ -266,13 +265,8 @@ def _class_maps(table: StructureConstantTable):
               if not rs.level(a)]
     chars = np.array([[rs.pair(b, a) for a in simple] for b in rs.phi1],
                      dtype=np.int64).reshape(len(rs.phi1), len(simple))
-
-    def moves(roots):
-        return [(_action_plan(table, g)[5], 1,
-                 tuple(rs.pair(g, a) for a in simple)) for g in roots]
-
-    if len(simple) < 2:
-        return chars, moves(simple + [rs.neg(a) for a in simple])
+    if not simple:
+        return chars, []
     # a reduced word of w_0: w s_a is longer than w exactly when w(a) > 0,
     # and w_0 is the one element that sends every simple root below 0
     word: list = []
@@ -299,7 +293,9 @@ def _class_maps(table: StructureConstantTable):
                             f"of its level-1 roots")
     turn = tuple((s, d, g) for d, (s, g) in enumerate(zip(src.tolist(),
                                                          sign.tolist())))
-    return chars, moves(simple) + [(turn, 0, None)]
+    return chars, [(_action_plan(table, a)[5], 1,
+                    tuple(rs.pair(a, b) for b in simple))
+                   for a in simple] + [(turn, 0, None)]
 
 
 def state_of_vector(rs: RootSystem, p: int, x) -> int:
@@ -875,8 +871,8 @@ def enumerate_orbits(table: StructureConstantTable, p: int,
     components of those 2 r0 permutations of the states, each labelled by
     its least state.  _orbit_partition joins the classes of the level-0
     torus along the class edges of the r0 + 1 elements x_alpha(1) and n_0
-    of _class_maps, which generate the same group with the torus (of the
-    2 r0 elements below r0 = 2).  The census lists the orbits in ascending
+    of _class_maps, which generate the same group with the torus from
+    r0 = 1 on (A2 has none).  The census lists the orbits in ascending
     order of that state and carries the state -> orbit index array as
     orbit_id.  A system or prime the classification does not cover
     (check_domain) is refused before the budget is priced.

@@ -406,20 +406,19 @@ class _Polynomials:
 class _Kernel:
     """The generated code of a table, compiled by _kernel_of.
 
-    unit compiles the scalar unit, a factory called once per prime that
-    returns the closure classify(x, code_only=False) of F_p: the descriptor
-    of one level-1 vector x (integers, in any spelling classify takes), or
-    with code_only its invariant code, in one frame.  It reduces x's
-    entries, so it takes unreduced ints too, and reads any input it cannot
-    unpack or reduce through the reduced it is given, which returns its
-    entries in range(p) or raises.  Family D's unit is
-    unit(p, decode, reduced, rank, v_params) (_lift_kernel), family A's
-    unit(p, reduced, rank) (_a_kernel).  Family D also has lanes(p, *x),
-    the codes of a batch, x being one lane array per phi1 root, of the
-    narrowest of int8, int16, int32 and int64 that holds bound(p) and the
-    packed code (_Classifier; on D4 int16 up to p = 13, int32 up to 709,
-    int64 up to 1,154,051, and int8 only at p = 3 on D5 and D6); family A's
-    lanes are _a_code.  source(name) is the generated text of the function
+    Each family's (_lift_kernel, _a_kernel) has the same two functions.
+    unit compiles the scalar unit, unit(clf), a factory called once per
+    prime with the classifier of F_p, whose head binds what the code reads
+    of it, and which returns the closure classify(x, code_only=False): the
+    descriptor of one level-1 vector x (integers, in any spelling classify
+    takes), or with code_only its invariant code, in one frame.  It reduces
+    x's entries, so it takes unreduced ints too, and reads any input it
+    cannot unpack or reduce through clf.reduced, which returns its entries
+    in range(p) or raises.  lanes(p, *x) gives the codes of a batch, x
+    being one lane array per phi1 root, of the narrowest of int8, int16,
+    int32 and int64 that holds the family's bound (_Classifier; on D4 int16
+    up to p = 13, int32 up to 709, int64 up to 1,154,051, and int8 only at
+    p = 3 on D5 and D6).  source(name) is the generated text of the function
     of that name, and spell(name) compiles it, each once per table on first
     use (unit and lanes below): one compiled unit per table and one closure
     per prime, so a process that classifies only single vectors compiles
@@ -771,7 +770,9 @@ def _d_source(table: StructureConstantTable, y: list) -> tuple:
         if kind == "lanes":
             return "\n".join([f"def lanes(p, {xs}):", *head, *body])
         return "\n".join([
-            "def unit(p, decode, reduced, rank, v_params):", *head,
+            "def unit(clf):",
+            "    p, decode, reduced, rank, v_params = clf.p, clf.decode, "
+            "clf.reduced, clf.rs.rank, clf.v_params", *head,
             "    half = (p - 1) // 2",
             "    radix = p + 2",
             f"    place = radix ** {len(blocks)}",
@@ -818,67 +819,38 @@ def al_pair(rs: RootSystem, x) -> tuple[tuple, tuple]:
 _A_LABELS = ("I", "IIa", "IIb", "III", "VI")  # indexed by the label digit
 
 
-def _a_code(p: int, u, v):
-    """The family-A invariants of al_pair's (u, v), packed as
-    (label * p + a) * p + b.
-
-    The label indexes _A_LABELS.  With the contraction s = sum(u_j * v_j),
-    it is I when u and v vanish, IIa when only v does, IIb when only u
-    does, and otherwise VI when s != 0 and III when s == 0.  (a, b) are the
-    values of the label's parameters in _orbit_types order, zero where it
-    has fewer.  For A2, whose orbits are single points, they are (u_1, v_1)
-    for VI, u_1 for IIa and v_1 for IIb: a = u_1 if u_1 != 0 else v_1, and
-    b = v_1 if u_1 != 0 else 0.  Otherwise b = 0 and a is s (zero except
-    for VI), or, for III of A3, the contraction c of v with the completion
-    of u to a unimodular basis: (0, 1/u_1) when u_1 != 0, else (-1/u_2, 0).
-    The code uses only arithmetic and comparisons, so the entries (in
-    range(p)) may be ints or integer lane arrays.  Its values stay below
-    max(5, l - 1) * p**2: s sums l - 1 products, A3's _select spans less
-    than 2 * p**2, and the code is below 5 * p**2.
-    """
-    u_set = v_set = False
-    s = 0
-    for uj, vj in zip(u, v):
-        u_set = u_set | (uj != 0)
-        v_set = v_set | (vj != 0)
-        s = s + uj * vj
-    s = _mod(s, p)
-    # s != 0 only when u and v are both set, so the label is 0..4
-    label = u_set + 2 * v_set + (s != 0)
-    if len(u) == 1:  # A2
-        (u1,), (v1,) = u, v
-        return (label * p + _select(u1 != 0, u1, v1)) * p + (u1 != 0) * v1
-    a = s
-    if len(u) == 2:  # A3
-        (u1, u2), (v1, v2) = u, v
-        c = _mod(_select(u1 != 0, _pow_mod(u1, p - 2, p) * v2,
-                         -_pow_mod(u2, p - 2, p) * v1), p)
-        a = _select(label == 3, c, s)
-    return (label * p + a) * p
-
-
 def _a_source(table: StructureConstantTable, labels: dict) -> Callable:
-    """The generated text of family A's scalar unit: source("unit").
+    """Family A's code, source(kind) the generated text of "unit" or
+    "lanes", both read off ab, the code's parameters (a, b) per label digit.
 
     labels is _AClassifier.labels: label digit -> (label, its parameters as
-    (name, index into the code's (a, b)) in name order).  The closure
-    classify, returned by unit(p, reduced, rank), reduces x's entries,
-    takes the contraction s of al_pair's (u, v) and branches on s, then on
-    u and v, to the label, as _a_code's second spelling: VI where s != 0,
-    else III where u and v are both nonzero, IIa, IIb or I.  Each branch
-    returns the code (label * p + a) * p + b of _a_code, or with the
-    descriptor that decode names for it, built as one tuple, the
-    descriptor of a type without parameters built once per prime."""
+    (name, index into (a, b)) in name order).  The code is (label * p + a)
+    * p + b.  With s = sum(u_j * v_j) over al_pair's (u, v), the label
+    (_A_LABELS) is I when u and v vanish, IIa when only v does, IIb when
+    only u does, else VI when s != 0 and III when s == 0.  (a, b) are the
+    label's parameters in _orbit_types order, zero where it has fewer: on
+    A2 (u_1, v_1) for VI, u_1 for IIa and v_1 for IIb; otherwise s for VI,
+    and for A3's III the contraction c of v with the completion of u to a
+    unimodular basis, (0, 1/u_1) when u_1 != 0, else (-1/u_2, 0).  unit(clf)
+    returns the closure classify, which branches on s, then on u and v, and
+    returns the code or its descriptor, built once per prime for a type
+    without parameters.  lanes(p, *x), on lane arrays or ints in range(p),
+    sums the label from zero tests and takes a and b by one _select per
+    digit, with _mod and _pow_mod for % and pow.  Its values stay below
+    max(5, l - 1) * p**2: s sums l - 1 products, A3's c selects between two
+    products below p**2, and the code is below 5 * p**2.
+    """
     rs = table.rs
     iu, iv = _al_indices(rs)
     u, v = [f"x{i}" for i in iu], [f"x{i}" for i in iv]
-    # (a, b) as expressions, for each label digit (_a_code's docstring)
+    # (a, b) as expressions, for each label digit
     ab = dict.fromkeys(range(5), ("0", "0"))
     ab[4] = ("s", "0")
     if len(u) == 1:  # A2
         ab.update({1: (u[0], "0"), 2: (v[0], "0"), 4: (u[0], v[0])})
     elif len(u) == 2:  # A3
         ab[3] = ("c", "0")
+    contraction = " + ".join(map("{} * {}".format, u, v))
 
     def leave(digit):
         label, names = labels[digit]
@@ -891,29 +863,52 @@ def _a_source(table: StructureConstantTable, labels: dict) -> Callable:
                 else f"d{digit}")
         return f"return {code} if code_only else {desc}"
 
-    body = []
+    def chain(j):  # a (j = 0) or b (j = 1) on lanes
+        e = "0"
+        for digit in labels:
+            if ab[digit][j] != "0":
+                e = f"_select(label == {digit}, {ab[digit][j]}, {e})"
+        return e
+
+    unit, lanes = [], ["return 0"]  # A1 has no pair: every vector is I
     if u:
-        body += [f"s = ({' + '.join(map('{} * {}'.format, u, v))}) % p",
+        unit += [f"s = ({contraction}) % p",
                  "if s:", "    " + leave(4), f"if {' or '.join(u)}:"]
         if 3 in labels:  # A2 has no III: u and v nonzero make s nonzero
-            body.append(f"    if {' or '.join(v)}:")
+            unit.append(f"    if {' or '.join(v)}:")
             if len(u) == 2:
-                body.append(f"        c = {v[1]} * pow({u[0]}, -1, p) % p "
+                unit.append(f"        c = {v[1]} * pow({u[0]}, -1, p) % p "
                             f"if {u[0]} else -{v[0]} * pow({u[1]}, -1, p) % p")
-            body.append("        " + leave(3))
-        body += ["    " + leave(1), f"if {' or '.join(v)}:", "    " + leave(2)]
-    body.append(leave(0))
+            unit.append("        " + leave(3))
+        unit += ["    " + leave(1), f"if {' or '.join(v)}:", "    " + leave(2)]
+        lanes = [f"s = _mod({contraction}, p)",
+                 f"label = (({' | '.join(u)}) != 0) "
+                 f"+ 2 * (({' | '.join(v)}) != 0) + (s != 0)"]
+        if len(u) == 2:
+            inv = "_pow_mod({}, p - 2, p)".format
+            lanes.append(f"c = _mod(_select({u[0]} != 0, {inv(u[0])} * {v[1]}"
+                         f", -{inv(u[1])} * {v[0]}), p)")
+        b = chain(1)
+        lanes.append(f"return (label * p + {chain(0)}) * p"
+                     + (f" + {b}" if b != "0" else ""))
+    unit.append(leave(0))
     head = [f"    c{digit} = {digit} * p * p" for digit in labels if digit]
     head += [f'    d{digit} = new(Desc, ("A", rank, p, "{label}", ()))'
              for digit, (label, names) in labels.items() if not names]
+    xs = "".join(f", x{i}" for i in range(len(rs.phi1)))
 
     def source(kind):
+        if kind == "lanes":
+            return "\n".join([f"def lanes(p{xs}):",
+                              *("    " + line for line in lanes)])
         if kind != "unit":
             raise KeyError(kind)
-        return "\n".join(["def unit(p, reduced, rank):", *head,
+        return "\n".join(["def unit(clf):",
+                          "    p, reduced, rank = clf.p, clf.reduced, "
+                          "clf.rs.rank", *head,
                           "    def classify(x, code_only=False):",
                           *_unpacked(len(rs.phi1)),
-                          *("        " + line for line in body),
+                          *("        " + line for line in unit),
                           "    return classify"])
 
     return source
@@ -921,9 +916,9 @@ def _a_source(table: StructureConstantTable, labels: dict) -> Callable:
 
 @table_cached
 def _a_kernel(table: StructureConstantTable, labels: tuple) -> _Kernel:
-    """Family A's scalar unit (_a_source), compiled once per table on its
-    first scalar call; labels is _AClassifier.labels as a tuple of its
-    items."""
+    """Family A's generated code (_a_source), each spelling compiled once
+    per table on its first use; labels is _AClassifier.labels as a tuple of
+    its items."""
     return _kernel_of(table, _a_source(table, dict(labels)))
 
 
@@ -1034,13 +1029,13 @@ _LANES = tuple((t, int(np.iinfo(t).max))
 class _Classifier:
     """The invariant code of one table over one prime field, and its decode.
 
-    Each family implements classify(x, code_only=False), its kernel's
-    scalar unit at p, which reduces one vector and returns its descriptor,
-    or its code; lanes(xs), the codes of a batch, one lane array per phi1
-    coordinate, a second spelling of the code; and decode(code), the
-    descriptor a code names.  lane is the
-    narrowest of int8, int16, int32 and int64 whose range holds the
-    family's bound on |every value of lanes|, that is bound < 2**(bits - 1)
+    Its kernel (_Kernel) spells the code twice, from one generated source:
+    classify(x, code_only=False), the scalar unit at p, which reduces one
+    vector and returns its descriptor, or its code, and lanes(xs), the
+    codes of a batch, one lane array per phi1 coordinate.  Each family
+    gives decode(code), the descriptor a code names, and its bound on
+    |every value of lanes|.  lane is the narrowest of int8, int16, int32
+    and int64 whose range holds the bound, that is bound < 2**(bits - 1)
     (it covers gfield._mod, exact even where a // p * p wraps, and every
     integer literal of the lane code, each at most the bound), and None
     past 2**63, where batches run code over Python ints.
@@ -1055,6 +1050,15 @@ class _Classifier:
         self.rs, self.p, self.types = table.rs, K.p, _orbit_types(table, K)
         self.m = len(self.rs.phi1)
         self.lane = next((t for t, top in _LANES if bound <= top), None)
+
+    @functools.cached_property
+    def classify(self) -> Callable:
+        """The kernel's scalar unit at this p, built on the first scalar
+        call: classify(x), or the code alone with code_only=True."""
+        return self.kernel.unit(self)
+
+    def lanes(self, xs):
+        return self.kernel.lanes(self.p, *xs)
 
     def code(self, x) -> int:
         """The code of one vector, by the scalar unit."""
@@ -1141,17 +1145,10 @@ class _Classifier:
 
 
 class _AClassifier(_Classifier):
-    """Family A: the table's compiled unit (_a_kernel) for one vector, and
-    _a_code on lanes; a code names its label and parameters directly."""
+    """Family A (_a_kernel): a code names its label and parameters."""
 
     def __init__(self, table: StructureConstantTable, K):
         super().__init__(table, K, max(5, table.rs.rank - 1) * K.p ** 2)
-        # itemgetter returns a tuple from two indices on, which A3 and up
-        # have; A1 has none and A2 one
-        self.iu, self.iv = (
-            operator.itemgetter(*i) if len(i) > 1
-            else lambda x, i=tuple(i): tuple([x[j] for j in i])
-            for i in _al_indices(self.rs))
         # label digit -> the label, and its parameters as (name, index into
         # the code's (a, b)) in name order, the order of descriptor params
         self.labels = {
@@ -1159,17 +1156,6 @@ class _AClassifier(_Classifier):
                                         enumerate(self.types[label][0]))))
             for digit, label in enumerate(_A_LABELS) if label in self.types}
         self.kernel = _a_kernel(table, tuple(self.labels.items()))
-
-    @functools.cached_property
-    def classify(self) -> Callable:
-        """The kernel's scalar unit at this p, built on the first scalar
-        call: classify(x) in one frame, and the code alone with
-        code_only=True.  Input the unit cannot unpack is read, or refused,
-        by reduced."""
-        return self.kernel.unit(self.p, self.reduced, self.rs.rank)
-
-    def lanes(self, xs):
-        return _a_code(self.p, self.iu(xs), self.iv(xs))
 
     def decode(self, code: int) -> OrbitDescriptor:
         p = self.p
@@ -1197,18 +1183,6 @@ class _DClassifier(_Classifier):
         _v_code_checked(table, entries)
         # V's parameters after k take one value each, in sorted order
         self.v_params = tuple((n, v) for n, (v,) in params[1:])
-
-    @functools.cached_property
-    def classify(self) -> Callable:
-        """The kernel's scalar unit at this p, built on the first scalar
-        call: classify(x) in one frame, and the code alone with
-        code_only=True.  Input the unit cannot unpack is read, or refused,
-        by reduced."""
-        return self.kernel.unit(self.p, self.decode, self.reduced,
-                                self.rs.rank, self.v_params)
-
-    def lanes(self, xs):
-        return self.kernel.lanes(self.p, *xs)
 
     def decode(self, code: int) -> OrbitDescriptor:
         p, place = self.p, self.place

@@ -312,7 +312,7 @@ def test_orbit_partition_joins_a_few_held_pairs_at_a_time(monkeypatch, name,
     assert [a.tolist() for a in got] == list(reference_partition(name, p))
 
 
-@pytest.mark.parametrize("name", [f"A{r}" for r in range(4, 9)]
+@pytest.mark.parametrize("name", [f"A{r}" for r in range(3, 9)]
                          + [f"D{r}" for r in range(4, 9)])
 def test_n0_conjugates_each_simple_root_element_onto_a_negative_one(name):
     """_class_maps reads x_alpha(1) for the simple level-0 roots alpha, and
@@ -362,9 +362,8 @@ def test_n0_conjugates_each_simple_root_element_onto_a_negative_one(name):
 @pytest.mark.parametrize("name,p", [*CENSUS_CASES, ("A4", 7), ("A5", 5)])
 def test_orbit_partition_with_n0_matches_union_find_over_all_moves(name, p):
     """The kernel joins the torus classes along the class edges of
-    x_alpha(1) and n_0 from r0 = 2 on, and of the 2 r0 moves below
-    (_class_maps); the partition is the reference's over all 2 r0 moves of
-    the states, which reads no torus."""
+    x_alpha(1) and n_0 from r0 = 1 on (_class_maps); the partition is the
+    reference's over all 2 r0 moves of the states, which reads no torus."""
     table = get_table(name)
     chars, maps = census_mod._class_maps(table)
     m = len(table.rs.phi1)

@@ -268,7 +268,7 @@ def test_contraction_is_invariant_under_every_generator_over_polynomials(
 def test_a3_iii_parameter_is_invariant_over_polynomials():
     # on the locus s = u1 v1 + u2 v2 = 0 put v = w (u2, -u1), over Q[u1, u2,
     # w, t]; III's parameter c, the contraction of v with the completion of
-    # u, is v2 / u1 = -v1 / u2 = -w there (_a_code reads one or the other).
+    # u, is v2 / u1 = -v1 / u2 = -w there (the code reads one or the other).
     # Each spelling n / d of c, its denominator cleared, must give the same
     # c after every generator: n(gx) d(x) == n(x) d(gx), with d(gx) != 0
     table = get_table("A3")
@@ -311,19 +311,21 @@ def test_kernel_digests_script_prints_d4s_sources_and_steps(capsys):
 
 
 def test_kernel_digests_script_prints_the_family_a_unit(capsys):
-    # family A's unit has a digest and a codegen and compile time, and no
-    # lift or block identity
+    # family A's unit and lanes have digests and a codegen and compile
+    # time, and no lift or block identity
     path = Path(__file__).parents[1] / "scripts" / "kernel_digests.py"
     main = runpy.run_path(str(path), run_name="kernel_digests")["main"]
     assert main(["A3", "A5", "--repeat", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
-    for line, name in zip(out[1:3], ("A3", "A5")):
-        source = orbitlab._classifier(get_table(name),
-                                      get_field(7)).kernel.source("unit")
-        assert line.split() == [name, "unit", str(len(source)),
-                                hashlib.sha256(source.encode()).hexdigest()]
-    assert out[3] == "" and len(out) == 7
-    for line, name in zip(out[5:], ("A3", "A5")):
+    want = []
+    for name in ("A3", "A5"):
+        kernel = orbitlab._classifier(get_table(name), get_field(7)).kernel
+        want += [[name, kind, str(len(kernel.source(kind))),
+                  hashlib.sha256(kernel.source(kind).encode()).hexdigest()]
+                 for kind in ("unit", "lanes")]
+    assert [line.split() for line in out[1:5]] == want
+    assert out[5] == "" and len(out) == 9
+    for line, name in zip(out[7:], ("A3", "A5")):
         row = line.split()
         assert row[:3] == [name, "-", "-"]
         assert all(float(ms) > 0 for ms in row[3:])
@@ -2067,10 +2069,12 @@ def test_kernel_compiles_one_unit_and_one_lane_code_per_table(monkeypatch):
         return compile(source, filename, *args, **kwargs)
 
     monkeypatch.setattr(orbitlab, "compile", counted, raising=False)
-    for name in ("D4", "D5"):
+    primes = (3, 5, 1009, 4294967311)
+    for name in ("D4", "D5", "A3", "A5"):
         t = build_table_oracle(get_system(name))  # nothing compiled yet
+        assert made == []
         rng = random.Random(name)
-        for p in (3, 5, 1009, 4294967311):
+        for p in primes:
             K = get_field(p)
             x, y = random_v1(rng, t.rs, p), random_v1(rng, t.rs, p)
             d = classify(t, K, x)
@@ -2080,14 +2084,28 @@ def test_kernel_compiles_one_unit_and_one_lane_code_per_table(monkeypatch):
         assert predicted_census(t, 3)
         assert crosscheck(t, 3, pairs=1000)
         assert made == [f"<unit of {name}>", f"<lanes of {name}>"]
+        # the batches of every prime run the one lane code (p = 4294967311
+        # is past the int64 bound, so its batch runs the unit)
+        for p in primes:
+            K = get_field(p)
+            xs = [random_v1(rng, t.rs, p) for _ in range(20)]
+            assert classify_many(t, K, xs) == [classify(t, K, x) for x in xs]
+        assert made == [f"<unit of {name}>", f"<lanes of {name}>"]
         made.clear()
 
 
 def a_reference(clf, x):
-    """Family A's second spelling: decode of _a_code (the lane code) on the
-    entries reduced, or the error reduced raises for them."""
-    r = clf.reduced(x)
-    return clf.decode(orbitlab._a_code(clf.p, clf.iu(r), clf.iv(r)))
+    """Family A's second spelling: decode of the kernel's lanes, called on
+    the entries reduced as Python ints, or the error reduced raises for
+    them."""
+    return clf.decode(clf.lanes(clf.reduced(x)))
+
+
+def lane_codes(clf, vectors):
+    """The codes of vectors by the kernel's lanes, called on lane arrays of
+    the classifier's dtype."""
+    rows = np.array(vectors, dtype=clf.lane).reshape(len(vectors), clf.m)
+    return np.broadcast_to(clf.lanes(list(rows.T)), len(rows)).tolist()
 
 
 def outcome(f):
@@ -2106,12 +2124,14 @@ def test_family_a_unit_equals_the_decoded_code_on_every_state(name, p):
     K = get_field(p)
     clf = orbitlab._classifier(t, K)
     labels = set()
-    for x in itertools.product(range(p), repeat=len(t.rs.phi1)):
+    states = list(itertools.product(range(p), repeat=len(t.rs.phi1)))
+    for x in states:
         d = a_reference(clf, x)
         assert classify(t, K, x) == d, x
-        assert clf.code(x) == orbitlab._a_code(p, clf.iu(x), clf.iv(x)), x
+        assert clf.code(x) == clf.lanes(x), x
         labels.add(d.label)
     assert labels == {label for label, _ in clf.labels.values()}
+    assert lane_codes(clf, states) == [clf.code(x) for x in states]
 
 
 @pytest.mark.parametrize("p", [3, 1009, 2**31 - 1])
@@ -2125,6 +2145,7 @@ def test_family_a_unit_equals_the_decoded_code_on_seeded_vectors(name, p):
     iu, iv = orbitlab._al_indices(t.rs)
     rng = random.Random(f"{name}/{p}")
     labels = Counter()
+    vectors = []
     for _ in range(10**4):
         density = rng.choice((0.1, 0.5, 1.0))
         x = [rng.randrange(p) if rng.random() < density else 0
@@ -2134,9 +2155,12 @@ def test_family_a_unit_equals_the_decoded_code_on_seeded_vectors(name, p):
             x[iv[-1]] = -s * pow(x[iu[-1]], -1, p) % p
         d = a_reference(clf, x)
         assert classify(t, K, x) == d, x
-        assert clf.code(x) == orbitlab._a_code(p, clf.iu(x), clf.iv(x)), x
+        assert clf.code(x) == clf.lanes(x), x
         labels[d.label] += 1
+        vectors.append(x)
     assert set(labels) == {"I", "IIa", "IIb", "III", "VI"}, labels
+    if clf.lane is not None:  # p = 2**31 - 1 is past the int64 bound
+        assert lane_codes(clf, vectors) == [clf.code(x) for x in vectors]
 
 
 @pytest.mark.parametrize("p", [3, 2**31 - 1])
@@ -2144,7 +2168,7 @@ def test_family_a_unit_equals_the_decoded_code_on_seeded_vectors(name, p):
 def test_family_a_unit_reads_and_refuses_what_the_reduced_path_does(name, p):
     # numpy ints and bools, negative and unreduced ints, iterators, wrong
     # lengths and entries that are not integers: the unit's value, or the
-    # type and message of its error, is that of decode(_a_code(reduced(x)))
+    # type and message of its error, is that of decode(lanes(reduced(x)))
     t = get_table(name)
     K = get_field(p)
     clf = orbitlab._classifier(t, K)
@@ -2167,9 +2191,7 @@ def test_family_a_unit_reads_and_refuses_what_the_reduced_path_does(name, p):
             want = outcome(lambda: a_reference(clf, spell(x)))
             assert outcome(lambda: classify(t, K, spell(x))) == want, x
             if isinstance(want, OrbitDescriptor):
-                r = clf.reduced(x)
-                assert clf.code(spell(x)) == orbitlab._a_code(
-                    p, clf.iu(r), clf.iv(r)), x
+                assert clf.code(spell(x)) == clf.lanes(clf.reduced(x)), x
 
 
 def test_family_a_compiles_one_unit_per_table(monkeypatch):
