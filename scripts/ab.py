@@ -35,6 +35,9 @@ crosscheck crosscheck alone (seed 0) on D4/F5, D5/F3 and D4/F7, each
            side's census enumerated once before timing
 crosscheck_small
            the same on the five small pinned cases, A2/F3 to D4/F3
+classify_many
+           classify_many on 2**16 seeded vectors each of D4/F5, D5/F3,
+           A5/F5 and D4/F719, the same vectors on both sides
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 
 CASES = {
@@ -62,7 +67,10 @@ CASES = {
     "crosscheck": (("D4", 5), ("D5", 3), ("D4", 7)),
     "crosscheck_small": (("A2", 3), ("A3", 3), ("A3", 5), ("A4", 3),
                          ("D4", 3)),
+    "classify_many": (("D4", 5), ("D5", 3), ("A5", 5), ("D4", 719)),
 }
+# vectors per system of the classify_many case
+BATCH = 1 << 16
 
 
 def load(alias: str, rev: str | None, into: Path):
@@ -91,6 +99,17 @@ def runner(cv, case: str):
     here."""
     cases = [(cv.build_table_oracle(cv.build_root_system(
         *cv.parse_system_name(name))), p) for name, p in CASES[case]]
+    if case == "classify_many":
+        rng = np.random.default_rng(0)
+        batches = [(table, cv.PrimeField(p), rng.integers(
+            0, p, (BATCH, len(table.rs.phi1)), dtype=np.int64))
+            for table, p in cases]
+
+        def run():
+            for table, K, rows in batches:
+                cv.classify_many(table, K, rows)
+
+        return run
     if case.startswith("crosscheck"):
         censuses = [cv.enumerate_orbits(table, p) for table, p in cases]
 

@@ -19,9 +19,10 @@ G0 also holds the torus T0 of the h_alpha(c), which multiplies each
 coordinate by a character of its own, so each orbit is a union of T0's
 classes.  The partition (_orbit_partition) writes each state's class
 number, the classes numbered by their least states (normal forms,
-_Torus), into one array indexed by state, block by block of states that
-share their leading digits.  It then joins the classes along the class
-edges x_alpha(c) . r, c in the image of alpha's character, and n_0 . r,
+_Torus) as _classes lists them, into one array indexed by state, block by
+block of states that share their leading digits.  It then joins the
+classes along the class edges x_alpha(c) . r, c in the image of alpha's
+character, and n_0 . r,
 read from each class's least state r alone, in one union-find over the
 class numbers.  The orbit index is written over the class numbers in
 place, so enumeration holds that one array, a working set of one block,
@@ -35,11 +36,11 @@ truth partition:
   orbit has the listed size, in one pass over the orbit index,
 * the classifier's invariant code is constant on every orbit: the code is
   T0-invariant, so it is computed at one state of each T0-class, its
-  least, by classify's own classifier on batches of fixed-size chunks of
-  those states, which the crosscheck lists itself from T0's characters
-  (_normal_blocks) and streams in ascending order, so that no array of
-  codes of every class is held; each class's code must equal the code of
-  its orbit's representative, and that the scalar spelling's code,
+  least, by classify's own classifier, one codes call per fixed-size
+  chunk of those states, which the crosscheck lists itself from T0's
+  characters (_classes) and streams in ascending order, so that no array
+  of codes of every class is held; each class's code must equal the code
+  of its orbit's representative, and that the scalar spelling's code,
 * each census descriptor is the one the classifier decodes from its
   representative's code, and the descriptors are pairwise distinct, so
   every pair of representatives is classified apart,
@@ -92,14 +93,14 @@ DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV = "CHEVORBIT_BUDGET"
 # sampled crosscheck pairs that also go through the scalar same_orbit
 _SCALAR_PAIRS = 500
-# sampled crosscheck pairs drawn and classified at a time: the default
-# sample is one chunk, so a larger one holds no more memory than it
+# sampled crosscheck pairs drawn and classified at a time, in one lane call
+# of at most _CHECK_CHUNK rows: a larger sample holds no more memory
 _PAIR_CHUNK = 10_000
-# rows per lane call of crosscheck's class pass and sample, twice
-# classify_many's orbitlab._CHUNK: their digits are int8 up to p = 127, and
-# a call of 2**14 rows spends 30-40% of its time in costs fixed per call
-# (lanes on 64 rows take 0.18 of the 0.61 ms of 2**14 on D4/F5, 0.34 of
-# 0.88 on D5/F3); also states per chunk of its pass over orbit_id
+# most rows per lane call of crosscheck, twice classify_many's
+# orbitlab._CHUNK: the digits are int8 up to p = 127, and a call of 2**14
+# rows spends 30-40% of its time in costs fixed per call (lanes on 64 rows
+# take 0.18 of the 0.61 ms of 2**14 on D4/F5, 0.34 of 0.88 on D5/F3); also
+# states per chunk of its pass over orbit_id
 _CHECK_CHUNK = 1 << 15
 
 
@@ -318,16 +319,16 @@ def vector_of_state(rs: RootSystem, p: int, s: int) -> tuple[int, ...]:
     return tuple(_digits(np.array([s]), p, m)[0].tolist())
 
 
-def _digits(states, p: int, m: int, dtype=None) -> np.ndarray:
+def _digits(states, p: int, m: int) -> np.ndarray:
     """The base-p digits of an integer array of states, first digit most
-    significant, as an (n, m) array of dtype, by default the states': floor
-    division, as gfield._mod reduces, into columns, so each coordinate is
-    contiguous."""
+    significant, as an (n, m) array of the narrowest dtype that holds -p:
+    floor division, as gfield._mod reduces, into columns, so each
+    coordinate is contiguous; a digit is in range(p), so the cast is exact."""
     q = np.asarray(states).reshape(-1)
-    digits = np.empty((m, q.size), dtype=q.dtype if dtype is None else dtype)
+    digits = np.empty((m, q.size), dtype=np.min_scalar_type(-p))
     for j in range(m - 1, -1, -1):
         r = q // p
-        np.subtract(q, r * p, out=digits[j])
+        np.subtract(q, r * p, out=digits[j], casting="unsafe")
         q = r
     return digits.T
 
@@ -386,7 +387,7 @@ class _Torus:
     first use, never for fewer than the last n digits, so none is larger
     than a block; fixed(h) lists the states a block table fixes, the
     classes' least states, numbers(h) the rank among them of each state's
-    normal form, and sizes(h, digits) the classes' sizes."""
+    normal form, and sizes(h) the classes' sizes."""
 
     def __init__(self, chars, p: int, m: int, n: int, dtype):
         self.p, self.m, self.f, self.dtype = p, m, m - n, dtype
@@ -408,7 +409,7 @@ class _Torus:
         self.leasts: dict = {}
         self.tables: dict = {}
         self.classes: dict = {}
-        self.numbered: dict = {}
+        self.sized: dict = {}
         self.group(np.ones(len(exps), dtype=bool))
 
     def group(self, members) -> int:
@@ -510,17 +511,20 @@ class _Torus:
             self.tables[h, j] = table
         return table
 
+    def prune(self):
+        """Drops the tables of later digits than the block's first, which
+        serve only to build those."""
+        self.tables = {key: table for key, table in self.tables.items()
+                       if key[1] == self.f}
+
     def numbers(self, h: int):
         """Each state's class number in a block whose prefix has group h:
         the rank of its normal form among the block's least states, from
-        table(h, f), which it replaces."""
-        if (numbers := self.numbered.get(h)) is None:
-            fixed = self.fixed(h)
-            rank = np.zeros(self.p ** (self.m - self.f), dtype=self.dtype)
-            rank[fixed] = np.arange(fixed.size)
-            numbers = self.numbered[h] = rank.take(
-                self.tables.pop((h, self.f)))
-        return numbers
+        table(h, f), which it drops."""
+        fixed = self.fixed(h)
+        rank = np.zeros(self.p ** (self.m - self.f), dtype=self.dtype)
+        rank[fixed] = np.arange(fixed.size)
+        return rank.take(self.tables.pop((h, self.f)))
 
     def fixed(self, h: int):
         """The least states of the classes in a block whose prefix is its
@@ -532,24 +536,27 @@ class _Torus:
                 table == np.arange(table.size)).astype(self.dtype)
         return fixed
 
-    def sizes(self, h: int, digits):
-        """The size of each class of fixed(h), from its digits (a row per
-        digit): the elements of the torus over those that fix its state,
-        the elements of h that are 0 on its support."""
-        n = len(digits)
-        bits = 1 << np.arange(n)
-        # bit j of a support is digit j nonzero: added a row at a time, as a
-        # product with bits holds n int64 entries per class (4.7 MB on a
-        # D6/F3 block)
-        support = np.zeros(digits.shape[1], dtype=np.intp)
-        for j, row in enumerate(digits):
-            support += (row != 0).astype(np.intp) << j
-        moved = (self.exps[self.groups[h], self.f:] != 0) @ bits
-        # the elements of h that fix each support met, by support
-        fixing = np.ones(1 << n, dtype=np.int64)
-        masks = np.flatnonzero(np.bincount(support, minlength=1))
-        fixing[masks] = ((masks[:, None] & moved) == 0).sum(axis=1)
-        return len(self.exps) // fixing.take(support)
+    def sizes(self, h: int):
+        """The size of each class of fixed(h): the elements of the torus
+        over those that fix its least state, the elements of h that are 0
+        on its support."""
+        if (sizes := self.sized.get(h)) is None:
+            n = self.m - self.f
+            bits = 1 << np.arange(n)
+            # bit j of a support is digit j nonzero: added a digit at a
+            # time, as a product with bits holds n int64 entries per class
+            # (4.7 MB on a D6/F3 block)
+            digits = _digits(self.fixed(h), self.p, n)
+            support = np.zeros(len(digits), dtype=np.intp)
+            for j, row in enumerate(digits.T):
+                support += (row != 0).astype(np.intp) << j
+            moved = (self.exps[self.groups[h], self.f:] != 0) @ bits
+            # the elements of h that fix each support met, by support
+            fixing = np.ones(1 << n, dtype=np.int64)
+            masks = np.flatnonzero(np.bincount(support, minlength=1))
+            fixing[masks] = ((masks[:, None] & moved) == 0).sum(axis=1)
+            sizes = self.sized[h] = len(self.exps) // fixing.take(support)
+        return sizes
 
 
 def _block_digits(p: int, m: int) -> int:
@@ -568,15 +575,28 @@ def _prefixes(torus: _Torus):
         yield (lo, prefix, *torus.reduce(prefix))
 
 
-def _normal_blocks(torus: _Torus):
-    """The blocks that hold the classes' least states, in ascending order:
-    (lo, prefix, h) for each block whose prefix is its own normal form,
-    with group h (_prefixes).  The block's least states are lo +
-    torus.fixed(h); a state whose prefix is not its own normal form is not
-    the least of its class."""
+def _classes(chars, p: int, m: int):
+    """The classes of the torus of chars (as for _Torus) on the p**m
+    states: (torus, blocks, count), count the number of classes and blocks
+    (lo, prefix, h, first), in ascending order, for each block of the last
+    _block_digits(p, m) digits whose prefix is its own normal form, with
+    group h (_prefixes): its least states lo + torus.fixed(h), of sizes
+    torus.sizes(h), are classes first, first + 1, ...; no other block
+    holds a least state.  The torus keeps its block tables alone (prune).
+    InternalError when the classes' sizes do not sum to p**m."""
+    total = p ** m
+    torus = _Torus(chars, p, m, _block_digits(p, m), _index_dtype(total))
+    blocks, count = [], 0
     for lo, prefix, head, h, _ in _prefixes(torus):
         if head == list(prefix):
-            yield lo, prefix, h
+            blocks.append((lo, prefix, h, count))
+            count += torus.fixed(h).size
+    torus.prune()
+    covered = sum(int(torus.sizes(h).sum()) for _, _, h, _ in blocks)
+    if covered != total:
+        raise InternalError(f"the classes' sizes sum to {covered}, not to "
+                            f"the {total} states")
+    return torus, blocks, count
 
 
 def _changes(pairs, keep: int, units, p: int, m: int):
@@ -654,13 +674,13 @@ def _join(tree, a, b):
     return tree, a[apart], b[apart]
 
 
-def _orbit_partition(maps, p: int, m: int, chars=None):
+def _orbit_partition(maps, p: int, m: int, chars):
     """Orbit index of every state, and the orbits' least states and sizes,
-    under the group G generated by a torus T (chars, as for _Torus; None
-    for the trivial one) and the elements whose digit maps maps lists, as
-    (pairs, keep, weight) (_class_maps): a root element x(1), whose
-    character's exponents on T's generators are weight, or n_0 (weight
-    None), which normalizes T.
+    under the group G generated by a torus T (chars, as for _Torus; an
+    m x 0 array for the trivial one) and the elements whose digit maps
+    maps lists, as (pairs, keep, weight) (_class_maps): a root element
+    x(1), whose character's exponents on T's generators are weight, or n_0
+    (weight None), which normalizes T.
 
     The classes.  T lies in G, so every orbit is a union of T-classes.  One
     index array, label, gets each state's class number block by block, for
@@ -670,12 +690,12 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
     last n digits multiplied by the prefix's units (_Torus), so a block
     costs one gather.  A block whose prefix is its own normal form holds
     the least states of some classes, the states its group's table fixes;
-    no other block holds any.  The classes are numbered by ascending least
-    state, so a class's number is the number of the first class of its
-    least state's block plus its rank in that block (numbers), and they
-    are counted, and their arrays priced (_check_memory), before label is
-    allocated.  A class's size is |T| over the elements that fix its least
-    state.
+    no other block holds any (_classes).  The classes are numbered by
+    ascending least state, so a class's number is the number of the first
+    class of its least state's block plus its rank in that block
+    (numbers).  A class's size is |T| over the elements that fix its least
+    state.  The classes are counted, their sizes checked to sum to p**m,
+    and their arrays priced (_check_memory), before label is allocated.
 
     The class edges.  G's orbits are the connected components of the graph
     joining each state x to t x, t in T, and to g x for each element g of
@@ -713,58 +733,49 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
 
     One gather per block writes each state's orbit index over its class
     number.  An orbit's size is the sum of its classes' sizes.
-    InternalError when the sizes do not sum to p**m, or when an orbit's
-    least state is not its own normal form (_Torus.reduce, digit by digit,
-    without the tables).
+    InternalError, from _classes, when the classes' sizes do not sum to
+    p**m, and when an orbit's least state is not its own normal form
+    (_Torus.reduce, digit by digit, without the tables).
     """
     total = p ** m
-    dtype = _index_dtype(total)
-    n = _block_digits(p, m)
-    size, f = p ** n, m - n
-    torus = _Torus(np.zeros((m, 0)) if chars is None else chars, p, m, n,
-                   dtype)
+    torus, normal, trees = _classes(chars, p, m)
+    dtype, f = torus.dtype, torus.f
+    n = m - f
+    size = p ** n
     # the c of each map's edges: chi_alpha's image, the units c**k for the
     # multiples k of the gcd of its exponents with p - 1; one for n_0
     edges = [(pairs, keep, (1,) if w is None else
               torus.pow[::np.gcd.reduce((*w, p - 1))])
              for pairs, keep, w in maps]
 
-    # the blocks that hold the classes' least states, in ascending order and
-    # by group, and the number of each one's first class
-    normal, blocks, first, trees = [], {}, {}, 0
-    for lo, prefix, h in _normal_blocks(torus):
-        normal.append((lo, h))
+    # the blocks that hold the classes' least states by group, and the
+    # number of each one's first class
+    blocks, first = {}, {}
+    for lo, prefix, h, start in normal:
         blocks.setdefault(h, []).append((lo, prefix))
-        first[lo] = trees
-        trees += torus.fixed(h).size
+        first[lo] = start
     itemsize = np.dtype(dtype).itemsize
     _check_memory(total * itemsize + _BLOCK_BYTES * _BLOCK_STATES
                   + _CLASS_BYTES * trees,
                   f"joining the {trees} torus classes of {p}**{m} states")
-    # every block's group is its normal form's, so the tables of the blocks'
-    # groups are all built; those of later digits served only to build them
-    torus.tables = {key: table for key, table in torus.tables.items()
-                    if key[1] == f}
     # each state's class number, block by block: the numbers of the
     # prefix's group at the states multiplied by the prefix's units, plus
-    # the number of the first class of the normal form's block
+    # the number of the first class of the normal form's block.  A prefix's
+    # group is its normal form's, so the blocks' groups are all it meets
     label = np.empty(total, dtype=dtype)
+    numbers = {h: torus.numbers(h) for h in blocks}
     for lo, prefix, head, h, unit in _prefixes(torus):
         start = 0
         for y in head:
             start = start * p + y
-        view, table = label[lo:lo + size], torus.numbers(h)
+        view, table = label[lo:lo + size], numbers[h]
         if unit is None or (unit[f:] == 1).all():
             view[...] = table
         else:
             np.take(table, torus.scaled(unit[f:]), out=view)
         if (start := first[start * size]):
             view += start
-    torus.tables = torus.numbered = None  # read only by the class numbers
-
-    def digits(fixed):
-        # the digits of the states of fixed, a row per digit
-        return _digits(fixed, p, n, np.min_scalar_type(-p)).T
+    numbers = None
 
     def join(tree, held):
         a = np.concatenate([a for a, _ in held])
@@ -779,7 +790,7 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
     held, count = [], 0
     for h, where in blocks.items():
         fixed = torus.fixed(h)
-        found = digits(fixed)
+        found = _digits(fixed, p, n).T
         # at most a block's edges, and tables of a block's entries for each
         # pair, at a time
         step = max(1, size // max(fixed.size, p * p))
@@ -802,8 +813,8 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
     # each class's orbit index, the rank of its root among the roots, over
     # its root, and the roots' least states
     roots, k = [], 0
-    for lo, h in normal:
-        fixed, start = torus.fixed(h), first[lo]
+    for lo, _, h, start in normal:
+        fixed = torus.fixed(h)
         view = tree[start:start + fixed.size]
         top = view == np.arange(start, start + fixed.size, dtype=dtype)
         rank = np.cumsum(top, dtype=dtype)
@@ -823,12 +834,8 @@ def _orbit_partition(maps, p: int, m: int, chars=None):
     sizes = np.zeros(least.size, dtype=np.intp)
     for h, where in blocks.items():
         fixed = torus.fixed(h)
-        weight = torus.sizes(h, digits(fixed))
         for lo, _ in where:
-            np.add.at(sizes, label.take(lo + fixed), weight)
-    if int(sizes.sum()) != total:
-        raise InternalError(f"the classes' sizes sum to {int(sizes.sum())}, "
-                            f"not to the {total} states")
+            np.add.at(sizes, label.take(lo + fixed), torus.sizes(h))
     if len(torus.exps) > 1:
         for i, x in enumerate(_digits(least, p, m).tolist()):
             if torus.reduce(x)[0] != x:
@@ -849,12 +856,13 @@ _HELD_BYTES = 2**21
 _SMALL_TABLE = 2**12
 # _orbit_partition holds one array of p**m index-sized entries, whatever the
 # number of maps, at most _BLOCK_BYTES bytes per state of a block besides
-# (the suffix tables and each group's least states, a block's edges, and
-# the pairs of roots held between joins with _join's copies of them), and
-# _CLASS_BYTES per class of the torus: the union-find's tree, and then the
-# orbits' least states and sizes, in intp, at most one orbit per class.
-# Traced beyond the index, in bytes per class: 27.8 on D4/F7 (107,297
-# classes), 7.1 on D6/F3 (5,385,761), 16.1 on A3/F97 (922,181) and 16.1 on
+# (the suffix tables, each group's least states and class sizes, a block's
+# edges, and the pairs of roots held between joins with _join's copies of
+# them), and _CLASS_BYTES per class of the torus: the union-find's tree,
+# and then the orbits' least states and sizes, in intp, at most one orbit
+# per class.
+# Traced beyond the index, in bytes per class: 30.9 on D4/F7 (107,297
+# classes), 7.4 on D6/F3 (5,385,761), 16.1 on A3/F97 (922,181) and 16.1 on
 # A2/F3001 (9,006,001 classes, each an orbit), each within the price
 _BLOCK_BYTES = 192
 _CLASS_BYTES = 16
@@ -916,29 +924,21 @@ def predicted_census(table: StructureConstantTable, p: int,
 # -- the crosscheck ---------------------------------------------------------------
 
 
-def _batch_codes(clf, rows) -> np.ndarray:
-    """clf's batch codes of the rows of an (n, |phi1|) integer array, as
-    int64, from clf.chunk_codes in chunks of _CHECK_CHUNK rows."""
-    return np.concatenate([c for _, c in clf.chunk_codes(
-        len(rows), lambda lo, hi: rows[lo:hi], size=_CHECK_CHUNK)],
-        dtype=np.int64)
-
-
 def _sample_classes(clf, rows, classes: dict):
     """The batch step of crosscheck's sampled pairs: (ids, codes), one
     index and one code per row of rows, an (n, |phi1|) integer array, the
     indices equal for two rows exactly when the classifier gives them equal
-    descriptors, as classify_many would.  The codes come from
-    _batch_codes, and each distinct code is decoded once: classes maps each
-    code (an int) and each descriptor (a tuple) met in the calls of one
-    crosscheck to an index, equal descriptors to one.  MismatchReport, with
-    the first row of the code and the code, for a code that decode does
-    not know."""
-    codes = _batch_codes(clf, rows)
+    descriptors, as classify_many would.  The codes come from one
+    clf.codes call, and each distinct code is decoded once: classes maps
+    each code (an int) and each descriptor (a tuple) met in the calls of
+    one crosscheck to an index, equal descriptors to one.  MismatchReport,
+    with the first row of the code and the code, for a code that decode
+    does not know."""
     # np.unique would hash (1.3 MB more peak RSS), or sort narrow lanes
-    # slowly (0.6 ms for 20,000 int8 codes against 0.06 ms in int64); an
-    # argsort gives each row its distinct code's rank at half the cost of
-    # np.searchsorted into the distinct codes
+    # slowly (0.6 ms for 20,000 int8 codes against 0.06 ms in int64), as an
+    # argsort does; in int64, it gives each row its distinct code's rank at
+    # half the cost of np.searchsorted into the distinct codes
+    codes = clf.codes(rows).astype(np.int64)
     order = np.argsort(codes)
     ordered = codes.take(order)
     new = np.append(True, ordered[1:] != ordered[:-1])
@@ -1059,31 +1059,23 @@ def crosscheck(table: StructureConstantTable, p: int,
     # Then the codes.  The code is G0-invariant, so T0-invariant, and each
     # orbit is a union of T0's classes: one state per class suffices, its
     # least.  The classes are listed from the characters of T0, block by
-    # block (_normal_blocks), and their sizes must sum to p**m.  They are
-    # coded in ascending chunks of at most _CHECK_CHUNK states.  Each
-    # representative, the least state of its orbit, is the least of its
-    # class, so orbit i is met first at representative i, whose code is
-    # recorded before the later classes of orbit i are compared with it.
-    n = _block_digits(p, m)
-    torus = _Torus(chars, p, m, n, _index_dtype(total))
-    blocks = [(lo, h) for lo, _, h in _normal_blocks(torus)]
-    # the states that the classes of a block of each group hold
-    weight = {h: int(torus.sizes(h, _digits(torus.fixed(h), p, n,
-                                            np.min_scalar_type(-p)).T).sum())
-              for h in dict.fromkeys(h for _, h in blocks)}
-    torus.tables = None  # the suffix tables served only to find fixed(h)
-    if (covered := sum(weight[h] for _, h in blocks)) != total:
-        raise InternalError(f"the classes' sizes sum to {covered}, not to "
-                            f"the {total} states")
+    # block, their sizes checked to sum to p**m (_classes), never from the
+    # census.  They are coded in ascending chunks of at most _CHECK_CHUNK
+    # states, one clf.codes call each.  Each representative, the least
+    # state of its orbit, is the least of its class, so orbit i is met
+    # first at representative i, whose code is recorded before the later
+    # classes of orbit i are compared with it.
+    torus, blocks, _ = _classes(chars, p, m)
+    fixed = {h: torus.fixed(h) for _, _, h, _ in blocks}
+    del torus  # its tables and class sizes serve the partition alone
 
     def listed():
         # the listed least states, ascending, in chunks of _CHECK_CHUNK or
         # fewer
         held, count = [], 0
-        for lo, h in blocks:
-            fixed = torus.fixed(h)
-            for at in range(0, fixed.size, _CHECK_CHUNK):
-                part = lo + fixed[at:at + _CHECK_CHUNK].astype(np.int64)
+        for lo, _, h, _ in blocks:
+            for at in range(0, fixed[h].size, _CHECK_CHUNK):
+                part = lo + fixed[h][at:at + _CHECK_CHUNK].astype(np.int64)
                 if count + part.size > _CHECK_CHUNK:
                     yield np.concatenate(held)
                     held, count = [], 0
@@ -1096,8 +1088,7 @@ def crosscheck(table: StructureConstantTable, p: int,
     top = -1
     for states in listed():
         ids = orbit_id.take(states)
-        codes = _batch_codes(clf, _digits(states, p, m,
-                                          np.min_scalar_type(-p)))
+        codes = clf.codes(_digits(states, p, m))
         if (high := int(ids.max())) > top:
             new, at = first_met(ids, top, states.take)
             rep_codes[new] = codes.take(at)
@@ -1167,7 +1158,7 @@ def crosscheck(table: StructureConstantTable, p: int,
                       total).astype(_index_dtype(total))
         ids = orbit_id.take(states)
         want = ids[::2] == ids[1::2]
-        digits = _digits(states, p, m, np.min_scalar_type(-p))
+        digits = _digits(states, p, m)
 
         def disagree(i):
             x1, x2 = map(tuple, digits[2 * i:2 * i + 2].tolist())

@@ -1015,11 +1015,11 @@ def _descriptors_of_type(rs: RootSystem, p: int, label: str, params):
 
 # -- the classifier ------------------------------------------------------------------
 
-# vectors per batch of classify_many; bounds the memory of a batch code
-# pass, which holds a lane array for every prefix and block coordinate of
-# the compiled code (2**15 traced 20.5 -> 22.2 MB for 2**16 vectors of
-# D8/F700,001, int64 lanes).  crosscheck, whose rows are narrow, calls the
-# lanes on chunks of census._CHECK_CHUNK
+# vectors per codes call of classify_many; bounds the memory of a batch
+# code pass, which holds a lane array for every prefix and block coordinate
+# of the compiled code (2**15 traced 20.5 -> 22.2 MB for 2**16 vectors of
+# D8/F700,001, int64 lanes).  crosscheck, whose rows are narrow, calls
+# codes on chunks of at most census._CHECK_CHUNK
 _CHUNK = 1 << 14
 # lane dtypes, narrowest first, with the largest value each holds
 _LANES = tuple((t, int(np.iinfo(t).max))
@@ -1032,7 +1032,8 @@ class _Classifier:
     Its kernel (_Kernel) spells the code twice, from one generated source:
     classify(x, code_only=False), the scalar unit at p, which reduces one
     vector and returns its descriptor, or its code, and lanes(xs), the
-    codes of a batch, one lane array per phi1 coordinate.  Each family
+    codes of a batch, one lane array per phi1 coordinate, which codes(rows)
+    calls once on a chunk of rows; its callers chunk.  Each family
     gives decode(code), the descriptor a code names, and its bound on
     |every value of lanes|.  lane is the narrowest of int8, int16, int32
     and int64 whose range holds the bound, that is bound < 2**(bits - 1)
@@ -1080,21 +1081,11 @@ class _Classifier:
             self.rs.check_v1(x)  # raises, with the system's message
         return x
 
-    def chunk_codes(self, n: int, rows, size: int | None = None):
-        """Yield (lo, codes) for the chunks of size (by default _CHUNK) out
-        of n vectors.
-
-        rows(lo, hi) gives vectors lo..hi-1 as an (hi - lo, |phi1|)
-        integer or bool array or a list of lists of ints, reduced mod p
-        here.  codes is a lane array, or, past the lane bound or for a list,
-        a list from code over Python ints.  A chunk's rows and lanes are
-        freed before the next chunk is read.
-        """
-        size = size or _CHUNK
-        for lo in range(0, n, size):
-            yield lo, self._codes(rows(lo, min(lo + size, n)))
-
-    def _codes(self, chunk):
+    def codes(self, chunk):
+        """The codes of a chunk of vectors, an (n, |phi1|) integer or bool
+        array or a list of lists of ints, reduced mod p here: a lane array
+        from one lanes call, or, past the lane bound or for a list, a list
+        from code over Python ints."""
         p, lane = self.p, self.lane
         if lane is None or isinstance(chunk, list):
             return list(map(self.code, chunk if isinstance(chunk, list)
@@ -1325,20 +1316,22 @@ def classify_many(table: StructureConstantTable, K,
     X is an iterable of integer vectors in phi1 order, read once, or an
     (n, |phi1|) integer array.  The result equals [classify(table, K, x)
     for x in X]: the codes come from the same classifier, by its lane
-    spelling (chunk_codes), a second spelling of the scalar unit's, and
-    each distinct code is decoded once.  A row of the wrong length, or
-    entries that are not integers, raise ValueError.
+    spelling (codes, one call per _CHUNK rows, whose lanes are freed before
+    the next), a second spelling of the scalar unit's, and each distinct
+    code is decoded once.  A row of the wrong length, or entries that are
+    not integers, raise ValueError.
     """
     clf = _classifier(table, K)
     rows = _batch_rows(clf.rs, clf.p, X)
     out: list = [None] * len(rows)
     seen: dict = {}  # code -> descriptor
-    for lo, codes in clf.chunk_codes(len(rows), lambda lo, hi: rows[lo:hi]):
+    for lo in range(0, len(rows), _CHUNK):
+        codes = clf.codes(rows[lo:lo + _CHUNK])
         keys = codes if isinstance(codes, list) else codes.tolist()
         for c in set(keys).difference(seen):
             seen[c] = clf.decode(c)
         out[lo:lo + len(keys)] = map(seen.__getitem__, keys)
-        del keys, codes  # before chunk_codes builds the next chunk
+        del keys, codes  # before the next chunk is coded
     return out
 
 

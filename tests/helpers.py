@@ -238,22 +238,35 @@ def trivial_torus(moves) -> list:
     return [(move, 1, ()) for move in moves]
 
 
+def lane_rows(monkeypatch, clf) -> list:
+    """The number of rows of each call of clf's lanes, recorded as the
+    calls are made."""
+    real, rows = clf.lanes, []
+
+    def lanes(xs):
+        rows.append(len(xs[0]))
+        return real(xs)
+
+    monkeypatch.setattr(clf, "lanes", lanes)
+    return rows
+
+
 def shift_top_digit_codes(monkeypatch) -> None:
     """Patch every family-D classifier's batch codes to be one more at the
     rows whose first digit is p - 1: no class's least state has that digit
     on D4/F5 or D5/F3, so only crosscheck's sampled states meet the shifted
     codes, which decode to no orbit there."""
-    real = orbitlab._DClassifier.chunk_codes
+    real = orbitlab._DClassifier.codes
 
-    def shifted(self, n, rows, size=None):
-        for lo, codes in real(self, n, rows, size):
-            hit = np.asarray(rows(lo, lo + len(codes)))[:, 0] == self.p - 1
-            if hit.any():
-                codes = codes.copy()
-                codes[hit] += 1
-            yield lo, codes
+    def shifted(self, chunk):
+        codes = real(self, chunk)
+        hit = np.asarray(chunk)[:, 0] == self.p - 1
+        if hit.any():
+            codes = codes.copy()
+            codes[hit] += 1
+        return codes
 
-    monkeypatch.setattr(orbitlab._DClassifier, "chunk_codes", shifted)
+    monkeypatch.setattr(orbitlab._DClassifier, "codes", shifted)
 
 
 def negated_pair(name: str) -> tuple[StructureConstantTable, int, int]:

@@ -263,7 +263,8 @@ def test_orbit_partition_matches_union_find_on_random_moves(case):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(census_mod, "_BLOCK_STATES", block)
             seen = count_partition_work(patch)
-            got = census_mod._orbit_partition(trivial_torus(moves), p, m)
+            got = census_mod._orbit_partition(trivial_torus(moves), p, m,
+                                              np.zeros((m, 0)))
         assert [a.tolist() for a in got] == list(want), block
         assert seen["images"] == len(moves), block
         assert seen["edges"] == len(moves) * p ** m, block
@@ -284,8 +285,7 @@ def test_orbit_partition_reads_every_edge_once(monkeypatch, name, p, n):
         (name, p)]
     assert class_edges(name, p) == classes * per_class
     monkeypatch.setattr(census_mod, "_BLOCK_STATES", p ** n)
-    torus = census_mod._Torus(chars, p, m, n, np.int32)
-    assert len(list(census_mod._normal_blocks(torus))) > 200
+    assert len(census_mod._classes(chars, p, m)[1]) > 200
     seen = count_partition_work(monkeypatch)
     got = census_mod._orbit_partition(maps, p, m, chars)
     assert seen["edges"] == classes * per_class
@@ -378,7 +378,7 @@ def test_orbit_partition_of_self_loops_ends_after_one_sweep(monkeypatch):
     p, m = 3, 4
     seen = count_partition_work(monkeypatch)
     label, least, sizes = census_mod._orbit_partition(
-        trivial_torus([[(0, 1, 0)]]), p, m)
+        trivial_torus([[(0, 1, 0)]]), p, m, np.zeros((m, 0)))
     assert seen == {"images": 1, "edges": p ** m, "joins": 0, "retries": 0}
     states = np.arange(p ** m)
     assert np.array_equal(label, states) and np.array_equal(least, states)
@@ -394,7 +394,8 @@ def test_orbit_partition_rehooks_pairs_that_a_conflicting_write_left_apart(
     p, m = 3, 4
     moves = [[(2, 3, -1)], [(0, 2, 1)], [(1, 0, -1)]]
     seen = count_partition_work(monkeypatch)
-    got = census_mod._orbit_partition(trivial_torus(moves), p, m)
+    got = census_mod._orbit_partition(trivial_torus(moves), p, m,
+                                      np.zeros((m, 0)))
     assert seen["images"] == len(moves) and seen["retries"]
     assert [a.tolist() for a in got] == list(union_find_partition(moves, p,
                                                                   m))
@@ -455,8 +456,9 @@ def test_normal_form_is_the_least_state_of_its_torus_class(name, p):
     state's class is labelled by the least state of its class under all of
     T0, found by brute force over T0's elements, and each class's size is
     its count of states; the scalar reduce, digit by digit, gives the same
-    least state for every state, and the classes' listing
-    (_normal_blocks) names exactly the states that are their own."""
+    least state for every state, and the classes' listing (_classes) names
+    exactly the states that are their own, in ascending order, with their
+    numbers and sizes."""
     table = get_table(name)
     chars, _ = census_mod._class_maps(table)
     m = len(table.rs.phi1)
@@ -468,17 +470,19 @@ def test_normal_form_is_the_least_state_of_its_torus_class(name, p):
     label, reps, sizes = census_mod._orbit_partition([], p, m, chars)
     assert np.array_equal(reps.take(label), least)
     assert np.array_equal(sizes, np.bincount(label))
-    n = max(k for k in range(m + 1) if p ** k <= census_mod._BLOCK_STATES)
-    torus = census_mod._Torus(chars, p, m, n, np.int64)
+    torus, blocks, count = census_mod._classes(chars, p, m)
     assert len(torus.exps) == len(units)
     assert [torus.reduce(x)[0] for x in digits.tolist()] == (
         census_mod._digits(least, p, m).tolist())
     # the listing that crosscheck codes: the states that are their own
-    # normal form, block by block
-    listed = [lo + torus.fixed(h) for lo, _, h in
-              census_mod._normal_blocks(torus)]
-    assert np.array_equal(np.concatenate(listed), np.flatnonzero(
-        least == states))
+    # normal form, block by block, numbered from each block's first
+    listed = [lo + torus.fixed(h) for lo, _, h, _ in blocks]
+    assert np.array_equal(np.concatenate(listed), reps)
+    assert [first for *_, first in blocks] == np.cumsum(
+        [0] + [x.size for x in listed[:-1]]).tolist()
+    assert count == reps.size == np.count_nonzero(least == states)
+    assert np.array_equal(np.concatenate(
+        [torus.sizes(h) for _, _, h, _ in blocks]), sizes)
 
 
 def tamper_table(monkeypatch, tamper):
@@ -496,6 +500,14 @@ def tamper_table(monkeypatch, tamper):
     monkeypatch.setattr(census_mod._Torus, "table", table)
 
 
+def fix_one(h, out):
+    """A tamper for tamper_table: the first state that the table of the
+    whole torus moves, fixed instead."""
+    if h == 0:
+        moved = np.flatnonzero(out != np.arange(out.size))
+        out[moved[0]] = moved[0]
+
+
 def test_the_partition_checks_the_class_sizes(monkeypatch):
     """A suffix table that fixes a state it should move makes that state a
     class of its own besides its true class: the classes' sizes then sum to
@@ -503,15 +515,26 @@ def test_the_partition_checks_the_class_sizes(monkeypatch):
     table = get_table("D4")
     chars, maps = census_mod._class_maps(table)
     p, m = 3, 8
-
-    def fix_one(h, out):
-        if h == 0:
-            moved = np.flatnonzero(out != np.arange(out.size))
-            out[moved[0]] = moved[0]
-
     tamper_table(monkeypatch, fix_one)
     with pytest.raises(InternalError, match="sizes sum to"):
         census_mod._orbit_partition(maps, p, m, chars)
+
+
+def test_the_partition_checks_the_class_sizes_before_pricing(monkeypatch):
+    """The classes' sizes are checked as the classes are listed (_classes):
+    on D4/F3 with one tampered suffix table, the partition raises
+    InternalError before it prices its arrays (_check_memory), and so
+    before it allocates any."""
+    table = get_table("D4")
+    chars, maps = census_mod._class_maps(table)
+
+    def priced(need, what):
+        raise AssertionError(f"priced {what} first")
+
+    tamper_table(monkeypatch, fix_one)
+    monkeypatch.setattr(census_mod, "_check_memory", priced)
+    with pytest.raises(InternalError, match="sizes sum to"):
+        census_mod._orbit_partition(maps, 3, 8, chars)
 
 
 def test_the_partition_checks_each_least_state_is_normal(monkeypatch):
@@ -573,13 +596,13 @@ def test_the_partition_reaches_no_classifier_name():
     # reads nothing of it: follow every name that the partition and the
     # moves of its generators use, into the chevorbit modules they import
     # from, and find none of the classifier's
-    classifier = {"classify", "_classifier", "classify_many", "chunk_codes",
+    classifier = {"classify", "_classifier", "classify_many", "codes",
                   "lanes", "code", "decode", "_lift_kernel"}
-    for start, needs in (("_orbit_partition", {"_Torus", "_changes",
-                                               "_edge_images", "_join",
-                                               "_normal_blocks"}),
+    for start, needs in (("_orbit_partition", {"_classes", "_changes",
+                                               "_edge_images", "_join"}),
                          ("_Torus", {"_primitive_root", "_digits"}),
-                         ("_normal_blocks", {"_prefixes", "reduce"}),
+                         ("_classes", {"_Torus", "_prefixes", "reduce",
+                                       "sizes"}),
                          ("_changes", set()), ("_edge_images", set()),
                          ("_primitive_root", set()),
                          ("_class_maps", {"_action_plan"})):
@@ -715,18 +738,22 @@ def test_state_encoding_round_trip():
     assert state_of_vector(rs, p, (1,) + (0,) * (m - 1)) == 3 ** (m - 1)
 
 
-@pytest.mark.parametrize("name,p", [("A1", 5), ("A2", 2_147_483_647)])
+@pytest.mark.parametrize("name,p", [("A1", 5), ("A2", 2_147_483_647),
+                                    ("D4", 1009)])
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_state_codec_round_trips_through_the_one_decoder(name, p, dtype):
     # A1 has no level-1 roots; A2's p**2 is just below the 2**62 states
-    # that check_budget admits, so its largest states need int64
+    # that check_budget admits, so its largest states need int64; D4's
+    # 1009**8 states pass 2**64, so its largest are decoded from Python
+    # ints, into the same narrow digits
     rs = get_table(name).rs
     m = len(rs.phi1)
     top = min(p ** m, np.iinfo(dtype).max + 1)
     states = np.array(sorted({s for s in (0, 1, p - 1, p, top // 3, top - 1)
                               if s < top}), dtype=dtype)
     digits = census_mod._digits(states, p, m)
-    assert digits.dtype == dtype and digits.shape == (len(states), m)
+    assert digits.dtype == np.min_scalar_type(-p)
+    assert digits.shape == (len(states), m)
     for s, row in zip(states.tolist(), digits.tolist()):
         x = vector_of_state(rs, p, s)
         assert x == tuple(row) and all(type(c) is int for c in x)
@@ -1266,7 +1293,7 @@ def test_sample_classes_partition_rows_as_their_descriptors_do():
     (c1, _), (c2, _) = [(c, d) for c, d in clf.canonical_codes.items()
                         if d.label == "IIIa"]
     merged = types.SimpleNamespace(
-        chunk_codes=clf.chunk_codes,
+        codes=clf.codes,
         decode=lambda c: clf.decode(c2 if c == c1 else c))
     scalar = [clf.code(x) for x in rows.tolist()]
     for classifier in (clf, merged):
@@ -1389,17 +1416,17 @@ def _d4_crosscheck(**kwargs):
 def shift_code(monkeypatch, clf, state, code):
     """Patch clf's batch codes to give code(old) at every row equal to the
     vector state."""
-    real = clf.chunk_codes
+    real = clf.codes
 
-    def shifted(n, rows, **kwargs):
-        for lo, codes in real(n, rows, **kwargs):
-            hit = (np.asarray(rows(lo, lo + len(codes))) == state).all(axis=1)
-            if hit.any():
-                codes = codes.copy()
-                codes[hit] = code(codes[hit])
-            yield lo, codes
+    def shifted(chunk):
+        codes = real(chunk)
+        hit = (np.asarray(chunk) == state).all(axis=1)
+        if hit.any():
+            codes = codes.copy()
+            codes[hit] = code(codes[hit])
+        return codes
 
-    monkeypatch.setattr(clf, "chunk_codes", shifted)
+    monkeypatch.setattr(clf, "codes", shifted)
 
 
 def batch_steps(monkeypatch) -> list:
@@ -1473,6 +1500,18 @@ def test_crosscheck_checks_each_sampled_state_against_its_orbit_code(
         "state": vector_of_state(rs, 3, state),
         "orbit_representative": census.orbits[i].representative,
     }
+
+
+def test_crosscheck_codes_at_most_a_check_chunk_per_lane_call(monkeypatch):
+    # D5/F3's 68,921 classes take three calls of the class pass, and the
+    # default sample of 10,000 pairs one more: no call has more than
+    # _CHECK_CHUNK rows, and each class and sampled state is coded once
+    table, census = get_table("D5"), get_census("D5", 3)
+    rows = helpers.lane_rows(monkeypatch,
+                             orbitlab._classifier(table, get_field(3)))
+    crosscheck(table, 3, census=census)
+    assert max(rows) <= census_mod._CHECK_CHUNK and len(rows) == 4
+    assert sum(rows) == 68_921 + 2 * 10_000
 
 
 def test_crosscheck_checks_that_the_listed_classes_cover_the_states(

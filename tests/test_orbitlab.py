@@ -74,6 +74,7 @@ from helpers import (
     get_field,
     get_system,
     get_table,
+    lane_rows,
     pack_profile,
     random_level0_word,
     random_v1,
@@ -96,11 +97,12 @@ def lane_of(t, p):
 
 
 def batch_codes(t, p, vectors):
-    """The codes of vectors through classify_many's chunked batch path."""
+    """The codes of vectors through classify_many's batch path: one codes
+    call per orbitlab._CHUNK rows."""
     rows = np.array(vectors, dtype=np.int64)
-    out = []
-    for _, codes in orbitlab._classifier(t, get_field(p)).chunk_codes(
-            len(rows), lambda lo, hi: rows[lo:hi]):
+    clf, out = orbitlab._classifier(t, get_field(p)), []
+    for lo in range(0, len(rows), orbitlab._CHUNK):
+        codes = clf.codes(rows[lo:lo + orbitlab._CHUNK])
         out += codes if isinstance(codes, list) else codes.tolist()
     return out
 
@@ -1163,6 +1165,17 @@ def test_classify_many_interns_its_result(name, p):
     assert any(d.label == "V" for d in got) or name[0] == "A"
     assert len({id(d) for d in got}) == len(set(got))
     assert all(a is b for a, b in zip(got[:50], got[n - 50:]))
+
+
+def test_classify_many_codes_a_chunk_per_lane_call(monkeypatch):
+    # 2 * _CHUNK + 1 rows take three lanes calls, the last of one row
+    t, K = get_table("D4"), get_field(5)
+    n = 2 * orbitlab._CHUNK + 1
+    rows = np.random.default_rng(5).integers(0, 5, (n, 8), dtype=np.int64)
+    calls = lane_rows(monkeypatch, orbitlab._classifier(t, K))
+    assert classify_many(t, K, rows) == [classify(t, K, x)
+                                         for x in rows.tolist()]
+    assert calls == [orbitlab._CHUNK, orbitlab._CHUNK, 1]
 
 
 @pytest.mark.parametrize("name,p", [("D5", 3), ("D4", 5), ("A3", 5)])
